@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import STAGE_CODES, draw_noise, grid_to_bytes, synthesize_echo
+from .echo import STAGE_CODES, grid_to_bytes, synthesize_echo
 from .errors import ConfigurationError, OfdmSarError
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
@@ -38,8 +37,8 @@ from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_image
 from .scene import Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
-from .waveform import (RadarConfig, SrsConfig, SymbolGrid, gen_symbol_grid,
-                       make_qam, _QAM_NAMES)
+from .waveform import (RadarConfig, SrsConfig, gen_symbol_grid, make_qam,
+                       _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
@@ -345,12 +344,10 @@ def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
     if not wanted:
         return
     constellation = make_qam(scenario.constellation)
-    symbols = gen_symbol_grid(cfg, constellation, scenario.seed, mask=mask,
-                              trials=scenario.trials).data[0]
-    echo = synthesize_echo(scenario.scene, cfg,
-                           _single_grid(symbols, mask, scenario, cfg),
+    symbols = gen_symbol_grid(cfg, constellation, scenario.seed, mask=mask)
+    echo = synthesize_echo(scenario.scene, cfg, symbols,
                            noise_seed=scenario.seed, rcs_seed=scenario.seed)
-    filtered = apply_tf_filter(echo, symbols, result.filter_spec)
+    filtered = apply_tf_filter(echo, symbols.data, result.filter_spec)
     stages = {"tf": filtered}
     if wanted - {"tf"}:
         stages.update(
@@ -365,15 +362,6 @@ def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
     for stage in scenario.outputs.grids:
         (out_dir / f"grid_{stage}.bin").write_bytes(
             grid_to_bytes(stages[stage], stage=stage))
-
-
-def _single_grid(symbols: np.ndarray, mask: Optional[np.ndarray],
-                 scenario: ScenarioConfig, cfg: RadarConfig) -> SymbolGrid:
-    full_mask = (np.ones(symbols.shape, dtype=bool) if mask is None
-                 else mask)
-    return SymbolGrid(data=symbols, mask=full_mask,
-                      constellation=scenario.constellation,
-                      seed=scenario.seed)
 
 
 def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:

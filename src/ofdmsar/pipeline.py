@@ -24,13 +24,13 @@ import numpy as np
 from .echo import build_channel_matrix, draw_noise
 from .errors import InvalidParameterError
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
-                      islr, measure_mainlobe_width, mse_vs_ideal, nmse, pel,
-                      snr_out, theoretical_resolutions)
-from .rd_imaging import ImageGrid, focus_image
+                      islr, measure_mainlobe_width, nmse, pel, snr_out,
+                      theoretical_resolutions)
+from .rd_imaging import focus_image
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
-                       chi_stats, gen_symbol_grid, srs_mask)
+                       chi_stats, gen_symbol_grid)
 
 MODES = ("data_aided", "pilot_only")
 

@@ -4,7 +4,9 @@ Stages, in fixed order, starting from a filtered temporal-frequency grid:
 
   tf   -> rc    range compression: unitary inverse DFT over subcarriers
   rc   -> rd    azimuth FFT: unitary forward DFT over symbols, centered
-  rd   -> rcmc  range cell migration correction in the Doppler domain
+  rd   -> rcmc  range cell migration correction: one range-spectrum
+                multiply per Doppler column (the windowed sinc in its
+                circulant form)
   rcmc -> ac    azimuth compression: quadratic phase match + inverse DFT
 
 Conventions: Doppler bins use the signed/centered index p = bin - M//2
@@ -23,7 +25,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import InvalidParameterError, StageError
-from .echo import EchoGrid, STAGE_CODES
+from .echo import EchoGrid
 from .waveform import RadarConfig
 
 STAGE_ORDER = ("tf", "rc", "rd", "rcmc", "ac")
@@ -233,36 +235,37 @@ def rcm_shift(p, cfg: RadarConfig, r_bar_ref_m: float):
 RCMC_METHODS = ("windowed_sinc", "phase_ramp")
 
 
-def _fractional_shift_sinc(col: np.ndarray, shift: float, halfwidth: int) -> np.ndarray:
-    """out[k] = col[k + shift] via a windowed-sinc kernel, circularly.
+def _shift_transfer(n: int, shifts: np.ndarray, method: str,
+                    halfwidth: int) -> np.ndarray:
+    """Range-spectrum multiplier H (N x M) with out[k, p] = in[k + shifts[p], p].
 
-    Range columns are synthesized from one-sided subcarrier content, so in
-    the range domain they ride a near-Nyquist carrier that a sinc kernel
-    cannot interpolate directly.  The column is demodulated to band centre
-    first and remodulated after, leaving the kernel lowpass content.
+    Both methods shift each Doppler column circularly along range, so each
+    is diagonal in the range-frequency domain: out = ifft(fft(in) * H).
+
+    phase_ramp: the exact shift, a linear phase ramp over the native
+    one-sided subcarrier indices 0..N-1 (the basis range compression
+    synthesizes from); unitary for grid content of any shape.
+
+    windowed_sinc: the circulant form of a windowed-sinc interpolator.
+    Range columns ride a near-Nyquist carrier that a sinc kernel cannot
+    interpolate directly, so each tap at lag l = floor(shift) + tap is
+    demodulated by (-1)^l and the result remodulated by e^{j pi shift};
+    the taps, summed at lag mod N, form the circulant vector c_p, and
+    H[:, p] = N ifft(c_p).
     """
-    whole = int(np.floor(shift))
-    frac = shift - whole
-    taps = np.arange(-halfwidth + 1, halfwidth + 1)
-    u = taps - frac
+    if method == "phase_ramp":
+        return np.exp(2j * np.pi * np.outer(np.arange(n), shifts / n))
+    whole = np.floor(shifts)
+    taps = np.arange(-halfwidth + 1, halfwidth + 1)[:, None]
+    u = taps - (shifts - whole)
     kernel = np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / halfwidth))
-    n = col.size
-    signs = 1.0 - 2.0 * (np.arange(n) % 2)  # e^{-j pi k}: shift band by -N/2
-    idx = (np.arange(n)[:, None] + whole + taps[None, :]) % n
-    shifted = (col * signs)[idx] @ kernel
-    return shifted * signs * np.exp(1j * np.pi * shift)
-
-
-def _fractional_shift_ramp(col: np.ndarray, shift: float) -> np.ndarray:
-    """Exact cyclic fractional shift via a linear phase ramp.
-
-    The ramp runs over the native one-sided subcarrier indices 0..N-1 (the
-    basis range compression synthesizes from), so out[k] = col[k + shift]
-    holds exactly for grid content of any shape, and the map is unitary.
-    """
-    n = col.size
-    ramp = np.exp(2j * np.pi * np.arange(n) * (shift / n))
-    return np.fft.ifft(np.fft.fft(col) * ramp)
+    lags = whole.astype(np.int64) + taps
+    signs = 1.0 - 2.0 * (lags % 2)
+    columns = np.broadcast_to(np.arange(shifts.size), lags.shape)
+    circulant = np.zeros((n, shifts.size), dtype=complex)
+    np.add.at(circulant, (lags % n, columns),
+              kernel * signs * np.exp(1j * np.pi * shifts))
+    return n * np.fft.ifft(circulant, axis=0)
 
 
 def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
@@ -271,7 +274,9 @@ def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
 
     Each Doppler column p is advanced along range by its predicted
     migration: out[k, p] = in[k + delta_k(p), p], so a scatterer's energy
-    returns to its zero-Doppler range bin for all p.
+    returns to its zero-Doppler range bin for all p.  The shift is
+    circulant along range, so RCMC is one range-spectrum multiply per
+    Doppler column; the windowed sinc is applied in its circulant form.
     """
     if method not in RCMC_METHODS:
         raise InvalidParameterError(
@@ -280,15 +285,8 @@ def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
         raise InvalidParameterError(f"halfwidth must be >= 1, got {halfwidth}")
     data, cfg, _ = _as_stage(grid, "rd", "rcmc")
     shifts = rcm_shift(grid.doppler_bins(), cfg, r_bar_ref_m)
-    out = np.empty_like(data)
-    for j, shift in enumerate(shifts):
-        col = data[:, j]
-        if shift == 0.0:
-            out[:, j] = col
-        elif method == "phase_ramp":
-            out[:, j] = _fractional_shift_ramp(col, shift)
-        else:
-            out[:, j] = _fractional_shift_sinc(col, shift, halfwidth)
+    transfer = _shift_transfer(cfg.n_subcarriers, shifts, method, halfwidth)
+    out = np.fft.ifft(np.fft.fft(data, axis=0) * transfer, axis=0)
     return ImageGrid(data=out, cfg=cfg, stage="rcmc", r_bar_ref_m=r_bar_ref_m)
 
 
@@ -356,13 +354,3 @@ def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
     if collect_stages:
         return {"rc": rc, "rd": rd, "rcmc": corrected, "ac": focused}
     return focused
-
-
-def image_to_bytes(grid: ImageGrid) -> bytes:
-    """Serialize with the shared binary grid format (stage byte set)."""
-    from .echo import grid_to_bytes
-    return grid_to_bytes(grid.data, grid.stage)
-
-
-# Re-export for callers that reason about serialized stages.
-SERIAL_STAGE_CODES = STAGE_CODES

@@ -47,7 +47,6 @@ class RadarConfig:
     symbol_duration_s: Optional[float] = None
     total_symbol_s: Optional[float] = None
     n_symbols: Optional[int] = None
-    azimuth_downsample: int = 1
     snr_in_linear: Optional[float] = None
     noise_var: float = 0.0
 
@@ -58,9 +57,6 @@ class RadarConfig:
                 raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.n_subcarriers < 1:
             raise InvalidParameterError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
-        if self.azimuth_downsample < 1:
-            raise InvalidParameterError(
-                f"azimuth_downsample must be >= 1, got {self.azimuth_downsample}")
         if self.noise_var < 0:
             raise InvalidParameterError(f"noise_var must be >= 0, got {self.noise_var}")
         if self.snr_in_linear is not None and self.snr_in_linear <= 0:
@@ -165,7 +161,6 @@ class RadarConfig:
             total_symbol_s=t_total,
             n_symbols=m_kept,
             aperture_time_s=m_kept * t_total,
-            azimuth_downsample=1,
         )
 
     def with_noise(self, noise_var: float,

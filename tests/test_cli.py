@@ -234,6 +234,20 @@ def test_run_scenario_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_stage_artifacts_do_not_depend_on_trial_count(tmp_path):
+    # the stage images and grids come from the first trial's draw, which
+    # is the same whether the ensemble has one trial or several
+    stages = ["tf", "rc", "rd", "rcmc", "ac"]
+    outputs = {"images": stages, "grids": stages}
+    out1 = run_scenario(parse_config(config_text(trials=1, outputs=outputs)),
+                        tmp_path / "one")
+    out3 = run_scenario(parse_config(config_text(trials=3, outputs=outputs)),
+                        tmp_path / "three")
+    for stage in stages:
+        for name in (f"image_{stage}.pgm", f"grid_{stage}.bin"):
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+
+
 def test_run_scenario_pilot_smoke(tmp_path):
     # 64 symbols with a 4-symbol pilot period leave 16 pilot columns;
     # the speed makes the decimated grid critically sampled in azimuth

@@ -4,15 +4,22 @@ import pytest
 from conftest import critical_config, single_target_scene
 from ofdmsar.echo import build_channel_matrix
 from ofdmsar.errors import InvalidParameterError, StageError
-from ofdmsar.rd_imaging import (ImageGrid, azimuth_compress, azimuth_fft,
-                                focus_image, range_compress, rcm_shift, rcmc,
-                                spa_spectrum, stationary_point)
+from ofdmsar.rd_imaging import (ImageGrid, _shift_transfer, azimuth_compress,
+                                azimuth_fft, focus_image, range_compress,
+                                rcm_shift, rcmc, spa_spectrum,
+                                stationary_point)
 from ofdmsar.waveform import gen_symbol_grid, make_qam
 
 
 def unit_tf_grid(cfg, fill=1.0):
     data = np.full((cfg.n_subcarriers, cfg.n_symbols), fill, dtype=complex)
     return data
+
+
+def shift_column(col, shift, method, halfwidth=8):
+    """out[k] = col[k + shift] through the RCMC range-spectrum multiplier."""
+    transfer = _shift_transfer(col.size, np.array([shift]), method, halfwidth)
+    return np.fft.ifft(np.fft.fft(col) * transfer[:, 0])
 
 
 # Stage bookkeeping -----------------------------------------------------------
@@ -111,21 +118,17 @@ def test_rcm_shift_quadratic_even():
 
 
 def test_rcmc_integer_shift_is_exact_roll():
-    cfg = critical_config(32, 8)
     rng = np.random.default_rng(1)
     data = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
-    rd = ImageGrid(data=data, cfg=cfg, stage="rd")
-    # choose a reference range so some shift is an exact integer: monkey
-    # patch by using phase_ramp vs sinc on a synthetic integer shift instead
-    from ofdmsar.rd_imaging import (_fractional_shift_ramp,
-                                    _fractional_shift_sinc)
+    # no reference range gives an exact integer shift, so apply the
+    # per-column multiplier to synthetic integer shifts directly
     col = data[:, 0]
     for shift in (1.0, 3.0, -2.0):
         expected = np.roll(col, -int(shift))
-        assert np.allclose(_fractional_shift_ramp(col, shift), expected,
+        assert np.allclose(shift_column(col, shift, "phase_ramp"), expected,
                            atol=1e-12)
-        assert np.allclose(_fractional_shift_sinc(col, shift, 8), expected,
-                           atol=1e-3)
+        assert np.allclose(shift_column(col, shift, "windowed_sinc"),
+                           expected, atol=1e-3)
 
 
 def test_rcmc_methods_agree_on_smooth_column():
@@ -136,11 +139,9 @@ def test_rcmc_methods_agree_on_smooth_column():
     col = np.zeros(64, dtype=complex)
     for freq, amp in ((30, 1.0), (32, 0.5), (34, 0.25)):
         col += amp * np.exp(2j * np.pi * freq * n / 64)
-    from ofdmsar.rd_imaging import (_fractional_shift_ramp,
-                                    _fractional_shift_sinc)
     for shift in (0.25, 1.7, -0.4):
-        exact = _fractional_shift_ramp(col, shift)
-        approx = _fractional_shift_sinc(col, shift, 8)
+        exact = shift_column(col, shift, "phase_ramp")
+        approx = shift_column(col, shift, "windowed_sinc", 8)
         assert np.max(np.abs(exact - approx)) < 1e-3
 
 
@@ -154,22 +155,38 @@ def test_rcmc_fractional_shift_tracks_ridge():
         return np.exp(2j * np.pi * np.arange(n)[None, :] * (k[:, None] - pos)
                       / n).sum(axis=1) / np.sqrt(n)
 
-    from ofdmsar.rd_imaging import (_fractional_shift_ramp,
-                                    _fractional_shift_sinc)
     pos = 20.37
     col = ridge(pos)
     for shift in (0.644, -1.28, 2.015):
         expected = ridge(pos - shift)
-        out_ramp = _fractional_shift_ramp(col, shift)
+        out_ramp = shift_column(col, shift, "phase_ramp")
         assert np.allclose(out_ramp, expected, atol=1e-12)
         # the flat full-band spectrum is the sinc kernel's worst case: the
         # band-edge rolloff leaks a few percent into the peak's neighbours,
         # shrinking as the kernel grows, without moving the peak itself
         peak = np.abs(expected).max()
         for halfwidth, tol in ((8, 0.08), (16, 0.04)):
-            out_sinc = _fractional_shift_sinc(col, shift, halfwidth)
+            out_sinc = shift_column(col, shift, "windowed_sinc", halfwidth)
             assert np.argmax(np.abs(out_sinc)) == np.argmax(np.abs(expected))
             assert np.max(np.abs(out_sinc - expected)) < tol * peak
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_rcmc_sinc_commutes_with_range_roll(n):
+    # the windowed sinc is circulant along range for any N, odd included
+    cfg = critical_config(n, 16)
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    r_ref = (n // 4) * cfg.range_pitch_m
+
+    def corrected(values):
+        rd = ImageGrid(data=values, cfg=cfg, stage="rd")
+        return rcmc(rd, r_ref, method="windowed_sinc").data
+
+    for roll in (1, 5, -2):
+        rolled = corrected(np.roll(data, roll, axis=0))
+        expected = np.roll(corrected(data), roll, axis=0)
+        assert np.allclose(rolled, expected, rtol=0, atol=1e-12)
 
 
 def test_rcmc_validation():
