@@ -15,7 +15,7 @@ from .geometry import (PlatformGeometry, beamwidths,
                        mean_range, slant_range)
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
                        SymbolGrid, chi_stats, gen_symbol_grid, make_qam,
-                       nr_config, srs_mask)
+                       nr_config)
 from .scene import (PointTarget, Scene, load_scene_pgm, make_point_scene,
                     raster_extent, scene_from_descriptor, scene_to_descriptor)
 from .echo import (EchoGrid, build_channel_matrix, check_cp_margin,
@@ -44,7 +44,7 @@ __all__ = [
     "PlatformGeometry", "beamwidths", "envelope_to_phase_rate_ratio",
     "ground_coverage", "mean_range", "slant_range",
     "Constellation", "FilterStats", "RadarConfig", "SrsConfig", "SymbolGrid",
-    "chi_stats", "gen_symbol_grid", "make_qam", "nr_config", "srs_mask",
+    "chi_stats", "gen_symbol_grid", "make_qam", "nr_config",
     "PointTarget", "Scene", "load_scene_pgm", "make_point_scene",
     "raster_extent", "scene_from_descriptor", "scene_to_descriptor",
     "EchoGrid", "build_channel_matrix", "check_cp_margin", "draw_noise",

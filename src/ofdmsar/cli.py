@@ -96,7 +96,6 @@ class ScenarioConfig:
     seed: int
     constellation: str
     rcmc_method: str
-    rcmc_halfwidth: int
     ka_mode: str
     azimuth_downsample: int
     outputs: OutputSelection
@@ -279,14 +278,11 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     rcmc_obj = root.get("rcmc", {})
     if not isinstance(rcmc_obj, dict):
         raise ConfigError("$.rcmc", "expected an object")
-    _require_keys(rcmc_obj, "$.rcmc", (), ("method", "halfwidth"))
+    _require_keys(rcmc_obj, "$.rcmc", (), ("method",))
     rcmc_method = _typed(rcmc_obj, "$.rcmc", "method", str, "windowed_sinc")
     if rcmc_method not in RCMC_METHODS:
         raise ConfigError("$.rcmc.method",
                           f"expected one of {RCMC_METHODS}, got {rcmc_method!r}")
-    rcmc_halfwidth = _typed(rcmc_obj, "$.rcmc", "halfwidth", int, 8)
-    if rcmc_halfwidth < 1:
-        raise ConfigError("$.rcmc.halfwidth", "must be >= 1")
 
     ka_mode = _typed(root, "$", "ka_mode", str, "reference")
     if ka_mode not in KA_MODES:
@@ -302,8 +298,7 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     return ScenarioConfig(radar=radar, scene=scene, filters=filters, mode=mode,
                           srs=srs, snr_db=snr_db, trials=trials, seed=seed,
                           constellation=constellation,
-                          rcmc_method=rcmc_method,
-                          rcmc_halfwidth=rcmc_halfwidth, ka_mode=ka_mode,
+                          rcmc_method=rcmc_method, ka_mode=ka_mode,
                           azimuth_downsample=downsample, outputs=outputs)
 
 
@@ -354,7 +349,6 @@ def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
             (name, grid.data) for name, grid in focus_image(
                 filtered, cfg=cfg, r_bar_ref_m=result.r_bar_ref_m,
                 rcmc_method=scenario.rcmc_method,
-                rcmc_halfwidth=scenario.rcmc_halfwidth,
                 ka_mode=scenario.ka_mode, collect_stages=True).items())
     for stage in scenario.outputs.images:
         (out_dir / f"image_{stage}.pgm").write_bytes(
@@ -433,7 +427,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--filter", choices=_FILTER_CHOICES,
                         help="override the filter selection")
-    parser.add_argument("--mode", choices=MODES, help="override the mode")
     parser.add_argument("--snr-db", type=float, action="append",
                         help="override snr sweep (repeatable)")
     args = parser.parse_args(argv)
@@ -448,10 +441,6 @@ def main(argv: Optional[list] = None) -> int:
             filters = (FILTER_KINDS if args.filter == "all"
                        else (args.filter,))
             scenario = replace(scenario, filters=filters)
-        if args.mode is not None:
-            if args.mode == "pilot_only" and scenario.srs is None:
-                raise ConfigError("$.srs", "required when mode is pilot_only")
-            scenario = replace(scenario, mode=args.mode)
         if args.snr_db:
             scenario = replace(scenario,
                                snr_db=tuple(dict.fromkeys(args.snr_db)))

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import BinaryIO, Optional, Union
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigurationError, InvalidParameterError, SceneError, StageError
 from .scene import PointTarget, Scene
-from .waveform import NOISE_STREAM, RCS_STREAM, RadarConfig, SymbolGrid, _philox
+from .waveform import (NOISE_STREAM, RCS_STREAM, SPEED_OF_LIGHT, RadarConfig,
+                       SymbolGrid, _philox)
 
 _FOUR_PI_OVER_C = 4.0 * np.pi / SPEED_OF_LIGHT
 

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import build_channel_matrix, draw_noise
-from .errors import InvalidParameterError
+from .echo import build_channel_matrix, check_cp_margin, draw_noise
+from .errors import ConfigurationError, InvalidParameterError
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       islr, measure_mainlobe_width, nmse, pel, snr_out,
                       theoretical_resolutions)
@@ -52,7 +52,6 @@ class EnsembleResult:
     noisy_peaks: np.ndarray          # (T,) peak/alpha_ref per noisy trial
     mse: np.ndarray                  # (T,) sum|noisy - ideal|^2
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
-    tf_mse: np.ndarray               # (T,) sum|filtered echo - channel|^2
     mean_noisy_power: np.ndarray     # (N, M) E[|noisy image|^2]
     mean_noiseless_power: np.ndarray  # (N, M) E[|noiseless image|^2]
 
@@ -94,6 +93,7 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    check_cp_margin(scene, cfg)
     n, m = cfg.n_subcarriers, cfg.n_symbols
     _, ref = _reference_target(scene)
     r_bar_ref = ref.mean_range_m(cfg.platform)
@@ -116,7 +116,6 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
     noisy_peaks = np.empty(trials, dtype=complex)
     mse = np.empty(trials)
     mse_cal = np.empty(trials)
-    tf_mse = np.empty(trials)
     mean_noisy = np.zeros((n, m))
     mean_clean = np.zeros((n, m))
 
@@ -127,15 +126,8 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
     for t in range(trials):
         symbols = grid.data[t]
         gains = filter_gains(symbols, filter_spec)
-        clean_tf = channel * symbols * gains
-        clean = chain(clean_tf)
-        if cfg.noise_var > 0:
-            noise_tf = noise[t] * gains
-            tf_mse[t] = np.sum(np.abs(clean_tf + noise_tf - channel) ** 2)
-            noisy = clean + chain(noise_tf)
-        else:
-            tf_mse[t] = np.sum(np.abs(clean_tf - channel) ** 2)
-            noisy = clean
+        clean = chain(channel * symbols * gains)
+        noisy = clean + chain(noise[t] * gains) if cfg.noise_var > 0 else clean
 
         noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
         noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
@@ -152,7 +144,7 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
         trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
         peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
         noiseless_peaks=noiseless_peaks, noisy_peaks=noisy_peaks,
-        mse=mse, mse_calibrated=mse_cal, tf_mse=tf_mse,
+        mse=mse, mse_calibrated=mse_cal,
         mean_noisy_power=mean_noisy, mean_noiseless_power=mean_clean)
 
 
@@ -160,7 +152,7 @@ def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
     """Comb activity mask on the pilot-rate grid: every retained symbol is a
     pilot symbol, so only the subcarrier comb pattern remains."""
     if srs.start_subcarrier + srs.span_subcarriers > cfg_decimated.n_subcarriers:
-        raise InvalidParameterError(
+        raise ConfigurationError(
             f"pilot block [{srs.start_subcarrier}, "
             f"{srs.start_subcarrier + srs.span_subcarriers}) does not fit in "
             f"{cfg_decimated.n_subcarriers} subcarriers")

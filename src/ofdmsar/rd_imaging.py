@@ -337,7 +337,6 @@ def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
                 cfg: Optional[RadarConfig] = None,
                 r_bar_ref_m: Optional[float] = None,
                 rcmc_method: str = "windowed_sinc",
-                rcmc_halfwidth: int = 8,
                 ka_mode: str = "reference",
                 collect_stages: bool = False):
     """Run the full chain tf -> rc -> rd -> rcmc -> ac.
@@ -349,7 +348,7 @@ def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
         raise InvalidParameterError("focus_image needs a reference range r_bar_ref_m")
     rc = range_compress(grid, cfg)
     rd = azimuth_fft(rc)
-    corrected = rcmc(rd, r_bar_ref_m, method=rcmc_method, halfwidth=rcmc_halfwidth)
+    corrected = rcmc(rd, r_bar_ref_m, method=rcmc_method)
     focused = azimuth_compress(corrected, ka_mode=ka_mode)
     if collect_stages:
         return {"rc": rc, "rd": rd, "rcmc": corrected, "ac": focused}

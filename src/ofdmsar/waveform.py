@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigurationError, InvalidParameterError
 from .geometry import PlatformGeometry
@@ -23,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tf_filter import FilterSpec
 
 _REL_TOL = 1e-9
+
+# Speed of light in vacuum, m/s; exact by the SI definition of the metre.
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -390,20 +392,3 @@ class SrsConfig:
         return self.start_subcarrier + np.arange(0, self.span_subcarriers,
                                                  self.comb_spacing)
 
-
-def srs_mask(cfg: RadarConfig, srs: SrsConfig) -> tuple[np.ndarray, float]:
-    """Boolean activity mask of the pilot comb and the pilot repetition rate.
-
-    Returns an (N, M) mask that is True on pilot resource elements, and the
-    pilot PRF in Hz (one pilot symbol per period_symbols OFDM symbols).
-    """
-    if srs.start_subcarrier + srs.span_subcarriers > cfg.n_subcarriers:
-        raise ConfigurationError(
-            f"pilot block [{srs.start_subcarrier}, "
-            f"{srs.start_subcarrier + srs.span_subcarriers}) does not fit in "
-            f"{cfg.n_subcarriers} subcarriers")
-    mask = np.zeros((cfg.n_subcarriers, cfg.n_symbols), dtype=bool)
-    cols = np.arange(0, cfg.n_symbols, srs.period_symbols)
-    mask[np.ix_(srs.tone_indices(), cols)] = True
-    pilot_prf = 1.0 / (srs.period_symbols * cfg.total_symbol_s)
-    return mask, pilot_prf

@@ -9,11 +9,9 @@ analytic expectation.
 
 import math
 
-from scipy.constants import c
-
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.scene import PointTarget, Scene
-from ofdmsar.waveform import RadarConfig
+from ofdmsar.waveform import SPEED_OF_LIGHT as c, RadarConfig
 
 
 def critical_config(n, m, t_sym=0.013, height_m=500.0, df_hz=60e3,

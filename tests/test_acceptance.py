@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
@@ -35,6 +34,7 @@ from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      run_pilot_ensemble, run_point_ensemble, spa_spectrum,
                      synthesize_echo, theoretical_resolutions)
 from ofdmsar.cli import parse_config, run_scenario
+from ofdmsar.waveform import SPEED_OF_LIGHT as c
 
 SINC_3DB = 0.8858929  # -3 dB width of sinc^2, in units of the null spacing
 

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
                          emit_pgm, main, parse_config, run_scenario)
 from ofdmsar.pgm import parse_pgm, write_pgm
+from ofdmsar.waveform import SPEED_OF_LIGHT as c
 
 N, M = 16, 16
 DF = 60e3
@@ -60,7 +60,6 @@ def test_parse_defaults():
     assert scenario.seed == 0
     assert scenario.constellation == "qam256"
     assert scenario.rcmc_method == "windowed_sinc"
-    assert scenario.rcmc_halfwidth == 8
     assert scenario.ka_mode == "reference"
     assert scenario.azimuth_downsample == 10
     assert scenario.outputs.images == ("ac",)
@@ -95,6 +94,9 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(outputs={"images": ["ac", "cooked"]}))
     assert err.value.path == "$.outputs.images[1]"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(rcmc={"halfwidth": 8}))
+    assert err.value.path == "$.rcmc.halfwidth"
     missing = {k: v for k, v in BASE.items() if k != "snr_in_db"}
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(missing))
@@ -307,9 +309,29 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     config.write_text(config_text(trials=-1))
     assert main(["--config", str(config)]) == 2
     assert "$.trials" in capsys.readouterr().err
-    # pilot override without srs in the config is a config error
+    # the mode comes from the config only; argparse rejects a --mode flag
     config.write_text(config_text())
-    assert main(["--config", str(config), "--mode", "pilot_only"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(config), "--mode", "pilot_only"])
+    assert err.value.code == 2
+
+
+def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):
+    # 8.33 us cyclic prefix admits round trips out to ~1250 m slant range
+    df = 30e3
+    doc = copy.deepcopy(BASE)
+    doc["radar"] = {"fc_hz": 3.5e9, "bandwidth_hz": 1e8,
+                    "subcarrier_spacing_hz": df, "cp_duration_s": 0.25 / df,
+                    "aperture_time_s": 16 * 1.25 / df, "n_subcarriers": 16,
+                    "platform": {"height_m": 1000.0, "speed_mps": 50.0}}
+    doc["scene"] = {"targets": [{"x": 2000.0, "y": 0.0}]}
+    doc["outputs"] = {"images": [], "grids": []}
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "artifacts"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert "cyclic prefix" in capsys.readouterr().err
+    assert not (out_dir / "metrics.json").exists()
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

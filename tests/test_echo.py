@@ -2,7 +2,6 @@ import io
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar.echo import (EchoGrid, build_channel_matrix, check_cp_margin,
@@ -11,7 +10,7 @@ from ofdmsar.echo import (EchoGrid, build_channel_matrix, check_cp_margin,
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
                             SceneError, StageError)
 from ofdmsar.scene import make_point_scene
-from ofdmsar.waveform import gen_symbol_grid, make_qam
+from ofdmsar.waveform import SPEED_OF_LIGHT as c, gen_symbol_grid, make_qam
 
 
 def test_channel_single_cell_hand_computed():
@@ -110,6 +109,8 @@ def test_draw_noise_statistics_and_batching():
 def test_cp_margin_names_offending_target():
     # 8.33 us cyclic prefix admits round trips out to ~1250 m slant range
     from ofdmsar.geometry import PlatformGeometry
+    from ofdmsar.pipeline import run_point_ensemble
+    from ofdmsar.tf_filter import FilterSpec
     from ofdmsar.waveform import nr_config
     platform = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
     cfg = nr_config(platform, n_subcarriers=16,
@@ -124,6 +125,10 @@ def test_cp_margin_names_offending_target():
     symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0)
     with pytest.raises(ConfigurationError):
         synthesize_echo(far, cfg, symbols)
+    # the metrics path rejects it too, before any draw
+    with pytest.raises(ConfigurationError, match="cyclic prefix"):
+        run_point_ensemble(far, cfg, make_qam("qpsk"), FilterSpec(kind="rf"),
+                           trials=1, seed=0)
 
 
 def test_echo_grid_shape_validation():

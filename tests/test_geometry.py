@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from ofdmsar.errors import GeometryError, InvalidParameterError
 from ofdmsar.geometry import (PlatformGeometry, beamwidths,
                               envelope_to_phase_rate_ratio, ground_coverage,
                               mean_range, slant_range)
-from ofdmsar.waveform import nr_config
+from ofdmsar.waveform import SPEED_OF_LIGHT as c, nr_config
 
 NR_PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ofdmsar
 from ofdmsar.errors import ConfigurationError, InvalidParameterError
 from ofdmsar.geometry import PlatformGeometry
+from ofdmsar.pipeline import pilot_comb_mask
 from ofdmsar.tf_filter import FilterSpec
-from ofdmsar.waveform import (Constellation, RadarConfig, SrsConfig,
-                              SymbolGrid, chi_stats, gen_symbol_grid,
-                              make_qam, nr_config, srs_mask)
+from ofdmsar.waveform import (SPEED_OF_LIGHT, Constellation, RadarConfig,
+                              SrsConfig, SymbolGrid, chi_stats,
+                              gen_symbol_grid, make_qam, nr_config)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
@@ -178,6 +184,30 @@ def test_nr_config_derived_quantities():
     assert cfg.azimuth_pitch_m == pytest.approx(50 * 1.25 / 30e3, rel=1e-12)
 
 
+def test_speed_of_light_is_exact_si_value():
+    assert SPEED_OF_LIGHT == 299_792_458.0
+
+
+def test_cli_import_needs_numpy_only():
+    # top-level packages the import adds, less the standard library and
+    # private runtime helpers, must be numpy and the package itself
+    src = Path(ofdmsar.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ofdmsar.cli\n"
+        "added = {n.partition('.')[0] for n in set(sys.modules) - before}\n"
+        "added -= set(sys.stdlib_module_names)\n"
+        "extra = {n for n in added if not n.startswith('_')}\n"
+        "assert extra <= {'numpy', 'ofdmsar'}, sorted(extra)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_azimuth_rate_and_bandwidth():
     cfg = nr_config(PLATFORM, n_subcarriers=256)
     r_bar = math.hypot(300.0, 1000.0)
@@ -311,18 +341,20 @@ def test_srs_default_comb_has_72_tones():
 
 
 def test_srs_mask_positions_and_prf():
+    # 600 symbols at a 280-symbol period keep 600 // 280 = 2 pilot symbols
     cfg = nr_config(PLATFORM, n_subcarriers=64,
                     aperture_time_s=600 * 1.25 / 30e3)
     srs = SrsConfig(periodicity_slots=20, symbols_per_slot=14,
                     comb_spacing=4, n_resource_blocks=2, start_subcarrier=8)
-    mask, pilot_prf = srs_mask(cfg, srs)
-    assert mask.shape == (64, 600)
-    assert pilot_prf == pytest.approx(85.714286, abs=1e-4)
+    cfg_pilot = cfg.decimated(srs.period_symbols)
+    mask = pilot_comb_mask(cfg_pilot, srs)
+    assert mask.shape == (64, 2)
+    assert cfg_pilot.prf_hz == pytest.approx(85.714286, abs=1e-4)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     assert np.array_equal(rows, 8 + 4 * np.arange(6))
-    assert np.array_equal(cols, np.array([0, 280, 560]))
-    assert mask.sum() == 6 * 3
+    assert np.array_equal(cols, np.array([0, 1]))
+    assert mask.sum() == 6 * 2
 
 
 def test_srs_mask_prf_scales_with_periodicity():
@@ -330,15 +362,16 @@ def test_srs_mask_prf_scales_with_periodicity():
                     aperture_time_s=600 * 1.25 / 30e3)
     srs = SrsConfig(periodicity_slots=2, symbols_per_slot=14,
                     comb_spacing=4, n_resource_blocks=2, start_subcarrier=8)
-    _, pilot_prf = srs_mask(cfg, srs)
-    assert pilot_prf == pytest.approx(857.14286, abs=1e-3)
+    assert cfg.decimated(srs.period_symbols).prf_hz == pytest.approx(
+        857.14286, abs=1e-3)
 
 
 def test_srs_mask_rejects_overflowing_comb():
     cfg = nr_config(PLATFORM, n_subcarriers=64,
                     aperture_time_s=600 * 1.25 / 30e3)
+    srs = SrsConfig(n_resource_blocks=24, start_subcarrier=0)
     with pytest.raises(ConfigurationError):
-        srs_mask(cfg, SrsConfig(n_resource_blocks=24, start_subcarrier=0))
+        pilot_comb_mask(cfg.decimated(srs.period_symbols), srs)
     with pytest.raises(ConfigurationError):
         SrsConfig(comb_spacing=0)
     with pytest.raises(ConfigurationError):
