@@ -1,7 +1,8 @@
 """Scenario runner: JSON config in, imaging artifacts out.
 
-A scenario is a strictly validated JSON document (unknown keys are
-rejected; diagnostics name the offending JSON path, e.g. "$.radar.fc_hz").
+A scenario is a strictly validated JSON document (unknown keys and the
+non-finite numbers NaN and Infinity are rejected; diagnostics name the
+offending JSON path, e.g. "$.radar.fc_hz").
 Running it produces, in the output directory:
 
   metrics.json          one flat quality report per (snr, filter) point
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -64,6 +66,12 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple):
             raise ConfigError(f"{path}.{key}", "missing required field")
 
 
+def _require_finite(value: float, path: str):
+    """json.loads accepts NaN and Infinity; no scenario number may be either."""
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
+
+
 def _typed(obj: dict, path: str, key: str, kinds, default=None):
     if key not in obj:
         return default
@@ -74,6 +82,19 @@ def _typed(obj: dict, path: str, key: str, kinds, default=None):
         raise ConfigError(f"{path}.{key}",
                           f"expected {getattr(kinds, '__name__', kinds)}, "
                           f"got {type(value).__name__}")
+    if kinds is float:
+        _require_finite(value, f"{path}.{key}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --snr-db: a number that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -145,6 +166,8 @@ def _parse_scene(obj, path: str, config_dir: Path) -> Scene:
                            for x in raw)):
             raise ConfigError(f"{path}.extent",
                               "expected [x_min, x_max, y_min, y_max]")
+        for i, x in enumerate(raw):
+            _require_finite(x, f"{path}.extent[{i}]")
         extent = tuple(float(x) for x in raw)
     if "pgm_path" in obj:
         _require_keys(obj, path, ("pgm_path", "extent"),
@@ -257,6 +280,9 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         snr_list = [float(x) for x in raw_snr]
     else:
         raise ConfigError("$.snr_in_db", "expected a number or non-empty list")
+    for i, x in enumerate(snr_list):
+        _require_finite(x, f"$.snr_in_db[{i}]" if isinstance(raw_snr, list)
+                        else "$.snr_in_db")
     deduped = list(dict.fromkeys(snr_list))
     if len(deduped) != len(snr_list):
         warnings.warn("duplicate snr_in_db entries removed", UserWarning)
@@ -427,7 +453,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--filter", choices=_FILTER_CHOICES,
                         help="override the filter selection")
-    parser.add_argument("--snr-db", type=float, action="append",
+    parser.add_argument("--snr-db", type=_finite_float, action="append",
                         help="override snr sweep (repeatable)")
     args = parser.parse_args(argv)
 

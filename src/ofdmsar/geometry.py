@@ -41,16 +41,19 @@ class PlatformGeometry:
     aperture_el_m: float = 0.1
 
     def __post_init__(self):
-        if self.height_m <= 0:
-            raise GeometryError(f"platform height must be > 0, got {self.height_m}")
-        if self.speed_mps < 0:
-            raise InvalidParameterError(f"speed must be >= 0, got {self.speed_mps}")
+        if not 0 < self.height_m < math.inf:
+            raise GeometryError(
+                f"platform height must be finite and > 0, got {self.height_m}")
+        if not 0 <= self.speed_mps < math.inf:
+            raise InvalidParameterError(
+                f"speed must be finite and >= 0, got {self.speed_mps}")
         if not 0 <= self.elevation_angle_rad < math.pi / 2:
             raise GeometryError(
                 f"elevation angle must lie in [0, pi/2), got {self.elevation_angle_rad}"
             )
-        if self.aperture_az_m <= 0 or self.aperture_el_m <= 0:
-            raise InvalidParameterError("antenna apertures must be > 0")
+        if not (0 < self.aperture_az_m < math.inf
+                and 0 < self.aperture_el_m < math.inf):
+            raise InvalidParameterError("antenna apertures must be finite and > 0")
 
 
 def beamwidths(wavelength_m: float, geom: PlatformGeometry) -> tuple[float, float]:

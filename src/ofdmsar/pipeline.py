@@ -4,9 +4,11 @@ run_point_ensemble drives the full chain over independent trials for a
 scene with one deterministic reference target, accumulating exactly the
 reductions the quality metrics need (peak statistics, image MSE versus the
 ideal response, mean power images) without retaining per-trial image
-stacks.  Noise enters by linearity: each trial focuses the noiseless
-filtered echo and the filtered noise separately, so the same draw serves
-both the noiseless and noisy statistics.
+stacks.  The focusing chain is one precomputed linear operator
+(rd_imaging.focusing_operator), built once per ensemble and applied to
+each trial's grids.  Noise enters by linearity: each trial focuses the
+noiseless filtered echo and the filtered noise separately, so the same
+draw serves both the noiseless and noisy statistics.
 
 run_pilot_ensemble is the pilot-only variant: it decimates the symbol
 grid to the pilot period and masks the subcarriers to the pilot comb,
@@ -26,7 +28,7 @@ from .errors import ConfigurationError, InvalidParameterError
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       islr, measure_mainlobe_width, nmse, pel, snr_out,
                       theoretical_resolutions)
-from .rd_imaging import focus_image
+from .rd_imaging import focusing_operator
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
@@ -119,15 +121,12 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
     mean_noisy = np.zeros((n, m))
     mean_clean = np.zeros((n, m))
 
-    def chain(tf_grid: np.ndarray) -> np.ndarray:
-        return focus_image(tf_grid, cfg=cfg, r_bar_ref_m=r_bar_ref,
-                           rcmc_method=rcmc_method, ka_mode=ka_mode).data
-
+    focus = focusing_operator(cfg, r_bar_ref, rcmc_method, ka_mode)
     for t in range(trials):
         symbols = grid.data[t]
         gains = filter_gains(symbols, filter_spec)
-        clean = chain(channel * symbols * gains)
-        noisy = clean + chain(noise[t] * gains) if cfg.noise_var > 0 else clean
+        clean = focus(channel * symbols * gains)
+        noisy = clean + focus(noise[t] * gains) if cfg.noise_var > 0 else clean
 
         noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
         noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref

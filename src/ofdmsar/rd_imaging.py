@@ -9,6 +9,20 @@ Stages, in fixed order, starting from a filtered temporal-frequency grid:
                 circulant form)
   rcmc -> ac    azimuth compression: quadratic phase match + inverse DFT
 
+Every stage is diagonal in some Fourier domain, so focusing_operator
+folds the chain into one precomputed operator: range compression's
+inverse DFT cancels the forward DFT that starts RCMC and the Doppler
+centering shifts move into the multipliers, leaving
+
+  ifft(A * ifft(fft(x, symbols) * H, range), symbols)
+
+with H the RCMC range-spectrum multiplier and A the azimuth matched phase
+times e^{j pi/4} sqrt(N), both ifftshifted to the FFT's Doppler order.
+A is one row for reference K_a (then the chain is ifft2(fft(x) * H A))
+and one row per output range bin in per_range_bin mode.  focus_image
+returns the operator's result; the staged functions above produce the
+intermediate grids when stages are collected.
+
 Conventions: Doppler bins use the signed/centered index p = bin - M//2
 (zero Doppler at bin M//2 of the stored array); range bin k has pitch
 c/(2 N df); azimuth output bin m is the symbol index of closest approach.
@@ -48,10 +62,7 @@ class ImageGrid:
         if self.stage not in STAGE_ORDER:
             raise StageError(
                 f"unknown stage {self.stage!r}; expected one of {STAGE_ORDER}")
-        expected = (self.cfg.n_subcarriers, self.cfg.n_symbols)
-        if self.data.shape != expected:
-            raise InvalidParameterError(
-                f"grid shape {self.data.shape} != configured {expected}")
+        _check_shape(self.data, self.cfg)
 
     # Axis metadata ------------------------------------------------------
 
@@ -74,11 +85,22 @@ class ImageGrid:
 
     def doppler_bins(self) -> np.ndarray:
         """Signed Doppler index p per stored column."""
-        m = self.cfg.n_symbols
-        return np.arange(m) - m // 2
+        return _doppler_bins(self.cfg)
 
     def doppler_freqs_hz(self) -> np.ndarray:
         return self.doppler_bins() * self.doppler_pitch_hz
+
+
+def _check_shape(data: np.ndarray, cfg: RadarConfig):
+    expected = (cfg.n_subcarriers, cfg.n_symbols)
+    if data.shape != expected:
+        raise InvalidParameterError(
+            f"grid shape {data.shape} != configured {expected}")
+
+
+def _doppler_bins(cfg: RadarConfig) -> np.ndarray:
+    m = cfg.n_symbols
+    return np.arange(m) - m // 2
 
 
 def _as_stage(grid, expected: str, op: str,
@@ -96,6 +118,7 @@ def _as_stage(grid, expected: str, op: str,
     data = np.asarray(grid)
     if cfg is None:
         raise InvalidParameterError(f"{op} needs a cfg when given a bare array")
+    _check_shape(data, cfg)
     return data, cfg, None
 
 
@@ -223,7 +246,7 @@ def rcm_shift(p, cfg: RadarConfig, r_bar_ref_m: float):
     delta_k = v^2 p^2 / (2 Rbar (K_a M T)^2 rho_r), evaluated at the
     reference range; even in p and quadratic in it.
     """
-    if r_bar_ref_m <= 0:
+    if not r_bar_ref_m > 0:
         raise InvalidParameterError(f"reference range must be > 0, got {r_bar_ref_m}")
     k_a = cfg.azimuth_rate_at(r_bar_ref_m)
     v = cfg.platform.speed_mps
@@ -233,6 +256,7 @@ def rcm_shift(p, cfg: RadarConfig, r_bar_ref_m: float):
 
 
 RCMC_METHODS = ("windowed_sinc", "phase_ramp")
+RCMC_HALFWIDTH = 8  # windowed-sinc taps on each side of the shifted sample
 
 
 def _shift_transfer(n: int, shifts: np.ndarray, method: str,
@@ -268,8 +292,20 @@ def _shift_transfer(n: int, shifts: np.ndarray, method: str,
     return n * np.fft.ifft(circulant, axis=0)
 
 
+def _rcmc_transfer(cfg: RadarConfig, r_bar_ref_m: float, method: str,
+                   halfwidth: int) -> np.ndarray:
+    """Validated RCMC multiplier H (N x M), columns in stored Doppler order."""
+    if method not in RCMC_METHODS:
+        raise InvalidParameterError(
+            f"unknown RCMC method {method!r}; expected one of {RCMC_METHODS}")
+    if halfwidth < 1:
+        raise InvalidParameterError(f"halfwidth must be >= 1, got {halfwidth}")
+    shifts = rcm_shift(_doppler_bins(cfg), cfg, r_bar_ref_m)
+    return _shift_transfer(cfg.n_subcarriers, shifts, method, halfwidth)
+
+
 def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
-         halfwidth: int = 8) -> ImageGrid:
+         halfwidth: int = RCMC_HALFWIDTH) -> ImageGrid:
     """Straighten migration trajectories in the range-Doppler domain.
 
     Each Doppler column p is advanced along range by its predicted
@@ -278,19 +314,42 @@ def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
     circulant along range, so RCMC is one range-spectrum multiply per
     Doppler column; the windowed sinc is applied in its circulant form.
     """
-    if method not in RCMC_METHODS:
-        raise InvalidParameterError(
-            f"unknown RCMC method {method!r}; expected one of {RCMC_METHODS}")
-    if halfwidth < 1:
-        raise InvalidParameterError(f"halfwidth must be >= 1, got {halfwidth}")
     data, cfg, _ = _as_stage(grid, "rd", "rcmc")
-    shifts = rcm_shift(grid.doppler_bins(), cfg, r_bar_ref_m)
-    transfer = _shift_transfer(cfg.n_subcarriers, shifts, method, halfwidth)
+    transfer = _rcmc_transfer(cfg, r_bar_ref_m, method, halfwidth)
     out = np.fft.ifft(np.fft.fft(data, axis=0) * transfer, axis=0)
     return ImageGrid(data=out, cfg=cfg, stage="rcmc", r_bar_ref_m=r_bar_ref_m)
 
 
 KA_MODES = ("reference", "per_range_bin")
+# Constant phase that cancels the stationary-phase residual e^{-j pi/4}.
+_SPA_RESIDUAL = np.exp(1j * np.pi / 4.0)
+
+
+def _matched_phase(cfg: RadarConfig, ka_mode: str,
+                   r_bar_ref_m: Optional[float]) -> np.ndarray:
+    """Azimuth matched phase exp(-j pi p^2 / (M^2 T^2 K_a)), stored Doppler order.
+
+    Shape (1, M) with K_a at the reference range, or (N, M) with K_a at
+    each output range bin k * rho_r in per_range_bin mode.
+    """
+    if ka_mode not in KA_MODES:
+        raise InvalidParameterError(
+            f"unknown ka_mode {ka_mode!r}; expected one of {KA_MODES}")
+    if cfg.platform.speed_mps <= 0:
+        raise InvalidParameterError("azimuth compression undefined for a static platform")
+    p = _doppler_bins(cfg).astype(float)
+    mt_sq = (cfg.n_symbols * cfg.total_symbol_s) ** 2
+    if ka_mode == "reference":
+        if r_bar_ref_m is None:
+            raise InvalidParameterError(
+                "reference-range azimuth compression needs r_bar_ref_m "
+                "(none stored on the grid)")
+        inv_ka = 1.0 / cfg.azimuth_rate_at(r_bar_ref_m)
+        return np.exp(-1j * np.pi * p ** 2 * inv_ka / mt_sq)[None, :]
+    v = cfg.platform.speed_mps
+    k = np.arange(cfg.n_subcarriers, dtype=float)
+    inv_ka = cfg.wavelength_m * (k * cfg.range_pitch_m) / (2.0 * v ** 2)
+    return np.exp(-1j * np.pi * np.outer(inv_ka, p ** 2) / mt_sq)
 
 
 def azimuth_compress(grid: ImageGrid, ka_mode: str = "reference",
@@ -303,34 +362,40 @@ def azimuth_compress(grid: ImageGrid, ka_mode: str = "reference",
     the reference range, or per output range bin (k * rho_r) in
     per_range_bin mode.
     """
-    if ka_mode not in KA_MODES:
-        raise InvalidParameterError(
-            f"unknown ka_mode {ka_mode!r}; expected one of {KA_MODES}")
     data, cfg, stored_ref = _as_stage(grid, "rcmc", "azimuth_compress")
-    if cfg.platform.speed_mps <= 0:
-        raise InvalidParameterError("azimuth compression undefined for a static platform")
-    m = cfg.n_symbols
-    p = grid.doppler_bins().astype(float)
-    mt_sq = (m * cfg.total_symbol_s) ** 2
-    lam = cfg.wavelength_m
-    v = cfg.platform.speed_mps
-    if ka_mode == "reference":
-        ref = r_bar_ref_m if r_bar_ref_m is not None else stored_ref
-        if ref is None:
-            raise InvalidParameterError(
-                "reference-range azimuth compression needs r_bar_ref_m "
-                "(none stored on the grid)")
-        inv_ka = 1.0 / cfg.azimuth_rate_at(ref)
-        phase = np.exp(-1j * np.pi * p ** 2 * inv_ka / mt_sq)[None, :]
-        ref_out = ref
-    else:
-        k = np.arange(cfg.n_subcarriers, dtype=float)
-        inv_ka = lam * (k * cfg.range_pitch_m) / (2.0 * v ** 2)
-        phase = np.exp(-1j * np.pi * np.outer(inv_ka, p ** 2) / mt_sq)
-        ref_out = r_bar_ref_m if r_bar_ref_m is not None else stored_ref
-    matched = data * phase * np.exp(1j * np.pi / 4.0)
-    out = np.fft.ifft(np.fft.ifftshift(matched, axes=1), axis=1) * np.sqrt(m)
-    return ImageGrid(data=out, cfg=cfg, stage="ac", r_bar_ref_m=ref_out)
+    ref = r_bar_ref_m if r_bar_ref_m is not None else stored_ref
+    phase = _matched_phase(cfg, ka_mode, ref)
+    matched = data * phase * _SPA_RESIDUAL
+    out = np.fft.ifft(np.fft.ifftshift(matched, axes=1), axis=1) \
+        * np.sqrt(cfg.n_symbols)
+    return ImageGrid(data=out, cfg=cfg, stage="ac", r_bar_ref_m=ref)
+
+
+def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
+                      rcmc_method: str = "windowed_sinc",
+                      ka_mode: str = "reference"):
+    """The chain tf -> ac as one precomputed linear map on (..., N, M) grids.
+
+    Equal to range_compress -> azimuth_fft -> rcmc -> azimuth_compress up
+    to round-off, at three FFT passes per grid instead of five; the RCMC
+    multiplier and the matched phase are built once here, not per grid.
+    The returned function accepts one grid or a stack of them.
+    """
+    # the phase first: it rejects a static platform, whose zero K_a
+    # rcm_shift would divide by
+    phase = _matched_phase(cfg, ka_mode, r_bar_ref_m) \
+        * (_SPA_RESIDUAL * np.sqrt(cfg.n_subcarriers))
+    transfer = _rcmc_transfer(cfg, r_bar_ref_m, rcmc_method, RCMC_HALFWIDTH)
+    range_multiplier = np.fft.ifftshift(transfer, axes=-1)
+    azimuth_multiplier = np.fft.ifftshift(phase, axes=-1)
+
+    def focus(tf_grid: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.fft(tf_grid, axis=-1)
+        spectrum *= range_multiplier
+        image = np.fft.ifft(spectrum, axis=-2)
+        image *= azimuth_multiplier
+        return np.fft.ifft(image, axis=-1)
+    return focus
 
 
 def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
@@ -341,15 +406,18 @@ def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
                 collect_stages: bool = False):
     """Run the full chain tf -> rc -> rd -> rcmc -> ac.
 
-    Returns the focused ImageGrid, or a dict of every stage when
-    collect_stages is set.
+    Returns the focused ImageGrid from focusing_operator, or a dict of
+    every stage from the staged functions when collect_stages is set.
     """
     if r_bar_ref_m is None:
         raise InvalidParameterError("focus_image needs a reference range r_bar_ref_m")
-    rc = range_compress(grid, cfg)
-    rd = azimuth_fft(rc)
-    corrected = rcmc(rd, r_bar_ref_m, method=rcmc_method)
-    focused = azimuth_compress(corrected, ka_mode=ka_mode)
     if collect_stages:
+        rc = range_compress(grid, cfg)
+        rd = azimuth_fft(rc)
+        corrected = rcmc(rd, r_bar_ref_m, method=rcmc_method)
+        focused = azimuth_compress(corrected, ka_mode=ka_mode)
         return {"rc": rc, "rd": rd, "rcmc": corrected, "ac": focused}
-    return focused
+    data, cfg, _ = _as_stage(grid, "tf", "focus_image", cfg)
+    focus = focusing_operator(cfg, r_bar_ref_m, rcmc_method, ka_mode)
+    return ImageGrid(data=focus(data), cfg=cfg, stage="ac",
+                     r_bar_ref_m=r_bar_ref_m)

@@ -10,6 +10,7 @@ pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -37,8 +38,8 @@ class PointTarget:
     amplitude_mode: str = "deterministic"
 
     def __post_init__(self):
-        if self.rcs_var <= 0:
-            raise SceneError(f"rcs_var must be > 0, got {self.rcs_var}")
+        if not 0 < self.rcs_var < math.inf:
+            raise SceneError(f"rcs_var must be finite and > 0, got {self.rcs_var}")
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise SceneError(
                 f"amplitude_mode must be one of {AMPLITUDE_MODES}, "

@@ -55,13 +55,15 @@ class RadarConfig:
     def __post_init__(self):
         for name in ("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
                      "cp_duration_s", "aperture_time_s"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.n_subcarriers < 1:
             raise InvalidParameterError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
-        if self.noise_var < 0:
-            raise InvalidParameterError(f"noise_var must be >= 0, got {self.noise_var}")
-        if self.snr_in_linear is not None and self.snr_in_linear <= 0:
+        if not 0 <= self.noise_var < math.inf:
+            raise InvalidParameterError(
+                f"noise_var must be finite and >= 0, got {self.noise_var}")
+        if self.snr_in_linear is not None and not self.snr_in_linear > 0:
             raise InvalidParameterError(
                 f"snr_in_linear must be > 0 when given, got {self.snr_in_linear}")
 

@@ -101,6 +101,26 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(missing))
     assert err.value.path == "$.snr_in_db"
+    # json.loads accepts NaN and Infinity; the parser must not
+    nan_speed = copy.deepcopy(BASE["radar"])
+    nan_speed["platform"]["speed_mps"] = math.nan
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(radar=nan_speed))
+    assert err.value.path == "$.radar.platform.speed_mps"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(snr_in_db=[5.0, math.nan]))
+    assert err.value.path == "$.snr_in_db[1]"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(snr_in_db=-math.inf))
+    assert err.value.path == "$.snr_in_db"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(radar={**BASE["radar"], "fc_hz": math.inf}))
+    assert err.value.path == "$.radar.fc_hz"
+    inf_extent = copy.deepcopy(BASE["scene"])
+    inf_extent["extent"][1] = math.inf
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(scene=inf_extent))
+    assert err.value.path == "$.scene.extent[1]"
 
 
 def test_parse_snr_list_and_dedup_warning():
@@ -314,6 +334,25 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["--config", str(config), "--mode", "pilot_only"])
     assert err.value.code == 2
+
+
+def test_main_rejects_non_finite_numbers(tmp_path, capsys):
+    radar = copy.deepcopy(BASE["radar"])
+    radar["platform"]["speed_mps"] = math.nan
+    config = tmp_path / "nan.json"
+    config.write_text(config_text(radar=radar, trials=1,
+                                  outputs={"images": [], "grids": []}))
+    out_dir = tmp_path / "artifacts"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert "$.radar.platform.speed_mps" in capsys.readouterr().err
+    assert not (out_dir / "metrics.json").exists()
+    # the --snr-db override bypasses the JSON parser; argparse rejects it
+    config.write_text(config_text(trials=1))
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(config), "--out-dir", str(out_dir),
+              "--snr-db", "nan"])
+    assert err.value.code == 2
+    assert not (out_dir / "metrics.json").exists()
 
 
 def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):

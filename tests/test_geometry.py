@@ -175,6 +175,13 @@ def test_platform_validation():
         PlatformGeometry(height_m=0.0, speed_mps=50.0)
     with pytest.raises(InvalidParameterError):
         PlatformGeometry(height_m=1000.0, speed_mps=-1.0)
+    with pytest.raises(InvalidParameterError):
+        PlatformGeometry(height_m=1000.0, speed_mps=math.nan)
+    with pytest.raises(GeometryError):
+        PlatformGeometry(height_m=math.inf, speed_mps=50.0)
+    with pytest.raises(InvalidParameterError):
+        PlatformGeometry(height_m=1000.0, speed_mps=50.0,
+                         aperture_az_m=math.nan)
     with pytest.raises(GeometryError):
         PlatformGeometry(height_m=1000.0, speed_mps=50.0,
                          elevation_angle_rad=2.0)

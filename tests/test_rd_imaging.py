@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import critical_config, single_target_scene
+from ofdmsar import rd_imaging
 from ofdmsar.echo import build_channel_matrix
 from ofdmsar.errors import InvalidParameterError, StageError
-from ofdmsar.rd_imaging import (ImageGrid, _shift_transfer, azimuth_compress,
-                                azimuth_fft, focus_image, range_compress,
-                                rcm_shift, rcmc, spa_spectrum,
+from ofdmsar.pipeline import run_point_ensemble
+from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, ImageGrid,
+                                _shift_transfer, azimuth_compress,
+                                azimuth_fft, focus_image, focusing_operator,
+                                range_compress, rcm_shift, rcmc, spa_spectrum,
                                 stationary_point)
+from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import gen_symbol_grid, make_qam
 
 
@@ -249,6 +254,54 @@ def test_per_range_bin_compression_matches_reference_at_ref_bin():
                       ka_mode="per_range_bin")
     # the reference range sits exactly on bin 16, so row 16 matches
     assert np.allclose(per.data[16], ref.data[16], atol=1e-9)
+
+
+# Folded focusing operator ----------------------------------------------------
+
+def staged_chain(grid, cfg, r_bar, method, ka_mode):
+    rd = azimuth_fft(range_compress(grid, cfg))
+    return azimuth_compress(rcmc(rd, r_bar, method=method), ka_mode=ka_mode).data
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 70), m=st.integers(2, 70),
+       method=st.sampled_from(RCMC_METHODS), ka_mode=st.sampled_from(KA_MODES),
+       ref_frac=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_operator_equals_staged_chain(n, m, method, ka_mode, ref_frac, seed):
+    cfg = critical_config(n, m)
+    r_bar = ref_frac * n * cfg.range_pitch_m
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((2, 2, 3, n, m))
+    x, y = draws[0] + 1j * draws[1]  # two (3, N, M) stacks
+    focus = focusing_operator(cfg, r_bar, method, ka_mode)
+    image = focus(x[0])
+    assert rel_err(image, staged_chain(x[0], cfg, r_bar, method, ka_mode)) <= 1e-12
+    a, b = 0.7 - 1.3j, -2.1 + 0.4j
+    assert rel_err(focus(a * x[0] + b * y[0]),
+                   a * image + b * focus(y[0])) <= 1e-12
+    stack = focus(x)
+    assert stack.shape == x.shape
+    for t in range(x.shape[0]):
+        assert rel_err(stack[t], focus(x[t])) <= 1e-12
+
+
+def test_ensemble_builds_rcmc_transfer_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _shift_transfer(*args)
+
+    monkeypatch.setattr(rd_imaging, "_shift_transfer", counting)
+    cfg = critical_config(16, 16, k_ref=8).with_noise(0.1)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    run_point_ensemble(scene, cfg, make_qam("qpsk"), FilterSpec("mf"),
+                       trials=5, seed=3)
+    assert len(calls) == 1
 
 
 # Stationary-phase helpers ----------------------------------------------------

@@ -17,6 +17,8 @@ def test_point_target_validation():
     with pytest.raises(SceneError):
         PointTarget(0.0, 0.0, rcs_var=0.0)
     with pytest.raises(SceneError):
+        PointTarget(0.0, 0.0, rcs_var=float("nan"))
+    with pytest.raises(SceneError):
         PointTarget(0.0, 0.0, amplitude_mode="rayleigh")
     t = PointTarget(300.0, 100.0, rcs_var=2.0)
     assert t.mean_range_m(PLATFORM) == pytest.approx(np.hypot(300, 1000))

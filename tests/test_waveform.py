@@ -242,6 +242,14 @@ def test_config_rejects_nonpositive_parameters():
     with pytest.raises(InvalidParameterError):
         nr_config(PLATFORM, n_subcarriers=0)
     with pytest.raises(InvalidParameterError):
+        nr_config(PLATFORM, fc_hz=math.nan)
+    with pytest.raises(InvalidParameterError):
+        nr_config(PLATFORM, aperture_time_s=math.inf)
+    with pytest.raises(InvalidParameterError):
+        nr_config(PLATFORM, noise_var=math.nan)
+    with pytest.raises(InvalidParameterError):
+        nr_config(PLATFORM, snr_in_linear=math.nan)
+    with pytest.raises(InvalidParameterError):
         RadarConfig(fc_hz=3.5e9, bandwidth_hz=100e6,
                     subcarrier_spacing_hz=30e3, cp_duration_s=0.25 / 30e3,
                     aperture_time_s=2.0, n_subcarriers=256,
