@@ -35,7 +35,7 @@ from .errors import ConfigurationError, OfdmSarError
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
 from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
-                       point_target_report, run_point_ensemble)
+                       point_target_report, run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_image
 from .scene import Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
@@ -72,6 +72,22 @@ def _require_finite(value: float, path: str):
         raise ConfigError(path, f"expected a finite number, got {value}")
 
 
+def _snr_point(snr_db: float, mean_power: float,
+               path: str) -> tuple[float, float]:
+    """(linear SNR, noise variance) of one sweep SNR; both finite and > 0."""
+    _require_finite(snr_db, path)
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    noise_var = mean_power / snr if snr > 0 else math.inf
+    if not (0 < snr < math.inf and 0 < noise_var < math.inf):
+        raise ConfigError(path, f"{snr_db} dB gives linear snr {snr} and "
+                                f"noise variance {noise_var}; both must be "
+                                f"finite and > 0")
+    return snr, noise_var
+
+
 def _typed(obj: dict, path: str, key: str, kinds, default=None):
     if key not in obj:
         return default
@@ -84,17 +100,6 @@ def _typed(obj: dict, path: str, key: str, kinds, default=None):
                           f"got {type(value).__name__}")
     if kinds is float:
         _require_finite(value, f"{path}.{key}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    """argparse type of --snr-db: a number that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -280,9 +285,6 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         snr_list = [float(x) for x in raw_snr]
     else:
         raise ConfigError("$.snr_in_db", "expected a number or non-empty list")
-    for i, x in enumerate(snr_list):
-        _require_finite(x, f"$.snr_in_db[{i}]" if isinstance(raw_snr, list)
-                        else "$.snr_in_db")
     deduped = list(dict.fromkeys(snr_list))
     if len(deduped) != len(snr_list):
         warnings.warn("duplicate snr_in_db entries removed", UserWarning)
@@ -300,6 +302,10 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         raise ConfigError("$.constellation",
                           f"expected one of {tuple(_QAM_NAMES)}, "
                           f"got {constellation!r}")
+    mean_power = make_qam(constellation).mean_power
+    for i, x in enumerate(snr_list):
+        _snr_point(x, mean_power, f"$.snr_in_db[{i}]"
+                   if isinstance(raw_snr, list) else "$.snr_in_db")
 
     rcmc_obj = root.get("rcmc", {})
     if not isinstance(rcmc_obj, dict):
@@ -397,28 +403,33 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         cfg_run = scenario.radar.decimated(scenario.azimuth_downsample)
         mask = None
 
+    labels = []
+    sweep = []
+    for snr_db in scenario.snr_db:
+        snr, noise_var = _snr_point(snr_db, constellation.mean_power,
+                                    "$.snr_in_db")
+        cfg = replace(cfg_run, snr_in_linear=snr, noise_var=noise_var)
+        for kind in scenario.filters:
+            labels.append((snr_db, kind))
+            sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
+    results = run_sweep_ensemble(
+        scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
+        mask=mask, mode=scenario.mode, rcmc_method=scenario.rcmc_method,
+        ka_mode=scenario.ka_mode)
+
     points = []
     sweep_rows = []
     first_result = None
-    first_cfg = None
-    for snr_db in scenario.snr_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        noise_var = constellation.mean_power / snr
-        cfg = replace(cfg_run, snr_in_linear=snr, noise_var=noise_var)
-        for kind in scenario.filters:
-            spec = FilterSpec(kind=kind, snr_in_linear=snr)
-            result = run_point_ensemble(
-                scenario.scene, cfg, constellation, spec, scenario.trials,
-                scenario.seed, mask=mask, mode=scenario.mode,
-                rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)
-            report = point_target_report(result).to_json_dict()
-            report["snr_in_db"] = snr_db
-            points.append(report)
-            sweep_rows.append((snr_db, kind, result.nmse,
-                               result.nmse_calibrated))
-            if first_result is None:
-                first_result = result
-                first_cfg = cfg
+    # results first: zip then runs the generator to its end, which frees
+    # the shared draws before the stage artifacts are rendered
+    for result, (snr_db, kind) in zip(results, labels):
+        report = point_target_report(result).to_json_dict()
+        report["snr_in_db"] = snr_db
+        points.append(report)
+        sweep_rows.append((snr_db, kind, result.nmse, result.nmse_calibrated))
+        if first_result is None:
+            first_result = result
+    first_cfg = first_result.cfg
 
     (out_dir / "metrics.json").write_text(
         json.dumps({"points": points}, indent=2) + "\n")
@@ -453,7 +464,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--filter", choices=_FILTER_CHOICES,
                         help="override the filter selection")
-    parser.add_argument("--snr-db", type=_finite_float, action="append",
+    parser.add_argument("--snr-db", type=float, action="append",
                         help="override snr sweep (repeatable)")
     args = parser.parse_args(argv)
 
@@ -468,6 +479,9 @@ def main(argv: Optional[list] = None) -> int:
                        else (args.filter,))
             scenario = replace(scenario, filters=filters)
         if args.snr_db:
+            mean_power = make_qam(scenario.constellation).mean_power
+            for x in args.snr_db:
+                _snr_point(x, mean_power, "--snr-db")
             scenario = replace(scenario,
                                snr_db=tuple(dict.fromkeys(args.snr_db)))
         out = run_scenario(scenario, Path(args.out_dir))

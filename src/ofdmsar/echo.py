@@ -100,14 +100,18 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     return h
 
 
-def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1) -> np.ndarray:
-    """i.i.d. CN(0, noise_var) grids, shape (n_trials, N, M)."""
+def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1,
+               unit: bool = False) -> np.ndarray:
+    """i.i.d. CN(0, noise_var) grids, shape (n_trials, N, M); with unit=True
+    CN(0, 2) grids, of which the CN(0, noise_var) draw of the same seed is
+    exactly sqrt(noise_var / 2) times."""
     shape = (n_trials, cfg.n_subcarriers, cfg.n_symbols)
-    if cfg.noise_var == 0.0:
+    if cfg.noise_var == 0.0 and not unit:
         return np.zeros(shape, dtype=complex)
     rng = _philox(noise_seed, NOISE_STREAM)
     parts = rng.standard_normal(shape + (2,))
-    return np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+    noise = parts[..., 0] + 1j * parts[..., 1]
+    return noise if unit else np.sqrt(cfg.noise_var / 2.0) * noise
 
 
 def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: SymbolGrid,

@@ -234,13 +234,15 @@ def snr_out(peak_sq_mean: float, stats: FilterStats, sigma_alpha_var: float,
 
     peak_sq_mean is the empirical E[R^2(0,0)] of the amplitude-normalized
     reconstructed peak; the denominator is analytic from the filter
-    statistics.  Returns inf for a noiseless ensemble.
+    statistics.  Returns inf when it is zero: a noiseless ensemble, or
+    filter gains so small that the filtered noise power underflows.
     """
     if peak_sq_mean < 0 or sigma_alpha_var <= 0 or noise_var < 0:
         raise InvalidParameterError("invalid ensemble statistics")
-    if noise_var == 0.0:
+    noise_power = noise_var * stats.gain_sq_mean
+    if noise_power == 0.0:
         return math.inf
-    return sigma_alpha_var * peak_sq_mean / (noise_var * stats.gain_sq_mean)
+    return sigma_alpha_var * peak_sq_mean / noise_power
 
 
 def mse_vs_ideal(images: np.ndarray, ideal: np.ndarray) -> np.ndarray:

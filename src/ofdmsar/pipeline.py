@@ -1,14 +1,17 @@
 """Monte-Carlo ensemble runner: symbols -> echo -> filter -> focused image.
 
-run_point_ensemble drives the full chain over independent trials for a
-scene with one deterministic reference target, accumulating exactly the
-reductions the quality metrics need (peak statistics, image MSE versus the
-ideal response, mean power images) without retaining per-trial image
-stacks.  The focusing chain is one precomputed linear operator
-(rd_imaging.focusing_operator), built once per ensemble and applied to
-each trial's grids.  Noise enters by linearity: each trial focuses the
-noiseless filtered echo and the filtered noise separately, so the same
-draw serves both the noiseless and noisy statistics.
+run_sweep_ensemble drives the full chain over independent trials for a
+scene with one deterministic reference target and yields, per (cfg,
+filter) point of an SNR/filter sweep, exactly the reductions the quality
+metrics need (peak statistics, image MSE versus the ideal response, mean
+power images) without retaining per-trial image stacks.  The points share
+one set of draws (common random numbers): the symbol stack, the unit
+noise stack, the channel, the ideal image and the focusing operator
+(rd_imaging.focusing_operator) are built once per sweep; each point
+scales the unit noise by sqrt(noise_var / 2), filters and focuses.  Noise
+enters by linearity: each trial focuses the noiseless filtered echo and
+the filtered noise separately, so the same draw serves both the noiseless
+and noisy statistics.  run_point_ensemble is the one-point sweep.
 
 run_pilot_ensemble is the pilot-only variant: it decimates the symbol
 grid to the pilot period and masks the subcarriers to the pilot comb,
@@ -18,13 +21,14 @@ then runs the identical chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .echo import build_channel_matrix, check_cp_margin, draw_noise
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import (ConfigurationError, InvalidParameterError,
+                     MeasurementError)
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       islr, measure_mainlobe_width, nmse, pel, snr_out,
                       theoretical_resolutions)
@@ -83,6 +87,84 @@ def _reference_target(scene: Scene) -> tuple[int, object]:
         "ensemble metrics need at least one deterministic reference target")
 
 
+def run_sweep_ensemble(scene: Scene,
+                       points: Sequence[tuple[RadarConfig, FilterSpec]],
+                       constellation: Constellation, trials: int, seed: int,
+                       mask: Optional[np.ndarray] = None,
+                       mode: str = "data_aided",
+                       rcmc_method: str = "windowed_sinc",
+                       ka_mode: str = "reference") -> Iterator[EnsembleResult]:
+    """Yield one EnsembleResult per (cfg, filter_spec) point, in order.
+
+    The point configs may differ only in noise_var and snr_in_linear; each
+    result equals run_point_ensemble on its point alone."""
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if mode not in MODES:
+        raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    cfg0 = points[0][0] if points else None
+    if cfg0 is None or any(
+            replace(cfg, noise_var=cfg0.noise_var,
+                    snr_in_linear=cfg0.snr_in_linear) != cfg0
+            for cfg, _ in points):
+        raise InvalidParameterError(
+            "a sweep needs at least one point, and its point configs may "
+            "differ only in noise_var and snr_in_linear")
+    check_cp_margin(scene, cfg0)
+    n, m = cfg0.n_subcarriers, cfg0.n_symbols
+    _, ref = _reference_target(scene)
+    r_bar_ref = ref.mean_range_m(cfg0.platform)
+    alpha_ref = complex(
+        math.sqrt(ref.rcs_var)
+        * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
+    k_q = int(round(r_bar_ref / cfg0.range_pitch_m)) % n
+    m_q = int(round(ref.y_m
+                    / (cfg0.platform.speed_mps * cfg0.total_symbol_s))) % m
+
+    channel = build_channel_matrix(scene, cfg0)
+    ideal = ideal_reference_image(scene, cfg0).data
+    grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask, trials=trials)
+    unit_noise = (draw_noise(cfg0, seed, n_trials=trials, unit=True)
+                  if any(cfg.noise_var > 0 for cfg, _ in points) else None)
+    focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
+
+    for cfg, filter_spec in points:
+        stats = chi_stats(constellation, filter_spec)
+        e_chi = stats.chi_mean
+        noise_scale = np.sqrt(cfg.noise_var / 2.0)
+        noiseless_peaks = np.empty(trials, dtype=complex)
+        noisy_peaks = np.empty(trials, dtype=complex)
+        mse = np.empty(trials)
+        mse_cal = np.empty(trials)
+        mean_noisy = np.zeros((n, m))
+        mean_clean = np.zeros((n, m))
+
+        for t in range(trials):
+            symbols = grid.data[t]
+            gains = filter_gains(symbols, filter_spec)
+            clean = focus(channel * symbols * gains)
+            noisy = (clean + focus(noise_scale * unit_noise[t] * gains)
+                     if cfg.noise_var > 0 else clean)
+
+            noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+            noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
+            mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
+            mse_cal[t] = float(np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+            mean_clean += np.abs(clean) ** 2
+            mean_noisy += np.abs(noisy) ** 2
+
+        mean_clean /= trials
+        mean_noisy /= trials
+
+        yield EnsembleResult(
+            cfg=cfg, filter_spec=filter_spec, stats=stats, mode=mode,
+            trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
+            peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
+            noiseless_peaks=noiseless_peaks, noisy_peaks=noisy_peaks,
+            mse=mse, mse_calibrated=mse_cal,
+            mean_noisy_power=mean_noisy, mean_noiseless_power=mean_clean)
+
+
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,
                        constellation: Constellation, filter_spec: FilterSpec,
                        trials: int, seed: int,
@@ -90,61 +172,11 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
                        mode: str = "data_aided",
                        rcmc_method: str = "windowed_sinc",
                        ka_mode: str = "reference") -> EnsembleResult:
-    """Run `trials` independent symbol/noise draws through the full chain."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if mode not in MODES:
-        raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    check_cp_margin(scene, cfg)
-    n, m = cfg.n_subcarriers, cfg.n_symbols
-    _, ref = _reference_target(scene)
-    r_bar_ref = ref.mean_range_m(cfg.platform)
-    alpha_ref = complex(
-        math.sqrt(ref.rcs_var)
-        * np.exp(-4j * np.pi * r_bar_ref / cfg.wavelength_m))
-    k_q = int(round(r_bar_ref / cfg.range_pitch_m)) % n
-    m_q = int(round(ref.y_m
-                    / (cfg.platform.speed_mps * cfg.total_symbol_s))) % m
-
-    channel = build_channel_matrix(scene, cfg)
-    ideal = ideal_reference_image(scene, cfg).data
-    stats = chi_stats(constellation, filter_spec)
-    e_chi = stats.chi_mean
-
-    grid = gen_symbol_grid(cfg, constellation, seed, mask=mask, trials=trials)
-    noise = draw_noise(cfg, seed, n_trials=trials)
-
-    noiseless_peaks = np.empty(trials, dtype=complex)
-    noisy_peaks = np.empty(trials, dtype=complex)
-    mse = np.empty(trials)
-    mse_cal = np.empty(trials)
-    mean_noisy = np.zeros((n, m))
-    mean_clean = np.zeros((n, m))
-
-    focus = focusing_operator(cfg, r_bar_ref, rcmc_method, ka_mode)
-    for t in range(trials):
-        symbols = grid.data[t]
-        gains = filter_gains(symbols, filter_spec)
-        clean = focus(channel * symbols * gains)
-        noisy = clean + focus(noise[t] * gains) if cfg.noise_var > 0 else clean
-
-        noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-        noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-        mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
-        mse_cal[t] = float(np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-        mean_clean += np.abs(clean) ** 2
-        mean_noisy += np.abs(noisy) ** 2
-
-    mean_clean /= trials
-    mean_noisy /= trials
-
-    return EnsembleResult(
-        cfg=cfg, filter_spec=filter_spec, stats=stats, mode=mode,
-        trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
-        peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-        noiseless_peaks=noiseless_peaks, noisy_peaks=noisy_peaks,
-        mse=mse, mse_calibrated=mse_cal,
-        mean_noisy_power=mean_noisy, mean_noiseless_power=mean_clean)
+    """Run `trials` independent symbol/noise draws through the full chain:
+    the one-point case of run_sweep_ensemble."""
+    return next(run_sweep_ensemble(scene, [(cfg, filter_spec)], constellation,
+                                   trials, seed, mask, mode, rcmc_method,
+                                   ka_mode))
 
 
 def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
@@ -199,6 +231,10 @@ def point_target_report(result: EnsembleResult,
     islr_single = islr(result.mean_noisy_power, result.peak_bin, 0)
     pel_value = pel(result.noiseless_peaks, cfg)
     snr_value = snr_out(peak_sq, result.stats, sigma_alpha, noise_var)
+    if noise_var > 0 and not 0 < snr_value < math.inf:
+        raise MeasurementError(
+            f"output SNR {snr_value} at noise variance {noise_var} is outside "
+            f"the float64 range")
     nmse_value = result.nmse
     residual = identity_residual(islr_single, pel_value, peak_sq, snr_value,
                                  nmse_value)

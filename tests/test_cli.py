@@ -1,10 +1,15 @@
 import copy
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ofdmsar import pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
                          emit_pgm, main, parse_config, run_scenario)
 from ofdmsar.pgm import parse_pgm, write_pgm
@@ -113,6 +118,14 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(snr_in_db=-math.inf))
     assert err.value.path == "$.snr_in_db"
+    # finite, but 10**400 overflows the linear SNR and 10**-400 makes it 0
+    for snr_db in (4000, -4000):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(snr_in_db=snr_db))
+        assert err.value.path == "$.snr_in_db"
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(snr_in_db=[5, snr_db]))
+        assert err.value.path == "$.snr_in_db[1]"
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(radar={**BASE["radar"], "fc_hz": math.inf}))
     assert err.value.path == "$.radar.fc_hz"
@@ -246,6 +259,54 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
     assert data.shape == (N, M)
 
 
+def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
+    # every (snr, filter) point reuses one draw, channel and operator
+    calls = {}
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    shared = ("build_channel_matrix", "focusing_operator", "gen_symbol_grid",
+              "draw_noise", "ideal_reference_image")
+    for name in shared:
+        counting(name)
+    scenario = parse_config(config_text(
+        snr_in_db=[0, 5], filter={"kind": "all"},
+        outputs={"images": [], "grids": []}))
+    run_scenario(scenario, tmp_path / "out")
+    assert calls == {name: 1 for name in shared}
+
+
+def sweep_entries(out_dir):
+    points = json.loads((out_dir / "metrics.json").read_text())["points"]
+    rows = (out_dir / "nmse_sweep.csv").read_text().strip().splitlines()[1:]
+    return {(p["snr_in_db"], p["filter"]): (p, row)
+            for p, row in zip(points, rows)}
+
+
+def test_point_does_not_depend_on_rest_of_sweep(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text(outputs={"images": [], "grids": []}))
+
+    def run(name, *flags):
+        out_dir = tmp_path / name
+        assert main(["--config", str(config), "--out-dir", str(out_dir),
+                     *flags]) == 0
+        return sweep_entries(out_dir)
+
+    alone = run("alone", "--snr-db", "20")
+    both = run("both", "--snr-db", "0", "--snr-db", "20")
+    assert both[(20.0, "rf")] == alone[(20.0, "rf")]
+    wiener = run("wf", "--filter", "wf")
+    every = run("all", "--filter", "all")
+    assert every[(5.0, "wf")] == wiener[(5.0, "wf")]
+
+
 def test_run_scenario_deterministic(tmp_path):
     scenario = parse_config(config_text(outputs={"images": ["ac"],
                                                  "grids": ["ac"]}))
@@ -346,13 +407,41 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys):
     assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
     assert "$.radar.platform.speed_mps" in capsys.readouterr().err
     assert not (out_dir / "metrics.json").exists()
-    # the --snr-db override bypasses the JSON parser; argparse rejects it
+    # the --snr-db override bypasses the JSON parser but not its SNR check
     config.write_text(config_text(trials=1))
-    with pytest.raises(SystemExit) as err:
-        main(["--config", str(config), "--out-dir", str(out_dir),
-              "--snr-db", "nan"])
-    assert err.value.code == 2
+    assert main(["--config", str(config), "--out-dir", str(out_dir),
+                 "--snr-db", "nan"]) == 2
+    assert "--snr-db" in capsys.readouterr().err
     assert not (out_dir / "metrics.json").exists()
+
+
+def test_main_rejects_snr_beyond_float_range(tmp_path, capsys):
+    out_dir = tmp_path / "artifacts"
+    config = tmp_path / "scenario.json"
+    for snr_db in (4000, -4000):
+        config.write_text(config_text(snr_in_db=snr_db, trials=1))
+        assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "$.snr_in_db" in capsys.readouterr().err
+        config.write_text(config_text(trials=1))
+        assert main(["--config", str(config), "--out-dir", str(out_dir),
+                     "--snr-db", str(snr_db)]) == 2
+        assert "--snr-db" in capsys.readouterr().err
+        assert not (out_dir / "metrics.json").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(snr_db=st.floats(allow_nan=False, allow_infinity=False))
+def test_main_survives_any_finite_snr(snr_db):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(config_text(snr_in_db=[snr_db], trials=1,
+                                      filter={"kind": "all"},
+                                      outputs={"images": [], "grids": []}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["--config", str(config),
+                         "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2)
 
 
 def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):

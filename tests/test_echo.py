@@ -106,6 +106,20 @@ def test_draw_noise_statistics_and_batching():
     assert np.all(silent == 0)
 
 
+def test_unit_noise_scales_to_every_noise_variance():
+    # one unit draw serves every SNR of a sweep: scaling it reproduces the
+    # CN(0, noise_var) draw from the same seed bit for bit
+    unit = draw_noise(critical_config(8, 8), noise_seed=3, n_trials=2,
+                      unit=True)
+    assert np.mean(np.abs(unit) ** 2) == pytest.approx(2.0, rel=0.3)
+    for noise_var in (1e-3, 0.5, 7.0):
+        cfg = critical_config(8, 8).with_noise(noise_var)
+        scaled = draw_noise(cfg, noise_seed=3, n_trials=2)
+        for t in range(2):
+            assert np.array_equal(np.sqrt(noise_var / 2.0) * unit[t],
+                                  scaled[t])
+
+
 def test_cp_margin_names_offending_target():
     # 8.33 us cyclic prefix admits round trips out to ~1250 m slant range
     from ofdmsar.geometry import PlatformGeometry
