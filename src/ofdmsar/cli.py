@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .echo import STAGE_CODES, grid_to_bytes, synthesize_echo
-from .errors import ConfigurationError, OfdmSarError
+from .errors import ConfigurationError, MeasurementError, OfdmSarError
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
 from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
@@ -39,8 +39,8 @@ from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_image
 from .scene import Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
-from .waveform import (RadarConfig, SrsConfig, gen_symbol_grid, make_qam,
-                       _QAM_NAMES)
+from .waveform import (RadarConfig, SrsConfig, chi_stats, gen_symbol_grid,
+                       make_qam, _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
@@ -70,22 +70,6 @@ def _require_finite(value: float, path: str):
     """json.loads accepts NaN and Infinity; no scenario number may be either."""
     if not math.isfinite(value):
         raise ConfigError(path, f"expected a finite number, got {value}")
-
-
-def _snr_point(snr_db: float, mean_power: float,
-               path: str) -> tuple[float, float]:
-    """(linear SNR, noise variance) of one sweep SNR; both finite and > 0."""
-    _require_finite(snr_db, path)
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        snr = math.inf
-    noise_var = mean_power / snr if snr > 0 else math.inf
-    if not (0 < snr < math.inf and 0 < noise_var < math.inf):
-        raise ConfigError(path, f"{snr_db} dB gives linear snr {snr} and "
-                                f"noise variance {noise_var}; both must be "
-                                f"finite and > 0")
-    return snr, noise_var
 
 
 def _typed(obj: dict, path: str, key: str, kinds, default=None):
@@ -125,6 +109,68 @@ class ScenarioConfig:
     ka_mode: str
     azimuth_downsample: int
     outputs: OutputSelection
+
+    @property
+    def run_radar(self) -> RadarConfig:
+        """The grid the ensembles run on: every pilot symbol, or every
+        azimuth_downsample-th data symbol."""
+        step = (self.srs.period_symbols if self.mode == "pilot_only"
+                else self.azimuth_downsample)
+        return self.radar.decimated(step)
+
+
+# Magnitudes an ensemble computes with must stay this far inside float64's
+# normal range, which leaves room for trial-to-trial fluctuation.
+_HEADROOM = 1e6
+_SAFE_RANGE = (np.finfo(float).tiny * _HEADROOM,
+               np.finfo(float).max / _HEADROOM)
+
+
+def _snr_point(snr_db: float, scenario: ScenarioConfig,
+               path: str) -> tuple[float, float]:
+    """(linear SNR, noise variance) of one sweep SNR of the scenario.
+
+    Both must be finite and > 0.  So must, for every selected filter, the
+    magnitudes predicted from the spectrum moments (chi_stats) for the
+    run grid of N*M cells: past them the images and metrics of the
+    ensemble underflow or overflow float64 (see _SAFE_RANGE)."""
+    _require_finite(snr_db, path)
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    constellation = make_qam(scenario.constellation)
+    noise_var = constellation.mean_power / snr if snr > 0 else math.inf
+    if not (0 < snr < math.inf and 0 < noise_var < math.inf):
+        raise ConfigError(path, f"{snr_db} dB gives linear snr {snr} and "
+                                f"noise variance {noise_var}; both must be "
+                                f"finite and > 0")
+    cfg = scenario.run_radar
+    cells = cfg.n_subcarriers * cfg.n_symbols
+    low, high = _SAFE_RANGE
+    for kind in scenario.filters:
+        with np.errstate(all="ignore"):
+            stats = chi_stats(constellation,
+                              FilterSpec(kind, snr_in_linear=snr))
+            signal = np.float64(stats.chi_mean) ** 2    # per cell
+            noise = noise_var * np.float64(stats.gain_sq_mean)
+            peak = cells * signal
+            energy = scenario.trials * cells * (peak + noise)
+            predicted = {"E[chi]": stats.chi_mean,
+                         "E[|g|^2]": stats.gain_sq_mean,
+                         "signal power per cell": signal,
+                         "noise power per cell": noise,
+                         "peak power": peak,
+                         "output snr": peak / noise,
+                         "noise-to-signal ratio": noise / signal,
+                         "ensemble energy": energy,
+                         "calibrated ensemble energy": energy / signal}
+        for name, value in predicted.items():
+            if not low < value < high:
+                raise ConfigError(
+                    path, f"{snr_db} dB puts the {kind} filter's {name} at "
+                          f"{value:.3g}, outside ({low:.3g}, {high:.3g})")
+    return snr, noise_var
 
 
 def _parse_platform(obj, path: str) -> PlatformGeometry:
@@ -302,11 +348,6 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         raise ConfigError("$.constellation",
                           f"expected one of {tuple(_QAM_NAMES)}, "
                           f"got {constellation!r}")
-    mean_power = make_qam(constellation).mean_power
-    for i, x in enumerate(snr_list):
-        _snr_point(x, mean_power, f"$.snr_in_db[{i}]"
-                   if isinstance(raw_snr, list) else "$.snr_in_db")
-
     rcmc_obj = root.get("rcmc", {})
     if not isinstance(rcmc_obj, dict):
         raise ConfigError("$.rcmc", "expected an object")
@@ -327,11 +368,15 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         raise ConfigError("$.azimuth_downsample", "must be >= 1")
 
     outputs = _parse_outputs(root.get("outputs", {}), "$.outputs")
-    return ScenarioConfig(radar=radar, scene=scene, filters=filters, mode=mode,
-                          srs=srs, snr_db=snr_db, trials=trials, seed=seed,
-                          constellation=constellation,
-                          rcmc_method=rcmc_method, ka_mode=ka_mode,
-                          azimuth_downsample=downsample, outputs=outputs)
+    scenario = ScenarioConfig(radar=radar, scene=scene, filters=filters,
+                              mode=mode, srs=srs, snr_db=snr_db, trials=trials,
+                              seed=seed, constellation=constellation,
+                              rcmc_method=rcmc_method, ka_mode=ka_mode,
+                              azimuth_downsample=downsample, outputs=outputs)
+    for i, x in enumerate(snr_list):
+        _snr_point(x, scenario, f"$.snr_in_db[{i}]"
+                   if isinstance(raw_snr, list) else "$.snr_in_db")
+    return scenario
 
 
 def emit_pgm(image: np.ndarray, db_floor: float = DEFAULT_DB_FLOOR) -> bytes:
@@ -396,18 +441,14 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     constellation = make_qam(scenario.constellation)
 
-    if scenario.mode == "pilot_only":
-        cfg_run = scenario.radar.decimated(scenario.srs.period_symbols)
-        mask = pilot_comb_mask(cfg_run, scenario.srs)
-    else:
-        cfg_run = scenario.radar.decimated(scenario.azimuth_downsample)
-        mask = None
+    cfg_run = scenario.run_radar
+    mask = (pilot_comb_mask(cfg_run, scenario.srs)
+            if scenario.mode == "pilot_only" else None)
 
     labels = []
     sweep = []
     for snr_db in scenario.snr_db:
-        snr, noise_var = _snr_point(snr_db, constellation.mean_power,
-                                    "$.snr_in_db")
+        snr, noise_var = _snr_point(snr_db, scenario, "$.snr_in_db")
         cfg = replace(cfg_run, snr_in_linear=snr, noise_var=noise_var)
         for kind in scenario.filters:
             labels.append((snr_db, kind))
@@ -431,8 +472,15 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
             first_result = result
     first_cfg = first_result.cfg
 
+    for report in points:  # metrics.json is strict JSON
+        bad = [key for key, value in report.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            raise MeasurementError(
+                f"sweep point ({report['snr_in_db']} dB, {report['filter']}) "
+                f"has non-finite {', '.join(bad)}")
     (out_dir / "metrics.json").write_text(
-        json.dumps({"points": points}, indent=2) + "\n")
+        json.dumps({"points": points}, indent=2, allow_nan=False) + "\n")
 
     lines = ["snr_db,filter,nmse,nmse_calibrated"]
     lines += [f"{float(s)!r},{f},{float(n)!r},{float(c)!r}"
@@ -479,9 +527,8 @@ def main(argv: Optional[list] = None) -> int:
                        else (args.filter,))
             scenario = replace(scenario, filters=filters)
         if args.snr_db:
-            mean_power = make_qam(scenario.constellation).mean_power
             for x in args.snr_db:
-                _snr_point(x, mean_power, "--snr-db")
+                _snr_point(x, scenario, "--snr-db")
             scenario = replace(scenario,
                                snr_db=tuple(dict.fromkeys(args.snr_db)))
         out = run_scenario(scenario, Path(args.out_dir))

@@ -5,13 +5,22 @@ scene with one deterministic reference target and yields, per (cfg,
 filter) point of an SNR/filter sweep, exactly the reductions the quality
 metrics need (peak statistics, image MSE versus the ideal response, mean
 power images) without retaining per-trial image stacks.  The points share
-one set of draws (common random numbers): the symbol stack, the unit
-noise stack, the channel, the ideal image and the focusing operator
-(rd_imaging.focusing_operator) are built once per sweep; each point
-scales the unit noise by sqrt(noise_var / 2), filters and focuses.  Noise
+one set of draws (common random numbers): the channel, the ideal image
+and the focusing operator (rd_imaging.focusing_operator) are built once
+per sweep, and the symbol and unit-noise draws once per trial.  Noise
 enters by linearity: each trial focuses the noiseless filtered echo and
 the filtered noise separately, so the same draw serves both the noiseless
 and noisy statistics.  run_point_ensemble is the one-point sweep.
+
+Trials stream through chunks of as many (N, M) complex grids as fit
+_CHUNK_BYTES.  One Philox generator per stream (symbols, noise) lives
+across the chunks, so the draws, and every result, do not depend on the
+chunk size.  Memory is the chunk's symbol and noise stacks, the per-trial
+working grids, and the per-point reductions: each point's result is
+filled chunk by chunk and yielded once its last chunk is done, so a sweep
+of P points that spans several chunks holds 2*P*N*M*8 bytes of mean power
+images until its last chunk, while one that fits in one chunk makes each
+point's images only when it reaches that point.
 
 run_pilot_ensemble is the pilot-only variant: it decimates the symbol
 grid to the pilot period and masks the subcarriers to the pilot comb,
@@ -35,10 +44,21 @@ from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
 from .rd_imaging import focusing_operator
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
-from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
-                       chi_stats, gen_symbol_grid)
+from .waveform import (NOISE_STREAM, SYMBOL_STREAM, Constellation,
+                       FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
+                       gen_symbol_grid)
 
 MODES = ("data_aided", "pilot_only")
+
+# Bytes of one (chunk, N, M) complex128 stack.  Trials stream through
+# chunks of this size, so the draws held at once do not grow with the
+# trial count.
+_CHUNK_BYTES = 8 << 20
+
+
+def _chunk_trials(trials: int, n: int, m: int) -> int:
+    """Trials per chunk: as many (N, M) complex grids as fit the budget."""
+    return max(1, min(trials, _CHUNK_BYTES // (16 * n * m)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +117,8 @@ def run_sweep_ensemble(scene: Scene,
     """Yield one EnsembleResult per (cfg, filter_spec) point, in order.
 
     The point configs may differ only in noise_var and snr_in_linear; each
-    result equals run_point_ensemble on its point alone."""
+    result equals run_point_ensemble on its point alone, whatever the trial
+    chunk size, and is yielded once the last chunk has reached it."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if mode not in MODES:
@@ -123,46 +144,62 @@ def run_sweep_ensemble(scene: Scene,
 
     channel = build_channel_matrix(scene, cfg0)
     ideal = ideal_reference_image(scene, cfg0).data
-    grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask, trials=trials)
-    unit_noise = (draw_noise(cfg0, seed, n_trials=trials, unit=True)
-                  if any(cfg.noise_var > 0 for cfg, _ in points) else None)
     focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
+    symbol_rng = _philox(seed, SYMBOL_STREAM)
+    noise_rng = (_philox(seed, NOISE_STREAM)
+                 if any(cfg.noise_var > 0 for cfg, _ in points) else None)
+    chunk = _chunk_trials(trials, n, m)
+    # each point's result is made on first use and filled chunk by chunk
+    results: list[Optional[EnsembleResult]] = [None] * len(points)
 
-    for cfg, filter_spec in points:
-        stats = chi_stats(constellation, filter_spec)
-        e_chi = stats.chi_mean
-        noise_scale = np.sqrt(cfg.noise_var / 2.0)
-        noiseless_peaks = np.empty(trials, dtype=complex)
-        noisy_peaks = np.empty(trials, dtype=complex)
-        mse = np.empty(trials)
-        mse_cal = np.empty(trials)
-        mean_noisy = np.zeros((n, m))
-        mean_clean = np.zeros((n, m))
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        last = start + size == trials
+        grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
+                               trials=size, rng=symbol_rng)
+        unit_noise = (draw_noise(cfg0, seed, n_trials=size, unit=True,
+                                 rng=noise_rng)
+                      if noise_rng is not None else None)
 
-        for t in range(trials):
-            symbols = grid.data[t]
-            gains = filter_gains(symbols, filter_spec)
-            clean = focus(channel * symbols * gains)
-            noisy = (clean + focus(noise_scale * unit_noise[t] * gains)
-                     if cfg.noise_var > 0 else clean)
+        for p, (cfg, filter_spec) in enumerate(points):
+            if results[p] is None:
+                results[p] = EnsembleResult(
+                    cfg=cfg, filter_spec=filter_spec,
+                    stats=chi_stats(constellation, filter_spec), mode=mode,
+                    trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
+                    peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
+                    noiseless_peaks=np.empty(trials, dtype=complex),
+                    noisy_peaks=np.empty(trials, dtype=complex),
+                    mse=np.empty(trials), mse_calibrated=np.empty(trials),
+                    mean_noisy_power=np.zeros((n, m)),
+                    mean_noiseless_power=np.zeros((n, m)))
+            res = results[p]
+            e_chi = res.stats.chi_mean
+            mean_clean = res.mean_noiseless_power
+            mean_noisy = res.mean_noisy_power
+            noise_scale = np.sqrt(cfg.noise_var / 2.0)
 
-            noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-            noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-            mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
-            mse_cal[t] = float(np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-            mean_clean += np.abs(clean) ** 2
-            mean_noisy += np.abs(noisy) ** 2
+            for i, symbols in enumerate(grid.data):
+                t = start + i
+                gains = filter_gains(symbols, filter_spec)
+                clean = focus(channel * symbols * gains)
+                noisy = (clean + focus(noise_scale * unit_noise[i] * gains)
+                         if cfg.noise_var > 0 else clean)
 
-        mean_clean /= trials
-        mean_noisy /= trials
+                res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+                res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
+                res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
+                res.mse_calibrated[t] = float(
+                    np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+                mean_clean += np.abs(clean) ** 2
+                mean_noisy += np.abs(noisy) ** 2
 
-        yield EnsembleResult(
-            cfg=cfg, filter_spec=filter_spec, stats=stats, mode=mode,
-            trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
-            peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-            noiseless_peaks=noiseless_peaks, noisy_peaks=noisy_peaks,
-            mse=mse, mse_calibrated=mse_cal,
-            mean_noisy_power=mean_noisy, mean_noiseless_power=mean_clean)
+            if last:
+                mean_clean /= trials
+                mean_noisy /= trials
+                results[p] = None
+                yield res
+        del grid, unit_noise  # free this chunk's draws before the next
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,

@@ -332,24 +332,30 @@ RCS_STREAM = 2
 
 def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
                     mask: Optional[np.ndarray] = None,
-                    trials: Optional[int] = None) -> SymbolGrid:
+                    trials: Optional[int] = None,
+                    rng: Optional[np.random.Generator] = None) -> SymbolGrid:
     """Draw i.i.d. uniform constellation symbols on the N x M grid.
 
     The whole batch is drawn in one vectorized pass from a counter-based
     generator keyed by the seed, so the result does not depend on any
     evaluation schedule.  Entries outside the mask are set to zero.  With
     trials=None the data is a single (N, M) grid; with an integer it is a
-    (trials, N, M) stack of independent realizations.
+    (trials, N, M) stack of independent realizations.  A generator passed
+    as rng replaces the seed's and is advanced, so successive calls of
+    c1, c2, ... trials on one generator equal one call of their sum.
     """
     shape = (cfg.n_subcarriers, cfg.n_symbols)
-    if mask is None:
-        mask = np.ones(shape, dtype=bool)
-    elif mask.shape != shape:
+    if mask is not None and mask.shape != shape:
         raise ConfigurationError(f"mask shape {mask.shape} != grid shape {shape}")
     draw_shape = shape if trials is None else (trials,) + shape
-    rng = _philox(seed, SYMBOL_STREAM)
+    if rng is None:
+        rng = _philox(seed, SYMBOL_STREAM)
     indices = rng.integers(0, constellation.order, size=draw_shape)
-    data = np.where(mask, constellation.points[indices], 0.0 + 0.0j)
+    data = constellation.points[indices]
+    if mask is None:
+        mask = np.ones(shape, dtype=bool)
+    else:
+        np.copyto(data, 0.0, where=~mask)
     return SymbolGrid(data=data, mask=mask.copy(), constellation=constellation.name,
                       seed=seed)
 

@@ -1,15 +1,18 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofdmsar import pipeline
+from ofdmsar import cli, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
                          emit_pgm, main, parse_config, run_scenario)
 from ofdmsar.pgm import parse_pgm, write_pgm
@@ -282,6 +285,24 @@ def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
     assert calls == {name: 1 for name in shared}
 
 
+def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    # trials stream through chunks sized from a byte budget; one trial per
+    # chunk and all trials in one chunk write the same bytes
+    stages = ["tf", "rc", "rd", "rcmc", "ac"]
+    scenario = parse_config(config_text(
+        snr_in_db=[0, 5], filter={"kind": "all"},
+        outputs={"images": stages, "grids": stages}))
+    outs = []
+    for chunk in (1, scenario.trials):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * N * M)
+        assert pipeline._chunk_trials(scenario.trials, N, M) == chunk
+        outs.append(run_scenario(scenario, tmp_path / f"chunk{chunk}"))
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def sweep_entries(out_dir):
     points = json.loads((out_dir / "metrics.json").read_text())["points"]
     rows = (out_dir / "nmse_sweep.csv").read_text().strip().splitlines()[1:]
@@ -437,11 +458,54 @@ def test_main_survives_any_finite_snr(snr_db):
         config.write_text(config_text(snr_in_db=[snr_db], trials=1,
                                       filter={"kind": "all"},
                                       outputs={"images": [], "grids": []}))
-        with warnings.catch_warnings():
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(["--config", str(config),
                          "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 2)
+    if code == 2:
+        assert "snr_in_db" in stderr.getvalue() or "--snr-db" in stderr.getvalue()
+
+
+def test_extreme_negative_snrs_fail_at_their_json_path(tmp_path, capsys):
+    # the Wiener gains conj(s) / (|s|^2 + 1/snr) underflow long before the
+    # linear snr does; every such SNR must be named at parse time, with no
+    # float warning and no measurement error from the ensemble
+    config = tmp_path / "scenario.json"
+    out_dir = tmp_path / "out"
+    for snr_db in range(-3100, -1499, 10):
+        config.write_text(config_text(snr_in_db=[snr_db], trials=1,
+                                      filter={"kind": "all"},
+                                      outputs={"images": [], "grids": []}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(config), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        if code == 0:
+            json.loads((out_dir / "metrics.json").read_text(),
+                       parse_constant=pytest.fail)
+        else:
+            assert code == 2 and "$.snr_in_db[0]" in err, (snr_db, err)
+            assert not (out_dir / "metrics.json").exists()
+    assert code == 0  # -1500 dB is measurable
+
+
+def test_non_finite_metric_fails_without_metrics_json(tmp_path, monkeypatch,
+                                                      capsys):
+    # metrics.json is strict JSON: a non-finite report value is a
+    # measurement error naming the sweep point, not an Infinity token
+    real = cli.point_target_report
+    monkeypatch.setattr(cli, "point_target_report",
+                        lambda result: replace(real(result),
+                                               snr_out_db=math.inf))
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text(trials=1))
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "(5.0 dB, rf)" in err and "snr_out_db" in err
+    assert not (out_dir / "metrics.json").exists()
 
 
 def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):

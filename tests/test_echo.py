@@ -10,7 +10,8 @@ from ofdmsar.echo import (EchoGrid, build_channel_matrix, check_cp_margin,
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
                             SceneError, StageError)
 from ofdmsar.scene import make_point_scene
-from ofdmsar.waveform import SPEED_OF_LIGHT as c, gen_symbol_grid, make_qam
+from ofdmsar.waveform import (NOISE_STREAM, SPEED_OF_LIGHT as c, _philox,
+                              gen_symbol_grid, make_qam)
 
 
 def test_channel_single_cell_hand_computed():
@@ -118,6 +119,21 @@ def test_unit_noise_scales_to_every_noise_variance():
         for t in range(2):
             assert np.array_equal(np.sqrt(noise_var / 2.0) * unit[t],
                                   scaled[t])
+
+
+def test_noise_chunks_continue_one_stream():
+    # the unit draw is the complex view of interleaved normal pairs, and
+    # successive draws from one generator equal one batch bit for bit
+    cfg = critical_config(4, 4).with_noise(0.3)
+    parts = _philox(3, NOISE_STREAM).standard_normal((5, 4, 4, 2))
+    unit = draw_noise(cfg, noise_seed=3, n_trials=5, unit=True)
+    assert np.array_equal(unit, parts[..., 0] + 1j * parts[..., 1])
+    for scale in (True, False):
+        whole = draw_noise(cfg, noise_seed=3, n_trials=5, unit=scale)
+        rng = _philox(3, NOISE_STREAM)
+        chunks = [draw_noise(cfg, noise_seed=3, n_trials=size, unit=scale,
+                             rng=rng) for size in (2, 2, 1)]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_cp_margin_names_offending_target():

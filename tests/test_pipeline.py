@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import critical_config, single_target_scene
+from ofdmsar import pipeline
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.pipeline import (pilot_comb_mask, run_point_ensemble,
                               run_sweep_ensemble)
@@ -25,16 +27,17 @@ def sweep_points(cfg):
     return points
 
 
+def comb_mask(cfg):
+    srs = SrsConfig(periodicity_slots=1, symbols_per_slot=1, comb_spacing=4,
+                    n_resource_blocks=1, start_subcarrier=2)
+    return pilot_comb_mask(cfg, srs)
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_sweep_equals_single_point_runs(masked):
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
-    mask = None
-    if masked:
-        srs = SrsConfig(periodicity_slots=1, symbols_per_slot=1,
-                        comb_spacing=4, n_resource_blocks=1,
-                        start_subcarrier=2)
-        mask = pilot_comb_mask(cfg, srs)
+    mask = comb_mask(cfg) if masked else None
     qpsk = make_qam("qpsk")
     points = sweep_points(cfg)
     swept = list(run_sweep_ensemble(scene, points, qpsk, trials=3, seed=5,
@@ -62,3 +65,44 @@ def test_sweep_rejects_points_that_change_the_geometry():
                                 trials=1, seed=0))
     with pytest.raises(InvalidParameterError, match="at least one point"):
         next(run_sweep_ensemble(scene, [], qpsk, trials=1, seed=0))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
+    # chunked sequential Philox draws equal the one-shot batch bit for bit
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    mask = comb_mask(cfg) if masked else None
+    qpsk = make_qam("qpsk")
+    points = sweep_points(cfg)
+    trials = 15
+    runs = []
+    for chunk in (1, 7, trials):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
+        assert pipeline._chunk_trials(trials, 16, 16) == chunk
+        runs.append(list(run_sweep_ensemble(scene, points, qpsk, trials,
+                                            seed=5, mask=mask)))
+    for results in runs[1:]:
+        assert len(results) == len(points)
+        for ref, result in zip(runs[0], results):
+            assert result.peak_bin == ref.peak_bin
+            assert result.alpha_ref == ref.alpha_ref
+            for name in ARRAYS:
+                assert np.array_equal(getattr(result, name),
+                                      getattr(ref, name)), name
+
+
+def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
+    # 64 trials of 128x128 grids make 16 MiB (T, N, M) complex stacks; a
+    # 1 MiB budget streams them four trials at a time
+    cfg = critical_config(128, 128, k_ref=64).with_noise(0.5, snr_in_linear=2)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        run_point_ensemble(scene, cfg, make_qam("qam256"), FilterSpec("mf"),
+                           trials=64, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # half of one whole-ensemble stack

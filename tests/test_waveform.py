@@ -12,9 +12,9 @@ from ofdmsar.errors import ConfigurationError, InvalidParameterError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pipeline import pilot_comb_mask
 from ofdmsar.tf_filter import FilterSpec
-from ofdmsar.waveform import (SPEED_OF_LIGHT, Constellation, RadarConfig,
-                              SrsConfig, SymbolGrid, chi_stats,
-                              gen_symbol_grid, make_qam, nr_config)
+from ofdmsar.waveform import (SPEED_OF_LIGHT, SYMBOL_STREAM, Constellation,
+                              RadarConfig, SrsConfig, SymbolGrid, _philox,
+                              chi_stats, gen_symbol_grid, make_qam, nr_config)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
@@ -327,6 +327,20 @@ def test_gen_symbol_grid_batch_matches_single():
     assert batch.data.shape == (4, 32, 40)
     assert np.array_equal(batch.data[0], single.data)
     assert not np.array_equal(batch.data[1], batch.data[2])
+
+
+def test_gen_symbol_grid_chunks_continue_one_stream():
+    # successive draws from one generator equal one batch bit for bit, also
+    # when a chunk holds an odd number of cells
+    cfg = small_cfg(n=3, m=5)
+    con = make_qam("qam16")
+    mask = np.ones((3, 5), dtype=bool)
+    mask[1, ::2] = False
+    whole = gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=5)
+    rng = _philox(4, SYMBOL_STREAM)
+    chunks = [gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size,
+                              rng=rng).data for size in (1, 1, 3)]
+    assert np.array_equal(np.concatenate(chunks), whole.data)
 
 
 def test_symbol_grid_shape_validation():
