@@ -14,17 +14,16 @@ from .geometry import (PlatformGeometry, beamwidths,
                        envelope_to_phase_rate_ratio, ground_coverage,
                        mean_range, slant_range)
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
-                       SymbolGrid, chi_stats, gen_symbol_grid, make_qam,
-                       nr_config)
+                       chi_stats, gen_symbol_grid, make_qam, nr_config)
 from .scene import (PointTarget, Scene, load_scene_pgm, make_point_scene,
                     raster_extent, scene_from_descriptor, scene_to_descriptor)
-from .echo import (EchoGrid, build_channel_matrix, check_cp_margin,
-                   draw_noise, grid_from_bytes, grid_to_bytes, load_grid,
-                   save_grid, synthesize_echo)
+from .echo import (build_channel_matrix, check_cp_margin, draw_noise,
+                   grid_from_bytes, grid_to_bytes, load_grid, save_grid,
+                   synthesize_echo)
 from .tf_filter import (FilterSpec, apply_tf_filter, channel_mse_analytic,
                         filter_gains)
-from .rd_imaging import (ImageGrid, azimuth_compress, azimuth_fft,
-                         focus_image, range_compress, rcm_shift, rcmc,
+from .rd_imaging import (azimuth_compress, azimuth_fft, focus_image,
+                         focus_stages, range_compress, rcm_shift, rcmc,
                          spa_spectrum, stationary_point)
 from .metrics import (MetricsReport, analytic_point_metrics, doppler_support,
                       ideal_reference_image, identity_residual, islr,
@@ -44,15 +43,15 @@ __all__ = [
     "PgmParseError", "SceneError", "SingularSystemError", "StageError",
     "PlatformGeometry", "beamwidths", "envelope_to_phase_rate_ratio",
     "ground_coverage", "mean_range", "slant_range",
-    "Constellation", "FilterStats", "RadarConfig", "SrsConfig", "SymbolGrid",
-    "chi_stats", "gen_symbol_grid", "make_qam", "nr_config",
+    "Constellation", "FilterStats", "RadarConfig", "SrsConfig", "chi_stats",
+    "gen_symbol_grid", "make_qam", "nr_config",
     "PointTarget", "Scene", "load_scene_pgm", "make_point_scene",
     "raster_extent", "scene_from_descriptor", "scene_to_descriptor",
-    "EchoGrid", "build_channel_matrix", "check_cp_margin", "draw_noise",
+    "build_channel_matrix", "check_cp_margin", "draw_noise",
     "grid_from_bytes", "grid_to_bytes", "load_grid", "save_grid",
     "synthesize_echo",
     "FilterSpec", "apply_tf_filter", "channel_mse_analytic", "filter_gains",
-    "ImageGrid", "azimuth_compress", "azimuth_fft", "focus_image",
+    "azimuth_compress", "azimuth_fft", "focus_image", "focus_stages",
     "range_compress", "rcm_shift", "rcmc", "spa_spectrum", "stationary_point",
     "MetricsReport", "analytic_point_metrics", "doppler_support",
     "ideal_reference_image", "identity_residual", "islr",

@@ -36,7 +36,7 @@ from .geometry import PlatformGeometry
 from .pgm import write_pgm
 from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
                        point_target_report, run_sweep_ensemble)
-from .rd_imaging import KA_MODES, RCMC_METHODS, focus_image
+from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from .scene import Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
 from .waveform import (RadarConfig, SrsConfig, chi_stats, gen_symbol_grid,
@@ -240,8 +240,14 @@ def _parse_scene(obj, path: str, config_dir: Path) -> Scene:
     if not isinstance(raw_targets, list):
         raise ConfigError(f"{path}.targets", "expected a list of targets")
     for i, entry in enumerate(raw_targets):
+        target_path = f"{path}.targets[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{path}.targets[{i}]", "expected an object")
+            raise ConfigError(target_path, "expected an object")
+        _require_keys(entry, target_path, (), ("x", "y", "x_m", "y_m",
+                                               "rcs_var", "mode",
+                                               "amplitude_mode"))
+        for key in entry:
+            _typed(entry, target_path, key, str if "mode" in key else float)
     return make_point_scene(raw_targets, extent=extent)
 
 
@@ -273,10 +279,11 @@ def _parse_outputs(obj, path: str) -> OutputSelection:
                                   f"unknown stage {name!r}; expected one of {stages}")
         return tuple(raw)
 
+    db_floor = _typed(obj, path, "db_floor", float, DEFAULT_DB_FLOOR)
+    if db_floor >= 0:
+        raise ConfigError(f"{path}.db_floor", f"must be < 0, got {db_floor}")
     return OutputSelection(images=stage_list("images", ("ac",)),
-                           grids=stage_list("grids", ()),
-                           db_floor=_typed(obj, path, "db_floor", float,
-                                           DEFAULT_DB_FLOOR))
+                           grids=stage_list("grids", ()), db_floor=db_floor)
 
 
 def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig:
@@ -340,6 +347,8 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     if trials < 1:
         raise ConfigError("$.trials", f"must be >= 1, got {trials}")
     seed = _typed(root, "$", "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("$.seed", f"must be >= 0, got {seed}")
 
     default_constellation = "qpsk" if mode == "pilot_only" else "qam256"
     constellation = _typed(root, "$", "constellation", str,
@@ -411,7 +420,8 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
 def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
                             mask: Optional[np.ndarray],
                             result: EnsembleResult, out_dir: Path) -> None:
-    """Stage images/grids from the first trial of the first sweep point."""
+    """Stage images/grids (rd_imaging.focus_stages) from the first trial
+    of the first sweep point."""
     wanted = set(scenario.outputs.images) | set(scenario.outputs.grids)
     if not wanted:
         return
@@ -419,14 +429,11 @@ def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
     symbols = gen_symbol_grid(cfg, constellation, scenario.seed, mask=mask)
     echo = synthesize_echo(scenario.scene, cfg, symbols,
                            noise_seed=scenario.seed, rcs_seed=scenario.seed)
-    filtered = apply_tf_filter(echo, symbols.data, result.filter_spec)
+    filtered = apply_tf_filter(echo, symbols, result.filter_spec)
     stages = {"tf": filtered}
     if wanted - {"tf"}:
-        stages.update(
-            (name, grid.data) for name, grid in focus_image(
-                filtered, cfg=cfg, r_bar_ref_m=result.r_bar_ref_m,
-                rcmc_method=scenario.rcmc_method,
-                ka_mode=scenario.ka_mode, collect_stages=True).items())
+        stages = focus_stages(filtered, cfg, result.r_bar_ref_m,
+                              scenario.rcmc_method, scenario.ka_mode)
     for stage in scenario.outputs.images:
         (out_dir / f"image_{stage}.pgm").write_bytes(
             emit_pgm(stages[stage], scenario.outputs.db_floor))
@@ -521,6 +528,8 @@ def main(argv: Optional[list] = None) -> int:
         scenario = parse_config(config_path.read_text(),
                                 config_dir=config_path.parent)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
             scenario = replace(scenario, seed=args.seed)
         if args.filter is not None:
             filters = (FILTER_KINDS if args.filter == "all"

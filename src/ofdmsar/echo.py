@@ -15,7 +15,6 @@ build_channel_matrix, which this module guarantees to machine precision.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Optional, Union
 
 import numpy as np
@@ -23,25 +22,9 @@ import numpy as np
 from .errors import ConfigurationError, InvalidParameterError, SceneError, StageError
 from .scene import PointTarget, Scene
 from .waveform import (NOISE_STREAM, RCS_STREAM, SPEED_OF_LIGHT, RadarConfig,
-                       SymbolGrid, _philox)
+                       _philox)
 
 _FOUR_PI_OVER_C = 4.0 * np.pi / SPEED_OF_LIGHT
-
-
-@dataclass(frozen=True)
-class EchoGrid:
-    """A received N x M temporal-frequency grid plus its provenance."""
-
-    data: np.ndarray
-    cfg: RadarConfig
-    noise_seed: int = 0
-    rcs_seed: int = 0
-
-    def __post_init__(self):
-        expected = (self.cfg.n_subcarriers, self.cfg.n_symbols)
-        if self.data.shape != expected:
-            raise ConfigurationError(
-                f"echo grid shape {self.data.shape} != configured {expected}")
 
 
 def _range_deviation_m(target: PointTarget, cfg: RadarConfig,
@@ -118,26 +101,25 @@ def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1,
     return noise if unit else np.sqrt(cfg.noise_var / 2.0) * noise
 
 
-def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: SymbolGrid,
-                    noise_seed: int = 0, rcs_seed: int = 0) -> EchoGrid:
-    """One received grid realization for scene, symbols, and seeds.
+def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: np.ndarray,
+                    noise_seed: int = 0, rcs_seed: int = 0) -> np.ndarray:
+    """One received (N, M) grid realization for scene, symbols, and seeds.
 
     Deterministic given (symbols, noise_seed, rcs_seed): random target
     amplitudes come from rcs_seed and the additive CN(0, noise_var) grid
     from noise_seed, each on its own counter-based stream.
     """
     expected = (cfg.n_subcarriers, cfg.n_symbols)
-    if symbols.data.shape != expected:
+    if symbols.shape != expected:
         raise ConfigurationError(
-            f"symbol grid shape {symbols.data.shape} != configured {expected}")
+            f"symbol grid shape {symbols.shape} != configured {expected}")
     check_cp_margin(scene, cfg)
     if scene.q == 0:
         noiseless = np.zeros(expected, dtype=complex)
     else:
         amps = scene.draw_amplitudes(_philox(rcs_seed, RCS_STREAM), 1)[0]
-        noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols.data
-    data = noiseless + draw_noise(cfg, noise_seed, 1)[0]
-    return EchoGrid(data=data, cfg=cfg, noise_seed=noise_seed, rcs_seed=rcs_seed)
+        noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols
+    return noiseless + draw_noise(cfg, noise_seed, 1)[0]
 
 
 # Binary grid serialization ------------------------------------------------

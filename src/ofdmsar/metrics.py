@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, MeasurementError
-from .rd_imaging import ImageGrid
 from .scene import Scene
 from .waveform import FilterStats, RadarConfig
 
@@ -84,8 +83,8 @@ def theoretical_resolutions(cfg: RadarConfig, r_bar_ref_m: float) -> tuple[float
 
 
 def ideal_reference_image(scene: Scene, cfg: RadarConfig,
-                          amplitudes: Optional[np.ndarray] = None) -> ImageGrid:
-    """The reference image sqrt(NM) sum_q alpha_q sinc(k-k_q) sinc(m-m_q).
+                          amplitudes: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (N, M) reference image sqrt(NM) sum_q alpha_q sinc(k-k_q) sinc(m-m_q).
 
     alpha_q carries each target's amplitude and its carrier range phase
     exp(-j 4 pi fc Rbar_q / c); k_q = Rbar_q/rho_r and m_q = y_q/(v T) are
@@ -112,7 +111,7 @@ def ideal_reference_image(scene: Scene, cfg: RadarConfig,
         dm = (m_axis - m_q + m / 2.0) % m - m / 2.0
         data += alpha * np.sinc(dk) * np.sinc(dm)
     data *= math.sqrt(n * m)
-    return ImageGrid(data=data, cfg=cfg, stage="ac")
+    return data
 
 
 def _dft_upsample(profile: np.ndarray, factor: int) -> np.ndarray:

@@ -11,16 +11,16 @@ independent oracle: on negligible-migration scenes the focused image peak
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .echo import EchoGrid, build_channel_matrix, synthesize_echo
+from .echo import build_channel_matrix, synthesize_echo
 from .errors import CapacityError, InvalidParameterError, SingularSystemError
 from .rd_imaging import focus_image
 from .scene import PointTarget, Scene
 from .tf_filter import FilterSpec, apply_tf_filter
-from .waveform import Constellation, RadarConfig, SymbolGrid, gen_symbol_grid
+from .waveform import Constellation, RadarConfig, gen_symbol_grid
 
 MAX_GRID_POINTS = 256
 MAX_CELLS = 65536
@@ -38,9 +38,8 @@ def _design_matrix(grid: Sequence[tuple[float, float]], symbols: np.ndarray,
     return np.column_stack(columns)
 
 
-def ls_reconstruct(echo: Union[EchoGrid, np.ndarray],
-                   grid: Sequence[tuple[float, float]],
-                   symbols: Union[SymbolGrid, np.ndarray], cfg: RadarConfig,
+def ls_reconstruct(echo: np.ndarray, grid: Sequence[tuple[float, float]],
+                   symbols: np.ndarray, cfg: RadarConfig,
                    ridge: float = 0.0) -> np.ndarray:
     """Least-squares amplitudes over candidate positions.
 
@@ -48,8 +47,7 @@ def ls_reconstruct(echo: Union[EchoGrid, np.ndarray],
     y = vec(echo), A's columns being the per-candidate responses
     vec(H_q * S).  ridge=0 is the pure least-squares solution.
     """
-    y = echo.data if isinstance(echo, EchoGrid) else np.asarray(echo)
-    s = symbols.data if isinstance(symbols, SymbolGrid) else np.asarray(symbols)
+    y, s = np.asarray(echo), np.asarray(symbols)
     if y.shape != s.shape:
         raise InvalidParameterError(
             f"echo shape {y.shape} != symbol grid shape {s.shape}")
@@ -81,16 +79,12 @@ def ls_reconstruct(echo: Union[EchoGrid, np.ndarray],
     return np.linalg.solve(gram, rhs)
 
 
-def ls_residual(echo: Union[EchoGrid, np.ndarray],
-                grid: Sequence[tuple[float, float]],
-                amplitudes: np.ndarray,
-                symbols: Union[SymbolGrid, np.ndarray],
+def ls_residual(echo: np.ndarray, grid: Sequence[tuple[float, float]],
+                amplitudes: np.ndarray, symbols: np.ndarray,
                 cfg: RadarConfig) -> float:
     """||y - A alpha|| for a candidate grid and solved amplitudes."""
-    y = echo.data if isinstance(echo, EchoGrid) else np.asarray(echo)
-    s = symbols.data if isinstance(symbols, SymbolGrid) else np.asarray(symbols)
-    a = _design_matrix(grid, s, cfg)
-    return float(np.linalg.norm(y.ravel() - a @ np.asarray(amplitudes)))
+    a = _design_matrix(grid, np.asarray(symbols), cfg)
+    return float(np.linalg.norm(np.ravel(echo) - a @ np.asarray(amplitudes)))
 
 
 class CompareResult(NamedTuple):
@@ -119,7 +113,7 @@ def rd_vs_ls_compare(scene: Scene, cfg: RadarConfig,
     echo = synthesize_echo(scene, cfg, symbols)
     filtered = apply_tf_filter(echo, symbols, filter_spec)
     r_bar_ref = float(np.mean(scene.mean_ranges_m(cfg.platform)))
-    image = focus_image(filtered, cfg=cfg, r_bar_ref_m=r_bar_ref).data
+    image = focus_image(filtered, cfg, r_bar_ref)
 
     n, m = cfg.n_subcarriers, cfg.n_symbols
     root_cells = np.sqrt(n * m)

@@ -10,7 +10,9 @@ and the focusing operator (rd_imaging.focusing_operator) are built once
 per sweep, and the symbol and unit-noise draws once per trial.  Noise
 enters by linearity: each trial focuses the noiseless filtered echo and
 the filtered noise separately, so the same draw serves both the noiseless
-and noisy statistics.  run_point_ensemble is the one-point sweep.
+and noisy statistics.  run_point_ensemble is the one-point sweep.  Every
+grid is a plain complex array: the (chunk, N, M) symbol and noise stacks,
+and the (N, M) channel, ideal image and focused images.
 
 Trials stream through chunks of as many (N, M) complex grids as fit
 _CHUNK_BYTES.  One Philox generator per stream (symbols, noise) lives
@@ -135,6 +137,8 @@ def run_sweep_ensemble(scene: Scene,
     n, m = cfg0.n_subcarriers, cfg0.n_symbols
     _, ref = _reference_target(scene)
     r_bar_ref = ref.mean_range_m(cfg0.platform)
+    # first: it rejects a static platform, whose speed the bins divide by
+    focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
     alpha_ref = complex(
         math.sqrt(ref.rcs_var)
         * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
@@ -143,8 +147,7 @@ def run_sweep_ensemble(scene: Scene,
                     / (cfg0.platform.speed_mps * cfg0.total_symbol_s))) % m
 
     channel = build_channel_matrix(scene, cfg0)
-    ideal = ideal_reference_image(scene, cfg0).data
-    focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
+    ideal = ideal_reference_image(scene, cfg0)
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = (_philox(seed, NOISE_STREAM)
                  if any(cfg.noise_var > 0 for cfg, _ in points) else None)
@@ -179,7 +182,7 @@ def run_sweep_ensemble(scene: Scene,
             mean_noisy = res.mean_noisy_power
             noise_scale = np.sqrt(cfg.noise_var / 2.0)
 
-            for i, symbols in enumerate(grid.data):
+            for i, symbols in enumerate(grid):
                 t = start + i
                 gains = filter_gains(symbols, filter_spec)
                 clean = focus(channel * symbols * gains)

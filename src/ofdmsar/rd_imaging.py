@@ -1,4 +1,4 @@
-"""Modified range-Doppler focusing chain.
+"""Modified range-Doppler focusing chain on plain (N, M) complex arrays.
 
 Stages, in fixed order, starting from a filtered temporal-frequency grid:
 
@@ -20,129 +20,58 @@ with H the RCMC range-spectrum multiplier and A the azimuth matched phase
 times e^{j pi/4} sqrt(N), both ifftshifted to the FFT's Doppler order.
 A is one row for reference K_a (then the chain is ifft2(fft(x) * H A))
 and one row per output range bin in per_range_bin mode.  focus_image
-returns the operator's result; the staged functions above produce the
-intermediate grids when stages are collected.
+returns the operator's result; focus_stages runs the staged functions,
+which build their multipliers with the same helpers, and returns every
+intermediate grid.
 
 Conventions: Doppler bins use the signed/centered index p = bin - M//2
-(zero Doppler at bin M//2 of the stored array); range bin k has pitch
-c/(2 N df); azimuth output bin m is the symbol index of closest approach.
-The stationary-phase analysis helpers (stationary_point, spa_spectrum)
-mirror what the chain does implicitly.
+(zero Doppler at bin M//2 of the stored array, the values of
+_doppler_bins(cfg), in steps of cfg.doppler_pitch_hz); range bin k has
+pitch c/(2 N df); azimuth output bin m is the symbol index of closest
+approach.  The stationary-phase analysis helpers (stationary_point,
+spa_spectrum) mirror what the chain does implicitly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, StageError
-from .echo import EchoGrid
+from .errors import InvalidParameterError
 from .waveform import RadarConfig
-
-STAGE_ORDER = ("tf", "rc", "rd", "rcmc", "ac")
-
-
-@dataclass(frozen=True)
-class ImageGrid:
-    """An N x M grid at a known stage of the focusing chain.
-
-    r_bar_ref_m records the reference range used by RCMC so azimuth
-    compression can default to the same value.
-    """
-
-    data: np.ndarray
-    cfg: RadarConfig
-    stage: str
-    r_bar_ref_m: Optional[float] = None
-
-    def __post_init__(self):
-        if self.stage not in STAGE_ORDER:
-            raise StageError(
-                f"unknown stage {self.stage!r}; expected one of {STAGE_ORDER}")
-        _check_shape(self.data, self.cfg)
-
-    # Axis metadata ------------------------------------------------------
-
-    @property
-    def range_pitch_m(self) -> float:
-        return self.cfg.range_pitch_m
-
-    @property
-    def azimuth_pitch_m(self) -> float:
-        return self.cfg.azimuth_pitch_m
-
-    @property
-    def doppler_pitch_hz(self) -> float:
-        return self.cfg.doppler_pitch_hz
-
-    @property
-    def doppler_zero_bin(self) -> int:
-        """Array column holding zero Doppler in the rd/rcmc stages."""
-        return self.cfg.n_symbols // 2
-
-    def doppler_bins(self) -> np.ndarray:
-        """Signed Doppler index p per stored column."""
-        return _doppler_bins(self.cfg)
-
-    def doppler_freqs_hz(self) -> np.ndarray:
-        return self.doppler_bins() * self.doppler_pitch_hz
 
 
 def _check_shape(data: np.ndarray, cfg: RadarConfig):
     expected = (cfg.n_subcarriers, cfg.n_symbols)
-    if data.shape != expected:
+    if np.shape(data) != expected:
         raise InvalidParameterError(
-            f"grid shape {data.shape} != configured {expected}")
+            f"grid shape {np.shape(data)} != configured {expected}")
 
 
 def _doppler_bins(cfg: RadarConfig) -> np.ndarray:
+    """Signed Doppler index p per stored column of the rd/rcmc stages."""
     m = cfg.n_symbols
     return np.arange(m) - m // 2
 
 
-def _as_stage(grid, expected: str, op: str,
-              cfg: Optional[RadarConfig] = None) -> tuple[np.ndarray, RadarConfig, Optional[float]]:
-    """Unwrap an input grid, enforcing the stage ordering."""
-    if isinstance(grid, ImageGrid):
-        if grid.stage != expected:
-            raise StageError(
-                f"{op} expects a {expected!r}-stage grid, got {grid.stage!r}")
-        return grid.data, grid.cfg, grid.r_bar_ref_m
-    if isinstance(grid, EchoGrid):
-        if expected != "tf":
-            raise StageError(f"{op} expects a {expected!r}-stage grid, got an echo grid")
-        return grid.data, grid.cfg, None
-    data = np.asarray(grid)
-    if cfg is None:
-        raise InvalidParameterError(f"{op} needs a cfg when given a bare array")
-    _check_shape(data, cfg)
-    return data, cfg, None
-
-
-def range_compress(grid: Union[EchoGrid, ImageGrid, np.ndarray],
-                   cfg: Optional[RadarConfig] = None) -> ImageGrid:
+def range_compress(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     """Per-symbol unitary inverse DFT over subcarriers.
 
     A scatterer at mean range Rbar contributes the subcarrier phase ramp
     exp(-j 2 pi n Rbar/(N rho_r)), which the inverse DFT collapses onto
     range bin k = Rbar/rho_r with peak gain sqrt(N).
     """
-    data, cfg, _ = _as_stage(grid, "tf", "range_compress", cfg)
-    n = cfg.n_subcarriers
-    out = np.fft.ifft(data, axis=0) * np.sqrt(n)
-    return ImageGrid(data=out, cfg=cfg, stage="rc")
+    _check_shape(x, cfg)
+    return np.fft.ifft(x, axis=0) * np.sqrt(cfg.n_subcarriers)
 
 
-def azimuth_fft(grid: Union[ImageGrid, np.ndarray],
-                cfg: Optional[RadarConfig] = None) -> ImageGrid:
+def azimuth_fft(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     """Per-range unitary forward DFT over symbols, zero Doppler centered."""
-    data, cfg, _ = _as_stage(grid, "rc", "azimuth_fft", cfg)
-    m = cfg.n_symbols
-    out = np.fft.fftshift(np.fft.fft(data, axis=1), axes=1) / np.sqrt(m)
-    return ImageGrid(data=out, cfg=cfg, stage="rd")
+    _check_shape(x, cfg)
+    return np.fft.fftshift(np.fft.fft(x, axis=1), axes=1) \
+        / np.sqrt(cfg.n_symbols)
 
 
 class StationaryPoint(NamedTuple):
@@ -244,14 +173,16 @@ def rcm_shift(p, cfg: RadarConfig, r_bar_ref_m: float):
     """Migration of the range peak at Doppler bin p, in fractional bins.
 
     delta_k = v^2 p^2 / (2 Rbar (K_a M T)^2 rho_r), evaluated at the
-    reference range; even in p and quadratic in it.
+    reference range; even in p and quadratic in it.  A K_a M T whose
+    square overflows float64 gives the limit of no migration.
     """
     if not r_bar_ref_m > 0:
         raise InvalidParameterError(f"reference range must be > 0, got {r_bar_ref_m}")
     k_a = cfg.azimuth_rate_at(r_bar_ref_m)
     v = cfg.platform.speed_mps
-    denom = 2.0 * r_bar_ref_m * (k_a * cfg.n_symbols * cfg.total_symbol_s) ** 2 \
-        * cfg.range_pitch_m
+    with np.errstate(over="ignore"):  # numpy's power gives inf, Python's raises
+        scale_sq = np.float64(k_a * cfg.n_symbols * cfg.total_symbol_s) ** 2
+    denom = 2.0 * r_bar_ref_m * scale_sq * cfg.range_pitch_m
     return v ** 2 * np.asarray(p, dtype=float) ** 2 / denom
 
 
@@ -304,8 +235,9 @@ def _rcmc_transfer(cfg: RadarConfig, r_bar_ref_m: float, method: str,
     return _shift_transfer(cfg.n_subcarriers, shifts, method, halfwidth)
 
 
-def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
-         halfwidth: int = RCMC_HALFWIDTH) -> ImageGrid:
+def rcmc(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
+         method: str = "windowed_sinc",
+         halfwidth: int = RCMC_HALFWIDTH) -> np.ndarray:
     """Straighten migration trajectories in the range-Doppler domain.
 
     Each Doppler column p is advanced along range by its predicted
@@ -314,10 +246,9 @@ def rcmc(grid: ImageGrid, r_bar_ref_m: float, method: str = "windowed_sinc",
     circulant along range, so RCMC is one range-spectrum multiply per
     Doppler column; the windowed sinc is applied in its circulant form.
     """
-    data, cfg, _ = _as_stage(grid, "rd", "rcmc")
+    _check_shape(x, cfg)
     transfer = _rcmc_transfer(cfg, r_bar_ref_m, method, halfwidth)
-    out = np.fft.ifft(np.fft.fft(data, axis=0) * transfer, axis=0)
-    return ImageGrid(data=out, cfg=cfg, stage="rcmc", r_bar_ref_m=r_bar_ref_m)
+    return np.fft.ifft(np.fft.fft(x, axis=0) * transfer, axis=0)
 
 
 KA_MODES = ("reference", "per_range_bin")
@@ -335,15 +266,14 @@ def _matched_phase(cfg: RadarConfig, ka_mode: str,
     if ka_mode not in KA_MODES:
         raise InvalidParameterError(
             f"unknown ka_mode {ka_mode!r}; expected one of {KA_MODES}")
-    if cfg.platform.speed_mps <= 0:
+    if not cfg.platform.speed_mps ** 2 > 0:  # v^2 underflows for tiny v
         raise InvalidParameterError("azimuth compression undefined for a static platform")
     p = _doppler_bins(cfg).astype(float)
     mt_sq = (cfg.n_symbols * cfg.total_symbol_s) ** 2
     if ka_mode == "reference":
         if r_bar_ref_m is None:
             raise InvalidParameterError(
-                "reference-range azimuth compression needs r_bar_ref_m "
-                "(none stored on the grid)")
+                "reference-range azimuth compression needs r_bar_ref_m")
         inv_ka = 1.0 / cfg.azimuth_rate_at(r_bar_ref_m)
         return np.exp(-1j * np.pi * p ** 2 * inv_ka / mt_sq)[None, :]
     v = cfg.platform.speed_mps
@@ -352,23 +282,24 @@ def _matched_phase(cfg: RadarConfig, ka_mode: str,
     return np.exp(-1j * np.pi * np.outer(inv_ka, p ** 2) / mt_sq)
 
 
-def azimuth_compress(grid: ImageGrid, ka_mode: str = "reference",
-                     r_bar_ref_m: Optional[float] = None) -> ImageGrid:
+def azimuth_compress(x: np.ndarray, cfg: RadarConfig,
+                     r_bar_ref_m: Optional[float] = None,
+                     ka_mode: str = "reference") -> np.ndarray:
     """Match the quadratic Doppler phase and return to the azimuth domain.
 
     Multiplies each Doppler sample by exp(-j pi p^2 / (M^2 T^2 K_a)) plus
     the constant exp(+j pi/4) that cancels the stationary-phase residual,
     then applies the unitary inverse DFT per range row.  K_a is taken at
     the reference range, or per output range bin (k * rho_r) in
-    per_range_bin mode.
+    per_range_bin mode, which needs no r_bar_ref_m.
     """
-    data, cfg, stored_ref = _as_stage(grid, "rcmc", "azimuth_compress")
-    ref = r_bar_ref_m if r_bar_ref_m is not None else stored_ref
-    phase = _matched_phase(cfg, ka_mode, ref)
-    matched = data * phase * _SPA_RESIDUAL
-    out = np.fft.ifft(np.fft.ifftshift(matched, axes=1), axis=1) \
+    _check_shape(x, cfg)
+    # a named phase keeps numpy from multiplying into it as a temporary,
+    # which would swap the operands and change the round-off
+    phase = _matched_phase(cfg, ka_mode, r_bar_ref_m)
+    matched = x * phase * _SPA_RESIDUAL
+    return np.fft.ifft(np.fft.ifftshift(matched, axes=1), axis=1) \
         * np.sqrt(cfg.n_symbols)
-    return ImageGrid(data=out, cfg=cfg, stage="ac", r_bar_ref_m=ref)
 
 
 def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
@@ -381,8 +312,7 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     multiplier and the matched phase are built once here, not per grid.
     The returned function accepts one grid or a stack of them.
     """
-    # the phase first: it rejects a static platform, whose zero K_a
-    # rcm_shift would divide by
+    # the phase first, so that a static platform is reported as such
     phase = _matched_phase(cfg, ka_mode, r_bar_ref_m) \
         * (_SPA_RESIDUAL * np.sqrt(cfg.n_subcarriers))
     transfer = _rcmc_transfer(cfg, r_bar_ref_m, rcmc_method, RCMC_HALFWIDTH)
@@ -398,26 +328,21 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     return focus
 
 
-def focus_image(grid: Union[EchoGrid, ImageGrid, np.ndarray],
-                cfg: Optional[RadarConfig] = None,
-                r_bar_ref_m: Optional[float] = None,
+def focus_image(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
                 rcmc_method: str = "windowed_sinc",
-                ka_mode: str = "reference",
-                collect_stages: bool = False):
-    """Run the full chain tf -> rc -> rd -> rcmc -> ac.
+                ka_mode: str = "reference") -> np.ndarray:
+    """The focused (N, M) image of a tf grid: focusing_operator applied once."""
+    _check_shape(x, cfg)
+    return focusing_operator(cfg, r_bar_ref_m, rcmc_method, ka_mode)(x)
 
-    Returns the focused ImageGrid from focusing_operator, or a dict of
-    every stage from the staged functions when collect_stages is set.
-    """
-    if r_bar_ref_m is None:
-        raise InvalidParameterError("focus_image needs a reference range r_bar_ref_m")
-    if collect_stages:
-        rc = range_compress(grid, cfg)
-        rd = azimuth_fft(rc)
-        corrected = rcmc(rd, r_bar_ref_m, method=rcmc_method)
-        focused = azimuth_compress(corrected, ka_mode=ka_mode)
-        return {"rc": rc, "rd": rd, "rcmc": corrected, "ac": focused}
-    data, cfg, _ = _as_stage(grid, "tf", "focus_image", cfg)
-    focus = focusing_operator(cfg, r_bar_ref_m, rcmc_method, ka_mode)
-    return ImageGrid(data=focus(data), cfg=cfg, stage="ac",
-                     r_bar_ref_m=r_bar_ref_m)
+
+def focus_stages(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
+                 rcmc_method: str = "windowed_sinc",
+                 ka_mode: str = "reference") -> dict[str, np.ndarray]:
+    """Every grid of the chain, keyed tf, rc, rd, rcmc and ac, from the
+    staged functions; its ac equals focus_image's up to round-off."""
+    rc = range_compress(x, cfg)
+    rd = azimuth_fft(rc, cfg)
+    corrected = rcmc(rd, cfg, r_bar_ref_m, method=rcmc_method)
+    return {"tf": x, "rc": rc, "rd": rd, "rcmc": corrected,
+            "ac": azimuth_compress(corrected, cfg, r_bar_ref_m, ka_mode)}

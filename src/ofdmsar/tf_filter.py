@@ -14,13 +14,12 @@ combs) carry no observation and are defined to output exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
-from .echo import EchoGrid
-from .waveform import FilterStats, RadarConfig, SymbolGrid
+from .waveform import FilterStats, RadarConfig
 
 FILTER_KINDS = ("rf", "mf", "wf")
 
@@ -46,19 +45,11 @@ class FilterSpec:
                     f"snr_in_linear must be > 0, got {self.snr_in_linear}")
 
 
-def filter_gains(symbols: Union[SymbolGrid, np.ndarray],
-                 spec: FilterSpec) -> np.ndarray:
-    """The element-wise gain grid g (exactly zero off the active mask).
-
-    Accepts a SymbolGrid or a bare symbol array; inactive resource
-    elements are the zero entries (plus anything off the grid's mask).
-    """
-    if isinstance(symbols, SymbolGrid):
-        s = symbols.data
-        active = symbols.mask & (s != 0)
-    else:
-        s = np.asarray(symbols)
-        active = s != 0
+def filter_gains(symbols: np.ndarray, spec: FilterSpec) -> np.ndarray:
+    """The element-wise gain grid g, exactly zero on the inactive resource
+    elements, which are the zero symbols."""
+    s = np.asarray(symbols)
+    active = s != 0
     g = np.zeros_like(s)
     if spec.kind == "rf":
         np.divide(1.0, s, out=g, where=active)
@@ -71,16 +62,14 @@ def filter_gains(symbols: Union[SymbolGrid, np.ndarray],
     return g
 
 
-def apply_tf_filter(echo: Union[EchoGrid, np.ndarray],
-                    symbols: Union[SymbolGrid, np.ndarray],
+def apply_tf_filter(echo: np.ndarray, symbols: np.ndarray,
                     spec: FilterSpec) -> np.ndarray:
     """Estimate the channel grid: yhat_{n,m} = y_{n,m} * g_{n,m}."""
-    y = echo.data if isinstance(echo, EchoGrid) else np.asarray(echo)
-    s = symbols.data if isinstance(symbols, SymbolGrid) else np.asarray(symbols)
+    y, s = np.asarray(echo), np.asarray(symbols)
     if y.shape != s.shape:
         raise InvalidParameterError(
             f"echo shape {y.shape} != symbol grid shape {s.shape}")
-    return y * filter_gains(symbols, spec)
+    return y * filter_gains(s, spec)
 
 
 def channel_mse_analytic(cfg: RadarConfig, stats: FilterStats,

@@ -82,6 +82,8 @@ class RadarConfig:
             raise ConfigurationError(
                 f"total_symbol_s {self.total_symbol_s} != symbol + cp duration {t_total}")
 
+        if not self.aperture_time_s / self.total_symbol_s < math.inf:
+            raise ConfigurationError("aperture_time_s / total_symbol_s overflows")
         m_expected = round(self.aperture_time_s / self.total_symbol_s)
         if self.n_symbols is None:
             object.__setattr__(self, "n_symbols", m_expected)
@@ -134,7 +136,11 @@ class RadarConfig:
         """Doppler rate 2 v^2 / (lambda R) of a scatterer at range R, Hz/s."""
         if r_bar_m <= 0:
             raise InvalidParameterError(f"range must be > 0, got {r_bar_m}")
-        return 2.0 * self.platform.speed_mps ** 2 / (self.wavelength_m * r_bar_m)
+        rate = 2.0 * self.platform.speed_mps ** 2 / (self.wavelength_m * r_bar_m)
+        if not 0 < rate < math.inf:
+            raise InvalidParameterError(
+                f"Doppler rate at range {r_bar_m} m is {rate}, not finite and > 0")
+        return rate
 
     def azimuth_bandwidth_at(self, r_bar_m: float) -> float:
         """Doppler extent K_a * T_a swept over the aperture, Hz."""
@@ -300,25 +306,6 @@ def chi_stats(constellation: Constellation, filt: "FilterSpec") -> FilterStats:
 
 # Symbol grids -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolGrid:
-    """Realizations of the transmitted temporal-frequency grid.
-
-    data is (N, M) for a single draw or (trials, N, M) for a batch; the
-    mask is always a single (N, M) activity pattern shared by all trials.
-    """
-
-    data: np.ndarray
-    mask: np.ndarray
-    constellation: str
-    seed: int
-
-    def __post_init__(self):
-        if self.data.shape[-2:] != self.mask.shape:
-            raise ConfigurationError(
-                f"data shape {self.data.shape} != mask shape {self.mask.shape}")
-
-
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator; one derived stream per purpose."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
@@ -333,16 +320,17 @@ RCS_STREAM = 2
 def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
                     mask: Optional[np.ndarray] = None,
                     trials: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None) -> SymbolGrid:
+                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Draw i.i.d. uniform constellation symbols on the N x M grid.
 
     The whole batch is drawn in one vectorized pass from a counter-based
     generator keyed by the seed, so the result does not depend on any
-    evaluation schedule.  Entries outside the mask are set to zero.  With
-    trials=None the data is a single (N, M) grid; with an integer it is a
-    (trials, N, M) stack of independent realizations.  A generator passed
-    as rng replaces the seed's and is advanced, so successive calls of
-    c1, c2, ... trials on one generator equal one call of their sum.
+    evaluation schedule.  Entries outside the mask are set to zero, so
+    the zero cells are the inactive ones.  With trials=None the result is
+    a single (N, M) grid; with an integer it is a (trials, N, M) stack of
+    independent realizations.  A generator passed as rng replaces the
+    seed's and is advanced, so successive calls of c1, c2, ... trials on
+    one generator equal one call of their sum.
     """
     shape = (cfg.n_subcarriers, cfg.n_symbols)
     if mask is not None and mask.shape != shape:
@@ -352,12 +340,9 @@ def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
         rng = _philox(seed, SYMBOL_STREAM)
     indices = rng.integers(0, constellation.order, size=draw_shape)
     data = constellation.points[indices]
-    if mask is None:
-        mask = np.ones(shape, dtype=bool)
-    else:
+    if mask is not None:
         np.copyto(data, 0.0, where=~mask)
-    return SymbolGrid(data=data, mask=mask.copy(), constellation=constellation.name,
-                      seed=seed)
+    return data
 
 
 # Sounding reference combs ------------------------------------------------

@@ -27,13 +27,15 @@ from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      azimuth_compress, azimuth_fft, build_channel_matrix,
                      channel_mse_analytic, chi_stats, doppler_support,
                      draw_noise, envelope_to_phase_rate_ratio, filter_gains,
-                     focus_image, gen_symbol_grid, ls_reconstruct,
+                     focus_image, focus_stages, gen_symbol_grid,
+                     ls_reconstruct,
                      make_point_scene, make_qam, measure_mainlobe_width,
                      nr_config, pedestal_level, point_target_report,
                      range_compress, rcmc, rd_vs_ls_compare,
                      run_pilot_ensemble, run_point_ensemble, spa_spectrum,
                      synthesize_echo, theoretical_resolutions)
 from ofdmsar.cli import parse_config, run_scenario
+from ofdmsar.rd_imaging import _doppler_bins
 from ofdmsar.waveform import SPEED_OF_LIGHT as c
 
 SINC_3DB = 0.8858929  # -3 dB width of sinc^2, in units of the null spacing
@@ -82,7 +84,7 @@ def test_criterion_02_channel_mse_closed_form():
                                                        snr_in_linear=snr)
     scene = single_target_scene(cfg, 16, 32)
     h = build_channel_matrix(scene, cfg)
-    grids = gen_symbol_grid(cfg, QAM256, 11, trials=500).data
+    grids = gen_symbol_grid(cfg, QAM256, 11, trials=500)
     noise = draw_noise(cfg, 11, n_trials=500)
     for kind in ("rf", "mf", "wf"):
         spec = spec_for(kind, snr)
@@ -158,7 +160,7 @@ def _centered_profiles():
                   extent=(200.0, 400.0, y_mid - 100.0, y_mid + 100.0))
     r_bar = target.mean_range_m(cfg.platform)
     image = np.abs(focus_image(build_channel_matrix(scene, cfg), cfg,
-                               r_bar_ref_m=r_bar).data)
+                               r_bar_ref_m=r_bar))
     k_pk, m_pk = np.unravel_index(np.argmax(image), image.shape)
     rho_r, rho_a = theoretical_resolutions(cfg, r_bar)
     meas_r = (measure_mainlobe_width(image[:, m_pk], peak_bin=k_pk)
@@ -179,12 +181,10 @@ def test_criterion_04_range_width_and_doppler_bandwidth():
     target = PointTarget(x_m=300.0, y_m=100.0)
     scene = Scene(targets=(target,), extent=(200.0, 400.0, 0.0, 200.0))
     r_bar = target.mean_range_m(cfg.platform)
-    stages = focus_image(build_channel_matrix(scene, cfg), cfg,
-                         r_bar_ref_m=r_bar, collect_stages=True)
-    rd = stages["rd"]
+    rd = focus_stages(build_channel_matrix(scene, cfg), cfg, r_bar)["rd"]
     k_q = round(r_bar / cfg.range_pitch_m) % cfg.n_subcarriers
-    support = doppler_support(np.abs(rd.data[k_q, :]) ** 2,
-                              rd.doppler_freqs_hz())
+    support = doppler_support(np.abs(rd[k_q, :]) ** 2,
+                              _doppler_bins(cfg) * cfg.doppler_pitch_hz)
     print(f"ACCEPTANCE 4: two-sided Doppler bandwidth "
           f"{support.two_sided_hz:.1f} Hz (target 224 +- 5%)")
     assert 224.0 * 0.95 <= support.two_sided_hz <= 224.0 * 1.05
@@ -426,11 +426,11 @@ def test_criterion_08_chain_invariants(tmp_path):
            + 1j * rng.standard_normal((cfg.n_subcarriers, cfg.n_symbols)))
     e0 = float(np.sum(np.abs(raw) ** 2))
     rc = range_compress(raw, cfg)
-    rd = azimuth_fft(rc)
-    exact = rcmc(rd, r_bar, method="phase_ramp")
-    ac = azimuth_compress(exact)
+    rd = azimuth_fft(rc, cfg)
+    exact = rcmc(rd, cfg, r_bar, method="phase_ramp")
+    ac = azimuth_compress(exact, cfg, r_bar)
     for name, grid in (("rc", rc), ("rd", rd), ("rcmc", exact), ("ac", ac)):
-        rel = abs(float(np.sum(np.abs(grid.data) ** 2)) - e0) / e0
+        rel = abs(float(np.sum(np.abs(grid) ** 2)) - e0) / e0
         print(f"ACCEPTANCE 8: |energy drift| after {name} = {rel:.2e}")
         assert rel < 1e-10
     # the windowed sinc is an approximation: on full-band content its
@@ -438,18 +438,18 @@ def test_criterion_08_chain_invariants(tmp_path):
     # kernel doubles; the phase ramp above is the exact, unitary method
     drifts = []
     for halfwidth in (8, 16):
-        approx = rcmc(rd, r_bar, method="windowed_sinc", halfwidth=halfwidth)
-        drifts.append(abs(float(np.sum(np.abs(approx.data) ** 2)) - e0) / e0)
+        approx = rcmc(rd, cfg, r_bar, method="windowed_sinc",
+                      halfwidth=halfwidth)
+        drifts.append(abs(float(np.sum(np.abs(approx) ** 2)) - e0) / e0)
         print(f"ACCEPTANCE 8: windowed-sinc (halfwidth {halfwidth}) "
               f"energy drift {drifts[-1]:.2e}")
     assert drifts[0] < 0.05
     assert drifts[1] < 0.6 * drifts[0]
 
     # RCMC straightens a ~2-bin migration ridge to < 0.5 bin
-    stages = focus_image(build_channel_matrix(scene, cfg), cfg,
-                         r_bar_ref_m=r_bar, collect_stages=True)
-    before = np.abs(_ridge_track(np.abs(stages["rd"].data) ** 2) - 64.0)
-    after = np.abs(_ridge_track(np.abs(stages["rcmc"].data) ** 2) - 64.0)
+    stages = focus_stages(build_channel_matrix(scene, cfg), cfg, r_bar)
+    before = np.abs(_ridge_track(np.abs(stages["rd"]) ** 2) - 64.0)
+    after = np.abs(_ridge_track(np.abs(stages["rcmc"]) ** 2) - 64.0)
     print(f"ACCEPTANCE 8: ridge deviation before {before.max():.3f} bins, "
           f"after {after.max():.3f} bins")
     assert before.max() > 0.5

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ofdmsar import cli, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
@@ -96,6 +96,18 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(trials=0))
     assert err.value.path == "$.trials"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(seed=-1))
+    assert err.value.path == "$.seed"
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(outputs={"db_floor": 5.0}))
+    assert err.value.path == "$.outputs.db_floor"
+    for key, value in (("x", "near"), ("rcs", 1.0)):
+        scene = copy.deepcopy(BASE["scene"])
+        scene["targets"][0][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(scene=scene))
+        assert err.value.path == f"$.scene.targets[0].{key}"
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(filter={"kind": "zf"}))
     assert err.value.path == "$.filter.kind"
@@ -411,6 +423,17 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     config.write_text(config_text(trials=-1))
     assert main(["--config", str(config)]) == 2
     assert "$.trials" in capsys.readouterr().err
+    # both fail before any ensemble runs: a negative seed has no random
+    # stream, and the image scale needs a floor below 0 dB
+    out_dir = tmp_path / "artifacts"
+    for text, args, path in ((config_text(), ["--seed", "-1"], "--seed"),
+                             (config_text(outputs={"db_floor": 5.0}), [],
+                              "$.outputs.db_floor")):
+        config.write_text(text)
+        assert main(["--config", str(config), "--out-dir", str(out_dir)]
+                    + args) == 2
+        assert path in capsys.readouterr().err
+        assert not (out_dir / "metrics.json").exists()
     # the mode comes from the config only; argparse rejects a --mode flag
     config.write_text(config_text())
     with pytest.raises(SystemExit) as err:
@@ -466,6 +489,59 @@ def test_main_survives_any_finite_snr(snr_db):
     assert code in (0, 2)
     if code == 2:
         assert "snr_in_db" in stderr.getvalue() or "--snr-db" in stderr.getvalue()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items
+            for leaf in _leaf_paths(child, path + (key,))]
+
+
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64),
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4)
+_MUTANTS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(_NESTED, max_size=2),
+    st.dictionaries(st.text(max_size=2), _NESTED, max_size=2),
+    st.integers(-3, 64),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-320]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(_leaf_paths(BASE)), value=_MUTANTS)
+# each of these once ended in an uncaught exception
+@example(path=("radar", "fc_hz"), value=1e308)
+@example(path=("radar", "fc_hz"), value=1e-320)
+@example(path=("radar", "aperture_time_s"), value=1e308)
+@example(path=("radar", "platform", "speed_mps"), value=0)
+@example(path=("radar", "platform", "speed_mps"), value=1e-320)
+@example(path=("scene", "targets", 0, "x"), value="x")
+@example(path=("scene", "targets", 0, "y"), value={"a": [1]})
+@example(path=("seed",), value=-1)
+def test_main_survives_any_mutated_leaf(path, value):
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(doc))
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["--config", str(config),
+                         "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2)
 
 
 def test_extreme_negative_snrs_fail_at_their_json_path(tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import critical_config, single_target_scene, target_at_bins
-from ofdmsar.echo import (EchoGrid, build_channel_matrix, check_cp_margin,
-                          draw_noise, grid_from_bytes, grid_to_bytes,
-                          load_grid, save_grid, synthesize_echo)
+from ofdmsar.echo import (build_channel_matrix, check_cp_margin, draw_noise,
+                          grid_from_bytes, grid_to_bytes, load_grid,
+                          save_grid, synthesize_echo)
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
                             SceneError, StageError)
 from ofdmsar.scene import make_point_scene
@@ -60,7 +60,7 @@ def test_echo_equals_channel_times_symbols():
     symbols = gen_symbol_grid(cfg, make_qam("qam64"), seed=4)
     echo = synthesize_echo(scene, cfg, symbols)
     h = build_channel_matrix(scene, cfg)
-    assert np.max(np.abs(echo.data - h * symbols.data)) == 0.0
+    assert np.max(np.abs(echo - h * symbols)) == 0.0
 
 
 def test_echo_mean_channel_power():
@@ -88,12 +88,12 @@ def test_echo_adds_configured_noise():
     symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=4)
     echo = synthesize_echo(scene, cfg, symbols, noise_seed=7)
     h = build_channel_matrix(scene, cfg)
-    z = echo.data - h * symbols.data
+    z = echo - h * symbols
     assert np.mean(np.abs(z) ** 2) == pytest.approx(0.25, rel=0.15)
     again = synthesize_echo(scene, cfg, symbols, noise_seed=7)
     other = synthesize_echo(scene, cfg, symbols, noise_seed=8)
-    assert np.array_equal(echo.data, again.data)
-    assert not np.array_equal(echo.data, other.data)
+    assert np.array_equal(echo, again)
+    assert not np.array_equal(echo, other)
 
 
 def test_draw_noise_statistics_and_batching():
@@ -163,19 +163,23 @@ def test_cp_margin_names_offending_target():
 
 def test_echo_grid_shape_validation():
     cfg = critical_config(8, 8)
-    with pytest.raises(ConfigurationError):
-        EchoGrid(data=np.zeros((8, 9), dtype=complex), cfg=cfg)
+    scene = single_target_scene(cfg)
+    for shape in ((8, 9), (9, 8), (8,), (2, 8, 8)):
+        with pytest.raises(ConfigurationError, match="symbol grid shape"):
+            synthesize_echo(scene, cfg, np.ones(shape, dtype=complex))
     other = critical_config(16, 16)
     symbols = gen_symbol_grid(other, make_qam("qpsk"), seed=0)
     with pytest.raises(ConfigurationError):
-        synthesize_echo(single_target_scene(cfg), cfg, symbols)
+        synthesize_echo(scene, cfg, symbols)
+    echo = synthesize_echo(scene, cfg, np.ones((8, 8), dtype=complex))
+    assert isinstance(echo, np.ndarray) and echo.shape == (8, 8)
 
 
 def test_empty_scene_echo_is_noise_only():
     cfg = critical_config(8, 8).with_noise(1.0)
     symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0)
     echo = synthesize_echo(make_point_scene([]), cfg, symbols, noise_seed=5)
-    assert np.array_equal(echo.data, draw_noise(cfg, 5, 1)[0])
+    assert np.array_equal(echo, draw_noise(cfg, 5, 1)[0])
 
 
 # Binary grid serialization --------------------------------------------------

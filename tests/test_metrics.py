@@ -33,8 +33,8 @@ def test_ideal_reference_image_single_target():
     r_bar = t.mean_range_m(cfg.platform)
     alpha = np.exp(-4j * np.pi * r_bar / cfg.wavelength_m)
     # on-grid target: exact sqrt(NM) alpha at its bin, zero elsewhere
-    assert ideal.data[10, 20] == pytest.approx(32 * alpha, rel=1e-9)
-    off = np.abs(ideal.data.copy())
+    assert ideal[10, 20] == pytest.approx(32 * alpha, rel=1e-9)
+    off = np.abs(ideal.copy())
     off[10, 20] = 0.0
     assert np.max(off) < 1e-9
     with pytest.raises(InvalidParameterError):

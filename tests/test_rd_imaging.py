@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import critical_config, single_target_scene
 from ofdmsar import rd_imaging
 from ofdmsar.echo import build_channel_matrix
-from ofdmsar.errors import InvalidParameterError, StageError
+from ofdmsar.errors import InvalidParameterError
 from ofdmsar.pipeline import run_point_ensemble
-from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, ImageGrid,
+from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 _shift_transfer, azimuth_compress,
-                                azimuth_fft, focus_image, focusing_operator,
-                                range_compress, rcm_shift, rcmc, spa_spectrum,
-                                stationary_point)
+                                azimuth_fft, focus_image, focus_stages,
+                                focusing_operator, range_compress, rcm_shift,
+                                rcmc, spa_spectrum, stationary_point)
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import gen_symbol_grid, make_qam
 
@@ -27,35 +27,33 @@ def shift_column(col, shift, method, halfwidth=8):
     return np.fft.ifft(np.fft.fft(col) * transfer[:, 0])
 
 
-# Stage bookkeeping -----------------------------------------------------------
+# Grid shapes and axes --------------------------------------------------------
 
-def test_stage_order_enforced():
+def test_stage_functions_check_shape():
     cfg = critical_config(8, 8)
+    for shape in ((8, 9), (9, 8), (8,), (2, 8, 8)):
+        bad = np.zeros(shape, dtype=complex)
+        for stage in (lambda x: range_compress(x, cfg),
+                      lambda x: azimuth_fft(x, cfg),
+                      lambda x: rcmc(x, cfg, 100.0),
+                      lambda x: azimuth_compress(x, cfg, 100.0),
+                      lambda x: focus_image(x, cfg, 100.0),
+                      lambda x: focus_stages(x, cfg, 100.0)):
+            with pytest.raises(InvalidParameterError, match="grid shape"):
+                stage(bad)
     rc = range_compress(unit_tf_grid(cfg), cfg)
-    assert rc.stage == "rc"
-    rd = azimuth_fft(rc)
-    assert rd.stage == "rd"
-    with pytest.raises(StageError):
-        range_compress(rd)
-    with pytest.raises(StageError):
-        azimuth_fft(rd)
-    with pytest.raises(StageError):
-        rcmc(rc, r_bar_ref_m=100.0)
-    with pytest.raises(StageError):
-        azimuth_compress(rd)
-    with pytest.raises(StageError):
-        ImageGrid(data=np.zeros((8, 8), dtype=complex), cfg=cfg, stage="raw")
-    with pytest.raises(InvalidParameterError):
-        range_compress(np.zeros((8, 8), dtype=complex))  # bare array, no cfg
+    assert isinstance(rc, np.ndarray) and rc.shape == (8, 8)
 
 
 def test_doppler_axis_metadata():
     cfg = critical_config(8, 6)
-    rd = azimuth_fft(range_compress(unit_tf_grid(cfg), cfg))
-    assert rd.doppler_zero_bin == 3
-    assert np.array_equal(rd.doppler_bins(), np.arange(6) - 3)
-    assert rd.doppler_freqs_hz()[3] == 0.0
-    assert rd.doppler_pitch_hz == pytest.approx(1 / (6 * cfg.total_symbol_s))
+    rd = azimuth_fft(range_compress(unit_tf_grid(cfg), cfg), cfg)
+    bins = _doppler_bins(cfg)
+    assert np.array_equal(bins, np.arange(6) - 3)
+    # zero Doppler sits at column M // 2: a constant grid lands there alone
+    assert bins[3] == 0 and np.flatnonzero(np.abs(rd[0]) > 1e-12).tolist() == [3]
+    assert (bins * cfg.doppler_pitch_hz)[3] == 0.0
+    assert cfg.doppler_pitch_hz == pytest.approx(1 / (6 * cfg.total_symbol_s))
 
 
 # Unitary transforms ----------------------------------------------------------
@@ -68,8 +66,8 @@ def test_range_compression_tone():
     n = np.arange(16)
     data = np.exp(-2j * np.pi * n * k0 / 16)[:, None] * np.ones(4)
     rc = range_compress(data, cfg)
-    assert abs(rc.data[k0, 0]) == pytest.approx(np.sqrt(16), rel=1e-12)
-    off = np.delete(np.abs(rc.data[:, 0]), k0)
+    assert abs(rc[k0, 0]) == pytest.approx(np.sqrt(16), rel=1e-12)
+    off = np.delete(np.abs(rc[:, 0]), k0)
     assert np.max(off) < 1e-12
 
 
@@ -78,25 +76,31 @@ def test_azimuth_fft_tone_centered():
     cfg = critical_config(4, 16)
     p0 = 3
     m = np.arange(16)
-    rc = ImageGrid(data=np.ones(4)[:, None] * np.exp(2j * np.pi * m * p0 / 16),
-                   cfg=cfg, stage="rc")
-    rd = azimuth_fft(rc)
-    assert abs(rd.data[0, 8 + p0]) == pytest.approx(np.sqrt(16), rel=1e-12)
+    rc = np.ones(4)[:, None] * np.exp(2j * np.pi * m * p0 / 16)
+    rd = azimuth_fft(rc, cfg)
+    assert abs(rd[0, 8 + p0]) == pytest.approx(np.sqrt(16), rel=1e-12)
 
 
-def test_transforms_are_unitary():
-    cfg = critical_config(16, 32)
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 70), m=st.integers(2, 70),
+       ref_frac=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_transforms_are_unitary(n, m, ref_frac, seed):
+    # every stage conserves energy for any grid size, odd sizes included;
+    # RCMC by its exact phase-ramp method, azimuth compression in both modes
+    cfg = critical_config(n, m)
+    r_bar = ref_frac * n * cfg.range_pitch_m
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     energy = np.sum(np.abs(data) ** 2)
     rc = range_compress(data, cfg)
-    assert np.sum(np.abs(rc.data) ** 2) == pytest.approx(energy, rel=1e-12)
-    rd = azimuth_fft(rc)
-    assert np.sum(np.abs(rd.data) ** 2) == pytest.approx(energy, rel=1e-12)
-    corrected = rcmc(rd, r_bar_ref_m=500.0, method="phase_ramp")
-    assert np.sum(np.abs(corrected.data) ** 2) == pytest.approx(energy, rel=1e-12)
-    ac = azimuth_compress(corrected)
-    assert np.sum(np.abs(ac.data) ** 2) == pytest.approx(energy, rel=1e-12)
+    assert np.sum(np.abs(rc) ** 2) == pytest.approx(energy, rel=1e-12)
+    rd = azimuth_fft(rc, cfg)
+    assert np.sum(np.abs(rd) ** 2) == pytest.approx(energy, rel=1e-12)
+    corrected = rcmc(rd, cfg, r_bar, method="phase_ramp")
+    assert np.sum(np.abs(corrected) ** 2) == pytest.approx(energy, rel=1e-12)
+    for ka_mode in KA_MODES:
+        ac = azimuth_compress(corrected, cfg, r_bar, ka_mode)
+        assert np.sum(np.abs(ac) ** 2) == pytest.approx(energy, rel=1e-12)
 
 
 # Migration correction --------------------------------------------------------
@@ -185,8 +189,7 @@ def test_rcmc_sinc_commutes_with_range_roll(n):
     r_ref = (n // 4) * cfg.range_pitch_m
 
     def corrected(values):
-        rd = ImageGrid(data=values, cfg=cfg, stage="rd")
-        return rcmc(rd, r_ref, method="windowed_sinc").data
+        return rcmc(values, cfg, r_ref, method="windowed_sinc")
 
     for roll in (1, 5, -2):
         rolled = corrected(np.roll(data, roll, axis=0))
@@ -196,11 +199,11 @@ def test_rcmc_sinc_commutes_with_range_roll(n):
 
 def test_rcmc_validation():
     cfg = critical_config(8, 8)
-    rd = azimuth_fft(range_compress(unit_tf_grid(cfg), cfg))
+    rd = azimuth_fft(range_compress(unit_tf_grid(cfg), cfg), cfg)
     with pytest.raises(InvalidParameterError):
-        rcmc(rd, r_bar_ref_m=100.0, method="nearest")
+        rcmc(rd, cfg, r_bar_ref_m=100.0, method="nearest")
     with pytest.raises(InvalidParameterError):
-        rcmc(rd, r_bar_ref_m=100.0, halfwidth=0)
+        rcmc(rd, cfg, r_bar_ref_m=100.0, halfwidth=0)
 
 
 # Focused point response -------------------------------------------------------
@@ -213,34 +216,41 @@ def test_point_target_focuses_to_sqrt_nm():
     h = build_channel_matrix(scene, cfg)
     r_bar = scene.targets[0].mean_range_m(cfg.platform)
     img = focus_image(h, cfg, r_bar_ref_m=r_bar, rcmc_method="phase_ramp")
-    peak = np.abs(img.data)
+    peak = np.abs(img)
     k_hat, m_hat = np.unravel_index(np.argmax(peak), peak.shape)
     assert (k_hat, m_hat) == (16, 32)
     assert peak[16, 32] == pytest.approx(np.sqrt(64 * 64), rel=1e-3)
-    assert img.stage == "ac"
+    assert img.shape == (64, 64)
 
 
-def test_focus_image_stage_collection():
+def test_focus_stages_collects_every_stage():
     cfg = critical_config(16, 16)
     scene = single_target_scene(cfg)
     h = build_channel_matrix(scene, cfg)
     r_bar = scene.targets[0].mean_range_m(cfg.platform)
-    stages = focus_image(h, cfg, r_bar_ref_m=r_bar, collect_stages=True)
-    assert sorted(stages) == ["ac", "rc", "rcmc", "rd"]
-    for name, grid in stages.items():
-        assert grid.stage == name
+    stages = focus_stages(h, cfg, r_bar)
+    assert sorted(stages) == ["ac", "rc", "rcmc", "rd", "tf"]
+    assert stages["tf"] is h
+    # each stage is its staged function applied to the one before
+    assert np.array_equal(stages["rc"], range_compress(h, cfg))
+    assert np.array_equal(stages["rd"], azimuth_fft(stages["rc"], cfg))
+    assert np.array_equal(stages["rcmc"], rcmc(stages["rd"], cfg, r_bar))
+    assert np.array_equal(stages["ac"],
+                          azimuth_compress(stages["rcmc"], cfg, r_bar))
+    assert rel_err(stages["ac"], focus_image(h, cfg, r_bar)) <= 1e-12
     with pytest.raises(InvalidParameterError):
-        focus_image(h, cfg)  # no reference range
+        focus_image(h, cfg, None)  # no reference range
 
 
 def test_azimuth_compress_needs_reference():
     cfg = critical_config(8, 8)
-    grid = ImageGrid(data=np.zeros((8, 8), dtype=complex), cfg=cfg,
-                     stage="rcmc")
+    grid = np.zeros((8, 8), dtype=complex)
+    with pytest.raises(InvalidParameterError, match="r_bar_ref_m"):
+        azimuth_compress(grid, cfg)
     with pytest.raises(InvalidParameterError):
-        azimuth_compress(grid)
-    with pytest.raises(InvalidParameterError):
-        azimuth_compress(grid, ka_mode="adaptive", r_bar_ref_m=100.0)
+        azimuth_compress(grid, cfg, 100.0, ka_mode="adaptive")
+    # per-range-bin K_a needs no reference range
+    assert azimuth_compress(grid, cfg, ka_mode="per_range_bin").shape == (8, 8)
 
 
 def test_per_range_bin_compression_matches_reference_at_ref_bin():
@@ -253,14 +263,13 @@ def test_per_range_bin_compression_matches_reference_at_ref_bin():
     per = focus_image(h, cfg, r_bar_ref_m=r_bar, rcmc_method="phase_ramp",
                       ka_mode="per_range_bin")
     # the reference range sits exactly on bin 16, so row 16 matches
-    assert np.allclose(per.data[16], ref.data[16], atol=1e-9)
+    assert np.allclose(per[16], ref[16], atol=1e-9)
 
 
 # Folded focusing operator ----------------------------------------------------
 
 def staged_chain(grid, cfg, r_bar, method, ka_mode):
-    rd = azimuth_fft(range_compress(grid, cfg))
-    return azimuth_compress(rcmc(rd, r_bar, method=method), ka_mode=ka_mode).data
+    return focus_stages(grid, cfg, r_bar, method, ka_mode)["ac"]
 
 
 def rel_err(a, b):

@@ -60,7 +60,7 @@ def test_matched_filter_scales_by_symbol_power():
     echo = synthesize_echo(scene, cfg, symbols)
     yhat = apply_tf_filter(echo, symbols, FilterSpec("mf"))
     h = build_channel_matrix(scene, cfg)
-    assert np.allclose(yhat, h * np.abs(symbols.data) ** 2)
+    assert np.allclose(yhat, h * np.abs(symbols) ** 2)
 
 
 def test_apply_tf_filter_shape_mismatch():
@@ -89,7 +89,7 @@ def test_channel_mse_analytic_matches_monte_carlo():
         spec = FilterSpec(kind, snr_in_linear=snr if kind == "wf" else None)
         total = 0.0
         for t in range(trials):
-            s = grid.data[t]
+            s = grid[t]
             g = filter_gains(s, spec)
             yhat = (h * s + noise[t]) * g
             total += np.sum(np.abs(yhat - h) ** 2)

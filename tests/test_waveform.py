@@ -13,7 +13,7 @@ from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pipeline import pilot_comb_mask
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import (SPEED_OF_LIGHT, SYMBOL_STREAM, Constellation,
-                              RadarConfig, SrsConfig, SymbolGrid, _philox,
+                              RadarConfig, SrsConfig, _philox,
                               chi_stats, gen_symbol_grid, make_qam, nr_config)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
@@ -295,16 +295,16 @@ def test_gen_symbol_grid_deterministic():
     a = gen_symbol_grid(cfg, con, seed=11)
     b = gen_symbol_grid(cfg, con, seed=11)
     d = gen_symbol_grid(cfg, con, seed=12)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, d.data)
-    assert a.data.shape == (32, 40)
-    assert a.constellation == "qam16"
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, d)
+    assert a.shape == (32, 40)
+    assert np.isin(a, con.points).all()
 
 
 def test_gen_symbol_grid_mean_power():
     cfg = small_cfg(n=256, m=256)
     grid = gen_symbol_grid(cfg, make_qam("qam256"), seed=3)
-    assert np.mean(np.abs(grid.data) ** 2) == pytest.approx(1.0, abs=0.01)
+    assert np.mean(np.abs(grid) ** 2) == pytest.approx(1.0, abs=0.01)
 
 
 def test_gen_symbol_grid_respects_mask():
@@ -312,8 +312,8 @@ def test_gen_symbol_grid_respects_mask():
     mask = np.zeros((32, 40), dtype=bool)
     mask[4::8, ::5] = True
     grid = gen_symbol_grid(cfg, make_qam("qpsk"), seed=5, mask=mask)
-    assert np.all(grid.data[~mask] == 0)
-    assert np.all(grid.data[mask] != 0)
+    assert np.all(grid[~mask] == 0)
+    assert np.all(grid[mask] != 0)
     with pytest.raises(ConfigurationError):
         gen_symbol_grid(cfg, make_qam("qpsk"), seed=5,
                         mask=np.ones((32, 41), dtype=bool))
@@ -324,9 +324,9 @@ def test_gen_symbol_grid_batch_matches_single():
     con = make_qam("qam64")
     single = gen_symbol_grid(cfg, con, seed=9)
     batch = gen_symbol_grid(cfg, con, seed=9, trials=4)
-    assert batch.data.shape == (4, 32, 40)
-    assert np.array_equal(batch.data[0], single.data)
-    assert not np.array_equal(batch.data[1], batch.data[2])
+    assert batch.shape == (4, 32, 40)
+    assert np.array_equal(batch[0], single)
+    assert not np.array_equal(batch[1], batch[2])
 
 
 def test_gen_symbol_grid_chunks_continue_one_stream():
@@ -339,15 +339,20 @@ def test_gen_symbol_grid_chunks_continue_one_stream():
     whole = gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=5)
     rng = _philox(4, SYMBOL_STREAM)
     chunks = [gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size,
-                              rng=rng).data for size in (1, 1, 3)]
-    assert np.array_equal(np.concatenate(chunks), whole.data)
+                              rng=rng) for size in (1, 1, 3)]
+    assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_symbol_grid_shape_validation():
-    data = np.ones((3, 4), dtype=complex)
-    with pytest.raises(ConfigurationError):
-        SymbolGrid(data=data, mask=np.ones((4, 4), dtype=bool),
-                   constellation="qpsk", seed=0)
+    # a mask must match the configured (N, M) grid, for one draw or a batch
+    cfg = small_cfg(n=3, m=4)
+    for trials in (None, 2):
+        with pytest.raises(ConfigurationError, match="mask shape"):
+            gen_symbol_grid(cfg, make_qam("qpsk"), seed=0, trials=trials,
+                            mask=np.ones((4, 4), dtype=bool))
+        grid = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0, trials=trials,
+                               mask=np.ones((3, 4), dtype=bool))
+        assert grid.shape == ((3, 4) if trials is None else (2, 3, 4))
 
 
 # Sounding reference combs ----------------------------------------------------
