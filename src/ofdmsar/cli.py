@@ -12,8 +12,10 @@ Running it produces, in the output directory:
   profile_azimuth.csv   peak azimuth cut of the same image
   nmse_sweep.csv        snr_db, filter, nmse, nmse_calibrated per point
 
-Stage images and grid dumps come from the first trial of the first sweep
-point; profiles and metrics come from the full ensembles.  Outputs are a
+Stage images and grid dumps render the first sweep point's trial 0, the
+filtered tf grid its ensemble keeps (EnsembleResult.first_tf); profiles
+and metrics come from the full ensembles.  Only pipeline draws trials, so
+the images and the metrics describe the same realizations.  Outputs are a
 deterministic function of (config, seed).
 """
 
@@ -30,21 +32,22 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import STAGE_CODES, grid_to_bytes, synthesize_echo
-from .errors import ConfigurationError, MeasurementError, OfdmSarError
+from .echo import STAGE_CODES, grid_to_bytes
+from .errors import (CapacityError, ConfigurationError, MeasurementError,
+                     OfdmSarError)
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
-from .pipeline import (MODES, EnsembleResult, pilot_comb_mask,
-                       point_target_report, run_sweep_ensemble)
+from .pipeline import (EnsembleResult, pilot_comb_mask, point_target_report,
+                       run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from .scene import Scene, load_scene_pgm, make_point_scene
-from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
-from .waveform import (RadarConfig, SrsConfig, chi_stats, gen_symbol_grid,
-                       make_qam, _QAM_NAMES)
+from .tf_filter import FILTER_KINDS, FilterSpec
+from .waveform import RadarConfig, SrsConfig, chi_stats, make_qam, _QAM_NAMES
 
 DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
 DEFAULT_DATA_DOWNSAMPLE = 10
+MODES = ("data_aided", "pilot_only")
 _FILTER_CHOICES = FILTER_KINDS + ("all",)
 
 
@@ -417,22 +420,13 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
-def _render_stage_artifacts(scenario: ScenarioConfig, cfg: RadarConfig,
-                            mask: Optional[np.ndarray],
-                            result: EnsembleResult, out_dir: Path) -> None:
-    """Stage images/grids (rd_imaging.focus_stages) from the first trial
-    of the first sweep point."""
+def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
+                            out_dir: Path) -> None:
+    """Stage images/grids (rd_imaging.focus_stages) of the result's trial 0."""
     wanted = set(scenario.outputs.images) | set(scenario.outputs.grids)
-    if not wanted:
-        return
-    constellation = make_qam(scenario.constellation)
-    symbols = gen_symbol_grid(cfg, constellation, scenario.seed, mask=mask)
-    echo = synthesize_echo(scenario.scene, cfg, symbols,
-                           noise_seed=scenario.seed, rcs_seed=scenario.seed)
-    filtered = apply_tf_filter(echo, symbols, result.filter_spec)
-    stages = {"tf": filtered}
+    stages = {"tf": result.first_tf}
     if wanted - {"tf"}:
-        stages = focus_stages(filtered, cfg, result.r_bar_ref_m,
+        stages = focus_stages(result.first_tf, result.cfg, result.r_bar_ref_m,
                               scenario.rcmc_method, scenario.ka_mode)
     for stage in scenario.outputs.images:
         (out_dir / f"image_{stage}.pgm").write_bytes(
@@ -462,21 +456,21 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
             sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
     results = run_sweep_ensemble(
         scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
-        mask=mask, mode=scenario.mode, rcmc_method=scenario.rcmc_method,
-        ka_mode=scenario.ka_mode)
+        mask=mask, rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)
 
     points = []
     sweep_rows = []
-    first_result = None
-    # results first: zip then runs the generator to its end, which frees
-    # the shared draws before the stage artifacts are rendered
-    for result, (snr_db, kind) in zip(results, labels):
+    # the loop runs the generator to its end, which frees the shared draws
+    # before the stage artifacts are rendered
+    for result in results:
+        snr_db, kind = labels[len(points)]
         report = point_target_report(result).to_json_dict()
         report["snr_in_db"] = snr_db
         points.append(report)
         sweep_rows.append((snr_db, kind, result.nmse, result.nmse_calibrated))
-        if first_result is None:
+        if len(points) == 1:
             first_result = result
+        del result  # free this point's grids while the next is computed
     first_cfg = first_result.cfg
 
     for report in points:  # metrics.json is strict JSON
@@ -506,7 +500,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         np.arange(first_cfg.n_symbols) * v * first_cfg.total_symbol_s,
         "azimuth_m"))
 
-    _render_stage_artifacts(scenario, first_cfg, mask, first_result, out_dir)
+    _render_stage_artifacts(scenario, first_result, out_dir)
     return out_dir
 
 
@@ -540,7 +534,13 @@ def main(argv: Optional[list] = None) -> int:
                 _snr_point(x, scenario, "--snr-db")
             scenario = replace(scenario,
                                snr_db=tuple(dict.fromkeys(args.snr_db)))
-        out = run_scenario(scenario, Path(args.out_dir))
+        try:
+            out = run_scenario(scenario, Path(args.out_dir))
+        except MemoryError:
+            cfg = scenario.run_radar
+            raise CapacityError(
+                f"the {cfg.n_subcarriers}x{cfg.n_symbols} run grid does not "
+                f"fit in memory") from None
     except OfdmSarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

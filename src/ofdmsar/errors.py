@@ -33,7 +33,7 @@ class PgmParseError(OfdmSarError, ValueError):
 
 
 class StageError(OfdmSarError, ValueError):
-    """An imaging-chain stage was applied out of order."""
+    """A grid names an unknown imaging-chain stage or stage code."""
 
 
 class MeasurementError(OfdmSarError, RuntimeError):

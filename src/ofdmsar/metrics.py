@@ -24,13 +24,13 @@ right quantity for comparing filters whose mean gains differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, MeasurementError
-from .scene import Scene
+from .scene import PointTarget, Scene
 from .waveform import FilterStats, RadarConfig
 
 # Two-sided -3 dB width of sinc(x), in units of its first-null spacing
@@ -60,26 +60,22 @@ class MetricsReport:
             raise InvalidParameterError(f"nmse must be >= 0, got {self.nmse}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho_r_m": self.rho_r_m,
-            "rho_a_m": self.rho_a_m,
-            "measured_rho_r_m": self.measured_rho_r_m,
-            "measured_rho_a_m": self.measured_rho_a_m,
-            "islr_db": self.islr_db,
-            "pel": self.pel,
-            "snr_out_db": self.snr_out_db,
-            "nmse": self.nmse,
-            "identity_residual": self.identity_residual,
-            "trials": self.trials,
-            "filter": self.filter,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def theoretical_resolutions(cfg: RadarConfig, r_bar_ref_m: float) -> tuple[float, float]:
     """(rho_r, rho_a): c/(2 N df) and v/(2 K_a T_a) at the reference range."""
     rho_a = cfg.platform.speed_mps / (2.0 * cfg.azimuth_bandwidth_at(r_bar_ref_m))
     return cfg.range_pitch_m, rho_a
+
+
+def target_bin(target: PointTarget, cfg: RadarConfig) -> tuple[int, int]:
+    """The (range, azimuth) image bin nearest the target, wrapped cyclically:
+    Rbar_q/rho_r and y_q/(v T) rounded."""
+    k_q = int(round(target.mean_range_m(cfg.platform) / cfg.range_pitch_m))
+    m_q = int(round(target.y_m
+                    / (cfg.platform.speed_mps * cfg.total_symbol_s)))
+    return k_q % cfg.n_subcarriers, m_q % cfg.n_symbols
 
 
 def ideal_reference_image(scene: Scene, cfg: RadarConfig,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .echo import build_channel_matrix, synthesize_echo
 from .errors import CapacityError, InvalidParameterError, SingularSystemError
+from .metrics import target_bin
 from .rd_imaging import focus_image
 from .scene import PointTarget, Scene
 from .tf_filter import FilterSpec, apply_tf_filter
@@ -115,15 +116,9 @@ def rd_vs_ls_compare(scene: Scene, cfg: RadarConfig,
     r_bar_ref = float(np.mean(scene.mean_ranges_m(cfg.platform)))
     image = focus_image(filtered, cfg, r_bar_ref)
 
-    n, m = cfg.n_subcarriers, cfg.n_symbols
-    root_cells = np.sqrt(n * m)
-    v = cfg.platform.speed_mps
-    chain_amps = np.empty(scene.q)
-    for i, target in enumerate(scene.targets):
-        k_q = int(round(target.mean_range_m(cfg.platform)
-                        / cfg.range_pitch_m)) % n
-        m_q = int(round(target.y_m / (v * cfg.total_symbol_s))) % m
-        chain_amps[i] = abs(image[k_q, m_q]) / root_cells
+    root_cells = np.sqrt(cfg.n_subcarriers * cfg.n_symbols)
+    chain_amps = np.array([abs(image[target_bin(t, cfg)]) / root_cells
+                           for t in scene.targets])
 
     grid = [(t.x_m, t.y_m) for t in scene.targets]
     ls_amps = np.abs(ls_reconstruct(echo, grid, symbols, cfg))

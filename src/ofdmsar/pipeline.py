@@ -1,32 +1,33 @@
 """Monte-Carlo ensemble runner: symbols -> echo -> filter -> focused image.
 
-run_sweep_ensemble drives the full chain over independent trials for a
-scene with one deterministic reference target and yields, per (cfg,
-filter) point of an SNR/filter sweep, exactly the reductions the quality
-metrics need (peak statistics, image MSE versus the ideal response, mean
-power images) without retaining per-trial image stacks.  The points share
-one set of draws (common random numbers): the channel, the ideal image
-and the focusing operator (rd_imaging.focusing_operator) are built once
-per sweep, and the symbol and unit-noise draws once per trial.  Noise
-enters by linearity: each trial focuses the noiseless filtered echo and
-the filtered noise separately, so the same draw serves both the noiseless
-and noisy statistics.  run_point_ensemble is the one-point sweep.  Every
-grid is a plain complex array: the (chunk, N, M) symbol and noise stacks,
-and the (N, M) channel, ideal image and focused images.
+run_sweep_ensemble is the only code that draws a trial: its symbols, its
+noise and its random targets' amplitudes.  Over independent trials of a
+scene with a deterministic reference target it yields, per (cfg, filter)
+point of an SNR/filter sweep, the reductions the quality metrics need
+(peak statistics, image MSE versus the ideal response, mean power
+images) and trial 0's filtered tf grid, which the CLI renders as its
+stage images.  The points share one set of draws (common random numbers)
+and one focusing operator (rd_imaging.focusing_operator).  The channel
+and the ideal image are built once per sweep, or per trial from its
+amplitudes when the scene has random targets.  Noise enters by
+linearity: each trial focuses the noiseless filtered echo and the
+filtered noise separately, so one draw serves the noiseless and noisy
+statistics.  run_point_ensemble is the one-point sweep.
 
 Trials stream through chunks of as many (N, M) complex grids as fit
-_CHUNK_BYTES.  One Philox generator per stream (symbols, noise) lives
-across the chunks, so the draws, and every result, do not depend on the
-chunk size.  Memory is the chunk's symbol and noise stacks, the per-trial
-working grids, and the per-point reductions: each point's result is
-filled chunk by chunk and yielded once its last chunk is done, so a sweep
-of P points that spans several chunks holds 2*P*N*M*8 bytes of mean power
-images until its last chunk, while one that fits in one chunk makes each
-point's images only when it reaches that point.
+_CHUNK_BYTES.  One Philox generator per stream (symbols, noise, target
+amplitudes) lives across the chunks, so no result depends on the chunk
+size.  Memory is the chunk's draws (with random targets, also its
+channels and ideal images), the per-trial working grids, and the
+per-point reductions: each point's result is filled chunk by chunk and
+yielded once its last chunk is done, so a sweep of P points that spans
+several chunks holds 2*P*N*M*8 bytes of mean power images until its last
+chunk, while one that fits in one chunk makes each point's images only
+when it reaches that point.
 
-run_pilot_ensemble is the pilot-only variant: it decimates the symbol
-grid to the pilot period and masks the subcarriers to the pilot comb,
-then runs the identical chain.
+A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
+run_pilot_ensemble decimates the grid to the pilot period and masks it
+to the comb, then runs the identical chain.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ from .errors import (ConfigurationError, InvalidParameterError,
                      MeasurementError)
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       islr, measure_mainlobe_width, nmse, pel, snr_out,
-                      theoretical_resolutions)
+                      target_bin, theoretical_resolutions)
 from .rd_imaging import focusing_operator
 from .scene import Scene
-from .tf_filter import FilterSpec, filter_gains
-from .waveform import (NOISE_STREAM, SYMBOL_STREAM, Constellation,
+from .tf_filter import FilterSpec, apply_tf_filter, filter_gains
+from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
                        gen_symbol_grid)
-
-MODES = ("data_aided", "pilot_only")
 
 # Bytes of one (chunk, N, M) complex128 stack.  Trials stream through
 # chunks of this size, so the draws held at once do not grow with the
@@ -82,6 +81,7 @@ class EnsembleResult:
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
     mean_noisy_power: np.ndarray     # (N, M) E[|noisy image|^2]
     mean_noiseless_power: np.ndarray  # (N, M) E[|noiseless image|^2]
+    first_tf: np.ndarray             # (N, M) trial 0's filtered tf grid
 
     @property
     def peak_sq_mean(self) -> float:
@@ -101,19 +101,10 @@ class EnsembleResult:
         return nmse(float(np.mean(self.mse_calibrated)), peak_cal, sigma_alpha)
 
 
-def _reference_target(scene: Scene) -> tuple[int, object]:
-    for i, target in enumerate(scene.targets):
-        if target.amplitude_mode == "deterministic":
-            return i, target
-    raise InvalidParameterError(
-        "ensemble metrics need at least one deterministic reference target")
-
-
 def run_sweep_ensemble(scene: Scene,
                        points: Sequence[tuple[RadarConfig, FilterSpec]],
                        constellation: Constellation, trials: int, seed: int,
                        mask: Optional[np.ndarray] = None,
-                       mode: str = "data_aided",
                        rcmc_method: str = "windowed_sinc",
                        ka_mode: str = "reference") -> Iterator[EnsembleResult]:
     """Yield one EnsembleResult per (cfg, filter_spec) point, in order.
@@ -123,8 +114,6 @@ def run_sweep_ensemble(scene: Scene,
     chunk size, and is yielded once the last chunk has reached it."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if mode not in MODES:
-        raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
     cfg0 = points[0][0] if points else None
     if cfg0 is None or any(
             replace(cfg, noise_var=cfg0.noise_var,
@@ -135,22 +124,30 @@ def run_sweep_ensemble(scene: Scene,
             "differ only in noise_var and snr_in_linear")
     check_cp_margin(scene, cfg0)
     n, m = cfg0.n_subcarriers, cfg0.n_symbols
-    _, ref = _reference_target(scene)
+    ref = next((t for t in scene.targets
+                if t.amplitude_mode == "deterministic"), None)
+    if ref is None:
+        raise InvalidParameterError(
+            "ensemble metrics need at least one deterministic reference target")
     r_bar_ref = ref.mean_range_m(cfg0.platform)
     # first: it rejects a static platform, whose speed the bins divide by
     focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
     alpha_ref = complex(
         math.sqrt(ref.rcs_var)
         * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
-    k_q = int(round(r_bar_ref / cfg0.range_pitch_m)) % n
-    m_q = int(round(ref.y_m
-                    / (cfg0.platform.speed_mps * cfg0.total_symbol_s))) % m
+    k_q, m_q = target_bin(ref, cfg0)
 
-    channel = build_channel_matrix(scene, cfg0)
-    ideal = ideal_reference_image(scene, cfg0)
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = (_philox(seed, NOISE_STREAM)
                  if any(cfg.noise_var > 0 for cfg, _ in points) else None)
+    # (channel, ideal image): built once for a deterministic scene, per
+    # trial from its drawn amplitudes when the scene has random targets
+    rcs_rng = (_philox(seed, RCS_STREAM)
+               if any(t.amplitude_mode == "random" for t in scene.targets)
+               else None)
+    fixed = (None if rcs_rng is not None else
+             (build_channel_matrix(scene, cfg0),
+              ideal_reference_image(scene, cfg0)))
     chunk = _chunk_trials(trials, n, m)
     # each point's result is made on first use and filled chunk by chunk
     results: list[Optional[EnsembleResult]] = [None] * len(points)
@@ -163,27 +160,40 @@ def run_sweep_ensemble(scene: Scene,
         unit_noise = (draw_noise(cfg0, seed, n_trials=size, unit=True,
                                  rng=noise_rng)
                       if noise_rng is not None else None)
+        truths = ([fixed] * size if rcs_rng is None else
+                  [(build_channel_matrix(scene, cfg0, amps),
+                    ideal_reference_image(scene, cfg0, amps))
+                   for amps in scene.draw_amplitudes(rcs_rng, size)])
 
         for p, (cfg, filter_spec) in enumerate(points):
+            noise_scale = np.sqrt(cfg.noise_var / 2.0)
             if results[p] is None:
+                # trial 0's echo as synthesize_echo draws it, filtered by
+                # apply_tf_filter itself: its operand order sets the bits
+                echo = truths[0][0] * grid[0]
+                if cfg.noise_var > 0:
+                    echo = echo + noise_scale * unit_noise[0]
                 results[p] = EnsembleResult(
                     cfg=cfg, filter_spec=filter_spec,
-                    stats=chi_stats(constellation, filter_spec), mode=mode,
+                    stats=chi_stats(constellation, filter_spec),
+                    mode="data_aided" if mask is None else "pilot_only",
                     trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
                     peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
                     noiseless_peaks=np.empty(trials, dtype=complex),
                     noisy_peaks=np.empty(trials, dtype=complex),
                     mse=np.empty(trials), mse_calibrated=np.empty(trials),
                     mean_noisy_power=np.zeros((n, m)),
-                    mean_noiseless_power=np.zeros((n, m)))
+                    mean_noiseless_power=np.zeros((n, m)),
+                    first_tf=apply_tf_filter(echo, grid[0], filter_spec))
+                del echo  # not held through the trial loops
             res = results[p]
             e_chi = res.stats.chi_mean
             mean_clean = res.mean_noiseless_power
             mean_noisy = res.mean_noisy_power
-            noise_scale = np.sqrt(cfg.noise_var / 2.0)
 
             for i, symbols in enumerate(grid):
                 t = start + i
+                channel, ideal = truths[i]
                 gains = filter_gains(symbols, filter_spec)
                 clean = focus(channel * symbols * gains)
                 noisy = (clean + focus(noise_scale * unit_noise[i] * gains)
@@ -202,21 +212,19 @@ def run_sweep_ensemble(scene: Scene,
                 mean_noisy /= trials
                 results[p] = None
                 yield res
-        del grid, unit_noise  # free this chunk's draws before the next
+        del grid, unit_noise, truths  # free this chunk's draws
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,
                        constellation: Constellation, filter_spec: FilterSpec,
                        trials: int, seed: int,
                        mask: Optional[np.ndarray] = None,
-                       mode: str = "data_aided",
                        rcmc_method: str = "windowed_sinc",
                        ka_mode: str = "reference") -> EnsembleResult:
     """Run `trials` independent symbol/noise draws through the full chain:
     the one-point case of run_sweep_ensemble."""
     return next(run_sweep_ensemble(scene, [(cfg, filter_spec)], constellation,
-                                   trials, seed, mask, mode, rcmc_method,
-                                   ka_mode))
+                                   trials, seed, mask, rcmc_method, ka_mode))
 
 
 def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
@@ -242,8 +250,7 @@ def run_pilot_ensemble(scene: Scene, cfg_full: RadarConfig, srs: SrsConfig,
     cfg_p = cfg_full.decimated(srs.period_symbols)
     comb = pilot_comb_mask(cfg_p, srs)
     return run_point_ensemble(scene, cfg_p, constellation, filter_spec,
-                              trials, seed, mask=comb, mode="pilot_only",
-                              rcmc_method=rcmc_method, ka_mode=ka_mode)
+                              trials, seed, mask=comb, rcmc_method=rcmc_method, ka_mode=ka_mode)
 
 
 def point_target_report(result: EnsembleResult,

@@ -320,11 +320,12 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     azimuth_multiplier = np.fft.ifftshift(phase, axes=-1)
 
     def focus(tf_grid: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.fft(tf_grid, axis=-1)
-        spectrum *= range_multiplier
-        image = np.fft.ifft(spectrum, axis=-2)
-        image *= azimuth_multiplier
-        return np.fft.ifft(image, axis=-1)
+        # one name for every pass, so each pass frees its input grid
+        grid = np.fft.fft(tf_grid, axis=-1)
+        grid *= range_multiplier
+        grid = np.fft.ifft(grid, axis=-2)
+        grid *= azimuth_multiplier
+        return np.fft.ifft(grid, axis=-1)
     return focus
 
 

@@ -50,15 +50,15 @@ def filter_gains(symbols: np.ndarray, spec: FilterSpec) -> np.ndarray:
     elements, which are the zero symbols."""
     s = np.asarray(symbols)
     active = s != 0
-    g = np.zeros_like(s)
     if spec.kind == "rf":
+        g = np.zeros_like(s)
         np.divide(1.0, s, out=g, where=active)
-    elif spec.kind == "mf":
-        g = np.where(active, np.conj(s), 0.0 + 0.0j)
-    else:
-        power = np.abs(s) ** 2
-        g = np.where(active, np.conj(s) / (power + 1.0 / spec.snr_in_linear),
-                     0.0 + 0.0j)
+        return g
+    # in place: the gains are the only full grid this allocates
+    g = np.conj(s)
+    if spec.kind == "wf":
+        g /= np.abs(s) ** 2 + 1.0 / spec.snr_in_linear
+    g[~active] = 0.0
     return g
 
 

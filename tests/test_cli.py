@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ofdmsar import cli, pipeline
+from ofdmsar import cli, echo, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
                          emit_pgm, main, parse_config, run_scenario)
 from ofdmsar.pgm import parse_pgm, write_pgm
@@ -275,24 +275,28 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
 
 
 def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
-    # every (snr, filter) point reuses one draw, channel and operator
+    # every (snr, filter) point and the stage artifacts reuse one draw,
+    # channel and operator, wherever the name is looked up
     calls = {}
 
-    def counting(name):
-        original = getattr(pipeline, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     shared = ("build_channel_matrix", "focusing_operator", "gen_symbol_grid",
               "draw_noise", "ideal_reference_image")
-    for name in shared:
-        counting(name)
+    for module in (cli, echo, pipeline):
+        for name in shared:
+            if hasattr(module, name):
+                counting(module, name)
+    stages = ["tf", "rc", "rd", "rcmc", "ac"]
     scenario = parse_config(config_text(
         snr_in_db=[0, 5], filter={"kind": "all"},
-        outputs={"images": [], "grids": []}))
+        outputs={"images": stages, "grids": stages}))
     run_scenario(scenario, tmp_path / "out")
     assert calls == {name: 1 for name in shared}
 
@@ -457,6 +461,19 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys):
                  "--snr-db", "nan"]) == 2
     assert "--snr-db" in capsys.readouterr().err
     assert not (out_dir / "metrics.json").exists()
+
+
+def test_main_reports_out_of_memory(tmp_path, monkeypatch, capsys):
+    def exhausted(scenario, out_dir):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text())
+    assert main(["--config", str(config),
+                 "--out-dir", str(tmp_path / "artifacts")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{N}x{M} run grid" in err
 
 
 def test_main_rejects_snr_beyond_float_range(tmp_path, capsys):

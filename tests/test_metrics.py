@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene
+from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.metrics import (SINC_3DB_WIDTH_BINS, MetricsReport,
                              analytic_point_metrics, doppler_support,
                              ideal_reference_image, identity_residual, islr,
                              measure_mainlobe_width, mse_vs_ideal, nmse,
-                             pedestal_level, pel, snr_out,
+                             pedestal_level, pel, snr_out, target_bin,
                              theoretical_resolutions)
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import FilterStats, chi_stats, make_qam
@@ -23,6 +23,12 @@ def test_theoretical_resolutions():
     v = cfg.platform.speed_mps
     assert rho_a == pytest.approx(
         v / (2 * cfg.azimuth_rate_at(r_bar) * cfg.aperture_time_s), rel=1e-12)
+
+
+def test_target_bin_rounds_and_wraps():
+    cfg = critical_config(16, 16)
+    assert target_bin(target_at_bins(cfg, 8, 3), cfg) == (8, 3)
+    assert target_bin(target_at_bins(cfg, 19.4, 17.6), cfg) == (3, 2)
 
 
 def test_ideal_reference_image_single_target():

@@ -4,16 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene
+from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar import pipeline
+from ofdmsar.echo import build_channel_matrix, synthesize_echo
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.pipeline import (pilot_comb_mask, run_point_ensemble,
                               run_sweep_ensemble)
-from ofdmsar.tf_filter import FilterSpec
-from ofdmsar.waveform import SrsConfig, make_qam
+from ofdmsar.rd_imaging import focus_image
+from ofdmsar.scene import Scene
+from ofdmsar.tf_filter import FilterSpec, apply_tf_filter
+from ofdmsar.waveform import SrsConfig, gen_symbol_grid, make_qam
 
 ARRAYS = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated",
-          "mean_noisy_power", "mean_noiseless_power")
+          "mean_noisy_power", "mean_noiseless_power", "first_tf")
 
 
 def sweep_points(cfg):
@@ -25,6 +28,17 @@ def sweep_points(cfg):
                    for kind in ("rf", "mf", "wf")]
     points.append((cfg, FilterSpec("mf")))  # noiseless
     return points
+
+
+def random_target_scene(cfg):
+    """(scene, its reference alone): a deterministic reference at the
+    grid's centre bin and a random-amplitude target 2.5 range bins away."""
+    k, m = cfg.n_subcarriers // 2, cfg.n_symbols // 2
+    ref = target_at_bins(cfg, k, m)
+    rnd = replace(target_at_bins(cfg, k + 2.5, m), amplitude_mode="random")
+    extent = (ref.x_m - 100, rnd.x_m + 100, ref.y_m - 100, ref.y_m + 100)
+    return (Scene(targets=(ref, rnd), extent=extent),
+            Scene(targets=(ref,), extent=extent))
 
 
 def comb_mask(cfg):
@@ -47,6 +61,7 @@ def test_sweep_equals_single_point_runs(masked):
         alone = run_point_ensemble(scene, cfg_n, qpsk, spec, trials=3,
                                    seed=5, mask=mask)
         assert result.cfg == cfg_n and result.filter_spec == spec
+        assert result.mode == ("pilot_only" if masked else "data_aided")
         assert result.peak_bin == alone.peak_bin
         assert result.alpha_ref == alone.alpha_ref
         for name in ARRAYS:
@@ -69,27 +84,78 @@ def test_sweep_rejects_points_that_change_the_geometry():
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
-    # chunked sequential Philox draws equal the one-shot batch bit for bit
+    # chunked sequential Philox draws equal the one-shot batch bit for bit,
+    # the random targets' amplitudes included
     cfg = critical_config(16, 16, k_ref=8)
-    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     mask = comb_mask(cfg) if masked else None
     qpsk = make_qam("qpsk")
     points = sweep_points(cfg)
     trials = 15
-    runs = []
-    for chunk in (1, 7, trials):
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
-        assert pipeline._chunk_trials(trials, 16, 16) == chunk
-        runs.append(list(run_sweep_ensemble(scene, points, qpsk, trials,
-                                            seed=5, mask=mask)))
-    for results in runs[1:]:
-        assert len(results) == len(points)
-        for ref, result in zip(runs[0], results):
-            assert result.peak_bin == ref.peak_bin
-            assert result.alpha_ref == ref.alpha_ref
-            for name in ARRAYS:
-                assert np.array_equal(getattr(result, name),
-                                      getattr(ref, name)), name
+    for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
+                  random_target_scene(cfg)[0]):
+        runs = []
+        for chunk in (1, 7, trials):
+            monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
+                                chunk * 16 * 16 * 16)
+            assert pipeline._chunk_trials(trials, 16, 16) == chunk
+            runs.append(list(run_sweep_ensemble(scene, points, qpsk, trials,
+                                                seed=5, mask=mask)))
+        for results in runs[1:]:
+            assert len(results) == len(points)
+            for ref, result in zip(runs[0], results):
+                assert result.peak_bin == ref.peak_bin
+                assert result.alpha_ref == ref.alpha_ref
+                for name in ARRAYS:
+                    assert np.array_equal(getattr(result, name),
+                                          getattr(ref, name)), name
+
+
+def test_ensemble_needs_a_deterministic_reference():
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = random_target_scene(cfg)[0]
+    only_random = replace(scene, targets=scene.targets[1:])
+    with pytest.raises(InvalidParameterError, match="deterministic reference"):
+        run_point_ensemble(only_random, cfg, make_qam("qpsk"),
+                           FilterSpec("mf"), trials=1, seed=0)
+
+
+def test_random_targets_are_redrawn_per_trial():
+    # the random target's range sidelobe reaches the reference peak; with
+    # CN(0, rcs_var) amplitudes redrawn per trial it averages to zero, so
+    # under the rf filter (chi = 1) the mean noiseless peak is the
+    # reference's alone.  A fixed sqrt(rcs_var) amplitude biases it by 1.4.
+    cfg = critical_config(16, 16, k_ref=8)
+    scene, alone = random_target_scene(cfg)
+    result = run_point_ensemble(scene, cfg, make_qam("qpsk"),
+                                FilterSpec("rf"), trials=400, seed=3)
+    image = focus_image(build_channel_matrix(alone, cfg), cfg,
+                        result.r_bar_ref_m)
+    expected = image[result.peak_bin] / result.alpha_ref
+    peaks = result.noiseless_peaks
+    std_err = np.std(peaks) / np.sqrt(peaks.size)
+    assert np.std(peaks) > 0.1
+    assert abs(np.mean(peaks) - expected) < 4 * std_err
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("masked", [False, True])
+def test_first_tf_is_the_echo_of_trial_zero(n, masked):
+    # one filtered realization of the chain, drawn by the library's
+    # single-trial functions on the ensemble's seed, bit for bit; 128x128
+    # grids pass numpy's 256 KiB temporary-elision threshold
+    cfg = critical_config(n, n)
+    scene, _ = random_target_scene(cfg)
+    mask = comb_mask(cfg) if masked else None
+    qpsk = make_qam("qpsk")
+    points = sweep_points(cfg)
+    symbols = gen_symbol_grid(cfg, qpsk, 5, mask=mask)
+    swept = run_sweep_ensemble(scene, points, qpsk, trials=2, seed=5,
+                               mask=mask)
+    for (cfg_n, spec), result in zip(points, swept):
+        echo = synthesize_echo(scene, cfg_n, symbols, noise_seed=5,
+                               rcs_seed=5)
+        assert np.array_equal(result.first_tf,
+                              apply_tf_filter(echo, symbols, spec)), spec
 
 
 def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
