@@ -1,8 +1,9 @@
 """Scenario runner: JSON config in, imaging artifacts out.
 
-A scenario is a strictly validated JSON document (unknown keys and the
-non-finite numbers NaN and Infinity are rejected; diagnostics name the
-offending JSON path, e.g. "$.radar.fc_hz").
+A scenario is a JSON document checked against one field table per object;
+a bad key, type, NaN or Infinity is reported at its JSON path
+("$.radar.fc_hz"), an out-of-range value at its object's path ("$.radar:
+fc_hz must be finite and > 0, got -1.0").
 Running it produces, in the output directory:
 
   metrics.json          one flat quality report per (snr, filter) point
@@ -26,13 +27,14 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .echo import STAGE_CODES, grid_to_bytes
+from .echo import STAGE_CODES, check_cp_margin, grid_to_bytes
 from .errors import (CapacityError, ConfigurationError, MeasurementError,
                      OfdmSarError)
 from .geometry import PlatformGeometry
@@ -75,19 +77,95 @@ def _require_finite(value: float, path: str):
         raise ConfigError(path, f"expected a finite number, got {value}")
 
 
-def _typed(obj: dict, path: str, key: str, kinds, default=None):
+_JSON_NAMES = {float: "number", int: "integer", str: "string", bool: "boolean",
+               list: "array", dict: "object", type(None): "null"}
+
+
+def _typed(obj: dict, path: str, key, kinds, default=None):
+    """obj[key] (an int key is an array index), checked to be of a JSON
+    type in kinds; an integer is accepted as a number."""
     if key not in obj:
         return default
     value = obj[key]
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
+    path = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if float in kinds and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {getattr(kinds, '__name__', kinds)}, "
-                          f"got {type(value).__name__}")
-    if kinds is float:
-        _require_finite(value, f"{path}.{key}")
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        raise ConfigError(path,
+                          f"expected {' or '.join(map(_JSON_NAMES.get, kinds))}"
+                          f", got {_JSON_NAMES[type(value)]}")
+    if isinstance(value, float):
+        _require_finite(value, path)
     return value
+
+
+# The keys each scenario object may have, with the JSON type of each value.
+_PLATFORM = dict.fromkeys(("height_m", "speed_mps", "elevation_angle_rad",
+                           "aperture_az_m", "aperture_el_m"), float)
+_RADAR = {**dict.fromkeys(("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
+                           "cp_duration_s", "aperture_time_s"), float),
+          "n_subcarriers": int, "platform": dict, "symbol_duration_s": float,
+          "total_symbol_s": float, "n_symbols": int}
+_SRS = dict.fromkeys(("periodicity_slots", "symbols_per_slot", "comb_spacing",
+                      "n_resource_blocks", "start_subcarrier"), int)
+_POINT_SCENE = {"targets": list, "extent": list}
+_PGM_SCENE = {"pgm_path": str, "extent": list, "threshold": int,
+              "rcs_scale": float}
+_TARGET = {**dict.fromkeys(("x", "y", "x_m", "y_m", "rcs_var"), float),
+           "mode": str, "amplitude_mode": str}
+_OUTPUTS = {"images": list, "grids": list, "db_floor": float}
+_FILTER = {"kind": str}
+_RCMC = {"method": str}
+_TOP = {"radar": dict, "scene": dict, "snr_in_db": (float, list),
+        "filter": dict, "mode": str, "srs": dict, "trials": int, "seed": int,
+        "constellation": str, "rcmc": dict, "ka_mode": str,
+        "azimuth_downsample": int, "outputs": dict}
+
+
+def _fields(obj, path: str, kinds: dict, required: tuple = ()) -> dict:
+    """The values of a JSON object's keys, checked against its field table."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, f"expected object, got {_JSON_NAMES[type(obj)]}")
+    _require_keys(obj, path, required, tuple(kinds))
+    return {key: _typed(obj, path, key, kind)
+            for key, kind in kinds.items() if key in obj}
+
+
+def _entries(array: list, path: str, kinds) -> list:
+    """The entries of a JSON array, each checked as _typed checks a value."""
+    entries = dict(enumerate(array))
+    return [_typed(entries, path, i, kinds) for i in entries]
+
+
+def _choice(obj: dict, path: str, key: str, choices, default):
+    value = _typed(obj, path, key, str, default)
+    if value not in choices:
+        raise ConfigError(f"{path}.{key}",
+                          f"expected one of {tuple(choices)}, got {value!r}")
+    return value
+
+
+@contextmanager
+def _at(path: str):
+    """Re-raise a library error from inside the block (a constructor's
+    range check) as a ConfigError at path, the JSON path of its object."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except OfdmSarError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _at_least(low: int, value: int, path: str) -> int:
+    if value < low:
+        raise ConfigError(path, f"must be >= {low}, got {value}")
+    return value
+
+
+def _filters(kind: str) -> tuple[str, ...]:
+    return FILTER_KINDS if kind == "all" else (kind,)
 
 
 @dataclass(frozen=True)
@@ -176,117 +254,60 @@ def _snr_point(snr_db: float, scenario: ScenarioConfig,
     return snr, noise_var
 
 
-def _parse_platform(obj, path: str) -> PlatformGeometry:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    _require_keys(obj, path, ("height_m", "speed_mps"),
-                  ("elevation_angle_rad", "aperture_az_m", "aperture_el_m"))
-    kwargs = {"height_m": _typed(obj, path, "height_m", float),
-              "speed_mps": _typed(obj, path, "speed_mps", float)}
-    for key in ("elevation_angle_rad", "aperture_az_m", "aperture_el_m"):
-        if key in obj:
-            kwargs[key] = _typed(obj, path, key, float)
-    return PlatformGeometry(**kwargs)
+def _with_snrs(scenario: ScenarioConfig, snr_db: list,
+               paths: list) -> ScenarioConfig:
+    """The scenario sweeping snr_db, each value checked (_snr_point) at its
+    path; repeated values are dropped with a warning."""
+    for x, path in zip(snr_db, paths):
+        _snr_point(x, scenario, path)
+    unique = tuple(dict.fromkeys(snr_db))
+    if len(unique) != len(snr_db):
+        warnings.warn("duplicate snr_in_db entries removed", UserWarning)
+    return replace(scenario, snr_db=unique)
 
 
-def _parse_radar(obj, path: str) -> RadarConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    required = ("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
-                "cp_duration_s", "aperture_time_s", "n_subcarriers",
-                "platform")
-    optional = ("symbol_duration_s", "total_symbol_s", "n_symbols")
-    _require_keys(obj, path, required, optional)
-    kwargs = {key: _typed(obj, path, key, float)
-              for key in required[:5]}
-    kwargs["n_subcarriers"] = _typed(obj, path, "n_subcarriers", int)
-    kwargs["platform"] = _parse_platform(obj["platform"], f"{path}.platform")
-    for key in optional[:2]:
-        if key in obj:
-            kwargs[key] = _typed(obj, path, key, float)
-    if "n_symbols" in obj:
-        kwargs["n_symbols"] = _typed(obj, path, "n_symbols", int)
-    return RadarConfig(**kwargs)
-
-
-def _parse_scene(obj, path: str, config_dir: Path) -> Scene:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    extent = None
-    if "extent" in obj:
-        raw = obj["extent"]
-        if (not isinstance(raw, list) or len(raw) != 4
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in raw)):
+def _parse_scene(obj: dict, path: str, config_dir: Path) -> Scene:
+    pgm = "pgm_path" in obj
+    values = _fields(obj, path, _PGM_SCENE if pgm else _POINT_SCENE,
+                     ("pgm_path", "extent") if pgm else ("targets",))
+    extent = values.get("extent")
+    if extent is not None:
+        if len(extent) != 4:
             raise ConfigError(f"{path}.extent",
                               "expected [x_min, x_max, y_min, y_max]")
-        for i, x in enumerate(raw):
-            _require_finite(x, f"{path}.extent[{i}]")
-        extent = tuple(float(x) for x in raw)
-    if "pgm_path" in obj:
-        _require_keys(obj, path, ("pgm_path", "extent"),
-                      ("threshold", "rcs_scale"))
-        pgm_path = _typed(obj, path, "pgm_path", str)
-        full = Path(pgm_path)
-        if not full.is_absolute():
-            full = config_dir / full
+        extent = tuple(_entries(extent, f"{path}.extent", float))
+    if pgm:
+        full = config_dir / values["pgm_path"]   # an absolute path wins
         try:
             blob = full.read_bytes()
         except OSError as exc:
             raise ConfigError(f"{path}.pgm_path", f"cannot read {full}: {exc}")
-        return load_scene_pgm(
-            blob, extent,
-            threshold=_typed(obj, path, "threshold", int, 0),
-            rcs_scale=_typed(obj, path, "rcs_scale", float, 1.0))
-    _require_keys(obj, path, ("targets",), ("extent",))
-    raw_targets = obj["targets"]
-    if not isinstance(raw_targets, list):
-        raise ConfigError(f"{path}.targets", "expected a list of targets")
-    for i, entry in enumerate(raw_targets):
+        with _at(path):
+            return load_scene_pgm(blob, extent,
+                                  threshold=values.get("threshold", 0),
+                                  rcs_scale=values.get("rcs_scale", 1.0))
+    targets = []
+    for i, entry in enumerate(values["targets"]):
         target_path = f"{path}.targets[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(target_path, "expected an object")
-        _require_keys(entry, target_path, (), ("x", "y", "x_m", "y_m",
-                                               "rcs_var", "mode",
-                                               "amplitude_mode"))
-        for key in entry:
-            _typed(entry, target_path, key, str if "mode" in key else float)
-    return make_point_scene(raw_targets, extent=extent)
-
-
-def _parse_srs(obj, path: str) -> SrsConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    fields = ("periodicity_slots", "symbols_per_slot", "comb_spacing",
-              "n_resource_blocks", "start_subcarrier")
-    _require_keys(obj, path, (), fields)
-    kwargs = {key: _typed(obj, path, key, int) for key in fields if key in obj}
-    return SrsConfig(**kwargs)
+        spec = _fields(entry, target_path, _TARGET)
+        with _at(target_path):  # one at a time, so its errors name it
+            targets += make_point_scene([spec]).targets
+    with _at(path):
+        return make_point_scene(targets, extent=extent)
 
 
 def _parse_outputs(obj, path: str) -> OutputSelection:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    _require_keys(obj, path, (), ("images", "grids", "db_floor"))
-    stages = tuple(STAGE_CODES)
-
-    def stage_list(key, default):
-        if key not in obj:
-            return default
-        raw = obj[key]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{path}.{key}", "expected a list of stage names")
-        for i, name in enumerate(raw):
-            if name not in stages:
-                raise ConfigError(f"{path}.{key}[{i}]",
-                                  f"unknown stage {name!r}; expected one of {stages}")
-        return tuple(raw)
-
-    db_floor = _typed(obj, path, "db_floor", float, DEFAULT_DB_FLOOR)
-    if db_floor >= 0:
-        raise ConfigError(f"{path}.db_floor", f"must be < 0, got {db_floor}")
-    return OutputSelection(images=stage_list("images", ("ac",)),
-                           grids=stage_list("grids", ()), db_floor=db_floor)
+    values = _fields(obj, path, _OUTPUTS)
+    for key in [key for key in ("images", "grids") if key in values]:
+        values[key] = tuple(_entries(values[key], f"{path}.{key}", str))
+        for i, name in enumerate(values[key]):
+            if name not in STAGE_CODES:
+                raise ConfigError(f"{path}.{key}[{i}]", f"expected one of "
+                                  f"{tuple(STAGE_CODES)}, got {name!r}")
+    if values.get("db_floor", DEFAULT_DB_FLOOR) >= 0:
+        raise ConfigError(f"{path}.db_floor",
+                          f"must be < 0, got {values['db_floor']}")
+    return OutputSelection(**values)
 
 
 def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig:
@@ -296,98 +317,75 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}")
-    if not isinstance(root, dict):
-        raise ConfigError("$", "top level must be an object")
-    top_required = ("radar", "scene", "snr_in_db")
-    top_optional = ("filter", "mode", "srs", "trials", "seed", "constellation",
-                    "rcmc", "ka_mode", "azimuth_downsample", "outputs")
-    _require_keys(root, "$", top_required, top_optional)
+    top = _fields(root, "$", _TOP, ("radar", "scene", "snr_in_db"))
+    radar = _fields(top["radar"], "$.radar", _RADAR,
+                    ("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
+                     "cp_duration_s", "aperture_time_s", "n_subcarriers",
+                     "platform"))
+    platform = _fields(radar["platform"], "$.radar.platform", _PLATFORM,
+                       ("height_m", "speed_mps"))
+    with _at("$.radar.platform"):
+        radar["platform"] = PlatformGeometry(**platform)
+    with _at("$.radar"):
+        radar = RadarConfig(**radar)
+    scene = _parse_scene(top["scene"], "$.scene", config_dir)
 
-    radar = _parse_radar(root["radar"], "$.radar")
-    scene = _parse_scene(root["scene"], "$.scene", config_dir)
-
-    mode = _typed(root, "$", "mode", str, "data_aided")
-    if mode not in MODES:
-        raise ConfigError("$.mode", f"expected one of {MODES}, got {mode!r}")
-
+    mode = _choice(top, "$", "mode", MODES, "data_aided")
+    pilot = mode == "pilot_only"
     srs = None
-    if mode == "pilot_only":
-        if "srs" not in root:
+    if pilot:
+        if "srs" not in top:
             raise ConfigError("$.srs", "required when mode is pilot_only")
-        srs = _parse_srs(root["srs"], "$.srs")
-        if "azimuth_downsample" in root:
+        if "azimuth_downsample" in top:
             raise ConfigError("$.azimuth_downsample",
                               "not applicable in pilot_only mode "
                               "(decimation follows the srs periodicity)")
-    elif "srs" in root:
+        with _at("$.srs"):
+            srs = SrsConfig(**_fields(top["srs"], "$.srs", _SRS))
+    elif "srs" in top:
         raise ConfigError("$.srs", "only valid when mode is pilot_only")
 
-    filter_obj = root.get("filter", {"kind": "all"})
-    if not isinstance(filter_obj, dict):
-        raise ConfigError("$.filter", "expected an object")
-    _require_keys(filter_obj, "$.filter", ("kind",), ())
-    kind = _typed(filter_obj, "$.filter", "kind", str)
-    if kind not in _FILTER_CHOICES:
-        raise ConfigError("$.filter.kind",
-                          f"expected one of {_FILTER_CHOICES}, got {kind!r}")
-    filters = FILTER_KINDS if kind == "all" else (kind,)
-
-    raw_snr = root["snr_in_db"]
-    if isinstance(raw_snr, (int, float)) and not isinstance(raw_snr, bool):
-        snr_list = [float(raw_snr)]
-    elif isinstance(raw_snr, list) and raw_snr and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in raw_snr):
-        snr_list = [float(x) for x in raw_snr]
-    else:
+    listed = isinstance(top["snr_in_db"], list)
+    snr_db = (_entries(top["snr_in_db"], "$.snr_in_db", float) if listed
+              else [top["snr_in_db"]])
+    if not snr_db:
         raise ConfigError("$.snr_in_db", "expected a number or non-empty list")
-    deduped = list(dict.fromkeys(snr_list))
-    if len(deduped) != len(snr_list):
-        warnings.warn("duplicate snr_in_db entries removed", UserWarning)
-    snr_db = tuple(deduped)
+    snr_paths = [f"$.snr_in_db[{i}]" if listed else "$.snr_in_db"
+                 for i in range(len(snr_db))]
 
-    trials = _typed(root, "$", "trials", int, DEFAULT_TRIALS)
-    if trials < 1:
-        raise ConfigError("$.trials", f"must be >= 1, got {trials}")
-    seed = _typed(root, "$", "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("$.seed", f"must be >= 0, got {seed}")
+    kind = _choice(_fields(top.get("filter", {"kind": "all"}), "$.filter",
+                           _FILTER, ("kind",)),
+                   "$.filter", "kind", _FILTER_CHOICES, None)
+    scenario = ScenarioConfig(
+        radar=radar, scene=scene, mode=mode, srs=srs, snr_db=(),
+        filters=_filters(kind),
+        trials=_at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials"),
+        seed=_at_least(0, top.get("seed", 0), "$.seed"),
+        constellation=_choice(top, "$", "constellation", _QAM_NAMES,
+                              "qpsk" if pilot else "qam256"),
+        rcmc_method=_choice(_fields(top.get("rcmc", {}), "$.rcmc", _RCMC),
+                            "$.rcmc", "method", RCMC_METHODS, "windowed_sinc"),
+        ka_mode=_choice(top, "$", "ka_mode", KA_MODES, "reference"),
+        azimuth_downsample=top.get("azimuth_downsample",
+                                   1 if pilot else DEFAULT_DATA_DOWNSAMPLE),
+        outputs=_parse_outputs(top.get("outputs", {}), "$.outputs"))
 
-    default_constellation = "qpsk" if mode == "pilot_only" else "qam256"
-    constellation = _typed(root, "$", "constellation", str,
-                           default_constellation)
-    if constellation not in _QAM_NAMES:
-        raise ConfigError("$.constellation",
-                          f"expected one of {tuple(_QAM_NAMES)}, "
-                          f"got {constellation!r}")
-    rcmc_obj = root.get("rcmc", {})
-    if not isinstance(rcmc_obj, dict):
-        raise ConfigError("$.rcmc", "expected an object")
-    _require_keys(rcmc_obj, "$.rcmc", (), ("method",))
-    rcmc_method = _typed(rcmc_obj, "$.rcmc", "method", str, "windowed_sinc")
-    if rcmc_method not in RCMC_METHODS:
-        raise ConfigError("$.rcmc.method",
-                          f"expected one of {RCMC_METHODS}, got {rcmc_method!r}")
-
-    ka_mode = _typed(root, "$", "ka_mode", str, "reference")
-    if ka_mode not in KA_MODES:
-        raise ConfigError("$.ka_mode",
-                          f"expected one of {KA_MODES}, got {ka_mode!r}")
-
-    downsample = _typed(root, "$", "azimuth_downsample", int,
-                        DEFAULT_DATA_DOWNSAMPLE if mode == "data_aided" else 1)
-    if downsample < 1:
-        raise ConfigError("$.azimuth_downsample", "must be >= 1")
-
-    outputs = _parse_outputs(root.get("outputs", {}), "$.outputs")
-    scenario = ScenarioConfig(radar=radar, scene=scene, filters=filters,
-                              mode=mode, srs=srs, snr_db=snr_db, trials=trials,
-                              seed=seed, constellation=constellation,
-                              rcmc_method=rcmc_method, ka_mode=ka_mode,
-                              azimuth_downsample=downsample, outputs=outputs)
-    for i, x in enumerate(snr_list):
-        _snr_point(x, scenario, f"$.snr_in_db[{i}]"
-                   if isinstance(raw_snr, list) else "$.snr_in_db")
+    # the run grid, and the reference target the ensembles focus on
+    with _at("$.srs" if pilot else "$.azimuth_downsample"):
+        run_radar = scenario.run_radar
+    # first: the SNR checks bound the N*M cells the checks below allocate
+    scenario = _with_snrs(scenario, snr_db, snr_paths)
+    if pilot:
+        with _at("$.srs"):
+            pilot_comb_mask(run_radar, srs)
+    ref = next((t for t in scene.targets
+                if t.amplitude_mode == "deterministic"), None)
+    if ref is None:
+        raise ConfigError("$.scene", "needs a deterministic reference target")
+    with _at("$.radar"):
+        run_radar.azimuth_rate_at(ref.mean_range_m(radar.platform))
+    with _at("$.scene"):
+        check_cp_margin(scene, run_radar)
     return scenario
 
 
@@ -522,18 +520,13 @@ def main(argv: Optional[list] = None) -> int:
         scenario = parse_config(config_path.read_text(),
                                 config_dir=config_path.parent)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
-            scenario = replace(scenario, seed=args.seed)
-        if args.filter is not None:
-            filters = (FILTER_KINDS if args.filter == "all"
-                       else (args.filter,))
-            scenario = replace(scenario, filters=filters)
-        if args.snr_db:
-            for x in args.snr_db:
-                _snr_point(x, scenario, "--snr-db")
             scenario = replace(scenario,
-                               snr_db=tuple(dict.fromkeys(args.snr_db)))
+                               seed=_at_least(0, args.seed, "--seed"))
+        if args.filter is not None:
+            scenario = replace(scenario, filters=_filters(args.filter))
+        if args.snr_db:
+            scenario = _with_snrs(scenario, args.snr_db,
+                                  ["--snr-db"] * len(args.snr_db))
         try:
             out = run_scenario(scenario, Path(args.out_dir))
         except MemoryError:
@@ -541,12 +534,9 @@ def main(argv: Optional[list] = None) -> int:
             raise CapacityError(
                 f"the {cfg.n_subcarriers}x{cfg.n_symbols} run grid does not "
                 f"fit in memory") from None
-    except OfdmSarError as exc:
+    except (OfdmSarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OfdmSarError) else 1
     print(out)
     return 0
 

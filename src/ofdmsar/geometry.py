@@ -27,7 +27,7 @@ class PlatformGeometry:
     Attributes
     ----------
     height_m : platform altitude above the ground plane, > 0
-    speed_mps : along-track speed, >= 0
+    speed_mps : along-track speed, >= 0 with a finite square
     elevation_angle_rad : boresight angle from nadir in the elevation plane,
         in [0, pi/2)
     aperture_az_m : physical antenna aperture along azimuth, > 0
@@ -44,9 +44,9 @@ class PlatformGeometry:
         if not 0 < self.height_m < math.inf:
             raise GeometryError(
                 f"platform height must be finite and > 0, got {self.height_m}")
-        if not 0 <= self.speed_mps < math.inf:
+        if not 0 <= self.speed_mps < math.sqrt(np.finfo(float).max):
             raise InvalidParameterError(
-                f"speed must be finite and >= 0, got {self.speed_mps}")
+                f"speed must be >= 0 with a finite square, got {self.speed_mps}")
         if not 0 <= self.elevation_angle_rad < math.pi / 2:
             raise GeometryError(
                 f"elevation angle must lie in [0, pi/2), got {self.elevation_angle_rad}"

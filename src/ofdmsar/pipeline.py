@@ -55,6 +55,8 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
 # chunks of this size, so the draws held at once do not grow with the
 # trial count.
 _CHUNK_BYTES = 8 << 20
+# Bins on each side of the peak that the reported ISLR counts as mainlobe.
+_MAINLOBE_HALFWIDTH_BINS = 1
 
 
 def _chunk_trials(trials: int, n: int, m: int) -> int:
@@ -212,6 +214,7 @@ def run_sweep_ensemble(scene: Scene,
                 mean_noisy /= trials
                 results[p] = None
                 yield res
+                del res, mean_clean, mean_noisy  # not held into the next point
         del grid, unit_noise, truths  # free this chunk's draws
 
 
@@ -253,14 +256,14 @@ def run_pilot_ensemble(scene: Scene, cfg_full: RadarConfig, srs: SrsConfig,
                               trials, seed, mask=comb, rcmc_method=rcmc_method, ka_mode=ka_mode)
 
 
-def point_target_report(result: EnsembleResult,
-                        mainlobe_halfwidth_bins: int = 1) -> MetricsReport:
+def point_target_report(result: EnsembleResult) -> MetricsReport:
     """Assemble the standard quality report from ensemble reductions.
 
-    The reported islr_db uses the requested mainlobe halfwidth; the
-    identity residual is always evaluated with the single-bin mainlobe and
-    the shared noisy-peak normalization under which the decomposition is
-    exact, and is reported only for single-target scenes.
+    The reported islr_db counts _MAINLOBE_HALFWIDTH_BINS bins on each side
+    of the peak as mainlobe; the identity residual is always evaluated with
+    the single-bin mainlobe and the shared noisy-peak normalization under
+    which the decomposition is exact, and is reported only for single-target
+    scenes.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)
@@ -274,7 +277,7 @@ def point_target_report(result: EnsembleResult,
 
     peak_sq = result.peak_sq_mean
     islr_report = islr(result.mean_noisy_power, result.peak_bin,
-                       mainlobe_halfwidth_bins)
+                       _MAINLOBE_HALFWIDTH_BINS)
     islr_single = islr(result.mean_noisy_power, result.peak_bin, 0)
     pel_value = pel(result.noiseless_peaks, cfg)
     snr_value = snr_out(peak_sq, result.stats, sigma_alpha, noise_var)

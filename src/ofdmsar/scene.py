@@ -112,8 +112,9 @@ def make_point_scene(specs: Iterable, extent=None) -> Scene:
     """Build a Scene from target specs.
 
     Each spec is a PointTarget, an (x, y[, rcs_var[, mode]]) tuple, or a
-    dict with keys x/y (or x_m/y_m) and optional rcs_var and mode.  When
-    extent is omitted it is fitted around the targets.
+    dict with keys x/y (or x_m/y_m) and optional rcs_var and mode (or
+    amplitude_mode); naming a field twice is an error.  When extent is
+    omitted it is fitted around the targets.
     """
     targets = []
     for spec in specs:
@@ -121,6 +122,9 @@ def make_point_scene(specs: Iterable, extent=None) -> Scene:
             targets.append(spec)
         elif isinstance(spec, dict):
             d = dict(spec)
+            for a, b in (("x", "x_m"), ("y", "y_m"), ("mode", "amplitude_mode")):
+                if a in d and b in d:
+                    raise SceneError(f"target spec gives both {a} and {b}")
             x = d.pop("x_m", d.pop("x", None))
             y = d.pop("y_m", d.pop("y", None))
             if x is None or y is None:

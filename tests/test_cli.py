@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from ofdmsar import cli, echo, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
                          emit_pgm, main, parse_config, run_scenario)
+from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
-from ofdmsar.waveform import SPEED_OF_LIGHT as c
+from ofdmsar.waveform import RadarConfig, SrsConfig, SPEED_OF_LIGHT as c
 
 N, M = 16, 16
 DF = 60e3
@@ -50,10 +52,43 @@ BASE = {
 }
 
 
+SRS = {"periodicity_slots": 2, "symbols_per_slot": 2, "comb_spacing": 4,
+       "n_resource_blocks": 1, "start_subcarrier": 2}
+
+
 def config_text(**overrides):
+    """BASE with top-level keys replaced; a None value deletes the key."""
     doc = copy.deepcopy(BASE)
     doc.update(overrides)
-    return json.dumps(doc)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+def mutated(path, value):
+    """BASE with the leaf at path (a tuple of keys) replaced by value."""
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (leaf, value, diagnostic path) of values the library rejects, reported
+# at the path of the object it checked
+LIBRARY_REJECTS = (
+    (("radar", "fc_hz"), -1, "$.radar"),
+    (("radar", "n_subcarriers"), 0, "$.radar"),
+    (("radar", "platform", "height_m"), -5, "$.radar.platform"),
+    (("scene", "targets", 0, "rcs_var"), -1, "$.scene.targets[0]"),
+    (("scene", "targets", 0, "x_m"), X_TARGET + 50, "$.scene.targets[0]"),
+    (("azimuth_downsample",), 1000, "$.azimuth_downsample"),
+    # no run grid or reference target the ensembles could use
+    (("scene", "targets", 0, "mode"), "random", "$.scene"),
+    (("radar", "platform", "speed_mps"), 0, "$.radar"),
+    (("radar", "platform", "speed_mps"), 1e-320, "$.radar"),  # v^2 is 0
+    (("radar", "platform", "speed_mps"), 1e308, "$.radar.platform"),
+    (("radar", "fc_hz"), 1e-320, "$.radar"),  # infinite wavelength
+)
 
 
 # Parsing ---------------------------------------------------------------------
@@ -149,6 +184,25 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(scene=inf_extent))
     assert err.value.path == "$.scene.extent[1]"
+    for path, value, where in LIBRARY_REJECTS:
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(mutated(path, value)))
+        assert err.value.path == where, (path, value)
+    # a pilot block past the last subcarrier
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(mode="pilot_only", azimuth_downsample=None,
+                                 srs={**SRS, "start_subcarrier": N - 4}))
+    assert err.value.path == "$.srs"
+
+
+def test_field_tables_match_the_config_dataclasses():
+    # a new config field cannot go unparsed unnoticed
+    def init_fields(cls):
+        return {f.name for f in dataclasses.fields(cls) if f.init}
+    assert set(cli._PLATFORM) == init_fields(PlatformGeometry)
+    assert set(cli._RADAR) == init_fields(RadarConfig) - {"noise_var",
+                                                          "snr_in_linear"}
+    assert set(cli._SRS) == init_fields(SrsConfig)
 
 
 def test_parse_snr_list_and_dedup_warning():
@@ -164,8 +218,7 @@ def test_parse_snr_list_and_dedup_warning():
 
 
 def test_parse_pilot_srs_rules():
-    srs = {"periodicity_slots": 2, "symbols_per_slot": 2,
-           "comb_spacing": 4, "n_resource_blocks": 1, "start_subcarrier": 2}
+    srs = SRS
     doc = copy.deepcopy(BASE)
     del doc["azimuth_downsample"]
     doc["mode"] = "pilot_only"
@@ -445,6 +498,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_main_rejects_out_of_range_values_before_any_ensemble(
+        tmp_path, monkeypatch, capsys):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+    monkeypatch.setattr(cli, "run_sweep_ensemble", no_ensemble)
+    config = tmp_path / "scenario.json"
+    out_dir = tmp_path / "artifacts"
+    for path, value, where in LIBRARY_REJECTS:
+        config.write_text(json.dumps(mutated(path, value)))
+        assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert f"error: {where}: " in capsys.readouterr().err, (path, value)
+        assert not out_dir.exists()
+
+
 def test_main_rejects_non_finite_numbers(tmp_path, capsys):
     radar = copy.deepcopy(BASE["radar"])
     radar["platform"]["speed_mps"] = math.nan
@@ -540,15 +607,12 @@ _MUTANTS = st.one_of(
 @example(path=("radar", "aperture_time_s"), value=1e308)
 @example(path=("radar", "platform", "speed_mps"), value=0)
 @example(path=("radar", "platform", "speed_mps"), value=1e-320)
+@example(path=("radar", "platform", "speed_mps"), value=1e308)
 @example(path=("scene", "targets", 0, "x"), value="x")
 @example(path=("scene", "targets", 0, "y"), value={"a": [1]})
 @example(path=("seed",), value=-1)
 def test_main_survives_any_mutated_leaf(path, value):
-    doc = copy.deepcopy(BASE)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    doc = mutated(path, value)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(doc))
@@ -615,8 +679,9 @@ def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):
     config.write_text(json.dumps(doc))
     out_dir = tmp_path / "artifacts"
     assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
-    assert "cyclic prefix" in capsys.readouterr().err
-    assert not (out_dir / "metrics.json").exists()
+    err = capsys.readouterr().err
+    assert "cyclic prefix" in err and err.startswith("error: $.scene: ")
+    assert not out_dir.exists()  # rejected at parse time
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

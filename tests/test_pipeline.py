@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,33 @@ def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
                 for name in ARRAYS:
                     assert np.array_equal(getattr(result, name),
                                           getattr(ref, name)), name
+
+
+def test_sweep_frees_each_result_before_building_the_next(monkeypatch):
+    # in a one-chunk sweep each point's result is built when the sweep
+    # reaches it; the generator must not keep the previous one alive then
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    qpsk = make_qam("qpsk")
+    points = sweep_points(cfg)
+    refs = []
+    real = pipeline.apply_tf_filter
+
+    def checking(*args):
+        assert all(ref() is None for ref in refs), len(refs)
+        return real(*args)
+    monkeypatch.setattr(pipeline, "apply_tf_filter", checking)
+    arrays = []
+    for result in run_sweep_ensemble(scene, points, qpsk, trials=3, seed=5):
+        refs.append(weakref.ref(result))
+        arrays.append({name: getattr(result, name).copy() for name in ARRAYS})
+        del result
+    assert len(refs) == len(points)
+    monkeypatch.setattr(pipeline, "apply_tf_filter", real)
+    for (cfg_n, spec), kept in zip(points, arrays):
+        alone = run_point_ensemble(scene, cfg_n, qpsk, spec, trials=3, seed=5)
+        for name in ARRAYS:
+            assert np.array_equal(kept[name], getattr(alone, name)), name
 
 
 def test_ensemble_needs_a_deterministic_reference():

@@ -45,6 +45,11 @@ def test_make_point_scene_rejects_bad_specs():
         make_point_scene([{"x": 1.0}])
     with pytest.raises(SceneError):
         make_point_scene([{"x": 1.0, "y": 2.0, "bogus": 3}])
+    # two names for one field: neither may silently win
+    for extra in ({"x_m": 3.0}, {"y_m": 4.0},
+                  {"mode": "random", "amplitude_mode": "random"}):
+        with pytest.raises(SceneError, match="gives both"):
+            make_point_scene([{"x": 1.0, "y": 2.0, **extra}])
 
 
 def test_scene_extent_validation():
