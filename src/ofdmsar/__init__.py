@@ -10,26 +10,23 @@ from .errors import (CapacityError, ConfigurationError, GeometryError,
                      InvalidParameterError, MeasurementError, OfdmSarError,
                      PgmParseError, SceneError, SingularSystemError,
                      StageError)
-from .geometry import (PlatformGeometry, beamwidths,
-                       envelope_to_phase_rate_ratio, ground_coverage,
+from .geometry import (PlatformGeometry, envelope_to_phase_rate_ratio,
                        mean_range, slant_range)
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
                        chi_stats, gen_symbol_grid, make_qam, nr_config)
-from .scene import (PointTarget, Scene, load_scene_pgm, make_point_scene,
-                    raster_extent, scene_from_descriptor, scene_to_descriptor)
+from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
 from .echo import (build_channel_matrix, check_cp_margin, draw_noise,
-                   grid_from_bytes, grid_to_bytes, load_grid, save_grid,
-                   synthesize_echo)
+                   grid_from_bytes, grid_to_bytes, synthesize_echo)
 from .tf_filter import (FilterSpec, apply_tf_filter, channel_mse_analytic,
                         filter_gains)
 from .rd_imaging import (azimuth_compress, azimuth_fft, focus_image,
                          focus_stages, range_compress, rcm_shift, rcmc,
-                         spa_spectrum, stationary_point)
+                         spa_spectrum)
 from .metrics import (MetricsReport, analytic_point_metrics, doppler_support,
                       ideal_reference_image, identity_residual, islr,
-                      measure_mainlobe_width, mse_vs_ideal, nmse, pedestal_level,
-                      pel, snr_out, theoretical_resolutions)
-from .oracle import ls_reconstruct, ls_residual, rd_vs_ls_compare
+                      measure_mainlobe_width, nmse, pedestal_level, pel,
+                      snr_out, theoretical_resolutions)
+from .oracle import ls_reconstruct, rd_vs_ls_compare
 from .pipeline import (EnsembleResult, pilot_comb_mask, point_target_report,
                        run_pilot_ensemble, run_point_ensemble,
                        run_sweep_ensemble)
@@ -41,23 +38,21 @@ __all__ = [
     "CapacityError", "ConfigurationError", "GeometryError",
     "InvalidParameterError", "MeasurementError", "OfdmSarError",
     "PgmParseError", "SceneError", "SingularSystemError", "StageError",
-    "PlatformGeometry", "beamwidths", "envelope_to_phase_rate_ratio",
-    "ground_coverage", "mean_range", "slant_range",
+    "PlatformGeometry", "envelope_to_phase_rate_ratio", "mean_range",
+    "slant_range",
     "Constellation", "FilterStats", "RadarConfig", "SrsConfig", "chi_stats",
     "gen_symbol_grid", "make_qam", "nr_config",
     "PointTarget", "Scene", "load_scene_pgm", "make_point_scene",
-    "raster_extent", "scene_from_descriptor", "scene_to_descriptor",
     "build_channel_matrix", "check_cp_margin", "draw_noise",
-    "grid_from_bytes", "grid_to_bytes", "load_grid", "save_grid",
-    "synthesize_echo",
+    "grid_from_bytes", "grid_to_bytes", "synthesize_echo",
     "FilterSpec", "apply_tf_filter", "channel_mse_analytic", "filter_gains",
     "azimuth_compress", "azimuth_fft", "focus_image", "focus_stages",
-    "range_compress", "rcm_shift", "rcmc", "spa_spectrum", "stationary_point",
+    "range_compress", "rcm_shift", "rcmc", "spa_spectrum",
     "MetricsReport", "analytic_point_metrics", "doppler_support",
     "ideal_reference_image", "identity_residual", "islr",
-    "measure_mainlobe_width", "mse_vs_ideal", "nmse", "pedestal_level", "pel",
+    "measure_mainlobe_width", "nmse", "pedestal_level", "pel",
     "snr_out", "theoretical_resolutions",
-    "ls_reconstruct", "ls_residual", "rd_vs_ls_compare",
+    "ls_reconstruct", "rd_vs_ls_compare",
     "EnsembleResult", "pilot_comb_mask", "point_target_report",
     "run_pilot_ensemble", "run_point_ensemble", "run_sweep_ensemble",
     "parse_pgm", "write_pgm",

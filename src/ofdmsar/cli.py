@@ -39,7 +39,9 @@ from .errors import (CapacityError, ConfigurationError, MeasurementError,
                      OfdmSarError)
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
-from .pipeline import (EnsembleResult, pilot_comb_mask, point_target_report,
+from .metrics import MIN_PROFILE_BINS, target_bin
+from .pipeline import (MAINLOBE_HALFWIDTH_BINS, EnsembleResult,
+                       pilot_comb_mask, point_target_report,
                        run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from .scene import Scene, load_scene_pgm, make_point_scene
@@ -101,8 +103,7 @@ def _typed(obj: dict, path: str, key, kinds, default=None):
 
 
 # The keys each scenario object may have, with the JSON type of each value.
-_PLATFORM = dict.fromkeys(("height_m", "speed_mps", "elevation_angle_rad",
-                           "aperture_az_m", "aperture_el_m"), float)
+_PLATFORM = dict.fromkeys(("height_m", "speed_mps"), float)
 _RADAR = {**dict.fromkeys(("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
                            "cp_duration_s", "aperture_time_s"), float),
           "n_subcarriers": int, "platform": dict, "symbol_duration_s": float,
@@ -371,9 +372,15 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         outputs=_parse_outputs(top.get("outputs", {}), "$.outputs"))
 
     # the run grid, and the reference target the ensembles focus on
-    with _at("$.srs" if pilot else "$.azimuth_downsample"):
+    decimation = "$.srs" if pilot else "$.azimuth_downsample"
+    with _at(decimation):
         run_radar = scenario.run_radar
-    # first: the SNR checks bound the N*M cells the checks below allocate
+    for cfg, path in ((radar, "$.radar"), (run_radar, decimation)):
+        shape = (cfg.n_subcarriers, cfg.n_symbols)
+        if min(shape) < MIN_PROFILE_BINS:
+            raise ConfigError(path, f"the {shape[0]}x{shape[1]} grid has an "
+                              f"axis under {MIN_PROFILE_BINS} bins, too few "
+                              f"to measure a -3 dB width on")
     scenario = _with_snrs(scenario, snr_db, snr_paths)
     if pilot:
         with _at("$.srs"):
@@ -386,6 +393,14 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         run_radar.azimuth_rate_at(ref.mean_range_m(radar.platform))
     with _at("$.scene"):
         check_cp_margin(scene, run_radar)
+    k_q, m_q = target_bin(ref, run_radar)
+    hw = MAINLOBE_HALFWIDTH_BINS
+    if not (hw <= k_q < run_radar.n_subcarriers - hw
+            and hw <= m_q < run_radar.n_symbols - hw):
+        raise ConfigError("$.scene", f"the reference target's peak bin "
+                          f"({k_q}, {m_q}) leaves no {hw}-bin ISLR mainlobe "
+                          f"margin inside the {run_radar.n_subcarriers}x"
+                          f"{run_radar.n_symbols} run grid")
     return scenario
 
 
@@ -515,25 +530,27 @@ def main(argv: Optional[list] = None) -> int:
                         help="override snr sweep (repeatable)")
     args = parser.parse_args(argv)
 
+    scenario = None
     try:
-        config_path = Path(args.config)
-        scenario = parse_config(config_path.read_text(),
-                                config_dir=config_path.parent)
-        if args.seed is not None:
-            scenario = replace(scenario,
-                               seed=_at_least(0, args.seed, "--seed"))
-        if args.filter is not None:
-            scenario = replace(scenario, filters=_filters(args.filter))
-        if args.snr_db:
-            scenario = _with_snrs(scenario, args.snr_db,
-                                  ["--snr-db"] * len(args.snr_db))
         try:
+            config_path = Path(args.config)
+            scenario = parse_config(config_path.read_text(),
+                                    config_dir=config_path.parent)
+            if args.seed is not None:
+                scenario = replace(scenario,
+                                   seed=_at_least(0, args.seed, "--seed"))
+            if args.filter is not None:
+                scenario = replace(scenario, filters=_filters(args.filter))
+            if args.snr_db:
+                scenario = _with_snrs(scenario, args.snr_db,
+                                      ["--snr-db"] * len(args.snr_db))
             out = run_scenario(scenario, Path(args.out_dir))
         except MemoryError:
-            cfg = scenario.run_radar
-            raise CapacityError(
-                f"the {cfg.n_subcarriers}x{cfg.n_symbols} run grid does not "
-                f"fit in memory") from None
+            what = "the scenario"
+            if scenario is not None:
+                cfg = scenario.run_radar
+                what = f"the {cfg.n_subcarriers}x{cfg.n_symbols} run grid"
+            raise CapacityError(f"{what} does not fit in memory") from None
     except (OfdmSarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OfdmSarError) else 1

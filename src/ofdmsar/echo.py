@@ -15,7 +15,7 @@ build_channel_matrix, which this module guarantees to machine precision.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -36,8 +36,11 @@ def _range_deviation_m(target: PointTarget, cfg: RadarConfig,
 
 
 def check_cp_margin(scene: Scene, cfg: RadarConfig):
-    """Enforce T_cp > max round-trip delay (no inter-symbol interference)."""
-    m_idx = np.arange(cfg.n_symbols, dtype=float)
+    """Enforce T_cp > max round-trip delay (no inter-symbol interference).
+
+    The range deviation grows with (v m T - y)^2, which is convex in the
+    symbol index m, so its maximum lies at the first or the last symbol."""
+    m_idx = np.array([0.0, cfg.n_symbols - 1.0])
     for i, target in enumerate(scene.targets):
         r_bar, d_r = _range_deviation_m(target, cfg, m_idx)
         delay = 2.0 * (r_bar + float(d_r.max())) / SPEED_OF_LIGHT
@@ -61,14 +64,7 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     """
     if scene.q == 0:
         raise SceneError("empty scene has no channel matrix")
-    if amplitudes is None:
-        amplitudes = np.array([np.sqrt(t.rcs_var) for t in scene.targets],
-                              dtype=complex)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (scene.q,):
-        raise InvalidParameterError(
-            f"amplitudes shape {amplitudes.shape} != (Q,) = ({scene.q},)")
-
+    amplitudes = scene.amplitude_vector(amplitudes)
     n_idx = np.arange(cfg.n_subcarriers, dtype=float)
     m_idx = np.arange(cfg.n_symbols, dtype=float)
     h = np.zeros((cfg.n_subcarriers, cfg.n_symbols), dtype=complex)
@@ -166,21 +162,3 @@ def grid_from_bytes(blob: bytes) -> tuple[np.ndarray, str]:
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     pairs = flat.reshape(n, m, 2)
     return pairs[..., 0] + 1j * pairs[..., 1], _STAGE_NAMES[stage_code]
-
-
-def save_grid(file: Union[str, BinaryIO], data: np.ndarray, stage: str = "tf"):
-    blob = grid_to_bytes(data, stage)
-    if hasattr(file, "write"):
-        file.write(blob)
-    else:
-        with open(file, "wb") as fh:
-            fh.write(blob)
-
-
-def load_grid(file: Union[str, BinaryIO]) -> tuple[np.ndarray, str]:
-    if hasattr(file, "read"):
-        blob = file.read()
-    else:
-        with open(file, "rb") as fh:
-            blob = fh.read()
-    return grid_from_bytes(blob)

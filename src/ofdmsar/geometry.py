@@ -1,9 +1,9 @@
 """Broadside stripmap acquisition geometry.
 
 The platform moves along the azimuth axis y at constant height and speed,
-and the antenna boresight points at a fixed angle from nadir in the
-elevation plane.  Scatterers are described by ground coordinates (x, y)
-with closest-approach slant range sqrt(x^2 + height^2).
+and every target is lit for the whole aperture (no antenna footprint is
+modelled).  Scatterers are described by ground coordinates (x, y) with
+closest-approach slant range sqrt(x^2 + height^2).
 """
 
 from __future__ import annotations
@@ -22,23 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class PlatformGeometry:
-    """Antenna and trajectory parameters of the radar platform.
+    """Trajectory of the radar platform.
 
     Attributes
     ----------
     height_m : platform altitude above the ground plane, > 0
     speed_mps : along-track speed, >= 0 with a finite square
-    elevation_angle_rad : boresight angle from nadir in the elevation plane,
-        in [0, pi/2)
-    aperture_az_m : physical antenna aperture along azimuth, > 0
-    aperture_el_m : physical antenna aperture along elevation, > 0
     """
 
     height_m: float
     speed_mps: float
-    elevation_angle_rad: float = math.pi / 4
-    aperture_az_m: float = 0.1
-    aperture_el_m: float = 0.1
 
     def __post_init__(self):
         if not 0 < self.height_m < math.inf:
@@ -47,38 +40,6 @@ class PlatformGeometry:
         if not 0 <= self.speed_mps < math.sqrt(np.finfo(float).max):
             raise InvalidParameterError(
                 f"speed must be >= 0 with a finite square, got {self.speed_mps}")
-        if not 0 <= self.elevation_angle_rad < math.pi / 2:
-            raise GeometryError(
-                f"elevation angle must lie in [0, pi/2), got {self.elevation_angle_rad}"
-            )
-        if not (0 < self.aperture_az_m < math.inf
-                and 0 < self.aperture_el_m < math.inf):
-            raise InvalidParameterError("antenna apertures must be finite and > 0")
-
-
-def beamwidths(wavelength_m: float, geom: PlatformGeometry) -> tuple[float, float]:
-    """Half-power beamwidths (azimuth, elevation) in radians, 0.886 lambda / D."""
-    if wavelength_m <= 0:
-        raise InvalidParameterError(f"wavelength must be > 0, got {wavelength_m}")
-    return (
-        0.886 * wavelength_m / geom.aperture_az_m,
-        0.886 * wavelength_m / geom.aperture_el_m,
-    )
-
-
-def ground_coverage(wavelength_m: float, geom: PlatformGeometry) -> tuple[float, float]:
-    """Illuminated ground footprint (azimuth extent, elevation extent) in meters."""
-    theta_az, theta_el = beamwidths(wavelength_m, geom)
-    theta_c = geom.elevation_angle_rad
-    far_angle = theta_c + theta_el / 2
-    if far_angle >= math.pi / 2:
-        raise GeometryError(
-            "far edge of the elevation beam reaches the horizon: "
-            f"center angle {theta_c} + half beamwidth {theta_el / 2} >= pi/2"
-        )
-    l_az = 2 * geom.height_m / math.cos(theta_c) * math.tan(theta_az / 2)
-    l_el = geom.height_m * (math.tan(far_angle) - math.tan(theta_c - theta_el / 2))
-    return l_az, l_el
 
 
 def mean_range(x_m: float, geom: PlatformGeometry) -> float:

@@ -36,6 +36,8 @@ from .waveform import FilterStats, RadarConfig
 # Two-sided -3 dB width of sinc(x), in units of its first-null spacing
 # (|sinc(w/2)| = 1/sqrt(2) at w = 0.885893).
 SINC_3DB_WIDTH_BINS = 0.8858929413789287
+# Shortest profile whose -3 dB width measure_mainlobe_width measures.
+MIN_PROFILE_BINS = 4
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,7 @@ def ideal_reference_image(scene: Scene, cfg: RadarConfig,
     """
     n, m = cfg.n_subcarriers, cfg.n_symbols
     data = np.zeros((n, m), dtype=complex)
-    if amplitudes is None:
-        amplitudes = np.array([np.sqrt(t.rcs_var) for t in scene.targets],
-                              dtype=complex)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (scene.q,):
-        raise InvalidParameterError(
-            f"amplitudes shape {amplitudes.shape} != (Q,) = ({scene.q},)")
+    amplitudes = scene.amplitude_vector(amplitudes)
     v = cfg.platform.speed_mps
     k_axis = np.arange(n)[:, None]
     m_axis = np.arange(m)[None, :]
@@ -140,8 +136,9 @@ def measure_mainlobe_width(profile: np.ndarray, interpolate: int = 16,
     e.g. comb-sampled grids).
     """
     profile = np.asarray(profile)
-    if profile.ndim != 1 or profile.size < 4:
-        raise InvalidParameterError("profile must be a 1-D vector of length >= 4")
+    if profile.ndim != 1 or profile.size < MIN_PROFILE_BINS:
+        raise InvalidParameterError(
+            f"profile must be a 1-D vector of length >= {MIN_PROFILE_BINS}")
     if interpolate < 1:
         raise InvalidParameterError(f"interpolate must be >= 1, got {interpolate}")
     up = np.abs(_dft_upsample(profile.astype(complex), interpolate))
@@ -238,17 +235,6 @@ def snr_out(peak_sq_mean: float, stats: FilterStats, sigma_alpha_var: float,
     if noise_power == 0.0:
         return math.inf
     return sigma_alpha_var * peak_sq_mean / noise_power
-
-
-def mse_vs_ideal(images: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """Per-trial total squared error sum_{k,m} |image - ideal|^2."""
-    images = np.asarray(images)
-    ideal = np.asarray(ideal)
-    if images.shape[-2:] != ideal.shape:
-        raise InvalidParameterError(
-            f"image shape {images.shape[-2:]} != ideal shape {ideal.shape}")
-    diff = images - ideal
-    return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
 def nmse(mse_mean: float, peak_sq_mean: float, sigma_alpha_var: float) -> float:

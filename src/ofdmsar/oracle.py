@@ -80,14 +80,6 @@ def ls_reconstruct(echo: np.ndarray, grid: Sequence[tuple[float, float]],
     return np.linalg.solve(gram, rhs)
 
 
-def ls_residual(echo: np.ndarray, grid: Sequence[tuple[float, float]],
-                amplitudes: np.ndarray, symbols: np.ndarray,
-                cfg: RadarConfig) -> float:
-    """||y - A alpha|| for a candidate grid and solved amplitudes."""
-    a = _design_matrix(grid, np.asarray(symbols), cfg)
-    return float(np.linalg.norm(np.ravel(echo) - a @ np.asarray(amplitudes)))
-
-
 class CompareResult(NamedTuple):
     max_gap: Optional[float]     # None when the scene is empty
     chain_amplitudes: np.ndarray

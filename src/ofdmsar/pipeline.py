@@ -56,7 +56,7 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
 # trial count.
 _CHUNK_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
-_MAINLOBE_HALFWIDTH_BINS = 1
+MAINLOBE_HALFWIDTH_BINS = 1
 
 
 def _chunk_trials(trials: int, n: int, m: int) -> int:
@@ -73,7 +73,6 @@ class EnsembleResult:
     stats: FilterStats
     mode: str
     trials: int
-    seed: int
     r_bar_ref_m: float
     peak_bin: tuple[int, int]
     alpha_ref: complex
@@ -179,7 +178,7 @@ def run_sweep_ensemble(scene: Scene,
                     cfg=cfg, filter_spec=filter_spec,
                     stats=chi_stats(constellation, filter_spec),
                     mode="data_aided" if mask is None else "pilot_only",
-                    trials=trials, seed=seed, r_bar_ref_m=r_bar_ref,
+                    trials=trials, r_bar_ref_m=r_bar_ref,
                     peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
                     noiseless_peaks=np.empty(trials, dtype=complex),
                     noisy_peaks=np.empty(trials, dtype=complex),
@@ -259,7 +258,7 @@ def run_pilot_ensemble(scene: Scene, cfg_full: RadarConfig, srs: SrsConfig,
 def point_target_report(result: EnsembleResult) -> MetricsReport:
     """Assemble the standard quality report from ensemble reductions.
 
-    The reported islr_db counts _MAINLOBE_HALFWIDTH_BINS bins on each side
+    The reported islr_db counts MAINLOBE_HALFWIDTH_BINS bins on each side
     of the peak as mainlobe; the identity residual is always evaluated with
     the single-bin mainlobe and the shared noisy-peak normalization under
     which the decomposition is exact, and is reported only for single-target
@@ -277,7 +276,7 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
 
     peak_sq = result.peak_sq_mean
     islr_report = islr(result.mean_noisy_power, result.peak_bin,
-                       _MAINLOBE_HALFWIDTH_BINS)
+                       MAINLOBE_HALFWIDTH_BINS)
     islr_single = islr(result.mean_noisy_power, result.peak_bin, 0)
     pel_value = pel(result.noiseless_peaks, cfg)
     snr_value = snr_out(peak_sq, result.stats, sigma_alpha, noise_var)

@@ -28,14 +28,14 @@ Conventions: Doppler bins use the signed/centered index p = bin - M//2
 (zero Doppler at bin M//2 of the stored array, the values of
 _doppler_bins(cfg), in steps of cfg.doppler_pitch_hz); range bin k has
 pitch c/(2 N df); azimuth output bin m is the symbol index of closest
-approach.  The stationary-phase analysis helpers (stationary_point,
-spa_spectrum) mirror what the chain does implicitly.
+approach.  The stationary-phase analysis helper spa_spectrum mirrors what
+the chain does implicitly.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,36 +72,6 @@ def azimuth_fft(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     _check_shape(x, cfg)
     return np.fft.fftshift(np.fft.fft(x, axis=1), axes=1) \
         / np.sqrt(cfg.n_symbols)
-
-
-class StationaryPoint(NamedTuple):
-    m_tilde: Union[float, np.ndarray]
-    in_support: Union[bool, np.ndarray]
-
-
-def stationary_point(p, cfg: RadarConfig, r_bar_m: float,
-                     y_q_m: float) -> StationaryPoint:
-    """Symbol index whose instantaneous Doppler equals bin p.
-
-    The azimuth phase -pi K_a T^2 (m - m_q)^2 beaten against the DFT kernel
-    -2 pi p m / M is stationary at
-
-        m_tilde = m_q - p / (M T^2 K_a),   m_q = y_q / (v T).
-
-    Returns the (possibly fractional) index and whether it falls inside the
-    aperture [0, M).
-    """
-    k_a = cfg.azimuth_rate_at(r_bar_m)
-    t = cfg.total_symbol_s
-    v = cfg.platform.speed_mps
-    if v <= 0:
-        raise InvalidParameterError("stationary point undefined for a static platform")
-    p = np.asarray(p, dtype=float)
-    m_tilde = y_q_m / (v * t) - p / (cfg.n_symbols * t * t * k_a)
-    in_support = (m_tilde >= 0.0) & (m_tilde < cfg.n_symbols)
-    if m_tilde.ndim == 0:
-        return StationaryPoint(float(m_tilde), bool(in_support))
-    return StationaryPoint(m_tilde, in_support)
 
 
 class SpaResult(NamedTuple):

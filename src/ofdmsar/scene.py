@@ -76,6 +76,19 @@ class Scene:
     def mean_ranges_m(self, geom: PlatformGeometry) -> np.ndarray:
         return np.array([t.mean_range_m(geom) for t in self.targets])
 
+    def amplitude_vector(self, amplitudes: Optional[np.ndarray] = None
+                         ) -> np.ndarray:
+        """Raw amplitudes d_q as a complex (Q,) vector: the given ones,
+        shape-checked, or by default each target's sqrt(rcs_var)."""
+        if amplitudes is None:
+            return np.array([np.sqrt(t.rcs_var) for t in self.targets],
+                            dtype=complex)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != (self.q,):
+            raise InvalidParameterError(
+                f"amplitudes shape {amplitudes.shape} != (Q,) = ({self.q},)")
+        return amplitudes
+
     def draw_amplitudes(self, rng: Optional[np.random.Generator],
                         n_trials: int = 1) -> np.ndarray:
         """Per-trial raw amplitudes d_q, shape (n_trials, Q).
@@ -84,10 +97,7 @@ class Scene:
         random targets are drawn CN(0, rcs_var).  rng may be None when the
         scene has no random targets.
         """
-        amps = np.zeros((n_trials, self.q), dtype=complex)
-        for j, t in enumerate(self.targets):
-            if t.amplitude_mode == "deterministic":
-                amps[:, j] = np.sqrt(t.rcs_var)
+        amps = np.tile(self.amplitude_vector(), (n_trials, 1))
         random_cols = [j for j, t in enumerate(self.targets)
                        if t.amplitude_mode == "random"]
         if random_cols:
@@ -171,21 +181,6 @@ def ground_to_pixel(x, y, shape, extent):
     return row, col
 
 
-def raster_extent(cfg, shape, center_x_m: float, center_y_m: float = 0.0):
-    """Extent that gives a raster one resolution cell per pixel.
-
-    Pixel pitch is the range-bin spacing across rows and the azimuth
-    resolution v/B_a(center range) across columns, centered on
-    (center_x_m, center_y_m).
-    """
-    height, width = shape
-    r_bar = mean_range(center_x_m, cfg.platform)
-    pitch_x = cfg.range_pitch_m
-    pitch_y = cfg.platform.speed_mps / cfg.azimuth_bandwidth_at(r_bar)
-    return (center_x_m - pitch_x * height / 2.0, center_x_m + pitch_x * height / 2.0,
-            center_y_m - pitch_y * width / 2.0, center_y_m + pitch_y * width / 2.0)
-
-
 def load_scene_pgm(data: bytes, extent, threshold: int = 0,
                    rcs_scale: float = 1.0) -> Scene:
     """Turn bright raster pixels into deterministic point targets.
@@ -210,21 +205,3 @@ def load_scene_pgm(data: bytes, extent, threshold: int = 0,
                                    amplitude_mode="deterministic"))
     return Scene(targets=tuple(targets),
                  extent=tuple(float(v) for v in extent))
-
-
-# JSON descriptors ---------------------------------------------------------
-
-def scene_to_descriptor(scene: Scene) -> dict:
-    return {
-        "extent": list(scene.extent),
-        "targets": [
-            {"x": t.x_m, "y": t.y_m, "rcs_var": t.rcs_var, "mode": t.amplitude_mode}
-            for t in scene.targets
-        ],
-    }
-
-
-def scene_from_descriptor(desc: dict) -> Scene:
-    if not isinstance(desc, dict) or "targets" not in desc:
-        raise SceneError("scene descriptor must be an object with a 'targets' list")
-    return make_point_scene(desc["targets"], extent=desc.get("extent"))

@@ -92,6 +92,10 @@ class RadarConfig:
                 f"n_symbols {self.n_symbols} != round(aperture / total symbol) {m_expected}")
         if self.n_symbols < 1:
             raise ConfigurationError("aperture shorter than one OFDM symbol")
+        if 16 * self.n_subcarriers * self.n_symbols > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"the {self.n_subcarriers}x{self.n_symbols} grid of complex128 "
+                f"cells exceeds the largest array numpy can address")
 
         occupied = self.n_subcarriers * self.subcarrier_spacing_hz
         if occupied > self.bandwidth_hz * (1 + _REL_TOL):

@@ -88,14 +88,24 @@ LIBRARY_REJECTS = (
     (("radar", "platform", "speed_mps"), 1e-320, "$.radar"),  # v^2 is 0
     (("radar", "platform", "speed_mps"), 1e308, "$.radar.platform"),
     (("radar", "fc_hz"), 1e-320, "$.radar"),  # infinite wavelength
+    # N*M complex cells past the largest array numpy can address
+    (("radar", "aperture_time_s"), 1e20, "$.radar"),
+    # the platform ends the aperture far beyond the cyclic prefix's reach
+    (("radar", "aperture_time_s"), 1e12, "$.scene"),
+    # a run grid or reference peak the metrics cannot measure
+    (("radar", "aperture_time_s"), 3 * T_SYM, "$.radar"),
+    (("azimuth_downsample",), 5, "$.azimuth_downsample"),
+    (("scene", "targets", 0, "y"), 0, "$.scene"),
 )
 
 
 # Parsing ---------------------------------------------------------------------
 
 def test_parse_defaults():
+    # 64 symbols, so the default data decimation leaves a measurable grid
     doc = copy.deepcopy(BASE)
     del doc["filter"], doc["trials"], doc["seed"], doc["azimuth_downsample"]
+    doc["radar"]["aperture_time_s"] = 64 * T_SYM
     scenario = parse_config(json.dumps(doc))
     assert scenario.filters == ("rf", "mf", "wf")
     assert scenario.mode == "data_aided"
@@ -109,7 +119,7 @@ def test_parse_defaults():
     assert scenario.outputs.grids == ()
     assert scenario.outputs.db_floor == DEFAULT_DB_FLOOR
     assert scenario.snr_db == (5.0,)
-    assert scenario.radar.n_symbols == M
+    assert scenario.radar.n_symbols == 64
     assert scenario.scene.q == 1
 
 
@@ -125,6 +135,13 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(radar=bad_platform))
     assert err.value.path == "$.radar.platform.height_m"
+    # the platform has no antenna: a footprint field is an unknown one
+    for key in ("elevation_angle_rad", "aperture_az_m", "aperture_el_m"):
+        antenna = copy.deepcopy(BASE["radar"])
+        antenna["platform"][key] = 0.1
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(radar=antenna))
+        assert err.value.path == f"$.radar.platform.{key}"
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
     assert err.value.path == "$"
@@ -192,6 +209,11 @@ def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(mode="pilot_only", azimuth_downsample=None,
                                  srs={**SRS, "start_subcarrier": N - 4}))
+    assert err.value.path == "$.srs"
+    # a pilot period of 6 keeps 2 of the 16 symbols
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text(mode="pilot_only", azimuth_downsample=None,
+                                 srs={**SRS, "periodicity_slots": 3}))
     assert err.value.path == "$.srs"
 
 
@@ -321,8 +343,7 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
     assert profile[0] == "bin,range_m,power_db"
     assert len(profile) == 1 + N
     # the dumped grid parses back at the right stage and size
-    from ofdmsar.echo import load_grid
-    data, stage = load_grid(str(out / "grid_tf.bin"))
+    data, stage = echo.grid_from_bytes((out / "grid_tf.bin").read_bytes())
     assert stage == "tf"
     assert data.shape == (N, M)
 
@@ -480,12 +501,17 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     config.write_text(config_text(trials=-1))
     assert main(["--config", str(config)]) == 2
     assert "$.trials" in capsys.readouterr().err
-    # both fail before any ensemble runs: a negative seed has no random
-    # stream, and the image scale needs a floor below 0 dB
+    # each fails before any ensemble runs: a negative seed has no random
+    # stream, the image scale needs a floor below 0 dB, and the platform
+    # has no antenna field
     out_dir = tmp_path / "artifacts"
+    antenna = copy.deepcopy(BASE["radar"])
+    antenna["platform"]["aperture_az_m"] = 0.1
     for text, args, path in ((config_text(), ["--seed", "-1"], "--seed"),
                              (config_text(outputs={"db_floor": 5.0}), [],
-                              "$.outputs.db_floor")):
+                              "$.outputs.db_floor"),
+                             (config_text(radar=antenna), [],
+                              "$.radar.platform.aperture_az_m")):
         config.write_text(text)
         assert main(["--config", str(config), "--out-dir", str(out_dir)]
                     + args) == 2
@@ -541,6 +567,13 @@ def test_main_reports_out_of_memory(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{N}x{M} run grid" in err
+    # running out while parsing is reported the same way
+    monkeypatch.setattr(cli, "parse_config", lambda *args, **kwargs:
+                        exhausted(None, None))
+    assert main(["--config", str(config),
+                 "--out-dir", str(tmp_path / "artifacts")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the scenario does not fit in memory\n"
 
 
 def test_main_rejects_snr_beyond_float_range(tmp_path, capsys):
@@ -605,6 +638,7 @@ _MUTANTS = st.one_of(
 @example(path=("radar", "fc_hz"), value=1e308)
 @example(path=("radar", "fc_hz"), value=1e-320)
 @example(path=("radar", "aperture_time_s"), value=1e308)
+@example(path=("radar", "aperture_time_s"), value=1e20)
 @example(path=("radar", "platform", "speed_mps"), value=0)
 @example(path=("radar", "platform", "speed_mps"), value=1e-320)
 @example(path=("radar", "platform", "speed_mps"), value=1e308)

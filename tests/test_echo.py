@@ -1,12 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar.echo import (build_channel_matrix, check_cp_margin, draw_noise,
-                          grid_from_bytes, grid_to_bytes, load_grid,
-                          save_grid, synthesize_echo)
+                          grid_from_bytes, grid_to_bytes, synthesize_echo)
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
                             SceneError, StageError)
 from ofdmsar.scene import make_point_scene
@@ -215,18 +212,3 @@ def test_grid_bytes_validation():
     bad_stage = blob[:16] + b"\x09" + blob[17:]
     with pytest.raises(StageError):
         grid_from_bytes(bad_stage)
-
-
-def test_grid_file_round_trip(tmp_path):
-    data = np.arange(6, dtype=float).reshape(2, 3) + 0.5j
-    path = tmp_path / "grid.bin"
-    save_grid(str(path), data, "ac")
-    back, stage = load_grid(str(path))
-    assert stage == "ac"
-    assert np.array_equal(back, data)
-    buf = io.BytesIO()
-    save_grid(buf, data, "rd")
-    buf.seek(0)
-    back2, stage2 = load_grid(buf)
-    assert stage2 == "rd"
-    assert np.array_equal(back2, data)

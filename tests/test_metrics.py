@@ -8,7 +8,7 @@ from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.metrics import (SINC_3DB_WIDTH_BINS, MetricsReport,
                              analytic_point_metrics, doppler_support,
                              ideal_reference_image, identity_residual, islr,
-                             measure_mainlobe_width, mse_vs_ideal, nmse,
+                             measure_mainlobe_width, nmse,
                              pedestal_level, pel, snr_out, target_bin,
                              theoretical_resolutions)
 from ofdmsar.tf_filter import FilterSpec
@@ -158,14 +158,8 @@ def test_snr_out_synthetic():
 
 
 def test_mse_and_nmse():
-    ideal = np.zeros((4, 4), dtype=complex)
-    images = np.stack([ideal + 1.0, ideal + 2.0])
-    per_trial = mse_vs_ideal(images, ideal)
-    assert np.allclose(per_trial, [16.0, 64.0])
     assert nmse(40.0, peak_sq_mean=16.0, sigma_alpha_var=0.5) == \
         pytest.approx(5.0)
-    with pytest.raises(InvalidParameterError):
-        mse_vs_ideal(images, np.zeros((4, 5), dtype=complex))
     with pytest.raises(InvalidParameterError):
         nmse(1.0, 0.0, 1.0)
 

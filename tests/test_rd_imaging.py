@@ -11,7 +11,7 @@ from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 _shift_transfer, azimuth_compress,
                                 azimuth_fft, focus_image, focus_stages,
                                 focusing_operator, range_compress, rcm_shift,
-                                rcmc, spa_spectrum, stationary_point)
+                                rcmc, spa_spectrum)
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import gen_symbol_grid, make_qam
 
@@ -314,21 +314,6 @@ def test_ensemble_builds_rcmc_transfer_once(monkeypatch):
 
 
 # Stationary-phase helpers ----------------------------------------------------
-
-def test_stationary_point_zero_doppler():
-    cfg = critical_config(32, 32)
-    r_bar = 16 * cfg.range_pitch_m
-    y_q = 10 * cfg.azimuth_pitch_m
-    sp = stationary_point(0, cfg, r_bar, y_q)
-    assert sp.m_tilde == pytest.approx(10.0, rel=1e-12)
-    assert sp.in_support
-    # positive Doppler bins map to earlier symbols (approaching platform)
-    sp_pos = stationary_point(4, cfg, r_bar, y_q)
-    assert sp_pos.m_tilde < sp.m_tilde
-    array = stationary_point(np.array([0, 4, 4000]), cfg, r_bar, y_q)
-    assert array.m_tilde.shape == (3,)
-    assert array.in_support[0] and not array.in_support[2]
-
 
 def test_spa_matches_fft_for_slow_chirp():
     # |SPA| within 10% of |FFT| over the central 80% of the Doppler support

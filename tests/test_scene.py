@@ -5,10 +5,7 @@ from ofdmsar.errors import InvalidParameterError, SceneError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import write_pgm
 from ofdmsar.scene import (PointTarget, Scene, ground_to_pixel,
-                           load_scene_pgm, make_point_scene, pixel_to_ground,
-                           raster_extent, scene_from_descriptor,
-                           scene_to_descriptor)
-from ofdmsar.waveform import nr_config
+                           load_scene_pgm, make_point_scene, pixel_to_ground)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
@@ -93,18 +90,6 @@ def test_pixel_ground_round_trip():
     assert y.min() > extent[2] and y.max() < extent[3]
 
 
-def test_raster_extent_pitch():
-    cfg = nr_config(PLATFORM, n_subcarriers=256, aperture_time_s=2.0)
-    shape = (16, 32)
-    extent = raster_extent(cfg, shape, center_x_m=300.0)
-    x_min, x_max, y_min, y_max = extent
-    assert x_max - x_min == pytest.approx(16 * cfg.range_pitch_m, rel=1e-12)
-    r_bar = np.hypot(300.0, 1000.0)
-    pitch_y = 50.0 / cfg.azimuth_bandwidth_at(r_bar)
-    assert y_max - y_min == pytest.approx(32 * pitch_y, rel=1e-12)
-    assert (x_min + x_max) / 2 == pytest.approx(300.0)
-
-
 def test_load_scene_pgm():
     pixels = np.zeros((4, 4), dtype=np.uint8)
     pixels[1, 2] = 255
@@ -132,14 +117,3 @@ def test_load_scene_pgm_validation():
         load_scene_pgm(data8, (0, 1, 0, 1), threshold=300)
     with pytest.raises(InvalidParameterError):
         load_scene_pgm(data8, (0, 1, 0, 1), rcs_scale=0.0)
-
-
-def test_descriptor_round_trip():
-    scene = make_point_scene(
-        [(1.0, 2.0, 0.5), {"x": 3.0, "y": 4.0, "mode": "random"}],
-        extent=(0.0, 5.0, 0.0, 5.0))
-    desc = scene_to_descriptor(scene)
-    back = scene_from_descriptor(desc)
-    assert back == scene
-    with pytest.raises(SceneError):
-        scene_from_descriptor({"extent": [0, 1, 0, 1]})
