@@ -384,7 +384,7 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     scenario = _with_snrs(scenario, snr_db, snr_paths)
     if pilot:
         with _at("$.srs"):
-            pilot_comb_mask(run_radar, srs)
+            srs.check_fits(run_radar.n_subcarriers)
     ref = next((t for t in scene.targets
                 if t.amplitude_mode == "deterministic"), None)
     if ref is None:

@@ -9,21 +9,45 @@ images) and trial 0's filtered tf grid, which the CLI renders as its
 stage images.  The points share one set of draws (common random numbers)
 and one focusing operator (rd_imaging.focusing_operator).  The channel
 and the ideal image are built once per sweep, or per trial from its
-amplitudes when the scene has random targets.  Noise enters by
-linearity: each trial focuses the noiseless filtered echo and the
-filtered noise separately, so one draw serves the noiseless and noisy
-statistics.  run_point_ensemble is the one-point sweep.
+amplitudes when the scene has random targets.  run_point_ensemble is
+the one-point sweep.
+
+The focusing operator F is linear, so each point's images are real
+multiples of a few canonical focused grids.  Its noisy image is
+clean + sigma * c * F(z * g_ref), with sigma = sqrt(noise_var / 2) and z
+the unit noise.  With a constant-modulus alphabet (every |s|^2 = rho, as
+QPSK) every gain is a real multiple of conj(s), so g_ref = conj(s) and c
+is 1/rho for rf, 1 for mf and 1/(rho + 1/SNR) for wf; otherwise g_ref is
+the point's own gain grid and c = 1, so all rf points share one noise
+grid, all mf points another, and each wf SNR has its own.  When
+chi = s * g is the same on every alphabet point (rf always; every filter
+of a constant-modulus alphabet) the noiseless image is
+chi * F(channel * act), act being the active cells; otherwise it is
+F(channel * s * g), shared by points with equal gains (mf across SNRs).
+Each canonical grid is focused once per trial, or once per sweep when it
+does not change between trials (F(channel * act) of a deterministic
+scene), and every point that uses it reads it.  So a constant-modulus
+sweep focuses one grid per trial plus one per sweep instead of two per
+point and trial; QAM16 rf/mf/wf at two SNRs focuses 7 per trial plus 1
+instead of 12.  The choice follows from the alphabet and the filter
+specs alone, so a point run alone reads the same grids by the same
+formula and its bits do not depend on the rest of the sweep.
 
 Trials stream through chunks of as many (N, M) complex grids as fit
 _CHUNK_BYTES.  One Philox generator per stream (symbols, noise, target
 amplitudes) lives across the chunks, so no result depends on the chunk
 size.  Memory is the chunk's draws (with random targets, also its
-channels and ideal images), the per-trial working grids, and the
+channels and ideal images), the canonical grids that several points read
+(one (N, M) complex grid per trial of the chunk each, plus one for the
+sweep's F(channel * act)), the per-trial working grids, and the
 per-point reductions: each point's result is filled chunk by chunk and
 yielded once its last chunk is done, so a sweep of P points that spans
 several chunks holds 2*P*N*M*8 bytes of mean power images until its last
 chunk, while one that fits in one chunk makes each point's images only
-when it reaches that point.
+when it reaches that point.  When every grid is shared (a
+constant-modulus sweep of several noisy points), a chunk keeps only
+trial 0's symbols and noise once its shared grids are focused, so its
+shared noise grids take the place of its draws.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -33,14 +57,14 @@ to the comb, then runs the identical chain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .echo import build_channel_matrix, check_cp_margin, draw_noise
-from .errors import (ConfigurationError, InvalidParameterError,
-                     MeasurementError)
+from .errors import InvalidParameterError, MeasurementError
 from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       islr, measure_mainlobe_width, nmse, pel, snr_out,
                       target_bin, theoretical_resolutions)
@@ -102,6 +126,57 @@ class EnsembleResult:
         return nmse(float(np.mean(self.mse_calibrated)), peak_cal, sigma_alpha)
 
 
+class _Reads(NamedTuple):
+    """Which canonical focused grids one point's images read: its noiseless
+    image is the ("signal", signal) grid, times chi unless chi is None, and
+    its noise image is sqrt(noise_var / 2) * scale times ("noise", noise)."""
+
+    chi: Optional[float]
+    signal: Optional[FilterSpec]
+    noise: FilterSpec
+    scale: float
+
+
+def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
+    """A point's reads, from the alphabet and its filter alone.  With a
+    constant modulus rho every gain is conj(s) / level (level rho, 1 or
+    rho + 1/SNR) and chi = rho / level; rf has chi = s/s = 1 on any
+    alphabet without a zero symbol."""
+    own = spec if spec.kind == "wf" else FilterSpec(spec.kind)
+    power = np.abs(constellation.points) ** 2
+    if not power.all():  # a zero symbol is an inactive cell: chi is 0 there
+        return _Reads(None, own, own, 1.0)
+    if (power == power[0]).all():
+        rho = float(power[0])
+        level = (rho if spec.kind == "rf" else 1.0 if spec.kind == "mf"
+                 else rho + 1.0 / spec.snr_in_linear)
+        return _Reads(rho / level, None, FilterSpec("mf"), 1.0 / level)
+    if spec.kind == "rf":
+        return _Reads(1.0, None, own, 1.0)
+    return _Reads(None, own, own, 1.0)
+
+
+def _focus_grids(focus, keys, channel: np.ndarray, symbols: np.ndarray,
+                 noise: Optional[np.ndarray],
+                 mask: Optional[np.ndarray]) -> dict:
+    """One trial's canonical focused grids by (part, gain spec) key:
+    ("signal", None) is F(channel * act), ("signal", g) is F(channel * s * g)
+    and ("noise", g) is F(z * g), computing each gain grid once."""
+    gains = {spec: filter_gains(symbols, spec)
+             for spec in dict.fromkeys(spec for _, spec in keys)
+             if spec is not None}
+    grids = {}
+    for part, spec in keys:  # no name holds an operand past its focus
+        if spec is None:
+            grids[part, spec] = focus(channel if mask is None
+                                      else channel * mask)
+        elif part == "signal":
+            grids[part, spec] = focus(channel * symbols * gains[spec])
+        else:
+            grids[part, spec] = focus(noise * gains[spec])
+    return grids
+
+
 def run_sweep_ensemble(scene: Scene,
                        points: Sequence[tuple[RadarConfig, FilterSpec]],
                        constellation: Constellation, trials: int, seed: int,
@@ -149,6 +224,23 @@ def run_sweep_ensemble(scene: Scene,
     fixed = (None if rcs_rng is not None else
              (build_channel_matrix(scene, cfg0),
               ideal_reference_image(scene, cfg0)))
+    reads = [_focus_reads(constellation, spec) for _, spec in points]
+    # the canonical (part, gain spec) grids each point reads
+    keys = [[("signal", r.signal)]
+            + ([("noise", r.noise)] if cfg.noise_var > 0 else [])
+            for (cfg, _), r in zip(points, reads)]
+    users = Counter(key for point_keys in keys for key in point_keys)
+    # F(channel * act) of a deterministic scene is focused once per sweep;
+    # every other grid that several points read, once per trial
+    constant = ("signal", None) if rcs_rng is None else None
+    swept = (_focus_grids(focus, [constant], fixed[0], None, None, mask)
+             if constant in users else {})
+    shared_keys = [key for key, n_users in users.items()
+                   if n_users > 1 and key != constant]
+    # the grids each point focuses itself, per trial
+    own = [[key for key in point_keys
+            if key != constant and key not in shared_keys]
+           for point_keys in keys]
     chunk = _chunk_trials(trials, n, m)
     # each point's result is made on first use and filled chunk by chunk
     results: list[Optional[EnsembleResult]] = [None] * len(points)
@@ -160,11 +252,17 @@ def run_sweep_ensemble(scene: Scene,
                                trials=size, rng=symbol_rng)
         unit_noise = (draw_noise(cfg0, seed, n_trials=size, unit=True,
                                  rng=noise_rng)
-                      if noise_rng is not None else None)
+                      if noise_rng is not None else [None] * size)
         truths = ([fixed] * size if rcs_rng is None else
                   [(build_channel_matrix(scene, cfg0, amps),
                     ideal_reference_image(scene, cfg0, amps))
                    for amps in scene.draw_amplitudes(rcs_rng, size)])
+        shared = [_focus_grids(focus, shared_keys, truths[i][0], grid[i],
+                               unit_noise[i], mask) for i in range(size)]
+        if not any(own):
+            # no point focuses a draw itself: only trial 0's, which
+            # first_tf filters, are read again
+            grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
 
         for p, (cfg, filter_spec) in enumerate(points):
             noise_scale = np.sqrt(cfg.noise_var / 2.0)
@@ -191,14 +289,25 @@ def run_sweep_ensemble(scene: Scene,
             e_chi = res.stats.chi_mean
             mean_clean = res.mean_noiseless_power
             mean_noisy = res.mean_noisy_power
+            r = reads[p]
+            sigma = noise_scale * r.scale
 
-            for i, symbols in enumerate(grid):
+            for i in range(size):
                 t = start + i
-                channel, ideal = truths[i]
-                gains = filter_gains(symbols, filter_spec)
-                clean = focus(channel * symbols * gains)
-                noisy = (clean + focus(noise_scale * unit_noise[i] * gains)
-                         if cfg.noise_var > 0 else clean)
+                ideal = truths[i][1]
+                images = {**swept, **shared[i]}
+                if own[p]:
+                    images.update(_focus_grids(focus, own[p], truths[i][0],
+                                               grid[i], unit_noise[i], mask))
+                clean = images["signal", r.signal]
+                if r.chi is not None:
+                    clean = r.chi * clean
+                noisy = clean
+                if cfg.noise_var > 0:
+                    # popped and added in place: no third grid is held
+                    noisy = sigma * images.pop(("noise", r.noise))
+                    noisy += clean
+                del images  # the point's own grids are not held further
 
                 res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
                 res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
@@ -214,7 +323,7 @@ def run_sweep_ensemble(scene: Scene,
                 results[p] = None
                 yield res
                 del res, mean_clean, mean_noisy  # not held into the next point
-        del grid, unit_noise, truths  # free this chunk's draws
+        del grid, unit_noise, truths, shared  # free this chunk's draws
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,
@@ -232,11 +341,7 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
 def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
     """Comb activity mask on the pilot-rate grid: every retained symbol is a
     pilot symbol, so only the subcarrier comb pattern remains."""
-    if srs.start_subcarrier + srs.span_subcarriers > cfg_decimated.n_subcarriers:
-        raise ConfigurationError(
-            f"pilot block [{srs.start_subcarrier}, "
-            f"{srs.start_subcarrier + srs.span_subcarriers}) does not fit in "
-            f"{cfg_decimated.n_subcarriers} subcarriers")
+    srs.check_fits(cfg_decimated.n_subcarriers)
     comb = np.zeros((cfg_decimated.n_subcarriers, cfg_decimated.n_symbols),
                     dtype=bool)
     comb[srs.tone_indices(), :] = True

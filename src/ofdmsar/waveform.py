@@ -384,6 +384,15 @@ class SrsConfig:
     def period_symbols(self) -> int:
         return self.periodicity_slots * self.symbols_per_slot
 
+    def check_fits(self, n_subcarriers: int):
+        """Raise ConfigurationError unless the pilot block lies within the
+        first n_subcarriers subcarriers."""
+        end = self.start_subcarrier + self.span_subcarriers
+        if end > n_subcarriers:
+            raise ConfigurationError(
+                f"pilot block [{self.start_subcarrier}, {end}) does not fit "
+                f"in {n_subcarriers} subcarriers")
+
     def tone_indices(self) -> np.ndarray:
         """Subcarrier indices active in a pilot symbol."""
         return self.start_subcarrier + np.arange(0, self.span_subcarriers,

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdmsar import cli, echo, pipeline
-from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, ScenarioConfig,
-                         emit_pgm, main, parse_config, run_scenario)
+from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, emit_pgm, main,
+                         parse_config, run_scenario)
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
 from ofdmsar.waveform import RadarConfig, SrsConfig, SPEED_OF_LIGHT as c
@@ -215,6 +215,23 @@ def test_parse_paths_in_errors():
         parse_config(config_text(mode="pilot_only", azimuth_downsample=None,
                                  srs={**SRS, "periodicity_slots": 3}))
     assert err.value.path == "$.srs"
+
+
+def test_pilot_block_is_checked_without_building_the_comb(tmp_path, capsys):
+    # a 1e12 s aperture is a comb of 1.9e13 pilot symbols; checking the
+    # pilot block needs only the subcarrier count, so the cyclic-prefix
+    # check names the scene instead of the scenario running out of memory
+    doc = mutated(("radar", "aperture_time_s"), 1e12)
+    del doc["azimuth_downsample"]
+    doc.update(mode="pilot_only", srs=SRS)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == "$.scene"
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    assert main(["--config", str(config), "--out-dir",
+                 str(tmp_path / "artifacts")]) == 2
+    assert "error: $.scene: " in capsys.readouterr().err
 
 
 def test_field_tables_match_the_config_dataclasses():

@@ -7,14 +7,16 @@ import pytest
 
 from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar import pipeline
-from ofdmsar.echo import build_channel_matrix, synthesize_echo
+from ofdmsar.echo import build_channel_matrix, draw_noise, synthesize_echo
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.pipeline import (pilot_comb_mask, run_point_ensemble,
                               run_sweep_ensemble)
+from ofdmsar.metrics import ideal_reference_image
 from ofdmsar.rd_imaging import focus_image
 from ofdmsar.scene import Scene
-from ofdmsar.tf_filter import FilterSpec, apply_tf_filter
-from ofdmsar.waveform import SrsConfig, gen_symbol_grid, make_qam
+from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
+from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
+                              gen_symbol_grid, make_qam)
 
 ARRAYS = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated",
           "mean_noisy_power", "mean_noiseless_power", "first_tf")
@@ -68,6 +70,103 @@ def test_sweep_equals_single_point_runs(masked):
         for name in ARRAYS:
             assert np.array_equal(getattr(result, name),
                                   getattr(alone, name)), (spec.kind, name)
+
+
+@pytest.mark.parametrize("chunk", [2, None])
+@pytest.mark.parametrize("name, masked, per_trial", [("qpsk", True, 1),
+                                                     ("qam16", False, 7)])
+def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
+                                                   chunk, monkeypatch):
+    # rf/mf/wf x 2 SNRs.  QPSK: every gain is a real multiple of conj(s),
+    # so one noise grid per trial and one clean image per sweep serve all
+    # six points.  QAM16: rf's clean image once per sweep; one rf and one
+    # mf noise grid and one mf clean grid per trial serve both SNRs; wf
+    # focuses both per SNR.  Focusing every point's two images takes 12.
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    calls = []
+    real = pipeline.focusing_operator
+
+    def counting(*args, **kwargs):
+        focus = real(*args, **kwargs)
+
+        def counted(x):
+            calls.append(x.shape)
+            return focus(x)
+        return counted
+    monkeypatch.setattr(pipeline, "focusing_operator", counting)
+    if chunk is not None:
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
+    points = []
+    for snr in (1.0, 10.0):
+        cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+        points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                   for kind in ("rf", "mf", "wf")]
+    trials = 5
+    mask = comb_mask(cfg) if masked else None
+    results = list(run_sweep_ensemble(scene, points, make_qam(name), trials,
+                                      seed=5, mask=mask))
+    assert len(results) == len(points)
+    assert len(calls) == per_trial * trials + 1
+    assert set(calls) == {(16, 16)}
+
+
+def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
+    """Each trial's images focused on their own, as the filtered-echo
+    model defines them, reduced like an EnsembleResult."""
+    symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask,
+                              trials=trials)
+    unit = draw_noise(cfg, seed, n_trials=trials, unit=True)
+    rng = (_philox(seed, RCS_STREAM)
+           if any(t.amplitude_mode == "random" for t in scene.targets)
+           else None)
+    amps = scene.draw_amplitudes(rng, trials)
+    scale = np.sqrt(cfg.noise_var / 2.0)
+    e_chi = chi_stats(constellation, spec).chi_mean
+    k_q, m_q = result.peak_bin
+    out = {name: [] for name in ARRAYS}
+    for t in range(trials):
+        channel = build_channel_matrix(scene, cfg, amps[t])
+        ideal = ideal_reference_image(scene, cfg, amps[t])
+        gains = filter_gains(symbols[t], spec)
+        clean = focus_image(channel * symbols[t] * gains, cfg,
+                            result.r_bar_ref_m)
+        noisy = clean + focus_image(scale * unit[t] * gains, cfg,
+                                    result.r_bar_ref_m)
+        out["noiseless_peaks"].append(clean[k_q, m_q] / result.alpha_ref)
+        out["noisy_peaks"].append(noisy[k_q, m_q] / result.alpha_ref)
+        out["mse"].append(np.sum(np.abs(noisy - ideal) ** 2))
+        out["mse_calibrated"].append(
+            np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+        out["mean_noiseless_power"].append(np.abs(clean) ** 2)
+        out["mean_noisy_power"].append(np.abs(noisy) ** 2)
+        if t == 0:
+            out["first_tf"] = (channel * symbols[0] + scale * unit[0]) * gains
+    return {name: (value if name == "first_tf" else
+                   np.mean(value, axis=0) if name.startswith("mean")
+                   else np.array(value))
+            for name, value in out.items()}
+
+
+@pytest.mark.parametrize("name, masked, random", [("qpsk", True, False),
+                                                  ("qam16", False, False),
+                                                  ("qpsk", False, True)])
+def test_shared_focusing_moves_results_by_round_off_only(name, masked,
+                                                         random):
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = (random_target_scene(cfg)[0] if random else
+             single_target_scene(cfg, k_bin=8, m_bin=8))
+    mask = comb_mask(cfg) if masked else None
+    qam = make_qam(name)
+    points = sweep_points(cfg)
+    swept = run_sweep_ensemble(scene, points, qam, trials=2, seed=5,
+                               mask=mask)
+    for (cfg_n, spec), result in zip(points, swept):
+        expected = recomputed(scene, cfg_n, spec, qam, 2, 5, mask, result)
+        for array in ARRAYS:
+            want = expected[array]
+            error = np.max(np.abs(getattr(result, array) - want))
+            assert error <= 1e-12 * np.max(np.abs(want)), (spec, array)
 
 
 def test_sweep_rejects_points_that_change_the_geometry():

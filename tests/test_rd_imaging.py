@@ -13,7 +13,7 @@ from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 focusing_operator, range_compress, rcm_shift,
                                 rcmc, spa_spectrum)
 from ofdmsar.tf_filter import FilterSpec
-from ofdmsar.waveform import gen_symbol_grid, make_qam
+from ofdmsar.waveform import make_qam
 
 
 def unit_tf_grid(cfg, fill=1.0):

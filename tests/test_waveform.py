@@ -12,9 +12,9 @@ from ofdmsar.errors import ConfigurationError, InvalidParameterError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pipeline import pilot_comb_mask
 from ofdmsar.tf_filter import FilterSpec
-from ofdmsar.waveform import (SPEED_OF_LIGHT, SYMBOL_STREAM, Constellation,
-                              RadarConfig, SrsConfig, _philox,
-                              chi_stats, gen_symbol_grid, make_qam, nr_config)
+from ofdmsar.waveform import (SPEED_OF_LIGHT, SYMBOL_STREAM, RadarConfig,
+                              SrsConfig, _philox, chi_stats, gen_symbol_grid,
+                              make_qam, nr_config)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
