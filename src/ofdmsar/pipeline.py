@@ -37,17 +37,18 @@ Trials stream through chunks of as many (N, M) complex grids as fit
 _CHUNK_BYTES.  One Philox generator per stream (symbols, noise, target
 amplitudes) lives across the chunks, so no result depends on the chunk
 size.  Memory is the chunk's draws (with random targets, also its
-channels and ideal images), the canonical grids that several points read
-(one (N, M) complex grid per trial of the chunk each, plus one for the
-sweep's F(channel * act)), the per-trial working grids, and the
-per-point reductions: each point's result is filled chunk by chunk and
-yielded once its last chunk is done, so a sweep of P points that spans
-several chunks holds 2*P*N*M*8 bytes of mean power images until its last
-chunk, while one that fits in one chunk makes each point's images only
-when it reaches that point.  When every grid is shared (a
-constant-modulus sweep of several noisy points), a chunk keeps only
-trial 0's symbols and noise once its shared grids are focused, so its
-shared noise grids take the place of its draws.
+channels and ideal images), the sweep's F(channel * act), the K
+canonical grids per trial that several points read, the per-trial
+working grids, and the per-point reductions.  A sweep that fits one
+chunk makes each point's result only when it reaches that point and
+focuses the shared grids for the whole chunk.  A sweep of P points that
+spans several chunks holds 2*P*N*M*8 bytes of mean power images until
+its last chunk, and focuses the shared grids a block of trials at a
+time, a block's grids together fitting _CHUNK_BYTES (or one trial's K
+grids where they do not).  When every grid is shared (a constant-modulus
+sweep of several noisy points), a chunk keeps only trial 0's symbols and
+noise once its shared grids are focused, so the shared noise grids take
+the place of its draws.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -76,16 +77,17 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        gen_symbol_grid)
 
 # Bytes of one (chunk, N, M) complex128 stack.  Trials stream through
-# chunks of this size, so the draws held at once do not grow with the
+# chunks of this size, so the grids held at once do not grow with the
 # trial count.
 _CHUNK_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
 MAINLOBE_HALFWIDTH_BINS = 1
 
 
-def _chunk_trials(trials: int, n: int, m: int) -> int:
-    """Trials per chunk: as many (N, M) complex grids as fit the budget."""
-    return max(1, min(trials, _CHUNK_BYTES // (16 * n * m)))
+def _chunk_trials(trials: int, n: int, m: int, stacks: int = 1) -> int:
+    """Trials per chunk: as many as fit the budget with `stacks` (N, M)
+    complex grids per trial."""
+    return max(1, min(trials, _CHUNK_BYTES // (stacks * 16 * n * m)))
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,10 @@ class EnsembleResult:
 
 class _Reads(NamedTuple):
     """Which canonical focused grids one point's images read: its noiseless
-    image is the ("signal", signal) grid, times chi unless chi is None, and
-    its noise image is sqrt(noise_var / 2) * scale times ("noise", noise)."""
+    image is chi times the ("signal", signal) grid, and its noise image
+    sqrt(noise_var / 2) * scale times the ("noise", noise) grid."""
 
-    chi: Optional[float]
+    chi: float
     signal: Optional[FilterSpec]
     noise: FilterSpec
     scale: float
@@ -141,39 +143,34 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     """A point's reads, from the alphabet and its filter alone.  With a
     constant modulus rho every gain is conj(s) / level (level rho, 1 or
     rho + 1/SNR) and chi = rho / level; rf has chi = s/s = 1 on any
-    alphabet without a zero symbol."""
+    alphabet."""
     own = spec if spec.kind == "wf" else FilterSpec(spec.kind)
     power = np.abs(constellation.points) ** 2
-    if not power.all():  # a zero symbol is an inactive cell: chi is 0 there
-        return _Reads(None, own, own, 1.0)
     if (power == power[0]).all():
         rho = float(power[0])
         level = (rho if spec.kind == "rf" else 1.0 if spec.kind == "mf"
                  else rho + 1.0 / spec.snr_in_linear)
         return _Reads(rho / level, None, FilterSpec("mf"), 1.0 / level)
-    if spec.kind == "rf":
-        return _Reads(1.0, None, own, 1.0)
-    return _Reads(None, own, own, 1.0)
+    return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-def _focus_grids(focus, keys, channel: np.ndarray, symbols: np.ndarray,
-                 noise: Optional[np.ndarray],
-                 mask: Optional[np.ndarray]) -> dict:
-    """One trial's canonical focused grids by (part, gain spec) key:
-    ("signal", None) is F(channel * act), ("signal", g) is F(channel * s * g)
-    and ("noise", g) is F(z * g), computing each gain grid once."""
-    gains = {spec: filter_gains(symbols, spec)
-             for spec in dict.fromkeys(spec for _, spec in keys)
-             if spec is not None}
-    grids = {}
-    for part, spec in keys:  # no name holds an operand past its focus
+def _focus_grids(focus, recipes, slots, grids: list, channel: np.ndarray,
+                 symbols: np.ndarray, noise: Optional[np.ndarray],
+                 mask: Optional[np.ndarray]) -> list:
+    """Focus one trial's canonical grids `slots` into `grids`, by their
+    (part, gain, spec) recipes: ("signal", None, None) is F(channel * act),
+    ("signal", g, spec) is F(channel * s * g) and ("noise", g, spec) is
+    F(z * g), the gain index g naming each gain grid, computed once."""
+    gains = {}
+    for j in slots:  # no name holds an operand past its focus
+        part, g, spec = recipes[j]
         if spec is None:
-            grids[part, spec] = focus(channel if mask is None
-                                      else channel * mask)
-        elif part == "signal":
-            grids[part, spec] = focus(channel * symbols * gains[spec])
-        else:
-            grids[part, spec] = focus(noise * gains[spec])
+            grids[j] = focus(channel if mask is None else channel * mask)
+            continue
+        if g not in gains:
+            gains[g] = filter_gains(symbols, spec)
+        grids[j] = focus(channel * symbols * gains[g] if part == "signal"
+                         else noise * gains[g])
     return grids
 
 
@@ -225,29 +222,43 @@ def run_sweep_ensemble(scene: Scene,
              (build_channel_matrix(scene, cfg0),
               ideal_reference_image(scene, cfg0)))
     reads = [_focus_reads(constellation, spec) for _, spec in points]
-    # the canonical (part, gain spec) grids each point reads
-    keys = [[("signal", r.signal)]
-            + ([("noise", r.noise)] if cfg.noise_var > 0 else [])
-            for (cfg, _), r in zip(points, reads)]
-    users = Counter(key for point_keys in keys for key in point_keys)
+    # the canonical grids as (part, gain spec) keys, then as recipes with
+    # their gain spec's index, and each point's (signal, noise) grid index
+    keys = list(dict.fromkeys(
+        key for (cfg, _), r in zip(points, reads)
+        for key in [("signal", r.signal)]
+        + ([("noise", r.noise)] if cfg.noise_var > 0 else [])))
+    specs = list(dict.fromkeys(spec for _, spec in keys if spec is not None))
+    recipes = [(part, None if spec is None else specs.index(spec), spec)
+               for part, spec in keys]
+    slots = [(keys.index(("signal", r.signal)),
+              keys.index(("noise", r.noise)) if cfg.noise_var > 0 else None)
+             for (cfg, _), r in zip(points, reads)]
+    users = Counter(j for pair in slots for j in pair if j is not None)
     # F(channel * act) of a deterministic scene is focused once per sweep;
     # every other grid that several points read, once per trial
-    constant = ("signal", None) if rcs_rng is None else None
-    swept = (_focus_grids(focus, [constant], fixed[0], None, None, mask)
-             if constant in users else {})
-    shared_keys = [key for key, n_users in users.items()
-                   if n_users > 1 and key != constant]
+    swept = [None] * len(keys)
+    if rcs_rng is None and ("signal", None) in keys:
+        _focus_grids(focus, recipes, [keys.index(("signal", None))], swept,
+                     fixed[0], None, None, mask)
+    shared = [j for j, n_users in users.items()
+              if n_users > 1 and swept[j] is None]
     # the grids each point focuses itself, per trial
-    own = [[key for key in point_keys
-            if key != constant and key not in shared_keys]
-           for point_keys in keys]
+    own = [[j for j in pair if j is not None and j not in shared
+            and swept[j] is None] for pair in slots]
     chunk = _chunk_trials(trials, n, m)
-    # each point's result is made on first use and filled chunk by chunk
+    # a sweep of several chunks holds every point's result until its last
+    # chunk; it focuses the shared grids a block of trials at a time, all
+    # of a block's fitting one stack's budget.  A one-chunk sweep focuses
+    # them for the whole chunk, so that it makes each point's result only
+    # when it reaches that point.
+    block = (chunk if chunk == trials
+             else _chunk_trials(chunk, n, m, max(1, len(shared))))
+    # each point's result is made on first use and filled block by block
     results: list[Optional[EnsembleResult]] = [None] * len(points)
 
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        last = start + size == trials
         grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
                                trials=size, rng=symbol_rng)
         unit_noise = (draw_noise(cfg0, seed, n_trials=size, unit=True,
@@ -257,73 +268,80 @@ def run_sweep_ensemble(scene: Scene,
                   [(build_channel_matrix(scene, cfg0, amps),
                     ideal_reference_image(scene, cfg0, amps))
                    for amps in scene.draw_amplitudes(rcs_rng, size)])
-        shared = [_focus_grids(focus, shared_keys, truths[i][0], grid[i],
-                               unit_noise[i], mask) for i in range(size)]
-        if not any(own):
-            # no point focuses a draw itself: only trial 0's, which
-            # first_tf filters, are read again
-            grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
+        for lo in range(0, size, block):
+            hi = min(lo + block, size)
+            last = start + hi == trials
+            images = ([_focus_grids(focus, recipes, shared, list(swept),
+                                    truths[i][0], grid[i], unit_noise[i],
+                                    mask) for i in range(lo, hi)]
+                      if shared else [swept] * (hi - lo))
+            if hi == size and not any(own):
+                # no point focuses a draw itself: only trial 0's, which
+                # first_tf filters, are read again
+                grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
 
-        for p, (cfg, filter_spec) in enumerate(points):
-            noise_scale = np.sqrt(cfg.noise_var / 2.0)
-            if results[p] is None:
-                # trial 0's echo as synthesize_echo draws it, filtered by
-                # apply_tf_filter itself: its operand order sets the bits
-                echo = truths[0][0] * grid[0]
-                if cfg.noise_var > 0:
-                    echo = echo + noise_scale * unit_noise[0]
-                results[p] = EnsembleResult(
-                    cfg=cfg, filter_spec=filter_spec,
-                    stats=chi_stats(constellation, filter_spec),
-                    mode="data_aided" if mask is None else "pilot_only",
-                    trials=trials, r_bar_ref_m=r_bar_ref,
-                    peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-                    noiseless_peaks=np.empty(trials, dtype=complex),
-                    noisy_peaks=np.empty(trials, dtype=complex),
-                    mse=np.empty(trials), mse_calibrated=np.empty(trials),
-                    mean_noisy_power=np.zeros((n, m)),
-                    mean_noiseless_power=np.zeros((n, m)),
-                    first_tf=apply_tf_filter(echo, grid[0], filter_spec))
-                del echo  # not held through the trial loops
-            res = results[p]
-            e_chi = res.stats.chi_mean
-            mean_clean = res.mean_noiseless_power
-            mean_noisy = res.mean_noisy_power
-            r = reads[p]
-            sigma = noise_scale * r.scale
+            for p, (cfg, filter_spec) in enumerate(points):
+                noise_scale = np.sqrt(cfg.noise_var / 2.0)
+                if results[p] is None:
+                    # trial 0's echo as synthesize_echo draws it, filtered
+                    # by apply_tf_filter itself: its operand order sets the
+                    # bits
+                    echo = truths[0][0] * grid[0]
+                    if cfg.noise_var > 0:
+                        echo = echo + noise_scale * unit_noise[0]
+                    results[p] = EnsembleResult(
+                        cfg=cfg, filter_spec=filter_spec,
+                        stats=chi_stats(constellation, filter_spec),
+                        mode="data_aided" if mask is None else "pilot_only",
+                        trials=trials, r_bar_ref_m=r_bar_ref,
+                        peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
+                        noiseless_peaks=np.empty(trials, dtype=complex),
+                        noisy_peaks=np.empty(trials, dtype=complex),
+                        mse=np.empty(trials), mse_calibrated=np.empty(trials),
+                        mean_noisy_power=np.zeros((n, m)),
+                        mean_noiseless_power=np.zeros((n, m)),
+                        first_tf=apply_tf_filter(echo, grid[0], filter_spec))
+                    del echo  # not held through the trial loops
+                res = results[p]
+                e_chi = res.stats.chi_mean
+                mean_clean = res.mean_noiseless_power
+                mean_noisy = res.mean_noisy_power
+                chi, sigma = reads[p].chi, noise_scale * reads[p].scale
+                signal, noise = slots[p]
 
-            for i in range(size):
-                t = start + i
-                ideal = truths[i][1]
-                images = {**swept, **shared[i]}
-                if own[p]:
-                    images.update(_focus_grids(focus, own[p], truths[i][0],
-                                               grid[i], unit_noise[i], mask))
-                clean = images["signal", r.signal]
-                if r.chi is not None:
-                    clean = r.chi * clean
-                noisy = clean
-                if cfg.noise_var > 0:
-                    # popped and added in place: no third grid is held
-                    noisy = sigma * images.pop(("noise", r.noise))
-                    noisy += clean
-                del images  # the point's own grids are not held further
+                for i in range(lo, hi):
+                    t = start + i
+                    ideal = truths[i][1]
+                    grids = images[i - lo]
+                    if own[p]:
+                        grids = _focus_grids(focus, recipes, own[p],
+                                             list(grids), truths[i][0],
+                                             grid[i], unit_noise[i], mask)
+                    clean = grids[signal]
+                    if chi != 1.0:
+                        clean = chi * clean
+                    noisy = clean
+                    if noise is not None:
+                        noisy = sigma * grids[noise]
+                        noisy += clean
+                    del grids  # the point's own grids are not held further
 
-                res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-                res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
-                res.mse_calibrated[t] = float(
-                    np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-                mean_clean += np.abs(clean) ** 2
-                mean_noisy += np.abs(noisy) ** 2
+                    res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+                    res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
+                    res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
+                    res.mse_calibrated[t] = float(
+                        np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+                    mean_clean += np.abs(clean) ** 2
+                    mean_noisy += np.abs(noisy) ** 2
 
-            if last:
-                mean_clean /= trials
-                mean_noisy /= trials
-                results[p] = None
-                yield res
-                del res, mean_clean, mean_noisy  # not held into the next point
-        del grid, unit_noise, truths, shared  # free this chunk's draws
+                if last:
+                    mean_clean /= trials
+                    mean_noisy /= trials
+                    results[p] = None
+                    yield res
+                    del res, mean_clean, mean_noisy  # not held into the next
+            del images  # free this block's shared grids
+        del grid, unit_noise, truths  # free this chunk's draws
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,

@@ -299,3 +299,38 @@ def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20  # half of one whole-ensemble stack
+
+
+def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
+    # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
+    # points (rf and mf noise, mf signal).  With a budget of four grids
+    # and three chunks, the shared grids of a block fit the budget, so at
+    # any focus call at most four of them are alive besides rf's
+    # F(channel * act), a point's own two and the last trial's clean
+    # image.  Focused for a whole chunk of four trials they are twelve.
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
+    images = []  # a weak reference to every focused grid
+    most = []
+    real = pipeline.focusing_operator
+
+    def tracking(*args, **kwargs):
+        focus = real(*args, **kwargs)
+
+        def tracked(x):
+            most.append(sum(ref() is not None for ref in images))
+            image = focus(x)
+            images.append(weakref.ref(image))
+            return image
+        return tracked
+    monkeypatch.setattr(pipeline, "focusing_operator", tracking)
+    points = []
+    for snr in (1.0, 10.0):
+        cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+        points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                   for kind in ("rf", "mf", "wf")]
+    for result in run_sweep_ensemble(scene, points, make_qam("qam16"),
+                                     trials=12, seed=5):
+        del result
+    assert max(most) <= 4 + 4
