@@ -81,19 +81,24 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
 
 def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1,
                unit: bool = False,
-               rng: Optional[np.random.Generator] = None) -> np.ndarray:
+               rng: Optional[np.random.Generator] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """i.i.d. CN(0, noise_var) grids, shape (n_trials, N, M); with unit=True
     CN(0, 2) grids, of which the CN(0, noise_var) draw of the same seed is
     exactly sqrt(noise_var / 2) times.  A generator passed as rng replaces
     the seed's and is advanced, so successive calls of c1, c2, ... trials
-    on one generator equal one call of their sum."""
+    on one generator equal one call of their sum.  out, a C-contiguous
+    float64 (n_trials, N, M, 2) array, takes the unit draw's (re, im)
+    pairs; with unit=True the grids returned are a view of it, so the call
+    allocates no grid."""
     shape = (n_trials, cfg.n_subcarriers, cfg.n_symbols)
     if cfg.noise_var == 0.0 and not unit:
         return np.zeros(shape, dtype=complex)
     if rng is None:
         rng = _philox(noise_seed, NOISE_STREAM)
     # interleaved (re, im) normal pairs are already complex128 in memory
-    noise = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    pairs = rng.standard_normal(shape + (2,), out=out)
+    noise = pairs.view(np.complex128)[..., 0]
     return noise if unit else np.sqrt(cfg.noise_var / 2.0) * noise
 
 

@@ -36,8 +36,13 @@ formula and its bits do not depend on the rest of the sweep.
 Trials stream through chunks of as many (N, M) complex grids as fit
 _CHUNK_BYTES.  One Philox generator per stream (symbols, noise, target
 amplitudes) lives across the chunks, so no result depends on the chunk
-size.  Memory is the chunk's draws (with random targets, also its
-channels and ideal images), the sweep's F(channel * act), the K
+size.  A noisy sweep of several chunks draws chunk c + 1's unit noise on
+a worker thread while chunk c is focused, into two buffers it allocates
+once, so two chunks of noise are in flight and share the budget: such a
+sweep's chunks hold half as many trials (still at least one, so at one
+trial per chunk the worker's buffer is one grid more).  Memory is the
+chunk's draws (with random targets, also its channels and ideal images),
+the next chunk's noise, the sweep's F(channel * act), the K
 canonical grids per trial that several points read, the per-trial
 working grids, and the per-point reductions.  A sweep that fits one
 chunk makes each point's result only when it reaches that point and
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -77,8 +83,9 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        gen_symbol_grid)
 
 # Bytes of one (chunk, N, M) complex128 stack.  Trials stream through
-# chunks of this size, so the grids held at once do not grow with the
-# trial count.
+# chunks of this size (half of it per chunk when the next chunk's noise is
+# drawn ahead), so the grids held at once do not grow with the trial
+# count.
 _CHUNK_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
 MAINLOBE_HALFWIDTH_BINS = 1
@@ -247,6 +254,11 @@ def run_sweep_ensemble(scene: Scene,
     own = [[j for j in pair if j is not None and j not in shared
             and swept[j] is None] for pair in slots]
     chunk = _chunk_trials(trials, n, m)
+    prefetch = noise_rng is not None and chunk < trials
+    if prefetch:
+        # the chunk being focused and the next one, drawn meanwhile, share
+        # the budget
+        chunk = _chunk_trials(trials, n, m, 2)
     # a sweep of several chunks holds every point's result until its last
     # chunk; it focuses the shared grids a block of trials at a time, all
     # of a block's fitting one stack's budget.  A one-chunk sweep focuses
@@ -256,92 +268,122 @@ def run_sweep_ensemble(scene: Scene,
              else _chunk_trials(chunk, n, m, max(1, len(shared))))
     # each point's result is made on first use and filled block by block
     results: list[Optional[EnsembleResult]] = [None] * len(points)
+    starts = range(0, trials, chunk)
 
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
-                               trials=size, rng=symbol_rng)
-        unit_noise = (draw_noise(cfg0, seed, n_trials=size, unit=True,
-                                 rng=noise_rng)
-                      if noise_rng is not None else [None] * size)
-        truths = ([fixed] * size if rcs_rng is None else
-                  [(build_channel_matrix(scene, cfg0, amps),
-                    ideal_reference_image(scene, cfg0, amps))
-                   for amps in scene.draw_amplitudes(rcs_rng, size)])
-        for lo in range(0, size, block):
-            hi = min(lo + block, size)
-            last = start + hi == trials
-            images = ([_focus_grids(focus, recipes, shared, list(swept),
-                                    truths[i][0], grid[i], unit_noise[i],
-                                    mask) for i in range(lo, hi)]
-                      if shared else [swept] * (hi - lo))
-            if hi == size and not any(own):
-                # no point focuses a draw itself: only trial 0's, which
-                # first_tf filters, are read again
-                grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
+    # A noisy sweep of several chunks draws chunk c + 1's unit noise on a
+    # worker thread while chunk c is focused, in chunk order, into one of
+    # two buffers allocated here: the worker allocates nothing, so no draw
+    # lands in its own malloc arena.  Leaving the block, however the sweep
+    # ends, joins the worker.  Other sweeps start no thread and do not
+    # import concurrent.futures, whose import of logging adds ~13 ms to a
+    # fresh process.
+    if prefetch:
+        from concurrent.futures import ThreadPoolExecutor
+    with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
+        if prefetch:
+            pairs = [np.empty((chunk, n, m, 2)) for _ in range(2)]
 
-            for p, (cfg, filter_spec) in enumerate(points):
-                noise_scale = np.sqrt(cfg.noise_var / 2.0)
-                if results[p] is None:
-                    # trial 0's echo as synthesize_echo draws it, filtered
-                    # by apply_tf_filter itself: its operand order sets the
-                    # bits
-                    echo = truths[0][0] * grid[0]
-                    if cfg.noise_var > 0:
-                        echo = echo + noise_scale * unit_noise[0]
-                    results[p] = EnsembleResult(
-                        cfg=cfg, filter_spec=filter_spec,
-                        stats=chi_stats(constellation, filter_spec),
-                        mode="data_aided" if mask is None else "pilot_only",
-                        trials=trials, r_bar_ref_m=r_bar_ref,
-                        peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-                        noiseless_peaks=np.empty(trials, dtype=complex),
-                        noisy_peaks=np.empty(trials, dtype=complex),
-                        mse=np.empty(trials), mse_calibrated=np.empty(trials),
-                        mean_noisy_power=np.zeros((n, m)),
-                        mean_noiseless_power=np.zeros((n, m)),
-                        first_tf=apply_tf_filter(echo, grid[0], filter_spec))
-                    del echo  # not held through the trial loops
-                res = results[p]
-                e_chi = res.stats.chi_mean
-                mean_clean = res.mean_noiseless_power
-                mean_noisy = res.mean_noisy_power
-                chi, sigma = reads[p].chi, noise_scale * reads[p].scale
-                signal, noise = slots[p]
+            def fill(c):
+                size = min(chunk, trials - starts[c])
+                return worker.submit(draw_noise, cfg0, seed, n_trials=size,
+                                     unit=True, rng=noise_rng,
+                                     out=pairs[c % 2][:size])
+            pending = fill(0)
+        for c, start in enumerate(starts):
+            size = min(chunk, trials - start)
+            grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
+                                   trials=size, rng=symbol_rng)
+            if prefetch:
+                unit_noise = pending.result()
+                # chunk c + 1 reuses chunk c - 1's buffer, read no more
+                pending = fill(c + 1) if c + 1 < len(starts) else None
+            elif noise_rng is not None:
+                unit_noise = draw_noise(cfg0, seed, n_trials=size, unit=True,
+                                        rng=noise_rng)
+            else:
+                unit_noise = [None] * size
+            truths = ([fixed] * size if rcs_rng is None else
+                      [(build_channel_matrix(scene, cfg0, amps),
+                        ideal_reference_image(scene, cfg0, amps))
+                       for amps in scene.draw_amplitudes(rcs_rng, size)])
+            for lo in range(0, size, block):
+                hi = min(lo + block, size)
+                last = start + hi == trials
+                images = ([_focus_grids(focus, recipes, shared, list(swept),
+                                        truths[i][0], grid[i], unit_noise[i],
+                                        mask) for i in range(lo, hi)]
+                          if shared else [swept] * (hi - lo))
+                if hi == size and not any(own):
+                    # no point focuses a draw itself: only trial 0's, which
+                    # first_tf filters, are read again
+                    grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
 
-                for i in range(lo, hi):
-                    t = start + i
-                    ideal = truths[i][1]
-                    grids = images[i - lo]
-                    if own[p]:
-                        grids = _focus_grids(focus, recipes, own[p],
-                                             list(grids), truths[i][0],
-                                             grid[i], unit_noise[i], mask)
-                    clean = grids[signal]
-                    if chi != 1.0:
-                        clean = chi * clean
-                    noisy = clean
-                    if noise is not None:
-                        noisy = sigma * grids[noise]
-                        noisy += clean
-                    del grids  # the point's own grids are not held further
+                for p, (cfg, filter_spec) in enumerate(points):
+                    noise_scale = np.sqrt(cfg.noise_var / 2.0)
+                    if results[p] is None:
+                        # trial 0's echo as synthesize_echo draws it,
+                        # filtered by apply_tf_filter itself: its operand
+                        # order sets the bits
+                        echo = truths[0][0] * grid[0]
+                        if cfg.noise_var > 0:
+                            echo = echo + noise_scale * unit_noise[0]
+                        results[p] = EnsembleResult(
+                            cfg=cfg, filter_spec=filter_spec,
+                            stats=chi_stats(constellation, filter_spec),
+                            mode=("data_aided" if mask is None
+                                  else "pilot_only"),
+                            trials=trials, r_bar_ref_m=r_bar_ref,
+                            peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
+                            noiseless_peaks=np.empty(trials, dtype=complex),
+                            noisy_peaks=np.empty(trials, dtype=complex),
+                            mse=np.empty(trials),
+                            mse_calibrated=np.empty(trials),
+                            mean_noisy_power=np.zeros((n, m)),
+                            mean_noiseless_power=np.zeros((n, m)),
+                            first_tf=apply_tf_filter(echo, grid[0],
+                                                     filter_spec))
+                        del echo  # not held through the trial loops
+                    res = results[p]
+                    e_chi = res.stats.chi_mean
+                    mean_clean = res.mean_noiseless_power
+                    mean_noisy = res.mean_noisy_power
+                    chi, sigma = reads[p].chi, noise_scale * reads[p].scale
+                    signal, noise = slots[p]
 
-                    res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-                    res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                    res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
-                    res.mse_calibrated[t] = float(
-                        np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-                    mean_clean += np.abs(clean) ** 2
-                    mean_noisy += np.abs(noisy) ** 2
+                    for i in range(lo, hi):
+                        t = start + i
+                        ideal = truths[i][1]
+                        grids = images[i - lo]
+                        if own[p]:
+                            grids = _focus_grids(focus, recipes, own[p],
+                                                 list(grids), truths[i][0],
+                                                 grid[i], unit_noise[i], mask)
+                        clean = grids[signal]
+                        if chi != 1.0:
+                            clean = chi * clean
+                        noisy = clean
+                        if noise is not None:
+                            noisy = sigma * grids[noise]
+                            noisy += clean
+                        del grids  # the point's own grids are not held
 
-                if last:
-                    mean_clean /= trials
-                    mean_noisy /= trials
-                    results[p] = None
-                    yield res
-                    del res, mean_clean, mean_noisy  # not held into the next
-            del images  # free this block's shared grids
-        del grid, unit_noise, truths  # free this chunk's draws
+                        res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+                        res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
+                        res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
+                        res.mse_calibrated[t] = float(
+                            np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+                        mean_clean += np.abs(clean) ** 2
+                        mean_noisy += np.abs(noisy) ** 2
+
+                    if last:
+                        mean_clean /= trials
+                        mean_noisy /= trials
+                        results[p] = None
+                        yield res
+                        # not held into the next
+                        del res, mean_clean, mean_noisy
+                del images  # free this block's shared grids
+            del grid, unit_noise, truths  # free this chunk's draws
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,

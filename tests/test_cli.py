@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -591,6 +592,26 @@ def test_main_reports_out_of_memory(tmp_path, monkeypatch, capsys):
                  "--out-dir", str(tmp_path / "artifacts")]) == 2
     err = capsys.readouterr().err
     assert err == "error: the scenario does not fit in memory\n"
+
+
+def test_main_reports_out_of_memory_in_the_noise_worker(tmp_path, monkeypatch,
+                                                       capsys):
+    # a budget of two grids streams the four trials one per chunk, so the
+    # next chunk's noise is drawn on the worker thread, where it runs out
+    threads = []
+
+    def exhausted(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise MemoryError
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 2 * 16 * N * M)
+    monkeypatch.setattr(pipeline, "draw_noise", exhausted)
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text())
+    assert main(["--config", str(config),
+                 "--out-dir", str(tmp_path / "artifacts")]) == 2
+    assert threads and threading.main_thread() not in threads
+    err = capsys.readouterr().err
+    assert err == f"error: the {N}x{M} run grid does not fit in memory\n"
 
 
 def test_main_rejects_snr_beyond_float_range(tmp_path, capsys):

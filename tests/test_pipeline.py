@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -182,24 +184,42 @@ def test_sweep_rejects_points_that_change_the_geometry():
         next(run_sweep_ensemble(scene, [], qpsk, trials=1, seed=0))
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
+def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
+                                               points, mask=None):
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
-    # the random targets' amplitudes included
-    cfg = critical_config(16, 16, k_ref=8)
-    mask = comb_mask(cfg) if masked else None
-    qpsk = make_qam("qpsk")
-    points = sweep_points(cfg)
+    # the random targets' amplitudes included.  A noisy sweep of several
+    # chunks splits the budget between the chunk it focuses and the next
+    # one's noise, drawn meanwhile on a worker thread, so budgets of 1, 7
+    # and 15 grids run chunks of 1, 3 and 15 trials; a noiseless sweep has
+    # no noise to draw ahead and runs chunks of 1, 7 and 15.
+    cfg = points[0][0]
+    noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     trials = 15
+    drawn = {"symbols": [], "noise": []}
+
+    def recording(stream, draw):
+        def recorded(*args, **kwargs):
+            drawn[stream].append(kwargs.get("trials", kwargs.get("n_trials")))
+            return draw(*args, **kwargs)
+        return recorded
+    monkeypatch.setattr(pipeline, "gen_symbol_grid",
+                        recording("symbols", pipeline.gen_symbol_grid))
+    monkeypatch.setattr(pipeline, "draw_noise",
+                        recording("noise", pipeline.draw_noise))
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
         runs = []
-        for chunk in (1, 7, trials):
+        for budget, chunk in ((1, 1), (7, 3 if noisy else 7),
+                              (trials, trials)):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
-                                chunk * 16 * 16 * 16)
-            assert pipeline._chunk_trials(trials, 16, 16) == chunk
-            runs.append(list(run_sweep_ensemble(scene, points, qpsk, trials,
-                                                seed=5, mask=mask)))
+                                budget * 16 * 16 * 16)
+            drawn["symbols"].clear()
+            drawn["noise"].clear()
+            runs.append(list(run_sweep_ensemble(scene, points, constellation,
+                                                trials, seed=5, mask=mask)))
+            sizes = [min(chunk, trials - start)
+                     for start in range(0, trials, chunk)]
+            assert drawn == {"symbols": sizes, "noise": sizes if noisy else []}
         for results in runs[1:]:
             assert len(results) == len(points)
             for ref, result in zip(runs[0], results):
@@ -208,6 +228,102 @@ def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
                 for name in ARRAYS:
                     assert np.array_equal(getattr(result, name),
                                           getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
+    cfg = critical_config(16, 16, k_ref=8)
+    assert_sweep_does_not_depend_on_chunk_size(
+        monkeypatch, make_qam("qpsk"), sweep_points(cfg),
+        comb_mask(cfg) if masked else None)
+
+
+def test_qam16_sweep_does_not_depend_on_chunk_size(monkeypatch):
+    # not constant-modulus: points read per-gain grids, some shared
+    cfg = critical_config(16, 16, k_ref=8)
+    assert_sweep_does_not_depend_on_chunk_size(
+        monkeypatch, make_qam("qam16"), sweep_points(cfg))
+
+
+def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
+    cfg = critical_config(16, 16, k_ref=8)
+    points = [(cfg, FilterSpec(kind, snr_in_linear=10.0))
+              for kind in ("rf", "mf", "wf")]
+    assert_sweep_does_not_depend_on_chunk_size(
+        monkeypatch, make_qam("qpsk"), points)
+
+
+def multi_chunk_sweep(monkeypatch, trials=6):
+    """A noisy 16x16 sweep generator that streams two trials per chunk."""
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
+    cfg = critical_config(16, 16, k_ref=8)
+    return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
+                              sweep_points(cfg), make_qam("qpsk"), trials,
+                              seed=5)
+
+
+def test_closed_sweep_leaves_no_worker_thread(monkeypatch):
+    before = threading.active_count()
+    sweep = multi_chunk_sweep(monkeypatch)
+    next(sweep)
+    assert threading.active_count() == before + 1  # the idle noise worker
+    sweep.close()
+    assert threading.active_count() == before
+    assert len(list(multi_chunk_sweep(monkeypatch))) == len(
+        sweep_points(critical_config(16, 16, k_ref=8)))
+    assert threading.active_count() == before
+
+
+def test_failing_noise_fill_reaches_the_caller(monkeypatch):
+    real = pipeline.draw_noise
+    fills = []
+
+    def failing(*args, **kwargs):
+        fills.append(threading.current_thread() is threading.main_thread())
+        if len(fills) == 2:
+            raise RuntimeError("noise fill failed")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "draw_noise", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="noise fill failed"):
+        list(multi_chunk_sweep(monkeypatch))
+    assert fills and not any(fills)  # every fill ran on the worker
+    assert threading.active_count() == before
+
+
+def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
+    # three sweeps of three trials per chunk, each with its own noise
+    # worker, on more threads than cores with a short switch interval: a
+    # chunk that read a buffer while its worker refilled it would change
+    # bits
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    qam16 = make_qam("qam16")
+    points = sweep_points(cfg)
+    reference = list(run_sweep_ensemble(scene, points, qam16, 12, seed=5))
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 7 * 16 * 16 * 16)
+    outputs = [None] * 3
+
+    def run(k):
+        outputs[k] = list(run_sweep_ensemble(scene, points, qam16, 12,
+                                             seed=5))
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results in outputs:
+        assert results is not None and len(results) == len(points)
+        for ref, result in zip(reference, results):
+            for name in ARRAYS:
+                assert np.array_equal(getattr(result, name),
+                                      getattr(ref, name)), name
 
 
 def test_sweep_frees_each_result_before_building_the_next(monkeypatch):
