@@ -13,11 +13,12 @@ Running it produces, in the output directory:
   profile_azimuth.csv   peak azimuth cut of the same image
   nmse_sweep.csv        snr_db, filter, nmse, nmse_calibrated per point
 
-Stage images and grid dumps render the first sweep point's trial 0, the
-filtered tf grid its ensemble keeps (EnsembleResult.first_tf); profiles
-and metrics come from the full ensembles.  Only pipeline draws trials, so
-the images and the metrics describe the same realizations.  Outputs are a
-deterministic function of (config, seed).
+Stage images and grid dumps render the first sweep point's trial 0,
+drawn by the library's single-trial chain (gen_symbol_grid,
+synthesize_echo, apply_tf_filter) on the scenario's seed, which equals
+the ensemble's trial 0 bit for bit; profiles and metrics come from the
+full ensembles.  So the images and the metrics describe the same
+realizations.  Outputs are a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import STAGE_CODES, check_cp_margin, grid_to_bytes
+from .echo import STAGE_CODES, check_cp_margin, grid_to_bytes, synthesize_echo
 from .errors import (CapacityError, ConfigurationError, MeasurementError,
                      OfdmSarError)
 from .geometry import PlatformGeometry
@@ -45,8 +46,9 @@ from .pipeline import (MAINLOBE_HALFWIDTH_BINS, EnsembleResult,
                        run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from .scene import Scene, load_scene_pgm, make_point_scene
-from .tf_filter import FILTER_KINDS, FilterSpec
-from .waveform import RadarConfig, SrsConfig, chi_stats, make_qam, _QAM_NAMES
+from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
+from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
+                       gen_symbol_grid, make_qam, _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
@@ -106,8 +108,7 @@ def _typed(obj: dict, path: str, key, kinds, default=None):
 _PLATFORM = dict.fromkeys(("height_m", "speed_mps"), float)
 _RADAR = {**dict.fromkeys(("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
                            "cp_duration_s", "aperture_time_s"), float),
-          "n_subcarriers": int, "platform": dict, "symbol_duration_s": float,
-          "total_symbol_s": float, "n_symbols": int}
+          "n_subcarriers": int, "platform": dict}
 _SRS = dict.fromkeys(("periodicity_slots", "symbols_per_slot", "comb_spacing",
                       "n_resource_blocks", "start_subcarrier"), int)
 _POINT_SCENE = {"targets": list, "extent": list}
@@ -434,12 +435,22 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
 
 
 def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
-                            out_dir: Path) -> None:
-    """Stage images/grids (rd_imaging.focus_stages) of the result's trial 0."""
+                            constellation: Constellation,
+                            mask: Optional[np.ndarray], out_dir: Path) -> None:
+    """Stage images/grids (rd_imaging.focus_stages) of the result's trial 0,
+    drawn again by the single-trial chain; nothing is drawn when no stage
+    is requested."""
     wanted = set(scenario.outputs.images) | set(scenario.outputs.grids)
-    stages = {"tf": result.first_tf}
+    if not wanted:
+        return
+    cfg, seed = result.cfg, scenario.seed
+    symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask)
+    tf = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols,
+                                         noise_seed=seed, rcs_seed=seed),
+                         symbols, result.filter_spec)
+    stages = {"tf": tf}
     if wanted - {"tf"}:
-        stages = focus_stages(result.first_tf, result.cfg, result.r_bar_ref_m,
+        stages = focus_stages(tf, cfg, result.r_bar_ref_m,
                               scenario.rcmc_method, scenario.ka_mode)
     for stage in scenario.outputs.images:
         (out_dir / f"image_{stage}.pgm").write_bytes(
@@ -513,7 +524,8 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         np.arange(first_cfg.n_symbols) * v * first_cfg.total_symbol_s,
         "azimuth_m"))
 
-    _render_stage_artifacts(scenario, first_result, out_dir)
+    _render_stage_artifacts(scenario, first_result, constellation, mask,
+                            out_dir)
     return out_dir
 
 

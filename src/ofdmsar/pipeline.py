@@ -5,8 +5,7 @@ noise and its random targets' amplitudes.  Over independent trials of a
 scene with a deterministic reference target it yields, per (cfg, filter)
 point of an SNR/filter sweep, the reductions the quality metrics need
 (peak statistics, image MSE versus the ideal response, mean power
-images) and trial 0's filtered tf grid, which the CLI renders as its
-stage images.  The points share one set of draws (common random numbers)
+images).  The points share one set of draws (common random numbers)
 and one focusing operator (rd_imaging.focusing_operator).  The channel
 and the ideal image are built once per sweep, or per trial from its
 amplitudes when the scene has random targets.  run_point_ensemble is
@@ -44,16 +43,15 @@ trial per chunk the worker's buffer is one grid more).  Memory is the
 chunk's draws (with random targets, also its channels and ideal images),
 the next chunk's noise, the sweep's F(channel * act), the K
 canonical grids per trial that several points read, the per-trial
-working grids, and the per-point reductions.  A sweep that fits one
-chunk makes each point's result only when it reaches that point and
-focuses the shared grids for the whole chunk.  A sweep of P points that
-spans several chunks holds 2*P*N*M*8 bytes of mean power images until
-its last chunk, and focuses the shared grids a block of trials at a
-time, a block's grids together fitting _CHUNK_BYTES (or one trial's K
-grids where they do not).  When every grid is shared (a constant-modulus
-sweep of several noisy points), a chunk keeps only trial 0's symbols and
-noise once its shared grids are focused, so the shared noise grids take
-the place of its draws.
+working grids, and the per-point reductions, which are all a result
+keeps.  A sweep that fits one chunk focuses the shared grids for the
+whole chunk and makes each point's result only when it reaches that
+point.  A sweep of P points that spans several chunks holds
+2*P*N*M*8 bytes of mean power images until its last chunk, and focuses
+the shared grids one trial at a time, so K of them are alive.  When
+every grid is shared (a constant-modulus sweep of several noisy points),
+a chunk drops its symbols and noise once its shared grids are focused,
+so the shared noise grids take the place of its draws.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -77,7 +75,7 @@ from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
                       target_bin, theoretical_resolutions)
 from .rd_imaging import focusing_operator
 from .scene import Scene
-from .tf_filter import FilterSpec, apply_tf_filter, filter_gains
+from .tf_filter import FilterSpec, filter_gains
 from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
                        gen_symbol_grid)
@@ -115,7 +113,6 @@ class EnsembleResult:
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
     mean_noisy_power: np.ndarray     # (N, M) E[|noisy image|^2]
     mean_noiseless_power: np.ndarray  # (N, M) E[|noiseless image|^2]
-    first_tf: np.ndarray             # (N, M) trial 0's filtered tf grid
 
     @property
     def peak_sq_mean(self) -> float:
@@ -260,12 +257,10 @@ def run_sweep_ensemble(scene: Scene,
         # the budget
         chunk = _chunk_trials(trials, n, m, 2)
     # a sweep of several chunks holds every point's result until its last
-    # chunk; it focuses the shared grids a block of trials at a time, all
-    # of a block's fitting one stack's budget.  A one-chunk sweep focuses
-    # them for the whole chunk, so that it makes each point's result only
-    # when it reaches that point.
-    block = (chunk if chunk == trials
-             else _chunk_trials(chunk, n, m, max(1, len(shared))))
+    # chunk; it focuses the shared grids one trial at a time.  A one-chunk
+    # sweep focuses them for the whole chunk, so that it makes each point's
+    # result only when it reaches that point.
+    block = chunk if chunk == trials else 1
     # each point's result is made on first use and filled block by block
     results: list[Optional[EnsembleResult]] = [None] * len(points)
     starts = range(0, trials, chunk)
@@ -314,19 +309,11 @@ def run_sweep_ensemble(scene: Scene,
                                         mask) for i in range(lo, hi)]
                           if shared else [swept] * (hi - lo))
                 if hi == size and not any(own):
-                    # no point focuses a draw itself: only trial 0's, which
-                    # first_tf filters, are read again
-                    grid, unit_noise = grid[:1].copy(), unit_noise[:1].copy()
+                    # no point focuses a draw itself: none is read again
+                    grid = unit_noise = None
 
                 for p, (cfg, filter_spec) in enumerate(points):
-                    noise_scale = np.sqrt(cfg.noise_var / 2.0)
                     if results[p] is None:
-                        # trial 0's echo as synthesize_echo draws it,
-                        # filtered by apply_tf_filter itself: its operand
-                        # order sets the bits
-                        echo = truths[0][0] * grid[0]
-                        if cfg.noise_var > 0:
-                            echo = echo + noise_scale * unit_noise[0]
                         results[p] = EnsembleResult(
                             cfg=cfg, filter_spec=filter_spec,
                             stats=chi_stats(constellation, filter_spec),
@@ -339,15 +326,13 @@ def run_sweep_ensemble(scene: Scene,
                             mse=np.empty(trials),
                             mse_calibrated=np.empty(trials),
                             mean_noisy_power=np.zeros((n, m)),
-                            mean_noiseless_power=np.zeros((n, m)),
-                            first_tf=apply_tf_filter(echo, grid[0],
-                                                     filter_spec))
-                        del echo  # not held through the trial loops
+                            mean_noiseless_power=np.zeros((n, m)))
                     res = results[p]
                     e_chi = res.stats.chi_mean
                     mean_clean = res.mean_noiseless_power
                     mean_noisy = res.mean_noisy_power
-                    chi, sigma = reads[p].chi, noise_scale * reads[p].scale
+                    chi = reads[p].chi
+                    sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
                     signal, noise = slots[p]
 
                     for i in range(lo, hi):

@@ -172,15 +172,6 @@ def pixel_to_ground(row, col, shape, extent):
     return x, y
 
 
-def ground_to_pixel(x, y, shape, extent):
-    """Inverse of pixel_to_ground (returns fractional row/col)."""
-    height, width = shape
-    x_min, x_max, y_min, y_max = extent
-    row = (np.asarray(x) - x_min) * height / (x_max - x_min) - 0.5
-    col = (np.asarray(y) - y_min) * width / (y_max - y_min) - 0.5
-    return row, col
-
-
 def load_scene_pgm(data: bytes, extent, threshold: int = 0,
                    rcs_scale: float = 1.0) -> Scene:
     """Turn bright raster pixels into deterministic point targets.

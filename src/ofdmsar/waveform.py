@@ -110,11 +110,6 @@ class RadarConfig:
         return SPEED_OF_LIGHT / self.fc_hz
 
     @property
-    def prf_hz(self) -> float:
-        """Azimuth sampling rate, one sample per OFDM symbol."""
-        return 1.0 / self.total_symbol_s
-
-    @property
     def occupied_bandwidth_hz(self) -> float:
         return self.n_subcarriers * self.subcarrier_spacing_hz
 
@@ -122,11 +117,6 @@ class RadarConfig:
     def range_pitch_m(self) -> float:
         """Range-bin spacing c / (2 N df) of the compressed profile."""
         return SPEED_OF_LIGHT / (2.0 * self.occupied_bandwidth_hz)
-
-    @property
-    def unambiguous_range_m(self) -> float:
-        """Range window c / (2 df) spanned by the N compressed bins."""
-        return SPEED_OF_LIGHT / (2.0 * self.subcarrier_spacing_hz)
 
     @property
     def azimuth_pitch_m(self) -> float:

@@ -143,6 +143,13 @@ def test_parse_paths_in_errors():
         with pytest.raises(ConfigError) as err:
             parse_config(config_text(radar=antenna))
         assert err.value.path == f"$.radar.platform.{key}"
+    # the symbol timing and count are derived from spacing, cyclic prefix
+    # and aperture: a scenario cannot give them, even at the derived value
+    for key, value in (("symbol_duration_s", 1 / DF),
+                       ("total_symbol_s", T_SYM), ("n_symbols", M)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(radar={**BASE["radar"], key: value}))
+        assert err.value.path == f"$.radar.{key}"
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
     assert err.value.path == "$"
@@ -240,8 +247,11 @@ def test_field_tables_match_the_config_dataclasses():
     def init_fields(cls):
         return {f.name for f in dataclasses.fields(cls) if f.init}
     assert set(cli._PLATFORM) == init_fields(PlatformGeometry)
-    assert set(cli._RADAR) == init_fields(RadarConfig) - {"noise_var",
-                                                          "snr_in_linear"}
+    # the noise is set per sweep point; the symbol timing and count are
+    # derived from spacing, cyclic prefix and aperture
+    assert set(cli._RADAR) == init_fields(RadarConfig) - {
+        "noise_var", "snr_in_linear", "symbol_duration_s", "total_symbol_s",
+        "n_symbols"}
     assert set(cli._SRS) == init_fields(SrsConfig)
 
 
@@ -367,8 +377,9 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
 
 
 def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
-    # every (snr, filter) point and the stage artifacts reuse one draw,
-    # channel and operator, wherever the name is looked up
+    # every (snr, filter) point reuses one draw, channel and operator,
+    # wherever the name is looked up; the stage artifacts draw trial 0's
+    # symbols, noise and channel once more, and nothing without a stage
     calls = {}
 
     def counting(module, name):
@@ -386,11 +397,16 @@ def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
             if hasattr(module, name):
                 counting(module, name)
     stages = ["tf", "rc", "rd", "rcmc", "ac"]
-    scenario = parse_config(config_text(
-        snr_in_db=[0, 5], filter={"kind": "all"},
-        outputs={"images": stages, "grids": stages}))
-    run_scenario(scenario, tmp_path / "out")
-    assert calls == {name: 1 for name in shared}
+    for outputs, draws in (({"images": stages, "grids": stages}, 2),
+                           ({"images": []}, 1)):
+        calls.clear()
+        scenario = parse_config(config_text(
+            snr_in_db=[0, 5], filter={"kind": "all"}, outputs=outputs))
+        run_scenario(scenario, tmp_path / f"out{draws}")
+        assert calls == {"build_channel_matrix": draws,
+                         "gen_symbol_grid": draws, "draw_noise": draws,
+                         "focusing_operator": 1,
+                         "ideal_reference_image": 1}, outputs
 
 
 def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import critical_config, single_target_scene, target_at_bins
 from ofdmsar import pipeline
-from ofdmsar.echo import build_channel_matrix, draw_noise, synthesize_echo
+from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
+                         run_scenario)
+from ofdmsar.echo import build_channel_matrix, draw_noise, grid_to_bytes
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.pipeline import (pilot_comb_mask, run_point_ensemble,
                               run_sweep_ensemble)
@@ -21,7 +23,10 @@ from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
                               gen_symbol_grid, make_qam)
 
 ARRAYS = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated",
-          "mean_noisy_power", "mean_noiseless_power", "first_tf")
+          "mean_noisy_power", "mean_noiseless_power")
+# a pilot comb of period one: its decimated grid is the grid itself
+COMB = SrsConfig(periodicity_slots=1, symbols_per_slot=1, comb_spacing=4,
+                 n_resource_blocks=1, start_subcarrier=2)
 
 
 def sweep_points(cfg):
@@ -47,9 +52,7 @@ def random_target_scene(cfg):
 
 
 def comb_mask(cfg):
-    srs = SrsConfig(periodicity_slots=1, symbols_per_slot=1, comb_spacing=4,
-                    n_resource_blocks=1, start_subcarrier=2)
-    return pilot_comb_mask(cfg, srs)
+    return pilot_comb_mask(cfg, COMB)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -142,10 +145,7 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
             np.sum(np.abs(noisy / e_chi - ideal) ** 2))
         out["mean_noiseless_power"].append(np.abs(clean) ** 2)
         out["mean_noisy_power"].append(np.abs(noisy) ** 2)
-        if t == 0:
-            out["first_tf"] = (channel * symbols[0] + scale * unit[0]) * gains
-    return {name: (value if name == "first_tf" else
-                   np.mean(value, axis=0) if name.startswith("mean")
+    return {name: (np.mean(value, axis=0) if name.startswith("mean")
                    else np.array(value))
             for name, value in out.items()}
 
@@ -334,19 +334,19 @@ def test_sweep_frees_each_result_before_building_the_next(monkeypatch):
     qpsk = make_qam("qpsk")
     points = sweep_points(cfg)
     refs = []
-    real = pipeline.apply_tf_filter
+    real = pipeline.chi_stats
 
     def checking(*args):
         assert all(ref() is None for ref in refs), len(refs)
         return real(*args)
-    monkeypatch.setattr(pipeline, "apply_tf_filter", checking)
+    monkeypatch.setattr(pipeline, "chi_stats", checking)
     arrays = []
     for result in run_sweep_ensemble(scene, points, qpsk, trials=3, seed=5):
         refs.append(weakref.ref(result))
         arrays.append({name: getattr(result, name).copy() for name in ARRAYS})
         del result
     assert len(refs) == len(points)
-    monkeypatch.setattr(pipeline, "apply_tf_filter", real)
+    monkeypatch.setattr(pipeline, "chi_stats", real)
     for (cfg_n, spec), kept in zip(points, arrays):
         alone = run_point_ensemble(scene, cfg_n, qpsk, spec, trials=3, seed=5)
         for name in ARRAYS:
@@ -380,25 +380,37 @@ def test_random_targets_are_redrawn_per_trial():
     assert abs(np.mean(peaks) - expected) < 4 * std_err
 
 
+@pytest.mark.parametrize("kind", ["rf", "mf", "wf"])
 @pytest.mark.parametrize("n", [16, 128])
 @pytest.mark.parametrize("masked", [False, True])
-def test_first_tf_is_the_echo_of_trial_zero(n, masked):
-    # one filtered realization of the chain, drawn by the library's
-    # single-trial functions on the ensemble's seed, bit for bit; 128x128
-    # grids pass numpy's 256 KiB temporary-elision threshold
+def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
+                                                    tmp_path):
+    # the CLI draws the first point's trial 0 again with the single-trial
+    # chain; its tf dump must be the ensemble's trial 0, rebuilt here from
+    # the ensemble's own streams (each drawn for all trials), bit for bit.
+    # 128x128 grids pass numpy's 256 KiB temporary-elision threshold, past
+    # which the operand order of the filter's product sets the bits
     cfg = critical_config(n, n)
     scene, _ = random_target_scene(cfg)
-    mask = comb_mask(cfg) if masked else None
-    qpsk = make_qam("qpsk")
-    points = sweep_points(cfg)
-    symbols = gen_symbol_grid(cfg, qpsk, 5, mask=mask)
-    swept = run_sweep_ensemble(scene, points, qpsk, trials=2, seed=5,
-                               mask=mask)
-    for (cfg_n, spec), result in zip(points, swept):
-        echo = synthesize_echo(scene, cfg_n, symbols, noise_seed=5,
-                               rcs_seed=5)
-        assert np.array_equal(result.first_tf,
-                              apply_tf_filter(echo, symbols, spec)), spec
+    scenario = ScenarioConfig(
+        radar=cfg, scene=scene, filters=(kind,),
+        mode="pilot_only" if masked else "data_aided",
+        srs=COMB if masked else None, snr_db=(5.0, 20.0), trials=3, seed=5,
+        constellation="qam16", rcmc_method="windowed_sinc",
+        ka_mode="reference", azimuth_downsample=1,
+        outputs=OutputSelection(images=(), grids=("tf",)))
+    out = run_scenario(scenario, tmp_path)
+
+    snr, noise_var = _snr_point(5.0, scenario, "$.snr_in_db")
+    symbols = gen_symbol_grid(cfg, make_qam("qam16"), 5,
+                              mask=comb_mask(cfg) if masked else None,
+                              trials=3)[0]
+    unit = draw_noise(cfg, 5, n_trials=3, unit=True)[0]
+    amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), 3)[0]
+    echo = (build_channel_matrix(scene, cfg, amps) * symbols
+            + np.sqrt(noise_var / 2.0) * unit)
+    tf = apply_tf_filter(echo, symbols, FilterSpec(kind, snr_in_linear=snr))
+    assert (out / "grid_tf.bin").read_bytes() == grid_to_bytes(tf, "tf")
 
 
 def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
@@ -419,14 +431,13 @@ def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
 
 def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
-    # points (rf and mf noise, mf signal).  With a budget of four grids
-    # and three chunks, the shared grids of a block fit the budget, so at
-    # any focus call at most four of them are alive besides rf's
-    # F(channel * act), a point's own two and the last trial's clean
-    # image.  Focused for a whole chunk of four trials they are twelve.
+    # points (rf and mf noise, mf signal).  A sweep of several chunks
+    # focuses them one trial at a time, so at any focus call at most those
+    # three are alive besides rf's F(channel * act), a point's own two and
+    # the last trial's clean image.  With budgets of 4 and 16 grids the
+    # chunks hold 2 and 8 trials, whose shared grids are 6 and 24.
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
     images = []  # a weak reference to every focused grid
     most = []
     real = pipeline.focusing_operator
@@ -446,7 +457,10 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
         cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
         points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
                    for kind in ("rf", "mf", "wf")]
-    for result in run_sweep_ensemble(scene, points, make_qam("qam16"),
-                                     trials=12, seed=5):
-        del result
-    assert max(most) <= 4 + 4
+    for budget, trials in ((4, 12), (16, 24)):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * 16 * 16 * 16)
+        most.clear()
+        for result in run_sweep_ensemble(scene, points, make_qam("qam16"),
+                                         trials=trials, seed=5):
+            del result
+        assert max(most) <= 3 + 4, (budget, trials)

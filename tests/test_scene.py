@@ -4,8 +4,8 @@ import pytest
 from ofdmsar.errors import InvalidParameterError, SceneError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import write_pgm
-from ofdmsar.scene import (PointTarget, Scene, ground_to_pixel,
-                           load_scene_pgm, make_point_scene, pixel_to_ground)
+from ofdmsar.scene import (PointTarget, Scene, load_scene_pgm,
+                           make_point_scene, pixel_to_ground)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
@@ -82,9 +82,9 @@ def test_pixel_ground_round_trip():
     extent = (290.0, 310.0, -5.0, 5.0)
     rows, cols = np.meshgrid(np.arange(8), np.arange(16), indexing="ij")
     x, y = pixel_to_ground(rows, cols, shape, extent)
-    r_back, c_back = ground_to_pixel(x, y, shape, extent)
-    assert np.allclose(r_back, rows)
-    assert np.allclose(c_back, cols)
+    # pixel centres are half a pixel pitch from the extent's near edges
+    assert np.allclose(x, 290.0 + (rows + 0.5) * 20.0 / 8)
+    assert np.allclose(y, -5.0 + (cols + 0.5) * 10.0 / 16)
     # pixel centers sit strictly inside the extent
     assert x.min() > extent[0] and x.max() < extent[1]
     assert y.min() > extent[2] and y.max() < extent[3]

@@ -176,10 +176,8 @@ def test_nr_config_derived_quantities():
     assert cfg.symbol_duration_s == pytest.approx(1 / 30e3, rel=1e-12)
     assert cfg.total_symbol_s == pytest.approx(1.25 / 30e3, rel=1e-12)
     assert cfg.n_symbols == 48000
-    assert cfg.prf_hz == pytest.approx(24e3, rel=1e-12)
     assert cfg.occupied_bandwidth_hz == pytest.approx(98.28e6, rel=1e-12)
     assert cfg.range_pitch_m == pytest.approx(1.525, abs=0.001)
-    assert cfg.unambiguous_range_m == pytest.approx(4996.54, abs=0.01)
     assert cfg.wavelength_m == pytest.approx(0.085655, abs=1e-6)
     assert cfg.azimuth_pitch_m == pytest.approx(50 * 1.25 / 30e3, rel=1e-12)
 
@@ -262,7 +260,6 @@ def test_decimated_grid():
     assert dec.n_symbols == 4800
     assert dec.total_symbol_s == pytest.approx(10 * cfg.total_symbol_s,
                                                rel=1e-12)
-    assert dec.prf_hz == pytest.approx(cfg.prf_hz / 10, rel=1e-12)
     assert dec.subcarrier_spacing_hz == cfg.subcarrier_spacing_hz
     assert dec.range_pitch_m == cfg.range_pitch_m
     assert dec.azimuth_pitch_m == pytest.approx(10 * cfg.azimuth_pitch_m,
@@ -376,7 +373,7 @@ def test_srs_mask_positions_and_prf():
     cfg_pilot = cfg.decimated(srs.period_symbols)
     mask = pilot_comb_mask(cfg_pilot, srs)
     assert mask.shape == (64, 2)
-    assert cfg_pilot.prf_hz == pytest.approx(85.714286, abs=1e-4)
+    assert 1 / cfg_pilot.total_symbol_s == pytest.approx(85.714286, abs=1e-4)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     assert np.array_equal(rows, 8 + 4 * np.arange(6))
@@ -389,8 +386,8 @@ def test_srs_mask_prf_scales_with_periodicity():
                     aperture_time_s=600 * 1.25 / 30e3)
     srs = SrsConfig(periodicity_slots=2, symbols_per_slot=14,
                     comb_spacing=4, n_resource_blocks=2, start_subcarrier=8)
-    assert cfg.decimated(srs.period_symbols).prf_hz == pytest.approx(
-        857.14286, abs=1e-3)
+    assert 1 / cfg.decimated(srs.period_symbols).total_symbol_s == (
+        pytest.approx(857.14286, abs=1e-3))
 
 
 def test_srs_mask_rejects_overflowing_comb():
