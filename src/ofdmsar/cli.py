@@ -54,6 +54,11 @@ DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
 DEFAULT_DATA_DOWNSAMPLE = 10
 MODES = ("data_aided", "pilot_only")
+# Largest Doppler step K_a T^2 between adjacent run-grid symbols, in units
+# of the symbol rate 1/T, so K_a T^2 M <= MAX_DOPPLER_STEP * M.  At 1/2 the
+# sampled azimuth chirp repeats every two symbols; reference targets between
+# two bins stop focusing from 0.47 on (8 to 64 symbols, any K_a or RCMC).
+MAX_DOPPLER_STEP = 0.45
 _FILTER_CHOICES = FILTER_KINDS + ("all",)
 
 
@@ -391,9 +396,18 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     if ref is None:
         raise ConfigError("$.scene", "needs a deterministic reference target")
     with _at("$.radar"):
-        run_radar.azimuth_rate_at(ref.mean_range_m(radar.platform))
-    with _at("$.scene"):
-        check_cp_margin(scene, run_radar)
+        k_a = run_radar.azimuth_rate_at(ref.mean_range_m(radar.platform))
+    with _at("$.scene"):  # every sent symbol, so every kept one too
+        check_cp_margin(scene, radar)
+    doppler_step, m = k_a * run_radar.total_symbol_s ** 2, run_radar.n_symbols
+    if doppler_step > MAX_DOPPLER_STEP:  # name the decimation if the sent grid is fine
+        fine = k_a * radar.total_symbol_s ** 2 <= MAX_DOPPLER_STEP
+        raise ConfigError(decimation if fine else "$.radar.fc_hz",
+                          f"K_a T^2 M = {doppler_step * m:.3g} exceeds "
+                          f"{MAX_DOPPLER_STEP} M = {MAX_DOPPLER_STEP * m:.3g}"
+                          f": the {run_radar.n_subcarriers}x{m} run grid "
+                          f"undersamples the reference target's azimuth "
+                          f"chirp (K_a grows with fc_hz and speed_mps^2)")
     k_q, m_q = target_bin(ref, run_radar)
     hw = MAINLOBE_HALFWIDTH_BINS
     if not (hw <= k_q < run_radar.n_subcarriers - hw

@@ -7,9 +7,10 @@ For a scene of Q point scatterers the noiseless received grid is
               * exp(-j (4 pi / c) fc dR_{q,m})
 
 with alpha_q = d_q exp(-j (4 pi / c) fc Rbar_q), dR_{q,m} the first-order
-slant-range deviation (v m T_sym - y_q)^2 / (2 Rbar_q), and z ~ CN(0, s^2)
-added elementwise.  Equivalently y = H .* s with H the channel matrix of
-build_channel_matrix, which this module guarantees to machine precision.
+slant-range deviation (v m T_sym - y_q)^2 / (2 Rbar_q) of
+geometry.range_deviation, and z ~ CN(0, s^2) added elementwise.
+Equivalently y = H .* s with H the channel matrix of build_channel_matrix,
+which this module guarantees to machine precision.
 """
 
 from __future__ import annotations
@@ -20,29 +21,24 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, SceneError, StageError
-from .scene import PointTarget, Scene
+from .geometry import range_deviation
+from .scene import Scene
 from .waveform import (NOISE_STREAM, RCS_STREAM, SPEED_OF_LIGHT, RadarConfig,
                        _philox)
 
 _FOUR_PI_OVER_C = 4.0 * np.pi / SPEED_OF_LIGHT
 
 
-def _range_deviation_m(target: PointTarget, cfg: RadarConfig,
-                       m_idx: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Rbar_q, dR_{q,m}) for all symbol indices."""
-    r_bar = target.mean_range_m(cfg.platform)
-    offset = cfg.platform.speed_mps * m_idx * cfg.total_symbol_s - target.y_m
-    return r_bar, offset ** 2 / (2.0 * r_bar)
-
-
 def check_cp_margin(scene: Scene, cfg: RadarConfig):
-    """Enforce T_cp > max round-trip delay (no inter-symbol interference).
+    """Enforce T_cp > max round-trip delay (no inter-symbol interference)
+    over the symbols of cfg's grid, against its physical cyclic prefix.
 
     The range deviation grows with (v m T - y)^2, which is convex in the
-    symbol index m, so its maximum lies at the first or the last symbol."""
+    symbol index m, so its maximum lies at the first or the last symbol;
+    the sent grid therefore bounds every grid decimated from it."""
     m_idx = np.array([0.0, cfg.n_symbols - 1.0])
     for i, target in enumerate(scene.targets):
-        r_bar, d_r = _range_deviation_m(target, cfg, m_idx)
+        r_bar, d_r = range_deviation(target.x_m, target.y_m, m_idx, cfg)
         delay = 2.0 * (r_bar + float(d_r.max())) / SPEED_OF_LIGHT
         if delay >= cfg.cp_duration_s:
             raise ConfigurationError(
@@ -69,7 +65,7 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     m_idx = np.arange(cfg.n_symbols, dtype=float)
     h = np.zeros((cfg.n_subcarriers, cfg.n_symbols), dtype=complex)
     for d_q, target in zip(amplitudes, scene.targets):
-        r_bar, d_r = _range_deviation_m(target, cfg, m_idx)
+        r_bar, d_r = range_deviation(target.x_m, target.y_m, m_idx, cfg)
         alpha = d_q * np.exp(-1j * _FOUR_PI_OVER_C * cfg.fc_hz * r_bar)
         b = np.exp(-1j * _FOUR_PI_OVER_C * cfg.subcarrier_spacing_hz * r_bar * n_idx)
         c_row = np.exp(-1j * _FOUR_PI_OVER_C * cfg.fc_hz * d_r)

@@ -50,6 +50,15 @@ def mean_range(x_m: float, geom: PlatformGeometry) -> float:
     return r_bar
 
 
+def range_deviation(x_m: float, y_m: float, m, cfg: "RadarConfig"):
+    """(Rbar, dR) of ground point (x, y) at symbol index m: the
+    closest-approach range and the first-order slant-range deviation
+    (v m T_sym - y)^2 / (2 Rbar), scalar or array matching m."""
+    r_bar = mean_range(x_m, cfg.platform)
+    offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
+    return r_bar, offset * offset / (2.0 * r_bar)
+
+
 def slant_range(x_m, y_m, m, cfg: "RadarConfig", mode: str = "exact"):
     """Slant range from the platform at symbol index m to ground point (x, y).
 
@@ -59,19 +68,19 @@ def slant_range(x_m, y_m, m, cfg: "RadarConfig", mode: str = "exact"):
     m : symbol index or array of indices (platform at azimuth v*m*T_sym)
     cfg : radar configuration providing platform and symbol timing
     mode : "exact" for the full square root, "first_order" for the
-        parabolic expansion around the closest-approach range
+        parabolic expansion Rbar + dR of range_deviation
 
     Returns
     -------
     Slant range in meters, scalar or array matching m.
     """
-    geom = cfg.platform
-    r_bar = mean_range(x_m, geom)
-    offset = geom.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
     if mode == "exact":
+        r_bar = mean_range(x_m, cfg.platform)
+        offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
         return np.sqrt(r_bar * r_bar + offset * offset)
     if mode == "first_order":
-        return r_bar + offset * offset / (2.0 * r_bar)
+        r_bar, d_r = range_deviation(x_m, y_m, m, cfg)
+        return r_bar + d_r
     raise InvalidParameterError(f"unknown slant range mode {mode!r}")
 
 

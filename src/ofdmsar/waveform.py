@@ -1,15 +1,16 @@
 """OFDM waveform configuration, QAM alphabets, and symbol-grid generation.
 
 The transmitted frame is an N x M temporal-frequency grid: N subcarriers
-spaced subcarrier_spacing_hz apart, M OFDM symbols of total duration
-total_symbol_s (useful part plus cyclic prefix).  Communication payloads
-fill every resource element; sounding-reference transmissions occupy a
-sparse comb described by SrsConfig.
+spaced subcarrier_spacing_hz apart, and M OFDM symbols, every k-th of the
+sent ones (RadarConfig).  Communication payloads fill every resource
+element; sounding-reference transmissions occupy a sparse comb described
+by SrsConfig.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -31,12 +32,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 class RadarConfig:
     """Static parameters of one acquisition.
 
-    symbol_duration_s, total_symbol_s and n_symbols may be left None and are
-    then derived from the subcarrier spacing, cyclic prefix and aperture
-    time.  When given explicitly they must be consistent:
-    symbol_duration_s == 1/subcarrier_spacing_hz,
-    total_symbol_s == symbol_duration_s + cp_duration_s,
-    n_symbols == round(aperture_time_s / total_symbol_s).
+    The transmitter sends round(aperture_time_s / (1/df + cp_duration_s))
+    OFDM symbols, each a useful part of 1/df plus the cyclic prefix.  The
+    grid keeps every decimation-th of them: n_symbols = sent // decimation
+    columns, total_symbol_s = decimation * (1/df + cp_duration_s) apart.
+    cp_duration_s and aperture_time_s stay the physical values on any
+    decimated grid, so the cyclic-prefix check reads the real prefix.
     """
 
     fc_hz: float
@@ -46,11 +47,11 @@ class RadarConfig:
     aperture_time_s: float
     n_subcarriers: int
     platform: PlatformGeometry
-    symbol_duration_s: Optional[float] = None
-    total_symbol_s: Optional[float] = None
-    n_symbols: Optional[int] = None
+    decimation: int = 1
     snr_in_linear: Optional[float] = None
     noise_var: float = 0.0
+    total_symbol_s: float = field(init=False)
+    n_symbols: int = field(init=False)
 
     def __post_init__(self):
         for name in ("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
@@ -60,6 +61,9 @@ class RadarConfig:
                     f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.n_subcarriers < 1:
             raise InvalidParameterError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
+        if not isinstance(self.decimation, numbers.Integral) or self.decimation < 1:
+            raise InvalidParameterError(
+                f"decimation must be an int >= 1, got {self.decimation!r}")
         if not 0 <= self.noise_var < math.inf:
             raise InvalidParameterError(
                 f"noise_var must be finite and >= 0, got {self.noise_var}")
@@ -67,31 +71,17 @@ class RadarConfig:
             raise InvalidParameterError(
                 f"snr_in_linear must be > 0 when given, got {self.snr_in_linear}")
 
-        t_useful = 1.0 / self.subcarrier_spacing_hz
-        if self.symbol_duration_s is None:
-            object.__setattr__(self, "symbol_duration_s", t_useful)
-        elif not math.isclose(self.symbol_duration_s, t_useful, rel_tol=_REL_TOL):
-            raise ConfigurationError(
-                f"symbol_duration_s {self.symbol_duration_s} is not the reciprocal "
-                f"of subcarrier_spacing_hz (expected {t_useful})")
-
-        t_total = self.symbol_duration_s + self.cp_duration_s
-        if self.total_symbol_s is None:
-            object.__setattr__(self, "total_symbol_s", t_total)
-        elif not math.isclose(self.total_symbol_s, t_total, rel_tol=_REL_TOL):
-            raise ConfigurationError(
-                f"total_symbol_s {self.total_symbol_s} != symbol + cp duration {t_total}")
-
-        if not self.aperture_time_s / self.total_symbol_s < math.inf:
-            raise ConfigurationError("aperture_time_s / total_symbol_s overflows")
-        m_expected = round(self.aperture_time_s / self.total_symbol_s)
-        if self.n_symbols is None:
-            object.__setattr__(self, "n_symbols", m_expected)
-        elif self.n_symbols != m_expected:
-            raise ConfigurationError(
-                f"n_symbols {self.n_symbols} != round(aperture / total symbol) {m_expected}")
-        if self.n_symbols < 1:
+        t_sent = self.symbol_duration_s + self.cp_duration_s
+        if not self.aperture_time_s / t_sent < math.inf:
+            raise ConfigurationError("aperture_time_s / symbol time overflows")
+        sent = round(self.aperture_time_s / t_sent)
+        object.__setattr__(self, "total_symbol_s", t_sent * self.decimation)
+        object.__setattr__(self, "n_symbols", sent // self.decimation)
+        if sent < 1:
             raise ConfigurationError("aperture shorter than one OFDM symbol")
+        if self.n_symbols < 1:
+            raise ConfigurationError(
+                f"decimation step {self.decimation} leaves no symbols out of {sent}")
         if 16 * self.n_subcarriers * self.n_symbols > np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"the {self.n_subcarriers}x{self.n_symbols} grid of complex128 "
@@ -104,6 +94,11 @@ class RadarConfig:
                 f"bandwidth_hz = {self.bandwidth_hz:.6g} Hz")
 
     # Derived quantities -------------------------------------------------
+
+    @property
+    def symbol_duration_s(self) -> float:
+        """Useful part 1/df of an OFDM symbol, without the cyclic prefix."""
+        return 1.0 / self.subcarrier_spacing_hz
 
     @property
     def wavelength_m(self) -> float:
@@ -137,35 +132,19 @@ class RadarConfig:
         return rate
 
     def azimuth_bandwidth_at(self, r_bar_m: float) -> float:
-        """Doppler extent K_a * T_a swept over the aperture, Hz."""
-        return self.azimuth_rate_at(r_bar_m) * self.aperture_time_s
+        """Doppler extent K_a * M * T swept over the span the grid holds, Hz."""
+        return self.azimuth_rate_at(r_bar_m) * (self.n_symbols * self.total_symbol_s)
 
     # Transformations ----------------------------------------------------
 
     def decimated(self, step: int) -> "RadarConfig":
         """Configuration of the grid kept after taking every step-th symbol.
 
-        The azimuth sample interval grows to step * total_symbol_s and the
-        symbol count drops to n_symbols // step; subcarrier parameters are
-        unchanged.  The aperture time is re-derived from the kept symbols.
+        The azimuth sample interval grows step-fold and the symbol count
+        drops to n_symbols // step; the subcarriers, the cyclic prefix and
+        the aperture time are unchanged.
         """
-        if step < 1 or step != int(step):
-            raise InvalidParameterError(f"decimation step must be a positive int, got {step}")
-        step = int(step)
-        if step == 1:
-            return self
-        m_kept = self.n_symbols // step
-        if m_kept < 1:
-            raise ConfigurationError(
-                f"decimation step {step} leaves no symbols out of {self.n_symbols}")
-        t_total = self.total_symbol_s * step
-        return replace(
-            self,
-            cp_duration_s=t_total - self.symbol_duration_s,
-            total_symbol_s=t_total,
-            n_symbols=m_kept,
-            aperture_time_s=m_kept * t_total,
-        )
+        return self if step == 1 else replace(self, decimation=self.decimation * step)
 
     def with_noise(self, noise_var: float,
                    snr_in_linear: Optional[float] = None) -> "RadarConfig":

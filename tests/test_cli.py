@@ -17,9 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 from ofdmsar import cli, echo, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, emit_pgm, main,
                          parse_config, run_scenario)
+from ofdmsar.errors import ConfigurationError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
-from ofdmsar.waveform import RadarConfig, SrsConfig, SPEED_OF_LIGHT as c
+from ofdmsar.rd_imaging import KA_MODES, RCMC_METHODS
+from ofdmsar.scene import PointTarget, Scene
+from ofdmsar.tf_filter import FilterSpec
+from ofdmsar.waveform import (RadarConfig, SrsConfig, SPEED_OF_LIGHT as c,
+                              make_qam)
 
 N, M = 16, 16
 DF = 60e3
@@ -97,16 +102,21 @@ LIBRARY_REJECTS = (
     (("radar", "aperture_time_s"), 3 * T_SYM, "$.radar"),
     (("azimuth_downsample",), 5, "$.azimuth_downsample"),
     (("scene", "targets", 0, "y"), 0, "$.scene"),
+    # an azimuth chirp undersampled past focusing (K_a T^2 M = 14.3)
+    (("radar", "fc_hz"), 5e10, "$.radar.fc_hz"),
 )
 
 
 # Parsing ---------------------------------------------------------------------
 
 def test_parse_defaults():
-    # 64 symbols, so the default data decimation leaves a measurable grid
+    # 64 symbols, so the default data decimation leaves a measurable grid;
+    # a tenth of the speed keeps its 6 symbols' azimuth chirp sampled
     doc = copy.deepcopy(BASE)
     del doc["filter"], doc["trials"], doc["seed"], doc["azimuth_downsample"]
     doc["radar"]["aperture_time_s"] = 64 * T_SYM
+    doc["radar"]["platform"]["speed_mps"] = SPEED / 10
+    doc["scene"]["targets"][0]["y"] = 3 * SPEED * T_SYM
     scenario = parse_config(json.dumps(doc))
     assert scenario.filters == ("rf", "mf", "wf")
     assert scenario.mode == "data_aided"
@@ -242,16 +252,48 @@ def test_pilot_block_is_checked_without_building_the_comb(tmp_path, capsys):
     assert "error: $.scene: " in capsys.readouterr().err
 
 
+def test_doppler_step_bound_admits_only_focusing_grids(tmp_path):
+    # at the largest accepted K_a T^2 a reference target between two
+    # azimuth bins still focuses, under either K_a mode and RCMC method
+    fc_max = 3.5e9 * cli.MAX_DOPPLER_STEP * M * (1 - 1e-9)  # K_a T^2 = 1/M
+    config = tmp_path / "scenario.json"
+    for ka_mode in KA_MODES:
+        for method in RCMC_METHODS:
+            doc = mutated(("radar", "fc_hz"), fc_max)
+            doc["scene"]["targets"][0]["y"] = 8.5 * SPEED * T_SYM
+            doc.update(ka_mode=ka_mode, rcmc={"method": method}, trials=1,
+                       outputs={"images": [], "grids": []})
+            config.write_text(json.dumps(doc))
+            assert main(["--config", str(config), "--out-dir",
+                         str(tmp_path / f"{ka_mode}-{method}")]) == 0
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(mutated(("radar", "fc_hz"), 1.01 * fc_max)))
+    assert err.value.path == "$.radar.fc_hz"
+    assert "K_a T^2 M = 7.27" in str(err.value)
+    # a sent grid sampled finely enough, decimated past the bound, is
+    # reported at the decimation: 64 sent symbols have K_a T^2 = 1/16, and
+    # every 4th of them K_a T^2 = 1
+    wide = {**BASE["radar"], "aperture_time_s": 64 * T_SYM}
+    for overrides, path in (({"azimuth_downsample": 4},
+                             "$.azimuth_downsample"),
+                            ({"azimuth_downsample": None, "mode": "pilot_only",
+                              "srs": SRS}, "$.srs")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(radar=wide, **overrides))
+        assert err.value.path == path
+        assert "K_a T^2 M = 16 " in str(err.value)
+    assert parse_config(config_text(radar=wide, azimuth_downsample=2))
+
+
 def test_field_tables_match_the_config_dataclasses():
     # a new config field cannot go unparsed unnoticed
     def init_fields(cls):
         return {f.name for f in dataclasses.fields(cls) if f.init}
     assert set(cli._PLATFORM) == init_fields(PlatformGeometry)
-    # the noise is set per sweep point; the symbol timing and count are
-    # derived from spacing, cyclic prefix and aperture
+    # the noise is set per sweep point, and the decimation by the mode
+    # (azimuth_downsample or the srs period)
     assert set(cli._RADAR) == init_fields(RadarConfig) - {
-        "noise_var", "snr_in_linear", "symbol_duration_s", "total_symbol_s",
-        "n_symbols"}
+        "noise_var", "snr_in_linear", "decimation"}
     assert set(cli._SRS) == init_fields(SrsConfig)
 
 
@@ -268,9 +310,13 @@ def test_parse_snr_list_and_dedup_warning():
 
 
 def test_parse_pilot_srs_rules():
+    # a quarter of the speed keeps the 4 pilot symbols' azimuth chirp
+    # sampled
     srs = SRS
     doc = copy.deepcopy(BASE)
     del doc["azimuth_downsample"]
+    doc["radar"]["platform"]["speed_mps"] = SPEED / 4
+    doc["scene"]["targets"][0]["y"] = 2 * SPEED * T_SYM
     doc["mode"] = "pilot_only"
     doc["srs"] = srs
     scenario = parse_config(json.dumps(doc))
@@ -331,7 +377,6 @@ def test_emit_pgm_all_zero_and_floor():
     image = np.array([[1.0, 1e-6]])
     pixels, _ = parse_pgm(emit_pgm(image, db_floor=-40.0))
     assert pixels[0, 1] == 0
-    from ofdmsar.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         emit_pgm(np.empty((0, 3)))
     with pytest.raises(ConfigurationError):
@@ -770,6 +815,68 @@ def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cyclic prefix" in err and err.startswith("error: $.scene: ")
     assert not out_dir.exists()  # rejected at parse time
+
+
+# A 30 kHz, 16-subcarrier grid: the 8.33 us cyclic prefix admits round
+# trips out to ~1250 m, and range bin 5 lies at ~1561 m (10.4 us).  That is
+# well within k symbols less one useful part (133 us at k = 4, 383 us at
+# k = 10), so only a check against the physical prefix rejects it.
+CP_DF = 30e3
+CP_T_SYM = 1.25 / CP_DF
+CP_R_BAR = 5 * c / (2 * 16 * CP_DF)
+
+
+def cp_regression_doc(mode, step):
+    """A scenario whose target outlasts the cyclic prefix, with its
+    reference peak on a valid bin of the grid kept every step-th symbol."""
+    speed, height = 50.0, 1000.0
+    x = math.sqrt(CP_R_BAR ** 2 - height ** 2)
+    y = 8 * speed * step * CP_T_SYM
+    doc = {"radar": {"fc_hz": 3.5e9, "bandwidth_hz": 1e8,
+                     "subcarrier_spacing_hz": CP_DF,
+                     "cp_duration_s": 0.25 / CP_DF,
+                     "aperture_time_s": 160 * CP_T_SYM, "n_subcarriers": 16,
+                     "platform": {"height_m": height, "speed_mps": speed}},
+           "scene": {"targets": [{"x": x, "y": y}]},
+           "snr_in_db": 5.0, "filter": {"kind": "rf"}, "trials": 1,
+           "mode": mode, "outputs": {"images": [], "grids": []}}
+    if mode == "pilot_only":
+        doc["srs"] = {**SRS, "periodicity_slots": step // 2}
+    else:
+        doc["azimuth_downsample"] = step
+    return doc
+
+
+@pytest.mark.parametrize("mode, step", [("data_aided", 1),
+                                        ("data_aided", 10),
+                                        ("pilot_only", 4)])
+def test_cyclic_prefix_is_checked_on_the_sent_grid(tmp_path, capsys, mode,
+                                                   step):
+    delay = 2 * CP_R_BAR / c
+    assert 0.25 / CP_DF < delay
+    assert step == 1 or delay < step * CP_T_SYM - 1 / CP_DF
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps(cp_regression_doc(mode, step)))
+    out_dir = tmp_path / "artifacts"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.scene: ") and "cyclic prefix" in err
+    assert "8.333 us" in err
+    assert not out_dir.exists()
+
+
+def test_pilot_ensemble_checks_the_physical_cyclic_prefix():
+    doc = cp_regression_doc("pilot_only", 4)
+    radar = dict(doc["radar"])
+    cfg = RadarConfig(platform=PlatformGeometry(**radar.pop("platform")),
+                      **radar)
+    target = doc["scene"]["targets"][0]
+    scene = Scene(targets=(PointTarget(x_m=target["x"], y_m=target["y"]),),
+                  extent=(0.0, 1e4, 0.0, 1e4))
+    with pytest.raises(ConfigurationError, match="cyclic prefix"):
+        pipeline.run_pilot_ensemble(scene, cfg, SrsConfig(**doc["srs"]),
+                                    make_qam("qpsk"), FilterSpec("rf"),
+                                    trials=1, seed=0)
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

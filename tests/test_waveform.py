@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +219,6 @@ def test_azimuth_rate_and_bandwidth():
         cfg.azimuth_rate_at(0.0)
 
 
-def test_config_rejects_inconsistent_symbol_duration():
-    with pytest.raises(ConfigurationError):
-        nr_config(PLATFORM, symbol_duration_s=2 / 30e3)
-    with pytest.raises(ConfigurationError):
-        nr_config(PLATFORM, total_symbol_s=1 / 30e3)
-    with pytest.raises(ConfigurationError):
-        nr_config(PLATFORM, n_symbols=47999)
-
-
 def test_config_rejects_overfull_band():
     with pytest.raises(ConfigurationError):
         nr_config(PLATFORM, n_subcarriers=4000)  # 120 MHz > 100 MHz
@@ -264,11 +256,29 @@ def test_decimated_grid():
     assert dec.range_pitch_m == cfg.range_pitch_m
     assert dec.azimuth_pitch_m == pytest.approx(10 * cfg.azimuth_pitch_m,
                                                 rel=1e-12)
+    # the decimated grid keeps the physical cyclic prefix and aperture
+    assert dec.cp_duration_s == cfg.cp_duration_s
+    assert dec.aperture_time_s == cfg.aperture_time_s
+    assert dec.symbol_duration_s == cfg.symbol_duration_s
+    assert dec.azimuth_bandwidth_at(1000.0) == pytest.approx(
+        cfg.azimuth_bandwidth_at(1000.0), rel=1e-12)
     assert cfg.decimated(1) is cfg
     with pytest.raises(InvalidParameterError):
         cfg.decimated(0)
     with pytest.raises(ConfigurationError):
         cfg.decimated(48001)
+    with pytest.raises(InvalidParameterError):
+        replace(cfg, decimation=0)
+
+
+def test_decimations_compose():
+    cfg = nr_config(PLATFORM, n_subcarriers=64,
+                    aperture_time_s=600 * 1.25 / 30e3)
+    for a, b in ((2, 3), (4, 70), (7, 1), (1, 5)):
+        assert cfg.decimated(a).decimated(b) == cfg.decimated(a * b)
+    # 600 // 280 // 3 keeps no symbol, however it is reached
+    with pytest.raises(ConfigurationError):
+        cfg.decimated(280).decimated(3)
 
 
 def test_with_noise():
