@@ -41,17 +41,27 @@ once, so two chunks of noise are in flight and share the budget: such a
 sweep's chunks hold half as many trials (still at least one, so at one
 trial per chunk the worker's buffer is one grid more).  Memory is the
 chunk's draws (with random targets, also its channels and ideal images),
-the next chunk's noise, the sweep's F(channel * act), the K
-canonical grids per trial that several points read, the per-trial
-working grids, and the per-point reductions, which are all a result
-keeps.  A sweep that fits one chunk focuses the shared grids for the
-whole chunk and makes each point's result only when it reaches that
-point.  A sweep of P points that spans several chunks holds
+the next chunk's noise, the sweep's F(channel * act), its working grids
+and the per-point reductions, which are all a result keeps.  The sweep
+allocates its working grids once, and only those some point reads: a
+buffer for each of the K canonical grids that several points read, one
+signal and one noise buffer that every point's own grids reuse in turn,
+and one scratch grid per kind of reduction (chi * clean, the noisy
+image, its residual, which also holds the gain grid while a trial is
+focused, and |.|^2).  Every product, focus pass and reduction of a trial
+writes into them, in the operand order of the out-of-place chain, so
+focusing and reducing a trial allocates no complex grid, and the bits
+are those of fresh grids.
+A sweep that fits one chunk focuses the shared grids for the whole chunk,
+into K buffers per trial, and makes each point's result only when it
+reaches that point.  A sweep of P points that spans several chunks holds
 2*P*N*M*8 bytes of mean power images until its last chunk, and focuses
-the shared grids one trial at a time, so K of them are alive.  When
-every grid is shared (a constant-modulus sweep of several noisy points),
-a chunk drops its symbols and noise once its shared grids are focused,
-so the shared noise grids take the place of its draws.
+the shared grids one trial at a time into one buffer each.  When every
+grid is shared (a constant-modulus sweep of several noisy points), a
+chunk drops its symbols and noise once its shared grids are focused, so
+the shared noise grids take the place of its draws.  A point whose
+noiseless image is the sweep's F(channel * act) reduces it once per
+block of trials and adds the same |.|^2 in every trial.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -158,24 +168,38 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-def _focus_grids(focus, recipes, slots, grids: list, channel: np.ndarray,
-                 symbols: np.ndarray, noise: Optional[np.ndarray],
-                 mask: Optional[np.ndarray]) -> list:
-    """Focus one trial's canonical grids `slots` into `grids`, by their
-    (part, gain, spec) recipes: ("signal", None, None) is F(channel * act),
-    ("signal", g, spec) is F(channel * s * g) and ("noise", g, spec) is
-    F(z * g), the gain index g naming each gain grid, computed once."""
-    gains = {}
-    for j in slots:  # no name holds an operand past its focus
+def _focus_grids(focus, recipes, slots, grids: list, gains: np.ndarray,
+                 channel: np.ndarray, symbols: np.ndarray,
+                 noise: Optional[np.ndarray],
+                 mask: Optional[np.ndarray]) -> None:
+    """Focus one trial's canonical grids `slots` in place into their
+    buffers grids[j], by their (part, gain, spec) recipes: ("signal", -1,
+    None) is F(channel * act), ("signal", g, spec) is F(channel * s * g)
+    and ("noise", g, spec) is F(z * g), the gain index g naming each gain
+    grid.  The slots come sorted by gain, so each gain grid is written into
+    `gains` once."""
+    current = None
+    for j in slots:
         part, g, spec = recipes[j]
+        out = grids[j]
         if spec is None:
-            grids[j] = focus(channel if mask is None else channel * mask)
+            focus(channel if mask is None
+                  else np.multiply(channel, mask, out=out), out=out)
             continue
-        if g not in gains:
-            gains[g] = filter_gains(symbols, spec)
-        grids[j] = focus(channel * symbols * gains[g] if part == "signal"
-                         else noise * gains[g])
-    return grids
+        if g != current:
+            current = g
+            filter_gains(symbols, spec, out=gains)
+        if part == "signal":
+            np.multiply(channel, symbols, out=out)
+            out *= gains
+        else:
+            np.multiply(noise, gains, out=out)
+        focus(out, out=out)
+
+
+def _power(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.abs(grid) ** 2, bit for bit, written into out."""
+    return np.square(np.abs(grid, out=out), out=out)
 
 
 def run_sweep_ensemble(scene: Scene,
@@ -233,7 +257,7 @@ def run_sweep_ensemble(scene: Scene,
         for key in [("signal", r.signal)]
         + ([("noise", r.noise)] if cfg.noise_var > 0 else [])))
     specs = list(dict.fromkeys(spec for _, spec in keys if spec is not None))
-    recipes = [(part, None if spec is None else specs.index(spec), spec)
+    recipes = [(part, -1 if spec is None else specs.index(spec), spec)
                for part, spec in keys]
     slots = [(keys.index(("signal", r.signal)),
               keys.index(("noise", r.noise)) if cfg.noise_var > 0 else None)
@@ -243,13 +267,16 @@ def run_sweep_ensemble(scene: Scene,
     # every other grid that several points read, once per trial
     swept = [None] * len(keys)
     if rcs_rng is None and ("signal", None) in keys:
-        _focus_grids(focus, recipes, [keys.index(("signal", None))], swept,
-                     fixed[0], None, None, mask)
-    shared = [j for j, n_users in users.items()
-              if n_users > 1 and swept[j] is None]
+        swept[keys.index(("signal", None))] = focus(
+            fixed[0] if mask is None else fixed[0] * mask)
+
+    def by_gain(js):
+        return sorted(js, key=lambda j: recipes[j][1])
+    shared = by_gain(j for j, n_users in users.items()
+                     if n_users > 1 and swept[j] is None)
     # the grids each point focuses itself, per trial
-    own = [[j for j in pair if j is not None and j not in shared
-            and swept[j] is None] for pair in slots]
+    own = [by_gain(j for j in pair if j is not None and j not in shared
+                   and swept[j] is None) for pair in slots]
     chunk = _chunk_trials(trials, n, m)
     prefetch = noise_rng is not None and chunk < trials
     if prefetch:
@@ -261,6 +288,26 @@ def run_sweep_ensemble(scene: Scene,
     # sweep focuses them for the whole chunk, so that it makes each point's
     # result only when it reaches that point.
     block = chunk if chunk == trials else 1
+
+    # The grids a trial is focused into and reduced in, allocated once and
+    # never touched by the noise worker: a block's worth of each shared
+    # grid, one signal and one noise grid that every point's own grids
+    # reuse in turn, and one scratch grid per kind of reduction; each only
+    # if some point reads it.  `diff` holds the gain grid while a trial's
+    # grids are focused; the other scratch grids are made when the first
+    # block reaches its points, after a chunk whose draws no point reads
+    # again has dropped them.  grids_at[i][j] is canonical grid j of the
+    # block's trial i.
+    def empty(*shape, dtype=complex):
+        return np.empty(shape + (n, m), dtype=dtype)
+    pool = {j: empty(block) for j in shared}
+    reused = {part: empty() for part in ("signal", "noise")
+              if any(recipes[j][0] == part for js in own for j in js)}
+    grids_at = [[swept[j] if swept[j] is not None else
+                 pool[j][i] if j in pool else reused[recipes[j][0]]
+                 for j in range(len(keys))] for i in range(block)]
+    diff, power = empty(), None
+
     # each point's result is made on first use and filled block by block
     results: list[Optional[EnsembleResult]] = [None] * len(points)
     starts = range(0, trials, chunk)
@@ -304,13 +351,19 @@ def run_sweep_ensemble(scene: Scene,
             for lo in range(0, size, block):
                 hi = min(lo + block, size)
                 last = start + hi == trials
-                images = ([_focus_grids(focus, recipes, shared, list(swept),
-                                        truths[i][0], grid[i], unit_noise[i],
-                                        mask) for i in range(lo, hi)]
-                          if shared else [swept] * (hi - lo))
+                if shared:
+                    for i in range(lo, hi):
+                        _focus_grids(focus, recipes, shared, grids_at[i - lo],
+                                     diff, truths[i][0], grid[i],
+                                     unit_noise[i], mask)
                 if hi == size and not any(own):
                     # no point focuses a draw itself: none is read again
                     grid = unit_noise = None
+                if power is None:
+                    scaled = (empty() if any(r.chi != 1.0 for r in reads)
+                              else None)
+                    noisy_grid = empty() if noise_rng is not None else None
+                    power = empty(dtype=float)
 
                 for p, (cfg, filter_spec) in enumerate(points):
                     if results[p] is None:
@@ -334,31 +387,48 @@ def run_sweep_ensemble(scene: Scene,
                     chi = reads[p].chi
                     sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
                     signal, noise = slots[p]
+                    # a noiseless image focused once per sweep is the same
+                    # in every trial: reduce it once, add it per trial
+                    fixed_clean = swept[signal] is not None
+                    if fixed_clean:
+                        clean = swept[signal]
+                        if chi != 1.0:
+                            clean = np.multiply(chi, clean, out=scaled)
+                        peak = clean[k_q, m_q] / alpha_ref
+                        _power(clean, power)
+                        for t in range(start + lo, start + hi):
+                            res.noiseless_peaks[t] = peak
+                            mean_clean += power
 
                     for i in range(lo, hi):
                         t = start + i
                         ideal = truths[i][1]
-                        grids = images[i - lo]
+                        grids = grids_at[i - lo]
                         if own[p]:
-                            grids = _focus_grids(focus, recipes, own[p],
-                                                 list(grids), truths[i][0],
-                                                 grid[i], unit_noise[i], mask)
-                        clean = grids[signal]
-                        if chi != 1.0:
-                            clean = chi * clean
+                            _focus_grids(focus, recipes, own[p], grids, diff,
+                                         truths[i][0], grid[i], unit_noise[i],
+                                         mask)
+                        if not fixed_clean:
+                            clean = grids[signal]
+                            if chi != 1.0:
+                                clean = np.multiply(chi, clean, out=scaled)
+                            res.noiseless_peaks[t] = (clean[k_q, m_q]
+                                                      / alpha_ref)
+                            mean_clean += _power(clean, power)
                         noisy = clean
                         if noise is not None:
-                            noisy = sigma * grids[noise]
+                            noisy = np.multiply(sigma, grids[noise],
+                                                out=noisy_grid)
                             noisy += clean
-                        del grids  # the point's own grids are not held
 
-                        res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
                         res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                        res.mse[t] = float(np.sum(np.abs(noisy - ideal) ** 2))
+                        np.subtract(noisy, ideal, out=diff)
+                        res.mse[t] = float(np.sum(_power(diff, power)))
+                        np.divide(noisy, e_chi, out=diff)
+                        diff -= ideal
                         res.mse_calibrated[t] = float(
-                            np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-                        mean_clean += np.abs(clean) ** 2
-                        mean_noisy += np.abs(noisy) ** 2
+                            np.sum(_power(diff, power)))
+                        mean_noisy += _power(noisy, power)
 
                     if last:
                         mean_clean /= trials
@@ -367,7 +437,6 @@ def run_sweep_ensemble(scene: Scene,
                         yield res
                         # not held into the next
                         del res, mean_clean, mean_noisy
-                del images  # free this block's shared grids
             del grid, unit_noise, truths  # free this chunk's draws
 
 

@@ -280,7 +280,10 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     Equal to range_compress -> azimuth_fft -> rcmc -> azimuth_compress up
     to round-off, at three FFT passes per grid instead of five; the RCMC
     multiplier and the matched phase are built once here, not per grid.
-    The returned function accepts one grid or a stack of them.
+    The returned function accepts one grid or a stack of them.  Called as
+    focus(x, out=buf), with buf a complex128 array of x's shape, it writes
+    all three passes into buf and returns it; buf may be x itself.  The
+    bits do not depend on where the result is written.
     """
     # the phase first, so that a static platform is reported as such
     phase = _matched_phase(cfg, ka_mode, r_bar_ref_m) \
@@ -289,13 +292,14 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     range_multiplier = np.fft.ifftshift(transfer, axes=-1)
     azimuth_multiplier = np.fft.ifftshift(phase, axes=-1)
 
-    def focus(tf_grid: np.ndarray) -> np.ndarray:
-        # one name for every pass, so each pass frees its input grid
-        grid = np.fft.fft(tf_grid, axis=-1)
+    def focus(tf_grid: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        # the first pass makes (or fills) the result; the rest run in place
+        grid = np.fft.fft(tf_grid, axis=-1, out=out)
         grid *= range_multiplier
-        grid = np.fft.ifft(grid, axis=-2)
+        np.fft.ifft(grid, axis=-2, out=grid)
         grid *= azimuth_multiplier
-        return np.fft.ifft(grid, axis=-1)
+        return np.fft.ifft(grid, axis=-1, out=grid)
     return focus
 
 

@@ -95,9 +95,9 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     def counting(*args, **kwargs):
         focus = real(*args, **kwargs)
 
-        def counted(x):
+        def counted(x, out=None):
             calls.append(x.shape)
-            return focus(x)
+            return focus(x, out=out)
         return counted
     monkeypatch.setattr(pipeline, "focusing_operator", counting)
     if chunk is not None:
@@ -429,13 +429,24 @@ def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     assert peak < 8 << 20  # half of one whole-ensemble stack
 
 
+def qam16_sweep_points(cfg):
+    points = []
+    for snr in (1.0, 10.0):
+        cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+        points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                   for kind in ("rf", "mf", "wf")]
+    return points
+
+
 def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
     # points (rf and mf noise, mf signal).  A sweep of several chunks
-    # focuses them one trial at a time, so at any focus call at most those
-    # three are alive besides rf's F(channel * act), a point's own two and
-    # the last trial's clean image.  With budgets of 4 and 16 grids the
-    # chunks hold 2 and 8 trials, whose shared grids are 6 and 24.
+    # focuses them one trial at a time into one buffer each, so at any
+    # focus call at most those three are alive besides rf's
+    # F(channel * act) and the signal and noise buffers that both wf
+    # points' own grids reuse; each point's clean image is a scratch grid,
+    # not a focused one.  With budgets of 4 and 16 grids the chunks hold 2
+    # and 8 trials, whose shared grids are 6 and 24.
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     images = []  # a weak reference to every focused grid
@@ -445,22 +456,110 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
     def tracking(*args, **kwargs):
         focus = real(*args, **kwargs)
 
-        def tracked(x):
-            most.append(sum(ref() is not None for ref in images))
-            image = focus(x)
+        def tracked(x, out=None):
+            # distinct grids alive: a buffer focused again counts once
+            most.append(len({ref().ctypes.data for ref in images
+                             if ref() is not None}))
+            image = focus(x, out=out)
             images.append(weakref.ref(image))
             return image
         return tracked
     monkeypatch.setattr(pipeline, "focusing_operator", tracking)
-    points = []
-    for snr in (1.0, 10.0):
-        cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
-        points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
-                   for kind in ("rf", "mf", "wf")]
     for budget, trials in ((4, 12), (16, 24)):
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * 16 * 16 * 16)
         most.clear()
-        for result in run_sweep_ensemble(scene, points, make_qam("qam16"),
-                                         trials=trials, seed=5):
+        for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),
+                                         make_qam("qam16"), trials=trials,
+                                         seed=5):
             del result
-        assert max(most) <= 3 + 4, (budget, trials)
+        assert max(most) <= 3 + 3, (budget, trials)
+
+
+def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
+    # a QAM16 sweep of several chunks focuses every per-trial grid into a
+    # buffer it allocated beforehand: one for each of the three shared
+    # grids and the signal and noise buffers that both wf points reuse.
+    # Only F(channel * act), once per sweep, is a fresh grid.  The buffers
+    # do not grow with the trial count, and no result array shares memory
+    # with one
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    outs = []
+    real = pipeline.focusing_operator
+
+    def recording(*args, **kwargs):
+        focus = real(*args, **kwargs)
+
+        def recorded(x, out=None):
+            outs.append(out)
+            return focus(x, out=out)
+        return recorded
+    monkeypatch.setattr(pipeline, "focusing_operator", recording)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
+    counts = []
+    for trials in (6, 12):  # chunks of 2 trials
+        outs.clear()
+        results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
+                                          make_qam("qam16"), trials, seed=5))
+        assert len(outs) == 7 * trials + 1
+        assert sum(out is None for out in outs) == 1
+        buffers = [out for out in outs if out is not None]
+        counts.append((len({id(out) for out in buffers}),
+                       len({out.ctypes.data for out in buffers})))
+        for result in results:
+            for name in ARRAYS:
+                assert not any(np.shares_memory(getattr(result, name), buf)
+                               for buf in buffers), name
+    assert counts[0] == counts[1] and counts[0][1] == 5
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("name", ["qpsk", "qam16"])
+def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
+                                                        monkeypatch):
+    # each trial's mse, mse_calibrated and noisy peak, rebuilt with a fresh
+    # grid for every product, focused image and reduction, equal the
+    # sweep's bit for bit.  128x128 grids pass numpy's 256 KiB
+    # temporary-elision threshold, past which numpy reuses the fresh
+    # chain's temporaries in place too.  The random target gives the
+    # channel generic values, whose products round differently in another
+    # operand order
+    if chunked:
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 128 * 16)
+    cfg = critical_config(128, 128, k_ref=64)
+    scene = random_target_scene(cfg)[0]
+    qam = make_qam(name)
+    points = sweep_points(cfg)
+    trials = 3
+    results = list(run_sweep_ensemble(scene, points, qam, trials, seed=5))
+    focus = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
+    symbols = gen_symbol_grid(cfg, qam, 5, trials=trials)
+    unit = draw_noise(cfg, 5, n_trials=trials, unit=True)
+    amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+    k_q, m_q = results[0].peak_bin
+    for t in range(trials):
+        channel = build_channel_matrix(scene, cfg, amps[t])
+        ideal = ideal_reference_image(scene, cfg, amps[t])
+        # every operand is named: numpy swaps a product's operands when it
+        # writes into a temporary, and the complex product's round-off
+        # depends on their order
+        for (cfg_n, spec), result in zip(points, results):
+            reads = pipeline._focus_reads(qam, spec)
+            if reads.signal is None:
+                clean = focus(channel)
+            else:
+                gains = filter_gains(symbols[t], reads.signal)
+                clean = focus(channel * symbols[t] * gains)
+            if reads.chi != 1.0:
+                clean = reads.chi * clean
+            noisy = clean
+            if cfg_n.noise_var > 0:
+                gains = filter_gains(symbols[t], reads.noise)
+                noise = focus(unit[t] * gains)
+                noisy = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale * noise
+                noisy += clean
+            e_chi = result.stats.chi_mean
+            assert result.noisy_peaks[t] == noisy[k_q, m_q] / result.alpha_ref
+            assert result.mse[t] == float(np.sum(np.abs(noisy - ideal) ** 2))
+            assert result.mse_calibrated[t] == float(
+                np.sum(np.abs(noisy / e_chi - ideal) ** 2))
