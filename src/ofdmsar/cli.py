@@ -434,7 +434,7 @@ def emit_pgm(image: np.ndarray, db_floor: float = DEFAULT_DB_FLOOR) -> bytes:
         db = 20.0 * np.log10(magnitude / peak)
     pixels = np.rint(255.0 * (db - db_floor) / (0.0 - db_floor))
     pixels = np.clip(pixels, 0, 255).astype(np.uint8)
-    return write_pgm(pixels, maxval=255, binary=True)
+    return write_pgm(pixels)
 
 
 def _profile_csv(values: np.ndarray, positions: np.ndarray,

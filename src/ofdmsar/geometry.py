@@ -59,29 +59,13 @@ def range_deviation(x_m: float, y_m: float, m, cfg: "RadarConfig"):
     return r_bar, offset * offset / (2.0 * r_bar)
 
 
-def slant_range(x_m, y_m, m, cfg: "RadarConfig", mode: str = "exact"):
-    """Slant range from the platform at symbol index m to ground point (x, y).
-
-    Parameters
-    ----------
-    x_m, y_m : ground coordinates of the scatterer in meters
-    m : symbol index or array of indices (platform at azimuth v*m*T_sym)
-    cfg : radar configuration providing platform and symbol timing
-    mode : "exact" for the full square root, "first_order" for the
-        parabolic expansion Rbar + dR of range_deviation
-
-    Returns
-    -------
-    Slant range in meters, scalar or array matching m.
-    """
-    if mode == "exact":
-        r_bar = mean_range(x_m, cfg.platform)
-        offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
-        return np.sqrt(r_bar * r_bar + offset * offset)
-    if mode == "first_order":
-        r_bar, d_r = range_deviation(x_m, y_m, m, cfg)
-        return r_bar + d_r
-    raise InvalidParameterError(f"unknown slant range mode {mode!r}")
+def slant_range(x_m, y_m, m, cfg: "RadarConfig"):
+    """Exact slant range from the platform at symbol index m to ground point
+    (x, y), sqrt(Rbar^2 + (v m T_sym - y)^2) in meters, scalar or array
+    matching m: the reference for range_deviation's first-order form."""
+    r_bar = mean_range(x_m, cfg.platform)
+    offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
+    return np.sqrt(r_bar * r_bar + offset * offset)
 
 
 def envelope_to_phase_rate_ratio(cfg: "RadarConfig", x_m: float, y_m: float) -> float:

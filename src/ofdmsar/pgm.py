@@ -1,6 +1,8 @@
 """Minimal PGM (portable graymap) reader and writer.
 
-Supports the ASCII "P2" and binary "P5" variants with maxval up to 65535.
+The reader takes the ASCII "P2" and binary "P5" variants with maxval up
+to 65535, since scene rasters come from outside; the writer emits the
+binary 8-bit form the CLI's images use.
 Parse failures raise PgmParseError carrying the byte offset of the
 offending input.
 """
@@ -103,19 +105,14 @@ def parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
     return flat.reshape(height, width), maxval
 
 
-def write_pgm(pixels: np.ndarray, maxval: int = 255, binary: bool = True) -> bytes:
-    """Encode a (height, width) integer array as PGM bytes (P5 or P2)."""
+def write_pgm(pixels: np.ndarray) -> bytes:
+    """Encode a (height, width) array of values in [0, 255] as binary
+    8-bit PGM (P5, maxval 255) bytes."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise InvalidParameterError(f"pixels must be 2-D, got shape {pixels.shape}")
-    if not (1 <= maxval <= 65535):
-        raise InvalidParameterError(f"maxval must be in [1, 65535], got {maxval}")
-    if pixels.min(initial=0) < 0 or pixels.max(initial=0) > maxval:
-        raise InvalidParameterError("pixel values must lie in [0, maxval]")
+    if pixels.min(initial=0) < 0 or pixels.max(initial=0) > 255:
+        raise InvalidParameterError("pixel values must lie in [0, 255]")
     height, width = pixels.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode()
-    if binary:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        return header + pixels.astype(dtype).tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in pixels.tolist())
-    return header + body.encode() + b"\n"
+    header = f"P5\n{width} {height}\n255\n".encode()
+    return header + pixels.astype(np.uint8).tobytes()

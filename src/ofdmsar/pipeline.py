@@ -32,36 +32,38 @@ instead of 12.  The choice follows from the alphabet and the filter
 specs alone, so a point run alone reads the same grids by the same
 formula and its bits do not depend on the rest of the sweep.
 
-Trials stream through chunks of as many (N, M) complex grids as fit
-_CHUNK_BYTES.  One Philox generator per stream (symbols, noise, target
-amplitudes) lives across the chunks, so no result depends on the chunk
-size.  A noisy sweep of several chunks draws chunk c + 1's unit noise on
-a worker thread while chunk c is focused, into two buffers it allocates
-once, so two chunks of noise are in flight and share the budget: such a
-sweep's chunks hold half as many trials (still at least one, so at one
-trial per chunk the worker's buffer is one grid more).  Memory is the
-chunk's draws (with random targets, also its channels and ideal images),
-the next chunk's noise, the sweep's F(channel * act), its working grids
-and the per-point reductions, which are all a result keeps.  The sweep
-allocates its working grids once, and only those some point reads: a
-buffer for each of the K canonical grids that several points read, one
-signal and one noise buffer that every point's own grids reuse in turn,
-and one scratch grid per kind of reduction (chi * clean, the noisy
-image, its residual, which also holds the gain grid while a trial is
-focused, and |.|^2).  Every product, focus pass and reduction of a trial
-writes into them, in the operand order of the out-of-place chain, so
-focusing and reducing a trial allocates no complex grid, and the bits
-are those of fresh grids.
-A sweep that fits one chunk focuses the shared grids for the whole chunk,
-into K buffers per trial, and makes each point's result only when it
-reaches that point.  A sweep of P points that spans several chunks holds
-2*P*N*M*8 bytes of mean power images until its last chunk, and focuses
-the shared grids one trial at a time into one buffer each.  When every
-grid is shared (a constant-modulus sweep of several noisy points), a
-chunk drops its symbols and noise once its shared grids are focused, so
-the shared noise grids take the place of its draws.  A point whose
-noiseless image is the sweep's F(channel * act) reduces it once per
-block of trials and adds the same |.|^2 in every trial.
+Trials stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, one
+(N, M) complex grid per trial, runs as one chunk.  Otherwise each chunk
+holds as many trials as fit the budget with, per trial, the chunk's
+draws, the next chunk's unit noise in a noisy sweep, and the K grids that
+several points read (the shared grids).  One Philox generator per stream
+(symbols, noise, target amplitudes) lives across the chunks, so no result
+depends on the chunk size.  A noisy sweep of several chunks draws chunk
+c + 1's unit noise on a worker thread while chunk c is focused, into two
+buffers it allocates once.
+
+Every chunk runs in one order: draw it, focus its shared grids for every
+trial, then run each point over the chunk's trials, focusing the point's
+own grids and reducing.  The sweep allocates its working grids once, and
+only those some point reads: K buffers per trial of a chunk, one signal
+and one noise buffer that every point's own grids reuse in turn, and one
+scratch grid per kind of reduction (chi * clean, the noisy image, its
+residual, which also holds the gain grid while a trial is focused, and
+|.|^2).  Every product, focus pass and reduction of a trial writes into
+them, in the operand order of the out-of-place chain, so focusing and
+reducing a trial allocates no complex grid, and the bits are those of
+fresh grids.  When no point focuses a grid of its own (a constant-modulus
+sweep of several noisy points), a chunk drops its symbols and noise once
+its shared grids are focused.  A point whose noiseless image is the
+sweep's F(channel * act) reduces it once per chunk and adds the same
+|.|^2 in every trial.  Memory is the chunk's draws (with random targets,
+also its channels and ideal images), the next chunk's noise, the shared
+grids, the sweep's F(channel * act), the working grids and the per-point
+reductions, which are all a result keeps.  A sweep of P points that spans
+several chunks holds their 2*P*N*M*8 bytes of mean power images until its
+last chunk.  A one-chunk sweep makes each point's result when it reaches
+that point and yields it before the next; its K*T shared grids are
+outside the budget.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -90,10 +92,9 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
                        gen_symbol_grid)
 
-# Bytes of one (chunk, N, M) complex128 stack.  Trials stream through
-# chunks of this size (half of it per chunk when the next chunk's noise is
-# drawn ahead), so the grids held at once do not grow with the trial
-# count.
+# Bytes of the grids one chunk of trials holds: its draws, and in a sweep
+# of several chunks also the next chunk's noise and its shared grids, so
+# the grids held at once do not grow with the trial count.
 _CHUNK_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
 MAINLOBE_HALFWIDTH_BINS = 1
@@ -168,33 +169,35 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-def _focus_grids(focus, recipes, slots, grids: list, gains: np.ndarray,
-                 channel: np.ndarray, symbols: np.ndarray,
-                 noise: Optional[np.ndarray],
+def _plan(grids) -> list:
+    """((part, gain spec), buffer) pairs as (gain spec, [(part, buffer),
+    ...]) groups, so that each gain grid is computed once per trial."""
+    groups: dict = {}
+    for (part, spec), out in grids:
+        groups.setdefault(spec, []).append((part, out))
+    return list(groups.items())
+
+
+def _focus_grids(focus, plan: list, gains: np.ndarray, channel: np.ndarray,
+                 symbols: np.ndarray, noise: Optional[np.ndarray],
                  mask: Optional[np.ndarray]) -> None:
-    """Focus one trial's canonical grids `slots` in place into their
-    buffers grids[j], by their (part, gain, spec) recipes: ("signal", -1,
-    None) is F(channel * act), ("signal", g, spec) is F(channel * s * g)
-    and ("noise", g, spec) is F(z * g), the gain index g naming each gain
-    grid.  The slots come sorted by gain, so each gain grid is written into
-    `gains` once."""
-    current = None
-    for j in slots:
-        part, g, spec = recipes[j]
-        out = grids[j]
-        if spec is None:
-            focus(channel if mask is None
-                  else np.multiply(channel, mask, out=out), out=out)
-            continue
-        if g != current:
-            current = g
+    """Focus one trial's canonical grids in place into their buffers, by a
+    _plan: ("signal", None) is F(channel * act), ("signal", spec) is
+    F(channel * s * g) and ("noise", spec) is F(z * g), g being the spec's
+    gain grid, which is written into `gains`."""
+    for spec, outs in plan:
+        if spec is not None:
             filter_gains(symbols, spec, out=gains)
-        if part == "signal":
-            np.multiply(channel, symbols, out=out)
-            out *= gains
-        else:
-            np.multiply(noise, gains, out=out)
-        focus(out, out=out)
+        for part, out in outs:
+            if spec is None:
+                x = (channel if mask is None
+                     else np.multiply(channel, mask, out=out))
+            elif part == "signal":
+                x = np.multiply(channel, symbols, out=out)
+                x *= gains
+            else:
+                x = np.multiply(noise, gains, out=out)
+            focus(x, out=out)
 
 
 def _power(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,75 +253,64 @@ def run_sweep_ensemble(scene: Scene,
              (build_channel_matrix(scene, cfg0),
               ideal_reference_image(scene, cfg0)))
     reads = [_focus_reads(constellation, spec) for _, spec in points]
-    # the canonical grids as (part, gain spec) keys, then as recipes with
-    # their gain spec's index, and each point's (signal, noise) grid index
-    keys = list(dict.fromkeys(
-        key for (cfg, _), r in zip(points, reads)
-        for key in [("signal", r.signal)]
-        + ([("noise", r.noise)] if cfg.noise_var > 0 else [])))
-    specs = list(dict.fromkeys(spec for _, spec in keys if spec is not None))
-    recipes = [(part, -1 if spec is None else specs.index(spec), spec)
-               for part, spec in keys]
-    slots = [(keys.index(("signal", r.signal)),
-              keys.index(("noise", r.noise)) if cfg.noise_var > 0 else None)
+    # each point's canonical grids as (part, gain spec) keys: its noiseless
+    # image's and, if it is noisy, its noise image's
+    wants = [(("signal", r.signal),
+              ("noise", r.noise) if cfg.noise_var > 0 else None)
              for (cfg, _), r in zip(points, reads)]
-    users = Counter(j for pair in slots for j in pair if j is not None)
+    users = Counter(key for pair in wants for key in pair if key)
     # F(channel * act) of a deterministic scene is focused once per sweep;
     # every other grid that several points read, once per trial
-    swept = [None] * len(keys)
-    if rcs_rng is None and ("signal", None) in keys:
-        swept[keys.index(("signal", None))] = focus(
+    swept = {}
+    if rcs_rng is None and ("signal", None) in users:
+        swept[("signal", None)] = focus(
             fixed[0] if mask is None else fixed[0] * mask)
-
-    def by_gain(js):
-        return sorted(js, key=lambda j: recipes[j][1])
-    shared = by_gain(j for j, n_users in users.items()
-                     if n_users > 1 and swept[j] is None)
-    # the grids each point focuses itself, per trial
-    own = [by_gain(j for j in pair if j is not None and j not in shared
-                   and swept[j] is None) for pair in slots]
+    shared = [key for key, k in users.items() if k > 1 and key not in swept]
     chunk = _chunk_trials(trials, n, m)
     prefetch = noise_rng is not None and chunk < trials
-    if prefetch:
-        # the chunk being focused and the next one, drawn meanwhile, share
-        # the budget
-        chunk = _chunk_trials(trials, n, m, 2)
-    # a sweep of several chunks holds every point's result until its last
-    # chunk; it focuses the shared grids one trial at a time.  A one-chunk
-    # sweep focuses them for the whole chunk, so that it makes each point's
-    # result only when it reaches that point.
-    block = chunk if chunk == trials else 1
+    if chunk < trials:
+        # the chunk's draws, the next chunk's noise (drawn meanwhile) and
+        # the chunk's shared grids fit the budget together
+        chunk = _chunk_trials(trials, n, m, 1 + prefetch + len(shared))
 
     # The grids a trial is focused into and reduced in, allocated once and
-    # never touched by the noise worker: a block's worth of each shared
+    # never touched by the noise worker: a chunk's worth of each shared
     # grid, one signal and one noise grid that every point's own grids
     # reuse in turn, and one scratch grid per kind of reduction; each only
     # if some point reads it.  `diff` holds the gain grid while a trial's
     # grids are focused; the other scratch grids are made when the first
-    # block reaches its points, after a chunk whose draws no point reads
-    # again has dropped them.  grids_at[i][j] is canonical grid j of the
-    # block's trial i.
+    # chunk reaches its points, after a chunk whose draws no point reads
+    # again has dropped them.
     def empty(*shape, dtype=complex):
         return np.empty(shape + (n, m), dtype=dtype)
-    pool = {j: empty(block) for j in shared}
+    # each canonical grid's buffer for each trial of a chunk
+    at = {key: [image] * chunk for key, image in swept.items()}
+    at.update((key, list(empty(chunk))) for key in shared)
+    own = [[key for key in pair if key and key not in at] for pair in wants]
     reused = {part: empty() for part in ("signal", "noise")
-              if any(recipes[j][0] == part for js in own for j in js)}
-    grids_at = [[swept[j] if swept[j] is not None else
-                 pool[j][i] if j in pool else reused[recipes[j][0]]
-                 for j in range(len(keys))] for i in range(block)]
+              if any(key[0] == part for keys in own for key in keys)}
+    at.update((key, [reused[key[0]]] * chunk) for keys in own for key in keys)
+    # the keys resolved once: trial i of a chunk focuses its shared grids
+    # by shared_plans[i]; point p focuses its own grids by own_plans[p] and
+    # reads its (noiseless, noise) grids from reads_at[p][i]
+    shared_plans = [_plan((key, at[key][i]) for key in shared)
+                    for i in range(chunk)]
+    own_plans = [_plan((key, at[key][0]) for key in keys) for keys in own]
+    reads_at = [list(zip(at[signal], at[noise] if noise else [None] * chunk))
+                for signal, noise in wants]
     diff, power = empty(), None
 
-    # each point's result is made on first use and filled block by block
+    # each point's result is made on first use and filled chunk by chunk
     results: list[Optional[EnsembleResult]] = [None] * len(points)
     starts = range(0, trials, chunk)
 
     # A noisy sweep of several chunks draws chunk c + 1's unit noise on a
     # worker thread while chunk c is focused, in chunk order, into one of
     # two buffers allocated here: the worker allocates nothing, so no draw
-    # lands in its own malloc arena.  Leaving the block, however the sweep
-    # ends, joins the worker.  Other sweeps start no thread and do not
-    # import concurrent.futures, whose import of logging adds ~13 ms to a
-    # fresh process.
+    # lands in its own malloc arena.  Leaving the with statement, however
+    # the sweep ends, joins the worker.  Other sweeps start no thread and do
+    # not import concurrent.futures, whose import of logging adds ~13 ms to
+    # a fresh process.
     if prefetch:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
@@ -333,6 +325,7 @@ def run_sweep_ensemble(scene: Scene,
             pending = fill(0)
         for c, start in enumerate(starts):
             size = min(chunk, trials - start)
+            last = start + size == trials
             grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
                                    trials=size, rng=symbol_rng)
             if prefetch:
@@ -348,95 +341,82 @@ def run_sweep_ensemble(scene: Scene,
                       [(build_channel_matrix(scene, cfg0, amps),
                         ideal_reference_image(scene, cfg0, amps))
                        for amps in scene.draw_amplitudes(rcs_rng, size)])
-            for lo in range(0, size, block):
-                hi = min(lo + block, size)
-                last = start + hi == trials
-                if shared:
-                    for i in range(lo, hi):
-                        _focus_grids(focus, recipes, shared, grids_at[i - lo],
-                                     diff, truths[i][0], grid[i],
-                                     unit_noise[i], mask)
-                if hi == size and not any(own):
-                    # no point focuses a draw itself: none is read again
-                    grid = unit_noise = None
-                if power is None:
-                    scaled = (empty() if any(r.chi != 1.0 for r in reads)
-                              else None)
-                    noisy_grid = empty() if noise_rng is not None else None
-                    power = empty(dtype=float)
+            for i in range(size):
+                _focus_grids(focus, shared_plans[i], diff, truths[i][0],
+                             grid[i], unit_noise[i], mask)
+            if not any(own):
+                # no point focuses a draw itself: none is read again
+                grid = unit_noise = None
+            if power is None:
+                scaled = (empty() if any(r.chi != 1.0 for r in reads)
+                          else None)
+                noisy_grid = empty() if noise_rng is not None else None
+                power = empty(dtype=float)
 
-                for p, (cfg, filter_spec) in enumerate(points):
-                    if results[p] is None:
-                        results[p] = EnsembleResult(
-                            cfg=cfg, filter_spec=filter_spec,
-                            stats=chi_stats(constellation, filter_spec),
-                            mode=("data_aided" if mask is None
-                                  else "pilot_only"),
-                            trials=trials, r_bar_ref_m=r_bar_ref,
-                            peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-                            noiseless_peaks=np.empty(trials, dtype=complex),
-                            noisy_peaks=np.empty(trials, dtype=complex),
-                            mse=np.empty(trials),
-                            mse_calibrated=np.empty(trials),
-                            mean_noisy_power=np.zeros((n, m)),
-                            mean_noiseless_power=np.zeros((n, m)))
-                    res = results[p]
-                    e_chi = res.stats.chi_mean
-                    mean_clean = res.mean_noiseless_power
-                    mean_noisy = res.mean_noisy_power
-                    chi = reads[p].chi
-                    sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
-                    signal, noise = slots[p]
-                    # a noiseless image focused once per sweep is the same
-                    # in every trial: reduce it once, add it per trial
-                    fixed_clean = swept[signal] is not None
-                    if fixed_clean:
-                        clean = swept[signal]
+            for p, (cfg, filter_spec) in enumerate(points):
+                if results[p] is None:
+                    results[p] = EnsembleResult(
+                        cfg=cfg, filter_spec=filter_spec,
+                        stats=chi_stats(constellation, filter_spec),
+                        mode="data_aided" if mask is None else "pilot_only",
+                        trials=trials, r_bar_ref_m=r_bar_ref,
+                        peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
+                        noiseless_peaks=np.empty(trials, dtype=complex),
+                        noisy_peaks=np.empty(trials, dtype=complex),
+                        mse=np.empty(trials), mse_calibrated=np.empty(trials),
+                        mean_noisy_power=np.zeros((n, m)),
+                        mean_noiseless_power=np.zeros((n, m)))
+                res = results[p]
+                e_chi = res.stats.chi_mean
+                mean_clean = res.mean_noiseless_power
+                mean_noisy = res.mean_noisy_power
+                chi = reads[p].chi
+                sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
+                # a noiseless image focused once per sweep is the same in
+                # every trial: reduce it once per chunk, add it per trial
+                fixed_clean = wants[p][0] in swept
+                if fixed_clean:
+                    clean = reads_at[p][0][0]
+                    if chi != 1.0:
+                        clean = np.multiply(chi, clean, out=scaled)
+                    peak = clean[k_q, m_q] / alpha_ref
+                    _power(clean, power)
+                    for t in range(start, start + size):
+                        res.noiseless_peaks[t] = peak
+                        mean_clean += power
+
+                for i in range(size):
+                    t = start + i
+                    ideal = truths[i][1]
+                    signal, noise = reads_at[p][i]
+                    if own[p]:
+                        _focus_grids(focus, own_plans[p], diff, truths[i][0],
+                                     grid[i], unit_noise[i], mask)
+                    if not fixed_clean:
+                        clean = signal
                         if chi != 1.0:
                             clean = np.multiply(chi, clean, out=scaled)
-                        peak = clean[k_q, m_q] / alpha_ref
-                        _power(clean, power)
-                        for t in range(start + lo, start + hi):
-                            res.noiseless_peaks[t] = peak
-                            mean_clean += power
+                        res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+                        mean_clean += _power(clean, power)
+                    noisy = clean
+                    if noise is not None:
+                        noisy = np.multiply(sigma, noise, out=noisy_grid)
+                        noisy += clean
 
-                    for i in range(lo, hi):
-                        t = start + i
-                        ideal = truths[i][1]
-                        grids = grids_at[i - lo]
-                        if own[p]:
-                            _focus_grids(focus, recipes, own[p], grids, diff,
-                                         truths[i][0], grid[i], unit_noise[i],
-                                         mask)
-                        if not fixed_clean:
-                            clean = grids[signal]
-                            if chi != 1.0:
-                                clean = np.multiply(chi, clean, out=scaled)
-                            res.noiseless_peaks[t] = (clean[k_q, m_q]
-                                                      / alpha_ref)
-                            mean_clean += _power(clean, power)
-                        noisy = clean
-                        if noise is not None:
-                            noisy = np.multiply(sigma, grids[noise],
-                                                out=noisy_grid)
-                            noisy += clean
+                    res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
+                    np.subtract(noisy, ideal, out=diff)
+                    res.mse[t] = float(np.sum(_power(diff, power)))
+                    np.divide(noisy, e_chi, out=diff)
+                    diff -= ideal
+                    res.mse_calibrated[t] = float(np.sum(_power(diff, power)))
+                    mean_noisy += _power(noisy, power)
 
-                        res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                        np.subtract(noisy, ideal, out=diff)
-                        res.mse[t] = float(np.sum(_power(diff, power)))
-                        np.divide(noisy, e_chi, out=diff)
-                        diff -= ideal
-                        res.mse_calibrated[t] = float(
-                            np.sum(_power(diff, power)))
-                        mean_noisy += _power(noisy, power)
-
-                    if last:
-                        mean_clean /= trials
-                        mean_noisy /= trials
-                        results[p] = None
-                        yield res
-                        # not held into the next
-                        del res, mean_clean, mean_noisy
+                if last:
+                    mean_clean /= trials
+                    mean_noisy /= trials
+                    results[p] = None
+                    yield res
+                    del res, mean_clean, mean_noisy  # not held into the next
             del grid, unit_noise, truths  # free this chunk's draws
 
 

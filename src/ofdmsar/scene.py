@@ -69,10 +69,6 @@ class Scene:
     def q(self) -> int:
         return len(self.targets)
 
-    @property
-    def total_rcs_var(self) -> float:
-        return float(sum(t.rcs_var for t in self.targets))
-
     def mean_ranges_m(self, geom: PlatformGeometry) -> np.ndarray:
         return np.array([t.mean_range_m(geom) for t in self.targets])
 

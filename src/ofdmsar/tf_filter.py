@@ -71,7 +71,11 @@ def apply_tf_filter(echo: np.ndarray, symbols: np.ndarray,
     if y.shape != s.shape:
         raise InvalidParameterError(
             f"echo shape {y.shape} != symbol grid shape {s.shape}")
-    return y * filter_gains(s, spec)
+    # gains * y, in place: the operand order numpy uses for y * gains once
+    # the gains temporary passes its 256 KiB elision threshold, so the
+    # bits do not depend on the grid size
+    g = filter_gains(s, spec)
+    return np.multiply(g, y, out=g)
 
 
 def channel_mse_analytic(cfg: RadarConfig, stats: FilterStats,

@@ -193,16 +193,6 @@ class Constellation:
         """E|s|^2, equal to 1 by construction."""
         return float(np.mean(np.abs(self.points) ** 2))
 
-    @property
-    def fourth_moment(self) -> float:
-        """E|s|^4."""
-        return float(np.mean(np.abs(self.points) ** 4))
-
-    @property
-    def inverse_power(self) -> float:
-        """E[1/|s|^2], the inversion noise-enhancement factor."""
-        return float(np.mean(1.0 / np.abs(self.points) ** 2))
-
 
 _QAM_NAMES = {"qpsk": 4, "qam16": 16, "qam64": 64, "qam256": 256}
 
@@ -258,20 +248,15 @@ def chi_stats(constellation: Constellation, filt: "FilterSpec") -> FilterStats:
     Wiener g = conj(s)/(|s|^2 + 1/SNR_in) gives chi = |s|^2/(|s|^2 + 1/SNR_in).
     """
     x = np.abs(constellation.points) ** 2
-    kind = filt.kind
-    if kind == "rf":
+    if filt.kind == "rf":
         return FilterStats(1.0, 0.0, float(np.mean(1.0 / x)))
-    if kind == "mf":
+    if filt.kind == "mf":
         chi = x
         gain_sq = x
-    elif kind == "wf":
-        if filt.snr_in_linear is None or filt.snr_in_linear <= 0:
-            raise ConfigurationError("Wiener filter statistics need snr_in_linear > 0")
+    else:  # wf, whose FilterSpec holds an SNR > 0
         gamma = 1.0 / filt.snr_in_linear
         chi = x / (x + gamma)
         gain_sq = x / (x + gamma) ** 2
-    else:
-        raise ConfigurationError(f"unknown filter kind {kind!r}")
     mean = float(np.mean(chi))
     var = float(np.mean((chi - mean) ** 2))
     return FilterStats(mean, var, float(np.mean(gain_sq)))

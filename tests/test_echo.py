@@ -76,7 +76,7 @@ def test_echo_mean_channel_power():
         amps = scene.draw_amplitudes(rng, 1)[0]
         h = build_channel_matrix(scene, cfg, amplitudes=amps)
         acc += np.mean(np.abs(h) ** 2)
-    assert acc / trials == pytest.approx(scene.total_rcs_var, rel=0.15)
+    assert acc / trials == pytest.approx(sum(t.rcs_var for t in scene.targets), rel=0.15)
 
 
 def test_echo_adds_configured_noise():

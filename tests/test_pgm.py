@@ -7,7 +7,7 @@ from ofdmsar.pgm import parse_pgm, write_pgm
 
 def test_round_trip_binary():
     pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
-    data = write_pgm(pixels, maxval=255, binary=True)
+    data = write_pgm(pixels)
     assert data.startswith(b"P5\n4 3\n255\n")
     decoded, maxval = parse_pgm(data)
     assert maxval == 255
@@ -16,16 +16,15 @@ def test_round_trip_binary():
 
 def test_round_trip_ascii():
     pixels = np.array([[0, 7], [255, 128]], dtype=np.uint8)
-    data = write_pgm(pixels, maxval=255, binary=False)
-    assert data.startswith(b"P2\n")
-    decoded, maxval = parse_pgm(data)
+    decoded, maxval = parse_pgm(b"P2\n2 2\n255\n0 7\n255 128\n")
     assert maxval == 255
     assert np.array_equal(decoded, pixels)
 
 
 def test_round_trip_16_bit():
     pixels = np.array([[0, 1000], [65535, 42]], dtype=np.uint16)
-    decoded, maxval = parse_pgm(write_pgm(pixels, maxval=65535))
+    decoded, maxval = parse_pgm(
+        b"P5\n2 2\n65535\n\x00\x00\x03\xe8\xff\xff\x00\x2a")
     assert maxval == 65535
     assert np.array_equal(decoded, pixels)
 
@@ -77,8 +76,6 @@ def test_write_validation():
     with pytest.raises(InvalidParameterError):
         write_pgm(np.zeros(4, dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
-        write_pgm(np.zeros((2, 2), dtype=np.uint8), maxval=0)
+        write_pgm(np.full((2, 2), 300))
     with pytest.raises(InvalidParameterError):
-        write_pgm(np.full((2, 2), 300), maxval=255)
-    with pytest.raises(InvalidParameterError):
-        write_pgm(np.full((2, 2), -1), maxval=255)
+        write_pgm(np.full((2, 2), -1))

@@ -185,13 +185,15 @@ def test_sweep_rejects_points_that_change_the_geometry():
 
 
 def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
-                                               points, mask=None):
+                                               points, shared, mask=None):
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
-    # the random targets' amplitudes included.  A noisy sweep of several
-    # chunks splits the budget between the chunk it focuses and the next
-    # one's noise, drawn meanwhile on a worker thread, so budgets of 1, 7
-    # and 15 grids run chunks of 1, 3 and 15 trials; a noiseless sweep has
-    # no noise to draw ahead and runs chunks of 1, 7 and 15.
+    # the random targets' amplitudes included.  All 15 trials fit a budget
+    # of 15 grids, so it runs one chunk.  A sweep of several chunks fits
+    # per trial its draws, the next chunk's noise (in a noisy sweep, drawn
+    # meanwhile on a worker thread) and its shared grids in the budget:
+    # shared[0] of them with the deterministic scene, shared[1] with the
+    # random-target scene, whose F(channel * act) changes per trial.  So a
+    # budget of 14 grids gives chunks of 14 // (1 + noisy + shared) trials.
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     trials = 15
@@ -206,11 +208,12 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                         recording("symbols", pipeline.gen_symbol_grid))
     monkeypatch.setattr(pipeline, "draw_noise",
                         recording("noise", pipeline.draw_noise))
-    for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
-                  random_target_scene(cfg)[0]):
+    for scene, n_shared in zip((single_target_scene(cfg, k_bin=8, m_bin=8),
+                                random_target_scene(cfg)[0]), shared):
         runs = []
-        for budget, chunk in ((1, 1), (7, 3 if noisy else 7),
+        for budget, chunk in ((1, 1), (14, 14 // (1 + noisy + n_shared)),
                               (trials, trials)):
+            assert chunk > 1 or budget == 1
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
                                 budget * 16 * 16 * 16)
             drawn["symbols"].clear()
@@ -232,17 +235,19 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
+    # every point reads one mf noise grid, and F(channel * act)
     cfg = critical_config(16, 16, k_ref=8)
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qpsk"), sweep_points(cfg),
+        monkeypatch, make_qam("qpsk"), sweep_points(cfg), (1, 2),
         comb_mask(cfg) if masked else None)
 
 
 def test_qam16_sweep_does_not_depend_on_chunk_size(monkeypatch):
-    # not constant-modulus: points read per-gain grids, some shared
+    # not constant-modulus: points read per-gain grids, some shared (rf and
+    # mf noise, mf signal, and rf's F(channel * act))
     cfg = critical_config(16, 16, k_ref=8)
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qam16"), sweep_points(cfg))
+        monkeypatch, make_qam("qam16"), sweep_points(cfg), (3, 4))
 
 
 def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
@@ -250,11 +255,11 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
     points = [(cfg, FilterSpec(kind, snr_in_linear=10.0))
               for kind in ("rf", "mf", "wf")]
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qpsk"), points)
+        monkeypatch, make_qam("qpsk"), points, (0, 1))
 
 
 def multi_chunk_sweep(monkeypatch, trials=6):
-    """A noisy 16x16 sweep generator that streams two trials per chunk."""
+    """A noisy 16x16 sweep generator that streams one trial per chunk."""
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
     return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
@@ -292,7 +297,7 @@ def test_failing_noise_fill_reaches_the_caller(monkeypatch):
 
 
 def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
-    # three sweeps of three trials per chunk, each with its own noise
+    # three sweeps of one trial per chunk, each with its own noise
     # worker, on more threads than cores with a short switch interval: a
     # chunk that read a buffer while its worker refilled it would change
     # bits
@@ -441,17 +446,21 @@ def qam16_sweep_points(cfg):
 def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
     # points (rf and mf noise, mf signal).  A sweep of several chunks
-    # focuses them one trial at a time into one buffer each, so at any
-    # focus call at most those three are alive besides rf's
-    # F(channel * act) and the signal and noise buffers that both wf
-    # points' own grids reuse; each point's clean image is a scratch grid,
-    # not a focused one.  With budgets of 4 and 16 grids the chunks hold 2
-    # and 8 trials, whose shared grids are 6 and 24.
+    # focuses them for every trial of its chunk, and sizes the chunk so
+    # that its symbols, the next chunk's noise and these three grids fit
+    # the budget: 5 grids per trial.  So at any focus call at most 3 per
+    # trial of the chunk are alive besides rf's F(channel * act) and the
+    # signal and noise buffers that both wf points' own grids reuse; each
+    # point's clean image is a scratch grid, not a focused one.  Budgets of
+    # 10 and 20 grids give chunks of 2 and 4 trials.
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    grid_bytes = 16 * 16 * 16
     images = []  # a weak reference to every focused grid
     most = []
+    drawn = []
     real = pipeline.focusing_operator
+    real_draw = pipeline.gen_symbol_grid
 
     def tracking(*args, **kwargs):
         focus = real(*args, **kwargs)
@@ -464,15 +473,25 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
             images.append(weakref.ref(image))
             return image
         return tracked
+
+    def recording(*args, **kwargs):
+        drawn.append(kwargs["trials"])
+        return real_draw(*args, **kwargs)
     monkeypatch.setattr(pipeline, "focusing_operator", tracking)
-    for budget, trials in ((4, 12), (16, 24)):
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * 16 * 16 * 16)
+    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
+    for budget, trials, chunk in ((10, 12, 2), (20, 24, 4)):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * grid_bytes)
         most.clear()
+        drawn.clear()
         for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),
                                          make_qam("qam16"), trials=trials,
                                          seed=5):
             del result
-        assert max(most) <= 3 + 3, (budget, trials)
+        # the largest chunk whose 5 grids per trial fit the budget
+        assert 5 * chunk * grid_bytes <= pipeline._CHUNK_BYTES
+        assert 5 * (chunk + 1) * grid_bytes > pipeline._CHUNK_BYTES
+        assert drawn == [chunk] * (trials // chunk), (budget, trials)
+        assert max(most) <= 3 * chunk + 3, (budget, trials)
 
 
 def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
@@ -497,7 +516,7 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     monkeypatch.setattr(pipeline, "focusing_operator", recording)
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
     counts = []
-    for trials in (6, 12):  # chunks of 2 trials
+    for trials in (6, 12):  # chunks of 1 trial
         outs.clear()
         results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
                                           make_qam("qam16"), trials, seed=5))
@@ -563,3 +582,22 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
             assert result.mse[t] == float(np.sum(np.abs(noisy - ideal) ** 2))
             assert result.mse_calibrated[t] == float(
                 np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+
+
+def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():
+    # 64 trials of 128x128 grids span several chunks of the default
+    # budget.  The chunk's draws, the next chunk's noise and its three
+    # shared grids share that budget, so the sweep peaks below two budgets,
+    # its per-point reductions and working grids included
+    cfg = critical_config(128, 128, k_ref=64)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    tracemalloc.start()
+    try:
+        for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),
+                                         make_qam("qam16"), trials=64,
+                                         seed=1):
+            del result
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pipeline._CHUNK_BYTES

@@ -30,7 +30,7 @@ def test_make_point_scene_accepts_mixed_specs():
     assert scene.q == 3
     assert scene.targets[1].rcs_var == 0.5
     assert scene.targets[2].amplitude_mode == "random"
-    assert scene.total_rcs_var == pytest.approx(3.5)
+    assert sum(t.rcs_var for t in scene.targets) == pytest.approx(3.5)
     x_min, x_max, y_min, y_max = scene.extent
     assert x_min <= 1.0 and x_max >= 5.0 and y_min <= 2.0 and y_max >= 6.0
 
@@ -108,11 +108,10 @@ def test_load_scene_pgm():
 
 
 def test_load_scene_pgm_validation():
-    pixels = np.zeros((2, 2), dtype=np.uint16)
-    data16 = write_pgm(pixels, maxval=65535)
+    data16 = b"P5\n2 2\n65535\n" + bytes(8)
     with pytest.raises(SceneError):
         load_scene_pgm(data16, (0, 1, 0, 1))
-    data8 = write_pgm(pixels.astype(np.uint8))
+    data8 = write_pgm(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
         load_scene_pgm(data8, (0, 1, 0, 1), threshold=300)
     with pytest.raises(InvalidParameterError):

@@ -71,6 +71,21 @@ def test_apply_tf_filter_shape_mismatch():
                         FilterSpec("rf"))
 
 
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+@pytest.mark.parametrize("n", [16, 128])
+def test_apply_tf_filter_multiplies_gains_by_echo(n, kind):
+    # one operand order on both sides of numpy's 256 KiB temporary-elision
+    # threshold, which 128x128 grids pass: a complex product's round-off
+    # depends on the order
+    cfg = critical_config(n, n)
+    symbols = gen_symbol_grid(cfg, make_qam("qam16"), seed=0)
+    rng = np.random.default_rng(1)
+    echo = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    spec = FilterSpec(kind, snr_in_linear=10.0)
+    expected = np.multiply(filter_gains(symbols, spec), echo)
+    assert np.array_equal(apply_tf_filter(echo, symbols, spec), expected)
+
+
 def test_channel_mse_analytic_matches_monte_carlo():
     # E||yhat - H||^2 within 3% of the closed form, all three filters
     snr_db = 5.0
@@ -93,8 +108,9 @@ def test_channel_mse_analytic_matches_monte_carlo():
             g = filter_gains(s, spec)
             yhat = (h * s + noise[t]) * g
             total += np.sum(np.abs(yhat - h) ** 2)
-        predicted = channel_mse_analytic(cfg, chi_stats(con, spec),
-                                         scene.total_rcs_var, cfg.noise_var)
+        rcs_var = sum(t.rcs_var for t in scene.targets)
+        predicted = channel_mse_analytic(cfg, chi_stats(con, spec), rcs_var,
+                                         cfg.noise_var)
         assert total / trials == pytest.approx(predicted, rel=0.03)
 
 

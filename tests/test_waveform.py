@@ -30,6 +30,16 @@ def brute_force_moments(order):
     return power.mean(), (power**2).mean(), (1.0 / power).mean()
 
 
+def fourth_moment(con):
+    """E|s|^4 over the alphabet."""
+    return float(np.mean(np.abs(con.points) ** 4))
+
+
+def inverse_power(con):
+    """E[1/|s|^2], the inversion noise-enhancement factor."""
+    return float(np.mean(1.0 / np.abs(con.points) ** 2))
+
+
 # Constellations -----------------------------------------------------------
 
 @pytest.mark.parametrize("name,order", [
@@ -47,24 +57,24 @@ def test_qam_moments_match_enumeration():
         con = make_qam(order)
         mean, fourth, inverse = brute_force_moments(order)
         assert con.mean_power == pytest.approx(mean, rel=1e-12)
-        assert con.fourth_moment == pytest.approx(fourth, rel=1e-12)
-        assert con.inverse_power == pytest.approx(inverse, rel=1e-12)
+        assert fourth_moment(con) == pytest.approx(fourth, rel=1e-12)
+        assert inverse_power(con) == pytest.approx(inverse, rel=1e-12)
 
 
 def test_qam_moment_values():
     # frozen closed-form values of the modulus moments
     q16 = make_qam("qam16")
-    assert q16.fourth_moment == pytest.approx(1.32, rel=1e-9)
-    assert q16.inverse_power == pytest.approx(1.8888889, rel=1e-6)
+    assert fourth_moment(q16) == pytest.approx(1.32, rel=1e-9)
+    assert inverse_power(q16) == pytest.approx(1.8888889, rel=1e-6)
     q64 = make_qam("qam64")
-    assert q64.fourth_moment == pytest.approx(1.3809524, rel=1e-6)
-    assert q64.inverse_power == pytest.approx(2.6854167, rel=1e-6)
+    assert fourth_moment(q64) == pytest.approx(1.3809524, rel=1e-6)
+    assert inverse_power(q64) == pytest.approx(2.6854167, rel=1e-6)
     q256 = make_qam("qam256")
-    assert q256.fourth_moment == pytest.approx(1.3952941, rel=1e-6)
-    assert q256.inverse_power == pytest.approx(3.4371300, rel=1e-6)
+    assert fourth_moment(q256) == pytest.approx(1.3952941, rel=1e-6)
+    assert inverse_power(q256) == pytest.approx(3.4371300, rel=1e-6)
     qpsk = make_qam("qpsk")
-    assert qpsk.fourth_moment == pytest.approx(1.0, abs=1e-12)
-    assert qpsk.inverse_power == pytest.approx(1.0, abs=1e-12)
+    assert fourth_moment(qpsk) == pytest.approx(1.0, abs=1e-12)
+    assert inverse_power(qpsk) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qam_rejects_unsupported_order():
@@ -82,7 +92,7 @@ def test_chi_stats_reciprocal_is_exact_one():
         assert stats.chi_mean == 1.0
         assert stats.chi_var == 0.0
         assert stats.gain_sq_mean == pytest.approx(
-            make_qam(order).inverse_power, rel=1e-12)
+            inverse_power(make_qam(order)), rel=1e-12)
         assert stats.chi_err_sq_mean == 0.0
 
 
@@ -97,7 +107,7 @@ def test_chi_stats_matched_256():
     con = make_qam("qam256")
     stats = chi_stats(con, FilterSpec("mf"))
     assert stats.chi_mean == pytest.approx(1.0, abs=1e-12)
-    assert stats.chi_var == pytest.approx(con.fourth_moment - 1.0, rel=1e-12)
+    assert stats.chi_var == pytest.approx(fourth_moment(con) - 1.0, rel=1e-12)
     assert stats.gain_sq_mean == pytest.approx(1.0, abs=1e-12)
 
 
@@ -151,7 +161,7 @@ def test_wiener_limits():
     hi = chi_stats(con, FilterSpec("wf", snr_in_linear=1e9))
     assert abs(hi.chi_mean - 1.0) < 1e-3
     assert abs(hi.chi_var) < 1e-3
-    assert hi.gain_sq_mean == pytest.approx(con.inverse_power, rel=1e-3)
+    assert hi.gain_sq_mean == pytest.approx(inverse_power(con), rel=1e-3)
     # low SNR: Wiener -> snr * matched (g -> snr * conj(s))
     snr = 1e-6
     lo = chi_stats(con, FilterSpec("wf", snr_in_linear=snr))
