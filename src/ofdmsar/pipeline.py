@@ -35,12 +35,14 @@ formula and its bits do not depend on the rest of the sweep.
 Trials stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, one
 (N, M) complex grid per trial, runs as one chunk.  Otherwise each chunk
 holds as many trials as fit the budget with, per trial, the chunk's
-draws, the next chunk's unit noise in a noisy sweep, and the K grids that
-several points read (the shared grids).  One Philox generator per stream
-(symbols, noise, target amplitudes) lives across the chunks, so no result
-depends on the chunk size.  A noisy sweep of several chunks draws chunk
-c + 1's unit noise on a worker thread while chunk c is focused, into two
-buffers it allocates once.
+draws, the next chunk's symbols and, in a noisy sweep, its unit noise,
+and the K grids that several points read (the shared grids).  One Philox
+generator per stream (symbols, noise, target amplitudes) lives across the
+chunks, so no result depends on the chunk size.  A sweep of several
+chunks draws chunk c + 1's symbols and unit noise on a worker thread
+while chunk c is focused, into two pairs of buffers it allocates once;
+the main thread draws only the target amplitudes, builds the channels,
+focuses and reduces.
 
 Every chunk runs in one order: draw it, focus its shared grids for every
 trial, then run each point over the chunk's trials, focusing the point's
@@ -52,18 +54,19 @@ residual, which also holds the gain grid while a trial is focused, and
 |.|^2).  Every product, focus pass and reduction of a trial writes into
 them, in the operand order of the out-of-place chain, so focusing and
 reducing a trial allocates no complex grid, and the bits are those of
-fresh grids.  When no point focuses a grid of its own (a constant-modulus
-sweep of several noisy points), a chunk drops its symbols and noise once
-its shared grids are focused.  A point whose noiseless image is the
-sweep's F(channel * act) reduces it once per chunk and adds the same
-|.|^2 in every trial.  Memory is the chunk's draws (with random targets,
-also its channels and ideal images), the next chunk's noise, the shared
-grids, the sweep's F(channel * act), the working grids and the per-point
-reductions, which are all a result keeps.  A sweep of P points that spans
-several chunks holds their 2*P*N*M*8 bytes of mean power images until its
-last chunk.  A one-chunk sweep makes each point's result when it reaches
-that point and yields it before the next; its K*T shared grids are
-outside the budget.
+fresh grids.  Each MSE is a sum of squares over the residual's float64
+view, never negative.  When no point focuses a grid of its own (a
+constant-modulus sweep of several noisy points), a one-chunk sweep frees
+its symbols and noise once its shared grids are focused.  A point whose
+noiseless image is the sweep's F(channel * act) reduces it once per
+chunk and adds the same |.|^2 in every trial.  Memory is the chunk's
+draws (with random targets, also its channels and ideal images), the
+next chunk's draws, the shared grids, the sweep's F(channel * act), the
+working grids and the per-point reductions, which are all a result
+keeps.  A sweep of P points that spans several chunks holds their
+2*P*N*M*8 bytes of mean power images until its last chunk.  A one-chunk
+sweep makes each point's result when it reaches that point and yields it
+before the next; its K*T shared grids are outside the budget.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -205,6 +208,16 @@ def _power(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.square(np.abs(grid, out=out), out=out)
 
 
+def _residual_power(image: np.ndarray, reference: np.ndarray,
+                    out: np.ndarray) -> float:
+    """sum |image - reference|^2, with the residual written into out: a sum
+    of squares over its float64 (re, im) view, so it is never negative.
+    einsum runs without BLAS, whose threads would compete with the draw
+    worker."""
+    values = np.subtract(image, reference, out=out).view(float).ravel()
+    return float(np.einsum("i,i->", values, values))
+
+
 def run_sweep_ensemble(scene: Scene,
                        points: Sequence[tuple[RadarConfig, FilterSpec]],
                        constellation: Constellation, trials: int, seed: int,
@@ -267,14 +280,16 @@ def run_sweep_ensemble(scene: Scene,
             fixed[0] if mask is None else fixed[0] * mask)
     shared = [key for key, k in users.items() if k > 1 and key not in swept]
     chunk = _chunk_trials(trials, n, m)
-    prefetch = noise_rng is not None and chunk < trials
-    if chunk < trials:
-        # the chunk's draws, the next chunk's noise (drawn meanwhile) and
-        # the chunk's shared grids fit the budget together
-        chunk = _chunk_trials(trials, n, m, 1 + prefetch + len(shared))
+    prefetch = chunk < trials
+    if prefetch:
+        # per trial: the chunk's draws, the next chunk's symbols and, in a
+        # noisy sweep, its noise (drawn meanwhile), and the chunk's shared
+        # grids fit the budget together
+        chunk = _chunk_trials(trials, n, m,
+                              2 + (noise_rng is not None) + len(shared))
 
     # The grids a trial is focused into and reduced in, allocated once and
-    # never touched by the noise worker: a chunk's worth of each shared
+    # never touched by the draw worker: a chunk's worth of each shared
     # grid, one signal and one noise grid that every point's own grids
     # reuse in turn, and one scratch grid per kind of reduction; each only
     # if some point reads it.  `diff` holds the gain grid while a trial's
@@ -304,39 +319,48 @@ def run_sweep_ensemble(scene: Scene,
     results: list[Optional[EnsembleResult]] = [None] * len(points)
     starts = range(0, trials, chunk)
 
-    # A noisy sweep of several chunks draws chunk c + 1's unit noise on a
-    # worker thread while chunk c is focused, in chunk order, into one of
-    # two buffers allocated here: the worker allocates nothing, so no draw
-    # lands in its own malloc arena.  Leaving the with statement, however
-    # the sweep ends, joins the worker.  Other sweeps start no thread and do
-    # not import concurrent.futures, whose import of logging adds ~13 ms to
-    # a fresh process.
+    def draw(size, symbols=None, noise=None):
+        """A chunk's symbols and unit noise, in chunk order on each stream,
+        into the given buffers if any."""
+        symbols = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
+                                  trials=size, rng=symbol_rng, out=symbols)
+        if noise_rng is None:
+            return symbols, [None] * size
+        return symbols, draw_noise(cfg0, seed, n_trials=size, unit=True,
+                                   rng=noise_rng, out=noise)
+
+    # A sweep of several chunks draws chunk c + 1 on a worker thread while
+    # chunk c is focused, into one of two pairs of buffers allocated here:
+    # the worker allocates no stack, only one (N, M) grid of symbol indices
+    # at a time, so no draw lands in its own malloc arena.  The symbol and
+    # noise streams keep their draw order, and only the worker draws them.
+    # Leaving the with statement, however the sweep ends, joins the worker.
+    # A one-chunk sweep starts no thread and does not import
+    # concurrent.futures, whose import of logging adds ~13 ms to a fresh
+    # process.
     if prefetch:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
         if prefetch:
-            pairs = [np.empty((chunk, n, m, 2)) for _ in range(2)]
+            symbol_bufs = empty(2, chunk)
+            noise_bufs = (np.empty((2, chunk, n, m, 2))
+                          if noise_rng is not None else None)
 
             def fill(c):
-                size = min(chunk, trials - starts[c])
-                return worker.submit(draw_noise, cfg0, seed, n_trials=size,
-                                     unit=True, rng=noise_rng,
-                                     out=pairs[c % 2][:size])
+                size, b = min(chunk, trials - starts[c]), c % 2
+                return worker.submit(
+                    draw, size, symbol_bufs[b, :size],
+                    None if noise_bufs is None else noise_bufs[b, :size])
             pending = fill(0)
         for c, start in enumerate(starts):
             size = min(chunk, trials - start)
             last = start + size == trials
-            grid = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
-                                   trials=size, rng=symbol_rng)
             if prefetch:
-                unit_noise = pending.result()
-                # chunk c + 1 reuses chunk c - 1's buffer, read no more
+                grid, unit_noise = pending.result()
+                # chunk c + 1 reuses chunk c - 1's buffers, read no more
                 pending = fill(c + 1) if c + 1 < len(starts) else None
-            elif noise_rng is not None:
-                unit_noise = draw_noise(cfg0, seed, n_trials=size, unit=True,
-                                        rng=noise_rng)
             else:
-                unit_noise = [None] * size
+                grid, unit_noise = draw(size)
             truths = ([fixed] * size if rcs_rng is None else
                       [(build_channel_matrix(scene, cfg0, amps),
                         ideal_reference_image(scene, cfg0, amps))
@@ -404,11 +428,10 @@ def run_sweep_ensemble(scene: Scene,
                         noisy += clean
 
                     res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                    np.subtract(noisy, ideal, out=diff)
-                    res.mse[t] = float(np.sum(_power(diff, power)))
-                    np.divide(noisy, e_chi, out=diff)
-                    diff -= ideal
-                    res.mse_calibrated[t] = float(np.sum(_power(diff, power)))
+                    res.mse[t] = _residual_power(noisy, ideal, diff)
+                    res.mse_calibrated[t] = _residual_power(
+                        noisy, np.multiply(e_chi, ideal, out=diff),
+                        diff) / e_chi ** 2
                     mean_noisy += _power(noisy, power)
 
                 if last:

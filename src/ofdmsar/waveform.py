@@ -278,17 +278,19 @@ RCS_STREAM = 2
 def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
                     mask: Optional[np.ndarray] = None,
                     trials: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                    rng: Optional[np.random.Generator] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw i.i.d. uniform constellation symbols on the N x M grid.
 
-    The whole batch is drawn in one vectorized pass from a counter-based
-    generator keyed by the seed, so the result does not depend on any
-    evaluation schedule.  Entries outside the mask are set to zero, so
-    the zero cells are the inactive ones.  With trials=None the result is
-    a single (N, M) grid; with an integer it is a (trials, N, M) stack of
-    independent realizations.  A generator passed as rng replaces the
-    seed's and is advanced, so successive calls of c1, c2, ... trials on
-    one generator equal one call of their sum.
+    The symbols come from a counter-based generator keyed by the seed, so
+    the result does not depend on any evaluation schedule.  Entries
+    outside the mask are set to zero, so the zero cells are the inactive
+    ones.  With trials=None the result is a single (N, M) grid; with an
+    integer it is a (trials, N, M) stack of independent realizations.  A
+    generator passed as rng replaces the seed's and is advanced, so
+    successive calls of c1, c2, ... trials on one generator equal one call
+    of their sum.  out, a complex array of the result's shape, takes the
+    symbols and is returned, so the call allocates no symbol grid.
     """
     shape = (cfg.n_subcarriers, cfg.n_symbols)
     if mask is not None and mask.shape != shape:
@@ -296,11 +298,18 @@ def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
     draw_shape = shape if trials is None else (trials,) + shape
     if rng is None:
         rng = _philox(seed, SYMBOL_STREAM)
-    indices = rng.integers(0, constellation.order, size=draw_shape)
-    data = constellation.points[indices]
+    if out is None:
+        out = np.empty(draw_shape, dtype=complex)
+    # one grid of int64 indices at a time, which draws the same bits as one
+    # call over the stack; mode="clip" (the indices are in range) keeps
+    # np.take from buffering its output in a temporary
+    for grid in (out if trials is not None else out[np.newaxis]):
+        np.take(constellation.points,
+                rng.integers(0, constellation.order, size=shape),
+                out=grid, mode="clip")
     if mask is not None:
-        np.copyto(data, 0.0, where=~mask)
-    return data
+        np.copyto(out, 0.0, where=~mask)
+    return out
 
 
 # Sounding reference combs ------------------------------------------------

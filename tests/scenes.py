@@ -1,4 +1,4 @@
-"""Shared scenario builders for the test suite.
+"""Scenario builders shared by the test modules.
 
 Most imaging tests run on a small critically sampled geometry: the
 platform speed is chosen so that the azimuth chirp rate at a reference

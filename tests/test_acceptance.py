@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene, target_at_bins
+from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      Scene, SrsConfig, analytic_point_metrics,
                      azimuth_compress, azimuth_fft, build_channel_matrix,

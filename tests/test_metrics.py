@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene, target_at_bins
+from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.metrics import (SINC_3DB_WIDTH_BINS, MetricsReport,
                              analytic_point_metrics, doppler_support,

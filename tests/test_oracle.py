@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene, target_at_bins
+from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar.echo import build_channel_matrix, synthesize_echo
 from ofdmsar.errors import (CapacityError, InvalidParameterError,
                             SingularSystemError)

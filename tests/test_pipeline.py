@@ -7,14 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene, target_at_bins
+from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar import pipeline
 from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
                          run_scenario)
 from ofdmsar.echo import build_channel_matrix, draw_noise, grid_to_bytes
 from ofdmsar.errors import InvalidParameterError
-from ofdmsar.pipeline import (pilot_comb_mask, run_point_ensemble,
-                              run_sweep_ensemble)
+from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
+                              run_point_ensemble, run_sweep_ensemble)
 from ofdmsar.metrics import ideal_reference_image
 from ofdmsar.rd_imaging import focus_image
 from ofdmsar.scene import Scene
@@ -171,6 +171,31 @@ def test_shared_focusing_moves_results_by_round_off_only(name, masked,
             assert error <= 1e-12 * np.max(np.abs(want)), (spec, array)
 
 
+@pytest.mark.parametrize("name", ["qpsk", "qam16"])
+def test_mse_is_never_negative_and_stays_accurate(name):
+    # under rf (chi = 1) the on-grid target focuses to its ideal image up
+    # to an MSE of 2e-5 against an image energy of 256, noiseless and at
+    # 300 dB.  An MSE taken as ||noisy||^2 - 2 Re<ideal, noisy> + ||ideal||^2
+    # keeps only the round-off of that energy (4e-10 relative here), and
+    # can go negative where the image matches its ideal to round-off
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    snr = 1e30
+    points = [(cfg, FilterSpec("rf")),
+              (cfg.with_noise(1.0 / snr, snr_in_linear=snr),
+               FilterSpec("rf", snr_in_linear=snr))]
+    qam = make_qam(name)
+    swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5)
+    for (cfg_n, spec), result in zip(points, swept):
+        point_target_report(result)
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, None, result)
+        for array in ("mse", "mse_calibrated"):
+            got, want = getattr(result, array), expected[array]
+            assert (got >= 0).all(), (spec, array)
+            error = np.max(np.abs(got - want))
+            assert error <= 1e-12 * np.max(np.abs(want)), (spec, array)
+
+
 def test_sweep_rejects_points_that_change_the_geometry():
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
@@ -189,11 +214,12 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
     # the random targets' amplitudes included.  All 15 trials fit a budget
     # of 15 grids, so it runs one chunk.  A sweep of several chunks fits
-    # per trial its draws, the next chunk's noise (in a noisy sweep, drawn
-    # meanwhile on a worker thread) and its shared grids in the budget:
-    # shared[0] of them with the deterministic scene, shared[1] with the
-    # random-target scene, whose F(channel * act) changes per trial.  So a
-    # budget of 14 grids gives chunks of 14 // (1 + noisy + shared) trials.
+    # per trial its draws, the next chunk's symbols and, in a noisy sweep,
+    # its noise (both drawn meanwhile on a worker thread) and its shared
+    # grids in the budget: shared[0] of them with the deterministic scene,
+    # shared[1] with the random-target scene, whose F(channel * act)
+    # changes per trial.  So a budget of 14 grids gives chunks of
+    # 14 // (2 + noisy + shared) trials.
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     trials = 15
@@ -211,7 +237,7 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
     for scene, n_shared in zip((single_target_scene(cfg, k_bin=8, m_bin=8),
                                 random_target_scene(cfg)[0]), shared):
         runs = []
-        for budget, chunk in ((1, 1), (14, 14 // (1 + noisy + n_shared)),
+        for budget, chunk in ((1, 1), (14, 14 // (2 + noisy + n_shared)),
                               (trials, trials)):
             assert chunk > 1 or budget == 1
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
@@ -258,42 +284,52 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch, make_qam("qpsk"), points, (0, 1))
 
 
-def multi_chunk_sweep(monkeypatch, trials=6):
-    """A noisy 16x16 sweep generator that streams one trial per chunk."""
+def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
+    """A 16x16 sweep generator that streams several chunks: one trial per
+    chunk for the noisy sweep, two for the noiseless point."""
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
+    points = sweep_points(cfg) if noisy else [(cfg, FilterSpec("mf"))]
     return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
-                              sweep_points(cfg), make_qam("qpsk"), trials,
-                              seed=5)
+                              points, make_qam("qpsk"), trials, seed=5)
 
 
 def test_closed_sweep_leaves_no_worker_thread(monkeypatch):
+    # a sweep of several chunks draws on a worker, with or without noise
     before = threading.active_count()
-    sweep = multi_chunk_sweep(monkeypatch)
-    next(sweep)
-    assert threading.active_count() == before + 1  # the idle noise worker
-    sweep.close()
-    assert threading.active_count() == before
-    assert len(list(multi_chunk_sweep(monkeypatch))) == len(
-        sweep_points(critical_config(16, 16, k_ref=8)))
-    assert threading.active_count() == before
+    for noisy, points in ((True, 10), (False, 1)):
+        sweep = multi_chunk_sweep(monkeypatch, noisy=noisy)
+        next(sweep)
+        assert threading.active_count() == before + 1  # the idle worker
+        sweep.close()
+        assert threading.active_count() == before
+        assert len(list(multi_chunk_sweep(monkeypatch, noisy=noisy))) == points
+        assert threading.active_count() == before
 
 
-def test_failing_noise_fill_reaches_the_caller(monkeypatch):
-    real = pipeline.draw_noise
+def assert_failing_draw_reaches_the_caller(monkeypatch, name):
+    real = getattr(pipeline, name)
     fills = []
 
     def failing(*args, **kwargs):
         fills.append(threading.current_thread() is threading.main_thread())
         if len(fills) == 2:
-            raise RuntimeError("noise fill failed")
+            raise RuntimeError(f"{name} failed")
         return real(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "draw_noise", failing)
+    monkeypatch.setattr(pipeline, name, failing)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="noise fill failed"):
+    with pytest.raises(RuntimeError, match=f"{name} failed"):
         list(multi_chunk_sweep(monkeypatch))
-    assert fills and not any(fills)  # every fill ran on the worker
+    assert fills and not any(fills)  # every draw ran on the worker
     assert threading.active_count() == before
+
+
+def test_failing_noise_fill_reaches_the_caller(monkeypatch):
+    assert_failing_draw_reaches_the_caller(monkeypatch, "draw_noise")
+
+
+def test_failing_symbol_draw_reaches_the_caller(monkeypatch):
+    assert_failing_draw_reaches_the_caller(monkeypatch, "gen_symbol_grid")
 
 
 def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
@@ -447,12 +483,12 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
     # points (rf and mf noise, mf signal).  A sweep of several chunks
     # focuses them for every trial of its chunk, and sizes the chunk so
-    # that its symbols, the next chunk's noise and these three grids fit
-    # the budget: 5 grids per trial.  So at any focus call at most 3 per
-    # trial of the chunk are alive besides rf's F(channel * act) and the
-    # signal and noise buffers that both wf points' own grids reuse; each
-    # point's clean image is a scratch grid, not a focused one.  Budgets of
-    # 10 and 20 grids give chunks of 2 and 4 trials.
+    # that its draws, the next chunk's symbols and noise and these three
+    # grids fit the budget: 6 grids per trial.  So at any focus call at
+    # most 3 per trial of the chunk are alive besides rf's F(channel * act)
+    # and the signal and noise buffers that both wf points' own grids
+    # reuse; each point's clean image is a scratch grid, not a focused
+    # one.  Budgets of 10 and 20 grids give chunks of 1 and 3 trials.
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     grid_bytes = 16 * 16 * 16
@@ -479,7 +515,7 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
         return real_draw(*args, **kwargs)
     monkeypatch.setattr(pipeline, "focusing_operator", tracking)
     monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
-    for budget, trials, chunk in ((10, 12, 2), (20, 24, 4)):
+    for budget, trials, chunk in ((10, 12, 1), (20, 24, 3)):
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * grid_bytes)
         most.clear()
         drawn.clear()
@@ -487,9 +523,9 @@ def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
                                          make_qam("qam16"), trials=trials,
                                          seed=5):
             del result
-        # the largest chunk whose 5 grids per trial fit the budget
-        assert 5 * chunk * grid_bytes <= pipeline._CHUNK_BYTES
-        assert 5 * (chunk + 1) * grid_bytes > pipeline._CHUNK_BYTES
+        # the largest chunk whose 6 grids per trial fit the budget
+        assert 6 * chunk * grid_bytes <= pipeline._CHUNK_BYTES
+        assert 6 * (chunk + 1) * grid_bytes > pipeline._CHUNK_BYTES
         assert drawn == [chunk] * (trials // chunk), (budget, trials)
         assert max(most) <= 3 * chunk + 3, (budget, trials)
 
@@ -532,13 +568,51 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     assert counts[0] == counts[1] and counts[0][1] == 5
 
 
+def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
+    # a noisy QAM16 sweep holds 6 grids per trial of a chunk (its draws,
+    # the next chunk's symbols and noise, three shared grids), so a budget
+    # of 12 streams chunks of 2 trials.  The worker draws every chunk's
+    # symbols into one of two buffers, alternately, so it allocates no
+    # symbol stack, and the buffers do not grow with the trial count
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    calls = []
+    real = pipeline.gen_symbol_grid
+
+    def recording(*args, **kwargs):
+        calls.append((threading.current_thread() is threading.main_thread(),
+                      kwargs.get("out")))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 12 * 16 * 16 * 16)
+    addresses = []
+    for trials in (13, 25):  # more than the budget's 12 grids
+        calls.clear()
+        results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
+                                          make_qam("qam16"), trials, seed=5))
+        assert [out.shape for _, out in calls] == [
+            (min(2, trials - start), 16, 16) for start in range(0, trials, 2)]
+        assert not any(main for main, _ in calls)
+        assert not any(out.flags.owndata for _, out in calls)
+        bases = [out.ctypes.data for _, out in calls]
+        assert bases[0] != bases[1]
+        assert bases == [bases[c % 2] for c in range(len(bases))]
+        addresses.append(set(bases))
+        for result in results:
+            for name in ARRAYS:
+                assert not any(np.shares_memory(getattr(result, name), out)
+                               for _, out in calls), name
+    assert len(addresses[0]) == len(addresses[1]) == 2
+
+
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                                                         monkeypatch):
     # each trial's mse, mse_calibrated and noisy peak, rebuilt with a fresh
     # grid for every product, focused image and reduction, equal the
-    # sweep's bit for bit.  128x128 grids pass numpy's 256 KiB
+    # sweep's bit for bit; the two MSEs also stay within 1e-13 of the
+    # |.|^2 sums they replace.  128x128 grids pass numpy's 256 KiB
     # temporary-elision threshold, past which numpy reuses the fresh
     # chain's temporaries in place too.  The random target gives the
     # channel generic values, whose products round differently in another
@@ -579,9 +653,19 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                 noisy += clean
             e_chi = result.stats.chi_mean
             assert result.noisy_peaks[t] == noisy[k_q, m_q] / result.alpha_ref
-            assert result.mse[t] == float(np.sum(np.abs(noisy - ideal) ** 2))
+            residual = noisy - ideal
+            values = residual.view(float).ravel()
+            assert result.mse[t] == float(np.einsum("i,i->", values, values))
+            scaled_ideal = e_chi * ideal
+            residual = noisy - scaled_ideal
+            values = residual.view(float).ravel()
             assert result.mse_calibrated[t] == float(
-                np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+                np.einsum("i,i->", values, values)) / e_chi ** 2
+            summed = (float(np.sum(np.abs(noisy - ideal) ** 2)),
+                      float(np.sum(np.abs(noisy / e_chi - ideal) ** 2)))
+            for value, old in zip((result.mse[t], result.mse_calibrated[t]),
+                                  summed):
+                assert abs(value - old) <= 1e-13 * old
 
 
 def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():

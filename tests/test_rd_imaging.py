@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import critical_config, single_target_scene
+from scenes import critical_config, single_target_scene
 from ofdmsar import rd_imaging
 from ofdmsar.echo import build_channel_matrix
 from ofdmsar.errors import InvalidParameterError

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import critical_config, single_target_scene
+from scenes import critical_config, single_target_scene
 from ofdmsar.echo import build_channel_matrix, synthesize_echo
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.tf_filter import (FILTER_KINDS, FilterSpec, apply_tf_filter,

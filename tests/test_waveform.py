@@ -348,7 +348,8 @@ def test_gen_symbol_grid_batch_matches_single():
 
 def test_gen_symbol_grid_chunks_continue_one_stream():
     # successive draws from one generator equal one batch bit for bit, also
-    # when a chunk holds an odd number of cells
+    # when a chunk holds an odd number of cells, and also drawn into one
+    # buffer chunk by chunk
     cfg = small_cfg(n=3, m=5)
     con = make_qam("qam16")
     mask = np.ones((3, 5), dtype=bool)
@@ -358,6 +359,38 @@ def test_gen_symbol_grid_chunks_continue_one_stream():
     chunks = [gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size,
                               rng=rng) for size in (1, 1, 3)]
     assert np.array_equal(np.concatenate(chunks), whole)
+    rng = _philox(4, SYMBOL_STREAM)
+    buffer = np.empty((5, 3, 5), dtype=complex)
+    for start, size in ((0, 1), (1, 1), (2, 3)):
+        gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size, rng=rng,
+                        out=buffer[start:start + size])
+    assert np.array_equal(buffer, whole)
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam256"])
+@pytest.mark.parametrize("trials", [None, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
+    # symbols drawn into out equal the allocating call's, and points[indices]
+    # with the indices of the whole draw taken in one call, bit for bit
+    cfg = small_cfg()
+    con = make_qam(name)
+    mask = None
+    if masked:
+        mask = np.zeros((32, 40), dtype=bool)
+        mask[1::4, :] = True  # a comb of every fourth subcarrier
+    shape = (32, 40) if trials is None else (trials, 32, 40)
+    indices = _philox(6, SYMBOL_STREAM).integers(0, con.order, size=shape)
+    reference = con.points[indices]
+    if masked:
+        reference[..., ~mask] = 0.0
+    allocated = gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials)
+    out = np.full(shape, np.nan, dtype=complex)
+    grid = gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials,
+                           out=out)
+    assert grid is out
+    assert np.array_equal(out, allocated)
+    assert np.array_equal(out, reference)
 
 
 def test_symbol_grid_shape_validation():
