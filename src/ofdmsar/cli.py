@@ -45,7 +45,7 @@ from .pipeline import (MAINLOBE_HALFWIDTH_BINS, EnsembleResult,
                        pilot_comb_mask, point_target_report,
                        run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
-from .scene import Scene, load_scene_pgm, make_point_scene
+from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
 from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
                        gen_symbol_grid, make_qam, _QAM_NAMES)
@@ -121,6 +121,9 @@ _PGM_SCENE = {"pgm_path": str, "extent": list, "threshold": int,
               "rcs_scale": float}
 _TARGET = {**dict.fromkeys(("x", "y", "x_m", "y_m", "rcs_var"), float),
            "mode": str, "amplitude_mode": str}
+# A target key names the PointTarget field it sets, or is one of these
+# short names for it.
+_TARGET_ALIAS = {"x": "x_m", "y": "y_m", "mode": "amplitude_mode"}
 _OUTPUTS = {"images": list, "grids": list, "db_floor": float}
 _FILTER = {"kind": str}
 _RCMC = {"method": str}
@@ -187,8 +190,7 @@ class ScenarioConfig:
     radar: RadarConfig            # the full (undecimated) signaling grid
     scene: Scene
     filters: tuple[str, ...]
-    mode: str
-    srs: Optional[SrsConfig]
+    srs: Optional[SrsConfig]      # set in pilot_only mode only
     snr_db: tuple[float, ...]
     trials: int
     seed: int
@@ -199,11 +201,14 @@ class ScenarioConfig:
     outputs: OutputSelection
 
     @property
+    def mode(self) -> str:
+        return "data_aided" if self.srs is None else "pilot_only"
+
+    @property
     def run_radar(self) -> RadarConfig:
         """The grid the ensembles run on: every pilot symbol, or every
         azimuth_downsample-th data symbol."""
-        step = (self.srs.period_symbols if self.mode == "pilot_only"
-                else self.azimuth_downsample)
+        step = self.srs.period_symbols if self.srs else self.azimuth_downsample
         return self.radar.decimated(step)
 
 
@@ -297,8 +302,17 @@ def _parse_scene(obj: dict, path: str, config_dir: Path) -> Scene:
     for i, entry in enumerate(values["targets"]):
         target_path = f"{path}.targets[{i}]"
         spec = _fields(entry, target_path, _TARGET)
+        fields, keys = {}, {}
+        for key, value in spec.items():
+            name = _TARGET_ALIAS.get(key, key)
+            if name in fields:
+                raise ConfigError(target_path, f"target spec gives both "
+                                               f"{keys[name]} and {key}")
+            fields[name], keys[name] = value, key
+        if "x_m" not in fields or "y_m" not in fields:
+            raise ConfigError(target_path, f"target spec missing x/y: {spec}")
         with _at(target_path):  # one at a time, so its errors name it
-            targets += make_point_scene([spec]).targets
+            targets.append(PointTarget(**fields))
     with _at(path):
         return make_point_scene(targets, extent=extent)
 
@@ -337,8 +351,7 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
         radar = RadarConfig(**radar)
     scene = _parse_scene(top["scene"], "$.scene", config_dir)
 
-    mode = _choice(top, "$", "mode", MODES, "data_aided")
-    pilot = mode == "pilot_only"
+    pilot = _choice(top, "$", "mode", MODES, "data_aided") == "pilot_only"
     srs = None
     if pilot:
         if "srs" not in top:
@@ -364,7 +377,7 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
                            _FILTER, ("kind",)),
                    "$.filter", "kind", _FILTER_CHOICES, None)
     scenario = ScenarioConfig(
-        radar=radar, scene=scene, mode=mode, srs=srs, snr_db=(),
+        radar=radar, scene=scene, srs=srs, snr_db=(),
         filters=_filters(kind),
         trials=_at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials"),
         seed=_at_least(0, top.get("seed", 0), "$.seed"),
@@ -459,8 +472,7 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
         return
     cfg, seed = result.cfg, scenario.seed
     symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask)
-    tf = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols,
-                                         noise_seed=seed, rcs_seed=seed),
+    tf = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols, seed),
                          symbols, result.filter_spec)
     stages = {"tf": tf}
     if wanted - {"tf"}:
@@ -481,8 +493,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     constellation = make_qam(scenario.constellation)
 
     cfg_run = scenario.run_radar
-    mask = (pilot_comb_mask(cfg_run, scenario.srs)
-            if scenario.mode == "pilot_only" else None)
+    mask = pilot_comb_mask(cfg_run, scenario.srs) if scenario.srs else None
 
     labels = []
     sweep = []
@@ -567,9 +578,11 @@ def main(argv: Optional[list] = None) -> int:
                                    seed=_at_least(0, args.seed, "--seed"))
             if args.filter is not None:
                 scenario = replace(scenario, filters=_filters(args.filter))
-            if args.snr_db:
-                scenario = _with_snrs(scenario, args.snr_db,
-                                      ["--snr-db"] * len(args.snr_db))
+            if args.snr_db or args.filter is not None:
+                # the sweep's SNRs, checked against the filters that run
+                snr_db = args.snr_db or list(scenario.snr_db)
+                flag = "--snr-db" if args.snr_db else "--filter"
+                scenario = _with_snrs(scenario, snr_db, [flag] * len(snr_db))
             out = run_scenario(scenario, Path(args.out_dir))
         except MemoryError:
             what = "the scenario"

@@ -99,12 +99,13 @@ def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1,
 
 
 def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: np.ndarray,
-                    noise_seed: int = 0, rcs_seed: int = 0) -> np.ndarray:
-    """One received (N, M) grid realization for scene, symbols, and seeds.
+                    seed: int = 0) -> np.ndarray:
+    """One received (N, M) grid realization for scene, symbols and seed.
 
-    Deterministic given (symbols, noise_seed, rcs_seed): random target
-    amplitudes come from rcs_seed and the additive CN(0, noise_var) grid
-    from noise_seed, each on its own counter-based stream.
+    Deterministic given (symbols, seed): random target amplitudes and the
+    additive CN(0, noise_var) grid each come from their own counter-based
+    stream of the seed, the streams whose first draws are an ensemble's
+    trial 0 on that seed.
     """
     expected = (cfg.n_subcarriers, cfg.n_symbols)
     if symbols.shape != expected:
@@ -114,9 +115,9 @@ def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: np.ndarray,
     if scene.q == 0:
         noiseless = np.zeros(expected, dtype=complex)
     else:
-        amps = scene.draw_amplitudes(_philox(rcs_seed, RCS_STREAM), 1)[0]
+        amps = scene.draw_amplitudes(_philox(seed, RCS_STREAM), 1)[0]
         noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols
-    return noiseless + draw_noise(cfg, noise_seed, 1)[0]
+    return noiseless + draw_noise(cfg, seed, 1)[0]
 
 
 # Binary grid serialization ------------------------------------------------

@@ -3,22 +3,25 @@
 All metrics refer to the focused response of a known reference corner
 reflector (unit deterministic amplitude unless stated otherwise):
 
-  ISLR      sidelobe-to-mainlobe energy ratio of the ensemble image,
-            mainlobe = the peak bin (the critically-sampled point response
-            has nulls at every other integer bin)
+  ISLR      sidelobe-to-mainlobe energy ratio of the ensemble image; the
+            reported islr_db takes the bins within +/-
+            pipeline.MAINLOBE_HALFWIDTH_BINS of the peak as mainlobe
   PEL       NM * E[(1 - R(0,0)/sqrt(NM))^2] over noiseless trials
   SNR_out   sigma^2_alpha * E[R^2(0,0)] / (sigma^2 * E[|g|^2])
   NMSE      E||image - ideal||^2 / (sigma^2_alpha * E[R^2(0,0)])
 
 with E[R^2(0,0)] the ensemble mean squared peak of the reconstructed
-(noisy) profile.  Under that shared normalization the exact decomposition
+(noisy) profile.  Under that shared normalization, and with the peak bin
+alone as ISLR's mainlobe (the critically-sampled point response has nulls
+at every other integer bin), the decomposition
 
   NMSE = ISLR + PEL / E[R^2(0,0)] + 1 / SNR_out
 
-holds for a single on-grid reference target; identity_residual reports the
-relative gap.  A gain-calibrated NMSE variant (image divided by E[chi]) is
-also provided: it is invariant to the overall filter scale and is the
-right quantity for comparing filters whose mean gains differ.
+is exact for a single on-grid reference target; identity_residual reports
+the relative gap for any scene.  A gain-calibrated NMSE variant (image
+divided by E[chi]) is also provided: it is invariant to the overall filter
+scale and is the right quantity for comparing filters whose mean gains
+differ.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class MetricsReport:
     pel: float
     snr_out_db: float
     nmse: float
-    identity_residual: Optional[float]
+    identity_residual: float
     trials: int
     filter: str
     mode: str
@@ -123,17 +126,17 @@ def _dft_upsample(profile: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifft(padded) * factor
 
 
-def measure_mainlobe_width(profile: np.ndarray, interpolate: int = 16,
-                           peak_bin: Optional[int] = None) -> float:
-    """Two-sided -3 dB (half-power) width of the main peak, in input bins.
+def measure_mainlobe_width(profile: np.ndarray, interpolate: int = 16, *,
+                           peak_bin: int) -> float:
+    """Two-sided -3 dB (half-power) width of the lobe at peak_bin, in input
+    bins.
 
     The profile (magnitude, or complex samples whose magnitude is taken
-    after interpolation) is band-limited interpolated by the given factor,
-    rolled so the peak is centered, and the two crossings of peak/sqrt(2)
-    are located by linear interpolation.  By default the peak is the global
-    maximum, which must be unique; peak_bin anchors the measurement to the
-    lobe nearest a known bin instead (needed when equal replicas exist,
-    e.g. comb-sampled grids).
+    after interpolation) is band-limited interpolated by the given factor;
+    the peak is the largest interpolated sample within half a bin of
+    peak_bin, so equal replicas elsewhere (comb-sampled grids) do not
+    matter.  The profile is rolled so that peak is centered, and the two
+    crossings of peak/sqrt(2) are located by linear interpolation.
     """
     profile = np.asarray(profile)
     if profile.ndim != 1 or profile.size < MIN_PROFILE_BINS:
@@ -141,21 +144,15 @@ def measure_mainlobe_width(profile: np.ndarray, interpolate: int = 16,
             f"profile must be a 1-D vector of length >= {MIN_PROFILE_BINS}")
     if interpolate < 1:
         raise InvalidParameterError(f"interpolate must be >= 1, got {interpolate}")
+    if not 0 <= peak_bin < profile.size:
+        raise InvalidParameterError(
+            f"peak_bin {peak_bin} outside the {profile.size}-bin profile")
     up = np.abs(_dft_upsample(profile.astype(complex), interpolate))
-    if peak_bin is None:
-        peak_idx = int(np.argmax(up))
-        peak = up[peak_idx]
-        if np.count_nonzero(up == peak) > 1:
-            raise MeasurementError("profile peak is not unique")
-    else:
-        if not 0 <= peak_bin < profile.size:
-            raise InvalidParameterError(
-                f"peak_bin {peak_bin} outside the {profile.size}-bin profile")
-        anchor = int(round(peak_bin * interpolate))
-        offsets = np.arange(-(interpolate // 2), interpolate // 2 + 1)
-        candidates = (anchor + offsets) % up.size
-        peak_idx = int(candidates[np.argmax(up[candidates])])
-        peak = up[peak_idx]
+    anchor = int(round(peak_bin * interpolate))
+    offsets = np.arange(-(interpolate // 2), interpolate // 2 + 1)
+    candidates = (anchor + offsets) % up.size
+    peak_idx = int(candidates[np.argmax(up[candidates])])
+    peak = up[peak_idx]
     if peak <= 0:
         raise MeasurementError("profile has no positive peak")
     centered = np.roll(up, up.size // 2 - peak_idx)

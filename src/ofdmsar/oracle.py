@@ -105,7 +105,8 @@ def rd_vs_ls_compare(scene: Scene, cfg: RadarConfig,
     symbols = gen_symbol_grid(cfg, constellation, seed)
     echo = synthesize_echo(scene, cfg, symbols)
     filtered = apply_tf_filter(echo, symbols, filter_spec)
-    r_bar_ref = float(np.mean(scene.mean_ranges_m(cfg.platform)))
+    r_bar_ref = float(np.mean([t.mean_range_m(cfg.platform)
+                               for t in scene.targets]))
     image = focus_image(filtered, cfg, r_bar_ref)
 
     root_cells = np.sqrt(cfg.n_subcarriers * cfg.n_symbols)

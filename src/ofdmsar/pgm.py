@@ -1,8 +1,8 @@
 """Minimal PGM (portable graymap) reader and writer.
 
-The reader takes the ASCII "P2" and binary "P5" variants with maxval up
-to 65535, since scene rasters come from outside; the writer emits the
-binary 8-bit form the CLI's images use.
+The reader takes the ASCII "P2" and binary "P5" variants of 8-bit
+rasters (maxval 255), the form scene rasters come in; the writer emits
+the binary form the CLI's images use.
 Parse failures raise PgmParseError carrying the byte offset of the
 offending input.
 """
@@ -60,11 +60,11 @@ class _Scanner:
         return value
 
 
-def parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
-    """Decode a PGM byte string into (pixels, maxval).
+def parse_pgm(data: bytes) -> np.ndarray:
+    """Decode an 8-bit PGM byte string into its (height, width) uint8 pixels.
 
-    pixels is a (height, width) integer array.  Raises PgmParseError on a
-    malformed header or truncated payload.
+    Raises PgmParseError on a malformed header, a maxval other than 255 or
+    a truncated payload.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise InvalidParameterError("parse_pgm expects bytes")
@@ -76,33 +76,25 @@ def parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
                             byte_offset=0)
     width = scanner.next_int("width", 1 << 20)
     height = scanner.next_int("height", 1 << 20)
-    maxval = scanner.next_int("maxval", 65535)
+    scanner.next_int("maxval (8-bit rasters only)", 255, lower=255)
 
     count = width * height
     if magic == b"P2":
-        flat = np.empty(count, dtype=np.uint16 if maxval > 255 else np.uint8)
+        flat = np.empty(count, dtype=np.uint8)
         for i in range(count):
-            flat[i] = scanner.next_int(f"sample {i}", maxval, lower=0)
-        return flat.reshape(height, width), maxval
+            flat[i] = scanner.next_int(f"sample {i}", 255, lower=0)
+        return flat.reshape(height, width)
 
     # P5: exactly one separator byte after maxval, then the raster.
     if scanner.pos >= len(data) or data[scanner.pos:scanner.pos + 1] not in _WHITESPACE:
         raise PgmParseError("missing whitespace after maxval", byte_offset=scanner.pos)
     raster_at = scanner.pos + 1
-    bytes_per = 2 if maxval > 255 else 1
-    need = count * bytes_per
-    raster = data[raster_at:raster_at + need]
-    if len(raster) < need:
+    raster = data[raster_at:raster_at + count]
+    if len(raster) < count:
         raise PgmParseError(
-            f"truncated raster: need {need} bytes, found {len(raster)}",
+            f"truncated raster: need {count} bytes, found {len(raster)}",
             byte_offset=raster_at + len(raster))
-    dtype = ">u2" if bytes_per == 2 else np.uint8
-    flat = np.frombuffer(raster, dtype=dtype, count=count).astype(
-        np.uint16 if bytes_per == 2 else np.uint8)
-    if flat.max(initial=0) > maxval:
-        raise PgmParseError(f"raster sample exceeds maxval {maxval}",
-                            byte_offset=raster_at)
-    return flat.reshape(height, width), maxval
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 
 def write_pgm(pixels: np.ndarray) -> bytes:

@@ -481,10 +481,10 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     """Assemble the standard quality report from ensemble reductions.
 
     The reported islr_db counts MAINLOBE_HALFWIDTH_BINS bins on each side
-    of the peak as mainlobe; the identity residual is always evaluated with
-    the single-bin mainlobe and the shared noisy-peak normalization under
-    which the decomposition is exact, and is reported only for single-target
-    scenes.
+    of the peak as mainlobe; the identity residual, reported for every
+    scene, is evaluated with the single-bin mainlobe and the shared
+    noisy-peak normalization, under which the decomposition is exact for
+    one on-grid target only.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)

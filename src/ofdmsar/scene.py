@@ -3,9 +3,9 @@
 A scene is a flat list of point targets in ground coordinates (x across
 track, y along track).  Each target is either a corner reflector with the
 deterministic amplitude sqrt(rcs_var), or a Gaussian scatterer whose
-complex amplitude is drawn per trial from CN(0, rcs_var).  Extended scenes
-can be ingested from a PGM raster, one deterministic target per bright
-pixel.
+complex amplitude is drawn per trial from CN(0, rcs_var).  A scene is
+built from PointTargets (make_point_scene), or ingested from an 8-bit PGM
+raster, one deterministic target per bright pixel (load_scene_pgm).
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ class Scene:
     def q(self) -> int:
         return len(self.targets)
 
-    def mean_ranges_m(self, geom: PlatformGeometry) -> np.ndarray:
-        return np.array([t.mean_range_m(geom) for t in self.targets])
-
     def amplitude_vector(self, amplitudes: Optional[np.ndarray] = None
                          ) -> np.ndarray:
         """Raw amplitudes d_q as a complex (Q,) vector: the given ones,
@@ -114,43 +111,13 @@ def _extent_around(targets: Sequence[PointTarget],
     return (min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin)
 
 
-def make_point_scene(specs: Iterable, extent=None) -> Scene:
-    """Build a Scene from target specs.
-
-    Each spec is a PointTarget, an (x, y[, rcs_var[, mode]]) tuple, or a
-    dict with keys x/y (or x_m/y_m) and optional rcs_var and mode (or
-    amplitude_mode); naming a field twice is an error.  When extent is
-    omitted it is fitted around the targets.
-    """
-    targets = []
-    for spec in specs:
-        if isinstance(spec, PointTarget):
-            targets.append(spec)
-        elif isinstance(spec, dict):
-            d = dict(spec)
-            for a, b in (("x", "x_m"), ("y", "y_m"), ("mode", "amplitude_mode")):
-                if a in d and b in d:
-                    raise SceneError(f"target spec gives both {a} and {b}")
-            x = d.pop("x_m", d.pop("x", None))
-            y = d.pop("y_m", d.pop("y", None))
-            if x is None or y is None:
-                raise SceneError(f"target spec missing x/y: {spec}")
-            rcs_var = d.pop("rcs_var", 1.0)
-            mode = d.pop("mode", d.pop("amplitude_mode", "deterministic"))
-            if d:
-                raise SceneError(f"unknown target spec fields {sorted(d)}")
-            targets.append(PointTarget(float(x), float(y), float(rcs_var), mode))
-        else:
-            parts = tuple(spec)
-            if len(parts) < 2 or len(parts) > 4:
-                raise SceneError(f"target spec must have 2-4 entries, got {spec}")
-            x, y = float(parts[0]), float(parts[1])
-            rcs_var = float(parts[2]) if len(parts) > 2 else 1.0
-            mode = parts[3] if len(parts) > 3 else "deterministic"
-            targets.append(PointTarget(x, y, rcs_var, mode))
+def make_point_scene(targets: Iterable[PointTarget], extent=None) -> Scene:
+    """A Scene of the given targets; when extent is omitted it is fitted
+    around them with a 1 m margin."""
+    targets = tuple(targets)
     if extent is None:
         extent = _extent_around(targets)
-    return Scene(targets=tuple(targets), extent=tuple(float(v) for v in extent))
+    return Scene(targets=targets, extent=tuple(float(v) for v in extent))
 
 
 # Raster ingestion --------------------------------------------------------
@@ -174,11 +141,9 @@ def load_scene_pgm(data: bytes, extent, threshold: int = 0,
 
     Every pixel with value > threshold becomes one corner reflector at the
     pixel-center ground coordinate with amplitude (pixel/255) * rcs_scale.
-    The image must be an 8-bit PGM (maxval 255).
+    The image must be an 8-bit PGM (maxval 255), as parse_pgm reads.
     """
-    pixels, maxval = parse_pgm(data)
-    if maxval != 255:
-        raise SceneError(f"scene rasters must have maxval 255, got {maxval}")
+    pixels = parse_pgm(data)
     if not (0 <= threshold <= 255):
         raise InvalidParameterError(f"threshold must be in [0, 255], got {threshold}")
     if rcs_scale <= 0:

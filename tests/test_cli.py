@@ -295,6 +295,45 @@ def test_field_tables_match_the_config_dataclasses():
     assert set(cli._RADAR) == init_fields(RadarConfig) - {
         "noise_var", "snr_in_linear", "decimation"}
     assert set(cli._SRS) == init_fields(SrsConfig)
+    # every target key, alias or not, sets a PointTarget field
+    assert {cli._TARGET_ALIAS.get(key, key) for key in cli._TARGET} == \
+        init_fields(PointTarget)
+    assert set(cli._TARGET_ALIAS) <= set(cli._TARGET)
+
+
+def test_parse_target_spelling():
+    # x_m, y_m and amplitude_mode are aliases of x, y and mode: either
+    # spelling gives the same target, with rcs_var 1 and a deterministic
+    # amplitude by default
+    def parsed(**target):
+        scene = copy.deepcopy(BASE["scene"])
+        scene["targets"] = [target, {"x": X_TARGET, "y": Y_TARGET}]
+        return parse_config(config_text(scene=scene)).scene.targets[0]
+    short = parsed(x=X_TARGET - 1, y=Y_TARGET, rcs_var=2, mode="random")
+    assert short == parsed(x_m=X_TARGET - 1, y_m=Y_TARGET, rcs_var=2.0,
+                           amplitude_mode="random")
+    assert short == PointTarget(X_TARGET - 1, Y_TARGET, 2.0, "random")
+    assert parsed(x=X_TARGET - 1, y=Y_TARGET) == \
+        PointTarget(X_TARGET - 1, Y_TARGET, 1.0, "deterministic")
+    # two names for one field: neither may silently win; x and y are
+    # required, and an unknown key is named at its own path
+    at_target = "$.scene.targets[0]"
+    for target, path, message in (
+            ({"x": 1.0, "y": 2.0, "x_m": 3.0}, at_target, "gives both x and x_m"),
+            ({"x": 1.0, "y": 2.0, "y_m": 4.0}, at_target, "gives both y and y_m"),
+            ({"x": 1.0, "y": 2.0, "mode": "random",
+              "amplitude_mode": "random"}, at_target,
+             "gives both mode and amplitude_mode"),
+            ({"x": 1.0}, at_target, "missing x/y"),
+            ({"y_m": 1.0}, at_target, "missing x/y"),
+            ({"x": 1.0, "y": 2.0, "bogus": 3}, f"{at_target}.bogus",
+             "unknown field")):
+        scene = copy.deepcopy(BASE["scene"])
+        scene["targets"][0] = target
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(scene=scene))
+        assert err.value.path == path, target
+        assert message in str(err.value), target
 
 
 def test_parse_snr_list_and_dedup_warning():
@@ -363,19 +402,20 @@ def test_parse_scene_from_pgm(tmp_path):
 
 def test_emit_pgm_mapping():
     image = np.array([[1.0, 0.1, 0.0]])  # 0 dB, -20 dB, -inf
-    pixels, maxval = parse_pgm(emit_pgm(image, db_floor=-40.0))
-    assert maxval == 255
+    data = emit_pgm(image, db_floor=-40.0)
+    assert data.startswith(b"P5\n3 1\n255\n")
+    pixels = parse_pgm(data)
     assert pixels[0, 0] == 255
     assert abs(int(pixels[0, 1]) - 128) <= 1
     assert pixels[0, 2] == 0
 
 
 def test_emit_pgm_all_zero_and_floor():
-    pixels, _ = parse_pgm(emit_pgm(np.zeros((3, 3))))
+    pixels = parse_pgm(emit_pgm(np.zeros((3, 3))))
     assert np.all(pixels == 0)
     # anything at or below the floor clamps to 0
     image = np.array([[1.0, 1e-6]])
-    pixels, _ = parse_pgm(emit_pgm(image, db_floor=-40.0))
+    pixels = parse_pgm(emit_pgm(image, db_floor=-40.0))
     assert pixels[0, 1] == 0
     with pytest.raises(ConfigurationError):
         emit_pgm(np.empty((0, 3)))
@@ -385,7 +425,7 @@ def test_emit_pgm_all_zero_and_floor():
 
 def test_emit_pgm_complex_input():
     image = np.array([[3 + 4j, 0.5j]])
-    pixels, _ = parse_pgm(emit_pgm(image))
+    pixels = parse_pgm(emit_pgm(image))
     assert pixels[0, 0] == 255  # |3+4j| = 5 is the peak
     expected = round(255 * (20 * math.log10(0.5 / 5) + 40) / 40)
     assert abs(int(pixels[0, 1]) - expected) <= 1
@@ -615,6 +655,25 @@ def test_main_rejects_out_of_range_values_before_any_ensemble(
         assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
         assert f"error: {where}: " in capsys.readouterr().err, (path, value)
         assert not out_dir.exists()
+
+
+def test_main_checks_the_sweep_against_overridden_filters(tmp_path, capsys):
+    # -1700 dB is measurable under rf but puts the wf gains at 0: a --filter
+    # override fails at its flag, before --out-dir is made
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text(snr_in_db=[-1700], filter={"kind": "rf"}))
+    out_dir = tmp_path / "artifacts"
+    assert main(["--config", str(config), "--out-dir", str(out_dir),
+                 "--filter", "wf"]) == 2
+    assert "error: --filter: -1700.0 dB puts the wf filter's" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+    # with --snr-db given too, the SNRs are named at that flag
+    assert main(["--config", str(config), "--out-dir", str(out_dir),
+                 "--filter", "all", "--snr-db", "-1700"]) == 2
+    assert "error: --snr-db: -1700.0 dB puts the wf filter's" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_main_rejects_non_finite_numbers(tmp_path, capsys):

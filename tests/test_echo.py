@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from ofdmsar.echo import (build_channel_matrix, check_cp_margin, draw_noise,
                           grid_from_bytes, grid_to_bytes, synthesize_echo)
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
                             SceneError, StageError)
-from ofdmsar.scene import make_point_scene
+from ofdmsar.scene import PointTarget, make_point_scene
 from ofdmsar.waveform import (NOISE_STREAM, SPEED_OF_LIGHT as c, _philox,
                               gen_symbol_grid, make_qam)
 
@@ -66,8 +68,8 @@ def test_echo_mean_channel_power():
     t1 = target_at_bins(cfg, 2, 3)
     t2 = target_at_bins(cfg, 5, 6)
     scene = make_point_scene([
-        {"x": t1.x_m, "y": t1.y_m, "rcs_var": 2.0, "mode": "random"},
-        {"x": t2.x_m, "y": t2.y_m, "rcs_var": 0.5, "mode": "random"},
+        replace(t1, rcs_var=2.0, amplitude_mode="random"),
+        replace(t2, rcs_var=0.5, amplitude_mode="random"),
     ])
     rng = np.random.default_rng(1)
     acc = 0.0
@@ -83,12 +85,12 @@ def test_echo_adds_configured_noise():
     cfg = critical_config(16, 16).with_noise(0.25)
     scene = single_target_scene(cfg)
     symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=4)
-    echo = synthesize_echo(scene, cfg, symbols, noise_seed=7)
+    echo = synthesize_echo(scene, cfg, symbols, seed=7)
     h = build_channel_matrix(scene, cfg)
     z = echo - h * symbols
     assert np.mean(np.abs(z) ** 2) == pytest.approx(0.25, rel=0.15)
-    again = synthesize_echo(scene, cfg, symbols, noise_seed=7)
-    other = synthesize_echo(scene, cfg, symbols, noise_seed=8)
+    again = synthesize_echo(scene, cfg, symbols, seed=7)
+    other = synthesize_echo(scene, cfg, symbols, seed=8)
     assert np.array_equal(echo, again)
     assert not np.array_equal(echo, other)
 
@@ -142,9 +144,9 @@ def test_cp_margin_names_offending_target():
     platform = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
     cfg = nr_config(platform, n_subcarriers=16,
                     aperture_time_s=16 * 1.25 / 30e3)
-    near = make_point_scene([(300.0, 0.0)])
+    near = make_point_scene([PointTarget(300.0, 0.0)])
     check_cp_margin(near, cfg)  # fine
-    far = make_point_scene([(2000.0, 0.0)])
+    far = make_point_scene([PointTarget(2000.0, 0.0)])
     with pytest.raises(ConfigurationError) as err:
         check_cp_margin(far, cfg)
     assert "target 0" in str(err.value)
@@ -175,7 +177,7 @@ def test_echo_grid_shape_validation():
 def test_empty_scene_echo_is_noise_only():
     cfg = critical_config(8, 8).with_noise(1.0)
     symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0)
-    echo = synthesize_echo(make_point_scene([]), cfg, symbols, noise_seed=5)
+    echo = synthesize_echo(make_point_scene([]), cfg, symbols, seed=5)
     assert np.array_equal(echo, draw_noise(cfg, 5, 1)[0])
 
 

@@ -64,7 +64,7 @@ def test_measure_mainlobe_width_pure_tone():
     n = 256
     k0 = 77
     spectrum = np.abs(np.fft.fft(np.exp(2j * np.pi * k0 * np.arange(n) / n)))
-    width = measure_mainlobe_width(spectrum, interpolate=32)
+    width = measure_mainlobe_width(spectrum, interpolate=32, peak_bin=k0)
     assert width == pytest.approx(SINC_3DB_WIDTH_BINS, rel=0.01)
 
 
@@ -76,19 +76,16 @@ def test_measure_mainlobe_width_off_grid_peak():
     freqs = np.arange(n) - n // 2
     k_axis = np.arange(n)
     profile = np.exp(2j * np.pi * np.outer(freqs, k_axis - k0) / n).sum(axis=0)
-    width = measure_mainlobe_width(profile, interpolate=32)
+    width = measure_mainlobe_width(profile, interpolate=32, peak_bin=77)
     assert width == pytest.approx(SINC_3DB_WIDTH_BINS, rel=0.02)
 
 
 def test_measure_mainlobe_width_anchored_to_known_bin():
-    # two exact replicas: the global-argmax path refuses, the anchored
-    # path measures the lobe at the stated bin
+    # two exact replicas: the measurement takes the lobe at the stated bin
     n = 256
     k = np.arange(n)
     lobe = np.abs(np.sinc((k - 64 + n / 2) % n - n / 2))
     profile = lobe + np.roll(lobe, 128)
-    with pytest.raises(MeasurementError):
-        measure_mainlobe_width(profile)
     width = measure_mainlobe_width(profile, peak_bin=64)
     assert width == pytest.approx(SINC_3DB_WIDTH_BINS, rel=0.05)
     assert measure_mainlobe_width(profile, peak_bin=192) == \
@@ -99,15 +96,15 @@ def test_measure_mainlobe_width_anchored_to_known_bin():
 
 def test_measure_mainlobe_width_errors():
     with pytest.raises(InvalidParameterError):
-        measure_mainlobe_width(np.ones((4, 4)))
+        measure_mainlobe_width(np.ones((4, 4)), peak_bin=0)
     with pytest.raises(InvalidParameterError):
-        measure_mainlobe_width(np.ones(3))
+        measure_mainlobe_width(np.ones(3), peak_bin=0)
     with pytest.raises(InvalidParameterError):
-        measure_mainlobe_width(np.ones(16), interpolate=0)
+        measure_mainlobe_width(np.ones(16), interpolate=0, peak_bin=0)
     with pytest.raises(MeasurementError):
-        measure_mainlobe_width(np.zeros(16))
-    with pytest.raises(MeasurementError):
-        measure_mainlobe_width(np.ones(16))  # flat: no unique peak
+        measure_mainlobe_width(np.zeros(16), peak_bin=8)
+    with pytest.raises(MeasurementError, match="too flat"):
+        measure_mainlobe_width(np.ones(16), peak_bin=8)
 
 
 def test_islr_synthetic():
@@ -258,7 +255,7 @@ def test_metrics_report_round_trip():
     with pytest.raises(InvalidParameterError):
         MetricsReport(rho_r_m=1.5, rho_a_m=0.5, measured_rho_r_m=1.5,
                       measured_rho_a_m=1.0, islr_db=-9.0, pel=0.0,
-                      snr_out_db=10.0, nmse=-0.1, identity_residual=None,
+                      snr_out_db=10.0, nmse=-0.1, identity_residual=0.0,
                       trials=1, filter="rf", mode="data_aided")
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,13 @@ from ofdmsar.echo import build_channel_matrix, synthesize_echo
 from ofdmsar.errors import (CapacityError, InvalidParameterError,
                             SingularSystemError)
 from ofdmsar.oracle import ls_reconstruct, rd_vs_ls_compare
-from ofdmsar.scene import make_point_scene
+from ofdmsar.scene import PointTarget, make_point_scene
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import gen_symbol_grid, make_qam
 
 
-def toy_scene_and_echo(cfg, specs, seed=0):
-    scene = make_point_scene(specs)
+def toy_scene_and_echo(cfg, targets, seed=0):
+    scene = make_point_scene(targets)
     symbols = gen_symbol_grid(cfg, make_qam("qam16"), seed=seed)
     echo = synthesize_echo(scene, cfg, symbols)
     return scene, symbols, echo
@@ -20,7 +22,8 @@ def toy_scene_and_echo(cfg, specs, seed=0):
 
 def ls_residual(echo, grid, amplitudes, symbols, cfg):
     """||y - A alpha||: the echo's misfit by the grid targets at amplitudes."""
-    model = build_channel_matrix(make_point_scene(grid), cfg, amplitudes)
+    scene = make_point_scene([PointTarget(x, y) for x, y in grid])
+    model = build_channel_matrix(scene, cfg, amplitudes)
     return float(np.linalg.norm(echo - model * symbols))
 
 
@@ -29,7 +32,7 @@ def test_ls_exact_recovery_on_true_grid():
     t1 = target_at_bins(cfg, 4, 5)
     t2 = target_at_bins(cfg, 9, 12)
     scene, symbols, echo = toy_scene_and_echo(
-        cfg, [(t1.x_m, t1.y_m, 1.0), (t2.x_m, t2.y_m, 0.25)])
+        cfg, [t1, replace(t2, rcs_var=0.25)])
     amps = ls_reconstruct(echo, [(t.x_m, t.y_m) for t in scene.targets],
                           symbols, cfg)
     # the least-squares amplitudes recover the raw d_q exactly
@@ -42,7 +45,7 @@ def test_ls_residual_zero_on_true_grid_and_monotone():
     t1 = target_at_bins(cfg, 4, 5)
     t2 = target_at_bins(cfg, 9, 12)
     scene, symbols, echo = toy_scene_and_echo(
-        cfg, [(t1.x_m, t1.y_m), (t2.x_m, t2.y_m)])
+        cfg, [t1, t2])
     # grid containing only one true target leaves residual; adding the
     # second must not increase it, and the full grid explains everything
     grid1 = [(t1.x_m, t1.y_m)]
@@ -59,7 +62,7 @@ def test_ls_residual_zero_on_true_grid_and_monotone():
 def test_ls_duplicate_candidate_raises_then_ridge_rescues():
     cfg = critical_config(16, 16)
     t1 = target_at_bins(cfg, 4, 5)
-    scene, symbols, echo = toy_scene_and_echo(cfg, [(t1.x_m, t1.y_m)])
+    scene, symbols, echo = toy_scene_and_echo(cfg, [t1])
     dup = [(t1.x_m, t1.y_m), (t1.x_m, t1.y_m)]
     with pytest.raises(SingularSystemError) as err:
         ls_reconstruct(echo, dup, symbols, cfg)
@@ -72,7 +75,7 @@ def test_ls_duplicate_candidate_raises_then_ridge_rescues():
 def test_ls_capacity_caps():
     cfg = critical_config(16, 16)
     t1 = target_at_bins(cfg, 4, 5)
-    scene, symbols, echo = toy_scene_and_echo(cfg, [(t1.x_m, t1.y_m)])
+    scene, symbols, echo = toy_scene_and_echo(cfg, [t1])
     big_grid = [(t1.x_m + i * 0.01, t1.y_m) for i in range(257)]
     with pytest.raises(CapacityError):
         ls_reconstruct(echo, big_grid, symbols, cfg)
@@ -86,7 +89,7 @@ def test_ls_capacity_caps():
 def test_ls_validation():
     cfg = critical_config(16, 16)
     t1 = target_at_bins(cfg, 4, 5)
-    scene, symbols, echo = toy_scene_and_echo(cfg, [(t1.x_m, t1.y_m)])
+    scene, symbols, echo = toy_scene_and_echo(cfg, [t1])
     with pytest.raises(InvalidParameterError):
         ls_reconstruct(echo, [], symbols, cfg)
     with pytest.raises(InvalidParameterError):
@@ -113,7 +116,7 @@ def test_rd_vs_ls_three_targets_same_range():
     t1 = target_at_bins(cfg, 16, 10)
     t2 = target_at_bins(cfg, 16, 16)
     t3 = target_at_bins(cfg, 16, 22)
-    scene = make_point_scene([(t.x_m, t.y_m) for t in (t1, t2, t3)])
+    scene = make_point_scene([t1, t2, t3])
     result = rd_vs_ls_compare(scene, cfg, make_qam("qam16"),
                               FilterSpec("rf"), seed=1)
     assert result.max_gap < 0.05

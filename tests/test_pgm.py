@@ -9,31 +9,32 @@ def test_round_trip_binary():
     pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
     data = write_pgm(pixels)
     assert data.startswith(b"P5\n4 3\n255\n")
-    decoded, maxval = parse_pgm(data)
-    assert maxval == 255
+    decoded = parse_pgm(data)
+    assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, pixels)
 
 
 def test_round_trip_ascii():
     pixels = np.array([[0, 7], [255, 128]], dtype=np.uint8)
-    decoded, maxval = parse_pgm(b"P2\n2 2\n255\n0 7\n255 128\n")
-    assert maxval == 255
+    decoded = parse_pgm(b"P2\n2 2\n255\n0 7\n255 128\n")
+    assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, pixels)
 
 
-def test_round_trip_16_bit():
-    pixels = np.array([[0, 1000], [65535, 42]], dtype=np.uint16)
-    decoded, maxval = parse_pgm(
-        b"P5\n2 2\n65535\n\x00\x00\x03\xe8\xff\xff\x00\x2a")
-    assert maxval == 65535
-    assert np.array_equal(decoded, pixels)
+def test_parse_rejects_16_bit_at_the_maxval():
+    # only 8-bit rasters are read: any other maxval fails at its token
+    for data in (b"P5\n2 2\n65535\n\x00\x00\x03\xe8\xff\xff\x00\x2a",
+                 b"P2\n2 2\n65535\n0 1000 65535 42\n",
+                 b"P5\n2 2\n254\n\x00\x00\x00\x00"):
+        with pytest.raises(PgmParseError) as err:
+            parse_pgm(data)
+        assert err.value.byte_offset == 7
+        assert "maxval" in str(err.value)
 
 
 def test_parse_skips_comments_and_whitespace():
-    data = b"P2 # magic\n# a comment line\n 2 1\n# another\n 9\n3 9\n"
-    decoded, maxval = parse_pgm(data)
-    assert maxval == 9
-    assert np.array_equal(decoded, np.array([[3, 9]]))
+    data = b"P2 # magic\n# a comment line\n 2 1\n# another\n 255\n3 9\n"
+    assert np.array_equal(parse_pgm(data), np.array([[3, 9]]))
 
 
 def test_parse_rejects_wrong_magic():
@@ -60,9 +61,7 @@ def test_parse_rejects_truncated_raster():
 
 def test_parse_rejects_sample_above_maxval():
     with pytest.raises(PgmParseError):
-        parse_pgm(b"P2\n1 1\n10\n11\n")
-    with pytest.raises(PgmParseError):
-        parse_pgm(b"P5\n1 1\n10\n\x0b")
+        parse_pgm(b"P2\n1 1\n255\n256\n")
 
 
 def test_parse_rejects_truncated_header():

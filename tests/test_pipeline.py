@@ -435,7 +435,6 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
     scene, _ = random_target_scene(cfg)
     scenario = ScenarioConfig(
         radar=cfg, scene=scene, filters=(kind,),
-        mode="pilot_only" if masked else "data_aided",
         srs=COMB if masked else None, snr_db=(5.0, 20.0), trials=3, seed=5,
         constellation="qam16", rcmc_method="windowed_sinc",
         ka_mode="reference", azimuth_downsample=1,

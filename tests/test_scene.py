@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ofdmsar.errors import InvalidParameterError, SceneError
+from ofdmsar.errors import InvalidParameterError, PgmParseError, SceneError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import write_pgm
 from ofdmsar.scene import (PointTarget, Scene, load_scene_pgm,
@@ -24,8 +24,8 @@ def test_point_target_validation():
 def test_make_point_scene_accepts_mixed_specs():
     scene = make_point_scene([
         PointTarget(1.0, 2.0),
-        (3.0, 4.0, 0.5),
-        {"x": 5.0, "y": 6.0, "rcs_var": 2.0, "mode": "random"},
+        PointTarget(3.0, 4.0, 0.5),
+        PointTarget(5.0, 6.0, rcs_var=2.0, amplitude_mode="random"),
     ])
     assert scene.q == 3
     assert scene.targets[1].rcs_var == 0.5
@@ -36,17 +36,12 @@ def test_make_point_scene_accepts_mixed_specs():
 
 
 def test_make_point_scene_rejects_bad_specs():
-    with pytest.raises(SceneError):
-        make_point_scene([(1.0,)])
-    with pytest.raises(SceneError):
-        make_point_scene([{"x": 1.0}])
-    with pytest.raises(SceneError):
-        make_point_scene([{"x": 1.0, "y": 2.0, "bogus": 3}])
-    # two names for one field: neither may silently win
-    for extra in ({"x_m": 3.0}, {"y_m": 4.0},
-                  {"mode": "random", "amplitude_mode": "random"}):
-        with pytest.raises(SceneError, match="gives both"):
-            make_point_scene([{"x": 1.0, "y": 2.0, **extra}])
+    # a given extent must hold every target (the JSON spelling of a target,
+    # its aliases and missing fields, is the CLI's: see test_cli)
+    with pytest.raises(SceneError, match="outside extent"):
+        make_point_scene([PointTarget(1.0, 2.0)], extent=(2.0, 3.0, 0.0, 4.0))
+    scene = make_point_scene([PointTarget(1.0, 2.0)], extent=(0, 3, 0, 4))
+    assert scene.extent == (0.0, 3.0, 0.0, 4.0)
 
 
 def test_scene_extent_validation():
@@ -57,7 +52,8 @@ def test_scene_extent_validation():
 
 
 def test_draw_amplitudes_deterministic():
-    scene = make_point_scene([(0.0, 0.0, 4.0), (1.0, 1.0, 9.0)])
+    scene = make_point_scene([PointTarget(0.0, 0.0, 4.0),
+                              PointTarget(1.0, 1.0, 9.0)])
     amps = scene.draw_amplitudes(None, n_trials=3)
     assert amps.shape == (3, 2)
     assert np.allclose(amps[:, 0], 2.0)
@@ -65,8 +61,8 @@ def test_draw_amplitudes_deterministic():
 
 
 def test_draw_amplitudes_random_statistics():
-    scene = make_point_scene([{"x": 0.0, "y": 0.0, "rcs_var": 2.0,
-                               "mode": "random"}])
+    scene = make_point_scene([PointTarget(0.0, 0.0, rcs_var=2.0,
+                                          amplitude_mode="random")])
     rng = np.random.default_rng(0)
     amps = scene.draw_amplitudes(rng, n_trials=200_000)[:, 0]
     assert np.mean(np.abs(amps) ** 2) == pytest.approx(2.0, rel=0.02)
@@ -109,7 +105,7 @@ def test_load_scene_pgm():
 
 def test_load_scene_pgm_validation():
     data16 = b"P5\n2 2\n65535\n" + bytes(8)
-    with pytest.raises(SceneError):
+    with pytest.raises(PgmParseError):
         load_scene_pgm(data16, (0, 1, 0, 1))
     data8 = write_pgm(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
