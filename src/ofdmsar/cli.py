@@ -488,8 +488,6 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
 
 def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     """Execute every (snr, filter) point and write all artifacts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     constellation = make_qam(scenario.constellation)
 
     cfg_run = scenario.run_radar
@@ -503,6 +501,8 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         for kind in scenario.filters:
             labels.append((snr_db, kind))
             sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
+    out_dir = Path(out_dir)  # made once the sweep is checked
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep_ensemble(
         scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
         mask=mask, rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, SceneError, StageError
+from .errors import ConfigurationError, InvalidParameterError, StageError
 from .geometry import range_deviation
 from .scene import Scene
 from .waveform import (NOISE_STREAM, RCS_STREAM, SPEED_OF_LIGHT, RadarConfig,
@@ -58,8 +58,6 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     and alpha_q = d_q exp(-j (4 pi / c) fc Rbar_q).  amplitudes overrides
     the raw d_q (defaults to each target's deterministic sqrt(rcs_var)).
     """
-    if scene.q == 0:
-        raise SceneError("empty scene has no channel matrix")
     amplitudes = scene.amplitude_vector(amplitudes)
     n_idx = np.arange(cfg.n_subcarriers, dtype=float)
     m_idx = np.arange(cfg.n_symbols, dtype=float)
@@ -112,11 +110,8 @@ def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: np.ndarray,
         raise ConfigurationError(
             f"symbol grid shape {symbols.shape} != configured {expected}")
     check_cp_margin(scene, cfg)
-    if scene.q == 0:
-        noiseless = np.zeros(expected, dtype=complex)
-    else:
-        amps = scene.draw_amplitudes(_philox(seed, RCS_STREAM), 1)[0]
-        noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols
+    amps = scene.draw_amplitudes(_philox(seed, RCS_STREAM), 1)[0]
+    noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols
     return noiseless + draw_noise(cfg, seed, 1)[0]
 
 

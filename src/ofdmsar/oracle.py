@@ -11,7 +11,7 @@ independent oracle: on negligible-migration scenes the focused image peak
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def ls_reconstruct(echo: np.ndarray, grid: Sequence[tuple[float, float]],
 
 
 class CompareResult(NamedTuple):
-    max_gap: Optional[float]     # None when the scene is empty
+    max_gap: float
     chain_amplitudes: np.ndarray
     ls_amplitudes: np.ndarray
 
@@ -98,10 +98,6 @@ def rd_vs_ls_compare(scene: Scene, cfg: RadarConfig,
     """
     if cfg.noise_var != 0.0:
         raise InvalidParameterError("oracle comparison requires noise_var=0")
-    if scene.q == 0:
-        empty = np.empty(0, dtype=float)
-        return CompareResult(max_gap=None, chain_amplitudes=empty,
-                             ls_amplitudes=empty)
     symbols = gen_symbol_grid(cfg, constellation, seed)
     echo = synthesize_echo(scene, cfg, symbols)
     filtered = apply_tf_filter(echo, symbols, filter_spec)

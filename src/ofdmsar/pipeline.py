@@ -57,12 +57,10 @@ reducing a trial allocates no complex grid, and the bits are those of
 fresh grids.  Each MSE is a sum of squares over the residual's float64
 view, never negative.  When no point focuses a grid of its own (a
 constant-modulus sweep of several noisy points), a one-chunk sweep frees
-its symbols and noise once its shared grids are focused.  A point whose
-noiseless image is the sweep's F(channel * act) reduces it once per
-chunk and adds the same |.|^2 in every trial.  Memory is the chunk's
-draws (with random targets, also its channels and ideal images), the
-next chunk's draws, the shared grids, the sweep's F(channel * act), the
-working grids and the per-point reductions, which are all a result
+its symbols and noise once its shared grids are focused.  Memory is the
+chunk's draws (with random targets, also its channels and ideal images),
+the next chunk's draws, the shared grids, the sweep's F(channel * act),
+the working grids and the per-point reductions, which are all a result
 keeps.  A sweep of P points that spans several chunks holds their
 2*P*N*M*8 bytes of mean power images until its last chunk.  A one-chunk
 sweep makes each point's result when it reaches that point and yields it
@@ -396,19 +394,6 @@ def run_sweep_ensemble(scene: Scene,
                 mean_noisy = res.mean_noisy_power
                 chi = reads[p].chi
                 sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
-                # a noiseless image focused once per sweep is the same in
-                # every trial: reduce it once per chunk, add it per trial
-                fixed_clean = wants[p][0] in swept
-                if fixed_clean:
-                    clean = reads_at[p][0][0]
-                    if chi != 1.0:
-                        clean = np.multiply(chi, clean, out=scaled)
-                    peak = clean[k_q, m_q] / alpha_ref
-                    _power(clean, power)
-                    for t in range(start, start + size):
-                        res.noiseless_peaks[t] = peak
-                        mean_clean += power
-
                 for i in range(size):
                     t = start + i
                     ideal = truths[i][1]
@@ -416,12 +401,11 @@ def run_sweep_ensemble(scene: Scene,
                     if own[p]:
                         _focus_grids(focus, own_plans[p], diff, truths[i][0],
                                      grid[i], unit_noise[i], mask)
-                    if not fixed_clean:
-                        clean = signal
-                        if chi != 1.0:
-                            clean = np.multiply(chi, clean, out=scaled)
-                        res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-                        mean_clean += _power(clean, power)
+                    clean = signal
+                    if chi != 1.0:
+                        clean = np.multiply(chi, clean, out=scaled)
+                    res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
+                    mean_clean += _power(clean, power)
                     noisy = clean
                     if noise is not None:
                         noisy = np.multiply(sigma, noise, out=noisy_grid)

@@ -126,7 +126,7 @@ def _warn_if_fast_envelope(envelope: np.ndarray, a: float):
         return
     interior = np.abs(np.diff(envelope[1:-1]))
     peak = np.max(np.abs(envelope))
-    if peak == 0 or interior.size == 0:
+    if peak == 0:
         return
     env_rate = float(interior.max()) / peak
     if env_rate == 0.0:

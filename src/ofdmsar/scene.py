@@ -1,6 +1,6 @@
 """Imaging scenes: point scatterers with RCS statistics.
 
-A scene is a flat list of point targets in ground coordinates (x across
+A scene is a non-empty list of point targets in ground coordinates (x across
 track, y along track).  Each target is either a corner reflector with the
 deterministic amplitude sqrt(rcs_var), or a Gaussian scatterer whose
 complex amplitude is drawn per trial from CN(0, rcs_var).  A scene is
@@ -21,6 +21,8 @@ from .geometry import PlatformGeometry, mean_range
 from .pgm import parse_pgm
 
 AMPLITUDE_MODES = ("deterministic", "random")
+# Margin of the extent make_point_scene fits around its targets.
+_MARGIN_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ class PointTarget:
 
 @dataclass(frozen=True)
 class Scene:
-    """An immutable collection of point targets with a bounding extent."""
+    """An immutable, non-empty collection of point targets with a bounding
+    extent."""
 
     targets: tuple[PointTarget, ...]
     extent: tuple[float, float, float, float]  # (x_min, x_max, y_min, y_max)
@@ -60,6 +63,8 @@ class Scene:
         x_min, x_max, y_min, y_max = self.extent
         if not (x_min <= x_max and y_min <= y_max):
             raise SceneError(f"degenerate extent {self.extent}")
+        if not self.targets:
+            raise SceneError("a scene needs at least one target")
         for i, t in enumerate(self.targets):
             if not (x_min <= t.x_m <= x_max and y_min <= t.y_m <= y_max):
                 raise SceneError(
@@ -104,11 +109,12 @@ class Scene:
         return amps
 
 
-def _extent_around(targets: Sequence[PointTarget],
-                   margin: float = 1.0) -> tuple[float, float, float, float]:
+def _extent_around(targets: Sequence[PointTarget]) -> tuple[float, ...]:
+    # no targets still gives an extent, so that Scene names the error
     xs = [t.x_m for t in targets] or [0.0]
     ys = [t.y_m for t in targets] or [0.0]
-    return (min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin)
+    return (min(xs) - _MARGIN_M, max(xs) + _MARGIN_M,
+            min(ys) - _MARGIN_M, max(ys) + _MARGIN_M)
 
 
 def make_point_scene(targets: Iterable[PointTarget], extent=None) -> Scene:
@@ -141,7 +147,8 @@ def load_scene_pgm(data: bytes, extent, threshold: int = 0,
 
     Every pixel with value > threshold becomes one corner reflector at the
     pixel-center ground coordinate with amplitude (pixel/255) * rcs_scale.
-    The image must be an 8-bit PGM (maxval 255), as parse_pgm reads.
+    The image must be an 8-bit PGM (maxval 255), as parse_pgm reads, with
+    at least one pixel above the threshold.
     """
     pixels = parse_pgm(data)
     if not (0 <= threshold <= 255):

@@ -90,6 +90,7 @@ LIBRARY_REJECTS = (
     (("azimuth_downsample",), 1000, "$.azimuth_downsample"),
     # no run grid or reference target the ensembles could use
     (("scene", "targets", 0, "mode"), "random", "$.scene"),
+    (("scene", "targets"), [], "$.scene"),
     (("radar", "platform", "speed_mps"), 0, "$.radar"),
     (("radar", "platform", "speed_mps"), 1e-320, "$.radar"),  # v^2 is 0
     (("radar", "platform", "speed_mps"), 1e308, "$.radar.platform"),
@@ -673,6 +674,18 @@ def test_main_checks_the_sweep_against_overridden_filters(tmp_path, capsys):
                  "--filter", "all", "--snr-db", "-1700"]) == 2
     assert "error: --snr-db: -1700.0 dB puts the wf filter's" in \
         capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_scenario_checks_the_sweep_before_making_out_dir(tmp_path):
+    # a library caller that swaps the filters skips main's checks: the
+    # run's own SNR check names the sweep before out_dir is made
+    scenario = parse_config(config_text(snr_in_db=[-1700],
+                                        filter={"kind": "rf"}))
+    out_dir = tmp_path / "artifacts"
+    with pytest.raises(ConfigError, match="puts the wf filter's") as err:
+        run_scenario(replace(scenario, filters=("wf",)), out_dir)
+    assert err.value.path == "$.snr_in_db"
     assert not out_dir.exists()
 
 

@@ -174,13 +174,6 @@ def test_echo_grid_shape_validation():
     assert isinstance(echo, np.ndarray) and echo.shape == (8, 8)
 
 
-def test_empty_scene_echo_is_noise_only():
-    cfg = critical_config(8, 8).with_noise(1.0)
-    symbols = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0)
-    echo = synthesize_echo(make_point_scene([]), cfg, symbols, seed=5)
-    assert np.array_equal(echo, draw_noise(cfg, 5, 1)[0])
-
-
 # Binary grid serialization --------------------------------------------------
 
 def test_grid_bytes_round_trip():

@@ -123,14 +123,6 @@ def test_rd_vs_ls_three_targets_same_range():
     assert result.ls_amplitudes == pytest.approx(np.ones(3), abs=1e-6)
 
 
-def test_rd_vs_ls_empty_scene_not_applicable():
-    cfg = critical_config(32, 32)
-    result = rd_vs_ls_compare(make_point_scene([]), cfg, make_qam("qam16"),
-                              FilterSpec("rf"))
-    assert result.max_gap is None
-    assert result.chain_amplitudes.size == 0
-
-
 def test_rd_vs_ls_requires_noiseless():
     cfg = critical_config(32, 32).with_noise(0.1)
     scene = single_target_scene(cfg)

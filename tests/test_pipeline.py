@@ -608,63 +608,79 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                                                         monkeypatch):
-    # each trial's mse, mse_calibrated and noisy peak, rebuilt with a fresh
-    # grid for every product, focused image and reduction, equal the
-    # sweep's bit for bit; the two MSEs also stay within 1e-13 of the
-    # |.|^2 sums they replace.  128x128 grids pass numpy's 256 KiB
-    # temporary-elision threshold, past which numpy reuses the fresh
-    # chain's temporaries in place too.  The random target gives the
-    # channel generic values, whose products round differently in another
-    # operand order
+    # each trial's peaks, mse and mse_calibrated, and the mean power
+    # images, rebuilt with a fresh grid for every product, focused image
+    # and reduction, equal the sweep's bit for bit; the two MSEs also stay
+    # within 1e-13 of the |.|^2 sums they replace.  128x128 grids pass
+    # numpy's 256 KiB temporary-elision threshold, past which numpy reuses
+    # the fresh chain's temporaries in place too.  The random target gives
+    # the channel generic values, whose products round differently in
+    # another operand order; the reference target alone makes the sweep
+    # focus F(channel) once and read it in every trial
     if chunked:
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 128 * 16)
     cfg = critical_config(128, 128, k_ref=64)
-    scene = random_target_scene(cfg)[0]
     qam = make_qam(name)
     points = sweep_points(cfg)
     trials = 3
-    results = list(run_sweep_ensemble(scene, points, qam, trials, seed=5))
-    focus = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
     symbols = gen_symbol_grid(cfg, qam, 5, trials=trials)
     unit = draw_noise(cfg, 5, n_trials=trials, unit=True)
-    amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
-    k_q, m_q = results[0].peak_bin
-    for t in range(trials):
-        channel = build_channel_matrix(scene, cfg, amps[t])
-        ideal = ideal_reference_image(scene, cfg, amps[t])
-        # every operand is named: numpy swaps a product's operands when it
-        # writes into a temporary, and the complex product's round-off
-        # depends on their order
-        for (cfg_n, spec), result in zip(points, results):
-            reads = pipeline._focus_reads(qam, spec)
-            if reads.signal is None:
-                clean = focus(channel)
-            else:
-                gains = filter_gains(symbols[t], reads.signal)
-                clean = focus(channel * symbols[t] * gains)
-            if reads.chi != 1.0:
-                clean = reads.chi * clean
-            noisy = clean
-            if cfg_n.noise_var > 0:
-                gains = filter_gains(symbols[t], reads.noise)
-                noise = focus(unit[t] * gains)
-                noisy = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale * noise
-                noisy += clean
-            e_chi = result.stats.chi_mean
-            assert result.noisy_peaks[t] == noisy[k_q, m_q] / result.alpha_ref
-            residual = noisy - ideal
-            values = residual.view(float).ravel()
-            assert result.mse[t] == float(np.einsum("i,i->", values, values))
-            scaled_ideal = e_chi * ideal
-            residual = noisy - scaled_ideal
-            values = residual.view(float).ravel()
-            assert result.mse_calibrated[t] == float(
-                np.einsum("i,i->", values, values)) / e_chi ** 2
-            summed = (float(np.sum(np.abs(noisy - ideal) ** 2)),
-                      float(np.sum(np.abs(noisy / e_chi - ideal) ** 2)))
-            for value, old in zip((result.mse[t], result.mse_calibrated[t]),
-                                  summed):
-                assert abs(value - old) <= 1e-13 * old
+    for scene in random_target_scene(cfg):
+        results = list(run_sweep_ensemble(scene, points, qam, trials,
+                                          seed=5))
+        sums = [(np.zeros((128, 128)), np.zeros((128, 128))) for _ in points]
+        focus = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
+        amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+        k_q, m_q = results[0].peak_bin
+        for t in range(trials):
+            channel = build_channel_matrix(scene, cfg, amps[t])
+            ideal = ideal_reference_image(scene, cfg, amps[t])
+            # every operand is named: numpy swaps a product's operands when
+            # it writes into a temporary, and the complex product's
+            # round-off depends on their order
+            for (cfg_n, spec), result, (clean_sum, noisy_sum) in zip(
+                    points, results, sums):
+                reads = pipeline._focus_reads(qam, spec)
+                if reads.signal is None:
+                    clean = focus(channel)
+                else:
+                    gains = filter_gains(symbols[t], reads.signal)
+                    clean = focus(channel * symbols[t] * gains)
+                if reads.chi != 1.0:
+                    clean = reads.chi * clean
+                noisy = clean
+                if cfg_n.noise_var > 0:
+                    gains = filter_gains(symbols[t], reads.noise)
+                    noise = focus(unit[t] * gains)
+                    sigma = np.sqrt(cfg_n.noise_var / 2.0)
+                    noisy = sigma * reads.scale * noise
+                    noisy += clean
+                e_chi = result.stats.chi_mean
+                assert (result.noiseless_peaks[t]
+                        == clean[k_q, m_q] / result.alpha_ref)
+                assert (result.noisy_peaks[t]
+                        == noisy[k_q, m_q] / result.alpha_ref)
+                clean_sum += np.abs(clean) ** 2
+                noisy_sum += np.abs(noisy) ** 2
+                residual = noisy - ideal
+                values = residual.view(float).ravel()
+                assert result.mse[t] == float(
+                    np.einsum("i,i->", values, values))
+                scaled_ideal = e_chi * ideal
+                residual = noisy - scaled_ideal
+                values = residual.view(float).ravel()
+                assert result.mse_calibrated[t] == float(
+                    np.einsum("i,i->", values, values)) / e_chi ** 2
+                summed = (float(np.sum(np.abs(noisy - ideal) ** 2)),
+                          float(np.sum(np.abs(noisy / e_chi - ideal) ** 2)))
+                for value, old in zip(
+                        (result.mse[t], result.mse_calibrated[t]), summed):
+                    assert abs(value - old) <= 1e-13 * old
+        for result, (clean_sum, noisy_sum) in zip(results, sums):
+            assert np.array_equal(result.mean_noiseless_power,
+                                  clean_sum / trials)
+            assert np.array_equal(result.mean_noisy_power,
+                                  noisy_sum / trials)
 
 
 def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():

@@ -51,6 +51,17 @@ def test_scene_extent_validation():
         Scene(targets=(), extent=(1.0, 0.0, 0.0, 0.0))
 
 
+def test_scene_needs_a_target():
+    # every constructor of an empty scene rejects it, a raster included
+    with pytest.raises(SceneError, match="at least one target"):
+        Scene(targets=(), extent=(0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(SceneError, match="at least one target"):
+        make_point_scene([])
+    dark = write_pgm(np.array([[0, 40], [100, 10]], dtype=np.uint8))
+    with pytest.raises(SceneError, match="at least one target"):
+        load_scene_pgm(dark, (0.0, 1.0, 0.0, 1.0), threshold=100)
+
+
 def test_draw_amplitudes_deterministic():
     scene = make_point_scene([PointTarget(0.0, 0.0, 4.0),
                               PointTarget(1.0, 1.0, 9.0)])
