@@ -41,8 +41,8 @@ from .errors import (CapacityError, ConfigurationError, MeasurementError,
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
 from .metrics import MIN_PROFILE_BINS, target_bin
-from .pipeline import (MAINLOBE_HALFWIDTH_BINS, EnsembleResult,
-                       pilot_comb_mask, point_target_report,
+from .pipeline import (MAINLOBE_HALFWIDTH_BINS, MAX_DOPPLER_STEP,
+                       EnsembleResult, pilot_comb_mask, point_target_report,
                        run_sweep_ensemble)
 from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
@@ -54,11 +54,6 @@ DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
 DEFAULT_DATA_DOWNSAMPLE = 10
 MODES = ("data_aided", "pilot_only")
-# Largest Doppler step K_a T^2 between adjacent run-grid symbols, in units
-# of the symbol rate 1/T, so K_a T^2 M <= MAX_DOPPLER_STEP * M.  At 1/2 the
-# sampled azimuth chirp repeats every two symbols; reference targets between
-# two bins stop focusing from 0.47 on (8 to 64 symbols, any K_a or RCMC).
-MAX_DOPPLER_STEP = 0.45
 _FILTER_CHOICES = FILTER_KINDS + ("all",)
 
 
@@ -509,17 +504,12 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
 
     points = []
     sweep_rows = []
-    # the loop runs the generator to its end, which frees the shared draws
-    # before the stage artifacts are rendered
-    for result in results:
-        snr_db, kind = labels[len(points)]
+    for (snr_db, kind), result in zip(labels, results):
         report = point_target_report(result).to_json_dict()
         report["snr_in_db"] = snr_db
         points.append(report)
         sweep_rows.append((snr_db, kind, result.nmse, result.nmse_calibrated))
-        if len(points) == 1:
-            first_result = result
-        del result  # free this point's grids while the next is computed
+    first_result = results[0]
     first_cfg = first_result.cfg
 
     for report in points:  # metrics.json is strict JSON
@@ -537,15 +527,13 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
               for s, f, n, c in sweep_rows]
     (out_dir / "nmse_sweep.csv").write_text("\n".join(lines) + "\n")
 
-    k_q, m_q = first_result.peak_bin
-    power = first_result.mean_noisy_power
     v = first_cfg.platform.speed_mps
     (out_dir / "profile_range.csv").write_text(_profile_csv(
-        power[:, m_q],
+        first_result.noisy_range_power,
         np.arange(first_cfg.n_subcarriers) * first_cfg.range_pitch_m,
         "range_m"))
     (out_dir / "profile_azimuth.csv").write_text(_profile_csv(
-        power[k_q, :],
+        first_result.noisy_azimuth_power,
         np.arange(first_cfg.n_symbols) * v * first_cfg.total_symbol_s,
         "azimuth_m"))
 

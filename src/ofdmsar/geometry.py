@@ -44,10 +44,7 @@ class PlatformGeometry:
 
 def mean_range(x_m: float, geom: PlatformGeometry) -> float:
     """Closest-approach slant range sqrt(x^2 + height^2) of a ground point."""
-    r_bar = math.hypot(x_m, geom.height_m)
-    if r_bar <= 0:
-        raise GeometryError("mean slant range must be > 0")
-    return r_bar
+    return math.hypot(x_m, geom.height_m)
 
 
 def range_deviation(x_m: float, y_m: float, m, cfg: "RadarConfig"):

@@ -3,7 +3,8 @@
 All metrics refer to the focused response of a known reference corner
 reflector (unit deterministic amplitude unless stated otherwise):
 
-  ISLR      sidelobe-to-mainlobe energy ratio of the ensemble image; the
+  ISLR      sidelobe-to-mainlobe energy ratio of the ensemble image, from
+            its total mean power and its mainlobe pixels' mean power; the
             reported islr_db takes the bins within +/-
             pipeline.MAINLOBE_HALFWIDTH_BINS of the peak as mainlobe
   PEL       NM * E[(1 - R(0,0)/sqrt(NM))^2] over noiseless trials
@@ -175,33 +176,20 @@ def measure_mainlobe_width(profile: np.ndarray, interpolate: int = 16, *,
     return width_up / interpolate
 
 
-def islr(power_image: np.ndarray, peak_pos: tuple[int, int],
-         mainlobe_halfwidth_bins: int = 1) -> float:
+def islr(total_power: float, mainlobe_power) -> float:
     """Sidelobe-to-mainlobe energy ratio of an ensemble-mean power image.
 
-    The mainlobe is the square region within +/- mainlobe_halfwidth_bins of
-    peak_pos (a single bin for halfwidth 0); energies are summed from the
-    given E[|image|^2] array so the ratio is a ratio of expectations.
+    total_power is E[sum |image|^2] over the whole image and mainlobe_power
+    the E[|image|^2] of the mainlobe's pixels (one or an array of them), so
+    the ratio is a ratio of expectations.
     """
-    power_image = np.asarray(power_image)
-    if power_image.ndim != 2:
-        raise InvalidParameterError("power image must be 2-D")
-    if np.any(power_image < 0):
-        raise InvalidParameterError("power image must be non-negative")
-    if mainlobe_halfwidth_bins < 0:
-        raise InvalidParameterError("mainlobe halfwidth must be >= 0")
-    k0, m0 = peak_pos
-    hw = mainlobe_halfwidth_bins
-    n, m = power_image.shape
-    if k0 - hw < 0 or k0 + hw >= n or m0 - hw < 0 or m0 + hw >= m:
-        raise MeasurementError(
-            f"mainlobe region around {peak_pos} with halfwidth {hw} "
-            f"exceeds the {power_image.shape} image")
-    mainlobe = float(power_image[k0 - hw:k0 + hw + 1, m0 - hw:m0 + hw + 1].sum())
-    total = float(power_image.sum())
+    mainlobe_power = np.asarray(mainlobe_power, dtype=float)
+    if not total_power >= 0 or np.any(mainlobe_power < 0):
+        raise InvalidParameterError("powers must be non-negative")
+    mainlobe = float(mainlobe_power.sum())
     if mainlobe <= 0:
         raise MeasurementError("mainlobe energy is zero")
-    return (total - mainlobe) / mainlobe
+    return (total_power - mainlobe) / mainlobe
 
 
 def pel(noiseless_peaks: Sequence[complex], cfg: RadarConfig) -> float:

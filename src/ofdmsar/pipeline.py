@@ -2,14 +2,16 @@
 
 run_sweep_ensemble is the only code that draws a trial: its symbols, its
 noise and its random targets' amplitudes.  Over independent trials of a
-scene with a deterministic reference target it yields, per (cfg, filter)
-point of an SNR/filter sweep, the reductions the quality metrics need
-(peak statistics, image MSE versus the ideal response, mean power
-images).  The points share one set of draws (common random numbers)
-and one focusing operator (rd_imaging.focusing_operator).  The channel
-and the ideal image are built once per sweep, or per trial from its
-amplitudes when the scene has random targets.  run_point_ensemble is
-the one-point sweep.
+scene with a deterministic reference target it returns, per (cfg, filter)
+point of an SNR/filter sweep, the reductions the quality metrics need:
+each trial's peaks and image MSE versus the ideal response, and the
+ensemble-mean power that the report reads (the noisy image's total and
+its mainlobe around the peak, and the column and row through the peak of
+the noisy and the noiseless image).  The points share one set of draws
+(common random numbers) and one focusing operator
+(rd_imaging.focusing_operator).  The channel and the ideal image are
+built once per sweep, or per trial from its amplitudes when the scene has
+random targets.  run_point_ensemble is the one-point sweep.
 
 The focusing operator F is linear, so each point's images are real
 multiples of a few canonical focused grids.  Its noisy image is
@@ -23,48 +25,39 @@ chi = s * g is the same on every alphabet point (rf always; every filter
 of a constant-modulus alphabet) the noiseless image is
 chi * F(channel * act), act being the active cells; otherwise it is
 F(channel * s * g), shared by points with equal gains (mf across SNRs).
-Each canonical grid is focused once per trial, or once per sweep when it
-does not change between trials (F(channel * act) of a deterministic
-scene), and every point that uses it reads it.  So a constant-modulus
-sweep focuses one grid per trial plus one per sweep instead of two per
-point and trial; QAM16 rf/mf/wf at two SNRs focuses 7 per trial plus 1
-instead of 12.  The choice follows from the alphabet and the filter
-specs alone, so a point run alone reads the same grids by the same
-formula and its bits do not depend on the rest of the sweep.
+Each distinct canonical grid is focused once per trial, or once per sweep
+when it does not change between trials (F(channel * act) of a
+deterministic scene), and every point that uses it reads it.  So a
+constant-modulus sweep focuses one grid per trial plus one per sweep
+instead of two per point and trial; QAM16 rf/mf/wf at two SNRs focuses 7
+per trial plus 1 instead of 12.  The choice follows from the alphabet and
+the filter specs alone, so a point run alone reads the same grids by the
+same formula and its bits do not depend on the rest of the sweep.
 
-Trials stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, one
-(N, M) complex grid per trial, runs as one chunk.  Otherwise each chunk
+Trials run one at a time, in one order: a trial focuses every distinct
+canonical grid into its own buffer, then reduces every point from them.
+The sweep allocates these buffers once, one per distinct canonical grid,
+and three scratch grids, each only if some point needs it: chi * clean,
+the noisy image, and its residual, which also holds the gain grid while
+the trial is focused.  Every product, focus pass and reduction writes
+into them, in the operand order of the out-of-place chain, so a trial
+allocates no complex grid and the bits are those of fresh grids.  Each
+MSE and each noisy image's total power is a sum of squares over the
+grid's float64 view, never negative.
+
+Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, one
+(N, M) complex grid per trial, draws them at once.  Otherwise each chunk
 holds as many trials as fit the budget with, per trial, the chunk's
-draws, the next chunk's symbols and, in a noisy sweep, its unit noise,
-and the K grids that several points read (the shared grids).  One Philox
-generator per stream (symbols, noise, target amplitudes) lives across the
-chunks, so no result depends on the chunk size.  A sweep of several
-chunks draws chunk c + 1's symbols and unit noise on a worker thread
-while chunk c is focused, into two pairs of buffers it allocates once;
-the main thread draws only the target amplitudes, builds the channels,
-focuses and reduces.
-
-Every chunk runs in one order: draw it, focus its shared grids for every
-trial, then run each point over the chunk's trials, focusing the point's
-own grids and reducing.  The sweep allocates its working grids once, and
-only those some point reads: K buffers per trial of a chunk, one signal
-and one noise buffer that every point's own grids reuse in turn, and one
-scratch grid per kind of reduction (chi * clean, the noisy image, its
-residual, which also holds the gain grid while a trial is focused, and
-|.|^2).  Every product, focus pass and reduction of a trial writes into
-them, in the operand order of the out-of-place chain, so focusing and
-reducing a trial allocates no complex grid, and the bits are those of
-fresh grids.  Each MSE is a sum of squares over the residual's float64
-view, never negative.  When no point focuses a grid of its own (a
-constant-modulus sweep of several noisy points), a one-chunk sweep frees
-its symbols and noise once its shared grids are focused.  Memory is the
-chunk's draws (with random targets, also its channels and ideal images),
-the next chunk's draws, the shared grids, the sweep's F(channel * act),
-the working grids and the per-point reductions, which are all a result
-keeps.  A sweep of P points that spans several chunks holds their
-2*P*N*M*8 bytes of mean power images until its last chunk.  A one-chunk
-sweep makes each point's result when it reaches that point and yields it
-before the next; its K*T shared grids are outside the budget.
+draws and the next chunk's symbols and, in a noisy sweep, its unit noise.
+One Philox generator per stream (symbols, noise, target amplitudes) lives
+across the chunks, so no result depends on the chunk size.  A sweep of
+several chunks draws chunk c + 1's symbols and unit noise on a worker
+thread while chunk c is focused, into two pairs of buffers it allocates
+once; the main thread draws only the target amplitudes, builds the
+channels, focuses and reduces.  Memory is the chunk's draws (with random
+targets, also its channels and ideal images) and the next chunk's, one
+grid per distinct canonical grid, the scratch grids, and O(N + M) per
+point besides its per-trial arrays.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -74,10 +67,9 @@ to the comb, then runs the identical chain.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,12 +85,18 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
                        gen_symbol_grid)
 
-# Bytes of the grids one chunk of trials holds: its draws, and in a sweep
-# of several chunks also the next chunk's noise and its shared grids, so
-# the grids held at once do not grow with the trial count.
+# Bytes of the draws one chunk of trials holds, with the next chunk's in a
+# sweep of several chunks, so the draws held at once do not grow with the
+# trial count.
 _CHUNK_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
 MAINLOBE_HALFWIDTH_BINS = 1
+# Largest Doppler step K_a T^2 between adjacent run-grid symbols at the
+# reference range, in units of the symbol rate 1/T, so K_a T^2 M <=
+# MAX_DOPPLER_STEP * M.  At 1/2 the sampled azimuth chirp repeats every two
+# symbols; reference targets between two bins stop focusing from 0.47 on
+# (8 to 64 symbols, any K_a or RCMC).
+MAX_DOPPLER_STEP = 0.45
 
 
 def _chunk_trials(trials: int, n: int, m: int, stacks: int = 1) -> int:
@@ -109,7 +107,12 @@ def _chunk_trials(trials: int, n: int, m: int, stacks: int = 1) -> int:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Reductions of one Monte-Carlo ensemble for a single reference target."""
+    """Reductions of one Monte-Carlo ensemble for a single reference target.
+
+    The power fields are ensemble means of |image|^2: the mainlobe's
+    pixels are those within MAINLOBE_HALFWIDTH_BINS of peak_bin, taken
+    cyclically, and the range and azimuth cuts run down the peak's column
+    and along its row."""
 
     cfg: RadarConfig
     filter_spec: FilterSpec
@@ -123,8 +126,12 @@ class EnsembleResult:
     noisy_peaks: np.ndarray          # (T,) peak/alpha_ref per noisy trial
     mse: np.ndarray                  # (T,) sum|noisy - ideal|^2
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
-    mean_noisy_power: np.ndarray     # (N, M) E[|noisy image|^2]
-    mean_noiseless_power: np.ndarray  # (N, M) E[|noiseless image|^2]
+    noisy_power_sum: float           # E[sum |noisy image|^2]
+    noisy_mainlobe_power: np.ndarray     # (3, 3) E|noisy|^2 at the mainlobe
+    noisy_range_power: np.ndarray        # (N,) E|noisy|^2 down the peak column
+    noisy_azimuth_power: np.ndarray      # (M,) E|noisy|^2 along the peak row
+    noiseless_range_power: np.ndarray    # (N,) the same cuts of the
+    noiseless_azimuth_power: np.ndarray  # (M,)  noiseless image
 
     @property
     def peak_sq_mean(self) -> float:
@@ -142,6 +149,12 @@ class EnsembleResult:
         e_chi = self.stats.chi_mean
         peak_cal = self.peak_sq_mean / e_chi ** 2
         return nmse(float(np.mean(self.mse_calibrated)), peak_cal, sigma_alpha)
+
+
+# EnsembleResult's ensemble means, summed over the trials as they run
+_MEANS = ("noisy_power_sum", "noisy_mainlobe_power", "noisy_range_power",
+          "noisy_azimuth_power", "noiseless_range_power",
+          "noiseless_azimuth_power")
 
 
 class _Reads(NamedTuple):
@@ -201,19 +214,18 @@ def _focus_grids(focus, plan: list, gains: np.ndarray, channel: np.ndarray,
             focus(x, out=out)
 
 
-def _power(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.abs(grid) ** 2, bit for bit, written into out."""
-    return np.square(np.abs(grid, out=out), out=out)
+def _power_sum(grid: np.ndarray) -> float:
+    """sum |grid|^2 of a contiguous grid: a sum of squares over its float64
+    (re, im) view, so it is never negative.  einsum runs without BLAS,
+    whose threads would compete with the draw worker."""
+    values = grid.view(float).ravel()
+    return float(np.einsum("i,i->", values, values))
 
 
 def _residual_power(image: np.ndarray, reference: np.ndarray,
                     out: np.ndarray) -> float:
-    """sum |image - reference|^2, with the residual written into out: a sum
-    of squares over its float64 (re, im) view, so it is never negative.
-    einsum runs without BLAS, whose threads would compete with the draw
-    worker."""
-    values = np.subtract(image, reference, out=out).view(float).ravel()
-    return float(np.einsum("i,i->", values, values))
+    """sum |image - reference|^2, with the residual written into out."""
+    return _power_sum(np.subtract(image, reference, out=out))
 
 
 def run_sweep_ensemble(scene: Scene,
@@ -221,12 +233,12 @@ def run_sweep_ensemble(scene: Scene,
                        constellation: Constellation, trials: int, seed: int,
                        mask: Optional[np.ndarray] = None,
                        rcmc_method: str = "windowed_sinc",
-                       ka_mode: str = "reference") -> Iterator[EnsembleResult]:
-    """Yield one EnsembleResult per (cfg, filter_spec) point, in order.
+                       ka_mode: str = "reference") -> list[EnsembleResult]:
+    """One EnsembleResult per (cfg, filter_spec) point, in order.
 
     The point configs may differ only in noise_var and snr_in_linear; each
     result equals run_point_ensemble on its point alone, whatever the trial
-    chunk size, and is yielded once the last chunk has reached it."""
+    chunk size."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     cfg0 = points[0][0] if points else None
@@ -247,6 +259,12 @@ def run_sweep_ensemble(scene: Scene,
     r_bar_ref = ref.mean_range_m(cfg0.platform)
     # first: it rejects a static platform, whose speed the bins divide by
     focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
+    step = cfg0.azimuth_rate_at(r_bar_ref) * cfg0.total_symbol_s ** 2
+    if step > MAX_DOPPLER_STEP:
+        raise InvalidParameterError(
+            f"K_a T^2 = {step:.3g} at the reference range exceeds "
+            f"{MAX_DOPPLER_STEP}: the {n}x{m} run grid undersamples the "
+            f"reference target's azimuth chirp")
     alpha_ref = complex(
         math.sqrt(ref.rcs_var)
         * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
@@ -269,52 +287,52 @@ def run_sweep_ensemble(scene: Scene,
     wants = [(("signal", r.signal),
               ("noise", r.noise) if cfg.noise_var > 0 else None)
              for (cfg, _), r in zip(points, reads)]
-    users = Counter(key for pair in wants for key in pair if key)
-    # F(channel * act) of a deterministic scene is focused once per sweep;
-    # every other grid that several points read, once per trial
-    swept = {}
-    if rcs_rng is None and ("signal", None) in users:
-        swept[("signal", None)] = focus(
+    keys = dict.fromkeys(key for pair in wants for key in pair if key)
+
+    def empty(*shape):
+        return np.empty(shape + (n, m), dtype=complex)
+    # one buffer per distinct canonical grid: F(channel * act) of a
+    # deterministic scene is focused once per sweep, every other grid once
+    # per trial by the one plan
+    at = {}
+    if rcs_rng is None and ("signal", None) in keys:
+        at[("signal", None)] = focus(
             fixed[0] if mask is None else fixed[0] * mask)
-    shared = [key for key, k in users.items() if k > 1 and key not in swept]
+    per_trial = [key for key in keys if key not in at]
+    at.update((key, empty()) for key in per_trial)
+    plan = _plan((key, at[key]) for key in per_trial)
+    # the scratch grids: `diff` holds the gain grid while a trial is
+    # focused, then each residual
+    diff = empty()
+    scaled = empty() if any(r.chi != 1.0 for r in reads) else None
+    noisy_grid = empty() if noise_rng is not None else None
+
+    stats = [chi_stats(constellation, spec) for _, spec in points]
+    hw = MAINLOBE_HALFWIDTH_BINS
+    lobe = np.ix_(np.arange(k_q - hw, k_q + hw + 1) % n,
+                  np.arange(m_q - hw, m_q + hw + 1) % m)
+    # per point: its reads resolved to buffers, and its result's arrays
+    tasks = []
+    for (cfg, _), r, stat, (signal, noise) in zip(points, reads, stats,
+                                                   wants):
+        sums = dict(noiseless_peaks=np.empty(trials, dtype=complex),
+                    noisy_peaks=np.empty(trials, dtype=complex),
+                    mse=np.empty(trials), mse_calibrated=np.empty(trials),
+                    noisy_power_sum=0.0,
+                    noisy_mainlobe_power=np.zeros((2 * hw + 1,) * 2),
+                    noisy_range_power=np.zeros(n),
+                    noisy_azimuth_power=np.zeros(m),
+                    noiseless_range_power=np.zeros(n),
+                    noiseless_azimuth_power=np.zeros(m))
+        tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
+                      stat.chi_mean, at[signal], at[noise] if noise else None))
+
     chunk = _chunk_trials(trials, n, m)
     prefetch = chunk < trials
     if prefetch:
-        # per trial: the chunk's draws, the next chunk's symbols and, in a
-        # noisy sweep, its noise (drawn meanwhile), and the chunk's shared
-        # grids fit the budget together
-        chunk = _chunk_trials(trials, n, m,
-                              2 + (noise_rng is not None) + len(shared))
-
-    # The grids a trial is focused into and reduced in, allocated once and
-    # never touched by the draw worker: a chunk's worth of each shared
-    # grid, one signal and one noise grid that every point's own grids
-    # reuse in turn, and one scratch grid per kind of reduction; each only
-    # if some point reads it.  `diff` holds the gain grid while a trial's
-    # grids are focused; the other scratch grids are made when the first
-    # chunk reaches its points, after a chunk whose draws no point reads
-    # again has dropped them.
-    def empty(*shape, dtype=complex):
-        return np.empty(shape + (n, m), dtype=dtype)
-    # each canonical grid's buffer for each trial of a chunk
-    at = {key: [image] * chunk for key, image in swept.items()}
-    at.update((key, list(empty(chunk))) for key in shared)
-    own = [[key for key in pair if key and key not in at] for pair in wants]
-    reused = {part: empty() for part in ("signal", "noise")
-              if any(key[0] == part for keys in own for key in keys)}
-    at.update((key, [reused[key[0]]] * chunk) for keys in own for key in keys)
-    # the keys resolved once: trial i of a chunk focuses its shared grids
-    # by shared_plans[i]; point p focuses its own grids by own_plans[p] and
-    # reads its (noiseless, noise) grids from reads_at[p][i]
-    shared_plans = [_plan((key, at[key][i]) for key in shared)
-                    for i in range(chunk)]
-    own_plans = [_plan((key, at[key][0]) for key in keys) for keys in own]
-    reads_at = [list(zip(at[signal], at[noise] if noise else [None] * chunk))
-                for signal, noise in wants]
-    diff, power = empty(), None
-
-    # each point's result is made on first use and filled chunk by chunk
-    results: list[Optional[EnsembleResult]] = [None] * len(points)
+        # per trial: the chunk's draws and the next chunk's symbols and, in
+        # a noisy sweep, its noise (drawn meanwhile) fit the budget together
+        chunk = _chunk_trials(trials, n, m, 2 + (noise_rng is not None))
     starts = range(0, trials, chunk)
 
     def draw(size, symbols=None, noise=None):
@@ -352,7 +370,6 @@ def run_sweep_ensemble(scene: Scene,
             pending = fill(0)
         for c, start in enumerate(starts):
             size = min(chunk, trials - start)
-            last = start + size == trials
             if prefetch:
                 grid, unit_noise = pending.result()
                 # chunk c + 1 reuses chunk c - 1's buffers, read no more
@@ -363,68 +380,40 @@ def run_sweep_ensemble(scene: Scene,
                       [(build_channel_matrix(scene, cfg0, amps),
                         ideal_reference_image(scene, cfg0, amps))
                        for amps in scene.draw_amplitudes(rcs_rng, size)])
-            for i in range(size):
-                _focus_grids(focus, shared_plans[i], diff, truths[i][0],
-                             grid[i], unit_noise[i], mask)
-            if not any(own):
-                # no point focuses a draw itself: none is read again
-                grid = unit_noise = None
-            if power is None:
-                scaled = (empty() if any(r.chi != 1.0 for r in reads)
-                          else None)
-                noisy_grid = empty() if noise_rng is not None else None
-                power = empty(dtype=float)
-
-            for p, (cfg, filter_spec) in enumerate(points):
-                if results[p] is None:
-                    results[p] = EnsembleResult(
-                        cfg=cfg, filter_spec=filter_spec,
-                        stats=chi_stats(constellation, filter_spec),
-                        mode="data_aided" if mask is None else "pilot_only",
-                        trials=trials, r_bar_ref_m=r_bar_ref,
-                        peak_bin=(k_q, m_q), alpha_ref=alpha_ref,
-                        noiseless_peaks=np.empty(trials, dtype=complex),
-                        noisy_peaks=np.empty(trials, dtype=complex),
-                        mse=np.empty(trials), mse_calibrated=np.empty(trials),
-                        mean_noisy_power=np.zeros((n, m)),
-                        mean_noiseless_power=np.zeros((n, m)))
-                res = results[p]
-                e_chi = res.stats.chi_mean
-                mean_clean = res.mean_noiseless_power
-                mean_noisy = res.mean_noisy_power
-                chi = reads[p].chi
-                sigma = np.sqrt(cfg.noise_var / 2.0) * reads[p].scale
-                for i in range(size):
-                    t = start + i
-                    ideal = truths[i][1]
-                    signal, noise = reads_at[p][i]
-                    if own[p]:
-                        _focus_grids(focus, own_plans[p], diff, truths[i][0],
-                                     grid[i], unit_noise[i], mask)
+            for i, (channel, ideal) in enumerate(truths):
+                t = start + i
+                _focus_grids(focus, plan, diff, channel, grid[i],
+                             unit_noise[i], mask)
+                for sums, chi, sigma, e_chi, signal, noise in tasks:
                     clean = signal
                     if chi != 1.0:
                         clean = np.multiply(chi, clean, out=scaled)
-                    res.noiseless_peaks[t] = clean[k_q, m_q] / alpha_ref
-                    mean_clean += _power(clean, power)
+                    sums["noiseless_peaks"][t] = clean[k_q, m_q] / alpha_ref
+                    sums["noiseless_range_power"] += np.abs(clean[:, m_q]) ** 2
+                    sums["noiseless_azimuth_power"] += np.abs(clean[k_q]) ** 2
                     noisy = clean
                     if noise is not None:
                         noisy = np.multiply(sigma, noise, out=noisy_grid)
                         noisy += clean
-
-                    res.noisy_peaks[t] = noisy[k_q, m_q] / alpha_ref
-                    res.mse[t] = _residual_power(noisy, ideal, diff)
-                    res.mse_calibrated[t] = _residual_power(
+                    sums["noisy_peaks"][t] = noisy[k_q, m_q] / alpha_ref
+                    sums["noisy_power_sum"] += _power_sum(noisy)
+                    sums["noisy_mainlobe_power"] += np.abs(noisy[lobe]) ** 2
+                    sums["noisy_range_power"] += np.abs(noisy[:, m_q]) ** 2
+                    sums["noisy_azimuth_power"] += np.abs(noisy[k_q]) ** 2
+                    sums["mse"][t] = _residual_power(noisy, ideal, diff)
+                    sums["mse_calibrated"][t] = _residual_power(
                         noisy, np.multiply(e_chi, ideal, out=diff),
                         diff) / e_chi ** 2
-                    mean_noisy += _power(noisy, power)
+            del truths  # free this chunk's channels before the next's
 
-                if last:
-                    mean_clean /= trials
-                    mean_noisy /= trials
-                    results[p] = None
-                    yield res
-                    del res, mean_clean, mean_noisy  # not held into the next
-            del grid, unit_noise, truths  # free this chunk's draws
+    mode = "data_aided" if mask is None else "pilot_only"
+    return [EnsembleResult(
+                cfg=cfg, filter_spec=spec, stats=stat, mode=mode,
+                trials=trials, r_bar_ref_m=r_bar_ref, peak_bin=(k_q, m_q),
+                alpha_ref=alpha_ref,
+                **{name: value / trials if name in _MEANS else value
+                   for name, value in sums.items()})
+            for (cfg, spec), stat, (sums, *_) in zip(points, stats, tasks)]
 
 
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,
@@ -435,8 +424,8 @@ def run_point_ensemble(scene: Scene, cfg: RadarConfig,
                        ka_mode: str = "reference") -> EnsembleResult:
     """Run `trials` independent symbol/noise draws through the full chain:
     the one-point case of run_sweep_ensemble."""
-    return next(run_sweep_ensemble(scene, [(cfg, filter_spec)], constellation,
-                                   trials, seed, mask, rcmc_method, ka_mode))
+    return run_sweep_ensemble(scene, [(cfg, filter_spec)], constellation,
+                              trials, seed, mask, rcmc_method, ka_mode)[0]
 
 
 def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
@@ -468,22 +457,29 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     of the peak as mainlobe; the identity residual, reported for every
     scene, is evaluated with the single-bin mainlobe and the shared
     noisy-peak normalization, under which the decomposition is exact for
-    one on-grid target only.
+    one on-grid target only.  A peak within MAINLOBE_HALFWIDTH_BINS of an
+    image edge has no mainlobe inside the image and is a MeasurementError.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)
     k_q, m_q = result.peak_bin
-    width_r = measure_mainlobe_width(
-        np.sqrt(result.mean_noiseless_power[:, m_q]), peak_bin=k_q)
-    width_a = measure_mainlobe_width(
-        np.sqrt(result.mean_noiseless_power[k_q, :]), peak_bin=m_q)
+    hw = MAINLOBE_HALFWIDTH_BINS
+    shape = (cfg.n_subcarriers, cfg.n_symbols)
+    if not (hw <= k_q < shape[0] - hw and hw <= m_q < shape[1] - hw):
+        raise MeasurementError(
+            f"mainlobe region around {result.peak_bin} with halfwidth {hw} "
+            f"exceeds the {shape} image")
+    width_r = measure_mainlobe_width(np.sqrt(result.noiseless_range_power),
+                                     peak_bin=k_q)
+    width_a = measure_mainlobe_width(np.sqrt(result.noiseless_azimuth_power),
+                                     peak_bin=m_q)
     sigma_alpha = abs(result.alpha_ref) ** 2
     noise_var = cfg.noise_var
 
     peak_sq = result.peak_sq_mean
-    islr_report = islr(result.mean_noisy_power, result.peak_bin,
-                       MAINLOBE_HALFWIDTH_BINS)
-    islr_single = islr(result.mean_noisy_power, result.peak_bin, 0)
+    lobe = result.noisy_mainlobe_power
+    islr_report = islr(result.noisy_power_sum, lobe)
+    islr_single = islr(result.noisy_power_sum, lobe[hw, hw])
     pel_value = pel(result.noiseless_peaks, cfg)
     snr_value = snr_out(peak_sq, result.stats, sigma_alpha, noise_var)
     if noise_var > 0 and not 0 < snr_value < math.inf:

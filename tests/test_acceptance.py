@@ -223,11 +223,10 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
 
     res = run_pilot_ensemble(scene, cfg, srs20, qpsk, FilterSpec(kind="mf"),
                              trials=1, seed=9)
-    power = res.mean_noiseless_power
-    m_q = res.peak_bin[1]
+    assert res.peak_bin[0] == k_q
 
     # comb spacing 4 aliases range into N/4 = 64-bin replicas ~ 1250 m apart
-    range_profile = power[:, m_q]
+    range_profile = res.noiseless_range_power
     top4 = np.sort(np.argsort(range_profile)[::-1][:4])
     spacing_m = (cfg.n_subcarriers // srs20.comb_spacing) * cfg.range_pitch_m
     print(f"ACCEPTANCE 5: range replicas at bins {top4.tolist()}, "
@@ -238,7 +237,7 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
     # slot periodicity aliases Doppler at the pilot PRF ~ 85.7 Hz; the
     # replica offset on the azimuth grid can exceed half the grid, so both
     # unfoldings of the circular offset are admitted
-    az_profile = power[k_q, :]
+    az_profile = res.noiseless_azimuth_power
     m_p = az_profile.size
     main = int(np.argmax(az_profile))
     dist = np.abs((np.arange(m_p) - main + m_p // 2) % m_p - m_p // 2)
@@ -260,7 +259,8 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
                      comb_spacing=4, n_resource_blocks=4, start_subcarrier=33)
     res2 = run_pilot_ensemble(scene, cfg, srs2, qpsk, FilterSpec(kind="mf"),
                               trials=1, seed=9)
-    az2 = res2.mean_noiseless_power[k_q, :]
+    assert res2.peak_bin[0] == k_q
+    az2 = res2.noiseless_azimuth_power
     m_p2 = az2.size
     main2 = int(np.argmax(az2))
     d2 = np.abs((np.arange(m_p2) - main2 + m_p2 // 2) % m_p2 - m_p2 // 2)
@@ -462,11 +462,10 @@ def test_criterion_08_chain_invariants(tmp_path):
     spec = FilterSpec(kind="mf")
     res = run_point_ensemble(single_target_scene(cfg_p, 16, 32), cfg_p,
                              QAM256, spec, trials=300, seed=33)
-    k_q, m_q = res.peak_bin
-    mask = np.ones(res.mean_noisy_power.shape, dtype=bool)
-    mask[k_q, :] = False
-    mask[:, m_q] = False
-    emp = float(res.mean_noisy_power[mask].mean())
+    # the mean power off the peak's row and column
+    off_peak = (res.noisy_power_sum - res.noisy_azimuth_power.sum()
+                - res.noisy_range_power.sum() + res.noisy_mainlobe_power[1, 1])
+    emp = off_peak / ((cfg_p.n_subcarriers - 1) * (cfg_p.n_symbols - 1))
     ana = pedestal_level(chi_stats(QAM256, spec), 1.0, cfg_p.noise_var)
     rel = abs(emp - ana) / ana
     print(f"ACCEPTANCE 8: pedestal empirical={emp:.5f} analytic={ana:.5f} "

@@ -135,6 +135,16 @@ def test_parse_defaults():
     assert scenario.scene.q == 1
 
 
+def test_parse_names_a_malformed_scene_entry():
+    # an extent of three numbers, and a target that is not an object
+    with pytest.raises(ConfigError, match=r"expected \[x_min") as err:
+        parse_config(json.dumps(mutated(("scene", "extent"), [0.0, 1.0, 2.0])))
+    assert err.value.path == "$.scene.extent"
+    with pytest.raises(ConfigError, match="expected object, got") as err:
+        parse_config(json.dumps(mutated(("scene", "targets", 0), [1.0, 2.0])))
+    assert err.value.path == "$.scene.targets[0]"
+
+
 def test_parse_paths_in_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(config_text(radar={**BASE["radar"], "fc_hz": "fast"}))

@@ -112,22 +112,21 @@ def test_islr_synthetic():
     power[4, 4] = 10.0
     power[0, 0] = 1.0
     power[7, 3] = 1.0
-    assert islr(power, (4, 4), mainlobe_halfwidth_bins=1) == pytest.approx(0.2)
-    # halfwidth 0: single-bin mainlobe
+    assert islr(power.sum(), power[3:6, 3:6]) == pytest.approx(0.2)
+    # a single-bin mainlobe
     power[4, 5] = 2.0
-    assert islr(power, (4, 4), mainlobe_halfwidth_bins=0) == pytest.approx(0.4)
+    assert islr(power.sum(), power[4, 4]) == pytest.approx(0.4)
 
 
 def test_islr_validation():
-    power = np.ones((8, 8))
-    with pytest.raises(MeasurementError):
-        islr(power, (0, 4), mainlobe_halfwidth_bins=1)
     with pytest.raises(InvalidParameterError):
-        islr(-power, (4, 4))
+        islr(-1.0, np.ones((3, 3)))
     with pytest.raises(InvalidParameterError):
-        islr(power, (4, 4), mainlobe_halfwidth_bins=-1)
+        islr(9.0, -np.ones((3, 3)))
+    with pytest.raises(InvalidParameterError):
+        islr(float("nan"), 1.0)
     with pytest.raises(MeasurementError):
-        islr(np.zeros((8, 8)), (4, 4))
+        islr(1.0, np.zeros((3, 3)))
 
 
 def test_pel_synthetic():

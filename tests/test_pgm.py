@@ -71,6 +71,15 @@ def test_parse_rejects_truncated_header():
         parse_pgm("P5\n1 1\n255\n\x00")  # str, not bytes
 
 
+def test_parse_needs_one_separator_after_a_binary_maxval():
+    # a comment or the end of the data right after maxval leaves no
+    # separator byte before the raster
+    for data in (b"P5\n1 1\n255#c\n\x00", b"P5\n1 1\n255"):
+        with pytest.raises(PgmParseError, match="missing whitespace") as err:
+            parse_pgm(data)
+        assert err.value.byte_offset == data.index(b"255") + 3
+
+
 def test_write_validation():
     with pytest.raises(InvalidParameterError):
         write_pgm(np.zeros(4, dtype=np.uint8))

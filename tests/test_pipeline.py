@@ -1,7 +1,6 @@
 import sys
 import threading
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,7 @@ from ofdmsar import pipeline
 from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
                          run_scenario)
 from ofdmsar.echo import build_channel_matrix, draw_noise, grid_to_bytes
-from ofdmsar.errors import InvalidParameterError
+from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
                               run_point_ensemble, run_sweep_ensemble)
 from ofdmsar.metrics import ideal_reference_image
@@ -22,8 +21,10 @@ from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
 from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
                               gen_symbol_grid, make_qam)
 
-ARRAYS = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated",
-          "mean_noisy_power", "mean_noiseless_power")
+PER_TRIAL = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated")
+ARRAYS = PER_TRIAL + ("noisy_power_sum", "noisy_mainlobe_power",
+                      "noisy_range_power", "noisy_azimuth_power",
+                      "noiseless_range_power", "noiseless_azimuth_power")
 # a pilot comb of period one: its decimated grid is the grid itself
 COMB = SrsConfig(periodicity_slots=1, symbols_per_slot=1, comb_spacing=4,
                  n_resource_blocks=1, start_subcarrier=2)
@@ -53,6 +54,21 @@ def random_target_scene(cfg):
 
 def comb_mask(cfg):
     return pilot_comb_mask(cfg, COMB)
+
+
+def power_cuts(noisy_power, clean_power, peak_bin):
+    """An EnsembleResult's power fields, read from whole mean |.|^2 images."""
+    k, m = peak_bin
+    n_bins, m_bins = noisy_power.shape
+    hw = pipeline.MAINLOBE_HALFWIDTH_BINS
+    lobe = np.ix_(np.arange(k - hw, k + hw + 1) % n_bins,
+                  np.arange(m - hw, m + hw + 1) % m_bins)
+    return {"noisy_power_sum": np.sum(noisy_power),
+            "noisy_mainlobe_power": noisy_power[lobe],
+            "noisy_range_power": noisy_power[:, m],
+            "noisy_azimuth_power": noisy_power[k],
+            "noiseless_range_power": clean_power[:, m],
+            "noiseless_azimuth_power": clean_power[k]}
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -129,7 +145,7 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
     scale = np.sqrt(cfg.noise_var / 2.0)
     e_chi = chi_stats(constellation, spec).chi_mean
     k_q, m_q = result.peak_bin
-    out = {name: [] for name in ARRAYS}
+    out = {name: [] for name in PER_TRIAL + ("noisy", "clean")}
     for t in range(trials):
         channel = build_channel_matrix(scene, cfg, amps[t])
         ideal = ideal_reference_image(scene, cfg, amps[t])
@@ -143,11 +159,11 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
         out["mse"].append(np.sum(np.abs(noisy - ideal) ** 2))
         out["mse_calibrated"].append(
             np.sum(np.abs(noisy / e_chi - ideal) ** 2))
-        out["mean_noiseless_power"].append(np.abs(clean) ** 2)
-        out["mean_noisy_power"].append(np.abs(noisy) ** 2)
-    return {name: (np.mean(value, axis=0) if name.startswith("mean")
-                   else np.array(value))
-            for name, value in out.items()}
+        out["clean"].append(np.abs(clean) ** 2)
+        out["noisy"].append(np.abs(noisy) ** 2)
+    cuts = power_cuts(np.mean(out.pop("noisy"), axis=0),
+                      np.mean(out.pop("clean"), axis=0), result.peak_bin)
+    return {**{name: np.array(value) for name, value in out.items()}, **cuts}
 
 
 @pytest.mark.parametrize("name, masked, random", [("qpsk", True, False),
@@ -203,23 +219,80 @@ def test_sweep_rejects_points_that_change_the_geometry():
     spec = FilterSpec("mf")
     other = replace(cfg, fc_hz=3.6e9)
     with pytest.raises(InvalidParameterError, match="differ only in noise_var"):
-        next(run_sweep_ensemble(scene, [(cfg, spec), (other, spec)], qpsk,
-                                trials=1, seed=0))
+        run_sweep_ensemble(scene, [(cfg, spec), (other, spec)], qpsk,
+                           trials=1, seed=0)
     with pytest.raises(InvalidParameterError, match="at least one point"):
-        next(run_sweep_ensemble(scene, [], qpsk, trials=1, seed=0))
+        run_sweep_ensemble(scene, [], qpsk, trials=1, seed=0)
+    with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
+        run_sweep_ensemble(scene, [(cfg, spec)], qpsk, trials=0, seed=0)
+
+
+def test_sweep_rejects_a_static_platform():
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    static = replace(cfg, platform=replace(cfg.platform, speed_mps=0.0))
+    with pytest.raises(InvalidParameterError, match="static platform"):
+        run_point_ensemble(scene, static, make_qam("qpsk"), FilterSpec("mf"),
+                           trials=1, seed=0)
+
+
+def test_sweep_rejects_an_undersampled_azimuth_chirp(monkeypatch):
+    # K_a grows with fc; the 16x16 critical geometry has K_a T^2 = 1/16 at
+    # 3.5 GHz.  Just above the bound the sweep draws nothing; just below it
+    # runs
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    draws = []
+    real = pipeline.gen_symbol_grid
+
+    def recording(*args, **kwargs):
+        draws.append(kwargs.get("trials"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
+    fc_bound = 3.5e9 * pipeline.MAX_DOPPLER_STEP * 16
+    above = replace(cfg, fc_hz=fc_bound * (1 + 1e-9))
+    with pytest.raises(InvalidParameterError, match="undersamples"):
+        run_point_ensemble(scene, above, make_qam("qpsk"), FilterSpec("mf"),
+                           trials=1, seed=0)
+    assert draws == []
+    below = replace(cfg, fc_hz=fc_bound * (1 - 1e-9))
+    run_point_ensemble(scene, below, make_qam("qpsk"), FilterSpec("mf"),
+                       trials=1, seed=0)
+    assert draws == [1]
+
+
+def test_report_needs_the_mainlobe_inside_the_image():
+    # the sweep reduces a mainlobe that wraps around the image edge; the
+    # report rejects it
+    cfg = critical_config(16, 16, k_ref=8)
+    result = run_point_ensemble(single_target_scene(cfg, k_bin=8, m_bin=0),
+                                cfg, make_qam("qpsk"), FilterSpec("mf"),
+                                trials=1, seed=0)
+    assert result.noisy_mainlobe_power.shape == (3, 3)
+    with pytest.raises(MeasurementError, match=(
+            r"mainlobe region around \(8, 0\) with halfwidth 1 exceeds "
+            r"the \(16, 16\) image")):
+        point_target_report(result)
+
+
+def test_report_rejects_an_output_snr_beyond_float_range():
+    cfg = critical_config(16, 16, k_ref=8).with_noise(5e-324,
+                                                      snr_in_linear=1e300)
+    result = run_point_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
+                                cfg, make_qam("qpsk"), FilterSpec("mf"),
+                                trials=1, seed=0)
+    with pytest.raises(MeasurementError, match="outside the float64 range"):
+        point_target_report(result)
 
 
 def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
-                                               points, shared, mask=None):
+                                               points, mask=None):
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
     # the random targets' amplitudes included.  All 15 trials fit a budget
     # of 15 grids, so it runs one chunk.  A sweep of several chunks fits
     # per trial its draws, the next chunk's symbols and, in a noisy sweep,
-    # its noise (both drawn meanwhile on a worker thread) and its shared
-    # grids in the budget: shared[0] of them with the deterministic scene,
-    # shared[1] with the random-target scene, whose F(channel * act)
-    # changes per trial.  So a budget of 14 grids gives chunks of
-    # 14 // (2 + noisy + shared) trials.
+    # its noise (both drawn meanwhile on a worker thread) in the budget.
+    # So a budget of 14 grids gives chunks of 14 // (2 + noisy) trials.
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     trials = 15
@@ -234,10 +307,10 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                         recording("symbols", pipeline.gen_symbol_grid))
     monkeypatch.setattr(pipeline, "draw_noise",
                         recording("noise", pipeline.draw_noise))
-    for scene, n_shared in zip((single_target_scene(cfg, k_bin=8, m_bin=8),
-                                random_target_scene(cfg)[0]), shared):
+    for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
+                  random_target_scene(cfg)[0]):
         runs = []
-        for budget, chunk in ((1, 1), (14, 14 // (2 + noisy + n_shared)),
+        for budget, chunk in ((1, 1), (14, 14 // (2 + noisy)),
                               (trials, trials)):
             assert chunk > 1 or budget == 1
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
@@ -264,7 +337,7 @@ def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
     # every point reads one mf noise grid, and F(channel * act)
     cfg = critical_config(16, 16, k_ref=8)
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qpsk"), sweep_points(cfg), (1, 2),
+        monkeypatch, make_qam("qpsk"), sweep_points(cfg),
         comb_mask(cfg) if masked else None)
 
 
@@ -273,7 +346,7 @@ def test_qam16_sweep_does_not_depend_on_chunk_size(monkeypatch):
     # mf noise, mf signal, and rf's F(channel * act))
     cfg = critical_config(16, 16, k_ref=8)
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qam16"), sweep_points(cfg), (3, 4))
+        monkeypatch, make_qam("qam16"), sweep_points(cfg))
 
 
 def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
@@ -281,12 +354,12 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
     points = [(cfg, FilterSpec(kind, snr_in_linear=10.0))
               for kind in ("rf", "mf", "wf")]
     assert_sweep_does_not_depend_on_chunk_size(
-        monkeypatch, make_qam("qpsk"), points, (0, 1))
+        monkeypatch, make_qam("qpsk"), points)
 
 
 def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
-    """A 16x16 sweep generator that streams several chunks: one trial per
-    chunk for the noisy sweep, two for the noiseless point."""
+    """A 16x16 sweep that streams several chunks: one trial per chunk for
+    the noisy sweep, two for the noiseless point."""
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
     points = sweep_points(cfg) if noisy else [(cfg, FilterSpec("mf"))]
@@ -295,15 +368,20 @@ def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
 
 
 def test_closed_sweep_leaves_no_worker_thread(monkeypatch):
-    # a sweep of several chunks draws on a worker, with or without noise
+    # a sweep of several chunks draws on a worker, with or without noise,
+    # and joins it before it returns
     before = threading.active_count()
+    seen = []
+    real = pipeline._focus_grids
+
+    def counting(*args):
+        seen.append(threading.active_count())
+        return real(*args)
+    monkeypatch.setattr(pipeline, "_focus_grids", counting)
     for noisy, points in ((True, 10), (False, 1)):
-        sweep = multi_chunk_sweep(monkeypatch, noisy=noisy)
-        next(sweep)
-        assert threading.active_count() == before + 1  # the idle worker
-        sweep.close()
-        assert threading.active_count() == before
-        assert len(list(multi_chunk_sweep(monkeypatch, noisy=noisy))) == points
+        seen.clear()
+        assert len(multi_chunk_sweep(monkeypatch, noisy=noisy)) == points
+        assert max(seen) == before + 1  # the worker, while trials focus
         assert threading.active_count() == before
 
 
@@ -333,16 +411,15 @@ def test_failing_symbol_draw_reaches_the_caller(monkeypatch):
 
 
 def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
-    # three sweeps of one trial per chunk, each with its own noise
-    # worker, on more threads than cores with a short switch interval: a
-    # chunk that read a buffer while its worker refilled it would change
-    # bits
+    # three sweeps of one trial per chunk, each with its own draw worker,
+    # on more threads than cores with a short switch interval: a chunk
+    # that read a buffer while its worker refilled it would change bits
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     qam16 = make_qam("qam16")
     points = sweep_points(cfg)
     reference = list(run_sweep_ensemble(scene, points, qam16, 12, seed=5))
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 7 * 16 * 16 * 16)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 3 * 16 * 16 * 16)
     outputs = [None] * 3
 
     def run(k):
@@ -365,33 +442,6 @@ def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
             for name in ARRAYS:
                 assert np.array_equal(getattr(result, name),
                                       getattr(ref, name)), name
-
-
-def test_sweep_frees_each_result_before_building_the_next(monkeypatch):
-    # in a one-chunk sweep each point's result is built when the sweep
-    # reaches it; the generator must not keep the previous one alive then
-    cfg = critical_config(16, 16, k_ref=8)
-    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
-    qpsk = make_qam("qpsk")
-    points = sweep_points(cfg)
-    refs = []
-    real = pipeline.chi_stats
-
-    def checking(*args):
-        assert all(ref() is None for ref in refs), len(refs)
-        return real(*args)
-    monkeypatch.setattr(pipeline, "chi_stats", checking)
-    arrays = []
-    for result in run_sweep_ensemble(scene, points, qpsk, trials=3, seed=5):
-        refs.append(weakref.ref(result))
-        arrays.append({name: getattr(result, name).copy() for name in ARRAYS})
-        del result
-    assert len(refs) == len(points)
-    monkeypatch.setattr(pipeline, "chi_stats", real)
-    for (cfg_n, spec), kept in zip(points, arrays):
-        alone = run_point_ensemble(scene, cfg_n, qpsk, spec, trials=3, seed=5)
-        for name in ARRAYS:
-            assert np.array_equal(kept[name], getattr(alone, name)), name
 
 
 def test_ensemble_needs_a_deterministic_reference():
@@ -478,66 +528,16 @@ def qam16_sweep_points(cfg):
     return points
 
 
-def test_sweep_holds_one_budget_of_shared_grids(monkeypatch):
-    # QAM16 rf/mf/wf x 2 SNRs reads three grids per trial from several
-    # points (rf and mf noise, mf signal).  A sweep of several chunks
-    # focuses them for every trial of its chunk, and sizes the chunk so
-    # that its draws, the next chunk's symbols and noise and these three
-    # grids fit the budget: 6 grids per trial.  So at any focus call at
-    # most 3 per trial of the chunk are alive besides rf's F(channel * act)
-    # and the signal and noise buffers that both wf points' own grids
-    # reuse; each point's clean image is a scratch grid, not a focused
-    # one.  Budgets of 10 and 20 grids give chunks of 1 and 3 trials.
-    cfg = critical_config(16, 16, k_ref=8)
-    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
-    grid_bytes = 16 * 16 * 16
-    images = []  # a weak reference to every focused grid
-    most = []
-    drawn = []
-    real = pipeline.focusing_operator
-    real_draw = pipeline.gen_symbol_grid
-
-    def tracking(*args, **kwargs):
-        focus = real(*args, **kwargs)
-
-        def tracked(x, out=None):
-            # distinct grids alive: a buffer focused again counts once
-            most.append(len({ref().ctypes.data for ref in images
-                             if ref() is not None}))
-            image = focus(x, out=out)
-            images.append(weakref.ref(image))
-            return image
-        return tracked
-
-    def recording(*args, **kwargs):
-        drawn.append(kwargs["trials"])
-        return real_draw(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "focusing_operator", tracking)
-    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
-    for budget, trials, chunk in ((10, 12, 1), (20, 24, 3)):
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget * grid_bytes)
-        most.clear()
-        drawn.clear()
-        for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),
-                                         make_qam("qam16"), trials=trials,
-                                         seed=5):
-            del result
-        # the largest chunk whose 6 grids per trial fit the budget
-        assert 6 * chunk * grid_bytes <= pipeline._CHUNK_BYTES
-        assert 6 * (chunk + 1) * grid_bytes > pipeline._CHUNK_BYTES
-        assert drawn == [chunk] * (trials // chunk), (budget, trials)
-        assert max(most) <= 3 * chunk + 3, (budget, trials)
-
-
 def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
-    # a QAM16 sweep of several chunks focuses every per-trial grid into a
-    # buffer it allocated beforehand: one for each of the three shared
-    # grids and the signal and noise buffers that both wf points reuse.
-    # Only F(channel * act), once per sweep, is a fresh grid.  The buffers
-    # do not grow with the trial count, and no result array shares memory
-    # with one
+    # QAM16 rf/mf/wf x 2 SNRs reads 8 distinct canonical grids: rf's
+    # F(channel * act), the rf and mf noise grids, the mf signal grid, and
+    # each wf point's signal and noise grids.  Every trial focuses the 7
+    # that change between trials into buffers allocated once, one per
+    # grid; F(channel * act) of the deterministic scene is focused once,
+    # into a fresh grid, and the random-target scene's once per trial into
+    # an eighth buffer.  The buffers do not change with the trial count or
+    # the chunk budget, and no result array shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
-    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     outs = []
     real = pipeline.focusing_operator
 
@@ -549,30 +549,36 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
             return focus(x, out=out)
         return recorded
     monkeypatch.setattr(pipeline, "focusing_operator", recording)
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
-    counts = []
-    for trials in (6, 12):  # chunks of 1 trial
-        outs.clear()
-        results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
-                                          make_qam("qam16"), trials, seed=5))
-        assert len(outs) == 7 * trials + 1
-        assert sum(out is None for out in outs) == 1
-        buffers = [out for out in outs if out is not None]
-        counts.append((len({id(out) for out in buffers}),
-                       len({out.ctypes.data for out in buffers})))
-        for result in results:
-            for name in ARRAYS:
-                assert not any(np.shares_memory(getattr(result, name), buf)
-                               for buf in buffers), name
-    assert counts[0] == counts[1] and counts[0][1] == 5
+    scenes = ((single_target_scene(cfg, k_bin=8, m_bin=8), 7),
+              (random_target_scene(cfg)[0], 8))
+    for scene, per_trial in scenes:
+        once = per_trial == 7  # the deterministic scene's F(channel * act)
+        # chunks of one trial, of one and three, and one chunk
+        for budget in (1, 4, 1 << 10):
+            monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
+                                budget * 16 * 16 * 16)
+            for trials in (6, 12):
+                outs.clear()
+                results = run_sweep_ensemble(
+                    scene, qam16_sweep_points(cfg), make_qam("qam16"),
+                    trials, seed=5)
+                assert len(outs) == per_trial * trials + once
+                assert sum(out is None for out in outs) == once
+                buffers = [out for out in outs if out is not None]
+                assert len({out.ctypes.data for out in buffers}) == per_trial
+                for result in results:
+                    for name in ARRAYS:
+                        assert not any(
+                            np.shares_memory(getattr(result, name), buf)
+                            for buf in buffers), name
 
 
 def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
-    # a noisy QAM16 sweep holds 6 grids per trial of a chunk (its draws,
-    # the next chunk's symbols and noise, three shared grids), so a budget
-    # of 12 streams chunks of 2 trials.  The worker draws every chunk's
-    # symbols into one of two buffers, alternately, so it allocates no
-    # symbol stack, and the buffers do not grow with the trial count
+    # a noisy sweep holds 3 grids per trial of a chunk (its draws and the
+    # next chunk's symbols and noise), so a budget of 12 streams chunks of
+    # 4 trials.  The worker draws every chunk's symbols into one of two
+    # buffers, alternately, so it allocates no symbol stack, and the
+    # buffers do not grow with the trial count
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
@@ -590,7 +596,7 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
         results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
                                           make_qam("qam16"), trials, seed=5))
         assert [out.shape for _, out in calls] == [
-            (min(2, trials - start), 16, 16) for start in range(0, trials, 2)]
+            (min(4, trials - start), 16, 16) for start in range(0, trials, 4)]
         assert not any(main for main, _ in calls)
         assert not any(out.flags.owndata for _, out in calls)
         bases = [out.ctypes.data for _, out in calls]
@@ -608,9 +614,10 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                                                         monkeypatch):
-    # each trial's peaks, mse and mse_calibrated, and the mean power
-    # images, rebuilt with a fresh grid for every product, focused image
-    # and reduction, equal the sweep's bit for bit; the two MSEs also stay
+    # each trial's peaks, mse and mse_calibrated, and the mean power cuts,
+    # rebuilt with a fresh grid for every product, focused image and
+    # reduction, equal the sweep's bit for bit, and the cuts equal those of
+    # whole mean |.|^2 images; the two MSEs and the total power also stay
     # within 1e-13 of the |.|^2 sums they replace.  128x128 grids pass
     # numpy's 256 KiB temporary-elision threshold, past which numpy reuses
     # the fresh chain's temporaries in place too.  The random target gives
@@ -628,7 +635,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
     for scene in random_target_scene(cfg):
         results = list(run_sweep_ensemble(scene, points, qam, trials,
                                           seed=5))
-        sums = [(np.zeros((128, 128)), np.zeros((128, 128))) for _ in points]
+        sums = [(np.zeros((128, 128)), np.zeros((128, 128)), [])
+                for _ in points]
         focus = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
         amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
         k_q, m_q = results[0].peak_bin
@@ -638,7 +646,7 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
             # every operand is named: numpy swaps a product's operands when
             # it writes into a temporary, and the complex product's
             # round-off depends on their order
-            for (cfg_n, spec), result, (clean_sum, noisy_sum) in zip(
+            for (cfg_n, spec), result, (clean_sum, noisy_sum, totals) in zip(
                     points, results, sums):
                 reads = pipeline._focus_reads(qam, spec)
                 if reads.signal is None:
@@ -662,6 +670,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                         == noisy[k_q, m_q] / result.alpha_ref)
                 clean_sum += np.abs(clean) ** 2
                 noisy_sum += np.abs(noisy) ** 2
+                values = noisy.view(float).ravel()
+                totals.append(float(np.einsum("i,i->", values, values)))
                 residual = noisy - ideal
                 values = residual.view(float).ravel()
                 assert result.mse[t] == float(
@@ -676,18 +686,21 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                 for value, old in zip(
                         (result.mse[t], result.mse_calibrated[t]), summed):
                     assert abs(value - old) <= 1e-13 * old
-        for result, (clean_sum, noisy_sum) in zip(results, sums):
-            assert np.array_equal(result.mean_noiseless_power,
-                                  clean_sum / trials)
-            assert np.array_equal(result.mean_noisy_power,
-                                  noisy_sum / trials)
+        for result, (clean_sum, noisy_sum, totals) in zip(results, sums):
+            cuts = power_cuts(noisy_sum / trials, clean_sum / trials,
+                              result.peak_bin)
+            total = cuts.pop("noisy_power_sum")
+            for name, want in cuts.items():
+                assert np.array_equal(getattr(result, name), want), name
+            assert result.noisy_power_sum == sum(totals) / trials
+            assert abs(result.noisy_power_sum - total) <= 1e-13 * total
 
 
 def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():
     # 64 trials of 128x128 grids span several chunks of the default
-    # budget.  The chunk's draws, the next chunk's noise and its three
-    # shared grids share that budget, so the sweep peaks below two budgets,
-    # its per-point reductions and working grids included
+    # budget.  The chunk's draws and the next chunk's share that budget,
+    # so the sweep peaks below two budgets, its 7 canonical grids, scratch
+    # grids and per-point reductions included
     cfg = critical_config(128, 128, k_ref=64)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +368,17 @@ def test_spa_out_of_support_is_zero():
     res = spa_spectrum(np.ones(64), a=0.01, b=0.0, m_count=64, p=-30)
     assert res.value == 0
     assert not res.in_support
+
+
+def test_spa_short_or_zero_envelope_does_not_warn():
+    # an envelope under 4 samples has no interior to compare, and an
+    # all-zero one no peak to scale by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short = spa_spectrum(np.ones(3), a=0.5, b=0.0, m_count=3, p=0)
+        zero = spa_spectrum(np.zeros(64), a=0.01, b=0.0, m_count=64, p=2)
+    assert short.in_support and zero.in_support
+    assert zero.value == 0
 
 
 def test_spa_validation_and_warning():

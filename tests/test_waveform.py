@@ -193,6 +193,15 @@ def test_nr_config_derived_quantities():
     assert cfg.azimuth_pitch_m == pytest.approx(50 * 1.25 / 30e3, rel=1e-12)
 
 
+def test_radar_config_needs_half_a_symbol_of_aperture():
+    # the aperture is rounded to whole sent symbols
+    cfg = nr_config(PLATFORM)
+    t_sent = cfg.symbol_duration_s + cfg.cp_duration_s
+    assert replace(cfg, aperture_time_s=0.6 * t_sent).n_symbols == 1
+    with pytest.raises(ConfigurationError, match="shorter than one OFDM"):
+        replace(cfg, aperture_time_s=0.4 * t_sent)
+
+
 def test_speed_of_light_is_exact_si_value():
     assert SPEED_OF_LIGHT == 299_792_458.0
 
