@@ -13,7 +13,8 @@ from .errors import (CapacityError, ConfigurationError, GeometryError,
 from .geometry import (PlatformGeometry, envelope_to_phase_rate_ratio,
                        mean_range, slant_range)
 from .waveform import (Constellation, FilterStats, RadarConfig, SrsConfig,
-                       chi_stats, gen_symbol_grid, make_qam, nr_config)
+                       chi_stats, gen_symbol_grid, gen_symbol_indices,
+                       make_qam, nr_config)
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
 from .echo import (build_channel_matrix, check_cp_margin, draw_noise,
                    grid_from_bytes, grid_to_bytes, synthesize_echo)
@@ -41,7 +42,7 @@ __all__ = [
     "PlatformGeometry", "envelope_to_phase_rate_ratio", "mean_range",
     "slant_range",
     "Constellation", "FilterStats", "RadarConfig", "SrsConfig", "chi_stats",
-    "gen_symbol_grid", "make_qam", "nr_config",
+    "gen_symbol_grid", "gen_symbol_indices", "make_qam", "nr_config",
     "PointTarget", "Scene", "load_scene_pgm", "make_point_scene",
     "build_channel_matrix", "check_cp_margin", "draw_noise",
     "grid_from_bytes", "grid_to_bytes", "synthesize_echo",

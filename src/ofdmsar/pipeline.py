@@ -13,6 +13,14 @@ the noisy and the noiseless image).  The points share one set of draws
 built once per sweep, or per trial from its amplitudes when the scene has
 random targets.  run_point_ensemble is the one-point sweep.
 
+A trial draws its symbols as alphabet indices (waveform.gen_symbol_indices,
+one or two bytes per cell, the sentinel index `order` on inactive cells)
+and, in a noisy sweep, its unit noise.  Every gain kind is a function of
+the symbol alone, so each gain spec has two tables over
+constellation.table, its gain g and chi = s * g, both 0 at the sentinel,
+built once per sweep with tf_filter.filter_gains; a trial gathers them at
+its indices and never forms a complex symbol grid.
+
 The focusing operator F is linear, so each point's images are real
 multiples of a few canonical focused grids.  Its noisy image is
 clean + sigma * c * F(z * g_ref), with sigma = sqrt(noise_var / 2) and z
@@ -21,43 +29,57 @@ QPSK) every gain is a real multiple of conj(s), so g_ref = conj(s) and c
 is 1/rho for rf, 1 for mf and 1/(rho + 1/SNR) for wf; otherwise g_ref is
 the point's own gain grid and c = 1, so all rf points share one noise
 grid, all mf points another, and each wf SNR has its own.  When
-chi = s * g is the same on every alphabet point (rf always; every filter
-of a constant-modulus alphabet) the noiseless image is
-chi * F(channel * act), act being the active cells; otherwise it is
-F(channel * s * g), shared by points with equal gains (mf across SNRs).
-Each distinct canonical grid is focused once per trial, or once per sweep
-when it does not change between trials (F(channel * act) of a
-deterministic scene), and every point that uses it reads it.  So a
-constant-modulus sweep focuses one grid per trial plus one per sweep
-instead of two per point and trial; QAM16 rf/mf/wf at two SNRs focuses 7
-per trial plus 1 instead of 12.  The choice follows from the alphabet and
-the filter specs alone, so a point run alone reads the same grids by the
-same formula and its bits do not depend on the rest of the sweep.
+chi is the same on every alphabet point (rf always; every filter of a
+constant-modulus alphabet) the noiseless image is chi * F(channel * act),
+act being the active cells; otherwise it is F(chi * channel), shared by
+points with equal gains (mf across SNRs).  Each distinct canonical grid
+is focused once per trial, or once per sweep when it does not change
+between trials (F(channel * act) of a deterministic scene), and every
+point that uses it reads it.  So a constant-modulus sweep focuses one
+grid per trial plus one per sweep instead of two per point and trial;
+QAM16 rf/mf/wf at two SNRs focuses 7 per trial plus 1 instead of 12.  The
+choice follows from the alphabet and the filter specs alone, so a point
+run alone reads the same grids by the same formula and its bits do not
+depend on the rest of the sweep.
 
-Trials run one at a time, in one order: a trial focuses every distinct
+The canonical grids stay in the range-Doppler domain, and every
+reduction is taken there.  F(x) = ifft_M(A * Y) with Y the operator's
+range_doppler(x) and A its azimuth multiplier, a phase with |A|^2 = N on
+every entry.  By Parseval, sum |ifft_M(v)|^2 = sum |v|^2 / M along each
+row, so sum |F(x)|^2 = (N / M) sum |Y|^2: the total power and both MSEs
+are (N / M) times sums of squares of range-Doppler grids, the ideal image
+entering as its range-Doppler form R = fft_M(ideal) / A.  The peaks, the
+azimuth cuts and the mainlobe read the image rows k_q - 1 .. k_q + 1,
+three M-point IFFTs of A * Y, and the range cut reads column m_q,
+sum_p Y * A e^{2 pi i p m_q / M} / M.  So no trial multiplies a whole grid
+by A or runs its azimuth IFFT.  Each trial takes the cuts once per
+canonical grid, and each point combines grids and cuts alike, in the
+operand order of the image-domain chain.
+
+Trials run one at a time, in one order: a trial takes every distinct
 canonical grid into its own buffer, then reduces every point from them.
 The sweep allocates these buffers once, one per distinct canonical grid,
 and three scratch grids, each only if some point needs it: chi * clean,
-the noisy image, and its residual, which also holds the gain grid while
-the trial is focused.  Every product, focus pass and reduction writes
-into them, in the operand order of the out-of-place chain, so a trial
-allocates no complex grid and the bits are those of fresh grids.  Each
-MSE and each noisy image's total power is a sum of squares over the
-grid's float64 view, never negative.
+the noisy grid, and its residual, which also holds a gathered gain grid
+while the trial is focused.  Every product, focus pass and reduction
+writes into them, so a trial allocates no complex grid.  Each MSE and
+each total power is a sum of squares over the grid's float64 view, never
+negative, computed without BLAS: its threads would compete with the draw
+worker for the cores.
 
-Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, one
-(N, M) complex grid per trial, draws them at once.  Otherwise each chunk
-holds as many trials as fit the budget with, per trial, the chunk's
-draws and the next chunk's symbols and, in a noisy sweep, its unit noise.
-One Philox generator per stream (symbols, noise, target amplitudes) lives
-across the chunks, so no result depends on the chunk size.  A sweep of
-several chunks draws chunk c + 1's symbols and unit noise on a worker
-thread while chunk c is focused, into two pairs of buffers it allocates
-once; the main thread draws only the target amplitudes, builds the
-channels, focuses and reduces.  Memory is the chunk's draws (with random
-targets, also its channels and ideal images) and the next chunk's, one
-grid per distinct canonical grid, the scratch grids, and O(N + M) per
-point besides its per-trial arrays.
+Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, at
+the index's itemsize plus 16 bytes of unit noise per cell in a noisy
+sweep, draws them at once.  Otherwise each chunk holds as many trials as
+fit the budget with the next chunk's draws.  One Philox generator per
+stream (symbols, noise, target amplitudes) lives across the chunks, so no
+result depends on the chunk size.  A sweep of several chunks draws chunk
+c + 1's indices and unit noise on a worker thread while chunk c is
+focused, into two pairs of buffers it allocates once; the main thread
+draws only the target amplitudes, builds the channels, focuses and
+reduces.  Memory is the chunk's draws (with random targets, also its
+channels and ideal images) and the next chunk's, one grid per distinct
+canonical grid, the scratch grids, and O(N + M) per point besides its
+per-trial arrays.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -83,7 +105,7 @@ from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
-                       gen_symbol_grid)
+                       gen_symbol_indices)
 
 # Bytes of the draws one chunk of trials holds, with the next chunk's in a
 # sweep of several chunks, so the draws held at once do not grow with the
@@ -99,10 +121,10 @@ MAINLOBE_HALFWIDTH_BINS = 1
 MAX_DOPPLER_STEP = 0.45
 
 
-def _chunk_trials(trials: int, n: int, m: int, stacks: int = 1) -> int:
-    """Trials per chunk: as many as fit the budget with `stacks` (N, M)
-    complex grids per trial."""
-    return max(1, min(trials, _CHUNK_BYTES // (stacks * 16 * n * m)))
+def _chunk_trials(trials: int, n: int, m: int, cell_bytes: int) -> int:
+    """Trials per chunk: as many as fit the budget at `cell_bytes` bytes
+    per (N, M) grid cell of each trial."""
+    return max(1, min(trials, _CHUNK_BYTES // (cell_bytes * n * m)))
 
 
 @dataclass(frozen=True)
@@ -183,35 +205,40 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-def _plan(grids) -> list:
-    """((part, gain spec), buffer) pairs as (gain spec, [(part, buffer),
-    ...]) groups, so that each gain grid is computed once per trial."""
-    groups: dict = {}
-    for (part, spec), out in grids:
-        groups.setdefault(spec, []).append((part, out))
-    return list(groups.items())
+class _Tables(NamedTuple):
+    """A gain spec's gain g and chi = s * g at every index of
+    constellation.table, both 0 at the sentinel."""
+
+    gain: np.ndarray
+    chi: np.ndarray
 
 
-def _focus_grids(focus, plan: list, gains: np.ndarray, channel: np.ndarray,
-                 symbols: np.ndarray, noise: Optional[np.ndarray],
+def _tables(constellation: Constellation, spec: FilterSpec) -> _Tables:
+    symbols = constellation.table
+    gain = filter_gains(symbols, spec)
+    return _Tables(gain, symbols * gain)
+
+
+def _focus_grids(range_doppler, grids: list, gains: np.ndarray,
+                 channel: np.ndarray, indices: np.ndarray,
+                 noise: Optional[np.ndarray],
                  mask: Optional[np.ndarray]) -> None:
-    """Focus one trial's canonical grids in place into their buffers, by a
-    _plan: ("signal", None) is F(channel * act), ("signal", spec) is
-    F(channel * s * g) and ("noise", spec) is F(z * g), g being the spec's
-    gain grid, which is written into `gains`."""
-    for spec, outs in plan:
-        if spec is not None:
-            filter_gains(symbols, spec, out=gains)
-        for part, out in outs:
-            if spec is None:
-                x = (channel if mask is None
-                     else np.multiply(channel, mask, out=out))
-            elif part == "signal":
-                x = np.multiply(channel, symbols, out=out)
-                x *= gains
-            else:
-                x = np.multiply(noise, gains, out=out)
-            focus(x, out=out)
+    """Take one trial's canonical grids to the range-Doppler domain in place
+    in their buffers, from (part, _Tables or None, buffer) triples:
+    ("signal", None) is channel * act, ("signal", spec) is
+    chi[indices] * channel and ("noise", spec) is noise * g[indices], the
+    gain g being gathered into `gains`."""
+    for part, tables, out in grids:
+        if tables is None:
+            x = (channel if mask is None
+                 else np.multiply(channel, mask, out=out))
+        elif part == "signal":
+            x = np.take(tables.chi, indices, out=out, mode="clip")
+            x *= channel
+        else:
+            np.take(tables.gain, indices, out=gains, mode="clip")
+            x = np.multiply(noise, gains, out=out)
+        range_doppler(x, out=out)
 
 
 def _power_sum(grid: np.ndarray) -> float:
@@ -270,48 +297,74 @@ def run_sweep_ensemble(scene: Scene,
         * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
     k_q, m_q = target_bin(ref, cfg0)
 
+    # the image's rows k_q - hw .. k_q + hw and its column m_q, read from
+    # the range-Doppler form Y of image = ifft_M(A * Y): the rows are
+    # M-point IFFTs of A * Y there, and the column is sum_p Y * W with
+    # W = A e^{2 pi i p m_q / M} / M, one row of W or one per range bin
+    # as A has
+    hw = MAINLOBE_HALFWIDTH_BINS
+    azimuth = focus.azimuth_multiplier
+    rows = np.arange(k_q - hw, k_q + hw + 1) % n
+    azimuth_rows = np.broadcast_to(azimuth, (n, m))[rows]
+    weights = azimuth * (np.exp(2j * np.pi * (np.arange(m) * m_q % m) / m)
+                         / m)
+    lobe = np.arange(m_q - hw, m_q + hw + 1) % m
+
+    def cut(grid):
+        """(grid, its image rows, its image column)."""
+        image_rows = np.multiply(grid[rows], azimuth_rows)
+        np.fft.ifft(image_rows, axis=-1, out=image_rows)
+        return grid, image_rows, np.einsum("...p,...p->...", grid, weights)
+
+    def truth(amplitudes=None):
+        """(channel, R), R = fft_M(ideal) / A being the ideal image's
+        range-Doppler form, so image - ideal = ifft_M(A * (Y - R))."""
+        channel = build_channel_matrix(scene, cfg0, amplitudes)
+        reference = ideal_reference_image(scene, cfg0, amplitudes)
+        np.fft.fft(reference, axis=-1, out=reference)
+        reference /= azimuth
+        return channel, reference
+
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = (_philox(seed, NOISE_STREAM)
                  if any(cfg.noise_var > 0 for cfg, _ in points) else None)
-    # (channel, ideal image): built once for a deterministic scene, per
-    # trial from its drawn amplitudes when the scene has random targets
+    # (channel, R): built once for a deterministic scene, per trial from
+    # its drawn amplitudes when the scene has random targets
     rcs_rng = (_philox(seed, RCS_STREAM)
                if any(t.amplitude_mode == "random" for t in scene.targets)
                else None)
-    fixed = (None if rcs_rng is not None else
-             (build_channel_matrix(scene, cfg0),
-              ideal_reference_image(scene, cfg0)))
+    fixed = truth() if rcs_rng is None else None
     reads = [_focus_reads(constellation, spec) for _, spec in points]
     # each point's canonical grids as (part, gain spec) keys: its noiseless
     # image's and, if it is noisy, its noise image's
     wants = [(("signal", r.signal),
               ("noise", r.noise) if cfg.noise_var > 0 else None)
              for (cfg, _), r in zip(points, reads)]
-    keys = dict.fromkeys(key for pair in wants for key in pair if key)
+    keys = list(dict.fromkeys(key for pair in wants for key in pair if key))
+    slot = {key: i for i, key in enumerate(keys)}
+    tables = {spec: _tables(constellation, spec)
+              for spec in dict.fromkeys(spec for _, spec in keys)
+              if spec is not None}
 
     def empty(*shape):
         return np.empty(shape + (n, m), dtype=complex)
-    # one buffer per distinct canonical grid: F(channel * act) of a
-    # deterministic scene is focused once per sweep, every other grid once
-    # per trial by the one plan
-    at = {}
-    if rcs_rng is None and ("signal", None) in keys:
-        at[("signal", None)] = focus(
-            fixed[0] if mask is None else fixed[0] * mask)
-    per_trial = [key for key in keys if key not in at]
-    at.update((key, empty()) for key in per_trial)
-    plan = _plan((key, at[key]) for key in per_trial)
-    # the scratch grids: `diff` holds the gain grid while a trial is
-    # focused, then each residual
+    # each canonical grid's cut: F(channel * act) of a deterministic scene
+    # is taken once per sweep, every other grid once per trial into a
+    # buffer allocated here
+    taken = [None] * len(keys)
+    if fixed is not None and ("signal", None) in slot:
+        taken[slot[("signal", None)]] = cut(focus.range_doppler(
+            fixed[0] if mask is None else fixed[0] * mask))
+    per_trial = [i for i, cuts in enumerate(taken) if cuts is None]
+    grids = [(keys[i][0], tables.get(keys[i][1]), empty()) for i in per_trial]
+    # the scratch grids: `diff` holds a gain grid while a trial is focused,
+    # then each residual
     diff = empty()
     scaled = empty() if any(r.chi != 1.0 for r in reads) else None
     noisy_grid = empty() if noise_rng is not None else None
 
     stats = [chi_stats(constellation, spec) for _, spec in points]
-    hw = MAINLOBE_HALFWIDTH_BINS
-    lobe = np.ix_(np.arange(k_q - hw, k_q + hw + 1) % n,
-                  np.arange(m_q - hw, m_q + hw + 1) % m)
-    # per point: its reads resolved to buffers, and its result's arrays
+    # per point: its reads resolved to slots, and its result's arrays
     tasks = []
     for (cfg, _), r, stat, (signal, noise) in zip(points, reads, stats,
                                                    wants):
@@ -325,29 +378,35 @@ def run_sweep_ensemble(scene: Scene,
                     noiseless_range_power=np.zeros(n),
                     noiseless_azimuth_power=np.zeros(m))
         tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
-                      stat.chi_mean, at[signal], at[noise] if noise else None))
+                      stat.chi_mean, slot[signal],
+                      slot[noise] if noise else None))
+    # Parseval's factor from range-Doppler sums of squares to the image's
+    ratio = n / m
 
-    chunk = _chunk_trials(trials, n, m)
+    # bytes per cell of one trial's draws: its symbol index and, in a noisy
+    # sweep, its unit noise
+    cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
+    chunk = _chunk_trials(trials, n, m, cell)
     prefetch = chunk < trials
     if prefetch:
-        # per trial: the chunk's draws and the next chunk's symbols and, in
-        # a noisy sweep, its noise (drawn meanwhile) fit the budget together
-        chunk = _chunk_trials(trials, n, m, 2 + (noise_rng is not None))
+        # the chunk's draws and the next chunk's, drawn meanwhile, fit the
+        # budget together
+        chunk = _chunk_trials(trials, n, m, 2 * cell)
     starts = range(0, trials, chunk)
 
-    def draw(size, symbols=None, noise=None):
-        """A chunk's symbols and unit noise, in chunk order on each stream,
-        into the given buffers if any."""
-        symbols = gen_symbol_grid(cfg0, constellation, seed, mask=mask,
-                                  trials=size, rng=symbol_rng, out=symbols)
+    def draw(size, indices=None, noise=None):
+        """A chunk's symbol indices and unit noise, in chunk order on each
+        stream, into the given buffers if any."""
+        indices = gen_symbol_indices(cfg0, constellation, seed, mask=mask,
+                                     trials=size, rng=symbol_rng, out=indices)
         if noise_rng is None:
-            return symbols, [None] * size
-        return symbols, draw_noise(cfg0, seed, n_trials=size, unit=True,
+            return indices, [None] * size
+        return indices, draw_noise(cfg0, seed, n_trials=size, unit=True,
                                    rng=noise_rng, out=noise)
 
     # A sweep of several chunks draws chunk c + 1 on a worker thread while
     # chunk c is focused, into one of two pairs of buffers allocated here:
-    # the worker allocates no stack, only one (N, M) grid of symbol indices
+    # the worker allocates no stack, only one (N, M) grid of int64 indices
     # at a time, so no draw lands in its own malloc arena.  The symbol and
     # noise streams keep their draw order, and only the worker draws them.
     # Leaving the with statement, however the sweep ends, joins the worker.
@@ -358,51 +417,62 @@ def run_sweep_ensemble(scene: Scene,
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
         if prefetch:
-            symbol_bufs = empty(2, chunk)
+            index_bufs = np.empty((2, chunk, n, m),
+                                  dtype=constellation.index_dtype)
             noise_bufs = (np.empty((2, chunk, n, m, 2))
                           if noise_rng is not None else None)
 
             def fill(c):
                 size, b = min(chunk, trials - starts[c]), c % 2
                 return worker.submit(
-                    draw, size, symbol_bufs[b, :size],
+                    draw, size, index_bufs[b, :size],
                     None if noise_bufs is None else noise_bufs[b, :size])
             pending = fill(0)
         for c, start in enumerate(starts):
             size = min(chunk, trials - start)
             if prefetch:
-                grid, unit_noise = pending.result()
+                indices, unit_noise = pending.result()
                 # chunk c + 1 reuses chunk c - 1's buffers, read no more
                 pending = fill(c + 1) if c + 1 < len(starts) else None
             else:
-                grid, unit_noise = draw(size)
+                indices, unit_noise = draw(size)
             truths = ([fixed] * size if rcs_rng is None else
-                      [(build_channel_matrix(scene, cfg0, amps),
-                        ideal_reference_image(scene, cfg0, amps))
+                      [truth(amps)
                        for amps in scene.draw_amplitudes(rcs_rng, size)])
-            for i, (channel, ideal) in enumerate(truths):
+            for i, (channel, reference) in enumerate(truths):
                 t = start + i
-                _focus_grids(focus, plan, diff, channel, grid[i],
-                             unit_noise[i], mask)
+                _focus_grids(focus.range_doppler, grids, diff, channel,
+                             indices[i], unit_noise[i], mask)
+                for j, (_, _, out) in zip(per_trial, grids):
+                    taken[j] = cut(out)
                 for sums, chi, sigma, e_chi, signal, noise in tasks:
-                    clean = signal
+                    clean, clean_rows, clean_col = taken[signal]
                     if chi != 1.0:
                         clean = np.multiply(chi, clean, out=scaled)
-                    sums["noiseless_peaks"][t] = clean[k_q, m_q] / alpha_ref
-                    sums["noiseless_range_power"] += np.abs(clean[:, m_q]) ** 2
-                    sums["noiseless_azimuth_power"] += np.abs(clean[k_q]) ** 2
-                    noisy = clean
+                        clean_rows = chi * clean_rows
+                        clean_col = chi * clean_col
+                    sums["noiseless_peaks"][t] = (clean_rows[hw, m_q]
+                                                  / alpha_ref)
+                    sums["noiseless_range_power"] += np.abs(clean_col) ** 2
+                    sums["noiseless_azimuth_power"] += (
+                        np.abs(clean_rows[hw]) ** 2)
+                    noisy, noisy_rows, noisy_col = clean, clean_rows, clean_col
                     if noise is not None:
-                        noisy = np.multiply(sigma, noise, out=noisy_grid)
+                        z, z_rows, z_col = taken[noise]
+                        noisy = np.multiply(sigma, z, out=noisy_grid)
                         noisy += clean
-                    sums["noisy_peaks"][t] = noisy[k_q, m_q] / alpha_ref
-                    sums["noisy_power_sum"] += _power_sum(noisy)
-                    sums["noisy_mainlobe_power"] += np.abs(noisy[lobe]) ** 2
-                    sums["noisy_range_power"] += np.abs(noisy[:, m_q]) ** 2
-                    sums["noisy_azimuth_power"] += np.abs(noisy[k_q]) ** 2
-                    sums["mse"][t] = _residual_power(noisy, ideal, diff)
-                    sums["mse_calibrated"][t] = _residual_power(
-                        noisy, np.multiply(e_chi, ideal, out=diff),
+                        noisy_rows = sigma * z_rows + clean_rows
+                        noisy_col = sigma * z_col + clean_col
+                    sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
+                    sums["noisy_power_sum"] += ratio * _power_sum(noisy)
+                    sums["noisy_mainlobe_power"] += (
+                        np.abs(noisy_rows[:, lobe]) ** 2)
+                    sums["noisy_range_power"] += np.abs(noisy_col) ** 2
+                    sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
+                    sums["mse"][t] = ratio * _residual_power(
+                        noisy, reference, diff)
+                    sums["mse_calibrated"][t] = ratio * _residual_power(
+                        noisy, np.multiply(e_chi, reference, out=diff),
                         diff) / e_chi ** 2
             del truths  # free this chunk's channels before the next's
 

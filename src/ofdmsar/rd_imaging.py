@@ -19,7 +19,9 @@ centering shifts move into the multipliers, leaving
 with H the RCMC range-spectrum multiplier and A the azimuth matched phase
 times e^{j pi/4} sqrt(N), both ifftshifted to the FFT's Doppler order.
 A is one row for reference K_a (then the chain is ifft2(fft(x) * H A))
-and one row per output range bin in per_range_bin mode.  focus_image
+and one row per output range bin in per_range_bin mode.  Its
+range_doppler method stops before the outer multiply by A and IFFT,
+which scale sums of squares by the constant N / M.  focus_image
 returns the operator's result; focus_stages runs the staged functions,
 which build their multipliers with the same helpers, and returns every
 intermediate grid.
@@ -35,6 +37,7 @@ the chain does implicitly.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -272,35 +275,55 @@ def azimuth_compress(x: np.ndarray, cfg: RadarConfig,
         * np.sqrt(cfg.n_symbols)
 
 
+@dataclass(frozen=True, eq=False)
+class FocusingOperator:
+    """The chain tf -> ac as one precomputed linear map on (..., N, M) grids.
+
+    range_multiplier is the RCMC multiplier H and azimuth_multiplier the
+    azimuth matched phase times e^{j pi/4} sqrt(N), both ifftshifted to the
+    FFT's Doppler order; A = azimuth_multiplier has shape (1, M) for
+    reference K_a and (N, M) per range bin, and |A|^2 = N on every entry.
+    range_doppler(x) runs the first two passes, fft over symbols, times H
+    and ifft over subcarriers; calling the operator runs them and then
+    times A and ifft over symbols.  So the image is ifft_M(A * Y) with Y
+    the range-Doppler form, and sum |image|^2 = (N / M) sum |Y|^2.  Either
+    accepts one grid or a stack.  Called with out=buf, a complex128 array
+    of x's shape, every pass writes into buf, which is returned and may be
+    x itself; the bits do not depend on where the result is written.
+    """
+
+    range_multiplier: np.ndarray
+    azimuth_multiplier: np.ndarray
+
+    def range_doppler(self, tf_grid: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        # the first pass makes (or fills) the result; the rest run in place
+        grid = np.fft.fft(tf_grid, axis=-1, out=out)
+        grid *= self.range_multiplier
+        return np.fft.ifft(grid, axis=-2, out=grid)
+
+    def __call__(self, tf_grid: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        grid = self.range_doppler(tf_grid, out=out)
+        grid *= self.azimuth_multiplier
+        return np.fft.ifft(grid, axis=-1, out=grid)
+
+
 def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
                       rcmc_method: str = "windowed_sinc",
-                      ka_mode: str = "reference"):
-    """The chain tf -> ac as one precomputed linear map on (..., N, M) grids.
+                      ka_mode: str = "reference") -> FocusingOperator:
+    """The FocusingOperator of a run grid and reference range.
 
     Equal to range_compress -> azimuth_fft -> rcmc -> azimuth_compress up
     to round-off, at three FFT passes per grid instead of five; the RCMC
     multiplier and the matched phase are built once here, not per grid.
-    The returned function accepts one grid or a stack of them.  Called as
-    focus(x, out=buf), with buf a complex128 array of x's shape, it writes
-    all three passes into buf and returns it; buf may be x itself.  The
-    bits do not depend on where the result is written.
     """
     # the phase first, so that a static platform is reported as such
     phase = _matched_phase(cfg, ka_mode, r_bar_ref_m) \
         * (_SPA_RESIDUAL * np.sqrt(cfg.n_subcarriers))
     transfer = _rcmc_transfer(cfg, r_bar_ref_m, rcmc_method, RCMC_HALFWIDTH)
-    range_multiplier = np.fft.ifftshift(transfer, axes=-1)
-    azimuth_multiplier = np.fft.ifftshift(phase, axes=-1)
-
-    def focus(tf_grid: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-        # the first pass makes (or fills) the result; the rest run in place
-        grid = np.fft.fft(tf_grid, axis=-1, out=out)
-        grid *= range_multiplier
-        np.fft.ifft(grid, axis=-2, out=grid)
-        grid *= azimuth_multiplier
-        return np.fft.ifft(grid, axis=-1, out=grid)
-    return focus
+    return FocusingOperator(np.fft.ifftshift(transfer, axes=-1),
+                            np.fft.ifftshift(phase, axes=-1))
 
 
 def focus_image(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,

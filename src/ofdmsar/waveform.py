@@ -193,6 +193,18 @@ class Constellation:
         """E|s|^2, equal to 1 by construction."""
         return float(np.mean(np.abs(self.points) ** 2))
 
+    @property
+    def table(self) -> np.ndarray:
+        """The points followed by 0, the symbol of the sentinel index
+        `order` that marks an inactive cell."""
+        return np.append(self.points, 0.0)
+
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned integer type that holds the sentinel index
+        `order`: uint8 up to QAM64, uint16 for QAM256."""
+        return np.min_scalar_type(self.order)
+
 
 _QAM_NAMES = {"qpsk": 4, "qam16": 16, "qam64": 64, "qam256": 256}
 
@@ -275,22 +287,23 @@ NOISE_STREAM = 1
 RCS_STREAM = 2
 
 
-def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
-                    mask: Optional[np.ndarray] = None,
-                    trials: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw i.i.d. uniform constellation symbols on the N x M grid.
+def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
+                       seed: int, mask: Optional[np.ndarray] = None,
+                       trials: Optional[int] = None,
+                       rng: Optional[np.random.Generator] = None,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw i.i.d. uniform alphabet indices on the N x M grid.
 
-    The symbols come from a counter-based generator keyed by the seed, so
-    the result does not depend on any evaluation schedule.  Entries
-    outside the mask are set to zero, so the zero cells are the inactive
-    ones.  With trials=None the result is a single (N, M) grid; with an
-    integer it is a (trials, N, M) stack of independent realizations.  A
-    generator passed as rng replaces the seed's and is advanced, so
-    successive calls of c1, c2, ... trials on one generator equal one call
-    of their sum.  out, a complex array of the result's shape, takes the
-    symbols and is returned, so the call allocates no symbol grid.
+    Index j < order stands for constellation.points[j]; the cells outside
+    the mask hold the sentinel index `order`, whose entry in
+    constellation.table is 0.  The indices come from a counter-based
+    generator keyed by the seed, so the result does not depend on any
+    evaluation schedule.  With trials=None the result is a single (N, M)
+    grid; with an integer it is a (trials, N, M) stack of independent
+    realizations.  A generator passed as rng replaces the seed's and is
+    advanced, so successive calls of c1, c2, ... trials on one generator
+    equal one call of their sum.  out, an array of the result's shape and
+    constellation.index_dtype, takes the indices and is returned.
     """
     shape = (cfg.n_subcarriers, cfg.n_symbols)
     if mask is not None and mask.shape != shape:
@@ -299,17 +312,30 @@ def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
     if rng is None:
         rng = _philox(seed, SYMBOL_STREAM)
     if out is None:
-        out = np.empty(draw_shape, dtype=complex)
+        out = np.empty(draw_shape, dtype=constellation.index_dtype)
     # one grid of int64 indices at a time, which draws the same bits as one
-    # call over the stack; mode="clip" (the indices are in range) keeps
-    # np.take from buffering its output in a temporary
+    # call over the stack and holds one int64 grid, not a stack of them
     for grid in (out if trials is not None else out[np.newaxis]):
-        np.take(constellation.points,
-                rng.integers(0, constellation.order, size=shape),
-                out=grid, mode="clip")
+        grid[...] = rng.integers(0, constellation.order, size=shape)
     if mask is not None:
-        np.copyto(out, 0.0, where=~mask)
+        np.copyto(out, constellation.order, where=~mask)
     return out
+
+
+def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
+                    mask: Optional[np.ndarray] = None,
+                    trials: Optional[int] = None,
+                    rng: Optional[np.random.Generator] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The symbols of gen_symbol_indices' draw, with the same arguments:
+    constellation.table at the indices, so the zero cells are the inactive
+    ones.  out, a complex array of the result's shape, takes the symbols
+    and is returned."""
+    indices = gen_symbol_indices(cfg, constellation, seed, mask=mask,
+                                 trials=trials, rng=rng)
+    # mode="clip" (the indices are in range) keeps np.take from buffering
+    # its output in a temporary
+    return np.take(constellation.table, indices, out=out, mode="clip")
 
 
 # Sounding reference combs ------------------------------------------------

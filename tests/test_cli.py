@@ -474,8 +474,9 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
 
 def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
     # every (snr, filter) point reuses one draw, channel and operator,
-    # wherever the name is looked up; the stage artifacts draw trial 0's
-    # symbols, noise and channel once more, and nothing without a stage
+    # wherever the name is looked up; the ensemble draws symbol indices,
+    # and the stage artifacts draw trial 0's symbols, noise and channel
+    # once more, and nothing without a stage
     calls = {}
 
     def counting(module, name):
@@ -487,7 +488,7 @@ def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     shared = ("build_channel_matrix", "focusing_operator", "gen_symbol_grid",
-              "draw_noise", "ideal_reference_image")
+              "gen_symbol_indices", "draw_noise", "ideal_reference_image")
     for module in (cli, echo, pipeline):
         for name in shared:
             if hasattr(module, name):
@@ -500,22 +501,26 @@ def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
             snr_in_db=[0, 5], filter={"kind": "all"}, outputs=outputs))
         run_scenario(scenario, tmp_path / f"out{draws}")
         assert calls == {"build_channel_matrix": draws,
-                         "gen_symbol_grid": draws, "draw_noise": draws,
+                         "gen_symbol_indices": 1, "draw_noise": draws,
                          "focusing_operator": 1,
-                         "ideal_reference_image": 1}, outputs
+                         "ideal_reference_image": 1,
+                         **({"gen_symbol_grid": 1} if draws == 2 else {})
+                         }, outputs
 
 
 def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
-    # trials stream through chunks sized from a byte budget; one trial per
-    # chunk and all trials in one chunk write the same bytes
+    # trials stream through chunks sized from a byte budget, 18 bytes per
+    # cell of a noisy QAM256 trial's draws (a uint16 index and the complex
+    # unit noise); one trial per chunk and all trials in one chunk write
+    # the same bytes
     stages = ["tf", "rc", "rd", "rcmc", "ac"]
     scenario = parse_config(config_text(
         snr_in_db=[0, 5], filter={"kind": "all"},
         outputs={"images": stages, "grids": stages}))
     outs = []
     for chunk in (1, scenario.trials):
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * N * M)
-        assert pipeline._chunk_trials(scenario.trials, N, M) == chunk
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 18 * N * M)
+        assert pipeline._chunk_trials(scenario.trials, N, M, 18) == chunk
         outs.append(run_scenario(scenario, tmp_path / f"chunk{chunk}"))
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())

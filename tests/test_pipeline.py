@@ -15,11 +15,11 @@ from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
                               run_point_ensemble, run_sweep_ensemble)
 from ofdmsar.metrics import ideal_reference_image
-from ofdmsar.rd_imaging import focus_image
+from ofdmsar.rd_imaging import FocusingOperator, focus_image
 from ofdmsar.scene import Scene
 from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
 from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
-                              gen_symbol_grid, make_qam)
+                              gen_symbol_grid, gen_symbol_indices, make_qam)
 
 PER_TRIAL = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated")
 ARRAYS = PER_TRIAL + ("noisy_power_sum", "noisy_mainlobe_power",
@@ -71,6 +71,23 @@ def power_cuts(noisy_power, clean_power, peak_bin):
             "noiseless_azimuth_power": clean_power[k]}
 
 
+def record_range_doppler(monkeypatch, record):
+    """Calls record(x, out) on every range_doppler pass, the one focusing
+    step a sweep runs."""
+    real = FocusingOperator.range_doppler
+
+    def recorded(self, x, out=None):
+        record(x, out)
+        return real(self, x, out=out)
+    monkeypatch.setattr(FocusingOperator, "range_doppler", recorded)
+
+
+def draw_cell_bytes(constellation, noisy):
+    """Bytes per (N, M) cell of one trial's draws: its symbol index and, in
+    a noisy sweep, its complex unit noise."""
+    return constellation.index_dtype.itemsize + 16 * noisy
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_sweep_equals_single_point_runs(masked):
     cfg = critical_config(16, 16, k_ref=8)
@@ -106,17 +123,9 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
-    real = pipeline.focusing_operator
-
-    def counting(*args, **kwargs):
-        focus = real(*args, **kwargs)
-
-        def counted(x, out=None):
-            calls.append(x.shape)
-            return focus(x, out=out)
-        return counted
-    monkeypatch.setattr(pipeline, "focusing_operator", counting)
+    record_range_doppler(monkeypatch, lambda x, out: calls.append(x.shape))
     if chunk is not None:
+        # chunks of one trial, drawn on the worker
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
     points = []
     for snr in (1.0, 10.0):
@@ -132,7 +141,8 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     assert set(calls) == {(16, 16)}
 
 
-def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
+def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
+               rcmc_method="windowed_sinc", ka_mode="reference"):
     """Each trial's images focused on their own, as the filtered-echo
     model defines them, reduced like an EnsembleResult."""
     symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask,
@@ -151,9 +161,9 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
         ideal = ideal_reference_image(scene, cfg, amps[t])
         gains = filter_gains(symbols[t], spec)
         clean = focus_image(channel * symbols[t] * gains, cfg,
-                            result.r_bar_ref_m)
+                            result.r_bar_ref_m, rcmc_method, ka_mode)
         noisy = clean + focus_image(scale * unit[t] * gains, cfg,
-                                    result.r_bar_ref_m)
+                                    result.r_bar_ref_m, rcmc_method, ka_mode)
         out["noiseless_peaks"].append(clean[k_q, m_q] / result.alpha_ref)
         out["noisy_peaks"].append(noisy[k_q, m_q] / result.alpha_ref)
         out["mse"].append(np.sum(np.abs(noisy - ideal) ** 2))
@@ -166,21 +176,36 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result):
     return {**{name: np.array(value) for name, value in out.items()}, **cuts}
 
 
-@pytest.mark.parametrize("name, masked, random", [("qpsk", True, False),
-                                                  ("qam16", False, False),
-                                                  ("qpsk", False, True)])
-def test_shared_focusing_moves_results_by_round_off_only(name, masked,
-                                                         random):
-    cfg = critical_config(16, 16, k_ref=8)
+@pytest.mark.parametrize("name, masked, random, shape, options", [
+    pytest.param("qpsk", True, False, (16, 16), {}, id="qpsk-True-False"),
+    pytest.param("qam16", False, False, (16, 16), {}, id="qam16-False-False"),
+    pytest.param("qpsk", False, True, (16, 16), {}, id="qpsk-False-True"),
+    # A with one row per range bin, on a grid with N != M
+    pytest.param("qam16", False, True, (16, 24), {"ka_mode": "per_range_bin"},
+                 id="per_range_bin"),
+    pytest.param("qam64", False, False, (24, 16),
+                 {"rcmc_method": "phase_ramp"}, id="phase_ramp"),
+    # QAM256 indices are uint16, the comb's sentinel being 256
+    pytest.param("qam256", True, False, (16, 16), {}, id="qam256-comb"),
+    # one trial per chunk, drawn on the worker
+    pytest.param("qam16", True, True, (16, 16), {"budget": 1},
+                 id="multi-chunk")])
+def test_shared_focusing_moves_results_by_round_off_only(
+        name, masked, random, shape, options, monkeypatch):
+    options = dict(options)
+    if "budget" in options:
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", options.pop("budget"))
+    cfg = critical_config(*shape, k_ref=8)
     scene = (random_target_scene(cfg)[0] if random else
              single_target_scene(cfg, k_bin=8, m_bin=8))
     mask = comb_mask(cfg) if masked else None
     qam = make_qam(name)
     points = sweep_points(cfg)
     swept = run_sweep_ensemble(scene, points, qam, trials=2, seed=5,
-                               mask=mask)
+                               mask=mask, **options)
     for (cfg_n, spec), result in zip(points, swept):
-        expected = recomputed(scene, cfg_n, spec, qam, 2, 5, mask, result)
+        expected = recomputed(scene, cfg_n, spec, qam, 2, 5, mask, result,
+                              **options)
         for array in ARRAYS:
             want = expected[array]
             error = np.max(np.abs(getattr(result, array) - want))
@@ -243,12 +268,12 @@ def test_sweep_rejects_an_undersampled_azimuth_chirp(monkeypatch):
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     draws = []
-    real = pipeline.gen_symbol_grid
+    real = pipeline.gen_symbol_indices
 
     def recording(*args, **kwargs):
         draws.append(kwargs.get("trials"))
         return real(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
+    monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
     fc_bound = 3.5e9 * pipeline.MAX_DOPPLER_STEP * 16
     above = replace(cfg, fc_hz=fc_bound * (1 + 1e-9))
     with pytest.raises(InvalidParameterError, match="undersamples"):
@@ -288,13 +313,14 @@ def test_report_rejects_an_output_snr_beyond_float_range():
 def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                                                points, mask=None):
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
-    # the random targets' amplitudes included.  All 15 trials fit a budget
-    # of 15 grids, so it runs one chunk.  A sweep of several chunks fits
-    # per trial its draws, the next chunk's symbols and, in a noisy sweep,
-    # its noise (both drawn meanwhile on a worker thread) in the budget.
-    # So a budget of 14 grids gives chunks of 14 // (2 + noisy) trials.
+    # the random targets' amplitudes included.  The budget counts a trial's
+    # draws at draw_cell_bytes per cell: all 15 trials fit a budget of 15
+    # trials' draws, so it runs one chunk.  A sweep of several chunks fits
+    # per trial its draws and the next chunk's (drawn meanwhile on a worker
+    # thread) in the budget, so a budget of 8 trials' draws gives chunks of 4
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
+    cell = draw_cell_bytes(constellation, noisy)
     trials = 15
     drawn = {"symbols": [], "noise": []}
 
@@ -303,18 +329,16 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
             drawn[stream].append(kwargs.get("trials", kwargs.get("n_trials")))
             return draw(*args, **kwargs)
         return recorded
-    monkeypatch.setattr(pipeline, "gen_symbol_grid",
-                        recording("symbols", pipeline.gen_symbol_grid))
+    monkeypatch.setattr(pipeline, "gen_symbol_indices",
+                        recording("symbols", pipeline.gen_symbol_indices))
     monkeypatch.setattr(pipeline, "draw_noise",
                         recording("noise", pipeline.draw_noise))
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
         runs = []
-        for budget, chunk in ((1, 1), (14, 14 // (2 + noisy)),
-                              (trials, trials)):
-            assert chunk > 1 or budget == 1
+        for budget, chunk in ((1, 1), (8, 4), (trials, trials)):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
-                                budget * 16 * 16 * 16)
+                                budget * cell * 16 * 16)
             drawn["symbols"].clear()
             drawn["noise"].clear()
             runs.append(list(run_sweep_ensemble(scene, points, constellation,
@@ -358,9 +382,10 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
 
 
 def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
-    """A 16x16 sweep that streams several chunks: one trial per chunk for
-    the noisy sweep, two for the noiseless point."""
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 4 * 16 * 16 * 16)
+    """A 16x16 QPSK sweep that streams chunks of two trials: the budget
+    holds four trials' draws, two of the chunk and two of the next."""
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
+                        4 * draw_cell_bytes(make_qam("qpsk"), noisy) * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
     points = sweep_points(cfg) if noisy else [(cfg, FilterSpec("mf"))]
     return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
@@ -407,7 +432,7 @@ def test_failing_noise_fill_reaches_the_caller(monkeypatch):
 
 
 def test_failing_symbol_draw_reaches_the_caller(monkeypatch):
-    assert_failing_draw_reaches_the_caller(monkeypatch, "gen_symbol_grid")
+    assert_failing_draw_reaches_the_caller(monkeypatch, "gen_symbol_indices")
 
 
 def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
@@ -504,11 +529,15 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
 
 
 def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
-    # 64 trials of 128x128 grids make 16 MiB (T, N, M) complex stacks; a
-    # 1 MiB budget streams them four trials at a time
+    # 64 trials of 128x128 grids make a 16 MiB (T, N, M) complex noise
+    # stack and a 2 MiB uint16 index stack.  A 1 MiB budget holds 3
+    # trials' draws at 18 bytes per cell, fewer than 64, so it streams
+    # them with the next chunk's drawn meanwhile, one trial at a time
     cfg = critical_config(128, 128, k_ref=64).with_noise(0.5, snr_in_linear=2)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 20)
+    assert pipeline._chunk_trials(64, 128, 128, 18) == 3
+    assert pipeline._chunk_trials(64, 128, 128, 2 * 18) == 1
     tracemalloc.start()
     try:
         run_point_ensemble(scene, cfg, make_qam("qam256"), FilterSpec("mf"),
@@ -531,30 +560,23 @@ def qam16_sweep_points(cfg):
 def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads 8 distinct canonical grids: rf's
     # F(channel * act), the rf and mf noise grids, the mf signal grid, and
-    # each wf point's signal and noise grids.  Every trial focuses the 7
-    # that change between trials into buffers allocated once, one per
-    # grid; F(channel * act) of the deterministic scene is focused once,
-    # into a fresh grid, and the random-target scene's once per trial into
-    # an eighth buffer.  The buffers do not change with the trial count or
-    # the chunk budget, and no result array shares memory with one
+    # each wf point's signal and noise grids.  Every trial takes the 7
+    # that change between trials to the range-Doppler domain in buffers
+    # allocated once, one per grid; F(channel * act) of the deterministic
+    # scene is taken once, into a fresh grid, and the random-target
+    # scene's once per trial into an eighth buffer.  The buffers do not
+    # change with the trial count or the chunk budget, and no result array
+    # shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
     outs = []
-    real = pipeline.focusing_operator
-
-    def recording(*args, **kwargs):
-        focus = real(*args, **kwargs)
-
-        def recorded(x, out=None):
-            outs.append(out)
-            return focus(x, out=out)
-        return recorded
-    monkeypatch.setattr(pipeline, "focusing_operator", recording)
+    record_range_doppler(monkeypatch, lambda x, out: outs.append(out))
     scenes = ((single_target_scene(cfg, k_bin=8, m_bin=8), 7),
               (random_target_scene(cfg)[0], 8))
     for scene, per_trial in scenes:
         once = per_trial == 7  # the deterministic scene's F(channel * act)
-        # chunks of one trial, of one and three, and one chunk
-        for budget in (1, 4, 1 << 10):
+        # chunks of one trial, of three (12 trials; 6 fit one chunk), and
+        # one chunk
+        for budget in (1, 8, 1 << 10):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
                                 budget * 16 * 16 * 16)
             for trials in (6, 12):
@@ -574,29 +596,33 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
 
 
 def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
-    # a noisy sweep holds 3 grids per trial of a chunk (its draws and the
-    # next chunk's symbols and noise), so a budget of 12 streams chunks of
-    # 4 trials.  The worker draws every chunk's symbols into one of two
-    # buffers, alternately, so it allocates no symbol stack, and the
+    # a noisy QAM16 sweep holds 17 bytes per cell of a trial's draws (a
+    # uint8 index and the complex unit noise), and a chunk's draws and the
+    # next chunk's share the budget, so a budget of 8 trials' draws streams
+    # chunks of 4 trials.  The worker draws every chunk's indices into one
+    # of two buffers, alternately, so it allocates no index stack, and the
     # buffers do not grow with the trial count
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
-    real = pipeline.gen_symbol_grid
+    real = pipeline.gen_symbol_indices
 
     def recording(*args, **kwargs):
         calls.append((threading.current_thread() is threading.main_thread(),
                       kwargs.get("out")))
         return real(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "gen_symbol_grid", recording)
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 12 * 16 * 16 * 16)
+    monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
+    cell = draw_cell_bytes(make_qam("qam16"), noisy=True)
+    assert cell == 17
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 8 * cell * 16 * 16)
     addresses = []
-    for trials in (13, 25):  # more than the budget's 12 grids
+    for trials in (13, 25):  # more than the budget's 8 trials
         calls.clear()
         results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
                                           make_qam("qam16"), trials, seed=5))
         assert [out.shape for _, out in calls] == [
             (min(4, trials - start), 16, 16) for start in range(0, trials, 4)]
+        assert all(out.dtype == np.uint8 for _, out in calls)
         assert not any(main for main, _ in calls)
         assert not any(out.flags.owndata for _, out in calls)
         bases = [out.ctypes.data for _, out in calls]
@@ -615,94 +641,189 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
 def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                                                         monkeypatch):
     # each trial's peaks, mse and mse_calibrated, and the mean power cuts,
-    # rebuilt with a fresh grid for every product, focused image and
-    # reduction, equal the sweep's bit for bit, and the cuts equal those of
-    # whole mean |.|^2 images; the two MSEs and the total power also stay
-    # within 1e-13 of the |.|^2 sums they replace.  128x128 grids pass
-    # numpy's 256 KiB temporary-elision threshold, past which numpy reuses
-    # the fresh chain's temporaries in place too.  The random target gives
-    # the channel generic values, whose products round differently in
-    # another operand order; the reference target alone makes the sweep
-    # focus F(channel) once and read it in every trial
+    # rebuilt by the range-Doppler formulas with a fresh grid for every
+    # gather, product, focus pass and reduction, equal the sweep's bit for
+    # bit.  The two MSEs and the total power also stay within 1e-13 of the
+    # |.|^2 sums over the focused images they stand for, the range cuts
+    # within 1e-13 of those of whole mean |.|^2 images, and the azimuth
+    # cuts and the mainlobe equal theirs.  128x160 grids pass numpy's
+    # 256 KiB temporary-elision threshold, past which numpy reuses the
+    # fresh chain's temporaries in place too, and N != M weighs the
+    # range-Doppler sums by N / M.  The random target gives the channel generic values,
+    # whose products round differently in another operand order; the
+    # reference target alone makes the sweep take F(channel) once and read
+    # it in every trial
     if chunked:
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 128 * 16)
-    cfg = critical_config(128, 128, k_ref=64)
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 160 * 16)
+    n, m = 128, 160
+    cfg = critical_config(n, m, k_ref=64)
     qam = make_qam(name)
     points = sweep_points(cfg)
     trials = 3
-    symbols = gen_symbol_grid(cfg, qam, 5, trials=trials)
+    indices = gen_symbol_indices(cfg, qam, 5, trials=trials)
     unit = draw_noise(cfg, 5, n_trials=trials, unit=True)
+    hw = pipeline.MAINLOBE_HALFWIDTH_BINS
     for scene in random_target_scene(cfg):
         results = list(run_sweep_ensemble(scene, points, qam, trials,
                                           seed=5))
-        sums = [(np.zeros((128, 128)), np.zeros((128, 128)), [])
-                for _ in points]
-        focus = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
-        amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+        operator = pipeline.focusing_operator(cfg, results[0].r_bar_ref_m)
+        a = operator.azimuth_multiplier
         k_q, m_q = results[0].peak_bin
+        rows = np.arange(k_q - hw, k_q + hw + 1) % n
+        a_rows = np.broadcast_to(a, (n, m))[rows]
+        weights = a * (np.exp(2j * np.pi * (np.arange(m) * m_q % m) / m)
+                       / m)
+        lobe = np.arange(m_q - hw, m_q + hw + 1) % m
+
+        def cuts(y):
+            """The image rows k_q - hw .. k_q + hw and column m_q of y."""
+            image_rows = np.fft.ifft(y[rows] * a_rows, axis=-1)
+            return image_rows, np.einsum("...p,...p->...", y, weights)
+
+        def image(y):
+            return np.fft.ifft(y * a, axis=-1)
+        sums = [{"clean_range": np.zeros(n), "clean_azimuth": np.zeros(m),
+                 "noisy_range": np.zeros(n), "noisy_azimuth": np.zeros(m),
+                 "noisy_lobe": np.zeros((3, 3)), "totals": [],
+                 "clean_images": np.zeros((n, m)),
+                 "noisy_images": np.zeros((n, m)), "image_totals": []}
+                for _ in points]
+        amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
         for t in range(trials):
             channel = build_channel_matrix(scene, cfg, amps[t])
             ideal = ideal_reference_image(scene, cfg, amps[t])
+            reference = np.fft.fft(ideal, axis=-1) / a
             # every operand is named: numpy swaps a product's operands when
             # it writes into a temporary, and the complex product's
             # round-off depends on their order
-            for (cfg_n, spec), result, (clean_sum, noisy_sum, totals) in zip(
-                    points, results, sums):
+            for (cfg_n, spec), result, acc in zip(points, results, sums):
                 reads = pipeline._focus_reads(qam, spec)
                 if reads.signal is None:
-                    clean = focus(channel)
+                    clean = operator.range_doppler(channel)
                 else:
-                    gains = filter_gains(symbols[t], reads.signal)
-                    clean = focus(channel * symbols[t] * gains)
+                    gain = filter_gains(qam.table, reads.signal)
+                    chi_table = qam.table * gain
+                    chi = chi_table[indices[t]]
+                    clean = operator.range_doppler(chi * channel)
+                clean_rows, clean_col = cuts(clean)
+                # the focused images, combined as the image-domain chain did
+                clean_image = image(clean)
                 if reads.chi != 1.0:
                     clean = reads.chi * clean
-                noisy = clean
+                    clean_rows = reads.chi * clean_rows
+                    clean_col = reads.chi * clean_col
+                    clean_image = reads.chi * clean_image
+                noisy, noisy_rows, noisy_col = clean, clean_rows, clean_col
+                noisy_image = clean_image
                 if cfg_n.noise_var > 0:
-                    gains = filter_gains(symbols[t], reads.noise)
-                    noise = focus(unit[t] * gains)
-                    sigma = np.sqrt(cfg_n.noise_var / 2.0)
-                    noisy = sigma * reads.scale * noise
+                    gain_table = filter_gains(qam.table, reads.noise)
+                    gains = gain_table[indices[t]]
+                    noise = operator.range_doppler(unit[t] * gains)
+                    noise_rows, noise_col = cuts(noise)
+                    sigma = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale
+                    noisy = sigma * noise
                     noisy += clean
-                e_chi = result.stats.chi_mean
+                    noisy_rows = sigma * noise_rows + clean_rows
+                    noisy_col = sigma * noise_col + clean_col
+                    noisy_image = sigma * image(noise)
+                    noisy_image += clean_image
                 assert (result.noiseless_peaks[t]
-                        == clean[k_q, m_q] / result.alpha_ref)
+                        == clean_rows[hw, m_q] / result.alpha_ref)
                 assert (result.noisy_peaks[t]
-                        == noisy[k_q, m_q] / result.alpha_ref)
-                clean_sum += np.abs(clean) ** 2
-                noisy_sum += np.abs(noisy) ** 2
+                        == noisy_rows[hw, m_q] / result.alpha_ref)
+                acc["clean_range"] += np.abs(clean_col) ** 2
+                acc["clean_azimuth"] += np.abs(clean_rows[hw]) ** 2
+                acc["noisy_range"] += np.abs(noisy_col) ** 2
+                acc["noisy_azimuth"] += np.abs(noisy_rows[hw]) ** 2
+                acc["noisy_lobe"] += np.abs(noisy_rows[:, lobe]) ** 2
                 values = noisy.view(float).ravel()
-                totals.append(float(np.einsum("i,i->", values, values)))
-                residual = noisy - ideal
+                acc["totals"].append(
+                    n / m * float(np.einsum("i,i->", values, values)))
+                e_chi = result.stats.chi_mean
+                residual = noisy - reference
                 values = residual.view(float).ravel()
-                assert result.mse[t] == float(
+                assert result.mse[t] == n / m * float(
                     np.einsum("i,i->", values, values))
-                scaled_ideal = e_chi * ideal
-                residual = noisy - scaled_ideal
+                scaled_reference = e_chi * reference
+                residual = noisy - scaled_reference
                 values = residual.view(float).ravel()
-                assert result.mse_calibrated[t] == float(
+                assert result.mse_calibrated[t] == n / m * float(
                     np.einsum("i,i->", values, values)) / e_chi ** 2
-                summed = (float(np.sum(np.abs(noisy - ideal) ** 2)),
-                          float(np.sum(np.abs(noisy / e_chi - ideal) ** 2)))
+                acc["clean_images"] += np.abs(clean_image) ** 2
+                acc["noisy_images"] += np.abs(noisy_image) ** 2
+                acc["image_totals"].append(
+                    float(np.sum(np.abs(noisy_image) ** 2)))
+                summed = (
+                    float(np.sum(np.abs(noisy_image - ideal) ** 2)),
+                    float(np.sum(np.abs(noisy_image / e_chi - ideal) ** 2)))
                 for value, old in zip(
                         (result.mse[t], result.mse_calibrated[t]), summed):
                     assert abs(value - old) <= 1e-13 * old
-        for result, (clean_sum, noisy_sum, totals) in zip(results, sums):
-            cuts = power_cuts(noisy_sum / trials, clean_sum / trials,
-                              result.peak_bin)
-            total = cuts.pop("noisy_power_sum")
-            for name, want in cuts.items():
+        for result, acc in zip(results, sums):
+            exact = {"noisy_power_sum": sum(acc["totals"]) / trials,
+                     "noisy_mainlobe_power": acc["noisy_lobe"] / trials,
+                     "noisy_range_power": acc["noisy_range"] / trials,
+                     "noisy_azimuth_power": acc["noisy_azimuth"] / trials,
+                     "noiseless_range_power": acc["clean_range"] / trials,
+                     "noiseless_azimuth_power": acc["clean_azimuth"] / trials}
+            for name, want in exact.items():
                 assert np.array_equal(getattr(result, name), want), name
-            assert result.noisy_power_sum == sum(totals) / trials
-            assert abs(result.noisy_power_sum - total) <= 1e-13 * total
+            whole = power_cuts(acc["noisy_images"] / trials,
+                               acc["clean_images"] / trials, result.peak_bin)
+            whole["noisy_power_sum"] = sum(acc["image_totals"]) / trials
+            # the rows are the image's own bits; the column and the total
+            # are sums in another order
+            for name, want in whole.items():
+                if name in ("noisy_mainlobe_power", "noisy_azimuth_power",
+                            "noiseless_azimuth_power"):
+                    assert np.array_equal(getattr(result, name), want), name
+                error = np.max(np.abs(getattr(result, name) - want))
+                assert error <= 1e-13 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64", "qam256"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gain_tables_gather_the_filter_gains_bit_for_bit(name, masked):
+    # a sweep gathers each spec's gains g and chi = s * g from tables over
+    # the alphabet and the sentinel.  numpy's complex division may round
+    # one small table differently from a large grid: the gathered tables
+    # must equal filter_gains on the 128x160 symbol grid and s times it
+    # bit for bit, every filter at several SNRs, with and without the
+    # comb.  With a comb, QAM256's sentinel 256 needs uint16 indices, and
+    # every table holds 0 there
+    cfg = critical_config(128, 160, k_ref=64)
+    qam = make_qam(name)
+    mask = comb_mask(cfg) if masked else None
+    indices = gen_symbol_indices(cfg, qam, 5, mask=mask)
+    symbols = gen_symbol_grid(cfg, qam, 5, mask=mask)
+    assert indices.dtype == (np.uint16 if name == "qam256" else np.uint8)
+    assert (indices[~mask] == qam.order).all() if masked else (
+        indices < qam.order).all()
+    specs = [FilterSpec("rf"), FilterSpec("mf")] + [
+        FilterSpec("wf", snr_in_linear=10.0 ** (snr_db / 10.0))
+        for snr_db in (-20.0, -5.0, 0.0, 5.0, 20.0, 60.0)]
+    for spec in specs:
+        tables = pipeline._tables(qam, spec)
+        assert tables.gain[qam.order] == 0 and tables.chi[qam.order] == 0
+        gains = filter_gains(symbols, spec)
+        assert np.take(tables.gain, indices).tobytes() == gains.tobytes(), (
+            spec)
+        chi = symbols * gains
+        assert np.take(tables.chi, indices).tobytes() == chi.tobytes(), spec
 
 
 def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():
     # 64 trials of 128x128 grids span several chunks of the default
-    # budget.  The chunk's draws and the next chunk's share that budget,
-    # so the sweep peaks below two budgets, its 7 canonical grids, scratch
-    # grids and per-point reductions included
+    # budget: at 17 bytes per cell of a trial's draws (a uint8 QAM16 index
+    # and the complex unit noise) it holds 30 trials' draws, and with the
+    # next chunk's drawn meanwhile, chunks of 15.  The chunk's draws and
+    # the next chunk's share that budget, so the sweep peaks below two
+    # budgets, its 7 canonical grids, scratch grids and per-point
+    # reductions included
     cfg = critical_config(128, 128, k_ref=64)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    assert pipeline._chunk_trials(64, 128, 128, 17) == 30
+    assert pipeline._chunk_trials(64, 128, 128, 2 * 17) == 15
     tracemalloc.start()
     try:
         for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),

@@ -15,7 +15,7 @@ from ofdmsar.pipeline import pilot_comb_mask
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import (SPEED_OF_LIGHT, SYMBOL_STREAM, RadarConfig,
                               SrsConfig, _philox, chi_stats, gen_symbol_grid,
-                              make_qam, nr_config)
+                              gen_symbol_indices, make_qam, nr_config)
 
 PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)
 
@@ -400,6 +400,30 @@ def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
     assert grid is out
     assert np.array_equal(out, allocated)
     assert np.array_equal(out, reference)
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64", "qam256"])
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gen_symbol_grid_gathers_the_index_draw(name, trials, masked):
+    # the symbols are the points followed by 0 at the drawn indices, the
+    # sentinel index `order` on the masked cells, bit for bit; the indices
+    # take the alphabet's smallest unsigned type that holds the sentinel
+    cfg = small_cfg()
+    con = make_qam(name)
+    mask = None
+    if masked:
+        mask = np.zeros((32, 40), dtype=bool)
+        mask[1::4, :] = True
+    indices = gen_symbol_indices(cfg, con, seed=8, mask=mask, trials=trials)
+    assert indices.shape == (trials, 32, 40)
+    assert indices.dtype == np.min_scalar_type(con.order)
+    assert con.table.tobytes() == np.append(con.points, 0.0).tobytes()
+    symbols = gen_symbol_grid(cfg, con, seed=8, mask=mask, trials=trials)
+    assert symbols.tobytes() == np.take(con.table, indices).tobytes()
+    active = np.ones((32, 40), dtype=bool) if mask is None else mask
+    assert (indices[:, ~active] == con.order).all()
+    assert (indices[:, active] < con.order).all()
 
 
 def test_symbol_grid_shape_validation():
