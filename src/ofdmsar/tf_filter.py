@@ -45,19 +45,16 @@ class FilterSpec:
                     f"snr_in_linear must be > 0, got {self.snr_in_linear}")
 
 
-def filter_gains(symbols: np.ndarray, spec: FilterSpec,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+def filter_gains(symbols: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """The element-wise gain grid g, exactly zero on the inactive resource
-    elements, which are the zero symbols.  out, a complex128 array of the
-    symbols' shape, takes the gains and is returned."""
+    elements, which are the zero symbols."""
     s = np.asarray(symbols)
     active = s != 0
     if spec.kind == "rf":
-        g = np.divide(1.0, s, out=np.empty_like(s) if out is None else out,
-                      where=active)
+        g = np.divide(1.0, s, out=np.empty_like(s), where=active)
     else:
         # in place: the gains are the only full grid this allocates
-        g = np.conj(s, out=out)
+        g = np.conj(s)
         if spec.kind == "wf":
             g /= np.abs(s) ** 2 + 1.0 / spec.snr_in_linear
     g[~active] = 0.0

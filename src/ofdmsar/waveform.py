@@ -324,18 +324,13 @@ def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
 
 def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
                     mask: Optional[np.ndarray] = None,
-                    trials: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+                    trials: Optional[int] = None) -> np.ndarray:
     """The symbols of gen_symbol_indices' draw, with the same arguments:
     constellation.table at the indices, so the zero cells are the inactive
-    ones.  out, a complex array of the result's shape, takes the symbols
-    and is returned."""
+    ones."""
     indices = gen_symbol_indices(cfg, constellation, seed, mask=mask,
-                                 trials=trials, rng=rng)
-    # mode="clip" (the indices are in range) keeps np.take from buffering
-    # its output in a temporary
-    return np.take(constellation.table, indices, out=out, mode="clip")
+                                 trials=trials)
+    return np.take(constellation.table, indices)
 
 
 # Sounding reference combs ------------------------------------------------

@@ -356,32 +356,35 @@ def test_gen_symbol_grid_batch_matches_single():
 
 
 def test_gen_symbol_grid_chunks_continue_one_stream():
-    # successive draws from one generator equal one batch bit for bit, also
-    # when a chunk holds an odd number of cells, and also drawn into one
-    # buffer chunk by chunk
+    # successive index draws from one generator equal one batch bit for
+    # bit, also when a chunk holds an odd number of cells, and also drawn
+    # into one buffer chunk by chunk; the symbols gather that one draw
     cfg = small_cfg(n=3, m=5)
     con = make_qam("qam16")
     mask = np.ones((3, 5), dtype=bool)
     mask[1, ::2] = False
-    whole = gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=5)
+    whole = gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=5)
     rng = _philox(4, SYMBOL_STREAM)
-    chunks = [gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size,
-                              rng=rng) for size in (1, 1, 3)]
+    chunks = [gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=size,
+                                 rng=rng) for size in (1, 1, 3)]
     assert np.array_equal(np.concatenate(chunks), whole)
     rng = _philox(4, SYMBOL_STREAM)
-    buffer = np.empty((5, 3, 5), dtype=complex)
+    buffer = np.empty((5, 3, 5), dtype=con.index_dtype)
     for start, size in ((0, 1), (1, 1), (2, 3)):
-        gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=size, rng=rng,
-                        out=buffer[start:start + size])
+        gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=size, rng=rng,
+                           out=buffer[start:start + size])
     assert np.array_equal(buffer, whole)
+    symbols = gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=5)
+    assert symbols.tobytes() == np.take(con.table, buffer).tobytes()
 
 
 @pytest.mark.parametrize("name", ["qpsk", "qam256"])
 @pytest.mark.parametrize("trials", [None, 3])
 @pytest.mark.parametrize("masked", [False, True])
 def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
-    # symbols drawn into out equal the allocating call's, and points[indices]
-    # with the indices of the whole draw taken in one call, bit for bit
+    # indices drawn into out equal the allocating call's, and the indices
+    # of the whole draw taken in one call with the sentinel on the masked
+    # cells, bit for bit; the symbols are points[indices], 0 when masked
     cfg = small_cfg()
     con = make_qam(name)
     mask = None
@@ -389,17 +392,21 @@ def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
         mask = np.zeros((32, 40), dtype=bool)
         mask[1::4, :] = True  # a comb of every fourth subcarrier
     shape = (32, 40) if trials is None else (trials, 32, 40)
-    indices = _philox(6, SYMBOL_STREAM).integers(0, con.order, size=shape)
-    reference = con.points[indices]
+    reference = _philox(6, SYMBOL_STREAM).integers(0, con.order, size=shape)
     if masked:
-        reference[..., ~mask] = 0.0
-    allocated = gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials)
-    out = np.full(shape, np.nan, dtype=complex)
-    grid = gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials,
-                           out=out)
-    assert grid is out
+        reference[..., ~mask] = con.order
+    allocated = gen_symbol_indices(cfg, con, seed=6, mask=mask, trials=trials)
+    out = np.full(shape, np.iinfo(con.index_dtype).max, dtype=con.index_dtype)
+    indices = gen_symbol_indices(cfg, con, seed=6, mask=mask, trials=trials,
+                                 out=out)
+    assert indices is out
     assert np.array_equal(out, allocated)
     assert np.array_equal(out, reference)
+    symbols = con.points[np.minimum(reference, con.order - 1)]
+    if masked:
+        symbols[..., ~mask] = 0.0
+    assert np.array_equal(
+        gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials), symbols)
 
 
 @pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64", "qam256"])
