@@ -44,7 +44,8 @@ from .metrics import MIN_PROFILE_BINS, target_bin
 from .pipeline import (MAINLOBE_HALFWIDTH_BINS, MAX_DOPPLER_STEP,
                        EnsembleResult, pilot_comb_mask, point_target_report,
                        run_sweep_ensemble)
-from .rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
+from .rd_imaging import (KA_MODES, RCMC_METHODS, azimuth_compress,
+                         azimuth_fft, range_compress, rcmc)
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
 from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
@@ -459,26 +460,37 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
 def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
                             constellation: Constellation,
                             mask: Optional[np.ndarray], out_dir: Path) -> None:
-    """Stage images/grids (rd_imaging.focus_stages) of the result's trial 0,
-    drawn again by the single-trial chain; nothing is drawn when no stage
-    is requested."""
-    wanted = set(scenario.outputs.images) | set(scenario.outputs.grids)
+    """Stage images/grids of the result's trial 0, drawn again by the
+    single-trial chain and focused by the staged functions, as
+    rd_imaging.focus_stages does.  Each stage's artifacts are written as
+    soon as it exists and it is dropped once the next is made, so at most
+    two stage grids are alive; the chain stops at the last requested
+    stage, and nothing is drawn when no stage is requested."""
+    outputs = scenario.outputs
+    wanted = set(outputs.images) | set(outputs.grids)
     if not wanted:
         return
-    cfg, seed = result.cfg, scenario.seed
+    cfg, seed, r_bar = result.cfg, scenario.seed, result.r_bar_ref_m
     symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask)
-    tf = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols, seed),
-                         symbols, result.filter_spec)
-    stages = {"tf": tf}
-    if wanted - {"tf"}:
-        stages = focus_stages(tf, cfg, result.r_bar_ref_m,
-                              scenario.rcmc_method, scenario.ka_mode)
-    for stage in scenario.outputs.images:
-        (out_dir / f"image_{stage}.pgm").write_bytes(
-            emit_pgm(stages[stage], scenario.outputs.db_floor))
-    for stage in scenario.outputs.grids:
-        (out_dir / f"grid_{stage}.bin").write_bytes(
-            grid_to_bytes(stages[stage], stage=stage))
+    grid = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols, seed),
+                           symbols, result.filter_spec)
+    del symbols
+    steps = {"rc": lambda x: range_compress(x, cfg),
+             "rd": lambda x: azimuth_fft(x, cfg),
+             "rcmc": lambda x: rcmc(x, cfg, r_bar, scenario.rcmc_method),
+             "ac": lambda x: azimuth_compress(x, cfg, r_bar, scenario.ka_mode)}
+    for stage in STAGE_CODES:
+        if stage in steps:
+            grid = steps[stage](grid)
+        if stage in outputs.images:
+            (out_dir / f"image_{stage}.pgm").write_bytes(
+                emit_pgm(grid, outputs.db_floor))
+        if stage in outputs.grids:
+            (out_dir / f"grid_{stage}.bin").write_bytes(
+                grid_to_bytes(grid, stage=stage))
+        wanted.discard(stage)
+        if not wanted:
+            return
 
 
 def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:

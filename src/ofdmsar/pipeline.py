@@ -46,26 +46,53 @@ The canonical grids stay in the range-Doppler domain, and every
 reduction is taken there.  F(x) = ifft_M(A * Y) with Y the operator's
 range_doppler(x) and A its azimuth multiplier, a phase with |A|^2 = N on
 every entry.  By Parseval, sum |ifft_M(v)|^2 = sum |v|^2 / M along each
-row, so sum |F(x)|^2 = (N / M) sum |Y|^2: the total power and both MSEs
-are (N / M) times sums of squares of range-Doppler grids, the ideal image
-entering as its range-Doppler form R = fft_M(ideal) / A.  The peaks, the
-azimuth cuts and the mainlobe read the image rows k_q - 1 .. k_q + 1,
-three M-point IFFTs of A * Y, and the range cut reads column m_q,
-sum_p Y * A e^{2 pi i p m_q / M} / M.  So no trial multiplies a whole grid
-by A or runs its azimuth IFFT.  Each trial takes the cuts once per
-canonical grid, and each point combines grids and cuts alike, in the
-operand order of the image-domain chain.
+row, so sum |F(x)|^2 = (N / M) sum |Y|^2 and Re <F(x), F(y)> =
+(N / M) Re <Y_x, Y_y>: the total power and both MSEs are N / M times sums
+over range-Doppler grids, the ideal image entering as its range-Doppler
+form R = fft_M(ideal) / A.  The peaks, the azimuth cuts and the mainlobe
+read the image rows k_q - 1 .. k_q + 1, three M-point IFFTs of A * Y, and
+the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M} / M.  So
+no trial multiplies a whole grid by A or runs its azimuth IFFT.
+
+Each trial reduces every distinct canonical grid once, and each point
+combines those reductions with scalars alone, so a point costs O(N + M)
+per trial whatever the grid.  A point's noisy grid is chi S + sigma Z, S
+and Z its signal and noise grids, and is never formed:
+
+  total          = chi^2 |S|^2 + 2 chi sigma Re <S, Z> + sigma^2 |Z|^2
+  mse            = |chi S - R|^2 + 2 sigma Re <chi S - R, Z> + sigma^2 |Z|^2
+  mse_calibrated = the same with E[chi] R for R, over E[chi]^2
+
+The peaks and cuts combine the grids' rows and columns in the operand
+order of the image-domain chain, as before.  The numerics follow three
+rules.  A residual between correlated grids, |chi S - c R|^2 for c = 1
+and c = E[chi], is always a sum of squares of a formed grid,
+chi^2 |S - (c / chi) R|^2, never expanded into |S|^2 - 2 Re <S, R> +
+|R|^2, which cancels to round-off and goes negative.  Only the
+independent noise is split out, and its cross terms are taken against
+S - R and R: Re <chi S - c R, Z> = chi Re <S - R, Z> + (chi - c) Re <R, Z>
+and Re <S, Z> = Re <S - R, Z> + Re <R, Z>.  A cross term's round-off is
+then that of the residual itself, plus |chi - c| |R| |Z| eps, where
+taking chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the
+residual.  And what does not change between trials is reduced once per
+sweep, before the draws are allocated: F(channel * act) of a
+deterministic scene, with its sums of squares, cuts and residuals.  So a
+trial takes, per per-trial signal grid, its cuts, |S|^2 and each
+|S - k R|^2, and leaves S - R in its buffer; per noise grid its cuts,
+|Z|^2 and Re <R, Z>; and Re <S - R, Z> per (signal, noise) pair that
+some point reads.  A QPSK sweep, whose points all read one noise grid,
+makes one sum of squares and two inner products per trial at any number
+of points.  Every sum is over the grids' float64 views, computed without
+BLAS: its threads would compete with the draw worker for the cores.
 
 Trials run one at a time, in one order: a trial takes every distinct
-canonical grid into its own buffer, then reduces every point from them.
-The sweep allocates these buffers once, one per distinct canonical grid,
-and three scratch grids, each only if some point needs it: chi * clean,
-the noisy grid, and its residual, which also holds a gathered gain grid
-while the trial is focused.  Every product, focus pass and reduction
-writes into them, so a trial allocates no complex grid.  Each MSE and
-each total power is a sum of squares over the grid's float64 view, never
-negative, computed without BLAS: its threads would compete with the draw
-worker for the cores.
+canonical grid into its own buffer, gathering each gain straight into
+it, then reduces every grid and every point.  The sweep allocates these
+buffers once, one per distinct per-trial canonical grid, plus one
+scratch grid for S - k R with k != 1 only where some signal grid is
+drawn per trial; a deterministic scene's F(channel * act) is held as
+S - R next to R, and its channel is dropped unless a per-trial signal
+grid reads it.  So a trial allocates no complex grid.
 
 Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, at
 the index's itemsize plus 16 bytes of unit noise per cell in a noisy
@@ -78,8 +105,8 @@ focused, into two pairs of buffers it allocates once; the main thread
 draws only the target amplitudes, builds the channels, focuses and
 reduces.  Memory is the chunk's draws (with random targets, also its
 channels and ideal images) and the next chunk's, one grid per distinct
-canonical grid, the scratch grids, and O(N + M) per point besides its
-per-trial arrays.
+canonical grid, R, the scratch grid where there is one, and O(N + M) per
+point besides its per-trial arrays.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -219,15 +246,14 @@ def _tables(constellation: Constellation, spec: FilterSpec) -> _Tables:
     return _Tables(gain, symbols * gain)
 
 
-def _focus_grids(range_doppler, grids: list, gains: np.ndarray,
-                 channel: np.ndarray, indices: np.ndarray,
-                 noise: Optional[np.ndarray],
+def _focus_grids(range_doppler, grids: list, channel: np.ndarray,
+                 indices: np.ndarray, noise: Optional[np.ndarray],
                  mask: Optional[np.ndarray]) -> None:
     """Take one trial's canonical grids to the range-Doppler domain in place
     in their buffers, from (part, _Tables or None, buffer) triples:
     ("signal", None) is channel * act, ("signal", spec) is
-    chi[indices] * channel and ("noise", spec) is noise * g[indices], the
-    gain g being gathered into `gains`."""
+    chi[indices] * channel and ("noise", spec) is noise * g[indices], each
+    table gathered straight into the grid's buffer."""
     for part, tables, out in grids:
         if tables is None:
             x = (channel if mask is None
@@ -236,8 +262,8 @@ def _focus_grids(range_doppler, grids: list, gains: np.ndarray,
             x = np.take(tables.chi, indices, out=out, mode="clip")
             x *= channel
         else:
-            np.take(tables.gain, indices, out=gains, mode="clip")
-            x = np.multiply(noise, gains, out=out)
+            np.take(tables.gain, indices, out=out, mode="clip")
+            x = np.multiply(noise, out, out=out)
         range_doppler(x, out=out)
 
 
@@ -249,10 +275,24 @@ def _power_sum(grid: np.ndarray) -> float:
     return float(np.einsum("i,i->", values, values))
 
 
-def _residual_power(image: np.ndarray, reference: np.ndarray,
-                    out: np.ndarray) -> float:
-    """sum |image - reference|^2, with the residual written into out."""
-    return _power_sum(np.subtract(image, reference, out=out))
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> = sum Re(a conj(b)) of two contiguous grids, over their
+    float64 (re, im) views, without BLAS."""
+    return float(np.einsum("i,i->", a.view(float).ravel(),
+                           b.view(float).ravel()))
+
+
+class _Taken(NamedTuple):
+    """One canonical grid's per-trial reductions: the image rows
+    k_q - hw .. k_q + hw and the image column m_q, sum |Y|^2 of its
+    range-Doppler form Y, and, for a signal grid S, sum |S - k R|^2 for
+    each residual scale k it was asked for.  A signal grid's buffer holds
+    S - R afterwards."""
+
+    rows: np.ndarray
+    col: np.ndarray
+    power: float
+    residuals: dict
 
 
 def run_sweep_ensemble(scene: Scene,
@@ -310,11 +350,25 @@ def run_sweep_ensemble(scene: Scene,
                          / m)
     lobe = np.arange(m_q - hw, m_q + hw + 1) % m
 
-    def cut(grid):
-        """(grid, its image rows, its image column)."""
+    def take(grid, reference=None, scales=(), diff=None):
+        """The _Taken of a range-Doppler grid.  A signal grid S, given R
+        and its residual scales, forms each S - k R with k != 1 in `diff`
+        from k * R, then leaves S - R in its own buffer."""
         image_rows = np.multiply(grid[rows], azimuth_rows)
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
-        return grid, image_rows, np.einsum("...p,...p->...", grid, weights)
+        col = np.einsum("...p,...p->...", grid, weights)
+        power = _power_sum(grid)
+        residuals = {}
+        if reference is not None:
+            for k in scales:
+                if k != 1.0:
+                    np.multiply(k, reference, out=diff)
+                    residuals[k] = _power_sum(
+                        np.subtract(grid, diff, out=diff))
+            grid -= reference
+            if 1.0 in scales:
+                residuals[1.0] = _power_sum(grid)
+        return _Taken(image_rows, col, power, residuals)
 
     def truth(amplitudes=None):
         """(channel, R), R = fft_M(ideal) / A being the ideal image's
@@ -346,26 +400,12 @@ def run_sweep_ensemble(scene: Scene,
               for spec in dict.fromkeys(spec for _, spec in keys)
               if spec is not None}
 
-    def empty(*shape):
-        return np.empty(shape + (n, m), dtype=complex)
-    # each canonical grid's cut: F(channel * act) of a deterministic scene
-    # is taken once per sweep, every other grid once per trial into a
-    # buffer allocated here
-    taken = [None] * len(keys)
-    if fixed is not None and ("signal", None) in slot:
-        taken[slot[("signal", None)]] = cut(focus.range_doppler(
-            fixed[0] if mask is None else fixed[0] * mask))
-    per_trial = [i for i, cuts in enumerate(taken) if cuts is None]
-    grids = [(keys[i][0], tables.get(keys[i][1]), empty()) for i in per_trial]
-    # the scratch grids: `diff` holds a gain grid while a trial is focused,
-    # then each residual
-    diff = empty()
-    scaled = empty() if any(r.chi != 1.0 for r in reads) else None
-    noisy_grid = empty() if noise_rng is not None else None
-
     stats = [chi_stats(constellation, spec) for _, spec in points]
-    # per point: its reads resolved to slots, and its result's arrays
+    # per point: its reads resolved to slots and residual scales, and its
+    # result's arrays.  chi S - c R = chi (S - k R) with k = c / chi, for
+    # c = 1 (mse) and c = E[chi] (mse_calibrated)
     tasks = []
+    scales = {}
     for (cfg, _), r, stat, (signal, noise) in zip(points, reads, stats,
                                                    wants):
         sums = dict(noiseless_peaks=np.empty(trials, dtype=complex),
@@ -377,9 +417,46 @@ def run_sweep_ensemble(scene: Scene,
                     noisy_azimuth_power=np.zeros(m),
                     noiseless_range_power=np.zeros(n),
                     noiseless_azimuth_power=np.zeros(m))
+        e_chi = stat.chi_mean
+        ks = (1.0 / r.chi, e_chi / r.chi)
+        scales.setdefault(slot[signal], {}).update(dict.fromkeys(ks))
         tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
-                      stat.chi_mean, slot[signal],
+                      e_chi, ks, slot[signal],
                       slot[noise] if noise else None))
+    # the (signal, noise) pairs the points read, whose Re <S - R, Z> each
+    # trial takes, with Re <R, Z> for each noise grid
+    pairs = list(dict.fromkeys((signal, noise)
+                               for *_, signal, noise in tasks
+                               if noise is not None))
+    noises = list(dict.fromkeys(noise for _, noise in pairs))
+
+    def empty():
+        return np.empty((n, m), dtype=complex)
+    # each canonical grid's range-Doppler buffer and reductions:
+    # F(channel * act) of a deterministic scene is reduced once per sweep,
+    # before any draw, and the channel then dropped unless a per-trial
+    # signal grid reads it; every other grid is reduced once per trial in
+    # a buffer allocated here
+    buffers = [None] * len(keys)
+    taken = [None] * len(keys)
+    once = slot.get(("signal", None)) if fixed is not None else None
+    if once is not None:
+        grid = focus.range_doppler(
+            fixed[0] if mask is None else fixed[0] * mask)
+        taken[once] = take(grid, fixed[1], scales[once],
+                           np.empty_like(grid) if set(scales[once]) - {1.0}
+                           else None)
+        buffers[once] = grid
+    per_trial = [i for i in range(len(keys)) if i != once]
+    grids = [(keys[i][0], tables.get(keys[i][1]), empty()) for i in per_trial]
+    for i, (_, _, out) in zip(per_trial, grids):
+        buffers[i] = out
+    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
+    if fixed is not None and not per_trial_signal:
+        fixed = (None, fixed[1])
+    # the one scratch grid, for a per-trial signal grid's S - k R, k != 1
+    diff = (empty() if any(set(scales[i]) - {1.0} for i in per_trial_signal)
+            else None)
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
@@ -441,14 +518,19 @@ def run_sweep_ensemble(scene: Scene,
                        for amps in scene.draw_amplitudes(rcs_rng, size)])
             for i, (channel, reference) in enumerate(truths):
                 t = start + i
-                _focus_grids(focus.range_doppler, grids, diff, channel,
+                _focus_grids(focus.range_doppler, grids, channel,
                              indices[i], unit_noise[i], mask)
-                for j, (_, _, out) in zip(per_trial, grids):
-                    taken[j] = cut(out)
-                for sums, chi, sigma, e_chi, signal, noise in tasks:
-                    clean, clean_rows, clean_col = taken[signal]
+                for j, (part, _, out) in zip(per_trial, grids):
+                    taken[j] = (take(out, reference, scales[j], diff)
+                                if part == "signal" else take(out))
+                ref_cross = {z: _inner(reference, buffers[z])
+                             for z in noises}
+                cross = {(s, z): _inner(buffers[s], buffers[z])
+                         for s, z in pairs}
+                for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
+                    clean = taken[signal]
+                    clean_rows, clean_col = clean.rows, clean.col
                     if chi != 1.0:
-                        clean = np.multiply(chi, clean, out=scaled)
                         clean_rows = chi * clean_rows
                         clean_col = chi * clean_col
                     sums["noiseless_peaks"][t] = (clean_rows[hw, m_q]
@@ -456,24 +538,36 @@ def run_sweep_ensemble(scene: Scene,
                     sums["noiseless_range_power"] += np.abs(clean_col) ** 2
                     sums["noiseless_azimuth_power"] += (
                         np.abs(clean_rows[hw]) ** 2)
-                    noisy, noisy_rows, noisy_col = clean, clean_rows, clean_col
+                    # noisy = chi S + sigma Z, and each residual
+                    # chi S - c R + sigma Z, as sums of squares of formed
+                    # grids plus the noise's cross terms, taken against
+                    # S - R and R: chi S - c R = chi (S - R) + (chi - c) R
+                    chi_sq = chi * chi
+                    total = chi_sq * clean.power
+                    mse = chi_sq * clean.residuals[ks[0]]
+                    mse_calibrated = chi_sq * clean.residuals[ks[1]]
+                    noisy_rows, noisy_col = clean_rows, clean_col
                     if noise is not None:
-                        z, z_rows, z_col = taken[noise]
-                        noisy = np.multiply(sigma, z, out=noisy_grid)
-                        noisy += clean
-                        noisy_rows = sigma * z_rows + clean_rows
-                        noisy_col = sigma * z_col + clean_col
+                        z = taken[noise]
+                        noisy_rows = sigma * z.rows + clean_rows
+                        noisy_col = sigma * z.col + clean_col
+                        sz, rz = cross[signal, noise], ref_cross[noise]
+                        noise_power = sigma * sigma * z.power
+                        total += 2.0 * chi * sigma * (sz + rz) + noise_power
+                        mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
+                                + noise_power)
+                        mse_calibrated += (
+                            2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
+                            + noise_power)
                     sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
-                    sums["noisy_power_sum"] += ratio * _power_sum(noisy)
+                    sums["noisy_power_sum"] += ratio * total
                     sums["noisy_mainlobe_power"] += (
                         np.abs(noisy_rows[:, lobe]) ** 2)
                     sums["noisy_range_power"] += np.abs(noisy_col) ** 2
                     sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
-                    sums["mse"][t] = ratio * _residual_power(
-                        noisy, reference, diff)
-                    sums["mse_calibrated"][t] = ratio * _residual_power(
-                        noisy, np.multiply(e_chi, reference, out=diff),
-                        diff) / e_chi ** 2
+                    sums["mse"][t] = ratio * mse
+                    sums["mse_calibrated"][t] = (ratio * mse_calibrated
+                                                 / e_chi ** 2)
             del truths  # free this chunk's channels before the next's
 
     mode = "data_aided" if mask is None else "pilot_only"

@@ -6,7 +6,9 @@ import json
 import math
 import tempfile
 import threading
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,17 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scenes import critical_config, single_target_scene
 from ofdmsar import cli, echo, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, emit_pgm, main,
                          parse_config, run_scenario)
 from ofdmsar.errors import ConfigurationError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
-from ofdmsar.rd_imaging import KA_MODES, RCMC_METHODS
+from ofdmsar.rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
 from ofdmsar.scene import PointTarget, Scene
-from ofdmsar.tf_filter import FilterSpec
+from ofdmsar.tf_filter import FilterSpec, apply_tf_filter
 from ofdmsar.waveform import (RadarConfig, SrsConfig, SPEED_OF_LIGHT as c,
-                              make_qam)
+                              gen_symbol_grid, make_qam)
 
 N, M = 16, 16
 DF = 60e3
@@ -575,6 +578,61 @@ def test_stage_artifacts_do_not_depend_on_trial_count(tmp_path):
     for stage in stages:
         for name in (f"image_{stage}.pgm", f"grid_{stage}.bin"):
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+
+
+def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
+    # every stage image and grid equals focus_stages' of the first point's
+    # trial 0 byte for byte, while at most two stage grids are alive: each
+    # stage is written as soon as it exists and dropped once the next is
+    # made.  On 128x128 the draw and filter of trial 0 (symbols, channel,
+    # noise, echo and gains) peak at 5 grids; holding all five stages, as
+    # focus_stages does, peaked at 9
+    n = 128
+    cfg = critical_config(n, n)
+    scene = single_target_scene(cfg)
+    stages = ("tf", "rc", "rd", "rcmc", "ac")
+    scenario = cli.ScenarioConfig(
+        radar=cfg, scene=scene, filters=("wf",), srs=None, snr_db=(10.0,),
+        trials=1, seed=5, constellation="qam16", rcmc_method="windowed_sinc",
+        ka_mode="per_range_bin", azimuth_downsample=1,
+        outputs=cli.OutputSelection(images=stages, grids=stages))
+    snr, noise_var = cli._snr_point(10.0, scenario, "$.snr_in_db")
+    spec = FilterSpec("wf", snr_in_linear=snr)
+    cfg_n = cfg.with_noise(noise_var, snr_in_linear=snr)
+    qam = make_qam("qam16")
+    result = pipeline.run_point_ensemble(scene, cfg_n, qam, spec, trials=1,
+                                         seed=5, ka_mode="per_range_bin")
+
+    live = []  # weak references to the stage grids made so far
+    for name in ("apply_tf_filter", "range_compress", "azimuth_fft", "rcmc",
+                 "azimuth_compress"):
+        def staged(*args, real=getattr(cli, name), **kwargs):
+            assert sum(ref() is not None for ref in live) <= 1
+            grid = real(*args, **kwargs)
+            live.append(weakref.ref(grid))
+            assert sum(ref() is not None for ref in live) <= 2
+            return grid
+        monkeypatch.setattr(cli, name, staged)
+    tracemalloc.start()
+    try:
+        cli._render_stage_artifacts(scenario, result, qam, None, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert len(live) == len(stages)
+    assert peak < 5.5 * n * n * 16
+
+    symbols = gen_symbol_grid(cfg_n, qam, 5)
+    tf = apply_tf_filter(echo.synthesize_echo(scene, cfg_n, symbols, 5),
+                         symbols, spec)
+    grids = focus_stages(tf, cfg_n, result.r_bar_ref_m, "windowed_sinc",
+                         "per_range_bin")
+    for stage in stages:
+        assert (tmp_path / f"image_{stage}.pgm").read_bytes() == emit_pgm(
+            grids[stage], DEFAULT_DB_FLOOR), stage
+        assert (tmp_path / f"grid_{stage}.bin").read_bytes() == (
+            echo.grid_to_bytes(grids[stage], stage=stage)), stage
 
 
 def test_run_scenario_pilot_smoke(tmp_path):

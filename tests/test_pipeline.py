@@ -237,6 +237,78 @@ def test_mse_is_never_negative_and_stays_accurate(name):
             assert error <= 1e-12 * np.max(np.abs(want)), (spec, array)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("name", ["qpsk", "qam16"])
+def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
+    # a point's sums combine per-grid sums of squares and the noise's cross
+    # terms with scalars.  On a critical phase_ramp 64x64 grid the
+    # on-grid target focuses to its ideal image up to a deterministic
+    # floor of about 6e-3 against an image energy of 4096 (3904 with the
+    # comb, whose image misses most of the target's energy); from 30 to
+    # 280 dB the noise energy falls from far above the data-aided floor to
+    # far below it, where a cross term split as chi <S, Z> - <R, Z> keeps
+    # the round-off of ||R|| ||Z|| rather than of the residual.  Each MSE and
+    # total stays non-negative and within 1e-13 of the |.|^2 sums over
+    # the focused images, for every filter and the noiseless point
+    cfg = critical_config(64, 64, k_ref=32)
+    scene = single_target_scene(cfg, k_bin=32, m_bin=32)
+    mask = comb_mask(cfg) if masked else None
+    qam = make_qam(name)
+    points = [(cfg, FilterSpec("mf"))]
+    for snr_db in (30.0, 100.0, 200.0, 280.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+        points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                   for kind in ("rf", "mf", "wf")]
+    swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
+                               mask=mask, rcmc_method="phase_ramp")
+    for (cfg_n, spec), result in zip(points, swept):
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
+                              rcmc_method="phase_ramp")
+        for array in ("mse", "mse_calibrated", "noisy_power_sum"):
+            got, want = getattr(result, array), expected[array]
+            assert np.all(got >= 0), (spec, array)
+            error = np.max(np.abs(got - want) / want)
+            assert error <= 1e-13, (spec, cfg_n.noise_var, array, error)
+
+
+def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
+    # QPSK reads one noise grid Z per trial and F(channel * act) once per
+    # sweep, so every point is a scalar combination of |Z|^2, Re <S - R, Z>
+    # and Re <R, Z>: 3 points and 33 make the same full-grid sums and
+    # inner products per trial.  Their sweep-constant sums are made once,
+    # before any draw
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    calls = []
+    for helper in ("_power_sum", "_inner"):
+        real = getattr(pipeline, helper)
+
+        def recorded(*grids, real=real, helper=helper):
+            calls.append(helper)
+            return real(*grids)
+        monkeypatch.setattr(pipeline, helper, recorded)
+
+    def per_trial(snrs_db):
+        points = []
+        for snr_db in snrs_db:
+            snr = 10.0 ** (snr_db / 10.0)
+            cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+            points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                       for kind in ("rf", "mf", "wf")]
+        counts = []
+        for trials in (2, 4):
+            calls.clear()
+            run_sweep_ensemble(scene, points, make_qam("qpsk"), trials,
+                               seed=5)
+            counts.append({h: calls.count(h) for h in ("_power_sum",
+                                                       "_inner")})
+        return {h: (counts[1][h] - counts[0][h]) / 2 for h in counts[0]}
+    few = per_trial([10.0])
+    many = per_trial(np.linspace(-10.0, 40.0, 11))
+    assert few == many == {"_power_sum": 1, "_inner": 2}
+
+
 def test_sweep_rejects_points_that_change_the_geometry():
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
@@ -641,18 +713,21 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
 def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                                                         monkeypatch):
     # each trial's peaks, mse and mse_calibrated, and the mean power cuts,
-    # rebuilt by the range-Doppler formulas with a fresh grid for every
-    # gather, product, focus pass and reduction, equal the sweep's bit for
-    # bit.  The two MSEs and the total power also stay within 1e-13 of the
-    # |.|^2 sums over the focused images they stand for, the range cuts
-    # within 1e-13 of those of whole mean |.|^2 images, and the azimuth
-    # cuts and the mainlobe equal theirs.  128x160 grids pass numpy's
-    # 256 KiB temporary-elision threshold, past which numpy reuses the
-    # fresh chain's temporaries in place too, and N != M weighs the
-    # range-Doppler sums by N / M.  The random target gives the channel generic values,
-    # whose products round differently in another operand order; the
-    # reference target alone makes the sweep take F(channel) once and read
-    # it in every trial
+    # rebuilt by the per-grid range-Doppler formulas with a fresh grid for
+    # every gather, product, focus pass and reduction, equal the sweep's
+    # bit for bit: a point's noisy grid chi S + sigma Z is never formed,
+    # its sums being chi^2 |S|^2 and chi^2 |S - k R|^2 (k = c / chi, for
+    # c = 1 and c = E[chi]) of formed grids plus the noise's cross terms
+    # Re <S - R, Z> and Re <R, Z>.  The two MSEs and the total power also
+    # stay within 1e-13 of the |.|^2 sums over the focused images they
+    # stand for, the range cuts within 1e-13 of those of whole mean |.|^2
+    # images, and the azimuth cuts and the mainlobe equal theirs.  128x160
+    # grids pass numpy's 256 KiB temporary-elision threshold, past which
+    # numpy reuses the fresh chain's temporaries in place too, and N != M
+    # weighs the range-Doppler sums by N / M.  The random target gives the
+    # channel generic values, whose products round differently in another
+    # operand order; the reference target alone makes the sweep take
+    # F(channel) once and read it in every trial
     if chunked:
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 160 * 16)
     n, m = 128, 160
@@ -682,6 +757,15 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
 
         def image(y):
             return np.fft.ifft(y * a, axis=-1)
+
+        def power_sum(y):
+            values = y.view(float).ravel()
+            return float(np.einsum("i,i->", values, values))
+
+        def inner(y, z):
+            """Re <y, z> over the float64 views, in the sweep's order."""
+            return float(np.einsum("i,i->", y.view(float).ravel(),
+                                   z.view(float).ravel()))
         sums = [{"clean_range": np.zeros(n), "clean_azimuth": np.zeros(m),
                  "noisy_range": np.zeros(n), "noisy_azimuth": np.zeros(m),
                  "noisy_lobe": np.zeros((3, 3)), "totals": [],
@@ -709,24 +793,44 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                 # the focused images, combined as the image-domain chain did
                 clean_image = image(clean)
                 if reads.chi != 1.0:
-                    clean = reads.chi * clean
                     clean_rows = reads.chi * clean_rows
                     clean_col = reads.chi * clean_col
                     clean_image = reads.chi * clean_image
-                noisy, noisy_rows, noisy_col = clean, clean_rows, clean_col
+                noisy_rows, noisy_col = clean_rows, clean_col
                 noisy_image = clean_image
+                e_chi = result.stats.chi_mean
+                chi_sq = reads.chi * reads.chi
+                total = chi_sq * power_sum(clean)
+                residuals = []
+                for c in (1.0, e_chi):
+                    k = c / reads.chi
+                    scaled_reference = k * reference
+                    residual = clean - scaled_reference
+                    residuals.append(chi_sq * power_sum(residual))
+                mse, mse_calibrated = residuals
                 if cfg_n.noise_var > 0:
                     gain_table = filter_gains(qam.table, reads.noise)
                     gains = gain_table[indices[t]]
                     noise = operator.range_doppler(unit[t] * gains)
                     noise_rows, noise_col = cuts(noise)
                     sigma = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale
-                    noisy = sigma * noise
-                    noisy += clean
                     noisy_rows = sigma * noise_rows + clean_rows
                     noisy_col = sigma * noise_col + clean_col
                     noisy_image = sigma * image(noise)
                     noisy_image += clean_image
+                    difference = clean - reference
+                    sz = inner(difference, noise)
+                    rz = inner(reference, noise)
+                    noise_power = sigma * sigma * power_sum(noise)
+                    total += (2.0 * reads.chi * sigma * (sz + rz)
+                              + noise_power)
+                    mse += (2.0 * sigma * (reads.chi * sz
+                                           + (reads.chi - 1.0) * rz)
+                            + noise_power)
+                    mse_calibrated += (
+                        2.0 * sigma * (reads.chi * sz
+                                       + (reads.chi - e_chi) * rz)
+                        + noise_power)
                 assert (result.noiseless_peaks[t]
                         == clean_rows[hw, m_q] / result.alpha_ref)
                 assert (result.noisy_peaks[t]
@@ -736,19 +840,10 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
                 acc["noisy_range"] += np.abs(noisy_col) ** 2
                 acc["noisy_azimuth"] += np.abs(noisy_rows[hw]) ** 2
                 acc["noisy_lobe"] += np.abs(noisy_rows[:, lobe]) ** 2
-                values = noisy.view(float).ravel()
-                acc["totals"].append(
-                    n / m * float(np.einsum("i,i->", values, values)))
-                e_chi = result.stats.chi_mean
-                residual = noisy - reference
-                values = residual.view(float).ravel()
-                assert result.mse[t] == n / m * float(
-                    np.einsum("i,i->", values, values))
-                scaled_reference = e_chi * reference
-                residual = noisy - scaled_reference
-                values = residual.view(float).ravel()
-                assert result.mse_calibrated[t] == n / m * float(
-                    np.einsum("i,i->", values, values)) / e_chi ** 2
+                acc["totals"].append(n / m * total)
+                assert result.mse[t] == n / m * mse
+                assert (result.mse_calibrated[t]
+                        == n / m * mse_calibrated / e_chi ** 2)
                 acc["clean_images"] += np.abs(clean_image) ** 2
                 acc["noisy_images"] += np.abs(noisy_image) ** 2
                 acc["image_totals"].append(
