@@ -14,11 +14,14 @@ Running it produces, in the output directory:
   nmse_sweep.csv        snr_db, filter, nmse, nmse_calibrated per point
 
 Stage images and grid dumps render the first sweep point's trial 0,
-drawn by the library's single-trial chain (gen_symbol_grid,
-synthesize_echo, apply_tf_filter) on the scenario's seed, which equals
-the ensemble's trial 0 bit for bit; profiles and metrics come from the
-full ensembles.  So the images and the metrics describe the same
-realizations.  Outputs are a deterministic function of (config, seed).
+drawn again on the scenario's seed.  It is built in one grid with the
+bits of the library's single-trial chain (gen_symbol_grid,
+synthesize_echo, apply_tf_filter), which equal the ensemble's trial 0,
+and the stages run in place in that grid; profiles and metrics come from
+the full ensembles.  So the images and the metrics describe the same
+realizations.  A run grid whose K_a T^2 M at the reference target is
+below MIN_AZIMUTH_SAMPLING gets one warning on stderr, and the same
+artifacts.  Outputs are a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import STAGE_CODES, check_cp_margin, grid_to_bytes, synthesize_echo
+from .echo import (STAGE_CODES, build_channel_matrix, check_cp_margin,
+                   draw_noise, grid_to_bytes)
 from .errors import (CapacityError, ConfigurationError, MeasurementError,
                      OfdmSarError)
 from .geometry import PlatformGeometry
@@ -47,11 +51,17 @@ from .pipeline import (MAINLOBE_HALFWIDTH_BINS, MAX_DOPPLER_STEP,
 from .rd_imaging import (KA_MODES, RCMC_METHODS, azimuth_compress,
                          azimuth_fft, range_compress, rcmc)
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
-from .tf_filter import FILTER_KINDS, FilterSpec, apply_tf_filter
-from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
-                       gen_symbol_grid, make_qam, _QAM_NAMES)
+from .tf_filter import FILTER_KINDS, FilterSpec, filter_gains
+from .waveform import (RCS_STREAM, Constellation, RadarConfig, SrsConfig,
+                       chi_stats, gen_symbol_indices, make_qam, _gather,
+                       _philox, _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
+# Below this azimuth_sampling the run grid samples the reference target's
+# azimuth chirp far finer than its Doppler band needs, and the NMSE against
+# the critically sampled ideal image mostly measures that resolution
+# mismatch, which is the same for every filter.
+MIN_AZIMUTH_SAMPLING = 0.25
 DEFAULT_TRIALS = 64
 DEFAULT_DATA_DOWNSAMPLE = 10
 MODES = ("data_aided", "pilot_only")
@@ -206,6 +216,16 @@ class ScenarioConfig:
         azimuth_downsample-th data symbol."""
         step = self.srs.period_symbols if self.srs else self.azimuth_downsample
         return self.radar.decimated(step)
+
+    @property
+    def azimuth_sampling(self) -> float:
+        """beta = K_a T^2 M of the run grid at the reference target (the
+        first deterministic one): 1 at critical azimuth sampling."""
+        cfg = self.run_radar
+        ref = next(t for t in self.scene.targets
+                   if t.amplitude_mode == "deterministic")
+        k_a = cfg.azimuth_rate_at(ref.mean_range_m(cfg.platform))
+        return k_a * cfg.total_symbol_s ** 2 * cfg.n_symbols
 
 
 # Magnitudes an ensemble computes with must stay this far inside float64's
@@ -435,15 +455,20 @@ def emit_pgm(image: np.ndarray, db_floor: float = DEFAULT_DB_FLOOR) -> bytes:
         raise ConfigurationError("cannot render an empty image")
     if db_floor >= 0:
         raise ConfigurationError(f"db_floor must be < 0, got {db_floor}")
-    magnitude = np.abs(image)
-    peak = magnitude.max()
+    level = np.abs(image)
+    peak = level.max()
     if peak == 0:
         peak = 1.0
+    # a float grid whatever the image's dtype, each later step in place
+    level = level / peak
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(magnitude / peak)
-    pixels = np.rint(255.0 * (db - db_floor) / (0.0 - db_floor))
-    pixels = np.clip(pixels, 0, 255).astype(np.uint8)
-    return write_pgm(pixels)
+        np.log10(level, out=level)
+    level *= 20.0
+    level -= db_floor
+    level *= 255.0
+    level /= 0.0 - db_floor
+    np.rint(level, out=level)
+    return write_pgm(np.clip(level, 0, 255, out=level).astype(np.uint8))
 
 
 def _profile_csv(values: np.ndarray, positions: np.ndarray,
@@ -457,28 +482,54 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
+def _filtered_trial_zero(scenario: ScenarioConfig, cfg: RadarConfig,
+                         spec: FilterSpec, constellation: Constellation,
+                         mask: Optional[np.ndarray]) -> np.ndarray:
+    """Trial 0 of the scenario's ensemble after the filter, bit for bit
+    apply_tf_filter(synthesize_echo(scene, cfg, symbols, seed), symbols,
+    spec) with symbols = gen_symbol_grid(cfg, constellation, seed, mask),
+    in the same operand order, but built in one grid: the channel is built
+    before any other grid exists, and one scratch grid then takes the
+    symbols, the scaled noise and the gains in turn.  The gains are
+    gathered from filter_gains over constellation.table, which equals
+    filter_gains on the symbol grid bit for bit."""
+    seed, n, m = scenario.seed, cfg.n_subcarriers, cfg.n_symbols
+    indices = gen_symbol_indices(cfg, constellation, seed, mask=mask)
+    amplitudes = scenario.scene.draw_amplitudes(_philox(seed, RCS_STREAM),
+                                                1)[0]
+    grid = build_channel_matrix(scenario.scene, cfg, amplitudes)
+    scratch = _gather(constellation.table, indices,
+                      np.empty((n, m), dtype=complex))
+    grid *= scratch  # channel * symbols
+    noise = draw_noise(cfg, seed, unit=True,
+                       out=scratch.view(float).reshape(1, n, m, 2))[0]
+    grid += np.multiply(np.sqrt(cfg.noise_var / 2.0), noise, out=noise)
+    _gather(filter_gains(constellation.table, spec), indices, scratch)
+    return np.multiply(scratch, grid, out=grid)  # gains * echo
+
+
 def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
                             constellation: Constellation,
                             mask: Optional[np.ndarray], out_dir: Path) -> None:
-    """Stage images/grids of the result's trial 0, drawn again by the
-    single-trial chain and focused by the staged functions, as
-    rd_imaging.focus_stages does.  Each stage's artifacts are written as
-    soon as it exists and it is dropped once the next is made, so at most
-    two stage grids are alive; the chain stops at the last requested
-    stage, and nothing is drawn when no stage is requested."""
+    """Stage images/grids of the result's trial 0, built again by
+    _filtered_trial_zero and taken through the staged functions in place
+    in its grid, the bits of rd_imaging.focus_stages.  Each stage's
+    artifacts are written as soon as it exists, before the next stage
+    overwrites it; the chain stops at the last requested stage, and
+    nothing is drawn when no stage is requested."""
     outputs = scenario.outputs
     wanted = set(outputs.images) | set(outputs.grids)
     if not wanted:
         return
-    cfg, seed, r_bar = result.cfg, scenario.seed, result.r_bar_ref_m
-    symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask)
-    grid = apply_tf_filter(synthesize_echo(scenario.scene, cfg, symbols, seed),
-                           symbols, result.filter_spec)
-    del symbols
-    steps = {"rc": lambda x: range_compress(x, cfg),
-             "rd": lambda x: azimuth_fft(x, cfg),
-             "rcmc": lambda x: rcmc(x, cfg, r_bar, scenario.rcmc_method),
-             "ac": lambda x: azimuth_compress(x, cfg, r_bar, scenario.ka_mode)}
+    cfg, r_bar = result.cfg, result.r_bar_ref_m
+    grid = _filtered_trial_zero(scenario, cfg, result.filter_spec,
+                                constellation, mask)
+    steps = {"rc": lambda x: range_compress(x, cfg, out=x),
+             "rd": lambda x: azimuth_fft(x, cfg, out=x),
+             "rcmc": lambda x: rcmc(x, cfg, r_bar, scenario.rcmc_method,
+                                    out=x),
+             "ac": lambda x: azimuth_compress(x, cfg, r_bar,
+                                              scenario.ka_mode, out=x)}
     for stage in STAGE_CODES:
         if stage in steps:
             grid = steps[stage](grid)
@@ -554,6 +605,20 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     return out_dir
 
 
+def _warn_on_azimuth_sampling(scenario: ScenarioConfig) -> None:
+    """One stderr line when the run grid's azimuth_sampling is below
+    MIN_AZIMUTH_SAMPLING; the artifacts do not change."""
+    beta = scenario.azimuth_sampling
+    if beta < MIN_AZIMUTH_SAMPLING:
+        cfg = scenario.run_radar
+        where = "$.srs" if scenario.srs else "$.azimuth_downsample"
+        print(f"warning: {where}: the {cfg.n_subcarriers}x{cfg.n_symbols} "
+              f"run grid has K_a T^2 M = {beta:.3g} at the reference "
+              f"target, below {MIN_AZIMUTH_SAMPLING}: its NMSE against the "
+              f"critically sampled ideal image mostly measures a resolution "
+              f"mismatch that is the same for every filter", file=sys.stderr)
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ofdmsar",
@@ -583,6 +648,7 @@ def main(argv: Optional[list] = None) -> int:
                 snr_db = args.snr_db or list(scenario.snr_db)
                 flag = "--snr-db" if args.snr_db else "--filter"
                 scenario = _with_snrs(scenario, snr_db, [flag] * len(snr_db))
+            _warn_on_azimuth_sampling(scenario)
             out = run_scenario(scenario, Path(args.out_dir))
         except MemoryError:
             what = "the scenario"

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, InvalidParameterError, StageError
 from .geometry import range_deviation
 from .scene import Scene
 from .waveform import (NOISE_STREAM, RCS_STREAM, SPEED_OF_LIGHT, RadarConfig,
-                       _philox)
+                       _philox, _row_blocks)
 
 _FOUR_PI_OVER_C = 4.0 * np.pi / SPEED_OF_LIGHT
 
@@ -62,14 +62,20 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     n_idx = np.arange(cfg.n_subcarriers, dtype=float)
     m_idx = np.arange(cfg.n_symbols, dtype=float)
     h = np.zeros((cfg.n_subcarriers, cfg.n_symbols), dtype=complex)
+    # about 64 bytes of temporaries per cell: the float outer product and
+    # four complex products
+    blocks = _row_blocks(h.shape, 64)
     for d_q, target in zip(amplitudes, scene.targets):
         r_bar, d_r = range_deviation(target.x_m, target.y_m, m_idx, cfg)
         alpha = d_q * np.exp(-1j * _FOUR_PI_OVER_C * cfg.fc_hz * r_bar)
         b = np.exp(-1j * _FOUR_PI_OVER_C * cfg.subcarrier_spacing_hz * r_bar * n_idx)
         c_row = np.exp(-1j * _FOUR_PI_OVER_C * cfg.fc_hz * d_r)
-        coupling = np.exp(-1j * _FOUR_PI_OVER_C * cfg.subcarrier_spacing_hz
-                          * np.outer(n_idx, d_r))
-        h += alpha * (b[:, None] * c_row[None, :]) * coupling
+        # a row block at a time, each cell by the same operations in the
+        # same operand order, so that no temporary is a whole grid
+        for rows in blocks:
+            coupling = np.exp(-1j * _FOUR_PI_OVER_C * cfg.subcarrier_spacing_hz
+                              * np.outer(n_idx[rows], d_r))
+            h[rows] += alpha * (b[rows, None] * c_row[None, :]) * coupling
     return h
 
 
@@ -135,13 +141,16 @@ def grid_to_bytes(data: np.ndarray, stage: str = "tf") -> bytes:
         raise InvalidParameterError(f"grid must be 2-D, got shape {data.shape}")
     n, m = data.shape
     header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, n, m, STAGE_CODES[stage])
-    interleaved = np.empty((n, m, 2), dtype="<f8")
-    interleaved[..., 0] = data.real
-    interleaved[..., 1] = data.imag
-    return header + interleaved.tobytes()
+    # little-endian complex128 is the interleaved (re, im) float64 pairs; a
+    # C-contiguous complex128 grid on a little-endian host is not copied
+    pairs = np.ascontiguousarray(data, dtype="<c16")
+    return b"".join((header, pairs))
 
 
 def grid_from_bytes(blob: bytes) -> tuple[np.ndarray, str]:
+    """The (grid, stage) that grid_to_bytes wrote, bit for bit.  The grid
+    is a complex view of the blob's pairs, not a copy: read-only when the
+    blob is bytes."""
     if len(blob) < _HEADER.size:
         raise InvalidParameterError(
             f"grid blob shorter than {_HEADER.size}-byte header")
@@ -156,6 +165,5 @@ def grid_from_bytes(blob: bytes) -> tuple[np.ndarray, str]:
     if len(blob) != need:
         raise InvalidParameterError(
             f"grid blob length {len(blob)} != expected {need}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    pairs = flat.reshape(n, m, 2)
-    return pairs[..., 0] + 1j * pairs[..., 1], _STAGE_NAMES[stage_code]
+    grid = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    return grid.reshape(n, m), _STAGE_NAMES[stage_code]

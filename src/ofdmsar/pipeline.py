@@ -51,8 +51,9 @@ row, so sum |F(x)|^2 = (N / M) sum |Y|^2 and Re <F(x), F(y)> =
 over range-Doppler grids, the ideal image entering as its range-Doppler
 form R = fft_M(ideal) / A.  The peaks, the azimuth cuts and the mainlobe
 read the image rows k_q - 1 .. k_q + 1, three M-point IFFTs of A * Y, and
-the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M} / M.  So
-no trial multiplies a whole grid by A or runs its azimuth IFFT.
+the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M} / M, with
+A and the phase row as two factors of the sum where A has a row per range
+bin.  So no trial multiplies a whole grid by A or runs its azimuth IFFT.
 
 Each trial reduces every distinct canonical grid once, and each point
 combines those reductions with scalars alone, so a point costs O(N + M)
@@ -90,23 +91,34 @@ canonical grid into its own buffer, gathering each gain straight into
 it, then reduces every grid and every point.  The sweep allocates these
 buffers once, one per distinct per-trial canonical grid, plus one
 scratch grid for S - k R with k != 1 only where some signal grid is
-drawn per trial; a deterministic scene's F(channel * act) is held as
-S - R next to R, and its channel is dropped unless a per-trial signal
-grid reads it.  So a trial allocates no complex grid.
+drawn per trial; a deterministic scene's F(channel * act) is taken in
+place in the channel's own grid (in a copy where a per-trial signal grid
+reads the channel) and held as S - R next to R.  So a trial allocates no
+complex grid.
 
 Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, at
 the index's itemsize plus 16 bytes of unit noise per cell in a noisy
-sweep, draws them at once.  Otherwise each chunk holds as many trials as
-fit the budget with the next chunk's draws.  One Philox generator per
-stream (symbols, noise, target amplitudes) lives across the chunks, so no
-result depends on the chunk size.  A sweep of several chunks draws chunk
-c + 1's indices and unit noise on a worker thread while chunk c is
-focused, into two pairs of buffers it allocates once; the main thread
-draws only the target amplitudes, builds the channels, focuses and
-reduces.  Memory is the chunk's draws (with random targets, also its
-channels and ideal images) and the next chunk's, one grid per distinct
-canonical grid, R, the scratch grid where there is one, and O(N + M) per
-point besides its per-trial arrays.
+sweep, draws them one trial at a time into one index grid and one
+unit-noise grid, allocated once.  Otherwise each chunk holds as many
+trials as fit the budget with the next chunk's draws, and chunk c + 1's
+indices and unit noise are drawn on a worker thread while chunk c is
+focused, into two pairs of buffers allocated once; the main thread draws
+only the target amplitudes, builds the channels, focuses and reduces.
+One Philox generator per stream (symbols, noise, target amplitudes) lives
+across the trials, so no result depends on the chunk size.  The index
+draws, the gain gathers and the channel build run a row block at a time,
+so none makes a temporary of a whole grid.
+
+Memory, in (N, M) complex grids: the operator's multipliers (H, and A
+where it has a row per range bin), R, one buffer per distinct canonical
+grid that changes between trials, F(channel * act) as S - R where it
+does not, the scratch grid where there is one, and one trial's draws (an
+index grid and, when noisy, a unit-noise grid), or the chunk's and the
+next chunk's (with random targets, also the chunk's channels and ideal
+images); besides them O(N + M) per point and its per-trial arrays.  The
+pilot-only NR sweep of 1024 x 171 cells (QPSK, phase_ramp,
+per_range_bin) holds H, A, R, S - R, its one noise grid and one trial's
+unit noise: 6.2 grids at its tracemalloc peak.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -131,8 +143,8 @@ from .rd_imaging import focusing_operator
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
-                       FilterStats, RadarConfig, SrsConfig, _philox, chi_stats,
-                       gen_symbol_indices)
+                       FilterStats, RadarConfig, SrsConfig, _gather, _philox,
+                       chi_stats, gen_symbol_indices)
 
 # Bytes of the draws one chunk of trials holds, with the next chunk's in a
 # sweep of several chunks, so the draws held at once do not grow with the
@@ -259,10 +271,10 @@ def _focus_grids(range_doppler, grids: list, channel: np.ndarray,
             x = (channel if mask is None
                  else np.multiply(channel, mask, out=out))
         elif part == "signal":
-            x = np.take(tables.chi, indices, out=out, mode="clip")
+            x = _gather(tables.chi, indices, out)
             x *= channel
         else:
-            np.take(tables.gain, indices, out=out, mode="clip")
+            _gather(tables.gain, indices, out)
             x = np.multiply(noise, out, out=out)
         range_doppler(x, out=out)
 
@@ -339,15 +351,24 @@ def run_sweep_ensemble(scene: Scene,
 
     # the image's rows k_q - hw .. k_q + hw and its column m_q, read from
     # the range-Doppler form Y of image = ifft_M(A * Y): the rows are
-    # M-point IFFTs of A * Y there, and the column is sum_p Y * W with
-    # W = A e^{2 pi i p m_q / M} / M, one row of W or one per range bin
-    # as A has
+    # M-point IFFTs of A * Y there, and the column is sum_p Y * A * e with
+    # e = e^{2 pi i p m_q / M} / M.  With one row of A (reference K_a) the
+    # column weighs Y by the one row A * e; with one row per range bin it
+    # takes A and e as two factors of the sum, so that no (N, M) weight
+    # grid is formed
     hw = MAINLOBE_HALFWIDTH_BINS
     azimuth = focus.azimuth_multiplier
     rows = np.arange(k_q - hw, k_q + hw + 1) % n
     azimuth_rows = np.broadcast_to(azimuth, (n, m))[rows]
-    weights = azimuth * (np.exp(2j * np.pi * (np.arange(m) * m_q % m) / m)
-                         / m)
+    phase = np.exp(2j * np.pi * (np.arange(m) * m_q % m) / m) / m
+    if azimuth.shape[0] == 1:
+        weights = azimuth * phase
+
+        def column(grid):
+            return np.einsum("...p,...p->...", grid, weights)
+    else:
+        def column(grid):
+            return np.einsum("np,np,p->n", grid, azimuth, phase)
     lobe = np.arange(m_q - hw, m_q + hw + 1) % m
 
     def take(grid, reference=None, scales=(), diff=None):
@@ -356,7 +377,7 @@ def run_sweep_ensemble(scene: Scene,
         from k * R, then leaves S - R in its own buffer."""
         image_rows = np.multiply(grid[rows], azimuth_rows)
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
-        col = np.einsum("...p,...p->...", grid, weights)
+        col = column(grid)
         power = _power_sum(grid)
         residuals = {}
         if reference is not None:
@@ -434,85 +455,86 @@ def run_sweep_ensemble(scene: Scene,
         return np.empty((n, m), dtype=complex)
     # each canonical grid's range-Doppler buffer and reductions:
     # F(channel * act) of a deterministic scene is reduced once per sweep,
-    # before any draw, and the channel then dropped unless a per-trial
-    # signal grid reads it; every other grid is reduced once per trial in
+    # before any draw, in the channel's own grid unless a per-trial signal
+    # grid reads the channel; every other grid is reduced once per trial in
     # a buffer allocated here
     buffers = [None] * len(keys)
     taken = [None] * len(keys)
     once = slot.get(("signal", None)) if fixed is not None else None
-    if once is not None:
-        grid = focus.range_doppler(
-            fixed[0] if mask is None else fixed[0] * mask)
-        taken[once] = take(grid, fixed[1], scales[once],
-                           np.empty_like(grid) if set(scales[once]) - {1.0}
-                           else None)
-        buffers[once] = grid
     per_trial = [i for i in range(len(keys)) if i != once]
+    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
+
+    def scratch(signals):
+        """The scratch grid for S - k R, k != 1, where one of these signal
+        grids needs it."""
+        return (empty() if any(set(scales[i]) - {1.0} for i in signals)
+                else None)
+    if once is not None:
+        channel, reference = fixed
+        if per_trial_signal:
+            grid = channel.copy()
+        else:  # no trial reads the channel
+            grid, fixed = channel, (None, reference)
+        del channel
+        if mask is not None:
+            grid *= mask
+        focus.range_doppler(grid, out=grid)
+        taken[once] = take(grid, reference, scales[once], scratch([once]))
+        buffers[once] = grid
     grids = [(keys[i][0], tables.get(keys[i][1]), empty()) for i in per_trial]
     for i, (_, _, out) in zip(per_trial, grids):
         buffers[i] = out
-    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
-    if fixed is not None and not per_trial_signal:
-        fixed = (None, fixed[1])
-    # the one scratch grid, for a per-trial signal grid's S - k R, k != 1
-    diff = (empty() if any(set(scales[i]) - {1.0} for i in per_trial_signal)
-            else None)
+    diff = scratch(per_trial_signal)
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
-    # bytes per cell of one trial's draws: its symbol index and, in a noisy
-    # sweep, its unit noise
+    # Bytes per cell of one trial's draws: its symbol index and, in a noisy
+    # sweep, its unit noise.  A sweep whose draws all fit the budget draws
+    # them trial by trial into one pair of buffers.  A larger sweep draws
+    # chunk c + 1 on a worker thread while chunk c is focused, into the
+    # other of two pairs, each chunk as many trials as fit the budget with
+    # the next chunk's draws.  The buffers are allocated here: a draw
+    # allocates only a row block of int64 indices at a time, so none lands
+    # in the worker's own malloc arena.  The symbol and noise streams keep
+    # their draw order, on one thread.  Leaving the with statement, however
+    # the sweep ends, joins the worker.  A sweep drawn trial by trial starts
+    # no thread and does not import concurrent.futures, whose import of
+    # logging adds ~13 ms to a fresh process.
     cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
-    chunk = _chunk_trials(trials, n, m, cell)
-    prefetch = chunk < trials
-    if prefetch:
-        # the chunk's draws and the next chunk's, drawn meanwhile, fit the
-        # budget together
-        chunk = _chunk_trials(trials, n, m, 2 * cell)
+    prefetch = _chunk_trials(trials, n, m, cell) < trials
+    chunk = _chunk_trials(trials, n, m, 2 * cell) if prefetch else 1
     starts = range(0, trials, chunk)
+    index_bufs = np.empty((1 + prefetch, chunk, n, m),
+                          dtype=constellation.index_dtype)
+    noise_bufs = (np.empty((1 + prefetch, chunk, n, m, 2))
+                  if noise_rng is not None else None)
 
-    def draw(size, indices=None, noise=None):
-        """A chunk's symbol indices and unit noise, in chunk order on each
-        stream, into the given buffers if any."""
+    def draw(c):
+        """Chunk c's symbol indices and unit noise, in chunk order on each
+        stream, into buffer pair c % 2 (or the one pair)."""
+        size, b = min(chunk, trials - starts[c]), c % len(index_bufs)
         indices = gen_symbol_indices(cfg0, constellation, seed, mask=mask,
-                                     trials=size, rng=symbol_rng, out=indices)
-        if noise_rng is None:
+                                     trials=size, rng=symbol_rng,
+                                     out=index_bufs[b, :size])
+        if noise_bufs is None:
             return indices, [None] * size
         return indices, draw_noise(cfg0, seed, n_trials=size, unit=True,
-                                   rng=noise_rng, out=noise)
+                                   rng=noise_rng, out=noise_bufs[b, :size])
 
-    # A sweep of several chunks draws chunk c + 1 on a worker thread while
-    # chunk c is focused, into one of two pairs of buffers allocated here:
-    # the worker allocates no stack, only one (N, M) grid of int64 indices
-    # at a time, so no draw lands in its own malloc arena.  The symbol and
-    # noise streams keep their draw order, and only the worker draws them.
-    # Leaving the with statement, however the sweep ends, joins the worker.
-    # A one-chunk sweep starts no thread and does not import
-    # concurrent.futures, whose import of logging adds ~13 ms to a fresh
-    # process.
     if prefetch:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
         if prefetch:
-            index_bufs = np.empty((2, chunk, n, m),
-                                  dtype=constellation.index_dtype)
-            noise_bufs = (np.empty((2, chunk, n, m, 2))
-                          if noise_rng is not None else None)
-
-            def fill(c):
-                size, b = min(chunk, trials - starts[c]), c % 2
-                return worker.submit(
-                    draw, size, index_bufs[b, :size],
-                    None if noise_bufs is None else noise_bufs[b, :size])
-            pending = fill(0)
+            pending = worker.submit(draw, 0)
         for c, start in enumerate(starts):
             size = min(chunk, trials - start)
             if prefetch:
                 indices, unit_noise = pending.result()
                 # chunk c + 1 reuses chunk c - 1's buffers, read no more
-                pending = fill(c + 1) if c + 1 < len(starts) else None
+                pending = (worker.submit(draw, c + 1)
+                           if c + 1 < len(starts) else None)
             else:
-                indices, unit_noise = draw(size)
+                indices, unit_noise = draw(c)
             truths = ([fixed] * size if rcs_rng is None else
                       [truth(amps)
                        for amps in scene.draw_amplitudes(rcs_rng, size)])

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidParameterError
-from .waveform import RadarConfig
+from .waveform import RadarConfig, _row_blocks
 
 
 def _check_shape(data: np.ndarray, cfg: RadarConfig):
@@ -59,7 +59,19 @@ def _doppler_bins(cfg: RadarConfig) -> np.ndarray:
     return np.arange(m) - m // 2
 
 
-def range_compress(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+def _roll_symbols(grid: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(grid, shift, axis=1) in place, one row block at a time."""
+    for rows in _row_blocks(grid.shape, 16):
+        grid[rows] = np.roll(grid[rows], shift, axis=1)
+    return grid
+
+
+# Each staged function below takes out=, a complex128 grid of x's shape
+# that takes the result and may be x itself; the bits do not depend on
+# where the result is written.
+
+def range_compress(x: np.ndarray, cfg: RadarConfig,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-symbol unitary inverse DFT over subcarriers.
 
     A scatterer at mean range Rbar contributes the subcarrier phase ramp
@@ -67,14 +79,18 @@ def range_compress(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     range bin k = Rbar/rho_r with peak gain sqrt(N).
     """
     _check_shape(x, cfg)
-    return np.fft.ifft(x, axis=0) * np.sqrt(cfg.n_subcarriers)
+    grid = np.fft.ifft(x, axis=0, out=out)
+    grid *= np.sqrt(cfg.n_subcarriers)
+    return grid
 
 
-def azimuth_fft(x: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+def azimuth_fft(x: np.ndarray, cfg: RadarConfig,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-range unitary forward DFT over symbols, zero Doppler centered."""
     _check_shape(x, cfg)
-    return np.fft.fftshift(np.fft.fft(x, axis=1), axes=1) \
-        / np.sqrt(cfg.n_symbols)
+    grid = np.fft.fft(x, axis=1, out=out)
+    grid /= np.sqrt(cfg.n_symbols)
+    return _roll_symbols(grid, cfg.n_symbols // 2)  # fftshift
 
 
 class SpaResult(NamedTuple):
@@ -182,7 +198,8 @@ def _shift_transfer(n: int, shifts: np.ndarray, method: str,
     H[:, p] = N ifft(c_p).
     """
     if method == "phase_ramp":
-        return np.exp(2j * np.pi * np.outer(np.arange(n), shifts / n))
+        ramp = 2j * np.pi * np.outer(np.arange(n), shifts / n)
+        return np.exp(ramp, out=ramp)
     whole = np.floor(shifts)
     taps = np.arange(-halfwidth + 1, halfwidth + 1)[:, None]
     u = taps - (shifts - whole)
@@ -193,7 +210,9 @@ def _shift_transfer(n: int, shifts: np.ndarray, method: str,
     circulant = np.zeros((n, shifts.size), dtype=complex)
     np.add.at(circulant, (lags % n, columns),
               kernel * signs * np.exp(1j * np.pi * shifts))
-    return n * np.fft.ifft(circulant, axis=0)
+    np.fft.ifft(circulant, axis=0, out=circulant)
+    circulant *= n
+    return circulant
 
 
 def _rcmc_transfer(cfg: RadarConfig, r_bar_ref_m: float, method: str,
@@ -209,8 +228,8 @@ def _rcmc_transfer(cfg: RadarConfig, r_bar_ref_m: float, method: str,
 
 
 def rcmc(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
-         method: str = "windowed_sinc",
-         halfwidth: int = RCMC_HALFWIDTH) -> np.ndarray:
+         method: str = "windowed_sinc", halfwidth: int = RCMC_HALFWIDTH,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Straighten migration trajectories in the range-Doppler domain.
 
     Each Doppler column p is advanced along range by its predicted
@@ -221,7 +240,9 @@ def rcmc(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
     """
     _check_shape(x, cfg)
     transfer = _rcmc_transfer(cfg, r_bar_ref_m, method, halfwidth)
-    return np.fft.ifft(np.fft.fft(x, axis=0) * transfer, axis=0)
+    grid = np.fft.fft(x, axis=0, out=out)
+    grid *= transfer
+    return np.fft.ifft(grid, axis=0, out=grid)
 
 
 KA_MODES = ("reference", "per_range_bin")
@@ -252,12 +273,14 @@ def _matched_phase(cfg: RadarConfig, ka_mode: str,
     v = cfg.platform.speed_mps
     k = np.arange(cfg.n_subcarriers, dtype=float)
     inv_ka = cfg.wavelength_m * (k * cfg.range_pitch_m) / (2.0 * v ** 2)
-    return np.exp(-1j * np.pi * np.outer(inv_ka, p ** 2) / mt_sq)
+    phase = -1j * np.pi * np.outer(inv_ka, p ** 2) / mt_sq
+    return np.exp(phase, out=phase)
 
 
 def azimuth_compress(x: np.ndarray, cfg: RadarConfig,
                      r_bar_ref_m: Optional[float] = None,
-                     ka_mode: str = "reference") -> np.ndarray:
+                     ka_mode: str = "reference",
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Match the quadratic Doppler phase and return to the azimuth domain.
 
     Multiplies each Doppler sample by exp(-j pi p^2 / (M^2 T^2 K_a)) plus
@@ -270,9 +293,13 @@ def azimuth_compress(x: np.ndarray, cfg: RadarConfig,
     # a named phase keeps numpy from multiplying into it as a temporary,
     # which would swap the operands and change the round-off
     phase = _matched_phase(cfg, ka_mode, r_bar_ref_m)
-    matched = x * phase * _SPA_RESIDUAL
-    return np.fft.ifft(np.fft.ifftshift(matched, axes=1), axis=1) \
-        * np.sqrt(cfg.n_symbols)
+    grid = np.multiply(x, phase, out=out)
+    del phase
+    grid *= _SPA_RESIDUAL
+    _roll_symbols(grid, -(cfg.n_symbols // 2))  # ifftshift
+    grid = np.fft.ifft(grid, axis=1, out=grid)
+    grid *= np.sqrt(cfg.n_symbols)
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

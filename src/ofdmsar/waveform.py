@@ -9,6 +9,7 @@ by SrsConfig.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -282,6 +283,31 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# Bytes of the temporaries one row block of a whole-grid loop makes, so
+# that no loop over row blocks holds a temporary near one (N, M) complex
+# grid: a block of int64 indices is 16 Ki cells.
+_BLOCK_BYTES = 1 << 17
+
+
+@functools.lru_cache
+def _row_blocks(shape: tuple, cell_bytes: int) -> tuple[slice, ...]:
+    """Slices of consecutive rows of an (N, M) grid, each of one row or of
+    at most _BLOCK_BYTES at cell_bytes bytes of temporaries per cell."""
+    rows = max(1, _BLOCK_BYTES // (cell_bytes * shape[1]))
+    return tuple(slice(lo, lo + rows) for lo in range(0, shape[0], rows))
+
+
+def _gather(table: np.ndarray, indices: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """np.take(table, indices, out=out) over an (N, M) grid, one row block
+    at a time: take casts its indices to intp, and for a whole grid that
+    copy is half a complex grid."""
+    for rows in _row_blocks(indices.shape, 8):
+        # mode="clip" writes straight into out; the default buffers it
+        np.take(table, indices[rows], out=out[rows], mode="clip")
+    return out
+
+
 SYMBOL_STREAM = 0
 NOISE_STREAM = 1
 RCS_STREAM = 2
@@ -313,10 +339,13 @@ def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
         rng = _philox(seed, SYMBOL_STREAM)
     if out is None:
         out = np.empty(draw_shape, dtype=constellation.index_dtype)
-    # one grid of int64 indices at a time, which draws the same bits as one
-    # call over the stack and holds one int64 grid, not a stack of them
+    # one row block of int64 indices at a time, which draws the same bits
+    # as one call over the stack and holds no int64 grid
+    blocks = _row_blocks(shape, 8)
     for grid in (out if trials is not None else out[np.newaxis]):
-        grid[...] = rng.integers(0, constellation.order, size=shape)
+        for rows in blocks:
+            block = grid[rows]
+            block[...] = rng.integers(0, constellation.order, size=block.shape)
     if mask is not None:
         np.copyto(out, constellation.order, where=~mask)
     return out

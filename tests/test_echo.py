@@ -188,6 +188,20 @@ def test_grid_bytes_round_trip():
         assert np.array_equal(back, data)
 
 
+def test_grid_bytes_round_trip_every_bit_without_a_copy():
+    # the pairs are read as a complex view of the blob, so signed zeros,
+    # infinities and NaN payloads come back as written, and parsing
+    # allocates no grid; a blob in a bytearray gives a writable grid
+    data = np.array([[0.0, -0.0, complex(-0.0, -0.0), 1.5 - 2j],
+                     [complex(np.inf, -np.inf), complex(3.0, np.inf),
+                      complex(np.nan, 1.0), complex(-np.inf, -0.0)]])
+    blob = grid_to_bytes(data, "rd")
+    back, _ = grid_from_bytes(blob)
+    assert back.tobytes() == data.tobytes()
+    assert back.base is not None and not back.flags.writeable
+    assert grid_from_bytes(bytearray(blob))[0].flags.writeable
+
+
 def test_grid_bytes_validation():
     data = np.zeros((2, 2), dtype=complex)
     with pytest.raises(StageError):

@@ -387,9 +387,10 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
     # chunked sequential Philox draws equal the one-shot batch bit for bit,
     # the random targets' amplitudes included.  The budget counts a trial's
     # draws at draw_cell_bytes per cell: all 15 trials fit a budget of 15
-    # trials' draws, so it runs one chunk.  A sweep of several chunks fits
-    # per trial its draws and the next chunk's (drawn meanwhile on a worker
-    # thread) in the budget, so a budget of 8 trials' draws gives chunks of 4
+    # trials' draws, so they are drawn one trial at a time.  A sweep of
+    # several chunks fits per trial its draws and the next chunk's (drawn
+    # meanwhile on a worker thread) in the budget, so a budget of 8 trials'
+    # draws gives chunks of 4
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     cell = draw_cell_bytes(constellation, noisy)
@@ -408,7 +409,7 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
         runs = []
-        for budget, chunk in ((1, 1), (8, 4), (trials, trials)):
+        for budget, chunk in ((1, 1), (8, 4), (trials, 1)):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
                                 budget * cell * 16 * 16)
             drawn["symbols"].clear()
@@ -573,9 +574,10 @@ def test_random_targets_are_redrawn_per_trial():
 @pytest.mark.parametrize("masked", [False, True])
 def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
                                                     tmp_path):
-    # the CLI draws the first point's trial 0 again with the single-trial
-    # chain; its tf dump must be the ensemble's trial 0, rebuilt here from
-    # the ensemble's own streams (each drawn for all trials), bit for bit.
+    # the CLI draws the first point's trial 0 again, in one grid with the
+    # operand order of the single-trial chain; its tf dump must be the
+    # ensemble's trial 0, rebuilt here by that chain from the ensemble's
+    # own streams (each drawn for all trials), bit for bit.
     # 128x128 grids pass numpy's 256 KiB temporary-elision threshold, past
     # which the operand order of the filter's product sets the bits
     cfg = critical_config(n, n)
@@ -635,13 +637,13 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # each wf point's signal and noise grids.  Every trial takes the 7
     # that change between trials to the range-Doppler domain in buffers
     # allocated once, one per grid; F(channel * act) of the deterministic
-    # scene is taken once, into a fresh grid, and the random-target
-    # scene's once per trial into an eighth buffer.  The buffers do not
-    # change with the trial count or the chunk budget, and no result array
-    # shares memory with one
+    # scene is taken once, in place in a copy of the channel that the mf
+    # signal grid reads, and the random-target scene's once per trial into
+    # an eighth buffer.  The buffers do not change with the trial count or
+    # the chunk budget, and no result array shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
-    outs = []
-    record_range_doppler(monkeypatch, lambda x, out: outs.append(out))
+    calls = []
+    record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
     scenes = ((single_target_scene(cfg, k_bin=8, m_bin=8), 7),
               (random_target_scene(cfg)[0], 8))
     for scene, per_trial in scenes:
@@ -652,13 +654,16 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
                                 budget * 16 * 16 * 16)
             for trials in (6, 12):
-                outs.clear()
+                calls.clear()
                 results = run_sweep_ensemble(
                     scene, qam16_sweep_points(cfg), make_qam("qam16"),
                     trials, seed=5)
-                assert len(outs) == per_trial * trials + once
-                assert sum(out is None for out in outs) == once
-                buffers = [out for out in outs if out is not None]
+                assert len(calls) == per_trial * trials + once
+                assert all(out is not None for _, out in calls)
+                if once:
+                    x, out = calls[0]
+                    assert out is x
+                buffers = [out for _, out in calls[once:]]
                 assert len({out.ctypes.data for out in buffers}) == per_trial
                 for result in results:
                     for name in ARRAYS:
@@ -929,3 +934,68 @@ def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2 * pipeline._CHUNK_BYTES
+
+
+def sweep_peak_grids(scene, points, constellation, trials, **options):
+    """The tracemalloc peak of a sweep, in (N, M) complex grids, after an
+    untraced run of it: the first run's imports and caches do not count."""
+    cfg = points[0][0]
+    run_sweep_ensemble(scene, points, constellation, trials, seed=5,
+                       **options)
+    tracemalloc.start()
+    try:
+        run_sweep_ensemble(scene, points, constellation, trials, seed=5,
+                           **options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (cfg.n_subcarriers * cfg.n_symbols * 16)
+
+
+def test_one_chunk_sweep_memory_does_not_grow_with_the_trials():
+    # 12 noisy QPSK trials of 128x128 fit the default budget, so the sweep
+    # draws them one trial at a time into one index grid and one unit-noise
+    # grid: its peak is the same at 2 trials and at 12.  A sweep that held
+    # the chunk's draws would hold 10 more unit-noise grids at 12
+    cfg = critical_config(128, 128, k_ref=64)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    qpsk = make_qam("qpsk")
+    assert pipeline._chunk_trials(12, 128, 128, 17) == 12
+    few, many = (sweep_peak_grids(scene, sweep_points(cfg), qpsk, trials)
+                 for trials in (2, 12))
+    assert abs(many - few) <= 0.25, (few, many)
+
+
+def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
+    # a pilot-only sweep like the CLI's NR one: QPSK under a comb,
+    # phase_ramp RCMC and per_range_bin K_a, rf/mf/wf at 3 SNRs.  Its RCMC
+    # multiplier H and its azimuth multiplier A are (N, M) grids; besides
+    # them it holds R, F(channel * act) as S - R, the noise grid and one
+    # trial's unit noise, and forms no (N, M) weight grid for the range cut
+    cfg = critical_config(256, 128, k_ref=64)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    peak = sweep_peak_grids(scene, sweep_points(cfg), make_qam("qpsk"), 2,
+                            mask=comb_mask(cfg), rcmc_method="phase_ramp",
+                            ka_mode="per_range_bin")
+    assert peak <= 7.0, peak
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_per_range_bin_range_cut_matches_the_image_column(masked):
+    # with one azimuth row per range bin the range cut is summed from Y,
+    # A and the column's phase row as three factors; it stays within 1e-13
+    # of the column of the whole mean |.|^2 images, noisy and noiseless
+    cfg = critical_config(64, 48, k_ref=32)
+    scene = random_target_scene(cfg)[0]
+    mask = comb_mask(cfg) if masked else None
+    qam = make_qam("qam16")
+    points = sweep_points(cfg)
+    swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
+                               mask=mask, ka_mode="per_range_bin")
+    for (cfg_n, spec), result in zip(points, swept):
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
+                              ka_mode="per_range_bin")
+        for name in ("noisy_range_power", "noiseless_range_power"):
+            want = expected[name]
+            error = np.max(np.abs(getattr(result, name) - want))
+            assert error <= 1e-13 * np.max(want), (spec, name, error)

@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from ofdmsar.cli import parse_config, run_scenario
+from ofdmsar.cli import main, parse_config, run_scenario
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -33,3 +33,13 @@ def test_scenario_example_runs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "grid_ac.bin", "image_ac.pgm", "image_rd.pgm", "metrics.json",
         "nmse_sweep.csv", "profile_azimuth.csv", "profile_range.csv"]
+
+
+def test_scenario_example_runs_silently_from_main(tmp_path, capsys):
+    # its run grid is critically sampled in azimuth (K_a T^2 M = 1), so
+    # main prints the output directory and nothing on stderr
+    config = tmp_path / "scenario.json"
+    config.write_text(fenced("json"))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr() == (f"{out}\n", "")
