@@ -222,8 +222,7 @@ class ScenarioConfig:
         """beta = K_a T^2 M of the run grid at the reference target (the
         first deterministic one): 1 at critical azimuth sampling."""
         cfg = self.run_radar
-        ref = next(t for t in self.scene.targets
-                   if t.amplitude_mode == "deterministic")
+        ref = self.scene.reference_target()
         k_a = cfg.azimuth_rate_at(ref.mean_range_m(cfg.platform))
         return k_a * cfg.total_symbol_s ** 2 * cfg.n_symbols
 
@@ -420,19 +419,18 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     if pilot:
         with _at("$.srs"):
             srs.check_fits(run_radar.n_subcarriers)
-    ref = next((t for t in scene.targets
-                if t.amplitude_mode == "deterministic"), None)
-    if ref is None:
-        raise ConfigError("$.scene", "needs a deterministic reference target")
-    with _at("$.radar"):
-        k_a = run_radar.azimuth_rate_at(ref.mean_range_m(radar.platform))
-    with _at("$.scene"):  # every sent symbol, so every kept one too
+    with _at("$.scene"):  # every sent symbol's margin, so every kept one's
+        ref = scene.reference_target()
         check_cp_margin(scene, radar)
-    doppler_step, m = k_a * run_radar.total_symbol_s ** 2, run_radar.n_symbols
-    if doppler_step > MAX_DOPPLER_STEP:  # name the decimation if the sent grid is fine
-        fine = k_a * radar.total_symbol_s ** 2 <= MAX_DOPPLER_STEP
+    with _at("$.radar"):
+        beta = scenario.azimuth_sampling
+    m = run_radar.n_symbols
+    if beta > MAX_DOPPLER_STEP * m:
+        # name the decimation if the sent grid, decimation times finer in
+        # time, samples the chirp finely enough
+        fine = beta / (m * run_radar.decimation ** 2) <= MAX_DOPPLER_STEP
         raise ConfigError(decimation if fine else "$.radar.fc_hz",
-                          f"K_a T^2 M = {doppler_step * m:.3g} exceeds "
+                          f"K_a T^2 M = {beta:.3g} exceeds "
                           f"{MAX_DOPPLER_STEP} M = {MAX_DOPPLER_STEP * m:.3g}"
                           f": the {run_radar.n_subcarriers}x{m} run grid "
                           f"undersamples the reference target's azimuth "

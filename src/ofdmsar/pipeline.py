@@ -96,29 +96,32 @@ place in the channel's own grid (in a copy where a per-trial signal grid
 reads the channel) and held as S - R next to R.  So a trial allocates no
 complex grid.
 
-Draws stream through chunks.  A sweep whose draws fit _CHUNK_BYTES, at
-the index's itemsize plus 16 bytes of unit noise per cell in a noisy
-sweep, draws them one trial at a time into one index grid and one
-unit-noise grid, allocated once.  Otherwise each chunk holds as many
-trials as fit the budget with the next chunk's draws, and chunk c + 1's
-indices and unit noise are drawn on a worker thread while chunk c is
-focused, into two pairs of buffers allocated once; the main thread draws
-only the target amplitudes, builds the channels, focuses and reduces.
-One Philox generator per stream (symbols, noise, target amplitudes) lives
-across the trials, so no result depends on the chunk size.  The index
-draws, the gain gathers and the channel build run a row block at a time,
-so none makes a temporary of a whole grid.
+The trial is the one unit of drawing.  Each trial's indices and, in a
+noisy sweep, its unit noise are drawn into a pair of buffers allocated
+once, an index grid and a unit-noise grid, and its random targets'
+amplitudes are drawn, with its channel and ideal image, just before it is
+focused.  A sweep of several trials whose draws exceed _PREFETCH_BYTES,
+at the index's itemsize plus 16 bytes of unit noise per cell in a noisy
+sweep, draws trial t + 1 on a worker thread while trial t is focused,
+into the other of two pairs; the main thread draws only the target
+amplitudes, builds the channels, focuses and reduces.  One Philox
+generator per stream (symbols, noise, target amplitudes) lives across the
+trials, so no result depends on which thread draws.  The index draws, the
+gain gathers and the channel build run a row block at a time, so none
+makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
 where it has a row per range bin), R, one buffer per distinct canonical
 grid that changes between trials, F(channel * act) as S - R where it
 does not, the scratch grid where there is one, and one trial's draws (an
-index grid and, when noisy, a unit-noise grid), or the chunk's and the
-next chunk's (with random targets, also the chunk's channels and ideal
-images); besides them O(N + M) per point and its per-trial arrays.  The
+index grid and, when noisy, a unit-noise grid), or two trials' when the
+worker draws, and with random targets the trial's channel and ideal
+image; besides them O(N + M) per point and its per-trial arrays.  The
 pilot-only NR sweep of 1024 x 171 cells (QPSK, phase_ramp,
 per_range_bin) holds H, A, R, S - R, its one noise grid and one trial's
-unit noise: 6.2 grids at its tracemalloc peak.
+unit noise: 6.2 grids at its tracemalloc peak.  QAM16 rf/mf/wf at two
+SNRs on 128 x 128 cells, 64 trials drawn by the worker, peaks at 15.8
+grids, and at 16.8 with a random target.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -146,10 +149,9 @@ from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _gather, _philox,
                        chi_stats, gen_symbol_indices)
 
-# Bytes of the draws one chunk of trials holds, with the next chunk's in a
-# sweep of several chunks, so the draws held at once do not grow with the
-# trial count.
-_CHUNK_BYTES = 8 << 20
+# Bytes of a sweep's draws, over all its trials, above which each trial is
+# drawn on a worker thread while the one before it is focused.
+_PREFETCH_BYTES = 8 << 20
 # Bins on each side of the peak that the reported ISLR counts as mainlobe.
 MAINLOBE_HALFWIDTH_BINS = 1
 # Largest Doppler step K_a T^2 between adjacent run-grid symbols at the
@@ -158,12 +160,6 @@ MAINLOBE_HALFWIDTH_BINS = 1
 # symbols; reference targets between two bins stop focusing from 0.47 on
 # (8 to 64 symbols, any K_a or RCMC).
 MAX_DOPPLER_STEP = 0.45
-
-
-def _chunk_trials(trials: int, n: int, m: int, cell_bytes: int) -> int:
-    """Trials per chunk: as many as fit the budget at `cell_bytes` bytes
-    per (N, M) grid cell of each trial."""
-    return max(1, min(trials, _CHUNK_BYTES // (cell_bytes * n * m)))
 
 
 @dataclass(frozen=True)
@@ -316,8 +312,8 @@ def run_sweep_ensemble(scene: Scene,
     """One EnsembleResult per (cfg, filter_spec) point, in order.
 
     The point configs may differ only in noise_var and snr_in_linear; each
-    result equals run_point_ensemble on its point alone, whatever the trial
-    chunk size."""
+    result equals run_point_ensemble on its point alone, whichever thread
+    draws the trials."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     cfg0 = points[0][0] if points else None
@@ -330,11 +326,7 @@ def run_sweep_ensemble(scene: Scene,
             "differ only in noise_var and snr_in_linear")
     check_cp_margin(scene, cfg0)
     n, m = cfg0.n_subcarriers, cfg0.n_symbols
-    ref = next((t for t in scene.targets
-                if t.amplitude_mode == "deterministic"), None)
-    if ref is None:
-        raise InvalidParameterError(
-            "ensemble metrics need at least one deterministic reference target")
+    ref = scene.reference_target()
     r_bar_ref = ref.mean_range_m(cfg0.platform)
     # first: it rejects a static platform, whose speed the bins divide by
     focus = focusing_operator(cfg0, r_bar_ref, rcmc_method, ka_mode)
@@ -489,108 +481,98 @@ def run_sweep_ensemble(scene: Scene,
     ratio = n / m
 
     # Bytes per cell of one trial's draws: its symbol index and, in a noisy
-    # sweep, its unit noise.  A sweep whose draws all fit the budget draws
-    # them trial by trial into one pair of buffers.  A larger sweep draws
-    # chunk c + 1 on a worker thread while chunk c is focused, into the
-    # other of two pairs, each chunk as many trials as fit the budget with
-    # the next chunk's draws.  The buffers are allocated here: a draw
-    # allocates only a row block of int64 indices at a time, so none lands
-    # in the worker's own malloc arena.  The symbol and noise streams keep
-    # their draw order, on one thread.  Leaving the with statement, however
-    # the sweep ends, joins the worker.  A sweep drawn trial by trial starts
-    # no thread and does not import concurrent.futures, whose import of
-    # logging adds ~13 ms to a fresh process.
+    # sweep, its unit noise.  Each trial is drawn into a pair of buffers, an
+    # index grid and a unit-noise grid.  A sweep whose draws fit the budget,
+    # or of one trial, draws each trial on this thread into one pair.  A
+    # larger sweep draws trial t + 1 on a worker thread while trial t is
+    # focused, into the other of two pairs.  The buffers are allocated here:
+    # a draw allocates only a row block of int64 indices at a time, so none
+    # lands in the worker's own malloc arena.  The symbol and noise streams
+    # keep their draw order, on one thread.  Leaving the with statement,
+    # however the sweep ends, joins the worker.  A sweep drawn on this
+    # thread starts no thread and does not import concurrent.futures, whose
+    # import of logging adds ~13 ms to a fresh process.
     cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
-    prefetch = _chunk_trials(trials, n, m, cell) < trials
-    chunk = _chunk_trials(trials, n, m, 2 * cell) if prefetch else 1
-    starts = range(0, trials, chunk)
-    index_bufs = np.empty((1 + prefetch, chunk, n, m),
+    prefetch = 1 < trials and trials * cell * n * m > _PREFETCH_BYTES
+    index_bufs = np.empty((1 + prefetch, n, m),
                           dtype=constellation.index_dtype)
-    noise_bufs = (np.empty((1 + prefetch, chunk, n, m, 2))
+    noise_bufs = (np.empty((1 + prefetch, 1, n, m, 2))
                   if noise_rng is not None else None)
 
-    def draw(c):
-        """Chunk c's symbol indices and unit noise, in chunk order on each
-        stream, into buffer pair c % 2 (or the one pair)."""
-        size, b = min(chunk, trials - starts[c]), c % len(index_bufs)
+    def draw(t):
+        """Trial t's symbol indices and unit noise, in trial order on each
+        stream, into buffer pair t % 2 (or the one pair)."""
+        b = t % len(index_bufs)
         indices = gen_symbol_indices(cfg0, constellation, seed, mask=mask,
-                                     trials=size, rng=symbol_rng,
-                                     out=index_bufs[b, :size])
+                                     rng=symbol_rng, out=index_bufs[b])
         if noise_bufs is None:
-            return indices, [None] * size
-        return indices, draw_noise(cfg0, seed, n_trials=size, unit=True,
-                                   rng=noise_rng, out=noise_bufs[b, :size])
+            return indices, None
+        return indices, draw_noise(cfg0, seed, unit=True, rng=noise_rng,
+                                   out=noise_bufs[b])[0]
 
     if prefetch:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(1) if prefetch else nullcontext()) as worker:
         if prefetch:
             pending = worker.submit(draw, 0)
-        for c, start in enumerate(starts):
-            size = min(chunk, trials - start)
+        for t in range(trials):
             if prefetch:
                 indices, unit_noise = pending.result()
-                # chunk c + 1 reuses chunk c - 1's buffers, read no more
-                pending = (worker.submit(draw, c + 1)
-                           if c + 1 < len(starts) else None)
+                # trial t + 1 refills trial t - 1's buffers, read no more
+                if t + 1 < trials:
+                    pending = worker.submit(draw, t + 1)
             else:
-                indices, unit_noise = draw(c)
-            truths = ([fixed] * size if rcs_rng is None else
-                      [truth(amps)
-                       for amps in scene.draw_amplitudes(rcs_rng, size)])
-            for i, (channel, reference) in enumerate(truths):
-                t = start + i
-                _focus_grids(focus.range_doppler, grids, channel,
-                             indices[i], unit_noise[i], mask)
-                for j, (part, _, out) in zip(per_trial, grids):
-                    taken[j] = (take(out, reference, scales[j], diff)
-                                if part == "signal" else take(out))
-                ref_cross = {z: _inner(reference, buffers[z])
-                             for z in noises}
-                cross = {(s, z): _inner(buffers[s], buffers[z])
-                         for s, z in pairs}
-                for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
-                    clean = taken[signal]
-                    clean_rows, clean_col = clean.rows, clean.col
-                    if chi != 1.0:
-                        clean_rows = chi * clean_rows
-                        clean_col = chi * clean_col
-                    sums["noiseless_peaks"][t] = (clean_rows[hw, m_q]
-                                                  / alpha_ref)
-                    sums["noiseless_range_power"] += np.abs(clean_col) ** 2
-                    sums["noiseless_azimuth_power"] += (
-                        np.abs(clean_rows[hw]) ** 2)
-                    # noisy = chi S + sigma Z, and each residual
-                    # chi S - c R + sigma Z, as sums of squares of formed
-                    # grids plus the noise's cross terms, taken against
-                    # S - R and R: chi S - c R = chi (S - R) + (chi - c) R
-                    chi_sq = chi * chi
-                    total = chi_sq * clean.power
-                    mse = chi_sq * clean.residuals[ks[0]]
-                    mse_calibrated = chi_sq * clean.residuals[ks[1]]
-                    noisy_rows, noisy_col = clean_rows, clean_col
-                    if noise is not None:
-                        z = taken[noise]
-                        noisy_rows = sigma * z.rows + clean_rows
-                        noisy_col = sigma * z.col + clean_col
-                        sz, rz = cross[signal, noise], ref_cross[noise]
-                        noise_power = sigma * sigma * z.power
-                        total += 2.0 * chi * sigma * (sz + rz) + noise_power
-                        mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
-                                + noise_power)
-                        mse_calibrated += (
-                            2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
+                indices, unit_noise = draw(t)
+            channel, reference = (
+                fixed if rcs_rng is None
+                else truth(scene.draw_amplitudes(rcs_rng)[0]))
+            _focus_grids(focus.range_doppler, grids, channel, indices,
+                         unit_noise, mask)
+            for j, (part, _, out) in zip(per_trial, grids):
+                taken[j] = (take(out, reference, scales[j], diff)
+                            if part == "signal" else take(out))
+            ref_cross = {z: _inner(reference, buffers[z]) for z in noises}
+            cross = {(s, z): _inner(buffers[s], buffers[z])
+                     for s, z in pairs}
+            for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
+                clean = taken[signal]
+                clean_rows, clean_col = clean.rows, clean.col
+                if chi != 1.0:
+                    clean_rows = chi * clean_rows
+                    clean_col = chi * clean_col
+                sums["noiseless_peaks"][t] = clean_rows[hw, m_q] / alpha_ref
+                sums["noiseless_range_power"] += np.abs(clean_col) ** 2
+                sums["noiseless_azimuth_power"] += np.abs(clean_rows[hw]) ** 2
+                # noisy = chi S + sigma Z, and each residual
+                # chi S - c R + sigma Z, as sums of squares of formed grids
+                # plus the noise's cross terms, taken against S - R and R:
+                # chi S - c R = chi (S - R) + (chi - c) R
+                chi_sq = chi * chi
+                total = chi_sq * clean.power
+                mse = chi_sq * clean.residuals[ks[0]]
+                mse_calibrated = chi_sq * clean.residuals[ks[1]]
+                noisy_rows, noisy_col = clean_rows, clean_col
+                if noise is not None:
+                    z = taken[noise]
+                    noisy_rows = sigma * z.rows + clean_rows
+                    noisy_col = sigma * z.col + clean_col
+                    sz, rz = cross[signal, noise], ref_cross[noise]
+                    noise_power = sigma * sigma * z.power
+                    total += 2.0 * chi * sigma * (sz + rz) + noise_power
+                    mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
                             + noise_power)
-                    sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
-                    sums["noisy_power_sum"] += ratio * total
-                    sums["noisy_mainlobe_power"] += (
-                        np.abs(noisy_rows[:, lobe]) ** 2)
-                    sums["noisy_range_power"] += np.abs(noisy_col) ** 2
-                    sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
-                    sums["mse"][t] = ratio * mse
-                    sums["mse_calibrated"][t] = (ratio * mse_calibrated
-                                                 / e_chi ** 2)
-            del truths  # free this chunk's channels before the next's
+                    mse_calibrated += (
+                        2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
+                        + noise_power)
+                sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
+                sums["noisy_power_sum"] += ratio * total
+                sums["noisy_mainlobe_power"] += (
+                    np.abs(noisy_rows[:, lobe]) ** 2)
+                sums["noisy_range_power"] += np.abs(noisy_col) ** 2
+                sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
+                sums["mse"][t] = ratio * mse
+                sums["mse_calibrated"][t] = ratio * mse_calibrated / e_chi ** 2
+            del channel, reference  # free a trial's truth before the next's
 
     mode = "data_aided" if mask is None else "pilot_only"
     return [EnsembleResult(

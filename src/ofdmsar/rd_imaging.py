@@ -345,12 +345,14 @@ def focusing_operator(cfg: RadarConfig, r_bar_ref_m: float,
     to round-off, at three FFT passes per grid instead of five; the RCMC
     multiplier and the matched phase are built once here, not per grid.
     """
-    # the phase first, so that a static platform is reported as such
-    phase = _matched_phase(cfg, ka_mode, r_bar_ref_m) \
-        * (_SPA_RESIDUAL * np.sqrt(cfg.n_subcarriers))
+    # the phase first, so that a static platform is reported as such; each
+    # multiplier is scaled and ifftshifted in place
+    phase = _matched_phase(cfg, ka_mode, r_bar_ref_m)
+    phase *= _SPA_RESIDUAL * np.sqrt(cfg.n_subcarriers)
     transfer = _rcmc_transfer(cfg, r_bar_ref_m, rcmc_method, RCMC_HALFWIDTH)
-    return FocusingOperator(np.fft.ifftshift(transfer, axes=-1),
-                            np.fft.ifftshift(phase, axes=-1))
+    shift = -(cfg.n_symbols // 2)
+    return FocusingOperator(_roll_symbols(transfer, shift),
+                            _roll_symbols(phase, shift))
 
 
 def focus_image(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,

@@ -74,6 +74,16 @@ class Scene:
     def q(self) -> int:
         return len(self.targets)
 
+    def reference_target(self) -> PointTarget:
+        """The first deterministic target: the one an ensemble focuses on
+        and measures."""
+        ref = next((t for t in self.targets
+                    if t.amplitude_mode == "deterministic"), None)
+        if ref is None:
+            raise InvalidParameterError(
+                "ensemble metrics need a deterministic reference target")
+        return ref
+
     def amplitude_vector(self, amplitudes: Optional[np.ndarray] = None
                          ) -> np.ndarray:
         """Raw amplitudes d_q as a complex (Q,) vector: the given ones,

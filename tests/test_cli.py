@@ -478,9 +478,9 @@ def test_run_scenario_artifacts_and_rows(tmp_path):
 def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
     # every (snr, filter) point reuses one draw per trial, one channel and
     # one operator, wherever the name is looked up; the ensemble's 4
-    # trials, whose draws fit one chunk, draw their symbol indices and
-    # noise one trial at a time, and the stage artifacts draw trial 0's
-    # indices, noise and channel once more, and nothing without a stage
+    # trials draw their symbol indices and noise one trial at a time, and
+    # the stage artifacts draw trial 0's indices, noise and channel once
+    # more, and nothing without a stage
     calls = {}
 
     def counting(module, name):
@@ -511,19 +511,29 @@ def test_sweep_builds_shared_inputs_once(tmp_path, monkeypatch):
 
 
 def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
-    # trials stream through chunks sized from a byte budget, 18 bytes per
-    # cell of a noisy QAM256 trial's draws (a uint16 index and the complex
-    # unit noise); one trial per chunk and all trials in one chunk write
-    # the same bytes
+    # trials are drawn one at a time, on the main thread while a sweep's
+    # draws fit the prefetch budget (18 bytes per cell of a noisy QAM256
+    # trial: a uint16 index and the complex unit noise), else on a worker
+    # thread one trial ahead; both write the same bytes
     stages = ["tf", "rc", "rd", "rcmc", "ac"]
     scenario = parse_config(config_text(
         snr_in_db=[0, 5], filter={"kind": "all"},
         outputs={"images": stages, "grids": stages}))
+    draws = []
+    real = pipeline.draw_noise
+
+    def recording(*args, **kwargs):
+        draws.append((threading.current_thread() is threading.main_thread(),
+                      kwargs["out"].shape))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "draw_noise", recording)
     outs = []
-    for chunk in (1, scenario.trials):
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 18 * N * M)
-        assert pipeline._chunk_trials(scenario.trials, N, M, 18) == chunk
-        outs.append(run_scenario(scenario, tmp_path / f"chunk{chunk}"))
+    for budget, main_thread in ((scenario.trials * 18 * N * M, True),
+                                (scenario.trials * 18 * N * M - 1, False)):
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
+        draws.clear()
+        outs.append(run_scenario(scenario, tmp_path / f"main{main_thread}"))
+        assert draws == [(main_thread, (1, N, M, 2))] * scenario.trials
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -859,14 +869,14 @@ def test_main_reports_out_of_memory(tmp_path, monkeypatch, capsys):
 
 def test_main_reports_out_of_memory_in_the_noise_worker(tmp_path, monkeypatch,
                                                        capsys):
-    # a budget of two grids streams the four trials one per chunk, so the
-    # next chunk's noise is drawn on the worker thread, where it runs out
+    # past a budget of two grids the four trials' noise is drawn on the
+    # worker thread, where it runs out
     threads = []
 
     def exhausted(*args, **kwargs):
         threads.append(threading.current_thread())
         raise MemoryError
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 2 * 16 * N * M)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 2 * 16 * N * M)
     monkeypatch.setattr(pipeline, "draw_noise", exhausted)
     config = tmp_path / "scenario.json"
     config.write_text(config_text())

@@ -125,8 +125,9 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append(x.shape))
     if chunk is not None:
-        # chunks of one trial, drawn on the worker
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk * 16 * 16 * 16)
+        # the 5 trials' draws exceed about 2 trials' budget, so the worker
+        # draws them
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", chunk * 16 * 16 * 16)
     points = []
     for snr in (1.0, 10.0):
         cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
@@ -187,14 +188,15 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
                  {"rcmc_method": "phase_ramp"}, id="phase_ramp"),
     # QAM256 indices are uint16, the comb's sentinel being 256
     pytest.param("qam256", True, False, (16, 16), {}, id="qam256-comb"),
-    # one trial per chunk, drawn on the worker
+    # each trial drawn on the worker, one ahead
     pytest.param("qam16", True, True, (16, 16), {"budget": 1},
                  id="multi-chunk")])
 def test_shared_focusing_moves_results_by_round_off_only(
         name, masked, random, shape, options, monkeypatch):
     options = dict(options)
     if "budget" in options:
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", options.pop("budget"))
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES",
+                            options.pop("budget"))
     cfg = critical_config(*shape, k_ref=8)
     scene = (random_target_scene(cfg)[0] if random else
              single_target_scene(cfg, k_bin=8, m_bin=8))
@@ -343,7 +345,7 @@ def test_sweep_rejects_an_undersampled_azimuth_chirp(monkeypatch):
     real = pipeline.gen_symbol_indices
 
     def recording(*args, **kwargs):
-        draws.append(kwargs.get("trials"))
+        draws.append(kwargs["out"].shape)
         return real(*args, **kwargs)
     monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
     fc_bound = 3.5e9 * pipeline.MAX_DOPPLER_STEP * 16
@@ -355,7 +357,7 @@ def test_sweep_rejects_an_undersampled_azimuth_chirp(monkeypatch):
     below = replace(cfg, fc_hz=fc_bound * (1 - 1e-9))
     run_point_ensemble(scene, below, make_qam("qpsk"), FilterSpec("mf"),
                        trials=1, seed=0)
-    assert draws == [1]
+    assert draws == [(16, 16)]
 
 
 def test_report_needs_the_mainlobe_inside_the_image():
@@ -384,49 +386,51 @@ def test_report_rejects_an_output_snr_beyond_float_range():
 
 def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                                                points, mask=None):
-    # chunked sequential Philox draws equal the one-shot batch bit for bit,
-    # the random targets' amplitudes included.  The budget counts a trial's
-    # draws at draw_cell_bytes per cell: all 15 trials fit a budget of 15
-    # trials' draws, so they are drawn one trial at a time.  A sweep of
-    # several chunks fits per trial its draws and the next chunk's (drawn
-    # meanwhile on a worker thread) in the budget, so a budget of 8 trials'
-    # draws gives chunks of 4
+    # each stream is drawn one trial per call, on the main thread or, past
+    # the prefetch budget, on the worker, and the sequential Philox draws
+    # equal the seed's one-shot batch of all the trials bit for bit, the
+    # random targets' amplitudes included
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
-    cell = draw_cell_bytes(constellation, noisy)
     trials = 15
-    drawn = {"symbols": [], "noise": []}
+    drawn = {"symbols": [], "noise": [], "amplitudes": []}
 
     def recording(stream, draw):
         def recorded(*args, **kwargs):
-            drawn[stream].append(kwargs.get("trials", kwargs.get("n_trials")))
-            return draw(*args, **kwargs)
+            result = draw(*args, **kwargs)
+            drawn[stream].append(np.array(result))
+            return result
         return recorded
     monkeypatch.setattr(pipeline, "gen_symbol_indices",
                         recording("symbols", pipeline.gen_symbol_indices))
     monkeypatch.setattr(pipeline, "draw_noise",
                         recording("noise", pipeline.draw_noise))
+    monkeypatch.setattr(Scene, "draw_amplitudes",
+                        recording("amplitudes", Scene.draw_amplitudes))
+    batch = {"symbols": gen_symbol_indices(cfg, constellation, 5, mask=mask,
+                                           trials=trials),
+             "noise": draw_noise(cfg, 5, n_trials=trials, unit=True)}
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
-        runs = []
-        for budget, chunk in ((1, 1), (8, 4), (trials, 1)):
-            monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
-                                budget * cell * 16 * 16)
-            drawn["symbols"].clear()
-            drawn["noise"].clear()
-            runs.append(list(run_sweep_ensemble(scene, points, constellation,
-                                                trials, seed=5, mask=mask)))
-            sizes = [min(chunk, trials - start)
-                     for start in range(0, trials, chunk)]
-            assert drawn == {"symbols": sizes, "noise": sizes if noisy else []}
-        for results in runs[1:]:
-            assert len(results) == len(points)
-            for ref, result in zip(runs[0], results):
-                assert result.peak_bin == ref.peak_bin
-                assert result.alpha_ref == ref.alpha_ref
-                for name in ARRAYS:
-                    assert np.array_equal(getattr(result, name),
-                                          getattr(ref, name)), name
+        random = scene.q > 1
+        drawn["amplitudes"].clear()
+        amplitudes = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+        cell = draw_cell_bytes(constellation, noisy)
+        for budget in (trials * cell * 16 * 16, 0):  # this thread, the worker
+            monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
+            for stream in drawn:
+                drawn[stream].clear()
+            run_sweep_ensemble(scene, points, constellation, trials, seed=5,
+                               mask=mask)
+            assert [len(drawn[s]) for s in drawn] == [
+                trials, trials if noisy else 0, trials if random else 0]
+            assert np.array_equal(drawn["symbols"], batch["symbols"])
+            if noisy:
+                assert np.array_equal(np.concatenate(drawn["noise"]),
+                                      batch["noise"])
+            if random:
+                assert np.array_equal(np.concatenate(drawn["amplitudes"]),
+                                      amplitudes)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -454,11 +458,46 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch, make_qam("qpsk"), points)
 
 
+@pytest.mark.parametrize("case", ["noisy", "noiseless", "comb", "random"])
+def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
+    # past the prefetch budget the worker draws each trial while the one
+    # before it is focused; every result equals that of the sweep drawn on
+    # this thread bit for bit.  QAM16 rf/mf/wf reads per-gain grids; the
+    # random target's amplitudes are drawn on this thread either way
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = (random_target_scene(cfg)[0] if case == "random"
+             else single_target_scene(cfg, k_bin=8, m_bin=8))
+    points = ([(cfg, FilterSpec(kind, snr_in_linear=10.0))
+               for kind in ("rf", "mf", "wf")] if case == "noiseless"
+              else sweep_points(cfg))
+    mask = comb_mask(cfg) if case == "comb" else None
+    threads = []
+    real = pipeline.gen_symbol_indices
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
+    runs = []
+    for budget, main in ((1 << 30, True), (0, False)):
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
+        threads.clear()
+        runs.append(run_sweep_ensemble(scene, points, make_qam("qam16"), 7,
+                                       seed=5, mask=mask))
+        assert threads == [main] * 7
+    for ref, result in zip(*runs):
+        assert result.peak_bin == ref.peak_bin
+        assert result.alpha_ref == ref.alpha_ref
+        for name in ARRAYS:
+            assert np.array_equal(getattr(result, name),
+                                  getattr(ref, name)), name
+
+
 def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
-    """A 16x16 QPSK sweep that streams chunks of two trials: the budget
-    holds four trials' draws, two of the chunk and two of the next."""
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
-                        4 * draw_cell_bytes(make_qam("qpsk"), noisy) * 16 * 16)
+    """A 16x16 QPSK sweep whose draws exceed the prefetch budget, so the
+    worker draws each trial while the one before it is focused."""
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES",
+                        draw_cell_bytes(make_qam("qpsk"), noisy) * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
     points = sweep_points(cfg) if noisy else [(cfg, FilterSpec("mf"))]
     return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
@@ -466,8 +505,8 @@ def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
 
 
 def test_closed_sweep_leaves_no_worker_thread(monkeypatch):
-    # a sweep of several chunks draws on a worker, with or without noise,
-    # and joins it before it returns
+    # a sweep past the prefetch budget draws on a worker, with or without
+    # noise, and joins it before it returns
     before = threading.active_count()
     seen = []
     real = pipeline._focus_grids
@@ -509,15 +548,15 @@ def test_failing_symbol_draw_reaches_the_caller(monkeypatch):
 
 
 def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
-    # three sweeps of one trial per chunk, each with its own draw worker,
-    # on more threads than cores with a short switch interval: a chunk
-    # that read a buffer while its worker refilled it would change bits
+    # three sweeps, each drawing on its own worker one trial ahead, on more
+    # threads than cores with a short switch interval: a trial that read a
+    # buffer while its worker refilled it would change bits
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     qam16 = make_qam("qam16")
     points = sweep_points(cfg)
     reference = list(run_sweep_ensemble(scene, points, qam16, 12, seed=5))
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 3 * 16 * 16 * 16)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 3 * 16 * 16 * 16)
     outputs = [None] * 3
 
     def run(k):
@@ -602,16 +641,14 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
     assert (out / "grid_tf.bin").read_bytes() == grid_to_bytes(tf, "tf")
 
 
-def test_ensemble_memory_is_bounded_by_the_chunk_budget(monkeypatch):
+def test_ensemble_memory_is_bounded_by_the_chunk_budget():
     # 64 trials of 128x128 grids make a 16 MiB (T, N, M) complex noise
-    # stack and a 2 MiB uint16 index stack.  A 1 MiB budget holds 3
-    # trials' draws at 18 bytes per cell, fewer than 64, so it streams
-    # them with the next chunk's drawn meanwhile, one trial at a time
+    # stack and a 2 MiB uint16 index stack, at 18 bytes per cell past the
+    # prefetch budget, so the worker draws them one trial ahead into two
+    # pairs of buffers and the sweep holds two trials' draws
     cfg = critical_config(128, 128, k_ref=64).with_noise(0.5, snr_in_linear=2)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 20)
-    assert pipeline._chunk_trials(64, 128, 128, 18) == 3
-    assert pipeline._chunk_trials(64, 128, 128, 2 * 18) == 1
+    assert 64 * 18 * 128 * 128 > pipeline._PREFETCH_BYTES
     tracemalloc.start()
     try:
         run_point_ensemble(scene, cfg, make_qam("qam256"), FilterSpec("mf"),
@@ -640,7 +677,7 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # scene is taken once, in place in a copy of the channel that the mf
     # signal grid reads, and the random-target scene's once per trial into
     # an eighth buffer.  The buffers do not change with the trial count or
-    # the chunk budget, and no result array shares memory with one
+    # the drawing thread, and no result array shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
@@ -648,11 +685,9 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
               (random_target_scene(cfg)[0], 8))
     for scene, per_trial in scenes:
         once = per_trial == 7  # the deterministic scene's F(channel * act)
-        # chunks of one trial, of three (12 trials; 6 fit one chunk), and
-        # one chunk
-        for budget in (1, 8, 1 << 10):
-            monkeypatch.setattr(pipeline, "_CHUNK_BYTES",
-                                budget * 16 * 16 * 16)
+        # drawn on the worker, and on this thread
+        for budget in (0, 1 << 30):
+            monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
             for trials in (6, 12):
                 calls.clear()
                 results = run_sweep_ensemble(
@@ -674,11 +709,10 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
 
 def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
     # a noisy QAM16 sweep holds 17 bytes per cell of a trial's draws (a
-    # uint8 index and the complex unit noise), and a chunk's draws and the
-    # next chunk's share the budget, so a budget of 8 trials' draws streams
-    # chunks of 4 trials.  The worker draws every chunk's indices into one
-    # of two buffers, alternately, so it allocates no index stack, and the
-    # buffers do not grow with the trial count
+    # uint8 index and the complex unit noise); past a budget of 8 trials'
+    # draws the worker draws every trial's indices into one of two index
+    # grids, alternately, so it allocates no index grid, and the grids do
+    # not grow with the trial count
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
@@ -691,20 +725,19 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
     monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
     cell = draw_cell_bytes(make_qam("qam16"), noisy=True)
     assert cell == 17
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 8 * cell * 16 * 16)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 8 * cell * 16 * 16)
     addresses = []
     for trials in (13, 25):  # more than the budget's 8 trials
         calls.clear()
         results = list(run_sweep_ensemble(scene, qam16_sweep_points(cfg),
                                           make_qam("qam16"), trials, seed=5))
-        assert [out.shape for _, out in calls] == [
-            (min(4, trials - start), 16, 16) for start in range(0, trials, 4)]
+        assert [out.shape for _, out in calls] == [(16, 16)] * trials
         assert all(out.dtype == np.uint8 for _, out in calls)
         assert not any(main for main, _ in calls)
         assert not any(out.flags.owndata for _, out in calls)
         bases = [out.ctypes.data for _, out in calls]
         assert bases[0] != bases[1]
-        assert bases == [bases[c % 2] for c in range(len(bases))]
+        assert bases == [bases[t % 2] for t in range(trials)]
         addresses.append(set(bases))
         for result in results:
             for name in ARRAYS:
@@ -713,9 +746,9 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
     assert len(addresses[0]) == len(addresses[1]) == 2
 
 
-@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("prefetched", [False, True])
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
-def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
+def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                                                         monkeypatch):
     # each trial's peaks, mse and mse_calibrated, and the mean power cuts,
     # rebuilt by the per-grid range-Doppler formulas with a fresh grid for
@@ -733,8 +766,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, chunked,
     # channel generic values, whose products round differently in another
     # operand order; the reference target alone makes the sweep take
     # F(channel) once and read it in every trial
-    if chunked:
-        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 128 * 160 * 16)
+    if prefetched:  # the worker draws each trial one ahead
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 128 * 160 * 16)
     n, m = 128, 160
     cfg = critical_config(n, m, k_ref=64)
     qam = make_qam(name)
@@ -912,30 +945,6 @@ def test_gain_tables_gather_the_filter_gains_bit_for_bit(name, masked):
         assert np.take(tables.chi, indices).tobytes() == chi.tobytes(), spec
 
 
-def test_multi_chunk_sweep_memory_is_bounded_by_the_chunk_budget():
-    # 64 trials of 128x128 grids span several chunks of the default
-    # budget: at 17 bytes per cell of a trial's draws (a uint8 QAM16 index
-    # and the complex unit noise) it holds 30 trials' draws, and with the
-    # next chunk's drawn meanwhile, chunks of 15.  The chunk's draws and
-    # the next chunk's share that budget, so the sweep peaks below two
-    # budgets, its 7 canonical grids, scratch grids and per-point
-    # reductions included
-    cfg = critical_config(128, 128, k_ref=64)
-    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
-    assert pipeline._chunk_trials(64, 128, 128, 17) == 30
-    assert pipeline._chunk_trials(64, 128, 128, 2 * 17) == 15
-    tracemalloc.start()
-    try:
-        for result in run_sweep_ensemble(scene, qam16_sweep_points(cfg),
-                                         make_qam("qam16"), trials=64,
-                                         seed=1):
-            del result
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * pipeline._CHUNK_BYTES
-
-
 def sweep_peak_grids(scene, points, constellation, trials, **options):
     """The tracemalloc peak of a sweep, in (N, M) complex grids, after an
     untraced run of it: the first run's imports and caches do not count."""
@@ -953,17 +962,35 @@ def sweep_peak_grids(scene, points, constellation, trials, **options):
 
 
 def test_one_chunk_sweep_memory_does_not_grow_with_the_trials():
-    # 12 noisy QPSK trials of 128x128 fit the default budget, so the sweep
-    # draws them one trial at a time into one index grid and one unit-noise
-    # grid: its peak is the same at 2 trials and at 12.  A sweep that held
-    # the chunk's draws would hold 10 more unit-noise grids at 12
+    # 12 noisy QPSK trials of 128x128 fit the prefetch budget, so the sweep
+    # draws them one trial at a time on this thread, into one index grid
+    # and one unit-noise grid: its peak is the same at 2 trials and at 12.
+    # A sweep that held every trial's draws would hold 10 more unit-noise
+    # grids at 12
     cfg = critical_config(128, 128, k_ref=64)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
     qpsk = make_qam("qpsk")
-    assert pipeline._chunk_trials(12, 128, 128, 17) == 12
+    assert 12 * 17 * 128 * 128 <= pipeline._PREFETCH_BYTES
     few, many = (sweep_peak_grids(scene, sweep_points(cfg), qpsk, trials)
                  for trials in (2, 12))
     assert abs(many - few) <= 0.25, (few, many)
+
+
+def test_prefetched_sweep_peaks_under_eighteen_grids():
+    # 64 trials of a 128x128 QAM16 rf/mf/wf sweep at two SNRs exceed the
+    # prefetch budget at 17 bytes per cell (a uint8 index and the complex
+    # unit noise), so the worker draws each trial one ahead.  The sweep
+    # holds its 7 per-trial canonical grids (8 with the random target),
+    # F(channel * act) as S - R, R, the scratch grid and two trials'
+    # draws, and with a random target one trial's channel and ideal image:
+    # under 18 grids, its per-point reductions included.  A sweep that drew
+    # chunks of trials held 45 grids, and 76 with the random target
+    cfg = critical_config(128, 128, k_ref=64)
+    assert 64 * 17 * 128 * 128 > pipeline._PREFETCH_BYTES
+    for scene in random_target_scene(cfg):
+        peak = sweep_peak_grids(scene, qam16_sweep_points(cfg),
+                                make_qam("qam16"), 64)
+        assert peak < 18.0, (scene.q, peak)
 
 
 def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():

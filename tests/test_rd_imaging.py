@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,6 +321,35 @@ def test_operator_writes_into_out_bit_for_bit(method, ka_mode, shape):
     assert x.tobytes() == kept
     assert focus(x, out=x) is x
     assert x.tobytes() == expected
+
+
+@pytest.mark.parametrize("method", RCMC_METHODS)
+@pytest.mark.parametrize("ka_mode", KA_MODES)
+def test_operator_build_peaks_under_three_grids(method, ka_mode):
+    # the operator keeps H and, per range bin, A: at most two (N, M) grids.
+    # The matched phase is scaled and both multipliers are ifftshifted in
+    # place, so the build peaks under three grids, with the bits of the
+    # out-of-place build.  A first untraced build fills the caches; the
+    # 1024x171 grid is the NR pilot sweep's
+    n, m = 1024, 171
+    cfg = critical_config(n, m)
+    r_bar = 0.6 * n * cfg.range_pitch_m
+    focusing_operator(cfg, r_bar, method, ka_mode)
+    tracemalloc.start()
+    try:
+        focus = focusing_operator(cfg, r_bar, method, ka_mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * m * 16, peak / (n * m * 16)
+    transfer = rd_imaging._rcmc_transfer(cfg, r_bar, method,
+                                         rd_imaging.RCMC_HALFWIDTH)
+    phase = rd_imaging._matched_phase(cfg, ka_mode, r_bar) * (
+        rd_imaging._SPA_RESIDUAL * np.sqrt(n))
+    assert focus.range_multiplier.tobytes() == np.fft.ifftshift(
+        transfer, axes=-1).tobytes()
+    assert focus.azimuth_multiplier.tobytes() == np.fft.ifftshift(
+        phase, axes=-1).tobytes()
 
 
 def test_ensemble_builds_rcmc_transfer_once(monkeypatch):
