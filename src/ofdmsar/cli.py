@@ -557,8 +557,6 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         for kind in scenario.filters:
             labels.append((snr_db, kind))
             sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
-    out_dir = Path(out_dir)  # made once the sweep is checked
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep_ensemble(
         scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
         mask=mask, rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)
@@ -566,20 +564,23 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     points = []
     sweep_rows = []
     for (snr_db, kind), result in zip(labels, results):
-        report = point_target_report(result).to_json_dict()
+        point = f"sweep point ({snr_db} dB, {kind})"
+        try:
+            report = point_target_report(result).to_json_dict()
+        except MeasurementError as exc:
+            raise MeasurementError(f"{point}: {exc}") from None
+        bad = [key for key, value in report.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if bad:  # metrics.json is strict JSON
+            raise MeasurementError(f"{point} has non-finite {', '.join(bad)}")
         report["snr_in_db"] = snr_db
         points.append(report)
         sweep_rows.append((snr_db, kind, result.nmse, result.nmse_calibrated))
     first_result = results[0]
     first_cfg = first_result.cfg
 
-    for report in points:  # metrics.json is strict JSON
-        bad = [key for key, value in report.items()
-               if isinstance(value, float) and not math.isfinite(value)]
-        if bad:
-            raise MeasurementError(
-                f"sweep point ({report['snr_in_db']} dB, {report['filter']}) "
-                f"has non-finite {', '.join(bad)}")
+    out_dir = Path(out_dir)  # made once every point's report is checked
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(
         json.dumps({"points": points}, indent=2, allow_nan=False) + "\n")
 

@@ -3,61 +3,25 @@
 The reader takes the ASCII "P2" and binary "P5" variants of 8-bit
 rasters (maxval 255), the form scene rasters come in; the writer emits
 the binary form the CLI's images use.
-Parse failures raise PgmParseError carrying the byte offset of the
-offending input.
+A header is a sequence of tokens (runs of bytes that are neither
+whitespace nor '#') between whitespace and comments ('#' to the end of
+its line).  One regular expression reads them lazily, so a P5 raster,
+which starts after exactly one whitespace byte past the maxval, is never
+scanned.  Parse failures raise PgmParseError carrying the byte offset of
+the offending input.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .errors import InvalidParameterError, PgmParseError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-class _Scanner:
-    """Tokenizer for the PGM header (whitespace- and comment-aware)."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            byte = self.data[self.pos:self.pos + 1]
-            if byte in (b"#",):
-                while self.pos < n and data[self.pos:self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self, what: str) -> bytes:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PgmParseError(f"unexpected end of header while reading {what}",
-                                byte_offset=self.pos)
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos:self.pos + 1] not in _WHITESPACE \
-                and data[self.pos:self.pos + 1] != b"#":
-            self.pos += 1
-        return self.data[start:self.pos]
-
-    def next_int(self, what: str, upper: int, lower: int = 1) -> int:
-        token = self.next_token(what)
-        start = self.pos - len(token)
-        if not token.isdigit():
-            raise PgmParseError(f"{what} is not a decimal integer: {token!r}",
-                                byte_offset=start)
-        value = int(token)
-        if value < lower or value > upper:
-            raise PgmParseError(f"{what} out of range [{lower}, {upper}]: {value}",
-                                byte_offset=start)
-        return value
+# a comment, or a token (group 1); finditer passes over the whitespace
+_ITEM = re.compile(rb"#[^\r\n]*|([^ \t\r\n\x0b\x0c#]+)")
 
 
 def parse_pgm(data: bytes) -> np.ndarray:
@@ -69,31 +33,49 @@ def parse_pgm(data: bytes) -> np.ndarray:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise InvalidParameterError("parse_pgm expects bytes")
     data = bytes(data)
-    scanner = _Scanner(data)
-    magic = scanner.next_token("magic number")
+    tokens = (match for match in _ITEM.finditer(data) if match[1])
+
+    def token(what: str) -> re.Match:
+        match = next(tokens, None)
+        if match is None:
+            raise PgmParseError(f"unexpected end of header while reading {what}",
+                                byte_offset=len(data))
+        return match
+
+    def number(what: str, upper: int, lower: int = 1) -> tuple[int, int]:
+        match = token(what)
+        if not match[1].isdigit():
+            raise PgmParseError(f"{what} is not a decimal integer: {match[1]!r}",
+                                byte_offset=match.start())
+        value = int(match[1])
+        if not lower <= value <= upper:
+            raise PgmParseError(f"{what} out of range [{lower}, {upper}]: {value}",
+                                byte_offset=match.start())
+        return value, match.end()
+
+    magic = token("magic number")[1]
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"not a PGM image (magic {magic!r}, expected P2 or P5)",
                             byte_offset=0)
-    width = scanner.next_int("width", 1 << 20)
-    height = scanner.next_int("height", 1 << 20)
-    scanner.next_int("maxval (8-bit rasters only)", 255, lower=255)
+    width, _ = number("width", 1 << 20)
+    height, _ = number("height", 1 << 20)
+    _, end = number("maxval (8-bit rasters only)", 255, lower=255)
 
     count = width * height
     if magic == b"P2":
         flat = np.empty(count, dtype=np.uint8)
         for i in range(count):
-            flat[i] = scanner.next_int(f"sample {i}", 255, lower=0)
+            flat[i], _ = number(f"sample {i}", 255, lower=0)
         return flat.reshape(height, width)
 
     # P5: exactly one separator byte after maxval, then the raster.
-    if scanner.pos >= len(data) or data[scanner.pos:scanner.pos + 1] not in _WHITESPACE:
-        raise PgmParseError("missing whitespace after maxval", byte_offset=scanner.pos)
-    raster_at = scanner.pos + 1
-    raster = data[raster_at:raster_at + count]
+    if end >= len(data) or data[end] not in _WHITESPACE:
+        raise PgmParseError("missing whitespace after maxval", byte_offset=end)
+    raster = data[end + 1:end + 1 + count]
     if len(raster) < count:
         raise PgmParseError(
             f"truncated raster: need {count} bytes, found {len(raster)}",
-            byte_offset=raster_at + len(raster))
+            byte_offset=end + 1 + len(raster))
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 

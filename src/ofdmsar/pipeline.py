@@ -1,17 +1,19 @@
 """Monte-Carlo ensemble runner: symbols -> echo -> filter -> focused image.
 
-run_sweep_ensemble is the only code that draws a trial: its symbols, its
-noise and its random targets' amplitudes.  Over independent trials of a
-scene with a deterministic reference target it returns, per (cfg, filter)
-point of an SNR/filter sweep, the reductions the quality metrics need:
-each trial's peaks and image MSE versus the ideal response, and the
-ensemble-mean power that the report reads (the noisy image's total and
-its mainlobe around the peak, and the column and row through the peak of
-the noisy and the noiseless image).  The points share one set of draws
-(common random numbers) and one focusing operator
+run_sweep_ensemble draws every trial: its symbols, its noise and its
+random targets' amplitudes.  The only other draw is the CLI's stage path
+(cli._filtered_trial_zero), which draws trial 0 again from the same
+streams, with the same bits, to render its images.  Over independent
+trials of a scene with a deterministic reference target it returns, per
+(cfg, filter) point of an SNR/filter sweep, the reductions the quality
+metrics need: each trial's peaks and image MSE versus the ideal
+response, and the ensemble-mean power that the report reads (the noisy
+image's total and its mainlobe around the peak, and the column and row
+through the peak of the noisy and the noiseless image).  The points
+share one set of draws (common random numbers) and one focusing operator
 (rd_imaging.focusing_operator).  The channel and the ideal image are
-built once per sweep, or per trial from its amplitudes when the scene has
-random targets.  run_point_ensemble is the one-point sweep.
+built once per sweep, or per trial from its amplitudes when the scene
+has random targets.  run_point_ensemble is the one-point sweep.
 
 A trial draws its symbols as alphabet indices (waveform.gen_symbol_indices,
 one or two bytes per cell, the sentinel index `order` on inactive cells)

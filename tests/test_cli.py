@@ -392,6 +392,19 @@ def test_parse_pilot_srs_rules():
     assert err.value.path == "$.srs"
 
 
+def test_srs_field_errors_keep_their_own_path():
+    # the srs fields are read inside the block that re-raises a library
+    # error at $.srs; a ConfigError from inside it keeps its own path
+    doc = copy.deepcopy(BASE)
+    del doc["azimuth_downsample"]
+    doc["mode"] = "pilot_only"
+    for key, value in (("bogus", 1), ("comb_spacing", 2.5)):
+        doc["srs"] = {**SRS, key: value}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == f"$.srs.{key}"
+
+
 def test_parse_scene_from_pgm(tmp_path):
     pixels = np.zeros((4, 4), dtype=np.uint8)
     pixels[2, 1] = 255
@@ -1008,6 +1021,25 @@ def test_non_finite_metric_fails_without_metrics_json(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "(5.0 dB, rf)" in err and "snr_out_db" in err
     assert not (out_dir / "metrics.json").exists()
+
+
+def test_unmeasurable_point_names_itself_and_makes_no_out_dir(tmp_path,
+                                                             capsys):
+    # 8 symbols with K_a T^2 = 0.01 and the target half-way between
+    # azimuth bins 3 and 4: the azimuth profile is too flat for a -3 dB
+    # crossing, which the report finds only after the ensemble ran
+    doc = copy.deepcopy(BASE)
+    doc["radar"]["aperture_time_s"] = 8 * T_SYM
+    doc["radar"]["platform"]["speed_mps"] = 56.262977
+    doc["scene"]["targets"] = [{"x": X_TARGET, "y": 2.559965}]
+    doc.update(snr_in_db=20.0, filter={"kind": "mf"}, constellation="qpsk")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: sweep point (20.0 dB, mf): no -3 dB crossing" in err
+    assert not out_dir.exists()
 
 
 def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):
