@@ -125,11 +125,9 @@ _SRS = dict.fromkeys(("periodicity_slots", "symbols_per_slot", "comb_spacing",
 _POINT_SCENE = {"targets": list, "extent": list}
 _PGM_SCENE = {"pgm_path": str, "extent": list, "threshold": int,
               "rcs_scale": float}
-_TARGET = {**dict.fromkeys(("x", "y", "x_m", "y_m", "rcs_var"), float),
-           "mode": str, "amplitude_mode": str}
-# A target key names the PointTarget field it sets, or is one of these
-# short names for it.
-_TARGET_ALIAS = {"x": "x_m", "y": "y_m", "mode": "amplitude_mode"}
+_TARGET = {**dict.fromkeys(("x", "y", "rcs_var"), float), "mode": str}
+# The PointTarget field each target key sets, where the names differ.
+_TARGET_FIELDS = {"x": "x_m", "y": "y_m", "mode": "amplitude_mode"}
 _OUTPUTS = {"images": list, "grids": list, "db_floor": float}
 _FILTER = {"kind": str}
 _RCMC = {"method": str}
@@ -316,18 +314,10 @@ def _parse_scene(obj: dict, path: str, config_dir: Path) -> Scene:
     targets = []
     for i, entry in enumerate(values["targets"]):
         target_path = f"{path}.targets[{i}]"
-        spec = _fields(entry, target_path, _TARGET)
-        fields, keys = {}, {}
-        for key, value in spec.items():
-            name = _TARGET_ALIAS.get(key, key)
-            if name in fields:
-                raise ConfigError(target_path, f"target spec gives both "
-                                               f"{keys[name]} and {key}")
-            fields[name], keys[name] = value, key
-        if "x_m" not in fields or "y_m" not in fields:
-            raise ConfigError(target_path, f"target spec missing x/y: {spec}")
+        spec = _fields(entry, target_path, _TARGET, ("x", "y"))
         with _at(target_path):  # one at a time, so its errors name it
-            targets.append(PointTarget(**fields))
+            targets.append(PointTarget(**{_TARGET_FIELDS.get(key, key): value
+                                          for key, value in spec.items()}))
     with _at(path):
         return make_point_scene(targets, extent=extent)
 
@@ -493,14 +483,13 @@ def _filtered_trial_zero(scenario: ScenarioConfig, cfg: RadarConfig,
     filter_gains on the symbol grid bit for bit."""
     seed, n, m = scenario.seed, cfg.n_subcarriers, cfg.n_symbols
     indices = gen_symbol_indices(cfg, constellation, seed, mask=mask)
-    amplitudes = scenario.scene.draw_amplitudes(_philox(seed, RCS_STREAM),
-                                                1)[0]
+    amplitudes = scenario.scene.draw_amplitudes(_philox(seed, RCS_STREAM))
     grid = build_channel_matrix(scenario.scene, cfg, amplitudes)
     scratch = _gather(constellation.table, indices,
                       np.empty((n, m), dtype=complex))
     grid *= scratch  # channel * symbols
     noise = draw_noise(cfg, seed, unit=True,
-                       out=scratch.view(float).reshape(1, n, m, 2))[0]
+                       out=scratch.view(float).reshape(n, m, 2))
     grid += np.multiply(np.sqrt(cfg.noise_var / 2.0), noise, out=noise)
     _gather(filter_gains(constellation.table, spec), indices, scratch)
     return np.multiply(scratch, grid, out=grid)  # gains * echo

@@ -79,19 +79,18 @@ def build_channel_matrix(scene: Scene, cfg: RadarConfig,
     return h
 
 
-def draw_noise(cfg: RadarConfig, noise_seed: int, n_trials: int = 1,
-               unit: bool = False,
+def draw_noise(cfg: RadarConfig, noise_seed: int, *, unit: bool = False,
                rng: Optional[np.random.Generator] = None,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """i.i.d. CN(0, noise_var) grids, shape (n_trials, N, M); with unit=True
-    CN(0, 2) grids, of which the CN(0, noise_var) draw of the same seed is
-    exactly sqrt(noise_var / 2) times.  A generator passed as rng replaces
-    the seed's and is advanced, so successive calls of c1, c2, ... trials
-    on one generator equal one call of their sum.  out, a C-contiguous
-    float64 (n_trials, N, M, 2) array, takes the unit draw's (re, im)
-    pairs; with unit=True the grids returned are a view of it, so the call
-    allocates no grid."""
-    shape = (n_trials, cfg.n_subcarriers, cfg.n_symbols)
+    """One trial's (N, M) grid of i.i.d. CN(0, noise_var) noise; with
+    unit=True a CN(0, 2) grid, of which the CN(0, noise_var) draw of the
+    same seed is exactly sqrt(noise_var / 2) times.  A generator passed as
+    rng replaces the seed's and is advanced, so successive calls on one
+    generator draw trials 0, 1, ... of its stream.  out, a C-contiguous
+    float64 (N, M, 2) array, takes the unit draw's (re, im) pairs; with
+    unit=True the grid returned is a view of it, so the call allocates no
+    grid."""
+    shape = (cfg.n_subcarriers, cfg.n_symbols)
     if cfg.noise_var == 0.0 and not unit:
         return np.zeros(shape, dtype=complex)
     if rng is None:
@@ -116,9 +115,9 @@ def synthesize_echo(scene: Scene, cfg: RadarConfig, symbols: np.ndarray,
         raise ConfigurationError(
             f"symbol grid shape {symbols.shape} != configured {expected}")
     check_cp_margin(scene, cfg)
-    amps = scene.draw_amplitudes(_philox(seed, RCS_STREAM), 1)[0]
+    amps = scene.draw_amplitudes(_philox(seed, RCS_STREAM))
     noiseless = build_channel_matrix(scene, cfg, amplitudes=amps) * symbols
-    return noiseless + draw_noise(cfg, seed, 1)[0]
+    return noiseless + draw_noise(cfg, seed)
 
 
 # Binary grid serialization ------------------------------------------------

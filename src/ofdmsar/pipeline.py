@@ -277,17 +277,11 @@ def _focus_grids(range_doppler, grids: list, channel: np.ndarray,
         range_doppler(x, out=out)
 
 
-def _power_sum(grid: np.ndarray) -> float:
-    """sum |grid|^2 of a contiguous grid: a sum of squares over its float64
-    (re, im) view, so it is never negative.  einsum runs without BLAS,
-    whose threads would compete with the draw worker."""
-    values = grid.view(float).ravel()
-    return float(np.einsum("i,i->", values, values))
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a, b> = sum Re(a conj(b)) of two contiguous grids, over their
-    float64 (re, im) views, without BLAS."""
+    float64 (re, im) views, without BLAS, whose threads would compete with
+    the draw worker.  _inner(a, a) = sum |a|^2 is a sum of squares, so it
+    is never negative."""
     return float(np.einsum("i,i->", a.view(float).ravel(),
                            b.view(float).ravel()))
 
@@ -372,17 +366,17 @@ def run_sweep_ensemble(scene: Scene,
         image_rows = np.multiply(grid[rows], azimuth_rows)
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
         col = column(grid)
-        power = _power_sum(grid)
+        power = _inner(grid, grid)
         residuals = {}
         if reference is not None:
             for k in scales:
                 if k != 1.0:
                     np.multiply(k, reference, out=diff)
-                    residuals[k] = _power_sum(
-                        np.subtract(grid, diff, out=diff))
+                    np.subtract(grid, diff, out=diff)
+                    residuals[k] = _inner(diff, diff)
             grid -= reference
             if 1.0 in scales:
-                residuals[1.0] = _power_sum(grid)
+                residuals[1.0] = _inner(grid, grid)
         return _Taken(image_rows, col, power, residuals)
 
     def truth(amplitudes=None):
@@ -498,7 +492,7 @@ def run_sweep_ensemble(scene: Scene,
     prefetch = 1 < trials and trials * cell * n * m > _PREFETCH_BYTES
     index_bufs = np.empty((1 + prefetch, n, m),
                           dtype=constellation.index_dtype)
-    noise_bufs = (np.empty((1 + prefetch, 1, n, m, 2))
+    noise_bufs = (np.empty((1 + prefetch, n, m, 2))
                   if noise_rng is not None else None)
 
     def draw(t):
@@ -510,7 +504,7 @@ def run_sweep_ensemble(scene: Scene,
         if noise_bufs is None:
             return indices, None
         return indices, draw_noise(cfg0, seed, unit=True, rng=noise_rng,
-                                   out=noise_bufs[b])[0]
+                                   out=noise_bufs[b])
 
     if prefetch:
         from concurrent.futures import ThreadPoolExecutor
@@ -527,7 +521,7 @@ def run_sweep_ensemble(scene: Scene,
                 indices, unit_noise = draw(t)
             channel, reference = (
                 fixed if rcs_rng is None
-                else truth(scene.draw_amplitudes(rcs_rng)[0]))
+                else truth(scene.draw_amplitudes(rcs_rng)))
             _focus_grids(focus.range_doppler, grids, channel, indices,
                          unit_noise, mask)
             for j, (part, _, out) in zip(per_trial, grids):

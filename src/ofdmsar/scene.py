@@ -97,15 +97,16 @@ class Scene:
                 f"amplitudes shape {amplitudes.shape} != (Q,) = ({self.q},)")
         return amplitudes
 
-    def draw_amplitudes(self, rng: Optional[np.random.Generator],
-                        n_trials: int = 1) -> np.ndarray:
-        """Per-trial raw amplitudes d_q, shape (n_trials, Q).
+    def draw_amplitudes(self, rng: Optional[np.random.Generator]
+                        ) -> np.ndarray:
+        """One trial's raw amplitudes d_q, shape (Q,).
 
-        Deterministic targets contribute sqrt(rcs_var) in every trial;
-        random targets are drawn CN(0, rcs_var).  rng may be None when the
-        scene has no random targets.
+        Deterministic targets contribute sqrt(rcs_var); random targets are
+        drawn CN(0, rcs_var), so successive calls on one generator draw
+        trials 0, 1, ... of its stream.  rng may be None when the scene has
+        no random targets.
         """
-        amps = np.tile(self.amplitude_vector(), (n_trials, 1))
+        amps = self.amplitude_vector()
         random_cols = [j for j, t in enumerate(self.targets)
                        if t.amplitude_mode == "random"]
         if random_cols:
@@ -114,8 +115,8 @@ class Scene:
                     "scene has random-amplitude targets but no generator was given")
             scale = np.array([np.sqrt(self.targets[j].rcs_var / 2.0)
                               for j in random_cols])
-            draws = rng.standard_normal((n_trials, len(random_cols), 2))
-            amps[:, random_cols] = scale * (draws[..., 0] + 1j * draws[..., 1])
+            draws = rng.standard_normal((len(random_cols), 2))
+            amps[random_cols] = scale * (draws[:, 0] + 1j * draws[:, 1])
         return amps
 
 

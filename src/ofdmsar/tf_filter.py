@@ -32,12 +32,10 @@ class FilterSpec:
     snr_in_linear: Optional[float] = None
 
     def __post_init__(self):
-        kind = self.kind.lower()
-        object.__setattr__(self, "kind", kind)
-        if kind not in FILTER_KINDS:
+        if self.kind not in FILTER_KINDS:
             raise ConfigurationError(
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}")
-        if kind == "wf":
+        if self.kind == "wf":
             if self.snr_in_linear is None:
                 raise ConfigurationError("Wiener filter requires snr_in_linear")
             if self.snr_in_linear <= 0:

@@ -217,12 +217,11 @@ def make_qam(name_or_order) -> Constellation:
     {"qpsk", "qam16", "qam64", "qam256"}.
     """
     if isinstance(name_or_order, str):
-        name = name_or_order.lower()
-        if name not in _QAM_NAMES:
+        if name_or_order not in _QAM_NAMES:
             raise InvalidParameterError(
                 f"unknown constellation {name_or_order!r}; "
                 f"expected one of {sorted(_QAM_NAMES)}")
-        order = _QAM_NAMES[name]
+        name, order = name_or_order, _QAM_NAMES[name_or_order]
     else:
         order = int(name_or_order)
         names = {v: k for k, v in _QAM_NAMES.items()}
@@ -314,51 +313,44 @@ RCS_STREAM = 2
 
 
 def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
-                       seed: int, mask: Optional[np.ndarray] = None,
-                       trials: Optional[int] = None,
+                       seed: int, mask: Optional[np.ndarray] = None, *,
                        rng: Optional[np.random.Generator] = None,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw i.i.d. uniform alphabet indices on the N x M grid.
+    """Draw one trial's (N, M) grid of i.i.d. uniform alphabet indices.
 
     Index j < order stands for constellation.points[j]; the cells outside
     the mask hold the sentinel index `order`, whose entry in
     constellation.table is 0.  The indices come from a counter-based
     generator keyed by the seed, so the result does not depend on any
-    evaluation schedule.  With trials=None the result is a single (N, M)
-    grid; with an integer it is a (trials, N, M) stack of independent
-    realizations.  A generator passed as rng replaces the seed's and is
-    advanced, so successive calls of c1, c2, ... trials on one generator
-    equal one call of their sum.  out, an array of the result's shape and
-    constellation.index_dtype, takes the indices and is returned.
+    evaluation schedule, and the seed's draw is trial 0 of an ensemble on
+    it.  A generator passed as rng replaces the seed's and is advanced, so
+    successive calls on one generator draw trials 0, 1, ... of its
+    stream.  out, an (N, M) array of constellation.index_dtype, takes the
+    indices and is returned.
     """
     shape = (cfg.n_subcarriers, cfg.n_symbols)
     if mask is not None and mask.shape != shape:
         raise ConfigurationError(f"mask shape {mask.shape} != grid shape {shape}")
-    draw_shape = shape if trials is None else (trials,) + shape
     if rng is None:
         rng = _philox(seed, SYMBOL_STREAM)
     if out is None:
-        out = np.empty(draw_shape, dtype=constellation.index_dtype)
+        out = np.empty(shape, dtype=constellation.index_dtype)
     # one row block of int64 indices at a time, which draws the same bits
-    # as one call over the stack and holds no int64 grid
-    blocks = _row_blocks(shape, 8)
-    for grid in (out if trials is not None else out[np.newaxis]):
-        for rows in blocks:
-            block = grid[rows]
-            block[...] = rng.integers(0, constellation.order, size=block.shape)
+    # as one call over the grid and holds no int64 grid
+    for rows in _row_blocks(shape, 8):
+        block = out[rows]
+        block[...] = rng.integers(0, constellation.order, size=block.shape)
     if mask is not None:
         np.copyto(out, constellation.order, where=~mask)
     return out
 
 
 def gen_symbol_grid(cfg: RadarConfig, constellation: Constellation, seed: int,
-                    mask: Optional[np.ndarray] = None,
-                    trials: Optional[int] = None) -> np.ndarray:
-    """The symbols of gen_symbol_indices' draw, with the same arguments:
-    constellation.table at the indices, so the zero cells are the inactive
-    ones."""
-    indices = gen_symbol_indices(cfg, constellation, seed, mask=mask,
-                                 trials=trials)
+                    mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (N, M) symbols of gen_symbol_indices' draw, with the same
+    arguments: constellation.table at the indices, so the zero cells are
+    the inactive ones."""
+    indices = gen_symbol_indices(cfg, constellation, seed, mask=mask)
     return np.take(constellation.table, indices)
 
 

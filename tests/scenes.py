@@ -9,9 +9,14 @@ analytic expectation.
 
 import math
 
+import numpy as np
+
+from ofdmsar.echo import draw_noise
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.scene import PointTarget, Scene
-from ofdmsar.waveform import SPEED_OF_LIGHT as c, RadarConfig
+from ofdmsar.waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM,
+                              SPEED_OF_LIGHT as c, RadarConfig, _philox,
+                              gen_symbol_indices)
 
 
 def critical_config(n, m, t_sym=0.013, height_m=500.0, df_hz=60e3,
@@ -48,3 +53,50 @@ def single_target_scene(cfg, k_bin=None, m_bin=None):
     return Scene(targets=(target,),
                  extent=(target.x_m - 100, target.x_m + 100,
                          target.y_m - 100, target.y_m + 100))
+
+
+# An ensemble's first trials on a seed, each drawn by its own call on one
+# generator per stream, in trial order, as the sweep draws them, and
+# stacked on a leading trial axis.
+
+def index_trials(cfg, constellation, seed, trials, mask=None):
+    """(trials, N, M) symbol indices."""
+    rng = _philox(seed, SYMBOL_STREAM)
+    return np.stack([gen_symbol_indices(cfg, constellation, seed, mask=mask,
+                                        rng=rng) for _ in range(trials)])
+
+
+def symbol_trials(cfg, constellation, seed, trials, mask=None):
+    """(trials, N, M) symbols: the table at index_trials' indices."""
+    return np.take(constellation.table,
+                   index_trials(cfg, constellation, seed, trials, mask))
+
+
+def noise_trials(cfg, seed, trials, unit=False):
+    """(trials, N, M) noise grids, CN(0, noise_var) or with unit CN(0, 2)."""
+    rng = _philox(seed, NOISE_STREAM)
+    return np.stack([draw_noise(cfg, seed, unit=unit, rng=rng)
+                     for _ in range(trials)])
+
+
+def raw_indices(constellation, seed, shape, mask=None):
+    """The seed's symbol stream drawn in one call of the given shape, with
+    the sentinel index on the masked cells."""
+    indices = _philox(seed, SYMBOL_STREAM).integers(0, constellation.order,
+                                                    size=shape)
+    if mask is not None:
+        indices[..., ~mask] = constellation.order
+    return indices
+
+
+def raw_unit_noise(seed, shape):
+    """The seed's unit noise stream drawn in one call: CN(0, 2) cells of
+    the given shape."""
+    pairs = _philox(seed, NOISE_STREAM).standard_normal(tuple(shape) + (2,))
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def amplitude_trials(scene, seed, trials):
+    """(trials, Q) raw target amplitudes."""
+    rng = _philox(seed, RCS_STREAM)
+    return np.stack([scene.draw_amplitudes(rng) for _ in range(trials)])

@@ -21,12 +21,13 @@ import time
 import numpy as np
 import pytest
 
-from scenes import critical_config, single_target_scene, target_at_bins
+from scenes import (critical_config, noise_trials, single_target_scene,
+                    symbol_trials, target_at_bins)
 from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      Scene, SrsConfig, analytic_point_metrics,
                      azimuth_compress, azimuth_fft, build_channel_matrix,
                      channel_mse_analytic, chi_stats, doppler_support,
-                     draw_noise, envelope_to_phase_rate_ratio, filter_gains,
+                     envelope_to_phase_rate_ratio, filter_gains,
                      focus_image, focus_stages, gen_symbol_grid,
                      ls_reconstruct,
                      make_point_scene, make_qam, measure_mainlobe_width,
@@ -84,8 +85,8 @@ def test_criterion_02_channel_mse_closed_form():
                                                        snr_in_linear=snr)
     scene = single_target_scene(cfg, 16, 32)
     h = build_channel_matrix(scene, cfg)
-    grids = gen_symbol_grid(cfg, QAM256, 11, trials=500)
-    noise = draw_noise(cfg, 11, n_trials=500)
+    grids = symbol_trials(cfg, QAM256, 11, 500)
+    noise = noise_trials(cfg, 11, 500)
     for kind in ("rf", "mf", "wf"):
         spec = spec_for(kind, snr)
         gains = filter_gains(grids, spec)

@@ -89,7 +89,7 @@ LIBRARY_REJECTS = (
     (("radar", "n_subcarriers"), 0, "$.radar"),
     (("radar", "platform", "height_m"), -5, "$.radar.platform"),
     (("scene", "targets", 0, "rcs_var"), -1, "$.scene.targets[0]"),
-    (("scene", "targets", 0, "x_m"), X_TARGET + 50, "$.scene.targets[0]"),
+    (("scene", "targets", 0, "x"), X_TARGET + 150, "$.scene"),
     (("azimuth_downsample",), 1000, "$.azimuth_downsample"),
     # no run grid or reference target the ensembles could use
     (("scene", "targets", 0, "mode"), "random", "$.scene"),
@@ -309,37 +309,42 @@ def test_field_tables_match_the_config_dataclasses():
     assert set(cli._RADAR) == init_fields(RadarConfig) - {
         "noise_var", "snr_in_linear", "decimation"}
     assert set(cli._SRS) == init_fields(SrsConfig)
-    # every target key, alias or not, sets a PointTarget field
-    assert {cli._TARGET_ALIAS.get(key, key) for key in cli._TARGET} == \
-        init_fields(PointTarget)
-    assert set(cli._TARGET_ALIAS) <= set(cli._TARGET)
+    # every target key sets a PointTarget field, each field by one key
+    assert sorted(cli._TARGET_FIELDS.get(key, key) for key in cli._TARGET) \
+        == sorted(init_fields(PointTarget))
+    assert set(cli._TARGET_FIELDS) <= set(cli._TARGET)
 
 
 def test_parse_target_spelling():
-    # x_m, y_m and amplitude_mode are aliases of x, y and mode: either
-    # spelling gives the same target, with rcs_var 1 and a deterministic
-    # amplitude by default
+    # a target has one spelling per key: x, y, rcs_var and mode set the
+    # PointTarget's x_m, y_m, rcs_var and amplitude_mode, with rcs_var 1
+    # and a deterministic amplitude by default
     def parsed(**target):
         scene = copy.deepcopy(BASE["scene"])
         scene["targets"] = [target, {"x": X_TARGET, "y": Y_TARGET}]
         return parse_config(config_text(scene=scene)).scene.targets[0]
     short = parsed(x=X_TARGET - 1, y=Y_TARGET, rcs_var=2, mode="random")
-    assert short == parsed(x_m=X_TARGET - 1, y_m=Y_TARGET, rcs_var=2.0,
-                           amplitude_mode="random")
     assert short == PointTarget(X_TARGET - 1, Y_TARGET, 2.0, "random")
     assert parsed(x=X_TARGET - 1, y=Y_TARGET) == \
         PointTarget(X_TARGET - 1, Y_TARGET, 1.0, "deterministic")
-    # two names for one field: neither may silently win; x and y are
-    # required, and an unknown key is named at its own path
+    # the PointTarget field names are unknown keys, each named at its own
+    # path, alone or next to the key that sets the field; x and y are
+    # required at their own paths
     at_target = "$.scene.targets[0]"
     for target, path, message in (
-            ({"x": 1.0, "y": 2.0, "x_m": 3.0}, at_target, "gives both x and x_m"),
-            ({"x": 1.0, "y": 2.0, "y_m": 4.0}, at_target, "gives both y and y_m"),
+            ({"x": 1.0, "y": 2.0, "x_m": 3.0}, f"{at_target}.x_m",
+             "unknown field"),
+            ({"x": 1.0, "y": 2.0, "y_m": 4.0}, f"{at_target}.y_m",
+             "unknown field"),
             ({"x": 1.0, "y": 2.0, "mode": "random",
-              "amplitude_mode": "random"}, at_target,
-             "gives both mode and amplitude_mode"),
-            ({"x": 1.0}, at_target, "missing x/y"),
-            ({"y_m": 1.0}, at_target, "missing x/y"),
+              "amplitude_mode": "random"}, f"{at_target}.amplitude_mode",
+             "unknown field"),
+            ({"x": 1.0, "y": 2.0, "amplitude_mode": "random"},
+             f"{at_target}.amplitude_mode", "unknown field"),
+            ({"x": 1.0}, f"{at_target}.y", "missing required field"),
+            ({"y_m": 1.0}, f"{at_target}.y_m", "unknown field"),
+            ({"x_m": 1.0, "y_m": 2.0}, f"{at_target}.x_m", "unknown field"),
+            ({"y": 1.0}, f"{at_target}.x", "missing required field"),
             ({"x": 1.0, "y": 2.0, "bogus": 3}, f"{at_target}.bogus",
              "unknown field")):
         scene = copy.deepcopy(BASE["scene"])
@@ -546,7 +551,7 @@ def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
         draws.clear()
         outs.append(run_scenario(scenario, tmp_path / f"main{main_thread}"))
-        assert draws == [(main_thread, (1, N, M, 2))] * scenario.trials
+        assert draws == [(main_thread, (N, M, 2))] * scenario.trials
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:

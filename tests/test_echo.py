@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scenes import critical_config, single_target_scene, target_at_bins
+from scenes import (critical_config, noise_trials, single_target_scene,
+                    target_at_bins)
 from ofdmsar.echo import (build_channel_matrix, check_cp_margin, draw_noise,
                           grid_from_bytes, grid_to_bytes, synthesize_echo)
 from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
@@ -75,7 +76,7 @@ def test_echo_mean_channel_power():
     acc = 0.0
     trials = 400
     for _ in range(trials):
-        amps = scene.draw_amplitudes(rng, 1)[0]
+        amps = scene.draw_amplitudes(rng)
         h = build_channel_matrix(scene, cfg, amplitudes=amps)
         acc += np.mean(np.abs(h) ** 2)
     assert acc / trials == pytest.approx(sum(t.rcs_var for t in scene.targets), rel=0.15)
@@ -96,25 +97,29 @@ def test_echo_adds_configured_noise():
 
 
 def test_draw_noise_statistics_and_batching():
+    # trials drawn one per call on one generator: trial 0 is the seed's
+    # one draw, each of CN(0, noise_var); a noiseless config draws zeros
     cfg = critical_config(32, 32).with_noise(2.0)
-    batch = draw_noise(cfg, noise_seed=3, n_trials=4)
+    batch = noise_trials(cfg, 3, 4)
     assert batch.shape == (4, 32, 32)
     assert np.mean(np.abs(batch) ** 2) == pytest.approx(2.0, rel=0.1)
-    single = draw_noise(cfg, noise_seed=3, n_trials=1)
-    assert np.array_equal(batch[0], single[0])
+    single = draw_noise(cfg, noise_seed=3)
+    assert single.shape == (32, 32)
+    assert np.array_equal(batch[0], single)
+    assert not np.array_equal(batch[0], batch[1])
     silent = draw_noise(critical_config(4, 4), noise_seed=3)
+    assert silent.shape == (4, 4)
     assert np.all(silent == 0)
 
 
 def test_unit_noise_scales_to_every_noise_variance():
     # one unit draw serves every SNR of a sweep: scaling it reproduces the
-    # CN(0, noise_var) draw from the same seed bit for bit
-    unit = draw_noise(critical_config(8, 8), noise_seed=3, n_trials=2,
-                      unit=True)
+    # CN(0, noise_var) draw from the same seed bit for bit, trial by trial
+    unit = noise_trials(critical_config(8, 8), 3, 2, unit=True)
     assert np.mean(np.abs(unit) ** 2) == pytest.approx(2.0, rel=0.3)
     for noise_var in (1e-3, 0.5, 7.0):
         cfg = critical_config(8, 8).with_noise(noise_var)
-        scaled = draw_noise(cfg, noise_seed=3, n_trials=2)
+        scaled = noise_trials(cfg, 3, 2)
         for t in range(2):
             assert np.array_equal(np.sqrt(noise_var / 2.0) * unit[t],
                                   scaled[t])
@@ -122,17 +127,20 @@ def test_unit_noise_scales_to_every_noise_variance():
 
 def test_noise_chunks_continue_one_stream():
     # the unit draw is the complex view of interleaved normal pairs, and
-    # successive draws from one generator equal one batch bit for bit
+    # successive draws from one generator, one trial per call, equal the
+    # stream drawn in one call bit for bit, scaled or not, and also when
+    # drawn into one buffer of pairs trial by trial
     cfg = critical_config(4, 4).with_noise(0.3)
     parts = _philox(3, NOISE_STREAM).standard_normal((5, 4, 4, 2))
-    unit = draw_noise(cfg, noise_seed=3, n_trials=5, unit=True)
-    assert np.array_equal(unit, parts[..., 0] + 1j * parts[..., 1])
-    for scale in (True, False):
-        whole = draw_noise(cfg, noise_seed=3, n_trials=5, unit=scale)
-        rng = _philox(3, NOISE_STREAM)
-        chunks = [draw_noise(cfg, noise_seed=3, n_trials=size, unit=scale,
-                             rng=rng) for size in (2, 2, 1)]
-        assert np.array_equal(np.concatenate(chunks), whole)
+    whole = parts[..., 0] + 1j * parts[..., 1]
+    assert np.array_equal(noise_trials(cfg, 3, 5, unit=True), whole)
+    assert np.array_equal(noise_trials(cfg, 3, 5), np.sqrt(0.3 / 2.0) * whole)
+    rng = _philox(3, NOISE_STREAM)
+    buffer = np.empty((5, 4, 4, 2))
+    for pairs in buffer:
+        unit = draw_noise(cfg, noise_seed=3, unit=True, rng=rng, out=pairs)
+        assert np.shares_memory(unit, pairs)
+    assert np.array_equal(buffer, parts)
 
 
 def test_cp_margin_names_offending_target():

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scenes import critical_config, single_target_scene, target_at_bins
+from scenes import (amplitude_trials, critical_config, index_trials,
+                    noise_trials, raw_indices, raw_unit_noise,
+                    single_target_scene, symbol_trials, target_at_bins)
 from ofdmsar import pipeline
 from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
                          run_scenario)
-from ofdmsar.echo import build_channel_matrix, draw_noise, grid_to_bytes
+from ofdmsar.echo import build_channel_matrix, grid_to_bytes
 from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
                               run_point_ensemble, run_sweep_ensemble)
@@ -146,13 +148,9 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
                rcmc_method="windowed_sinc", ka_mode="reference"):
     """Each trial's images focused on their own, as the filtered-echo
     model defines them, reduced like an EnsembleResult."""
-    symbols = gen_symbol_grid(cfg, constellation, seed, mask=mask,
-                              trials=trials)
-    unit = draw_noise(cfg, seed, n_trials=trials, unit=True)
-    rng = (_philox(seed, RCS_STREAM)
-           if any(t.amplitude_mode == "random" for t in scene.targets)
-           else None)
-    amps = scene.draw_amplitudes(rng, trials)
+    symbols = symbol_trials(cfg, constellation, seed, trials, mask)
+    unit = noise_trials(cfg, seed, trials, unit=True)
+    amps = amplitude_trials(scene, seed, trials)
     scale = np.sqrt(cfg.noise_var / 2.0)
     e_chi = chi_stats(constellation, spec).chi_mean
     k_q, m_q = result.peak_bin
@@ -282,14 +280,14 @@ def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
     # before any draw
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    # _inner(a, a) is a sum of squares, _inner(a, b) an inner product
     calls = []
-    for helper in ("_power_sum", "_inner"):
-        real = getattr(pipeline, helper)
+    real = pipeline._inner
 
-        def recorded(*grids, real=real, helper=helper):
-            calls.append(helper)
-            return real(*grids)
-        monkeypatch.setattr(pipeline, helper, recorded)
+    def recorded(a, b):
+        calls.append("square" if a is b else "inner")
+        return real(a, b)
+    monkeypatch.setattr(pipeline, "_inner", recorded)
 
     def per_trial(snrs_db):
         points = []
@@ -303,12 +301,11 @@ def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
             calls.clear()
             run_sweep_ensemble(scene, points, make_qam("qpsk"), trials,
                                seed=5)
-            counts.append({h: calls.count(h) for h in ("_power_sum",
-                                                       "_inner")})
+            counts.append({h: calls.count(h) for h in ("square", "inner")})
         return {h: (counts[1][h] - counts[0][h]) / 2 for h in counts[0]}
     few = per_trial([10.0])
     many = per_trial(np.linspace(-10.0, 40.0, 11))
-    assert few == many == {"_power_sum": 1, "_inner": 2}
+    assert few == many == {"square": 1, "inner": 2}
 
 
 def test_sweep_rejects_points_that_change_the_geometry():
@@ -388,8 +385,8 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                                                points, mask=None):
     # each stream is drawn one trial per call, on the main thread or, past
     # the prefetch budget, on the worker, and the sequential Philox draws
-    # equal the seed's one-shot batch of all the trials bit for bit, the
-    # random targets' amplitudes included
+    # equal the seed's stream drawn in one call for all the trials bit for
+    # bit, the random targets' amplitudes included
     cfg = points[0][0]
     noisy = any(cfg_n.noise_var > 0 for cfg_n, _ in points)
     trials = 15
@@ -407,14 +404,18 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                         recording("noise", pipeline.draw_noise))
     monkeypatch.setattr(Scene, "draw_amplitudes",
                         recording("amplitudes", Scene.draw_amplitudes))
-    batch = {"symbols": gen_symbol_indices(cfg, constellation, 5, mask=mask,
-                                           trials=trials),
-             "noise": draw_noise(cfg, 5, n_trials=trials, unit=True)}
+    batch = {"symbols": raw_indices(constellation, 5, (trials, 16, 16), mask),
+             "noise": raw_unit_noise(5, (trials, 16, 16))}
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
         random = scene.q > 1
         drawn["amplitudes"].clear()
-        amplitudes = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+        # the reference target's sqrt(rcs_var) = 1, and the random one's
+        # CN(0, 1) draws
+        amplitudes = np.ones((trials, scene.q), dtype=complex)
+        if random:
+            pairs = _philox(5, RCS_STREAM).standard_normal((trials, 2))
+            amplitudes[:, 1] = np.sqrt(0.5) * (pairs[:, 0] + 1j * pairs[:, 1])
         cell = draw_cell_bytes(constellation, noisy)
         for budget in (trials * cell * 16 * 16, 0):  # this thread, the worker
             monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
@@ -426,11 +427,9 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                 trials, trials if noisy else 0, trials if random else 0]
             assert np.array_equal(drawn["symbols"], batch["symbols"])
             if noisy:
-                assert np.array_equal(np.concatenate(drawn["noise"]),
-                                      batch["noise"])
+                assert np.array_equal(drawn["noise"], batch["noise"])
             if random:
-                assert np.array_equal(np.concatenate(drawn["amplitudes"]),
-                                      amplitudes)
+                assert np.array_equal(drawn["amplitudes"], amplitudes)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -615,8 +614,9 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
                                                     tmp_path):
     # the CLI draws the first point's trial 0 again, in one grid with the
     # operand order of the single-trial chain; its tf dump must be the
-    # ensemble's trial 0, rebuilt here by that chain from the ensemble's
-    # own streams (each drawn for all trials), bit for bit.
+    # ensemble's trial 0, rebuilt here by that chain from the first of the
+    # trials drawn one per call on each of the ensemble's streams, bit for
+    # bit.
     # 128x128 grids pass numpy's 256 KiB temporary-elision threshold, past
     # which the operand order of the filter's product sets the bits
     cfg = critical_config(n, n)
@@ -630,11 +630,10 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
     out = run_scenario(scenario, tmp_path)
 
     snr, noise_var = _snr_point(5.0, scenario, "$.snr_in_db")
-    symbols = gen_symbol_grid(cfg, make_qam("qam16"), 5,
-                              mask=comb_mask(cfg) if masked else None,
-                              trials=3)[0]
-    unit = draw_noise(cfg, 5, n_trials=3, unit=True)[0]
-    amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), 3)[0]
+    symbols = symbol_trials(cfg, make_qam("qam16"), 5, 3,
+                            comb_mask(cfg) if masked else None)[0]
+    unit = noise_trials(cfg, 5, 3, unit=True)[0]
+    amps = amplitude_trials(scene, 5, 3)[0]
     echo = (build_channel_matrix(scene, cfg, amps) * symbols
             + np.sqrt(noise_var / 2.0) * unit)
     tf = apply_tf_filter(echo, symbols, FilterSpec(kind, snr_in_linear=snr))
@@ -773,8 +772,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
     qam = make_qam(name)
     points = sweep_points(cfg)
     trials = 3
-    indices = gen_symbol_indices(cfg, qam, 5, trials=trials)
-    unit = draw_noise(cfg, 5, n_trials=trials, unit=True)
+    indices = index_trials(cfg, qam, 5, trials)
+    unit = noise_trials(cfg, 5, trials, unit=True)
     hw = pipeline.MAINLOBE_HALFWIDTH_BINS
     for scene in random_target_scene(cfg):
         results = list(run_sweep_ensemble(scene, points, qam, trials,
@@ -810,7 +809,7 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                  "clean_images": np.zeros((n, m)),
                  "noisy_images": np.zeros((n, m)), "image_totals": []}
                 for _ in points]
-        amps = scene.draw_amplitudes(_philox(5, RCS_STREAM), trials)
+        amps = amplitude_trials(scene, 5, trials)
         for t in range(trials):
             channel = build_channel_matrix(scene, cfg, amps[t])
             ideal = ideal_reference_image(scene, cfg, amps[t])

@@ -63,19 +63,27 @@ def test_scene_needs_a_target():
 
 
 def test_draw_amplitudes_deterministic():
+    # every trial's draw is the same (Q,) vector of sqrt(rcs_var)
     scene = make_point_scene([PointTarget(0.0, 0.0, 4.0),
                               PointTarget(1.0, 1.0, 9.0)])
-    amps = scene.draw_amplitudes(None, n_trials=3)
+    amps = np.stack([scene.draw_amplitudes(None) for _ in range(3)])
     assert amps.shape == (3, 2)
     assert np.allclose(amps[:, 0], 2.0)
     assert np.allclose(amps[:, 1], 3.0)
 
 
 def test_draw_amplitudes_random_statistics():
+    # one trial per call on one generator draws its normal stream in
+    # order: the first 2000 trials equal that stream bit for bit, and the
+    # statistics are taken over 200 000 trials of it, scaled the same way
     scene = make_point_scene([PointTarget(0.0, 0.0, rcs_var=2.0,
                                           amplitude_mode="random")])
     rng = np.random.default_rng(0)
-    amps = scene.draw_amplitudes(rng, n_trials=200_000)[:, 0]
+    drawn = np.array([scene.draw_amplitudes(rng) for _ in range(2000)])
+    assert drawn.shape == (2000, 1)
+    pairs = np.random.default_rng(0).standard_normal((200_000, 2))
+    amps = np.sqrt(2.0 / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1])
+    assert drawn[:, 0].tobytes() == amps[:2000].tobytes()
     assert np.mean(np.abs(amps) ** 2) == pytest.approx(2.0, rel=0.02)
     assert abs(np.mean(amps)) < 0.02
     # real and imaginary parts each carry half the power

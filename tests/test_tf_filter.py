@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scenes import critical_config, single_target_scene
+from scenes import critical_config, single_target_scene, symbol_trials
 from ofdmsar.echo import build_channel_matrix, synthesize_echo
-from ofdmsar.errors import InvalidParameterError
+from ofdmsar.errors import ConfigurationError, InvalidParameterError
 from ofdmsar.tf_filter import (FILTER_KINDS, FilterSpec, apply_tf_filter,
                                channel_mse_analytic, filter_gains)
 from ofdmsar.waveform import chi_stats, gen_symbol_grid, make_qam
@@ -17,6 +17,14 @@ def test_gain_formulas_elementwise():
     assert np.allclose(rf, 1.0 / s)
     assert np.allclose(mf, np.conj(s))
     assert np.allclose(wf, np.conj(s) / (np.abs(s) ** 2 + 0.25))
+
+
+def test_filter_spec_takes_each_kind_by_its_one_name():
+    # a kind is one of FILTER_KINDS exactly as spelled, not case-folded
+    for kind in ("RF", "Mf", "WF", "wiener", ""):
+        with pytest.raises(ConfigurationError, match="unknown filter kind"):
+            FilterSpec(kind, snr_in_linear=1.0)
+    assert FilterSpec("rf").kind == "rf"
 
 
 def test_gains_zero_on_inactive_cells():
@@ -95,7 +103,7 @@ def test_channel_mse_analytic_matches_monte_carlo():
     h = build_channel_matrix(scene, cfg)
     con = make_qam("qam64")
     trials = 400
-    grid = gen_symbol_grid(cfg, con, seed=11, trials=trials)
+    grid = symbol_trials(cfg, con, 11, trials)
     rng_noise = np.random.default_rng(12)
     noise = np.sqrt(cfg.noise_var / 2) * (
         rng_noise.standard_normal((trials, 16, 16))

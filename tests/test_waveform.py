@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ofdmsar
+from scenes import raw_indices
 from ofdmsar.errors import ConfigurationError, InvalidParameterError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pipeline import pilot_comb_mask
@@ -82,6 +83,10 @@ def test_qam_rejects_unsupported_order():
         make_qam(3)
     with pytest.raises(InvalidParameterError):
         make_qam("qam512")
+    # a name is taken exactly as spelled, not case-folded
+    for name in ("QPSK", "QAM16", "Qam64"):
+        with pytest.raises(InvalidParameterError, match="unknown constellation"):
+            make_qam(name)
 
 
 # Filter spectrum statistics ------------------------------------------------
@@ -345,37 +350,44 @@ def test_gen_symbol_grid_respects_mask():
                         mask=np.ones((32, 41), dtype=bool))
 
 
+def drawn_trials(cfg, con, seed, trials, mask=None, out=None):
+    """trials successive index draws on one generator of the seed's
+    symbol stream, one trial per call, each into out[t] when out is given,
+    stacked."""
+    rng = _philox(seed, SYMBOL_STREAM)
+    return np.stack([gen_symbol_indices(cfg, con, seed, mask=mask, rng=rng,
+                                        out=None if out is None else out[t])
+                     for t in range(trials)])
+
+
 def test_gen_symbol_grid_batch_matches_single():
+    # trial 0 of one generator's successive draws is the seed's single
+    # grid, and the trials after it are independent draws
     cfg = small_cfg()
     con = make_qam("qam64")
     single = gen_symbol_grid(cfg, con, seed=9)
-    batch = gen_symbol_grid(cfg, con, seed=9, trials=4)
+    batch = np.take(con.table, drawn_trials(cfg, con, 9, 4))
     assert batch.shape == (4, 32, 40)
     assert np.array_equal(batch[0], single)
     assert not np.array_equal(batch[1], batch[2])
 
 
 def test_gen_symbol_grid_chunks_continue_one_stream():
-    # successive index draws from one generator equal one batch bit for
-    # bit, also when a chunk holds an odd number of cells, and also drawn
-    # into one buffer chunk by chunk; the symbols gather that one draw
+    # successive index draws from one generator equal the stream drawn in
+    # one call bit for bit, also when a trial holds an odd number of cells,
+    # and also drawn into one buffer trial by trial; the symbols of trial 0
+    # gather that draw
     cfg = small_cfg(n=3, m=5)
     con = make_qam("qam16")
     mask = np.ones((3, 5), dtype=bool)
     mask[1, ::2] = False
-    whole = gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=5)
-    rng = _philox(4, SYMBOL_STREAM)
-    chunks = [gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=size,
-                                 rng=rng) for size in (1, 1, 3)]
-    assert np.array_equal(np.concatenate(chunks), whole)
-    rng = _philox(4, SYMBOL_STREAM)
+    whole = raw_indices(con, 4, (5, 3, 5), mask)
+    assert np.array_equal(drawn_trials(cfg, con, 4, 5, mask), whole)
     buffer = np.empty((5, 3, 5), dtype=con.index_dtype)
-    for start, size in ((0, 1), (1, 1), (2, 3)):
-        gen_symbol_indices(cfg, con, seed=4, mask=mask, trials=size, rng=rng,
-                           out=buffer[start:start + size])
+    drawn_trials(cfg, con, 4, 5, mask, out=buffer)
     assert np.array_equal(buffer, whole)
-    symbols = gen_symbol_grid(cfg, con, seed=4, mask=mask, trials=5)
-    assert symbols.tobytes() == np.take(con.table, buffer).tobytes()
+    symbols = gen_symbol_grid(cfg, con, seed=4, mask=mask)
+    assert symbols.tobytes() == np.take(con.table, buffer[0]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["qpsk", "qam256"])
@@ -383,8 +395,10 @@ def test_gen_symbol_grid_chunks_continue_one_stream():
 @pytest.mark.parametrize("masked", [False, True])
 def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
     # indices drawn into out equal the allocating call's, and the indices
-    # of the whole draw taken in one call with the sentinel on the masked
-    # cells, bit for bit; the symbols are points[indices], 0 when masked
+    # of the whole stream taken in one call with the sentinel on the masked
+    # cells, bit for bit: the seed's one draw (trials None), or three
+    # trials drawn one per call on one generator; the symbols are
+    # points[indices], 0 when masked
     cfg = small_cfg()
     con = make_qam(name)
     mask = None
@@ -392,21 +406,26 @@ def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
         mask = np.zeros((32, 40), dtype=bool)
         mask[1::4, :] = True  # a comb of every fourth subcarrier
     shape = (32, 40) if trials is None else (trials, 32, 40)
-    reference = _philox(6, SYMBOL_STREAM).integers(0, con.order, size=shape)
-    if masked:
-        reference[..., ~mask] = con.order
-    allocated = gen_symbol_indices(cfg, con, seed=6, mask=mask, trials=trials)
+    reference = raw_indices(con, 6, shape, mask)
     out = np.full(shape, np.iinfo(con.index_dtype).max, dtype=con.index_dtype)
-    indices = gen_symbol_indices(cfg, con, seed=6, mask=mask, trials=trials,
-                                 out=out)
-    assert indices is out
+    if trials is None:
+        allocated = gen_symbol_indices(cfg, con, seed=6, mask=mask)
+        indices = gen_symbol_indices(cfg, con, seed=6, mask=mask, out=out)
+        assert indices is out
+    else:
+        allocated = drawn_trials(cfg, con, 6, trials, mask)
+        rng = _philox(6, SYMBOL_STREAM)
+        for grid in out:
+            indices = gen_symbol_indices(cfg, con, seed=6, mask=mask, rng=rng,
+                                         out=grid)
+            assert indices is grid
     assert np.array_equal(out, allocated)
     assert np.array_equal(out, reference)
     symbols = con.points[np.minimum(reference, con.order - 1)]
     if masked:
         symbols[..., ~mask] = 0.0
-    assert np.array_equal(
-        gen_symbol_grid(cfg, con, seed=6, mask=mask, trials=trials), symbols)
+    first = symbols if trials is None else symbols[0]
+    assert np.array_equal(gen_symbol_grid(cfg, con, seed=6, mask=mask), first)
 
 
 @pytest.mark.parametrize("name", ["qpsk", "qam16", "qam64", "qam256"])
@@ -414,35 +433,47 @@ def test_gen_symbol_grid_into_a_buffer(name, trials, masked):
 @pytest.mark.parametrize("masked", [False, True])
 def test_gen_symbol_grid_gathers_the_index_draw(name, trials, masked):
     # the symbols are the points followed by 0 at the drawn indices, the
-    # sentinel index `order` on the masked cells, bit for bit; the indices
-    # take the alphabet's smallest unsigned type that holds the sentinel
+    # sentinel index `order` on the masked cells, bit for bit, in each of
+    # the trials drawn one per call on one generator; the indices take the
+    # alphabet's smallest unsigned type that holds the sentinel
     cfg = small_cfg()
     con = make_qam(name)
     mask = None
     if masked:
         mask = np.zeros((32, 40), dtype=bool)
         mask[1::4, :] = True
-    indices = gen_symbol_indices(cfg, con, seed=8, mask=mask, trials=trials)
+    indices = drawn_trials(cfg, con, 8, trials, mask)
     assert indices.shape == (trials, 32, 40)
     assert indices.dtype == np.min_scalar_type(con.order)
     assert con.table.tobytes() == np.append(con.points, 0.0).tobytes()
-    symbols = gen_symbol_grid(cfg, con, seed=8, mask=mask, trials=trials)
-    assert symbols.tobytes() == np.take(con.table, indices).tobytes()
+    symbols = gen_symbol_grid(cfg, con, seed=8, mask=mask)
+    assert symbols.tobytes() == np.take(con.table, indices[0]).tobytes()
+    for grid in indices:
+        points = np.take(con.table, grid)
+        assert (points[grid < con.order]
+                == con.points[grid[grid < con.order]]).all()
+        assert (points[grid == con.order] == 0).all()
     active = np.ones((32, 40), dtype=bool) if mask is None else mask
     assert (indices[:, ~active] == con.order).all()
     assert (indices[:, active] < con.order).all()
 
 
 def test_symbol_grid_shape_validation():
-    # a mask must match the configured (N, M) grid, for one draw or a batch
+    # a mask must match the configured (N, M) grid, for the seed's draw
+    # or a trial drawn on a generator
     cfg = small_cfg(n=3, m=4)
-    for trials in (None, 2):
+    con = make_qam("qpsk")
+    for rng in (None, _philox(0, SYMBOL_STREAM)):
         with pytest.raises(ConfigurationError, match="mask shape"):
-            gen_symbol_grid(cfg, make_qam("qpsk"), seed=0, trials=trials,
-                            mask=np.ones((4, 4), dtype=bool))
-        grid = gen_symbol_grid(cfg, make_qam("qpsk"), seed=0, trials=trials,
-                               mask=np.ones((3, 4), dtype=bool))
-        assert grid.shape == ((3, 4) if trials is None else (2, 3, 4))
+            gen_symbol_indices(cfg, con, seed=0, rng=rng,
+                               mask=np.ones((4, 4), dtype=bool))
+        indices = gen_symbol_indices(cfg, con, seed=0, rng=rng,
+                                     mask=np.ones((3, 4), dtype=bool))
+        assert indices.shape == (3, 4)
+    with pytest.raises(ConfigurationError, match="mask shape"):
+        gen_symbol_grid(cfg, con, seed=0, mask=np.ones((4, 4), dtype=bool))
+    grid = gen_symbol_grid(cfg, con, seed=0, mask=np.ones((3, 4), dtype=bool))
+    assert grid.shape == (3, 4)
 
 
 # Sounding reference combs ----------------------------------------------------
