@@ -86,11 +86,15 @@ def target_bin(target: PointTarget, cfg: RadarConfig) -> tuple[int, int]:
 
 def ideal_reference_image(scene: Scene, cfg: RadarConfig,
                           amplitudes: Optional[np.ndarray] = None) -> np.ndarray:
-    """The (N, M) reference image sqrt(NM) sum_q alpha_q sinc(k-k_q) sinc(m-m_q).
+    """The (N, M) reference image sqrt(NM) sum_q alpha_q D(k-k_q) sinc(m-m_q).
 
     alpha_q carries each target's amplitude and its carrier range phase
     exp(-j 4 pi fc Rbar_q / c); k_q = Rbar_q/rho_r and m_q = y_q/(v T) are
-    placed cyclically (sinc of the nearest wrapped bin offset).
+    placed cyclically, at the nearest wrapped bin offset.  The range factor
+    is what range compression makes of the target's subcarrier ramp, the
+    N-point Dirichlet kernel D(x) = exp(j pi (N-1) x / N) sinc(x) /
+    sinc(x / N), which is N-periodic, 1 at x = 0 and 0 at every other
+    integer, as sinc is; off the bin grid it differs from sinc(x).
     """
     n, m = cfg.n_subcarriers, cfg.n_symbols
     data = np.zeros((n, m), dtype=complex)
@@ -105,7 +109,9 @@ def ideal_reference_image(scene: Scene, cfg: RadarConfig,
         m_q = target.y_m / (v * cfg.total_symbol_s)
         dk = (k_axis - k_q + n / 2.0) % n - n / 2.0
         dm = (m_axis - m_q + m / 2.0) % m - m / 2.0
-        data += alpha * np.sinc(dk) * np.sinc(dm)
+        dirichlet = (np.exp(1j * np.pi * (n - 1) / n * dk)
+                     * (np.sinc(dk) / np.sinc(dk / n)))
+        data += alpha * dirichlet * np.sinc(dm)
     data *= math.sqrt(n * m)
     return data
 

@@ -11,6 +11,8 @@ from ofdmsar.metrics import (SINC_3DB_WIDTH_BINS, MetricsReport,
                              measure_mainlobe_width, nmse,
                              pedestal_level, pel, snr_out, target_bin,
                              theoretical_resolutions)
+from ofdmsar.rd_imaging import range_compress
+from ofdmsar.scene import Scene
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import FilterStats, chi_stats, make_qam
 
@@ -45,6 +47,31 @@ def test_ideal_reference_image_single_target():
     assert np.max(off) < 1e-9
     with pytest.raises(InvalidParameterError):
         ideal_reference_image(scene, cfg, amplitudes=np.ones(2, dtype=complex))
+
+
+@pytest.mark.parametrize("k_bin", [10.5, 10.25, 9.75, 31.6, 40.3])
+def test_ideal_range_factor_is_the_range_compressed_ramp(k_bin):
+    # off the bin grid, the ideal image's range profile is what range
+    # compression makes of the target's subcarrier ramp
+    # exp(-j 2 pi n k_q / N): the N-point Dirichlet kernel, not a sinc,
+    # also next to the grid's edge (31.6) and past it (40.3 is bin 8.3)
+    cfg = critical_config(32, 32)
+    target = target_at_bins(cfg, k_bin, 20)
+    scene = Scene(targets=(target,),
+                  extent=(target.x_m - 100, target.x_m + 100,
+                          target.y_m - 100, target.y_m + 100))
+    n = cfg.n_subcarriers
+    k_q = target.mean_range_m(cfg.platform) / cfg.range_pitch_m
+    alpha = np.exp(-4j * np.pi * target.mean_range_m(cfg.platform)
+                   / cfg.wavelength_m)
+    ramp = np.exp(-2j * np.pi * np.arange(n) * k_q / n)[:, None]
+    compressed = range_compress(np.repeat(ramp, 32, axis=1), cfg)[:, 0]
+    column = ideal_reference_image(scene, cfg)[:, 20]
+    # the on-bin azimuth factor is sinc(0) = 1, and sqrt(M) scales it
+    np.testing.assert_allclose(column, math.sqrt(32) * alpha * compressed,
+                               rtol=0, atol=1e-12 * math.sqrt(32 * 32))
+    offset = (np.arange(n) - k_q + n / 2) % n - n / 2
+    assert np.max(np.abs(column / (32 * alpha) - np.sinc(offset))) > 0.01
 
 
 def test_sinc_width_constant():

@@ -635,6 +635,24 @@ def test_random_targets_are_redrawn_per_trial():
     assert abs(np.mean(peaks) - expected) < 4 * std_err
 
 
+@pytest.mark.parametrize("k_bin", [40.0, 40.5, 40.25, 39.75])
+def test_off_bin_range_target_nmse_measures_the_filter(k_bin):
+    # a reciprocal filter at 60 dB leaves nearly nothing for NMSE to
+    # measure, on the bin grid or between range bins: the ideal image's
+    # range factor is what range compression makes of an off-bin target
+    # (a sinc read 4.86 half a bin off and 1.21 a quarter bin off)
+    snr = 1e6
+    cfg = critical_config(64, 64, k_ref=40).with_noise(1.0 / snr,
+                                                       snr_in_linear=snr)
+    target = target_at_bins(cfg, k_bin, 32)
+    scene = Scene(targets=(target,),
+                  extent=(target.x_m - 100, target.x_m + 100,
+                          target.y_m - 100, target.y_m + 100))
+    result = run_point_ensemble(scene, cfg, make_qam("qam16"),
+                                FilterSpec("rf"), trials=2, seed=0)
+    assert result.nmse < 1e-2, result.nmse
+
+
 @pytest.mark.parametrize("kind", ["rf", "mf", "wf"])
 @pytest.mark.parametrize("n", [16, 128])
 @pytest.mark.parametrize("masked", [False, True])
