@@ -484,13 +484,13 @@ def run_sweep_ensemble(scene: Scene,
     # or of one trial, or whose one trial's draws fit a row block, draws
     # each trial on this thread into one pair.  A larger sweep draws trial
     # t + 1 on a worker thread while trial t is focused, into the other of
-    # two pairs.  The buffers are allocated here:
-    # a draw allocates only a row block of int64 indices at a time, so none
-    # lands in the worker's own malloc arena.  The symbol and noise streams
-    # keep their draw order, on one thread.  Leaving the with statement,
-    # however the sweep ends, joins the worker.  A sweep drawn on this
-    # thread starts no thread and does not import concurrent.futures, whose
-    # import of logging adds ~13 ms to a fresh process.
+    # two pairs.  The buffers are allocated here: a draw allocates only a
+    # row block of int64 indices at a time, so none lands in the worker's
+    # own malloc arena.  The symbol and noise streams keep their draw
+    # order, on one thread.  Leaving the with statement, however the sweep
+    # ends, joins the worker.  A sweep drawn on this thread starts no
+    # thread and does not import concurrent.futures, whose import of
+    # logging adds ~13 ms to a fresh process.
     cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
     prefetch = (1 < trials and trials * cell * n * m > _PREFETCH_BYTES
                 and cell * n * m > _BLOCK_BYTES)

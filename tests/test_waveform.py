@@ -85,7 +85,8 @@ def test_qam_rejects_unsupported_order():
         make_qam("qam512")
     # a name is taken exactly as spelled, not case-folded
     for name in ("QPSK", "QAM16", "Qam64"):
-        with pytest.raises(InvalidParameterError, match="unknown constellation"):
+        with pytest.raises(InvalidParameterError,
+                           match="unknown constellation"):
             make_qam(name)
 
 
