@@ -104,11 +104,9 @@ once, an index grid and a unit-noise grid, and its random targets'
 amplitudes are drawn, with its channel and ideal image, just before it is
 focused.  A sweep of several trials whose draws exceed _PREFETCH_BYTES,
 at the index's itemsize plus 16 bytes of unit noise per cell in a noisy
-sweep, and whose one trial's draws exceed waveform._BLOCK_BYTES (128 KiB),
-draws trial t + 1 on a worker thread while trial t is focused, into the
-other of two pairs; the main thread draws only the target amplitudes,
-builds the channels, focuses and reduces.  A trial smaller than that is
-drawn faster on this thread than handed to the worker.  One Philox
+sweep, draws trial t + 1 on a worker thread while trial t is focused,
+into the other of two pairs; the main thread draws only the target
+amplitudes, builds the channels, focuses and reduces.  One Philox
 generator per stream (symbols, noise, target amplitudes) lives across the
 trials, so no result depends on which thread draws.  The index draws, the
 gain gathers and the channel build run a row block at a time, so none
@@ -150,8 +148,8 @@ from .rd_imaging import focusing_operator
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
-                       FilterStats, RadarConfig, SrsConfig, _BLOCK_BYTES,
-                       _gather, _philox, chi_stats, gen_symbol_indices)
+                       FilterStats, RadarConfig, SrsConfig, _gather, _philox,
+                       chi_stats, gen_symbol_indices)
 
 # Bytes of a sweep's draws, over all its trials, above which each trial is
 # drawn on a worker thread while the one before it is focused.
@@ -481,19 +479,17 @@ def run_sweep_ensemble(scene: Scene,
     # Bytes per cell of one trial's draws: its symbol index and, in a noisy
     # sweep, its unit noise.  Each trial is drawn into a pair of buffers, an
     # index grid and a unit-noise grid.  A sweep whose draws fit the budget,
-    # or of one trial, or whose one trial's draws fit a row block, draws
-    # each trial on this thread into one pair.  A larger sweep draws trial
-    # t + 1 on a worker thread while trial t is focused, into the other of
-    # two pairs.  The buffers are allocated here: a draw allocates only a
-    # row block of int64 indices at a time, so none lands in the worker's
-    # own malloc arena.  The symbol and noise streams keep their draw
-    # order, on one thread.  Leaving the with statement, however the sweep
-    # ends, joins the worker.  A sweep drawn on this thread starts no
-    # thread and does not import concurrent.futures, whose import of
-    # logging adds ~13 ms to a fresh process.
+    # or of one trial, draws each trial on this thread into one pair.  A
+    # larger sweep draws trial t + 1 on a worker thread while trial t is
+    # focused, into the other of two pairs.  The buffers are allocated here:
+    # a draw allocates only a row block of int64 indices at a time, so none
+    # lands in the worker's own malloc arena.  The symbol and noise streams
+    # keep their draw order, on one thread.  Leaving the with statement,
+    # however the sweep ends, joins the worker.  A sweep drawn on this
+    # thread starts no thread and does not import concurrent.futures, whose
+    # import of logging adds ~13 ms to a fresh process.
     cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
-    prefetch = (1 < trials and trials * cell * n * m > _PREFETCH_BYTES
-                and cell * n * m > _BLOCK_BYTES)
+    prefetch = 1 < trials and trials * cell * n * m > _PREFETCH_BYTES
     index_bufs = np.empty((1 + prefetch, n, m),
                           dtype=constellation.index_dtype)
     noise_bufs = (np.empty((1 + prefetch, n, m, 2))

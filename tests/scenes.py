@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from ofdmsar import pipeline
 from ofdmsar.echo import draw_noise
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.scene import PointTarget, Scene
@@ -101,12 +100,3 @@ def amplitude_trials(scene, seed, trials):
     """(trials, Q) raw target amplitudes."""
     rng = _philox(seed, RCS_STREAM)
     return np.stack([scene.draw_amplitudes(rng) for _ in range(trials)])
-
-
-def prefetch_past(monkeypatch, budget):
-    """Make a sweep draw on the worker thread once its draws exceed budget
-    bytes, whatever its grid size: the floor on one trial's draws,
-    pipeline._BLOCK_BYTES, is patched to 0, so a trial of a few KiB is
-    drawn ahead too."""
-    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
-    monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scenes import critical_config, prefetch_past, single_target_scene
+from scenes import critical_config, single_target_scene
 from ofdmsar import cli, echo, pipeline
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, emit_pgm, main,
                          parse_config, run_scenario)
@@ -548,7 +548,7 @@ def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
     outs = []
     for budget, main_thread in ((scenario.trials * 18 * N * M, True),
                                 (scenario.trials * 18 * N * M - 1, False)):
-        prefetch_past(monkeypatch, budget)
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
         draws.clear()
         outs.append(run_scenario(scenario, tmp_path / f"main{main_thread}"))
         assert draws == [(main_thread, (N, M, 2))] * scenario.trials
@@ -894,7 +894,7 @@ def test_main_reports_out_of_memory_in_the_noise_worker(tmp_path, monkeypatch,
     def exhausted(*args, **kwargs):
         threads.append(threading.current_thread())
         raise MemoryError
-    prefetch_past(monkeypatch, 2 * 16 * N * M)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 2 * 16 * N * M)
     monkeypatch.setattr(pipeline, "draw_noise", exhausted)
     config = tmp_path / "scenario.json"
     config.write_text(config_text())

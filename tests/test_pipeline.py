@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenes import (amplitude_trials, critical_config, index_trials,
-                    noise_trials, prefetch_past, raw_indices, raw_unit_noise,
+                    noise_trials, raw_indices, raw_unit_noise,
                     single_target_scene, symbol_trials, target_at_bins)
 from ofdmsar import pipeline
 from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
@@ -129,7 +129,7 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     if chunk is not None:
         # the 5 trials' draws exceed about 2 trials' budget, so the worker
         # draws them
-        prefetch_past(monkeypatch, chunk * 16 * 16 * 16)
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", chunk * 16 * 16 * 16)
     points = []
     for snr in (1.0, 10.0):
         cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
@@ -193,7 +193,8 @@ def test_shared_focusing_moves_results_by_round_off_only(
         name, masked, random, shape, options, monkeypatch):
     options = dict(options)
     if "budget" in options:
-        prefetch_past(monkeypatch, options.pop("budget"))
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES",
+                            options.pop("budget"))
     cfg = critical_config(*shape, k_ref=8)
     scene = (random_target_scene(cfg)[0] if random else
              single_target_scene(cfg, k_bin=8, m_bin=8))
@@ -417,7 +418,7 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
             amplitudes[:, 1] = np.sqrt(0.5) * (pairs[:, 0] + 1j * pairs[:, 1])
         cell = draw_cell_bytes(constellation, noisy)
         for budget in (trials * cell * 16 * 16, 0):  # this thread, the worker
-            prefetch_past(monkeypatch, budget)
+            monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
             for stream in drawn:
                 drawn[stream].clear()
             run_sweep_ensemble(scene, points, constellation, trials, seed=5,
@@ -456,35 +457,6 @@ def test_noiseless_sweep_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch, make_qam("qpsk"), points)
 
 
-@pytest.mark.parametrize("n, m, trials, worker", [(64, 64, 120, False),
-                                                   (256, 512, 4, True)])
-def test_draw_thread_follows_the_trial_size(n, m, trials, worker,
-                                            monkeypatch):
-    # at the shipped budgets: a noisy QAM256 trial holds 18 bytes per cell
-    # of draws, and both sweeps' draws exceed _PREFETCH_BYTES.  One 64x64
-    # trial's 72 KiB fit _BLOCK_BYTES, so it is drawn faster on this
-    # thread than handed to the worker; one 256x512 trial's 2.25 MiB is
-    # drawn on the worker one trial ahead
-    cell = draw_cell_bytes(make_qam("qam256"), noisy=True)
-    assert trials * cell * n * m > pipeline._PREFETCH_BYTES
-    assert (cell * n * m > pipeline._BLOCK_BYTES) == worker
-    cfg = critical_config(n, m, k_ref=n // 4).with_noise(0.1,
-                                                         snr_in_linear=10.0)
-    threads = []
-    real = pipeline.gen_symbol_indices
-
-    def recording(*args, **kwargs):
-        threads.append(threading.current_thread() is threading.main_thread())
-        return real(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
-    before = threading.active_count()
-    run_point_ensemble(single_target_scene(cfg, k_bin=n // 4, m_bin=m // 2),
-                       cfg, make_qam("qam256"), FilterSpec("mf"), trials,
-                       seed=1)
-    assert threads == [not worker] * trials
-    assert threading.active_count() == before
-
-
 @pytest.mark.parametrize("case", ["noisy", "noiseless", "comb", "random"])
 def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
     # past the prefetch budget the worker draws each trial while the one
@@ -507,7 +479,7 @@ def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
     monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
     runs = []
     for budget, main in ((1 << 30, True), (0, False)):
-        prefetch_past(monkeypatch, budget)
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
         threads.clear()
         runs.append(run_sweep_ensemble(scene, points, make_qam("qam16"), 7,
                                        seed=5, mask=mask))
@@ -523,8 +495,8 @@ def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
 def multi_chunk_sweep(monkeypatch, trials=6, noisy=True):
     """A 16x16 QPSK sweep whose draws exceed the prefetch budget, so the
     worker draws each trial while the one before it is focused."""
-    prefetch_past(monkeypatch,
-                  draw_cell_bytes(make_qam("qpsk"), noisy) * 16 * 16)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES",
+                        draw_cell_bytes(make_qam("qpsk"), noisy) * 16 * 16)
     cfg = critical_config(16, 16, k_ref=8)
     points = sweep_points(cfg) if noisy else [(cfg, FilterSpec("mf"))]
     return run_sweep_ensemble(single_target_scene(cfg, k_bin=8, m_bin=8),
@@ -583,7 +555,7 @@ def test_concurrent_multi_chunk_sweeps_keep_their_bits(monkeypatch):
     qam16 = make_qam("qam16")
     points = sweep_points(cfg)
     reference = list(run_sweep_ensemble(scene, points, qam16, 12, seed=5))
-    prefetch_past(monkeypatch, 3 * 16 * 16 * 16)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 3 * 16 * 16 * 16)
     outputs = [None] * 3
 
     def run(k):
@@ -732,7 +704,7 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
         once = per_trial == 7  # the deterministic scene's F(channel * act)
         # drawn on the worker, and on this thread
         for budget in (0, 1 << 30):
-            prefetch_past(monkeypatch, budget)
+            monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
             for trials in (6, 12):
                 calls.clear()
                 results = run_sweep_ensemble(
@@ -770,7 +742,7 @@ def test_worker_draws_symbols_into_two_buffers_allocated_once(monkeypatch):
     monkeypatch.setattr(pipeline, "gen_symbol_indices", recording)
     cell = draw_cell_bytes(make_qam("qam16"), noisy=True)
     assert cell == 17
-    prefetch_past(monkeypatch, 8 * cell * 16 * 16)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 8 * cell * 16 * 16)
     addresses = []
     for trials in (13, 25):  # more than the budget's 8 trials
         calls.clear()
@@ -812,7 +784,7 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
     # operand order; the reference target alone makes the sweep take
     # F(channel) once and read it in every trial
     if prefetched:  # the worker draws each trial one ahead
-        prefetch_past(monkeypatch, 128 * 160 * 16)
+        monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 128 * 160 * 16)
     n, m = 128, 160
     cfg = critical_config(n, m, k_ref=64)
     qam = make_qam(name)
