@@ -19,9 +19,7 @@ bits of the library's single-trial chain (gen_symbol_grid,
 synthesize_echo, apply_tf_filter), which equal the ensemble's trial 0,
 and the stages run in place in that grid; profiles and metrics come from
 the full ensembles.  So the images and the metrics describe the same
-realizations.  A run grid whose K_a T^2 M at the reference target is
-below MIN_AZIMUTH_SAMPLING gets one warning on stderr, and the same
-artifacts.  Outputs are a deterministic function of (config, seed).
+realizations.  Outputs are a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ from .waveform import (RCS_STREAM, Constellation, RadarConfig, SrsConfig,
                        _philox, _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
-# Below this azimuth_sampling the run grid samples the reference target's
-# azimuth chirp far finer than its Doppler band needs, and the NMSE against
-# the critically sampled ideal image mostly measures that resolution
-# mismatch, which is the same for every filter.
-MIN_AZIMUTH_SAMPLING = 0.25
 DEFAULT_TRIALS = 64
 DEFAULT_DATA_DOWNSAMPLE = 10
 MODES = ("data_aided", "pilot_only")
@@ -593,20 +586,6 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def _warn_on_azimuth_sampling(scenario: ScenarioConfig) -> None:
-    """One stderr line when the run grid's azimuth_sampling is below
-    MIN_AZIMUTH_SAMPLING; the artifacts do not change."""
-    beta = scenario.azimuth_sampling
-    if beta < MIN_AZIMUTH_SAMPLING:
-        cfg = scenario.run_radar
-        where = "$.srs" if scenario.srs else "$.azimuth_downsample"
-        print(f"warning: {where}: the {cfg.n_subcarriers}x{cfg.n_symbols} "
-              f"run grid has K_a T^2 M = {beta:.3g} at the reference "
-              f"target, below {MIN_AZIMUTH_SAMPLING}: its NMSE against the "
-              f"critically sampled ideal image mostly measures a resolution "
-              f"mismatch that is the same for every filter", file=sys.stderr)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ofdmsar",
@@ -636,7 +615,6 @@ def main(argv: Optional[list] = None) -> int:
                 snr_db = args.snr_db or list(scenario.snr_db)
                 flag = "--snr-db" if args.snr_db else "--filter"
                 scenario = _with_snrs(scenario, snr_db, [flag] * len(snr_db))
-            _warn_on_azimuth_sampling(scenario)
             out = run_scenario(scenario, Path(args.out_dir))
         except MemoryError:
             what = "the scenario"

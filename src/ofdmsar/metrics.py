@@ -9,20 +9,31 @@ reflector (unit deterministic amplitude unless stated otherwise):
             pipeline.MAINLOBE_HALFWIDTH_BINS of the peak as mainlobe
   PEL       NM * E[(1 - R(0,0)/sqrt(NM))^2] over noiseless trials
   SNR_out   sigma^2_alpha * E[R^2(0,0)] / (sigma^2 * E[|g|^2])
-  NMSE      E||image - ideal||^2 / (sigma^2_alpha * E[R^2(0,0)])
+  NMSE      E||image - reference||^2 / (sigma^2_alpha * E[R^2(0,0)])
 
 with E[R^2(0,0)] the ensemble mean squared peak of the reconstructed
-(noisy) profile.  Under that shared normalization, and with the peak bin
-alone as ISLR's mainlobe (the critically-sampled point response has nulls
-at every other integer bin), the decomposition
+(noisy) profile.  The reference is the focusing chain's own image of the
+scene on the run grid: its channel focused with chi = 1 on every cell, no
+pilot comb, no filter and no noise (pipeline.run_sweep_ensemble).  So NMSE
+measures what the filter, the comb and the noise cost, wherever the
+targets sit.  ideal_reference_image is the analytic kernel that the chain
+focuses an on-bin target of a critical grid to; the closed forms below
+assume it, and tests compare the chain against it.
+
+Under that shared normalization, and with the peak bin alone as ISLR's
+mainlobe, the decomposition
 
   NMSE = ISLR + PEL / E[R^2(0,0)] + 1 / SNR_out
 
-is exact for a single on-grid reference target; identity_residual reports
-the relative gap for any scene.  A gain-calibrated NMSE variant (image
-divided by E[chi]) is also provided: it is invariant to the overall filter
-scale and is the right quantity for comparing filters whose mean gains
-differ.
+is exact for a single target whose reference image is one pixel: an
+on-bin target of a critical grid, whose kernel has nulls at every other
+integer bin.  identity_residual reports the relative gap for any scene.
+ISLR still counts the chain's own sidelobe energy, which NMSE no longer
+does, so the gap grows wherever the chain does not focus the target to one
+pixel: the leakage of windowed-sinc RCMC, and azimuth sampling K_a T^2 M
+away from 1.  A gain-calibrated NMSE variant (image divided by E[chi]) is
+also provided: it is invariant to the overall filter scale and is the
+right quantity for comparing filters whose mean gains differ.
 """
 
 from __future__ import annotations
@@ -229,7 +240,7 @@ def snr_out(peak_sq_mean: float, stats: FilterStats, sigma_alpha_var: float,
 
 
 def nmse(mse_mean: float, peak_sq_mean: float, sigma_alpha_var: float) -> float:
-    """E||image - ideal||^2 normalized by sigma^2_alpha * E[R^2(0,0)]."""
+    """E||image - reference||^2 over sigma^2_alpha * E[R^2(0,0)]."""
     if peak_sq_mean <= 0 or sigma_alpha_var <= 0:
         raise InvalidParameterError("normalization must be positive")
     return mse_mean / (sigma_alpha_var * peak_sq_mean)

@@ -6,14 +6,18 @@ random targets' amplitudes.  The only other draw is the CLI's stage path
 streams, with the same bits, to render its images.  Over independent
 trials of a scene with a deterministic reference target it returns, per
 (cfg, filter) point of an SNR/filter sweep, the reductions the quality
-metrics need: each trial's peaks and image MSE versus the ideal
-response, and the ensemble-mean power that the report reads (the noisy
+metrics need: each trial's peaks and image MSE versus the reference
+image, and the ensemble-mean power that the report reads (the noisy
 image's total and its mainlobe around the peak, and the column and row
 through the peak of the noisy and the noiseless image).  The points
 share one set of draws (common random numbers) and one focusing operator
-(rd_imaging.focusing_operator).  The channel and the ideal image are
-built once per sweep, or per trial from its amplitudes when the scene
-has random targets.  run_point_ensemble is the one-point sweep.
+F (rd_imaging.focusing_operator).  The reference image is F(channel), the
+run grid's own image of the scene with chi = 1 on every cell: no pilot
+comb, no filter and no noise, so how a target focuses, on a bin or
+between bins, is the focusing operator's alone and the same in the image
+and its reference.  The channel and the reference are built once per
+sweep, or per trial from its amplitudes when the scene has random
+targets.  run_point_ensemble is the one-point sweep.
 
 A trial draws its symbols as alphabet indices (waveform.gen_symbol_indices,
 one or two bytes per cell, the sentinel index `order` on inactive cells)
@@ -40,9 +44,10 @@ between trials (F(channel * act) of a deterministic scene), and every
 point that uses it reads it.  So a constant-modulus sweep focuses one
 grid per trial plus one per sweep instead of two per point and trial;
 QAM16 rf/mf/wf at two SNRs focuses 7 per trial plus 1 instead of 12.  The
-choice follows from the alphabet and the filter specs alone, so a point
-run alone reads the same grids by the same formula and its bits do not
-depend on the rest of the sweep.
+reference is one more focus, once per sweep, or once per trial with
+random targets.  The choice follows from the alphabet and the filter
+specs alone, so a point run alone reads the same grids by the same
+formula and its bits do not depend on the rest of the sweep.
 
 The canonical grids stay in the range-Doppler domain, and every
 reduction is taken there.  F(x) = ifft_M(A * Y) with Y the operator's
@@ -50,12 +55,13 @@ range_doppler(x) and A its azimuth multiplier, a phase with |A|^2 = N on
 every entry.  By Parseval, sum |ifft_M(v)|^2 = sum |v|^2 / M along each
 row, so sum |F(x)|^2 = (N / M) sum |Y|^2 and Re <F(x), F(y)> =
 (N / M) Re <Y_x, Y_y>: the total power and both MSEs are N / M times sums
-over range-Doppler grids, the ideal image entering as its range-Doppler
-form R = fft_M(ideal) / A.  The peaks, the azimuth cuts and the mainlobe
-read the image rows k_q - 1 .. k_q + 1, three M-point IFFTs of A * Y, and
-the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M} / M, with
-A and the phase row as two factors of the sum where A has a row per range
-bin.  So no trial multiplies a whole grid by A or runs its azimuth IFFT.
+over range-Doppler grids, the reference entering as its range-Doppler
+form R = range_doppler(channel).  The peaks, the azimuth cuts and the
+mainlobe read the image rows k_q - 1 .. k_q + 1, three M-point IFFTs of
+A * Y, and the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M}
+/ M, with A and the phase row as two factors of the sum where A has a row
+per range bin.  So no trial multiplies a whole grid by A or runs its
+azimuth IFFT.
 
 Each trial reduces every distinct canonical grid once, and each point
 combines those reductions with scalars alone, so a point costs O(N + M)
@@ -101,7 +107,7 @@ complex grid.
 The trial is the one unit of drawing.  Each trial's indices and, in a
 noisy sweep, its unit noise are drawn into a pair of buffers allocated
 once, an index grid and a unit-noise grid, and its random targets'
-amplitudes are drawn, with its channel and ideal image, just before it is
+amplitudes are drawn, with its channel and reference, just before it is
 focused.  A sweep of several trials whose draws exceed _PREFETCH_BYTES,
 at the index's itemsize plus 16 bytes of unit noise per cell in a noisy
 sweep, draws trial t + 1 on a worker thread while trial t is focused,
@@ -117,8 +123,8 @@ where it has a row per range bin), R, one buffer per distinct canonical
 grid that changes between trials, F(channel * act) as S - R where it
 does not, the scratch grid where there is one, and one trial's draws (an
 index grid and, when noisy, a unit-noise grid), or two trials' when the
-worker draws, and with random targets the trial's channel and ideal
-image; besides them O(N + M) per point and its per-trial arrays.  The
+worker draws, and with random targets the trial's channel and
+reference; besides them O(N + M) per point and its per-trial arrays.  The
 pilot-only NR sweep of 1024 x 171 cells (QPSK, phase_ramp,
 per_range_bin) holds H, A, R, S - R, its one noise grid and one trial's
 unit noise: 6.2 grids at its tracemalloc peak.  QAM16 rf/mf/wf at two
@@ -141,9 +147,9 @@ import numpy as np
 
 from .echo import build_channel_matrix, check_cp_margin, draw_noise
 from .errors import InvalidParameterError, MeasurementError
-from .metrics import (MetricsReport, identity_residual, ideal_reference_image,
-                      islr, measure_mainlobe_width, nmse, pel, snr_out,
-                      target_bin, theoretical_resolutions)
+from .metrics import (MetricsReport, identity_residual, islr,
+                      measure_mainlobe_width, nmse, pel, snr_out, target_bin,
+                      theoretical_resolutions)
 from .rd_imaging import focusing_operator
 from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
@@ -183,7 +189,7 @@ class EnsembleResult:
     alpha_ref: complex
     noiseless_peaks: np.ndarray      # (T,) peak/alpha_ref per noiseless trial
     noisy_peaks: np.ndarray          # (T,) peak/alpha_ref per noisy trial
-    mse: np.ndarray                  # (T,) sum|noisy - ideal|^2
+    mse: np.ndarray                  # (T,) sum|noisy - reference|^2
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
     noisy_power_sum: float           # E[sum |noisy image|^2]
     noisy_mainlobe_power: np.ndarray     # (3, 3) E|noisy|^2 at the mainlobe
@@ -380,13 +386,11 @@ def run_sweep_ensemble(scene: Scene,
         return _Taken(image_rows, col, power, residuals)
 
     def truth(amplitudes=None):
-        """(channel, R), R = fft_M(ideal) / A being the ideal image's
-        range-Doppler form, so image - ideal = ifft_M(A * (Y - R))."""
+        """(channel, R), R = range_doppler(channel) being the range-Doppler
+        form of the reference image F(channel), so image - reference =
+        ifft_M(A * (Y - R))."""
         channel = build_channel_matrix(scene, cfg0, amplitudes)
-        reference = ideal_reference_image(scene, cfg0, amplitudes)
-        np.fft.fft(reference, axis=-1, out=reference)
-        reference /= azimuth
-        return channel, reference
+        return channel, focus.range_doppler(channel)
 
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = (_philox(seed, NOISE_STREAM)
@@ -621,8 +625,14 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     of the peak as mainlobe; the identity residual, reported for every
     scene, is evaluated with the single-bin mainlobe and the shared
     noisy-peak normalization, under which the decomposition is exact for
-    one on-grid target only.  A peak within MAINLOBE_HALFWIDTH_BINS of an
-    image edge has no mainlobe inside the image and is a MeasurementError.
+    one target whose reference image is one pixel (on-bin, critical
+    grid).  NMSE is taken against the chain's own image of the scene, so
+    it no longer counts the chain's sidelobe energy, while ISLR still
+    does: the residual grows wherever the chain spreads the target over
+    more than one pixel, through windowed-sinc RCMC leakage or azimuth
+    sampling K_a T^2 M away from 1.  A peak within MAINLOBE_HALFWIDTH_BINS
+    of an image edge has no mainlobe inside the image and is a
+    MeasurementError.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)

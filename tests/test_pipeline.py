@@ -16,7 +16,6 @@ from ofdmsar.echo import build_channel_matrix, grid_to_bytes
 from ofdmsar.errors import InvalidParameterError, MeasurementError
 from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
                               run_point_ensemble, run_sweep_ensemble)
-from ofdmsar.metrics import ideal_reference_image
 from ofdmsar.rd_imaging import FocusingOperator, focus_image
 from ofdmsar.scene import Scene
 from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
@@ -122,6 +121,7 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     # six points.  QAM16: rf's clean image once per sweep; one rf and one
     # mf noise grid and one mf clean grid per trial serve both SNRs; wf
     # focuses both per SNR.  Focusing every point's two images takes 12.
+    # The reference image, the channel's own, is one more pass per sweep
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
@@ -140,14 +140,31 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     results = list(run_sweep_ensemble(scene, points, make_qam(name), trials,
                                       seed=5, mask=mask))
     assert len(results) == len(points)
-    assert len(calls) == per_trial * trials + 1
+    assert len(calls) == per_trial * trials + 2
     assert set(calls) == {(16, 16)}
+
+
+def chi_grid(symbols, spec, constellation):
+    """chi = s * g on every cell, 0 on the inactive ones, as the sweep
+    models it: one real number on every active cell where the alphabet and
+    the filter make it one (rf's s / s = 1, and rho / level on a
+    constant-modulus alphabet), which s * g reaches only to round-off.  So
+    an image that equals the reference in exact arithmetic equals it bit
+    for bit."""
+    reads = pipeline._focus_reads(constellation, spec)
+    if reads.signal is None:
+        return (symbols != 0) * reads.chi
+    return symbols * filter_gains(symbols, spec)
 
 
 def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
                rcmc_method="windowed_sinc", ka_mode="reference"):
     """Each trial's images focused on their own, as the filtered-echo
-    model defines them, reduced like an EnsembleResult."""
+    model defines them, reduced like an EnsembleResult against the
+    reference image, the focused channel of the trial's scene.  Each
+    residual is summed as F(channel * (chi - c)) + noise, for c = 1 and
+    c = E[chi], which does not cancel where the clean image is near the
+    reference."""
     symbols = symbol_trials(cfg, constellation, seed, trials, mask)
     unit = noise_trials(cfg, seed, trials, unit=True)
     amps = amplitude_trials(scene, seed, trials)
@@ -157,17 +174,22 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
     out = {name: [] for name in PER_TRIAL + ("noisy", "clean")}
     for t in range(trials):
         channel = build_channel_matrix(scene, cfg, amps[t])
-        ideal = ideal_reference_image(scene, cfg, amps[t])
+        chi = chi_grid(symbols[t], spec, constellation)
         gains = filter_gains(symbols[t], spec)
-        clean = focus_image(channel * symbols[t] * gains, cfg,
-                            result.r_bar_ref_m, rcmc_method, ka_mode)
-        noisy = clean + focus_image(scale * unit[t] * gains, cfg,
-                                    result.r_bar_ref_m, rcmc_method, ka_mode)
+
+        def focus(x):
+            return focus_image(x, cfg, result.r_bar_ref_m, rcmc_method,
+                               ka_mode)
+        clean = focus(channel * chi)
+        noise = focus(scale * unit[t] * gains)
+        noisy = clean + noise
         out["noiseless_peaks"].append(clean[k_q, m_q] / result.alpha_ref)
         out["noisy_peaks"].append(noisy[k_q, m_q] / result.alpha_ref)
-        out["mse"].append(np.sum(np.abs(noisy - ideal) ** 2))
-        out["mse_calibrated"].append(
-            np.sum(np.abs(noisy / e_chi - ideal) ** 2))
+        out["mse"].append(np.sum(np.abs(focus(channel * (chi - 1.0))
+                                        + noise) ** 2))
+        out["mse_calibrated"].append(np.sum(
+            np.abs(focus(channel * (chi - e_chi)) + noise) ** 2)
+            / e_chi ** 2)
         out["clean"].append(np.abs(clean) ** 2)
         out["noisy"].append(np.abs(noisy) ** 2)
     cuts = power_cuts(np.mean(out.pop("noisy"), axis=0),
@@ -214,11 +236,12 @@ def test_shared_focusing_moves_results_by_round_off_only(
 
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_mse_is_never_negative_and_stays_accurate(name):
-    # under rf (chi = 1) the on-grid target focuses to its ideal image up
-    # to an MSE of 2e-5 against an image energy of 256, noiseless and at
-    # 300 dB.  An MSE taken as ||noisy||^2 - 2 Re<ideal, noisy> + ||ideal||^2
-    # keeps only the round-off of that energy (4e-10 relative here), and
-    # can go negative where the image matches its ideal to round-off
+    # under rf (chi = 1) the image is its reference, the channel's own
+    # image: against an image energy of 256 the MSE is exactly 0
+    # noiseless and the noise's alone at 300 dB.  An MSE taken as
+    # ||noisy||^2 - 2 Re<reference, noisy> + ||reference||^2 keeps only
+    # the round-off of that energy, and can go negative where the image
+    # matches its reference to round-off
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     snr = 1e30
@@ -241,15 +264,22 @@ def test_mse_is_never_negative_and_stays_accurate(name):
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
     # a point's sums combine per-grid sums of squares and the noise's cross
-    # terms with scalars.  On a critical phase_ramp 64x64 grid the
-    # on-grid target focuses to its ideal image up to a deterministic
-    # floor of about 6e-3 against an image energy of 4096 (3904 with the
-    # comb, whose image misses most of the target's energy); from 30 to
-    # 280 dB the noise energy falls from far above the data-aided floor to
-    # far below it, where a cross term split as chi <S, Z> - <R, Z> keeps
-    # the round-off of ||R|| ||Z|| rather than of the residual.  Each MSE and
-    # total stays non-negative and within 1e-13 of the |.|^2 sums over
-    # the focused images, for every filter and the noiseless point
+    # terms with scalars.  On a critical phase_ramp 64x64 grid a point's
+    # deterministic residual chi S - c R against the reference R, the
+    # channel's own image, is 0 under rf and under mf on QPSK, falls as
+    # 1 / SNR^2 under wf, and stays far above the noise under mf on QAM16
+    # and under the comb, whose image misses most of the target's energy.
+    # From 30 to 280 dB the noise energy falls far below those last two,
+    # and towards 0 where the residual is 0, where a cross term split as
+    # chi <S, Z> - <R, Z> keeps the round-off of ||R|| ||Z|| rather than of
+    # the residual.  Each MSE and total stays non-negative and within
+    # 1e-13 of the |.|^2 sum over the focused image ifft_M(A * Y) of its
+    # range-Doppler grid Y, formed from the same S, R and Z: chi S +
+    # sigma Z for the total, and for each MSE the noisy residual
+    # chi (S - R) + (chi - c) R + sigma Z, for every filter and the
+    # noiseless point.  S - R is the sweep's own, a difference of two
+    # focused grids: where chi tends to 1 cell by cell (wf on QAM16) its
+    # round-off, eps ||S||, outgrows the residual itself
     cfg = critical_config(64, 64, k_ref=32)
     scene = single_target_scene(cfg, k_bin=32, m_bin=32)
     mask = comb_mask(cfg) if masked else None
@@ -260,16 +290,44 @@ def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
         cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
         points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
                    for kind in ("rf", "mf", "wf")]
-    swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
+    trials = 3
+    swept = run_sweep_ensemble(scene, points, qam, trials, seed=5,
                                mask=mask, rcmc_method="phase_ramp")
+    operator = pipeline.focusing_operator(cfg, swept[0].r_bar_ref_m,
+                                          "phase_ramp")
+    indices = index_trials(cfg, qam, 5, trials, mask)
+    unit = noise_trials(cfg, 5, trials, unit=True)
+    channel = build_channel_matrix(scene, cfg)
+    reference = operator.range_doppler(channel)
+    active = channel if mask is None else channel * mask
+
+    def image_power(y):
+        image = np.fft.ifft(operator.azimuth_multiplier * y, axis=-1)
+        return float(np.sum(np.abs(image) ** 2))
     for (cfg_n, spec), result in zip(points, swept):
-        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
-                              rcmc_method="phase_ramp")
+        reads = pipeline._focus_reads(qam, spec)
+        e_chi = result.stats.chi_mean
+        sigma = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale
+        gains = pipeline._tables(qam, reads.noise).gain
+        want = {"mse": [], "mse_calibrated": [], "noisy_power_sum": 0.0}
+        for t in range(trials):
+            signal = operator.range_doppler(
+                active if reads.signal is None else
+                pipeline._tables(qam, reads.signal).chi[indices[t]] * channel)
+            noise = sigma * operator.range_doppler(
+                unit[t] * gains[indices[t]])
+            want["noisy_power_sum"] += image_power(
+                reads.chi * signal + noise) / trials
+            for array, c in (("mse", 1.0), ("mse_calibrated", e_chi)):
+                residual = (reads.chi * (signal - reference)
+                            + (reads.chi - c) * reference + noise)
+                want[array].append(image_power(residual) / (c * c))
         for array in ("mse", "mse_calibrated", "noisy_power_sum"):
-            got, want = getattr(result, array), expected[array]
+            got, expected = getattr(result, array), np.array(want[array])
             assert np.all(got >= 0), (spec, array)
-            error = np.max(np.abs(got - want) / want)
-            assert error <= 1e-13, (spec, cfg_n.noise_var, array, error)
+            error = np.abs(got - expected)
+            assert np.all(error <= 1e-13 * expected), (
+                spec, cfg_n.noise_var, array, error / expected)
 
 
 def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
@@ -607,22 +665,37 @@ def test_random_targets_are_redrawn_per_trial():
     assert abs(np.mean(peaks) - expected) < 4 * std_err
 
 
-@pytest.mark.parametrize("k_bin", [40.0, 40.5, 40.25, 39.75])
-def test_off_bin_range_target_nmse_measures_the_filter(k_bin):
-    # a reciprocal filter at 60 dB leaves nearly nothing for NMSE to
-    # measure, on the bin grid or between range bins: the ideal image's
-    # range factor is what range compression makes of an off-bin target
-    # (a sinc read 4.86 half a bin off and 1.21 a quarter bin off)
+def assert_rf_nmse_measures_the_filter(k_bin, m_bin):
+    """A reciprocal filter at 60 dB leaves nearly nothing for NMSE to
+    measure, wherever the target sits: the reference is the chain's own
+    image of the scene, so an off-bin target's focused response, in range
+    or azimuth, is the reference's too."""
     snr = 1e6
     cfg = critical_config(64, 64, k_ref=40).with_noise(1.0 / snr,
                                                        snr_in_linear=snr)
-    target = target_at_bins(cfg, k_bin, 32)
+    target = target_at_bins(cfg, k_bin, m_bin)
     scene = Scene(targets=(target,),
                   extent=(target.x_m - 100, target.x_m + 100,
                           target.y_m - 100, target.y_m + 100))
     result = run_point_ensemble(scene, cfg, make_qam("qam16"),
                                 FilterSpec("rf"), trials=2, seed=0)
     assert result.nmse < 1e-2, result.nmse
+
+
+@pytest.mark.parametrize("k_bin", [40.0, 40.5, 40.25, 39.75])
+def test_off_bin_range_target_nmse_measures_the_filter(k_bin):
+    # an analytic reference with a sinc range factor read 4.86 half a bin
+    # off and 1.21 a quarter bin off
+    assert_rf_nmse_measures_the_filter(k_bin, 32)
+
+
+@pytest.mark.parametrize("k_bin, m_bin", [(40, 32.5), (40.5, 32.5),
+                                          (37, 20.5)])
+def test_off_bin_azimuth_target_nmse_measures_the_filter(k_bin, m_bin):
+    # a sampled azimuth chirp between two bins does not focus to a shifted
+    # kernel: an analytic reference with a sinc azimuth factor read 0.275,
+    # 0.669 and 0.876 here
+    assert_rf_nmse_measures_the_filter(k_bin, m_bin)
 
 
 @pytest.mark.parametrize("kind", ["rf", "mf", "wf"])
@@ -694,7 +767,9 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # scene is taken once, in place in a copy of the channel that the mf
     # signal grid reads, and the random-target scene's once per trial into
     # an eighth buffer.  The buffers do not change with the trial count or
-    # the drawing thread, and no result array shares memory with one
+    # the drawing thread, and no result array shares memory with one.  The
+    # reference R = range_doppler(channel) is the one pass into a new grid,
+    # once per sweep, or once per trial with the random target
     cfg = critical_config(16, 16, k_ref=8)
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
@@ -710,12 +785,13 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
                 results = run_sweep_ensemble(
                     scene, qam16_sweep_points(cfg), make_qam("qam16"),
                     trials, seed=5)
-                assert len(calls) == per_trial * trials + once
-                assert all(out is not None for _, out in calls)
+                into = [(x, out) for x, out in calls if out is not None]
+                assert len(calls) - len(into) == (1 if once else trials)
+                assert len(into) == per_trial * trials + once
                 if once:
-                    x, out = calls[0]
+                    x, out = into[0]
                     assert out is x
-                buffers = [out for _, out in calls[once:]]
+                buffers = [out for _, out in into[once:]]
                 assert len({out.ctypes.data for out in buffers}) == per_trial
                 for result in results:
                     for name in ARRAYS:
@@ -830,8 +906,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
         amps = amplitude_trials(scene, 5, trials)
         for t in range(trials):
             channel = build_channel_matrix(scene, cfg, amps[t])
-            ideal = ideal_reference_image(scene, cfg, amps[t])
-            reference = np.fft.fft(ideal, axis=-1) / a
+            reference = operator.range_doppler(channel)
+            reference_image = image(reference)
             # every operand is named: numpy swaps a product's operands when
             # it writes into a temporary, and the complex product's
             # round-off depends on their order
@@ -904,8 +980,9 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                 acc["image_totals"].append(
                     float(np.sum(np.abs(noisy_image) ** 2)))
                 summed = (
-                    float(np.sum(np.abs(noisy_image - ideal) ** 2)),
-                    float(np.sum(np.abs(noisy_image / e_chi - ideal) ** 2)))
+                    float(np.sum(np.abs(noisy_image - reference_image) ** 2)),
+                    float(np.sum(
+                        np.abs(noisy_image / e_chi - reference_image) ** 2)))
                 for value, old in zip(
                         (result.mse[t], result.mse_calibrated[t]), summed):
                     assert abs(value - old) <= 1e-13 * old
@@ -999,7 +1076,7 @@ def test_prefetched_sweep_peaks_under_eighteen_grids():
     # unit noise), so the worker draws each trial one ahead.  The sweep
     # holds its 7 per-trial canonical grids (8 with the random target),
     # F(channel * act) as S - R, R, the scratch grid and two trials'
-    # draws, and with a random target one trial's channel and ideal image:
+    # draws, and with a random target one trial's channel and reference:
     # under 18 grids, its per-point reductions included.  A sweep that drew
     # chunks of trials held 45 grids, and 76 with the random target
     cfg = critical_config(128, 128, k_ref=64)

@@ -9,6 +9,7 @@ from scenes import critical_config, single_target_scene
 from ofdmsar import rd_imaging
 from ofdmsar.echo import build_channel_matrix
 from ofdmsar.errors import InvalidParameterError
+from ofdmsar.metrics import ideal_reference_image
 from ofdmsar.pipeline import run_point_ensemble
 from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 _shift_transfer, azimuth_compress,
@@ -224,6 +225,23 @@ def test_point_target_focuses_to_sqrt_nm():
     assert (k_hat, m_hat) == (16, 32)
     assert peak[16, 32] == pytest.approx(np.sqrt(64 * 64), rel=1e-3)
     assert img.shape == (64, 64)
+
+
+@pytest.mark.parametrize("method", RCMC_METHODS)
+def test_on_bin_point_target_focuses_to_the_analytic_kernel(method):
+    # the closed forms in metrics.py rest on the chain focusing an on-bin
+    # target of a critical grid to ideal_reference_image, sqrt(NM)
+    # D(k - k_q) sinc(m - m_q), in the whole image and not only at its
+    # peak: the two differ by 8.5e-6 (windowed_sinc) and 1.5e-6
+    # (phase_ramp) of the kernel's energy
+    cfg = critical_config(64, 64, k_ref=16)
+    scene = single_target_scene(cfg, k_bin=16, m_bin=32)
+    h = build_channel_matrix(scene, cfg)
+    r_bar = scene.targets[0].mean_range_m(cfg.platform)
+    img = focus_image(h, cfg, r_bar_ref_m=r_bar, rcmc_method=method)
+    ideal = ideal_reference_image(scene, cfg)
+    error = np.sum(np.abs(img - ideal) ** 2) / np.sum(np.abs(ideal) ** 2)
+    assert error < 1e-4, error
 
 
 def test_focus_stages_collects_every_stage():

@@ -36,7 +36,6 @@ def test_scenario_example_runs(tmp_path):
 
 
 def test_scenario_example_runs_silently_from_main(tmp_path, capsys):
-    # its run grid is critically sampled in azimuth (K_a T^2 M = 1), so
     # main prints the output directory and nothing on stderr
     config = tmp_path / "scenario.json"
     config.write_text(fenced("json"))
