@@ -27,13 +27,16 @@ mainlobe, the decomposition
 
 is exact for a single target whose reference image is one pixel: an
 on-bin target of a critical grid, whose kernel has nulls at every other
-integer bin.  identity_residual reports the relative gap for any scene.
-ISLR still counts the chain's own sidelobe energy, which NMSE no longer
-does, so the gap grows wherever the chain does not focus the target to one
-pixel: the leakage of windowed-sinc RCMC, and azimuth sampling K_a T^2 M
-away from 1.  A gain-calibrated NMSE variant (image divided by E[chi]) is
-also provided: it is invariant to the overall filter scale and is the
-right quantity for comparing filters whose mean gains differ.
+integer bin.  For any reference it holds with ISLR and PEL taken against
+the reference image, as NMSE is: the energy of image - reference off the
+peak pixel over the peak's, and the peak's loss against the reference's
+peak (pipeline.point_target_report).  They are the single-bin ISLR and
+the PEL above where the reference is one pixel of height sqrt(NM), and
+identity_residual reports the relative gap for any scene: what is left
+is the sampled noise at the peak against 1 / SNR_out.  A gain-calibrated
+NMSE variant (image divided by E[chi]) is also provided: it is invariant
+to the overall filter scale and is the right quantity for comparing
+filters whose mean gains differ.
 """
 
 from __future__ import annotations

@@ -41,13 +41,15 @@ act being the active cells; otherwise it is F(chi * channel), shared by
 points with equal gains (mf across SNRs).  Each distinct canonical grid
 is focused once per trial, or once per sweep when it does not change
 between trials (F(channel * act) of a deterministic scene), and every
-point that uses it reads it.  So a constant-modulus sweep focuses one
-grid per trial plus one per sweep instead of two per point and trial;
-QAM16 rf/mf/wf at two SNRs focuses 7 per trial plus 1 instead of 12.  The
-reference is one more focus, once per sweep, or once per trial with
-random targets.  The choice follows from the alphabet and the filter
-specs alone, so a point run alone reads the same grids by the same
-formula and its bits do not depend on the rest of the sweep.
+point that uses it reads it.  Without a comb F(channel * act) is the
+reference F(channel) itself, and the reference is focused once per
+sweep, or once per trial with random targets.  So a constant-modulus
+sweep without a comb focuses one grid per trial plus the reference
+instead of two per point and trial; QAM16 rf/mf/wf at two SNRs focuses 7
+per trial plus the reference instead of 12.  The choice follows from the
+alphabet, the filter specs and the comb alone, so a point run alone
+reads the same grids by the same formula and its bits do not depend on
+the rest of the sweep.
 
 The canonical grids stay in the range-Doppler domain, and every
 reduction is taken there.  F(x) = ifft_M(A * Y) with Y the operator's
@@ -73,25 +75,37 @@ and Z its signal and noise grids, and is never formed:
   mse_calibrated = the same with E[chi] R for R, over E[chi]^2
 
 The peaks and cuts combine the grids' rows and columns in the operand
-order of the image-domain chain, as before.  The numerics follow three
+order of the image-domain chain, as before.  The numerics follow four
 rules.  A residual between correlated grids, |chi S - c R|^2 for c = 1
 and c = E[chi], is always a sum of squares of a formed grid,
 chi^2 |S - (c / chi) R|^2, never expanded into |S|^2 - 2 Re <S, R> +
-|R|^2, which cancels to round-off and goes negative.  Only the
+|R|^2, which cancels to round-off and goes negative.  No grid is formed
+as the difference of two focused grids that nearly cancel, whose
+round-off would be that of the larger: each signal grid S is focused as
+S - base * R, as D = S - R itself from (chi - 1) * channel (base 1)
+where S is nearer R than 0, and as S (base 0) where it is not.  In mean
+square over the cells that is E[chi] > 1/2 without a comb, and never
+with one, where S - R holds the channel of the inactive cells, most of
+R's energy.  So the residual of wf at a high SNR, where chi tends to 1,
+keeps its own round-off, not that of |S|, and S at a very low SNR, where
+chi tends to 0, keeps its own, not that of |R|.  A base-1 grid's rows
+and column are R's plus D's, and |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2,
+which does not cancel there, S being nearer R than 0.  Only the
 independent noise is split out, and its cross terms are taken against
 S - R and R: Re <chi S - c R, Z> = chi Re <S - R, Z> + (chi - c) Re <R, Z>
 and Re <S, Z> = Re <S - R, Z> + Re <R, Z>.  A cross term's round-off is
 then that of the residual itself, plus |chi - c| |R| |Z| eps, where
 taking chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the
 residual.  And what does not change between trials is reduced once per
-sweep, before the draws are allocated: F(channel * act) of a
-deterministic scene, with its sums of squares, cuts and residuals.  So a
-trial takes, per per-trial signal grid, its cuts, |S|^2 and each
-|S - k R|^2, and leaves S - R in its buffer; per noise grid its cuts,
-|Z|^2 and Re <R, Z>; and Re <S - R, Z> per (signal, noise) pair that
-some point reads.  A QPSK sweep, whose points all read one noise grid,
-makes one sum of squares and two inner products per trial at any number
-of points.  Every sum is over the grids' float64 views, computed without
+sweep, before the draws are allocated: R and, with a comb,
+F(channel * act) of a deterministic scene, with their sums of squares,
+cuts and residuals.  So a trial takes, per per-trial signal grid, its
+cuts, |S|^2 and each |S - k R|^2, and leaves S - R in its buffer; per
+noise grid its cuts, |Z|^2 and Re <R, Z>; and Re <S - R, Z> per
+(signal, noise) pair that some point reads, 0 where S is R.  A QPSK
+sweep without a comb, whose points all read one noise grid and R, makes
+one sum of squares and one inner product per trial at any number of
+points.  Every sum is over the grids' float64 views, computed without
 BLAS: its threads would compete with the draw worker for the cores.
 
 Trials run one at a time, in one order: a trial takes every distinct
@@ -99,10 +113,11 @@ canonical grid into its own buffer, gathering each gain straight into
 it, then reduces every grid and every point.  The sweep allocates these
 buffers once, one per distinct per-trial canonical grid, plus one
 scratch grid for S - k R with k != 1 only where some signal grid is
-drawn per trial; a deterministic scene's F(channel * act) is taken in
-place in the channel's own grid (in a copy where a per-trial signal grid
-reads the channel) and held as S - R next to R.  So a trial allocates no
-complex grid.
+drawn per trial.  F(channel * act) is taken with R: it is R itself
+without a comb, and with one it is focused into a grid of its own and
+held as S - R next to R.  So a trial of a deterministic scene allocates
+no complex grid; one with random targets builds its channel, R and, with
+a comb, F(channel * act).
 
 The trial is the one unit of drawing.  Each trial's indices and, in a
 noisy sweep, its unit noise are drawn into a pair of buffers allocated
@@ -120,16 +135,17 @@ makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
 where it has a row per range bin), R, one buffer per distinct canonical
-grid that changes between trials, F(channel * act) as S - R where it
-does not, the scratch grid where there is one, and one trial's draws (an
+grid that changes between trials, with a comb F(channel * act) as S - R
+where it does not, the scratch grid where there is one, the channel
+where a per-trial signal grid reads it, and one trial's draws (an
 index grid and, when noisy, a unit-noise grid), or two trials' when the
-worker draws, and with random targets the trial's channel and
-reference; besides them O(N + M) per point and its per-trial arrays.  The
-pilot-only NR sweep of 1024 x 171 cells (QPSK, phase_ramp,
-per_range_bin) holds H, A, R, S - R, its one noise grid and one trial's
-unit noise: 6.2 grids at its tracemalloc peak.  QAM16 rf/mf/wf at two
-SNRs on 128 x 128 cells, 64 trials drawn by the worker, peaks at 15.8
-grids, and at 16.8 with a random target.
+worker draws, and with random targets the trial's channel, reference
+and, with a comb, F(channel * act); besides them O(N + M) per point and
+its per-trial arrays.  The pilot-only NR sweep of 1024 x 171 cells
+(QPSK, phase_ramp, per_range_bin) holds H, A, R, S - R, its one noise
+grid and one trial's unit noise: 6.2 grids at its tracemalloc peak.
+QAM16 rf/mf/wf at two SNRs on 128 x 128 cells, 64 trials drawn by the
+worker, peaks at 14.8 grids, with or without a random target.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -189,6 +205,7 @@ class EnsembleResult:
     alpha_ref: complex
     noiseless_peaks: np.ndarray      # (T,) peak/alpha_ref per noiseless trial
     noisy_peaks: np.ndarray          # (T,) peak/alpha_ref per noisy trial
+    reference_peaks: np.ndarray      # (T,) the reference image's, the same
     mse: np.ndarray                  # (T,) sum|noisy - reference|^2
     mse_calibrated: np.ndarray       # (T,) same with image scaled by 1/E[chi]
     noisy_power_sum: float           # E[sum |noisy image|^2]
@@ -248,37 +265,18 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-class _Tables(NamedTuple):
-    """A gain spec's gain g and chi = s * g at every index of
-    constellation.table, both 0 at the sentinel."""
-
-    gain: np.ndarray
-    chi: np.ndarray
-
-
-def _tables(constellation: Constellation, spec: FilterSpec) -> _Tables:
-    symbols = constellation.table
-    gain = filter_gains(symbols, spec)
-    return _Tables(gain, symbols * gain)
-
-
 def _focus_grids(range_doppler, grids: list, channel: np.ndarray,
-                 indices: np.ndarray, noise: Optional[np.ndarray],
-                 mask: Optional[np.ndarray]) -> None:
+                 indices: np.ndarray, noise: Optional[np.ndarray]) -> None:
     """Take one trial's canonical grids to the range-Doppler domain in place
-    in their buffers, from (part, _Tables or None, buffer) triples:
-    ("signal", None) is channel * act, ("signal", spec) is
-    chi[indices] * channel and ("noise", spec) is noise * g[indices], each
-    table gathered straight into the grid's buffer."""
-    for part, tables, out in grids:
-        if tables is None:
-            x = (channel if mask is None
-                 else np.multiply(channel, mask, out=out))
-        elif part == "signal":
-            x = _gather(tables.chi, indices, out)
+    in their buffers, from (part, table, base, buffer) tuples: a signal grid
+    is table[indices] * channel and a noise grid noise * table[indices],
+    each table gathered straight into the grid's buffer."""
+    for part, table, _, out in grids:
+        if part == "signal":
+            x = _gather(table, indices, out)
             x *= channel
         else:
-            _gather(tables.gain, indices, out)
+            _gather(table, indices, out)
             x = np.multiply(noise, out, out=out)
         range_doppler(x, out=out)
 
@@ -296,8 +294,7 @@ class _Taken(NamedTuple):
     """One canonical grid's per-trial reductions: the image rows
     k_q - hw .. k_q + hw and the image column m_q, sum |Y|^2 of its
     range-Doppler form Y, and, for a signal grid S, sum |S - k R|^2 for
-    each residual scale k it was asked for.  A signal grid's buffer holds
-    S - R afterwards."""
+    each residual scale k it was asked for."""
 
     rows: np.ndarray
     col: np.ndarray
@@ -365,42 +362,37 @@ def run_sweep_ensemble(scene: Scene,
             return np.einsum("np,np,p->n", grid, azimuth, phase)
     lobe = np.arange(m_q - hw, m_q + hw + 1) % m
 
-    def take(grid, reference=None, scales=(), diff=None):
-        """The _Taken of a range-Doppler grid.  A signal grid S, given R
-        and its residual scales, forms each S - k R with k != 1 in `diff`
-        from k * R, then leaves S - R in its own buffer."""
+    def take(grid):
+        """The _Taken of a range-Doppler grid, without residuals."""
         image_rows = np.multiply(grid[rows], azimuth_rows)
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
-        col = column(grid)
-        power = _inner(grid, grid)
+        return _Taken(image_rows, column(grid), _inner(grid, grid), {})
+
+    def take_signal(grid, base, reference, r_taken, scales, diff):
+        """The _Taken of a signal grid S, given R and its _Taken, from `grid`
+        holding S - base * R (None where S is R); the grid holds D = S - R
+        afterwards.  Each |S - k R|^2 with k != 1 is the sum of squares of
+        grid + (base - k) R, formed in `diff`, and |D|^2 that of D.  With
+        base 1, S's rows and column are D's plus R's, and
+        |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2."""
+        if grid is None:
+            return r_taken._replace(residuals={
+                k: (1.0 - k) ** 2 * r_taken.power for k in scales})
+        own = take(grid)
         residuals = {}
-        if reference is not None:
-            for k in scales:
-                if k != 1.0:
-                    np.multiply(k, reference, out=diff)
-                    np.subtract(grid, diff, out=diff)
-                    residuals[k] = _inner(diff, diff)
-            grid -= reference
-            if 1.0 in scales:
-                residuals[1.0] = _inner(grid, grid)
-        return _Taken(image_rows, col, power, residuals)
+        for k in set(scales) - {1.0}:
+            np.multiply(base - k, reference, out=diff)
+            diff += grid
+            residuals[k] = _inner(diff, diff)
+        if base:
+            residuals[1.0] = own.power
+            return _Taken(r_taken.rows + own.rows, r_taken.col + own.col,
+                          r_taken.power + 2.0 * _inner(grid, reference)
+                          + own.power, residuals)
+        grid -= reference
+        residuals[1.0] = _inner(grid, grid)
+        return own._replace(residuals=residuals)
 
-    def truth(amplitudes=None):
-        """(channel, R), R = range_doppler(channel) being the range-Doppler
-        form of the reference image F(channel), so image - reference =
-        ifft_M(A * (Y - R))."""
-        channel = build_channel_matrix(scene, cfg0, amplitudes)
-        return channel, focus.range_doppler(channel)
-
-    symbol_rng = _philox(seed, SYMBOL_STREAM)
-    noise_rng = (_philox(seed, NOISE_STREAM)
-                 if any(cfg.noise_var > 0 for cfg, _ in points) else None)
-    # (channel, R): built once for a deterministic scene, per trial from
-    # its drawn amplitudes when the scene has random targets
-    rcs_rng = (_philox(seed, RCS_STREAM)
-               if any(t.amplitude_mode == "random" for t in scene.targets)
-               else None)
-    fixed = truth() if rcs_rng is None else None
     reads = [_focus_reads(constellation, spec) for _, spec in points]
     # each point's canonical grids as (part, gain spec) keys: its noiseless
     # image's and, if it is noisy, its noise image's
@@ -409,11 +401,8 @@ def run_sweep_ensemble(scene: Scene,
              for (cfg, _), r in zip(points, reads)]
     keys = list(dict.fromkeys(key for pair in wants for key in pair if key))
     slot = {key: i for i, key in enumerate(keys)}
-    tables = {spec: _tables(constellation, spec)
-              for spec in dict.fromkeys(spec for _, spec in keys)
-              if spec is not None}
-
     stats = [chi_stats(constellation, spec) for _, spec in points]
+
     # per point: its reads resolved to slots and residual scales, and its
     # result's arrays.  chi S - c R = chi (S - k R) with k = c / chi, for
     # c = 1 (mse) and c = E[chi] (mse_calibrated)
@@ -423,6 +412,7 @@ def run_sweep_ensemble(scene: Scene,
                                                    wants):
         sums = dict(noiseless_peaks=np.empty(trials, dtype=complex),
                     noisy_peaks=np.empty(trials, dtype=complex),
+                    reference_peaks=np.empty(trials, dtype=complex),
                     mse=np.empty(trials), mse_calibrated=np.empty(trials),
                     noisy_power_sum=0.0,
                     noisy_mainlobe_power=np.zeros((2 * hw + 1,) * 2),
@@ -438,45 +428,74 @@ def run_sweep_ensemble(scene: Scene,
                       slot[noise] if noise else None))
     # the (signal, noise) pairs the points read, whose Re <S - R, Z> each
     # trial takes, with Re <R, Z> for each noise grid
-    pairs = list(dict.fromkeys((signal, noise)
-                               for *_, signal, noise in tasks
-                               if noise is not None))
-    noises = list(dict.fromkeys(noise for _, noise in pairs))
-
-    def empty():
-        return np.empty((n, m), dtype=complex)
-    # each canonical grid's range-Doppler buffer and reductions:
-    # F(channel * act) of a deterministic scene is reduced once per sweep,
-    # before any draw, in the channel's own grid unless a per-trial signal
-    # grid reads the channel; every other grid is reduced once per trial in
-    # a buffer allocated here
-    buffers = [None] * len(keys)
-    taken = [None] * len(keys)
-    once = slot.get(("signal", None)) if fixed is not None else None
-    per_trial = [i for i in range(len(keys)) if i != once]
-    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
+    pairs = {(signal, noise) for *_, signal, noise in tasks
+             if noise is not None}
+    noises = {noise for _, noise in pairs}
 
     def scratch(signals):
         """The scratch grid for S - k R, k != 1, where one of these signal
         grids needs it."""
-        return (empty() if any(set(scales[i]) - {1.0} for i in signals)
-                else None)
-    if once is not None:
-        channel, reference = fixed
-        if per_trial_signal:
-            grid = channel.copy()
-        else:  # no trial reads the channel
-            grid, fixed = channel, (None, reference)
-        del channel
-        if mask is not None:
-            grid *= mask
-        focus.range_doppler(grid, out=grid)
-        taken[once] = take(grid, reference, scales[once], scratch([once]))
-        buffers[once] = grid
-    grids = [(keys[i][0], tables.get(keys[i][1]), empty()) for i in per_trial]
-    for i, (_, _, out) in zip(per_trial, grids):
-        buffers[i] = out
+        return (np.empty((n, m), dtype=complex)
+                if any(set(scales[i]) - {1.0} for i in signals) else None)
+    # F(channel * act), rf's signal grid, is taken with R: it is R itself
+    # without a comb, and is focused into a grid of its own with one (with
+    # the scratch grid it alone may need).  Every other grid is taken once
+    # per trial, in a buffer allocated below
+    act = slot.get(("signal", None))
+    per_trial = [i for i in range(len(keys)) if i != act]
+    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
     diff = scratch(per_trial_signal)
+
+    def truth(amplitudes=None):
+        """(channel, R, R's _Taken, F(channel * act)'s _Taken, its grid),
+        R = range_doppler(channel) being the range-Doppler form of the
+        reference image F(channel), so image - reference =
+        ifft_M(A * (Y - R))."""
+        channel = build_channel_matrix(scene, cfg0, amplitudes)
+        reference = focus.range_doppler(channel)
+        r_taken = take(reference)
+        if act is None:
+            return channel, reference, r_taken, None, None
+        grid = None
+        if mask is not None:
+            grid = np.multiply(channel, mask)
+            focus.range_doppler(grid, out=grid)
+        return channel, reference, r_taken, take_signal(
+            grid, 0.0, reference, r_taken, scales[act],
+            scratch([act]) if diff is None else diff), grid
+
+    symbol_rng = _philox(seed, SYMBOL_STREAM)
+    noise_rng = (_philox(seed, NOISE_STREAM)
+                 if any(cfg.noise_var > 0 for cfg, _ in points) else None)
+    # the truth: built once for a deterministic scene, before any draw, and
+    # per trial from its drawn amplitudes when the scene has random targets
+    rcs_rng = (_philox(seed, RCS_STREAM)
+               if any(t.amplitude_mode == "random" for t in scene.targets)
+               else None)
+    fixed = truth() if rcs_rng is None else None
+    if fixed is not None and not per_trial_signal:
+        fixed = (None,) + fixed[1:]  # no trial reads the channel
+    # Each per-trial signal grid S is taken as S - base * R: as D = S - R
+    # (base 1) where S is nearer R than 0, and as S itself (base 0) where it
+    # is not, so that neither S nor D is the difference of two grids that
+    # nearly cancel.  In mean square over the cells, S is nearer R exactly
+    # where E[chi] > 1/2 with no comb; with one, S - R holds the channel of
+    # the inactive cells, most of R's energy.  Each grid is (part, the
+    # table its gather reads, base, buffer), the table over
+    # constellation.table being chi - base for a signal grid (chi = s * g,
+    # 0 at the sentinel) and g for a noise grid
+    buffers = [None] * len(keys)
+    taken = [None] * len(keys)
+    grids = []
+    for i in per_trial:
+        part, spec = keys[i]
+        gain = filter_gains(constellation.table, spec)
+        base = float(part == "signal" and mask is None
+                     and chi_stats(constellation, spec).chi_mean > 0.5)
+        buffers[i] = np.empty((n, m), dtype=complex)
+        grids.append((part, gain if part == "noise"
+                      else constellation.table * gain - base, base,
+                      buffers[i]))
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
@@ -523,24 +542,26 @@ def run_sweep_ensemble(scene: Scene,
                     pending = worker.submit(draw, t + 1)
             else:
                 indices, unit_noise = draw(t)
-            channel, reference = (
+            channel, reference, r_taken, *rf_truth = (
                 fixed if rcs_rng is None
                 else truth(scene.draw_amplitudes(rcs_rng)))
+            if act is not None:
+                taken[act], buffers[act] = rf_truth
             _focus_grids(focus.range_doppler, grids, channel, indices,
-                         unit_noise, mask)
-            for j, (part, _, out) in zip(per_trial, grids):
-                taken[j] = (take(out, reference, scales[j], diff)
+                         unit_noise)
+            for j, (part, _, base, out) in zip(per_trial, grids):
+                taken[j] = (take_signal(out, base, reference, r_taken,
+                                        scales[j], diff)
                             if part == "signal" else take(out))
             ref_cross = {z: _inner(reference, buffers[z]) for z in noises}
-            cross = {(s, z): _inner(buffers[s], buffers[z])
+            cross = {(s, z): (0.0 if buffers[s] is None
+                              else _inner(buffers[s], buffers[z]))
                      for s, z in pairs}
             for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
                 clean = taken[signal]
-                clean_rows, clean_col = clean.rows, clean.col
-                if chi != 1.0:
-                    clean_rows = chi * clean_rows
-                    clean_col = chi * clean_col
+                clean_rows, clean_col = chi * clean.rows, chi * clean.col
                 sums["noiseless_peaks"][t] = clean_rows[hw, m_q] / alpha_ref
+                sums["reference_peaks"][t] = r_taken.rows[hw, m_q] / alpha_ref
                 sums["noiseless_range_power"] += np.abs(clean_col) ** 2
                 sums["noiseless_azimuth_power"] += np.abs(clean_rows[hw]) ** 2
                 # noisy = chi S + sigma Z, and each residual
@@ -572,7 +593,7 @@ def run_sweep_ensemble(scene: Scene,
                 sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
                 sums["mse"][t] = ratio * mse
                 sums["mse_calibrated"][t] = ratio * mse_calibrated / e_chi ** 2
-            del channel, reference  # free a trial's truth before the next's
+            del channel, reference, rf_truth  # before the next trial's
 
     mode = "data_aided" if mask is None else "pilot_only"
     return [EnsembleResult(
@@ -622,17 +643,18 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     """Assemble the standard quality report from ensemble reductions.
 
     The reported islr_db counts MAINLOBE_HALFWIDTH_BINS bins on each side
-    of the peak as mainlobe; the identity residual, reported for every
-    scene, is evaluated with the single-bin mainlobe and the shared
-    noisy-peak normalization, under which the decomposition is exact for
-    one target whose reference image is one pixel (on-bin, critical
-    grid).  NMSE is taken against the chain's own image of the scene, so
-    it no longer counts the chain's sidelobe energy, while ISLR still
-    does: the residual grows wherever the chain spreads the target over
-    more than one pixel, through windowed-sinc RCMC leakage or azimuth
-    sampling K_a T^2 M away from 1.  A peak within MAINLOBE_HALFWIDTH_BINS
-    of an image edge has no mainlobe inside the image and is a
-    MeasurementError.
+    of the peak as mainlobe, and the reported pel is against the ideal
+    peak sqrt(NM).  The identity residual, reported for every scene, takes
+    its ISLR and PEL against the reference image instead, as NMSE does,
+    with the peak pixel as the mainlobe and the shared noisy-peak
+    normalization: the energy of image - reference off the peak over the
+    peak's, and the peak's loss against the reference's peak.  Where the
+    reference is one pixel of height sqrt(NM) (an on-bin target of a
+    critical grid) they are the single-bin ISLR and the PEL, and for any
+    reference the decomposition is exact up to the ensemble's noise at
+    the peak, so the residual stays small wherever the target focuses.  A
+    peak within MAINLOBE_HALFWIDTH_BINS of an image edge has no mainlobe
+    inside the image and is a MeasurementError.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)
@@ -653,7 +675,6 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     peak_sq = result.peak_sq_mean
     lobe = result.noisy_mainlobe_power
     islr_report = islr(result.noisy_power_sum, lobe)
-    islr_single = islr(result.noisy_power_sum, lobe[hw, hw])
     pel_value = pel(result.noiseless_peaks, cfg)
     snr_value = snr_out(peak_sq, result.stats, sigma_alpha, noise_var)
     if noise_var > 0 and not 0 < snr_value < math.inf:
@@ -661,8 +682,13 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
             f"output SNR {snr_value} at noise variance {noise_var} is outside "
             f"the float64 range")
     nmse_value = result.nmse
-    residual = identity_residual(islr_single, pel_value, peak_sq, snr_value,
-                                 nmse_value)
+    # |image - reference|^2 is its peak pixel's plus the rest, so the
+    # identity's ISLR is NMSE less the peak's share
+    peak_error, peak_loss = (
+        float(np.mean(np.abs(peaks - result.reference_peaks) ** 2))
+        for peaks in (result.noisy_peaks, result.noiseless_peaks))
+    residual = identity_residual(nmse_value - peak_error / peak_sq,
+                                 peak_loss, peak_sq, snr_value, nmse_value)
 
     islr_db = 10.0 * math.log10(islr_report) if islr_report > 0 else -math.inf
     snr_db = (math.inf if math.isinf(snr_value)

@@ -22,7 +22,8 @@ from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
 from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
                               gen_symbol_grid, gen_symbol_indices, make_qam)
 
-PER_TRIAL = ("noiseless_peaks", "noisy_peaks", "mse", "mse_calibrated")
+PER_TRIAL = ("noiseless_peaks", "noisy_peaks", "reference_peaks", "mse",
+             "mse_calibrated")
 ARRAYS = PER_TRIAL + ("noisy_power_sum", "noisy_mainlobe_power",
                       "noisy_range_power", "noisy_azimuth_power",
                       "noiseless_range_power", "noiseless_azimuth_power")
@@ -121,7 +122,8 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     # six points.  QAM16: rf's clean image once per sweep; one rf and one
     # mf noise grid and one mf clean grid per trial serve both SNRs; wf
     # focuses both per SNR.  Focusing every point's two images takes 12.
-    # The reference image, the channel's own, is one more pass per sweep
+    # The reference image, the channel's own, is one pass per sweep: it is
+    # F(channel * act) itself without the comb, and one more with it
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
     calls = []
@@ -140,7 +142,7 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
     results = list(run_sweep_ensemble(scene, points, make_qam(name), trials,
                                       seed=5, mask=mask))
     assert len(results) == len(points)
-    assert len(calls) == per_trial * trials + 2
+    assert len(calls) == per_trial * trials + 1 + masked
     assert set(calls) == {(16, 16)}
 
 
@@ -149,8 +151,7 @@ def chi_grid(symbols, spec, constellation):
     models it: one real number on every active cell where the alphabet and
     the filter make it one (rf's s / s = 1, and rho / level on a
     constant-modulus alphabet), which s * g reaches only to round-off.  So
-    an image that equals the reference in exact arithmetic equals it bit
-    for bit."""
+    a residual that is 0 in exact arithmetic is 0 here too."""
     reads = pipeline._focus_reads(constellation, spec)
     if reads.signal is None:
         return (symbols != 0) * reads.chi
@@ -172,19 +173,20 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
     e_chi = chi_stats(constellation, spec).chi_mean
     k_q, m_q = result.peak_bin
     out = {name: [] for name in PER_TRIAL + ("noisy", "clean")}
+
+    def focus(x):
+        return focus_image(x, cfg, result.r_bar_ref_m, rcmc_method, ka_mode)
     for t in range(trials):
         channel = build_channel_matrix(scene, cfg, amps[t])
         chi = chi_grid(symbols[t], spec, constellation)
         gains = filter_gains(symbols[t], spec)
-
-        def focus(x):
-            return focus_image(x, cfg, result.r_bar_ref_m, rcmc_method,
-                               ka_mode)
-        clean = focus(channel * chi)
+        clean = focus(channel * symbols[t] * gains)
         noise = focus(scale * unit[t] * gains)
         noisy = clean + noise
         out["noiseless_peaks"].append(clean[k_q, m_q] / result.alpha_ref)
         out["noisy_peaks"].append(noisy[k_q, m_q] / result.alpha_ref)
+        out["reference_peaks"].append(
+            focus(channel)[k_q, m_q] / result.alpha_ref)
         out["mse"].append(np.sum(np.abs(focus(channel * (chi - 1.0))
                                         + noise) ** 2))
         out["mse_calibrated"].append(np.sum(
@@ -270,16 +272,13 @@ def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
     # 1 / SNR^2 under wf, and stays far above the noise under mf on QAM16
     # and under the comb, whose image misses most of the target's energy.
     # From 30 to 280 dB the noise energy falls far below those last two,
-    # and towards 0 where the residual is 0, where a cross term split as
-    # chi <S, Z> - <R, Z> keeps the round-off of ||R|| ||Z|| rather than of
-    # the residual.  Each MSE and total stays non-negative and within
-    # 1e-13 of the |.|^2 sum over the focused image ifft_M(A * Y) of its
-    # range-Doppler grid Y, formed from the same S, R and Z: chi S +
-    # sigma Z for the total, and for each MSE the noisy residual
-    # chi (S - R) + (chi - c) R + sigma Z, for every filter and the
-    # noiseless point.  S - R is the sweep's own, a difference of two
-    # focused grids: where chi tends to 1 cell by cell (wf on QAM16) its
-    # round-off, eps ||S||, outgrows the residual itself
+    # and towards 0 where the residual is 0 or tends to it: there a
+    # residual taken as the difference of two focused grids S - R keeps
+    # the round-off of ||S||, and a cross term split as chi <S, Z> - <R, Z>
+    # that of ||R|| ||Z||, rather than the residual's.  Each MSE and total
+    # stays non-negative and within 1e-13 of the |.|^2 sums over the
+    # focused images, F(channel * (chi - c)) + noise for each MSE, for
+    # every filter and the noiseless point; a sum that is 0 must be 0
     cfg = critical_config(64, 64, k_ref=32)
     scene = single_target_scene(cfg, k_bin=32, m_bin=32)
     mask = comb_mask(cfg) if masked else None
@@ -290,50 +289,23 @@ def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
         cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
         points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
                    for kind in ("rf", "mf", "wf")]
-    trials = 3
-    swept = run_sweep_ensemble(scene, points, qam, trials, seed=5,
+    swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
                                mask=mask, rcmc_method="phase_ramp")
-    operator = pipeline.focusing_operator(cfg, swept[0].r_bar_ref_m,
-                                          "phase_ramp")
-    indices = index_trials(cfg, qam, 5, trials, mask)
-    unit = noise_trials(cfg, 5, trials, unit=True)
-    channel = build_channel_matrix(scene, cfg)
-    reference = operator.range_doppler(channel)
-    active = channel if mask is None else channel * mask
-
-    def image_power(y):
-        image = np.fft.ifft(operator.azimuth_multiplier * y, axis=-1)
-        return float(np.sum(np.abs(image) ** 2))
     for (cfg_n, spec), result in zip(points, swept):
-        reads = pipeline._focus_reads(qam, spec)
-        e_chi = result.stats.chi_mean
-        sigma = np.sqrt(cfg_n.noise_var / 2.0) * reads.scale
-        gains = pipeline._tables(qam, reads.noise).gain
-        want = {"mse": [], "mse_calibrated": [], "noisy_power_sum": 0.0}
-        for t in range(trials):
-            signal = operator.range_doppler(
-                active if reads.signal is None else
-                pipeline._tables(qam, reads.signal).chi[indices[t]] * channel)
-            noise = sigma * operator.range_doppler(
-                unit[t] * gains[indices[t]])
-            want["noisy_power_sum"] += image_power(
-                reads.chi * signal + noise) / trials
-            for array, c in (("mse", 1.0), ("mse_calibrated", e_chi)):
-                residual = (reads.chi * (signal - reference)
-                            + (reads.chi - c) * reference + noise)
-                want[array].append(image_power(residual) / (c * c))
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
+                              rcmc_method="phase_ramp")
         for array in ("mse", "mse_calibrated", "noisy_power_sum"):
-            got, expected = getattr(result, array), np.array(want[array])
+            got, want = getattr(result, array), expected[array]
             assert np.all(got >= 0), (spec, array)
-            error = np.abs(got - expected)
-            assert np.all(error <= 1e-13 * expected), (
-                spec, cfg_n.noise_var, array, error / expected)
+            error = np.abs(got - want)
+            assert np.all(error <= 1e-13 * want), (
+                spec, cfg_n.noise_var, array, error / want)
 
 
 def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
-    # QPSK reads one noise grid Z per trial and F(channel * act) once per
-    # sweep, so every point is a scalar combination of |Z|^2, Re <S - R, Z>
-    # and Re <R, Z>: 3 points and 33 make the same full-grid sums and
+    # QPSK reads one noise grid Z per trial and F(channel * act), which is
+    # the reference R itself, so every point is a scalar combination of
+    # |Z|^2 and Re <R, Z>: 3 points and 33 make the same full-grid sums and
     # inner products per trial.  Their sweep-constant sums are made once,
     # before any draw
     cfg = critical_config(16, 16, k_ref=8)
@@ -363,7 +335,7 @@ def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
         return {h: (counts[1][h] - counts[0][h]) / 2 for h in counts[0]}
     few = per_trial([10.0])
     many = per_trial(np.linspace(-10.0, 40.0, 11))
-    assert few == many == {"square": 1, "inner": 2}
+    assert few == many == {"square": 1, "inner": 1}
 
 
 def test_sweep_rejects_points_that_change_the_geometry():
@@ -761,22 +733,19 @@ def qam16_sweep_points(cfg):
 def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # QAM16 rf/mf/wf x 2 SNRs reads 8 distinct canonical grids: rf's
     # F(channel * act), the rf and mf noise grids, the mf signal grid, and
-    # each wf point's signal and noise grids.  Every trial takes the 7
-    # that change between trials to the range-Doppler domain in buffers
-    # allocated once, one per grid; F(channel * act) of the deterministic
-    # scene is taken once, in place in a copy of the channel that the mf
-    # signal grid reads, and the random-target scene's once per trial into
-    # an eighth buffer.  The buffers do not change with the trial count or
-    # the drawing thread, and no result array shares memory with one.  The
-    # reference R = range_doppler(channel) is the one pass into a new grid,
-    # once per sweep, or once per trial with the random target
+    # each wf point's signal and noise grids.  Without a comb
+    # F(channel * act) is the reference R = range_doppler(channel), the one
+    # pass into a new grid, once per sweep, or once per trial with the
+    # random target.  Every trial takes the other 7 to the range-Doppler
+    # domain in buffers allocated once, one per grid.  The buffers do not
+    # change with the trial count or the drawing thread, and no result
+    # array shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
-    scenes = ((single_target_scene(cfg, k_bin=8, m_bin=8), 7),
-              (random_target_scene(cfg)[0], 8))
-    for scene, per_trial in scenes:
-        once = per_trial == 7  # the deterministic scene's F(channel * act)
+    for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
+                  random_target_scene(cfg)[0]):
+        random = scene.q > 1
         # drawn on the worker, and on this thread
         for budget in (0, 1 << 30):
             monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
@@ -785,14 +754,10 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
                 results = run_sweep_ensemble(
                     scene, qam16_sweep_points(cfg), make_qam("qam16"),
                     trials, seed=5)
-                into = [(x, out) for x, out in calls if out is not None]
-                assert len(calls) - len(into) == (1 if once else trials)
-                assert len(into) == per_trial * trials + once
-                if once:
-                    x, out = into[0]
-                    assert out is x
-                buffers = [out for _, out in into[once:]]
-                assert len({out.ctypes.data for out in buffers}) == per_trial
+                buffers = [out for _, out in calls if out is not None]
+                assert len(calls) - len(buffers) == (trials if random else 1)
+                assert len(buffers) == 7 * trials
+                assert len({out.ctypes.data for out in buffers}) == 7
                 for result in results:
                     for name in ARRAYS:
                         assert not any(
@@ -848,8 +813,9 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
     # every gather, product, focus pass and reduction, equal the sweep's
     # bit for bit: a point's noisy grid chi S + sigma Z is never formed,
     # its sums being chi^2 |S|^2 and chi^2 |S - k R|^2 (k = c / chi, for
-    # c = 1 and c = E[chi]) of formed grids plus the noise's cross terms
-    # Re <S - R, Z> and Re <R, Z>.  The two MSEs and the total power also
+    # c = 1 and c = E[chi]) plus the noise's cross terms Re <S - R, Z> and
+    # Re <R, Z>, where S is focused as S - base * R and each |S - k R|^2 is
+    # that of a formed grid.  The two MSEs and the total power also
     # stay within 1e-13 of the |.|^2 sums over the focused images they
     # stand for, the range cuts within 1e-13 of those of whole mean |.|^2
     # images, and the azimuth cuts and the mainlobe equal theirs.  128x160
@@ -908,37 +874,61 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
             channel = build_channel_matrix(scene, cfg, amps[t])
             reference = operator.range_doppler(channel)
             reference_image = image(reference)
+            reference_rows, reference_col = cuts(reference)
+            reference_power = power_sum(reference)
             # every operand is named: numpy swaps a product's operands when
             # it writes into a temporary, and the complex product's
             # round-off depends on their order
             for (cfg_n, spec), result, acc in zip(points, results, sums):
                 reads = pipeline._focus_reads(qam, spec)
+                e_chi = result.stats.chi_mean
+                scales = (1.0 / reads.chi, e_chi / reads.chi)
                 if reads.signal is None:
-                    clean = operator.range_doppler(channel)
+                    # F(channel * act) is R: D = S - R is 0
+                    clean_rows, clean_col = reference_rows, reference_col
+                    clean_image = reference_image
+                    power = reference_power
+                    residuals = [(1.0 - k) ** 2 * reference_power
+                                 for k in scales]
+                    difference = None
                 else:
+                    # S is taken as D = S - R where E[chi] > 1/2 (base 1),
+                    # else as S
+                    base = float(chi_stats(qam, reads.signal).chi_mean > 0.5)
                     gain = filter_gains(qam.table, reads.signal)
                     chi_table = qam.table * gain
-                    chi = chi_table[indices[t]]
-                    clean = operator.range_doppler(chi * channel)
-                clean_rows, clean_col = cuts(clean)
+                    shifted_table = chi_table - base
+                    shifted = shifted_table[indices[t]]
+                    held = operator.range_doppler(shifted * channel)
+                    held_rows, held_col = cuts(held)
+                    held_power = power_sum(held)
+                    residuals = []
+                    for k in scales:
+                        scaled_reference = (base - k) * reference
+                        residual = scaled_reference + held
+                        residuals.append(power_sum(residual))
+                    if base:
+                        difference = held
+                        clean_rows = reference_rows + held_rows
+                        clean_col = reference_col + held_col
+                        clean_image = reference_image + image(held)
+                        power = (reference_power
+                                 + 2.0 * inner(held, reference) + held_power)
+                    else:
+                        difference = held - reference
+                        clean_rows, clean_col = held_rows, held_col
+                        clean_image = image(held)
+                        power = held_power
                 # the focused images, combined as the image-domain chain did
-                clean_image = image(clean)
                 if reads.chi != 1.0:
                     clean_rows = reads.chi * clean_rows
                     clean_col = reads.chi * clean_col
                     clean_image = reads.chi * clean_image
                 noisy_rows, noisy_col = clean_rows, clean_col
                 noisy_image = clean_image
-                e_chi = result.stats.chi_mean
                 chi_sq = reads.chi * reads.chi
-                total = chi_sq * power_sum(clean)
-                residuals = []
-                for c in (1.0, e_chi):
-                    k = c / reads.chi
-                    scaled_reference = k * reference
-                    residual = clean - scaled_reference
-                    residuals.append(chi_sq * power_sum(residual))
-                mse, mse_calibrated = residuals
+                total = chi_sq * power
+                mse, mse_calibrated = (chi_sq * r for r in residuals)
                 if cfg_n.noise_var > 0:
                     gain_table = filter_gains(qam.table, reads.noise)
                     gains = gain_table[indices[t]]
@@ -949,8 +939,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                     noisy_col = sigma * noise_col + clean_col
                     noisy_image = sigma * image(noise)
                     noisy_image += clean_image
-                    difference = clean - reference
-                    sz = inner(difference, noise)
+                    sz = 0.0 if difference is None else inner(difference,
+                                                              noise)
                     rz = inner(reference, noise)
                     noise_power = sigma * sigma * power_sum(noise)
                     total += (2.0 * reads.chi * sigma * (sz + rz)
@@ -962,6 +952,8 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                         2.0 * sigma * (reads.chi * sz
                                        + (reads.chi - e_chi) * rz)
                         + noise_power)
+                assert (result.reference_peaks[t]
+                        == reference_rows[hw, m_q] / result.alpha_ref)
                 assert (result.noiseless_peaks[t]
                         == clean_rows[hw, m_q] / result.alpha_ref)
                 assert (result.noisy_peaks[t]
@@ -1030,13 +1022,14 @@ def test_gain_tables_gather_the_filter_gains_bit_for_bit(name, masked):
         FilterSpec("wf", snr_in_linear=10.0 ** (snr_db / 10.0))
         for snr_db in (-20.0, -5.0, 0.0, 5.0, 20.0, 60.0)]
     for spec in specs:
-        tables = pipeline._tables(qam, spec)
-        assert tables.gain[qam.order] == 0 and tables.chi[qam.order] == 0
+        gain_table = filter_gains(qam.table, spec)
+        chi_table = qam.table * gain_table
+        assert gain_table[qam.order] == 0 and chi_table[qam.order] == 0
         gains = filter_gains(symbols, spec)
-        assert np.take(tables.gain, indices).tobytes() == gains.tobytes(), (
+        assert np.take(gain_table, indices).tobytes() == gains.tobytes(), (
             spec)
         chi = symbols * gains
-        assert np.take(tables.chi, indices).tobytes() == chi.tobytes(), spec
+        assert np.take(chi_table, indices).tobytes() == chi.tobytes(), spec
 
 
 def sweep_peak_grids(scene, points, constellation, trials, **options):
@@ -1074,10 +1067,10 @@ def test_prefetched_sweep_peaks_under_eighteen_grids():
     # 64 trials of a 128x128 QAM16 rf/mf/wf sweep at two SNRs exceed the
     # prefetch budget at 17 bytes per cell (a uint8 index and the complex
     # unit noise), so the worker draws each trial one ahead.  The sweep
-    # holds its 7 per-trial canonical grids (8 with the random target),
-    # F(channel * act) as S - R, R, the scratch grid and two trials'
-    # draws, and with a random target one trial's channel and reference:
-    # under 18 grids, its per-point reductions included.  A sweep that drew
+    # holds its 7 per-trial canonical grids, R (which is F(channel * act)),
+    # the channel, the scratch grid and two trials' draws, and with a
+    # random target one trial's channel and reference: under 18 grids, its
+    # per-point reductions included.  A sweep that drew
     # chunks of trials held 45 grids, and 76 with the random target
     cfg = critical_config(128, 128, k_ref=64)
     assert 64 * 17 * 128 * 128 > pipeline._PREFETCH_BYTES
