@@ -524,13 +524,12 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
             return
 
 
-def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
-    """Execute every (snr, filter) point and write all artifacts."""
-    constellation = make_qam(scenario.constellation)
-
+def _sweep_inputs(scenario: ScenarioConfig) -> tuple[list, list,
+                                                    Optional[np.ndarray]]:
+    """The scenario's (snr_db, filter) labels, its run_sweep_ensemble
+    points, one per label, and its pilot comb mask (None without one)."""
     cfg_run = scenario.run_radar
     mask = pilot_comb_mask(cfg_run, scenario.srs) if scenario.srs else None
-
     labels = []
     sweep = []
     for snr_db in scenario.snr_db:
@@ -539,6 +538,13 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         for kind in scenario.filters:
             labels.append((snr_db, kind))
             sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
+    return labels, sweep, mask
+
+
+def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
+    """Execute every (snr, filter) point and write all artifacts."""
+    constellation = make_qam(scenario.constellation)
+    labels, sweep, mask = _sweep_inputs(scenario)
     results = run_sweep_ensemble(
         scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
         mask=mask, rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)

@@ -109,15 +109,23 @@ points.  Every sum is over the grids' float64 views, computed without
 BLAS: its threads would compete with the draw worker for the cores.
 
 Trials run one at a time, in one order: a trial takes every distinct
-canonical grid into its own buffer, gathering each gain straight into
-it, then reduces every grid and every point.  The sweep allocates these
-buffers once, one per distinct per-trial canonical grid, plus one
-scratch grid for S - k R with k != 1 only where some signal grid is
-drawn per trial.  F(channel * act) is taken with R: it is R itself
-without a comb, and with one it is focused into a grid of its own and
-held as S - R next to R.  So a trial of a deterministic scene allocates
-no complex grid; one with random targets builds its channel, R and, with
-a comb, F(channel * act).
+canonical grid into a buffer, gathering each gain straight into it, then
+reduces every grid and every point.  The sweep allocates these buffers
+once, one per distinct per-trial canonical grid but the last noise grid
+in the order the points read them.  That grid is focused in the trial's
+own unit noise, which no grid reads after it: its gains are gathered a
+row block at a time and multiplied into the unit noise in place.  Once
+the trial's noise cross terms are taken its noise grids are spent, and
+each |S - k R|^2 with k != 1 of a signal grid held as D = S - R is
+formed in its unit noise.  A grid held as S needs S - k R before it
+becomes D, while the noise grids are live, so one scratch grid for
+S - k R is allocated only where such a grid or a noiseless sweep needs
+it.  F(channel * act) is taken with R: it is R itself without a comb,
+and with one it is focused into a grid of its own and held as S - R
+next to R, after the channel is dropped where no per-trial signal grid
+reads it.  So a trial of a deterministic scene allocates no complex
+grid; one with random targets builds its channel, R and, with a comb,
+F(channel * act).
 
 The trial is the one unit of drawing.  Each trial's indices and, in a
 noisy sweep, its unit noise are drawn into a pair of buffers allocated
@@ -135,17 +143,25 @@ makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
 where it has a row per range bin), R, one buffer per distinct canonical
-grid that changes between trials, with a comb F(channel * act) as S - R
-where it does not, the scratch grid where there is one, the channel
-where a per-trial signal grid reads it, and one trial's draws (an
-index grid and, when noisy, a unit-noise grid), or two trials' when the
-worker draws, and with random targets the trial's channel, reference
-and, with a comb, F(channel * act); besides them O(N + M) per point and
-its per-trial arrays.  The pilot-only NR sweep of 1024 x 171 cells
-(QPSK, phase_ramp, per_range_bin) holds H, A, R, S - R, its one noise
-grid and one trial's unit noise: 6.2 grids at its tracemalloc peak.
-QAM16 rf/mf/wf at two SNRs on 128 x 128 cells, 64 trials drawn by the
-worker, peaks at 14.8 grids, with or without a random target.
+grid that changes between trials but the last noise grid, with a comb
+F(channel * act) as S - R where it does not, the scratch grid where
+there is one, the channel where a per-trial signal grid reads it, and
+one trial's draws (an index grid and, when noisy, a unit-noise grid,
+which holds the last noise grid), or two trials' when the worker draws,
+and with random targets the trial's channel, reference and, with a comb,
+F(channel * act); besides them O(N + M) per point and its per-trial
+arrays, and row-block temporaries of at most _BLOCK_BYTES (a quarter of
+that for the index draw, which the worker runs beside them).  The pilot-only NR sweep of
+1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
+5.6 grids under tracemalloc, while it takes F(channel * act) with the
+scratch grid next to H, A and R, its channel dropped; its trials hold
+H, A, R, S - R and the unit noise, which holds its one noise grid.  At
+the 40 trials of scenarios/nr_pilot_only.json the worker draws, and the
+sweep peaks at 6.7 grids.  QAM16 rf/mf/wf at two SNRs on 128 x 128
+cells, 64 trials drawn by the worker, peaks at 13.5 grids, with or without
+a random target.  One QAM256 mf or wf point on 256 x 512 cells, 50
+trials drawn by the worker, holds H, R, the channel, S - R and two
+trials' draws, and forms its residuals in the unit noise: 6.4 grids.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -171,7 +187,7 @@ from .scene import Scene
 from .tf_filter import FilterSpec, filter_gains
 from .waveform import (NOISE_STREAM, RCS_STREAM, SYMBOL_STREAM, Constellation,
                        FilterStats, RadarConfig, SrsConfig, _gather, _philox,
-                       chi_stats, gen_symbol_indices)
+                       _row_blocks, chi_stats, gen_symbol_indices)
 
 # Bytes of a sweep's draws, over all its trials, above which each trial is
 # drawn on a worker thread while the one before it is focused.
@@ -265,20 +281,26 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
 
 
-def _focus_grids(range_doppler, grids: list, channel: np.ndarray,
-                 indices: np.ndarray, noise: Optional[np.ndarray]) -> None:
+def _focus_grids(range_doppler, grids: list, buffers: list,
+                 channel: np.ndarray, indices: np.ndarray,
+                 noise: Optional[np.ndarray]) -> None:
     """Take one trial's canonical grids to the range-Doppler domain in place
-    in their buffers, from (part, table, base, buffer) tuples: a signal grid
+    in their buffers, from (slot, part, table, base) tuples: a signal grid
     is table[indices] * channel and a noise grid noise * table[indices],
-    each table gathered straight into the grid's buffer."""
-    for part, table, _, out in grids:
+    each table gathered straight into the grid's buffer.  A noise grid
+    whose buffer is the unit noise itself, read by no grid after it, takes
+    its gains a row block at a time into a temporary instead."""
+    for i, part, table, _ in grids:
+        out = buffers[i]
         if part == "signal":
-            x = _gather(table, indices, out)
-            x *= channel
+            np.multiply(_gather(table, indices, out), channel, out=out)
+        elif out is noise:
+            for rows in _row_blocks(indices.shape, 24):
+                np.multiply(noise[rows], np.take(table, indices[rows]),
+                            out=noise[rows])
         else:
-            _gather(table, indices, out)
-            x = np.multiply(noise, out, out=out)
-        range_doppler(x, out=out)
+            np.multiply(noise, _gather(table, indices, out), out=out)
+        range_doppler(out, out=out)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -368,27 +390,34 @@ def run_sweep_ensemble(scene: Scene,
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
         return _Taken(image_rows, column(grid), _inner(grid, grid), {})
 
+    def form_residuals(grid, base, reference, scales, out):
+        """{k: |S - k R|^2} for each k != 1 in scales, from `grid` holding
+        S - base * R: the sum of squares of grid + (base - k) R, formed in
+        `out`."""
+        residuals = {}
+        for k in set(scales) - {1.0}:
+            np.multiply(base - k, reference, out=out)
+            out += grid
+            residuals[k] = _inner(out, out)
+        return residuals
+
     def take_signal(grid, base, reference, r_taken, scales, diff):
         """The _Taken of a signal grid S, given R and its _Taken, from `grid`
         holding S - base * R (None where S is R); the grid holds D = S - R
-        afterwards.  Each |S - k R|^2 with k != 1 is the sum of squares of
-        grid + (base - k) R, formed in `diff`, and |D|^2 that of D.  With
-        base 1, S's rows and column are D's plus R's, and
+        afterwards.  |D|^2 is D's sum of squares, and with base 0 each
+        |S - k R|^2 with k != 1 is formed in `diff` before S becomes D;
+        with base 1 the caller forms them from D later.  With base 1, S's
+        rows and column are D's plus R's, and
         |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2."""
         if grid is None:
             return r_taken._replace(residuals={
                 k: (1.0 - k) ** 2 * r_taken.power for k in scales})
         own = take(grid)
-        residuals = {}
-        for k in set(scales) - {1.0}:
-            np.multiply(base - k, reference, out=diff)
-            diff += grid
-            residuals[k] = _inner(diff, diff)
         if base:
-            residuals[1.0] = own.power
             return _Taken(r_taken.rows + own.rows, r_taken.col + own.col,
                           r_taken.power + 2.0 * _inner(grid, reference)
-                          + own.power, residuals)
+                          + own.power, {1.0: own.power})
+        residuals = form_residuals(grid, 0.0, reference, scales, diff)
         grid -= reference
         residuals[1.0] = _inner(grid, grid)
         return own._replace(residuals=residuals)
@@ -440,62 +469,71 @@ def run_sweep_ensemble(scene: Scene,
     # F(channel * act), rf's signal grid, is taken with R: it is R itself
     # without a comb, and is focused into a grid of its own with one (with
     # the scratch grid it alone may need).  Every other grid is taken once
-    # per trial, in a buffer allocated below
+    # per trial.  Each per-trial signal grid S is taken as S - base * R: as
+    # D = S - R (base 1) where S is nearer R than 0, and as S itself (base
+    # 0) where it is not, so that neither S nor D is the difference of two
+    # grids that nearly cancel.  In mean square over the cells, S is nearer
+    # R exactly where E[chi] > 1/2 with no comb; with one, S - R holds the
+    # channel of the inactive cells, most of R's energy.  Each grid is
+    # (slot, part, the table its gather reads, base), the table over
+    # constellation.table being chi - base for a signal grid (chi = s * g,
+    # 0 at the sentinel) and g for a noise grid
     act = slot.get(("signal", None))
     per_trial = [i for i in range(len(keys)) if i != act]
     per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
-    diff = scratch(per_trial_signal)
-
-    def truth(amplitudes=None):
-        """(channel, R, R's _Taken, F(channel * act)'s _Taken, its grid),
-        R = range_doppler(channel) being the range-Doppler form of the
-        reference image F(channel), so image - reference =
-        ifft_M(A * (Y - R))."""
-        channel = build_channel_matrix(scene, cfg0, amplitudes)
-        reference = focus.range_doppler(channel)
-        r_taken = take(reference)
-        if act is None:
-            return channel, reference, r_taken, None, None
-        grid = None
-        if mask is not None:
-            grid = np.multiply(channel, mask)
-            focus.range_doppler(grid, out=grid)
-        return channel, reference, r_taken, take_signal(
-            grid, 0.0, reference, r_taken, scales[act],
-            scratch([act]) if diff is None else diff), grid
-
-    symbol_rng = _philox(seed, SYMBOL_STREAM)
-    noise_rng = (_philox(seed, NOISE_STREAM)
-                 if any(cfg.noise_var > 0 for cfg, _ in points) else None)
-    # the truth: built once for a deterministic scene, before any draw, and
-    # per trial from its drawn amplitudes when the scene has random targets
-    rcs_rng = (_philox(seed, RCS_STREAM)
-               if any(t.amplitude_mode == "random" for t in scene.targets)
-               else None)
-    fixed = truth() if rcs_rng is None else None
-    if fixed is not None and not per_trial_signal:
-        fixed = (None,) + fixed[1:]  # no trial reads the channel
-    # Each per-trial signal grid S is taken as S - base * R: as D = S - R
-    # (base 1) where S is nearer R than 0, and as S itself (base 0) where it
-    # is not, so that neither S nor D is the difference of two grids that
-    # nearly cancel.  In mean square over the cells, S is nearer R exactly
-    # where E[chi] > 1/2 with no comb; with one, S - R holds the channel of
-    # the inactive cells, most of R's energy.  Each grid is (part, the
-    # table its gather reads, base, buffer), the table over
-    # constellation.table being chi - base for a signal grid (chi = s * g,
-    # 0 at the sentinel) and g for a noise grid
-    buffers = [None] * len(keys)
-    taken = [None] * len(keys)
     grids = []
     for i in per_trial:
         part, spec = keys[i]
         gain = filter_gains(constellation.table, spec)
         base = float(part == "signal" and mask is None
                      and chi_stats(constellation, spec).chi_mean > 0.5)
-        buffers[i] = np.empty((n, m), dtype=complex)
-        grids.append((part, gain if part == "noise"
-                      else constellation.table * gain - base, base,
-                      buffers[i]))
+        grids.append((i, part, gain if part == "noise"
+                      else constellation.table * gain - base, base))
+    noisy = any(cfg.noise_var > 0 for cfg, _ in points)
+    # A grid held as S forms each S - k R in the scratch grid before it
+    # becomes D, while the noise grids are live.  A grid held as D forms
+    # them once the trial's noise cross terms are taken: in a noisy sweep in
+    # its spent unit noise, so the scratch grid is only where some grid is
+    # held as S or the sweep is noiseless.  The last noise grid has no
+    # buffer of its own: it is focused in the trial's unit noise, which no
+    # grid reads after it
+    diff = scratch([i for i, part, _, base in grids
+                    if part == "signal" and not (noisy and base)])
+    last = max(noises, default=None)
+
+    def truth(amplitudes=None):
+        """(channel, R, R's _Taken, F(channel * act)'s _Taken, its grid),
+        R = range_doppler(channel) being the range-Doppler form of the
+        reference image F(channel), so image - reference =
+        ifft_M(A * (Y - R)); the channel is None where no per-trial signal
+        grid reads it, and is dropped before F(channel * act) is taken."""
+        channel = build_channel_matrix(scene, cfg0, amplitudes)
+        reference = focus.range_doppler(channel)
+        r_taken = take(reference)
+        if act is None:
+            return channel, reference, r_taken, None, None
+        grid = None if mask is None else np.multiply(channel, mask)
+        if not per_trial_signal:
+            channel = None
+        if grid is not None:
+            focus.range_doppler(grid, out=grid)
+        return channel, reference, r_taken, take_signal(
+            grid, 0.0, reference, r_taken, scales[act],
+            scratch([act]) if diff is None else diff), grid
+
+    symbol_rng = _philox(seed, SYMBOL_STREAM)
+    noise_rng = _philox(seed, NOISE_STREAM) if noisy else None
+    # the truth: built once for a deterministic scene, before any draw, and
+    # per trial from its drawn amplitudes when the scene has random targets
+    rcs_rng = (_philox(seed, RCS_STREAM)
+               if any(t.amplitude_mode == "random" for t in scene.targets)
+               else None)
+    fixed = truth() if rcs_rng is None else None
+    # the buffers of the per-trial grids but the last noise grid, and, set
+    # per trial, of F(channel * act) and the last noise grid
+    buffers = [None if i in (act, last) else np.empty((n, m), dtype=complex)
+               for i in range(len(keys))]
+    taken = [None] * len(keys)
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
@@ -547,16 +585,26 @@ def run_sweep_ensemble(scene: Scene,
                 else truth(scene.draw_amplitudes(rcs_rng)))
             if act is not None:
                 taken[act], buffers[act] = rf_truth
-            _focus_grids(focus.range_doppler, grids, channel, indices,
-                         unit_noise)
-            for j, (part, _, base, out) in zip(per_trial, grids):
-                taken[j] = (take_signal(out, base, reference, r_taken,
-                                        scales[j], diff)
-                            if part == "signal" else take(out))
+            if last is not None:
+                buffers[last] = unit_noise
+            _focus_grids(focus.range_doppler, grids, buffers, channel,
+                         indices, unit_noise)
+            for i, part, _, base in grids:
+                taken[i] = (take_signal(buffers[i], base, reference,
+                                        r_taken, scales[i], diff)
+                            if part == "signal" else take(buffers[i]))
             ref_cross = {z: _inner(reference, buffers[z]) for z in noises}
             cross = {(s, z): (0.0 if buffers[s] is None
                               else _inner(buffers[s], buffers[z]))
                      for s, z in pairs}
+            # the noise grids are spent: each grid held as D forms its
+            # |S - k R|^2 in the unit noise, or in a noiseless sweep in the
+            # scratch grid
+            spent = diff if unit_noise is None else unit_noise
+            for i, *_, base in grids:
+                if base:
+                    taken[i].residuals.update(form_residuals(
+                        buffers[i], base, reference, scales[i], spent))
             for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
                 clean = taken[signal]
                 clean_rows, clean_col = chi * clean.rows, chi * clean.col

@@ -289,10 +289,11 @@ _BLOCK_BYTES = 1 << 17
 
 
 @functools.lru_cache
-def _row_blocks(shape: tuple, cell_bytes: int) -> tuple[slice, ...]:
+def _row_blocks(shape: tuple, cell_bytes: int,
+                block_bytes: int = _BLOCK_BYTES) -> tuple[slice, ...]:
     """Slices of consecutive rows of an (N, M) grid, each of one row or of
-    at most _BLOCK_BYTES at cell_bytes bytes of temporaries per cell."""
-    rows = max(1, _BLOCK_BYTES // (cell_bytes * shape[1]))
+    at most block_bytes at cell_bytes bytes of temporaries per cell."""
+    rows = max(1, block_bytes // (cell_bytes * shape[1]))
     return tuple(slice(lo, lo + rows) for lo in range(0, shape[0], rows))
 
 
@@ -336,8 +337,10 @@ def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
     if out is None:
         out = np.empty(shape, dtype=constellation.index_dtype)
     # one row block of int64 indices at a time, which draws the same bits
-    # as one call over the grid and holds no int64 grid
-    for rows in _row_blocks(shape, 8):
+    # as one call over the grid and holds no int64 grid.  The block is a
+    # quarter of _BLOCK_BYTES: on a sweep's draw worker it is held while
+    # the main thread holds its own row-block temporaries
+    for rows in _row_blocks(shape, 8, _BLOCK_BYTES // 4):
         block = out[rows]
         block[...] = rng.integers(0, constellation.order, size=block.shape)
     if mask is not None:

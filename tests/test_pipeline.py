@@ -1,7 +1,9 @@
+import importlib.util
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,15 @@ from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
 from ofdmsar.rd_imaging import FocusingOperator, focus_image
 from ofdmsar.scene import Scene
 from ofdmsar.tf_filter import FilterSpec, apply_tf_filter, filter_gains
-from ofdmsar.waveform import (RCS_STREAM, SrsConfig, _philox, chi_stats,
-                              gen_symbol_grid, gen_symbol_indices, make_qam)
+from ofdmsar.waveform import (_BLOCK_BYTES, RCS_STREAM, SrsConfig, _philox,
+                              chi_stats, gen_symbol_grid, gen_symbol_indices,
+                              make_qam)
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep_peak.py"
+_spec = importlib.util.spec_from_file_location("sweep_peak", TOOL)
+sweep_peak = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep_peak)
+sweep_peak_grids = sweep_peak.sweep_peak_grids
 
 PER_TRIAL = ("noiseless_peaks", "noisy_peaks", "reference_peaks", "mse",
              "mse_calibrated")
@@ -737,27 +746,49 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # F(channel * act) is the reference R = range_doppler(channel), the one
     # pass into a new grid, once per sweep, or once per trial with the
     # random target.  Every trial takes the other 7 to the range-Doppler
-    # domain in buffers allocated once, one per grid.  The buffers do not
-    # change with the trial count or the drawing thread, and no result
-    # array shares memory with one
+    # domain in place: 6 in buffers allocated once, one per grid, and the
+    # last noise grid, the second wf point's, in the trial's own unit
+    # noise, which no grid reads after it.  So the passes write 6 buffers
+    # and the unit-noise buffers of the draws, one on this thread and two,
+    # alternately, on the worker, at any trial count, and no result array
+    # shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
+    draws = []
+    real = pipeline.draw_noise
+
+    def recording(*args, **kwargs):
+        draws.append(kwargs["out"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "draw_noise", recording)
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
         random = scene.q > 1
-        # drawn on the worker, and on this thread
-        for budget in (0, 1 << 30):
+        # drawn on the worker into two pairs, and on this thread into one
+        for budget, pairs in ((0, 2), (1 << 30, 1)):
             monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
             for trials in (6, 12):
                 calls.clear()
+                draws.clear()
                 results = run_sweep_ensemble(
                     scene, qam16_sweep_points(cfg), make_qam("qam16"),
                     trials, seed=5)
                 buffers = [out for _, out in calls if out is not None]
                 assert len(calls) - len(buffers) == (trials if random else 1)
                 assert len(buffers) == 7 * trials
-                assert len({out.ctypes.data for out in buffers}) == 7
+                assert len(draws) == trials
+                assert len({d.ctypes.data for d in draws}) == pairs
+                own = [out for t in range(trials)
+                       for out in buffers[7 * t:7 * t + 6]]
+                assert len({out.ctypes.data for out in own}) == 6
+                assert not any(np.shares_memory(out, d)
+                               for out in own for d in draws)
+                # each trial's last pass is its last noise grid, in its
+                # own unit noise
+                for t in range(trials):
+                    assert np.shares_memory(buffers[7 * t + 6], draws[t])
+                assert len({out.ctypes.data for out in buffers}) == 6 + pairs
                 for result in results:
                     for name in ARRAYS:
                         assert not any(
@@ -1032,22 +1063,6 @@ def test_gain_tables_gather_the_filter_gains_bit_for_bit(name, masked):
         assert np.take(chi_table, indices).tobytes() == chi.tobytes(), spec
 
 
-def sweep_peak_grids(scene, points, constellation, trials, **options):
-    """The tracemalloc peak of a sweep, in (N, M) complex grids, after an
-    untraced run of it: the first run's imports and caches do not count."""
-    cfg = points[0][0]
-    run_sweep_ensemble(scene, points, constellation, trials, seed=5,
-                       **options)
-    tracemalloc.start()
-    try:
-        run_sweep_ensemble(scene, points, constellation, trials, seed=5,
-                           **options)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (cfg.n_subcarriers * cfg.n_symbols * 16)
-
-
 def test_one_chunk_sweep_memory_does_not_grow_with_the_trials():
     # 12 noisy QPSK trials of 128x128 fit the prefetch budget, so the sweep
     # draws them one trial at a time on this thread, into one index grid
@@ -1067,8 +1082,9 @@ def test_prefetched_sweep_peaks_under_eighteen_grids():
     # 64 trials of a 128x128 QAM16 rf/mf/wf sweep at two SNRs exceed the
     # prefetch budget at 17 bytes per cell (a uint8 index and the complex
     # unit noise), so the worker draws each trial one ahead.  The sweep
-    # holds its 7 per-trial canonical grids, R (which is F(channel * act)),
-    # the channel, the scratch grid and two trials' draws, and with a
+    # holds its 7 per-trial canonical grids (the last one in a trial's unit
+    # noise), R (which is F(channel * act)), the channel, the scratch grid
+    # and two trials' draws, and with a
     # random target one trial's channel and reference: under 18 grids, its
     # per-point reductions included.  A sweep that drew
     # chunks of trials held 45 grids, and 76 with the random target
@@ -1084,14 +1100,60 @@ def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
     # a pilot-only sweep like the CLI's NR one: QPSK under a comb,
     # phase_ramp RCMC and per_range_bin K_a, rf/mf/wf at 3 SNRs.  Its RCMC
     # multiplier H and its azimuth multiplier A are (N, M) grids; besides
-    # them it holds R, F(channel * act) as S - R, the noise grid and one
-    # trial's unit noise, and forms no (N, M) weight grid for the range cut
+    # them it holds R and F(channel * act) as S - R, with the scratch grid
+    # while that is taken, after the channel, which no trial reads, is
+    # dropped; each trial focuses its one noise grid in its unit noise.  It
+    # forms no (N, M) weight grid for the range cut: 5.6 grids at the peak
+    # (6.6 while it held the channel and a noise grid of its own)
     cfg = critical_config(256, 128, k_ref=64)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
     peak = sweep_peak_grids(scene, sweep_points(cfg), make_qam("qpsk"), 2,
                             mask=comb_mask(cfg), rcmc_method="phase_ramp",
                             ka_mode="per_range_bin")
-    assert peak <= 7.0, peak
+    assert peak <= 5.85, peak
+
+
+def test_worker_draws_hold_no_more_than_the_second_pair():
+    # 12 noisy QPSK trials of 128x128 fit the prefetch budget; with the
+    # budget at 0 the worker draws them one trial ahead into a second pair
+    # of draw buffers (a uint8 index grid and a unit-noise grid).  The
+    # worker's int64 index block is held while the main thread holds its
+    # own row-block temporaries, so it is a quarter of theirs: the
+    # prefetched sweep peaks within 0.25 grid of the main thread's peak
+    # plus that second pair (1.6 grids above the main thread's with the
+    # index block at half a grid)
+    cfg = critical_config(128, 128, k_ref=64)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+    qpsk = make_qam("qpsk")
+    pair = draw_cell_bytes(qpsk, noisy=True) / 16
+    assert 12 * 17 * 128 * 128 <= pipeline._PREFETCH_BYTES
+    main = sweep_peak_grids(scene, sweep_points(cfg), qpsk, 12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_PREFETCH_BYTES", 0)
+        worker = sweep_peak_grids(scene, sweep_points(cfg), qpsk, 12)
+    assert worker <= main + pair + 0.25, (main, worker)
+
+
+@pytest.mark.parametrize("kind", ["mf", "wf"])
+def test_single_point_sweep_reuses_its_draws_for_the_noise(kind,
+                                                           monkeypatch):
+    # one QAM256 point at 5 dB on 256x256 cells, the benchmark's large
+    # ensemble in shape, drawn on the worker: its signal grid is held as
+    # D = S - R, so each trial focuses its noise grid in its own unit noise
+    # and forms |S - E[chi] R|^2 there once the noise's cross terms are
+    # taken, and the sweep allocates neither a noise grid nor a scratch
+    # grid.  Besides H, R, the channel and D it holds two draw pairs and
+    # row-block temporaries of at most an eighth of a grid: 6.5 grids
+    # (8.6 with a noise grid and a scratch grid of its own)
+    monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 0)
+    cfg = critical_config(256, 256, k_ref=128)
+    scene = single_target_scene(cfg, k_bin=128, m_bin=128)
+    snr = 10.0 ** 0.5
+    point = (cfg.with_noise(1.0 / snr, snr_in_linear=snr),
+             FilterSpec(kind, snr_in_linear=snr))
+    assert 256 * 256 * 16 >= 8 * _BLOCK_BYTES
+    peak = sweep_peak_grids(scene, [point], make_qam("qam256"), 4)
+    assert peak <= 7.1, peak
 
 
 @pytest.mark.parametrize("masked", [False, True])
