@@ -101,30 +101,39 @@ sweep, before the draws are allocated: R and, with a comb,
 F(channel * act) of a deterministic scene, with their sums of squares,
 cuts and residuals.  So a trial takes, per per-trial signal grid, its
 cuts, |S|^2 and each |S - k R|^2, and leaves S - R in its buffer; per
-noise grid its cuts, |Z|^2 and Re <R, Z>; and Re <S - R, Z> per
-(signal, noise) pair that some point reads, 0 where S is R.  A QPSK
-sweep without a comb, whose points all read one noise grid and R, makes
-one sum of squares and one inner product per trial at any number of
-points.  Every sum is over the grids' float64 views, computed without
-BLAS: its threads would compete with the draw worker for the cores.
+noise grid its cuts, |Z|^2, Re <R, Z> and Re <S - R, Z> against the one
+signal grid its points read, 0 where S is R.  A QPSK sweep without a
+comb, whose points all read one noise grid and R, makes one sum of
+squares and one inner product per trial at any number of points.  Every
+sum is over the grids' float64 views, computed without BLAS: its threads
+would compete with the draw worker for the cores.
 
-Trials run one at a time, in one order: a trial takes every distinct
-canonical grid into a buffer, gathering each gain straight into it, then
-reduces every grid and every point.  The sweep allocates these buffers
-once, one per distinct per-trial canonical grid but the last noise grid
-in the order the points read them.  That grid is focused in the trial's
-own unit noise, which no grid reads after it: its gains are gathered a
-row block at a time and multiplied into the unit noise in place.  Once
-the trial's noise cross terms are taken its noise grids are spent, and
-each |S - k R|^2 with k != 1 of a signal grid held as D = S - R is
-formed in its unit noise.  A grid held as S needs S - k R before it
-becomes D, while the noise grids are live, so one scratch grid for
-S - k R is allocated only where such a grid or a noiseless sweep needs
-it.  F(channel * act) is taken with R: it is R itself without a comb,
+Every noise grid is read with one signal grid: rf's with
+F(channel * act), mf's with mf's, each wf SNR's with its own, and every
+point of a constant-modulus sweep reads F(channel * act) and the one mf
+noise grid.  So the points fall into groups, one per signal grid, each
+reading at most one noise grid, and a trial runs them one group at a
+time, in the order the points first read them, through two buffers
+allocated once per sweep.  It focuses the group's signal grid into the
+signal buffer, gathering its gains straight into it, and takes it; it
+focuses the group's noise grid into the noise buffer and takes it and
+its cross terms; it forms the residuals of a signal grid held as
+D = S - R in the spent noise grid; and it combines the group's points.
+The sweep's last noise grid, the last group's with one, is focused in
+the trial's own unit noise, which no group reads after it: its gains are
+gathered a row block at a time and multiplied into the unit noise in
+place.  The noise buffer is also the scratch grid where S - k R, k != 1,
+is formed: a grid held as S needs S - k R before it becomes D, which is
+before its group's noise grid is focused, and a grid held as D in a
+group without noise has no spent noise grid.  So the noise buffer is
+allocated only where the sweep has two noise grids or such a signal
+grid, and the signal buffer only where some signal grid is focused per
+trial.  F(channel * act) is taken with R: it is R itself without a comb,
 and with one it is focused into a grid of its own and held as S - R
 next to R, after the channel is dropped where no per-trial signal grid
-reads it.  So a trial of a deterministic scene allocates no complex
-grid; one with random targets builds its channel, R and, with a comb,
+reads it, with the noise buffer, or a grid of its own, for its
+S - k R.  So a trial of a deterministic scene allocates no complex grid;
+one with random targets builds its channel, R and, with a comb,
 F(channel * act).
 
 The trial is the one unit of drawing.  Each trial's indices and, in a
@@ -142,26 +151,30 @@ gain gathers and the channel build run a row block at a time, so none
 makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
-where it has a row per range bin), R, one buffer per distinct canonical
-grid that changes between trials but the last noise grid, with a comb
-F(channel * act) as S - R where it does not, the scratch grid where
-there is one, the channel where a per-trial signal grid reads it, and
-one trial's draws (an index grid and, when noisy, a unit-noise grid,
-which holds the last noise grid), or two trials' when the worker draws,
-and with random targets the trial's channel, reference and, with a comb,
-F(channel * act); besides them O(N + M) per point and its per-trial
-arrays, and row-block temporaries of at most _BLOCK_BYTES (a quarter of
-that for the index draw, which the worker runs beside them).  The pilot-only NR sweep of
+where it has a row per range bin), R, the signal buffer and the noise
+buffer where the sweep has them, with a comb F(channel * act) as S - R where it
+does not change between trials, the channel where a per-trial signal
+grid reads it, and one trial's draws (an index grid and, when noisy, a
+unit-noise grid, which holds the last noise grid), or two trials' when
+the worker draws, and with random targets the trial's channel, reference
+and, with a comb, F(channel * act); besides them O(N + M) per point and
+its per-trial arrays, and row-block temporaries of at most _BLOCK_BYTES
+(a quarter of that for the index draw, which the worker runs beside
+them).  None of it grows with the points.  The pilot-only NR sweep of
 1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
-5.6 grids under tracemalloc, while it takes F(channel * act) with the
-scratch grid next to H, A and R, its channel dropped; its trials hold
-H, A, R, S - R and the unit noise, which holds its one noise grid.  At
-the 40 trials of scenarios/nr_pilot_only.json the worker draws, and the
-sweep peaks at 6.7 grids.  QAM16 rf/mf/wf at two SNRs on 128 x 128
-cells, 64 trials drawn by the worker, peaks at 13.5 grids, with or without
-a random target.  One QAM256 mf or wf point on 256 x 512 cells, 50
-trials drawn by the worker, holds H, R, the channel, S - R and two
-trials' draws, and forms its residuals in the unit noise: 6.4 grids.
+5.6 grids under tracemalloc, while it takes F(channel * act) with a
+scratch grid of its own next to H, A and R, its channel dropped; its
+trials hold H, A, R, S - R and the unit noise, which holds its one noise
+grid.  At the 40 trials of scenarios/nr_pilot_only.json the worker
+draws, and the sweep peaks at 6.7 grids.  The data-aided NR sweep, QAM16
+rf/mf/wf at 11 SNRs on 1024 x 114 cells, 40 trials drawn by the worker,
+reads 25 canonical grids per trial and peaks at 8.95 grids.  QAM16
+rf/mf/wf on 128 x 128 cells, 64 trials drawn by the worker, peaks at 8.2
+grids at two SNRs, with or without a random target, and at 2 trials at
+6.9 grids at one SNR and 7.3 at six.  One QAM256 mf or wf point on
+256 x 512 cells, 50 trials drawn by the worker, holds H, R, the channel,
+S - R and two trials' draws, and forms its residuals in the unit noise:
+6.4 grids.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -257,8 +270,9 @@ _MEANS = ("noisy_power_sum", "noisy_mainlobe_power", "noisy_range_power",
 
 class _Reads(NamedTuple):
     """Which canonical focused grids one point's images read: its noiseless
-    image is chi times the ("signal", signal) grid, and its noise image
-    sqrt(noise_var / 2) * scale times the ("noise", noise) grid."""
+    image is chi times the signal grid of gain spec `signal` (None for
+    F(channel * act)), and its noise image sqrt(noise_var / 2) * scale
+    times the noise grid of gain spec `noise`."""
 
     chi: float
     signal: Optional[FilterSpec]
@@ -279,28 +293,6 @@ def _focus_reads(constellation: Constellation, spec: FilterSpec) -> _Reads:
                  else rho + 1.0 / spec.snr_in_linear)
         return _Reads(rho / level, None, FilterSpec("mf"), 1.0 / level)
     return _Reads(1.0, None if spec.kind == "rf" else own, own, 1.0)
-
-
-def _focus_grids(range_doppler, grids: list, buffers: list,
-                 channel: np.ndarray, indices: np.ndarray,
-                 noise: Optional[np.ndarray]) -> None:
-    """Take one trial's canonical grids to the range-Doppler domain in place
-    in their buffers, from (slot, part, table, base) tuples: a signal grid
-    is table[indices] * channel and a noise grid noise * table[indices],
-    each table gathered straight into the grid's buffer.  A noise grid
-    whose buffer is the unit noise itself, read by no grid after it, takes
-    its gains a row block at a time into a temporary instead."""
-    for i, part, table, _ in grids:
-        out = buffers[i]
-        if part == "signal":
-            np.multiply(_gather(table, indices, out), channel, out=out)
-        elif out is noise:
-            for rows in _row_blocks(indices.shape, 24):
-                np.multiply(noise[rows], np.take(table, indices[rows]),
-                            out=noise[rows])
-        else:
-            np.multiply(noise, _gather(table, indices, out), out=out)
-        range_doppler(out, out=out)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -393,19 +385,21 @@ def run_sweep_ensemble(scene: Scene,
     def form_residuals(grid, base, reference, scales, out):
         """{k: |S - k R|^2} for each k != 1 in scales, from `grid` holding
         S - base * R: the sum of squares of grid + (base - k) R, formed in
-        `out`."""
+        `out`, or in a grid of its own where `out` is None."""
         residuals = {}
         for k in set(scales) - {1.0}:
+            if out is None:
+                out = np.empty_like(grid)
             np.multiply(base - k, reference, out=out)
             out += grid
             residuals[k] = _inner(out, out)
         return residuals
 
-    def take_signal(grid, base, reference, r_taken, scales, diff):
+    def take_signal(grid, base, reference, r_taken, scales, out):
         """The _Taken of a signal grid S, given R and its _Taken, from `grid`
         holding S - base * R (None where S is R); the grid holds D = S - R
         afterwards.  |D|^2 is D's sum of squares, and with base 0 each
-        |S - k R|^2 with k != 1 is formed in `diff` before S becomes D;
+        |S - k R|^2 with k != 1 is formed in `out` before S becomes D;
         with base 1 the caller forms them from D later.  With base 1, S's
         rows and column are D's plus R's, and
         |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2."""
@@ -417,28 +411,23 @@ def run_sweep_ensemble(scene: Scene,
             return _Taken(r_taken.rows + own.rows, r_taken.col + own.col,
                           r_taken.power + 2.0 * _inner(grid, reference)
                           + own.power, {1.0: own.power})
-        residuals = form_residuals(grid, 0.0, reference, scales, diff)
+        residuals = form_residuals(grid, 0.0, reference, scales, out)
         grid -= reference
         residuals[1.0] = _inner(grid, grid)
         return own._replace(residuals=residuals)
 
     reads = [_focus_reads(constellation, spec) for _, spec in points]
-    # each point's canonical grids as (part, gain spec) keys: its noiseless
-    # image's and, if it is noisy, its noise image's
-    wants = [(("signal", r.signal),
-              ("noise", r.noise) if cfg.noise_var > 0 else None)
-             for (cfg, _), r in zip(points, reads)]
-    keys = list(dict.fromkeys(key for pair in wants for key in pair if key))
-    slot = {key: i for i, key in enumerate(keys)}
     stats = [chi_stats(constellation, spec) for _, spec in points]
 
-    # per point: its reads resolved to slots and residual scales, and its
-    # result's arrays.  chi S - c R = chi (S - k R) with k = c / chi, for
-    # c = 1 (mse) and c = E[chi] (mse_calibrated)
+    # per point: its result's arrays, its scalars and its residual scales.
+    # chi S - c R = chi (S - k R) with k = c / chi, for c = 1 (mse) and
+    # c = E[chi] (mse_calibrated).  The points are grouped by the spec of
+    # their signal grid, None for F(channel * act), as [the spec of the one
+    # noise grid the group's noisy points read, the scales of its signal
+    # grid, its points]
     tasks = []
-    scales = {}
-    for (cfg, _), r, stat, (signal, noise) in zip(points, reads, stats,
-                                                   wants):
+    groups = {}
+    for (cfg, _), r, stat in zip(points, reads, stats):
         sums = dict(noiseless_peaks=np.empty(trials, dtype=complex),
                     noisy_peaks=np.empty(trials, dtype=complex),
                     reference_peaks=np.empty(trials, dtype=complex),
@@ -451,55 +440,52 @@ def run_sweep_ensemble(scene: Scene,
                     noiseless_azimuth_power=np.zeros(m))
         e_chi = stat.chi_mean
         ks = (1.0 / r.chi, e_chi / r.chi)
-        scales.setdefault(slot[signal], {}).update(dict.fromkeys(ks))
+        group = groups.setdefault(r.signal, [None, {}, []])
+        if cfg.noise_var > 0:
+            group[0] = r.noise
+        group[1].update(dict.fromkeys(ks))
         tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
-                      e_chi, ks, slot[signal],
-                      slot[noise] if noise else None))
-    # the (signal, noise) pairs the points read, whose Re <S - R, Z> each
-    # trial takes, with Re <R, Z> for each noise grid
-    pairs = {(signal, noise) for *_, signal, noise in tasks
-             if noise is not None}
-    noises = {noise for _, noise in pairs}
-
-    def scratch(signals):
-        """The scratch grid for S - k R, k != 1, where one of these signal
-        grids needs it."""
-        return (np.empty((n, m), dtype=complex)
-                if any(set(scales[i]) - {1.0} for i in signals) else None)
+                      e_chi, ks, cfg.noise_var > 0))
+        group[2].append(tasks[-1])
     # F(channel * act), rf's signal grid, is taken with R: it is R itself
-    # without a comb, and is focused into a grid of its own with one (with
-    # the scratch grid it alone may need).  Every other grid is taken once
-    # per trial.  Each per-trial signal grid S is taken as S - base * R: as
-    # D = S - R (base 1) where S is nearer R than 0, and as S itself (base
-    # 0) where it is not, so that neither S nor D is the difference of two
-    # grids that nearly cancel.  In mean square over the cells, S is nearer
-    # R exactly where E[chi] > 1/2 with no comb; with one, S - R holds the
-    # channel of the inactive cells, most of R's energy.  Each grid is
-    # (slot, part, the table its gather reads, base), the table over
-    # constellation.table being chi - base for a signal grid (chi = s * g,
-    # 0 at the sentinel) and g for a noise grid
-    act = slot.get(("signal", None))
-    per_trial = [i for i in range(len(keys)) if i != act]
-    per_trial_signal = [i for i in per_trial if keys[i][0] == "signal"]
-    grids = []
-    for i in per_trial:
-        part, spec = keys[i]
-        gain = filter_gains(constellation.table, spec)
-        base = float(part == "signal" and mask is None
-                     and chi_stats(constellation, spec).chi_mean > 0.5)
-        grids.append((i, part, gain if part == "noise"
-                      else constellation.table * gain - base, base))
-    noisy = any(cfg.noise_var > 0 for cfg, _ in points)
-    # A grid held as S forms each S - k R in the scratch grid before it
-    # becomes D, while the noise grids are live.  A grid held as D forms
-    # them once the trial's noise cross terms are taken: in a noisy sweep in
-    # its spent unit noise, so the scratch grid is only where some grid is
-    # held as S or the sweep is noiseless.  The last noise grid has no
-    # buffer of its own: it is focused in the trial's unit noise, which no
-    # grid reads after it
-    diff = scratch([i for i, part, _, base in grids
-                    if part == "signal" and not (noisy and base)])
-    last = max(noises, default=None)
+    # without a comb, and is focused into a grid of its own with one.
+    # Every other signal grid S is taken once per trial, as S - base * R:
+    # as D = S - R (base 1) where S is nearer R than 0, and as S itself
+    # (base 0) where it is not, so that neither S nor D is the difference
+    # of two grids that nearly cancel.  In mean square over the cells, S is
+    # nearer R exactly where E[chi] > 1/2 with no comb; with one, S - R
+    # holds the channel of the inactive cells, most of R's energy.  Per
+    # group: (its signal grid's table over constellation.table, chi - base
+    # with chi = s * g, 0 at the sentinel, or None for F(channel * act);
+    # base; its scales; its noise grid's gain table, or None; its points)
+    plan = []
+    for signal, (noise, scales, members) in groups.items():
+        table, base = None, 0.0
+        if signal is not None:
+            base = float(mask is None and chi_stats(
+                constellation, signal).chi_mean > 0.5)
+            table = (constellation.table
+                     * filter_gains(constellation.table, signal) - base)
+        plan.append((table, base, scales, None if noise is None
+                     else filter_gains(constellation.table, noise), members))
+    per_trial_signal = any(table is not None for table, *_ in plan)
+    with_noise = [i for i, group in enumerate(plan) if group[3] is not None]
+    # Two grids serve every group of a trial: the signal buffer takes its
+    # signal grid, and the noise buffer its noise grid, but the last one,
+    # which is focused in the trial's unit noise, read by no group after
+    # it.  The noise buffer is also the scratch grid where S - k R,
+    # k != 1, is formed: for a grid held as S before its noise grid is
+    # focused, and for a grid held as D in a group without noise; a grid
+    # held as D forms them in its spent noise grid
+    last = with_noise[-1] if with_noise else None
+    spare = (np.empty((n, m), dtype=complex)
+             if len(with_noise) > 1 or any(
+                 table is not None and set(scales) - {1.0}
+                 and not (base and gain is not None)
+                 for table, base, scales, gain, _ in plan)
+             else None)
+    signal_buffer = (np.empty((n, m), dtype=complex) if per_trial_signal
+                     else None)
 
     def truth(amplitudes=None):
         """(channel, R, R's _Taken, F(channel * act)'s _Taken, its grid),
@@ -510,7 +496,7 @@ def run_sweep_ensemble(scene: Scene,
         channel = build_channel_matrix(scene, cfg0, amplitudes)
         reference = focus.range_doppler(channel)
         r_taken = take(reference)
-        if act is None:
+        if None not in groups:
             return channel, reference, r_taken, None, None
         grid = None if mask is None else np.multiply(channel, mask)
         if not per_trial_signal:
@@ -518,22 +504,16 @@ def run_sweep_ensemble(scene: Scene,
         if grid is not None:
             focus.range_doppler(grid, out=grid)
         return channel, reference, r_taken, take_signal(
-            grid, 0.0, reference, r_taken, scales[act],
-            scratch([act]) if diff is None else diff), grid
+            grid, 0.0, reference, r_taken, groups[None][1], spare), grid
 
     symbol_rng = _philox(seed, SYMBOL_STREAM)
-    noise_rng = _philox(seed, NOISE_STREAM) if noisy else None
+    noise_rng = _philox(seed, NOISE_STREAM) if with_noise else None
     # the truth: built once for a deterministic scene, before any draw, and
     # per trial from its drawn amplitudes when the scene has random targets
     rcs_rng = (_philox(seed, RCS_STREAM)
                if any(t.amplitude_mode == "random" for t in scene.targets)
                else None)
     fixed = truth() if rcs_rng is None else None
-    # the buffers of the per-trial grids but the last noise grid, and, set
-    # per trial, of F(channel * act) and the last noise grid
-    buffers = [None if i in (act, last) else np.empty((n, m), dtype=complex)
-               for i in range(len(keys))]
-    taken = [None] * len(keys)
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
@@ -580,68 +560,81 @@ def run_sweep_ensemble(scene: Scene,
                     pending = worker.submit(draw, t + 1)
             else:
                 indices, unit_noise = draw(t)
-            channel, reference, r_taken, *rf_truth = (
+            channel, reference, r_taken, act_taken, act_grid = (
                 fixed if rcs_rng is None
                 else truth(scene.draw_amplitudes(rcs_rng)))
-            if act is not None:
-                taken[act], buffers[act] = rf_truth
-            if last is not None:
-                buffers[last] = unit_noise
-            _focus_grids(focus.range_doppler, grids, buffers, channel,
-                         indices, unit_noise)
-            for i, part, _, base in grids:
-                taken[i] = (take_signal(buffers[i], base, reference,
-                                        r_taken, scales[i], diff)
-                            if part == "signal" else take(buffers[i]))
-            ref_cross = {z: _inner(reference, buffers[z]) for z in noises}
-            cross = {(s, z): (0.0 if buffers[s] is None
-                              else _inner(buffers[s], buffers[z]))
-                     for s, z in pairs}
-            # the noise grids are spent: each grid held as D forms its
-            # |S - k R|^2 in the unit noise, or in a noiseless sweep in the
-            # scratch grid
-            spent = diff if unit_noise is None else unit_noise
-            for i, *_, base in grids:
+            for i, (table, base, scales, gain, members) in enumerate(plan):
+                # the group's signal grid, held as D = S - R once taken
+                grid, clean = act_grid, act_taken
+                if table is not None:
+                    grid = signal_buffer
+                    np.multiply(_gather(table, indices, grid), channel,
+                                out=grid)
+                    focus.range_doppler(grid, out=grid)
+                    clean = take_signal(grid, base, reference, r_taken,
+                                        scales, spare)
+                # its noise grid Z, with Re <S - R, Z> (0 where S is R) and
+                # Re <R, Z>; the last one in the unit noise, its gains
+                # gathered a row block at a time
+                noise = unit_noise if i == last else spare
+                if gain is not None:
+                    if i == last:
+                        for block in _row_blocks(indices.shape, 24):
+                            np.multiply(noise[block],
+                                        np.take(gain, indices[block]),
+                                        out=noise[block])
+                    else:
+                        np.multiply(unit_noise,
+                                    _gather(gain, indices, noise), out=noise)
+                    focus.range_doppler(noise, out=noise)
+                    z = take(noise)
+                    sz = 0.0 if grid is None else _inner(grid, noise)
+                    rz = _inner(reference, noise)
+                # the noise grid is spent: a grid held as D forms its
+                # |S - k R|^2 there, or in a group without noise in the
+                # noise buffer
                 if base:
-                    taken[i].residuals.update(form_residuals(
-                        buffers[i], base, reference, scales[i], spent))
-            for sums, chi, sigma, e_chi, ks, signal, noise in tasks:
-                clean = taken[signal]
-                clean_rows, clean_col = chi * clean.rows, chi * clean.col
-                sums["noiseless_peaks"][t] = clean_rows[hw, m_q] / alpha_ref
-                sums["reference_peaks"][t] = r_taken.rows[hw, m_q] / alpha_ref
-                sums["noiseless_range_power"] += np.abs(clean_col) ** 2
-                sums["noiseless_azimuth_power"] += np.abs(clean_rows[hw]) ** 2
-                # noisy = chi S + sigma Z, and each residual
-                # chi S - c R + sigma Z, as sums of squares of formed grids
-                # plus the noise's cross terms, taken against S - R and R:
-                # chi S - c R = chi (S - R) + (chi - c) R
-                chi_sq = chi * chi
-                total = chi_sq * clean.power
-                mse = chi_sq * clean.residuals[ks[0]]
-                mse_calibrated = chi_sq * clean.residuals[ks[1]]
-                noisy_rows, noisy_col = clean_rows, clean_col
-                if noise is not None:
-                    z = taken[noise]
-                    noisy_rows = sigma * z.rows + clean_rows
-                    noisy_col = sigma * z.col + clean_col
-                    sz, rz = cross[signal, noise], ref_cross[noise]
-                    noise_power = sigma * sigma * z.power
-                    total += 2.0 * chi * sigma * (sz + rz) + noise_power
-                    mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
+                    clean.residuals.update(form_residuals(
+                        grid, base, reference, scales, noise))
+                for sums, chi, sigma, e_chi, ks, noisy_point in members:
+                    clean_rows, clean_col = chi * clean.rows, chi * clean.col
+                    sums["noiseless_peaks"][t] = (clean_rows[hw, m_q]
+                                                  / alpha_ref)
+                    sums["reference_peaks"][t] = (r_taken.rows[hw, m_q]
+                                                  / alpha_ref)
+                    sums["noiseless_range_power"] += np.abs(clean_col) ** 2
+                    sums["noiseless_azimuth_power"] += (
+                        np.abs(clean_rows[hw]) ** 2)
+                    # noisy = chi S + sigma Z, and each residual
+                    # chi S - c R + sigma Z, as sums of squares of formed
+                    # grids plus the noise's cross terms, taken against
+                    # S - R and R: chi S - c R = chi (S - R) + (chi - c) R
+                    chi_sq = chi * chi
+                    total = chi_sq * clean.power
+                    mse = chi_sq * clean.residuals[ks[0]]
+                    mse_calibrated = chi_sq * clean.residuals[ks[1]]
+                    noisy_rows, noisy_col = clean_rows, clean_col
+                    if noisy_point:
+                        noisy_rows = sigma * z.rows + clean_rows
+                        noisy_col = sigma * z.col + clean_col
+                        noise_power = sigma * sigma * z.power
+                        total += 2.0 * chi * sigma * (sz + rz) + noise_power
+                        mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
+                                + noise_power)
+                        mse_calibrated += (
+                            2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
                             + noise_power)
-                    mse_calibrated += (
-                        2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
-                        + noise_power)
-                sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
-                sums["noisy_power_sum"] += ratio * total
-                sums["noisy_mainlobe_power"] += (
-                    np.abs(noisy_rows[:, lobe]) ** 2)
-                sums["noisy_range_power"] += np.abs(noisy_col) ** 2
-                sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
-                sums["mse"][t] = ratio * mse
-                sums["mse_calibrated"][t] = ratio * mse_calibrated / e_chi ** 2
-            del channel, reference, rf_truth  # before the next trial's
+                    sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
+                    sums["noisy_power_sum"] += ratio * total
+                    sums["noisy_mainlobe_power"] += (
+                        np.abs(noisy_rows[:, lobe]) ** 2)
+                    sums["noisy_range_power"] += np.abs(noisy_col) ** 2
+                    sums["noisy_azimuth_power"] += np.abs(noisy_rows[hw]) ** 2
+                    sums["mse"][t] = ratio * mse
+                    sums["mse_calibrated"][t] = (ratio * mse_calibrated
+                                                 / e_chi ** 2)
+            # before the next trial's
+            del channel, reference, act_taken, act_grid
 
     mode = "data_aided" if mask is None else "pilot_only"
     return [EnsembleResult(

@@ -547,16 +547,16 @@ def test_closed_sweep_leaves_no_worker_thread(monkeypatch):
     # noise, and joins it before it returns
     before = threading.active_count()
     seen = []
-    real = pipeline._focus_grids
+    real = pipeline.gen_symbol_indices
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         seen.append(threading.active_count())
-        return real(*args)
-    monkeypatch.setattr(pipeline, "_focus_grids", counting)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "gen_symbol_indices", counting)
     for noisy, points in ((True, 10), (False, 1)):
         seen.clear()
         assert len(multi_chunk_sweep(monkeypatch, noisy=noisy)) == points
-        assert max(seen) == before + 1  # the worker, while trials focus
+        assert max(seen) == before + 1  # the worker, while it draws
         assert threading.active_count() == before
 
 
@@ -746,12 +746,13 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
     # F(channel * act) is the reference R = range_doppler(channel), the one
     # pass into a new grid, once per sweep, or once per trial with the
     # random target.  Every trial takes the other 7 to the range-Doppler
-    # domain in place: 6 in buffers allocated once, one per grid, and the
-    # last noise grid, the second wf point's, in the trial's own unit
-    # noise, which no grid reads after it.  So the passes write 6 buffers
-    # and the unit-noise buffers of the draws, one on this thread and two,
-    # alternately, on the worker, at any trial count, and no result array
-    # shares memory with one
+    # domain in place, one group of points at a time: each signal grid in
+    # one signal buffer and each noise grid in one noise buffer, both
+    # allocated once, but the last noise grid, the second wf point's, which
+    # is focused in the trial's own unit noise, read by no grid after it.
+    # So the passes write 2 buffers and the unit-noise buffers of the
+    # draws, one on this thread and two, alternately, on the worker, at any
+    # trial count, and no result array shares memory with one
     cfg = critical_config(16, 16, k_ref=8)
     calls = []
     record_range_doppler(monkeypatch, lambda x, out: calls.append((x, out)))
@@ -779,16 +780,22 @@ def test_sweep_focuses_into_buffers_it_allocates_once(monkeypatch):
                 assert len(buffers) == 7 * trials
                 assert len(draws) == trials
                 assert len({d.ctypes.data for d in draws}) == pairs
-                own = [out for t in range(trials)
-                       for out in buffers[7 * t:7 * t + 6]]
-                assert len({out.ctypes.data for out in own}) == 6
-                assert not any(np.shares_memory(out, d)
-                               for out in own for d in draws)
+                # in pass order: rf's noise grid, then mf's and each wf
+                # point's signal and noise grids
+                own = [buffers[7 * t:7 * t + 6] for t in range(trials)]
+                signal = {out.ctypes.data for passes in own
+                          for out in passes[1::2]}
+                noise = {out.ctypes.data for passes in own
+                         for out in passes[::2]}
+                assert len(signal) == len(noise) == 1
+                assert not signal & noise
+                assert not any(np.shares_memory(out, d) for passes in own
+                               for out in passes for d in draws)
                 # each trial's last pass is its last noise grid, in its
                 # own unit noise
                 for t in range(trials):
                     assert np.shares_memory(buffers[7 * t + 6], draws[t])
-                assert len({out.ctypes.data for out in buffers}) == 6 + pairs
+                assert len({out.ctypes.data for out in buffers}) == 2 + pairs
                 for result in results:
                     for name in ARRAYS:
                         assert not any(
@@ -1078,22 +1085,45 @@ def test_one_chunk_sweep_memory_does_not_grow_with_the_trials():
     assert abs(many - few) <= 0.25, (few, many)
 
 
-def test_prefetched_sweep_peaks_under_eighteen_grids():
+def test_prefetched_sweep_peaks_under_nine_grids():
     # 64 trials of a 128x128 QAM16 rf/mf/wf sweep at two SNRs exceed the
     # prefetch budget at 17 bytes per cell (a uint8 index and the complex
     # unit noise), so the worker draws each trial one ahead.  The sweep
-    # holds its 7 per-trial canonical grids (the last one in a trial's unit
-    # noise), R (which is F(channel * act)), the channel, the scratch grid
-    # and two trials' draws, and with a
-    # random target one trial's channel and reference: under 18 grids, its
-    # per-point reductions included.  A sweep that drew
-    # chunks of trials held 45 grids, and 76 with the random target
+    # focuses its 7 per-trial canonical grids into one signal buffer and
+    # one noise buffer (the last one in a trial's unit noise), and holds
+    # them, R (which is F(channel * act)), the channel and two trials'
+    # draws, or with a random target one trial's channel and reference:
+    # under 9 grids, its per-point reductions included (8.2 with either
+    # scene).  A sweep that held one buffer per canonical grid peaked at
+    # 13.5 grids, and one that drew chunks of trials at 45, and at 76 with
+    # the random target
     cfg = critical_config(128, 128, k_ref=64)
     assert 64 * 17 * 128 * 128 > pipeline._PREFETCH_BYTES
     for scene in random_target_scene(cfg):
         peak = sweep_peak_grids(scene, qam16_sweep_points(cfg),
                                 make_qam("qam16"), 64)
-        assert peak < 18.0, (scene.q, peak)
+        assert peak < 9.0, (scene.q, peak)
+
+
+def test_sweep_memory_does_not_grow_with_the_snrs():
+    # QAM16 rf/mf/wf on 128x128 cells at 6 SNRs reads 13 canonical grids
+    # per trial, 2 more per wf SNR, against 5 at one SNR, but focuses them
+    # one group of points at a time into the same signal and noise
+    # buffers: its peak is within half a grid of the one-SNR sweep's (7.3
+    # against 6.9 grids; 20.7 against 10.0 with one buffer per grid)
+    cfg = critical_config(128, 128, k_ref=64)
+    scene = single_target_scene(cfg, k_bin=64, m_bin=64)
+
+    def peak(snrs_db):
+        points = []
+        for snr_db in snrs_db:
+            snr = 10.0 ** (snr_db / 10.0)
+            cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
+            points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
+                       for kind in ("rf", "mf", "wf")]
+        return sweep_peak_grids(scene, points, make_qam("qam16"), 2)
+    one, six = peak([0.0]), peak([0.0, 5.0, 10.0, 15.0, 20.0, 25.0])
+    assert six <= one + 0.5, (one, six)
 
 
 def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
