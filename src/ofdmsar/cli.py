@@ -275,12 +275,15 @@ def _snr_point(snr_db: float, scenario: ScenarioConfig,
 def _with_snrs(scenario: ScenarioConfig, snr_db: list,
                paths: list) -> ScenarioConfig:
     """The scenario sweeping snr_db, each value checked (_snr_point) at its
-    path; repeated values are dropped with a warning."""
+    path; repeated values are dropped with a warning at the first
+    repeat's path."""
     for x, path in zip(snr_db, paths):
         _snr_point(x, scenario, path)
     unique = tuple(dict.fromkeys(snr_db))
     if len(unique) != len(snr_db):
-        warnings.warn("duplicate snr_in_db entries removed", UserWarning)
+        first = next(i for i, x in enumerate(snr_db) if x in snr_db[:i])
+        warnings.warn(f"{paths[first]}: duplicate SNR entries removed",
+                      UserWarning)
     return replace(scenario, snr_db=unique)
 
 

@@ -81,32 +81,35 @@ and c = E[chi], is always a sum of squares of a formed grid,
 chi^2 |S - (c / chi) R|^2, never expanded into |S|^2 - 2 Re <S, R> +
 |R|^2, which cancels to round-off and goes negative.  No grid is formed
 as the difference of two focused grids that nearly cancel, whose
-round-off would be that of the larger: each signal grid S is focused as
-S - base * R, as D = S - R itself from (chi - 1) * channel (base 1)
-where S is nearer R than 0, and as S (base 0) where it is not.  In mean
-square over the cells that is E[chi] > 1/2 without a comb, and never
-with one, where S - R holds the channel of the inactive cells, most of
-R's energy.  So the residual of wf at a high SNR, where chi tends to 1,
-keeps its own round-off, not that of |S|, and S at a very low SNR, where
-chi tends to 0, keeps its own, not that of |R|.  A base-1 grid's rows
-and column are R's plus D's, and |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2,
-which does not cancel there, S being nearer R than 0.  Only the
-independent noise is split out, and its cross terms are taken against
-S - R and R: Re <chi S - c R, Z> = chi Re <S - R, Z> + (chi - c) Re <R, Z>
-and Re <S, Z> = Re <S - R, Z> + Re <R, Z>.  A cross term's round-off is
-then that of the residual itself, plus |chi - c| |R| |Z| eps, where
-taking chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the
-residual.  And what does not change between trials is reduced once per
-sweep, before the draws are allocated: R and, with a comb,
-F(channel * act) of a deterministic scene, with their sums of squares,
-cuts and residuals.  So a trial takes, per per-trial signal grid, its
-cuts, |S|^2 and each |S - k R|^2, and leaves S - R in its buffer; per
-noise grid its cuts, |Z|^2, Re <R, Z> and Re <S - R, Z> against the one
-signal grid its points read, 0 where S is R.  A QPSK sweep without a
-comb, whose points all read one noise grid and R, makes one sum of
-squares and one inner product per trial at any number of points.  Every
-sum is over the grids' float64 views, computed without BLAS: its threads
-would compete with the draw worker for the cores.
+round-off would be that of the larger: each signal grid S is focused and
+held as G = S - base * R, one form for its whole trial, as D = S - R
+itself from (chi - 1) * channel (base 1) where S is nearer R than 0, and
+as S (base 0) where it is not.  In mean square over the cells that is
+E[chi] > 1/2 without a comb, and never with one, where S - R holds the
+channel of the inactive cells, most of R's energy.  So the residual of
+wf at a high SNR, where chi tends to 1, keeps its own round-off, not
+that of |S|, and S at a very low SNR, where chi tends to 0, keeps its
+own, not that of |R|.  A base-1 grid's rows and column are R's plus
+D's, and |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2, which does not cancel
+there, S being nearer R than 0.  Only the independent noise is split
+out, and its cross terms are taken against G and R:
+Re <chi S - c R, Z> = chi Re <G, Z> + (chi base - c) Re <R, Z> and
+Re <S, Z> = Re <G, Z> + base Re <R, Z>.  A cross term's round-off is
+then that of chi G, plus |chi base - c| |R| |Z| eps: with base 1 that
+of the residual itself plus |chi - c| |R| |Z| eps, where taking
+chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the residual, and
+with base 0, where chi S is not near c R, of the residual's own size.
+And what does not change between trials is reduced once per sweep,
+before the draws are allocated: R and, with a comb, F(channel * act) of
+a deterministic scene, with their sums of squares, cuts and residuals.
+So a trial takes, per per-trial signal grid, its cuts, |S|^2 and each
+|S - k R|^2; per noise grid its cuts, |Z|^2, Re <R, Z> and Re <G, Z>
+against the one signal grid its points read, 0 where G is 0 (S is R,
+without a comb).  A QPSK sweep without a comb, whose points all read one
+noise grid and R, makes one sum of squares and one inner product per
+trial at any number of points.  Every sum is over the grids' float64
+views, computed without BLAS: its threads would compete with the draw
+worker for the cores.
 
 Every noise grid is read with one signal grid: rf's with
 F(channel * act), mf's with mf's, each wf SNR's with its own, and every
@@ -117,24 +120,21 @@ time, in the order the points first read them, through two buffers
 allocated once per sweep.  It focuses the group's signal grid into the
 signal buffer, gathering its gains straight into it, and takes it; it
 focuses the group's noise grid into the noise buffer and takes it and
-its cross terms; it forms the residuals of a signal grid held as
-D = S - R in the spent noise grid; and it combines the group's points.
-The sweep's last noise grid, the last group's with one, is focused in
-the trial's own unit noise, which no group reads after it: its gains are
-gathered a row block at a time and multiplied into the unit noise in
-place.  The noise buffer is also the scratch grid where S - k R, k != 1,
-is formed: a grid held as S needs S - k R before it becomes D, which is
-before its group's noise grid is focused, and a grid held as D in a
-group without noise has no spent noise grid.  So the noise buffer is
-allocated only where the sweep has two noise grids or such a signal
-grid, and the signal buffer only where some signal grid is focused per
-trial.  F(channel * act) is taken with R: it is R itself without a comb,
-and with one it is focused into a grid of its own and held as S - R
-next to R, after the channel is dropped where no per-trial signal grid
-reads it, with the noise buffer, or a grid of its own, for its
-S - k R.  So a trial of a deterministic scene allocates no complex grid;
-one with random targets builds its channel, R and, with a comb,
-F(channel * act).
+its cross terms; it forms the signal grid's S - k R, k != base, in the
+spent noise grid, or in the noise buffer in a group without noise; and
+it combines the group's points.  Every noise grid is filled by one
+loop, its gains gathered a row block at a time and multiplied by the
+unit noise; the sweep's last noise grid, the last group's with one, is
+the trial's own unit noise, multiplied in place, which no group reads
+after it.  So the noise buffer is allocated only where the sweep has two
+noise grids, or a group without noise with a residual to form, and the
+signal buffer only where some signal grid is focused per trial.
+F(channel * act) is taken with R: it is R itself without a comb, and
+with one it is focused into a grid of its own and held as S next to R,
+after the channel is dropped where no per-trial signal grid reads it,
+with the noise buffer, or a grid of its own, for its S - k R.  So a
+trial of a deterministic scene allocates no complex grid; one with
+random targets builds its channel, R and, with a comb, F(channel * act).
 
 The trial is the one unit of drawing.  Each trial's indices and, in a
 noisy sweep, its unit noise are drawn into a pair of buffers allocated
@@ -152,7 +152,7 @@ makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
 where it has a row per range bin), R, the signal buffer and the noise
-buffer where the sweep has them, with a comb F(channel * act) as S - R where it
+buffer where the sweep has them, with a comb F(channel * act) where it
 does not change between trials, the channel where a per-trial signal
 grid reads it, and one trial's draws (an index grid and, when noisy, a
 unit-noise grid, which holds the last noise grid), or two trials' when
@@ -164,17 +164,17 @@ them).  None of it grows with the points.  The pilot-only NR sweep of
 1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
 5.6 grids under tracemalloc, while it takes F(channel * act) with a
 scratch grid of its own next to H, A and R, its channel dropped; its
-trials hold H, A, R, S - R and the unit noise, which holds its one noise
-grid.  At the 40 trials of scenarios/nr_pilot_only.json the worker
-draws, and the sweep peaks at 6.7 grids.  The data-aided NR sweep, QAM16
-rf/mf/wf at 11 SNRs on 1024 x 114 cells, 40 trials drawn by the worker,
-reads 25 canonical grids per trial and peaks at 8.95 grids.  QAM16
-rf/mf/wf on 128 x 128 cells, 64 trials drawn by the worker, peaks at 8.2
-grids at two SNRs, with or without a random target, and at 2 trials at
-6.9 grids at one SNR and 7.3 at six.  One QAM256 mf or wf point on
-256 x 512 cells, 50 trials drawn by the worker, holds H, R, the channel,
-S - R and two trials' draws, and forms its residuals in the unit noise:
-6.4 grids.
+trials hold H, A, R, F(channel * act) and the unit noise, which holds its
+one noise grid.  At the 40 trials of scenarios/nr_pilot_only.json the
+worker draws, and the sweep peaks at 6.7 grids.  The data-aided NR
+sweep, QAM16 rf/mf/wf at 11 SNRs on 1024 x 114 cells, 40 trials drawn by
+the worker, reads 25 canonical grids per trial and peaks at 8.95 grids.
+QAM16 rf/mf/wf on 128 x 128 cells, 64 trials drawn by the worker, peaks
+at 8.2 grids at two SNRs, with or without a random target, and at 2
+trials at 6.9 grids at one SNR and 7.3 at six.  One QAM256 mf or wf
+point on 256 x 512 cells, 50 trials drawn by the worker, holds H, R, the
+channel, its signal grid and two trials' draws, and forms its residuals
+in the unit noise: 6.4 grids, at any SNR.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -383,11 +383,11 @@ def run_sweep_ensemble(scene: Scene,
         return _Taken(image_rows, column(grid), _inner(grid, grid), {})
 
     def form_residuals(grid, base, reference, scales, out):
-        """{k: |S - k R|^2} for each k != 1 in scales, from `grid` holding
-        S - base * R: the sum of squares of grid + (base - k) R, formed in
-        `out`, or in a grid of its own where `out` is None."""
+        """{k: |S - k R|^2} for each k != base in scales, from `grid`
+        holding S - base * R: the sum of squares of grid + (base - k) R,
+        formed in `out`, or in a grid of its own where `out` is None."""
         residuals = {}
-        for k in set(scales) - {1.0}:
+        for k in set(scales) - {base}:
             if out is None:
                 out = np.empty_like(grid)
             np.multiply(base - k, reference, out=out)
@@ -395,26 +395,19 @@ def run_sweep_ensemble(scene: Scene,
             residuals[k] = _inner(out, out)
         return residuals
 
-    def take_signal(grid, base, reference, r_taken, scales, out):
+    def take_signal(grid, base, reference, r_taken):
         """The _Taken of a signal grid S, given R and its _Taken, from `grid`
-        holding S - base * R (None where S is R); the grid holds D = S - R
-        afterwards.  |D|^2 is D's sum of squares, and with base 0 each
-        |S - k R|^2 with k != 1 is formed in `out` before S becomes D;
-        with base 1 the caller forms them from D later.  With base 1, S's
-        rows and column are D's plus R's, and
-        |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2."""
-        if grid is None:
-            return r_taken._replace(residuals={
-                k: (1.0 - k) ** 2 * r_taken.power for k in scales})
+        holding S - base * R, with one residual, |S - base * R|^2, the
+        grid's own sum of squares; form_residuals forms the others.  With
+        base 1, S's rows and column are R's plus the grid's, and
+        |S|^2 = |R|^2 + 2 Re <S - R, R> + |S - R|^2."""
         own = take(grid)
-        if base:
-            return _Taken(r_taken.rows + own.rows, r_taken.col + own.col,
-                          r_taken.power + 2.0 * _inner(grid, reference)
-                          + own.power, {1.0: own.power})
-        residuals = form_residuals(grid, 0.0, reference, scales, out)
-        grid -= reference
-        residuals[1.0] = _inner(grid, grid)
-        return own._replace(residuals=residuals)
+        own.residuals[base] = own.power
+        if not base:
+            return own
+        return _Taken(r_taken.rows + own.rows, r_taken.col + own.col,
+                      r_taken.power + 2.0 * _inner(grid, reference)
+                      + own.power, own.residuals)
 
     reads = [_focus_reads(constellation, spec) for _, spec in points]
     stats = [chi_stats(constellation, spec) for _, spec in points]
@@ -447,23 +440,24 @@ def run_sweep_ensemble(scene: Scene,
         tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
                       e_chi, ks, cfg.noise_var > 0))
         group[2].append(tasks[-1])
-    # F(channel * act), rf's signal grid, is taken with R: it is R itself
-    # without a comb, and is focused into a grid of its own with one.
-    # Every other signal grid S is taken once per trial, as S - base * R:
-    # as D = S - R (base 1) where S is nearer R than 0, and as S itself
-    # (base 0) where it is not, so that neither S nor D is the difference
-    # of two grids that nearly cancel.  In mean square over the cells, S is
-    # nearer R exactly where E[chi] > 1/2 with no comb; with one, S - R
-    # holds the channel of the inactive cells, most of R's energy.  Per
-    # group: (its signal grid's table over constellation.table, chi - base
-    # with chi = s * g, 0 at the sentinel, or None for F(channel * act);
-    # base; its scales; its noise grid's gain table, or None; its points)
+    # Every signal grid S is focused as G = S - base * R, and its trial
+    # reads it in that one form: as S - R (base 1) where S is nearer R than
+    # 0, and as S itself (base 0) where it is not, so that G is not the
+    # difference of two grids that nearly cancel.  In mean square over
+    # the cells, S is nearer R exactly where E[chi] > 1/2 with no comb;
+    # with one, S - R holds the channel of the inactive cells, most of R's
+    # energy.  F(channel * act), rf's signal grid, is taken with R: it is R
+    # itself without a comb (base 1, G = 0, no grid), and is focused into a
+    # grid of its own with one.  Per group: (its signal grid's table over
+    # constellation.table, chi - base with chi = s * g, 0 at the sentinel,
+    # or None for F(channel * act); base; its scales; its noise grid's gain
+    # table, or None; its points)
     plan = []
     for signal, (noise, scales, members) in groups.items():
-        table, base = None, 0.0
+        table = None
+        base = float(mask is None and (signal is None or chi_stats(
+            constellation, signal).chi_mean > 0.5))
         if signal is not None:
-            base = float(mask is None and chi_stats(
-                constellation, signal).chi_mean > 0.5)
             table = (constellation.table
                      * filter_gains(constellation.table, signal) - base)
         plan.append((table, base, scales, None if noise is None
@@ -473,15 +467,12 @@ def run_sweep_ensemble(scene: Scene,
     # Two grids serve every group of a trial: the signal buffer takes its
     # signal grid, and the noise buffer its noise grid, but the last one,
     # which is focused in the trial's unit noise, read by no group after
-    # it.  The noise buffer is also the scratch grid where S - k R,
-    # k != 1, is formed: for a grid held as S before its noise grid is
-    # focused, and for a grid held as D in a group without noise; a grid
-    # held as D forms them in its spent noise grid
+    # it.  A signal grid forms its S - k R, k != base, in its group's spent
+    # noise grid, or in the noise buffer in a group without noise
     last = with_noise[-1] if with_noise else None
     spare = (np.empty((n, m), dtype=complex)
              if len(with_noise) > 1 or any(
-                 table is not None and set(scales) - {1.0}
-                 and not (base and gain is not None)
+                 table is not None and gain is None and set(scales) - {base}
                  for table, base, scales, gain, _ in plan)
              else None)
     signal_buffer = (np.empty((n, m), dtype=complex) if per_trial_signal
@@ -492,19 +483,25 @@ def run_sweep_ensemble(scene: Scene,
         R = range_doppler(channel) being the range-Doppler form of the
         reference image F(channel), so image - reference =
         ifft_M(A * (Y - R)); the channel is None where no per-trial signal
-        grid reads it, and is dropped before F(channel * act) is taken."""
+        grid reads it, and is dropped before F(channel * act) is taken,
+        which forms its S - k R in the noise buffer, or a grid of its own."""
         channel = build_channel_matrix(scene, cfg0, amplitudes)
         reference = focus.range_doppler(channel)
         r_taken = take(reference)
         if None not in groups:
             return channel, reference, r_taken, None, None
+        scales = groups[None][1]
         grid = None if mask is None else np.multiply(channel, mask)
         if not per_trial_signal:
             channel = None
-        if grid is not None:
-            focus.range_doppler(grid, out=grid)
-        return channel, reference, r_taken, take_signal(
-            grid, 0.0, reference, r_taken, groups[None][1], spare), grid
+        if grid is None:
+            return channel, reference, r_taken, r_taken._replace(residuals={
+                k: (1.0 - k) ** 2 * r_taken.power for k in scales}), None
+        focus.range_doppler(grid, out=grid)
+        act_taken = take_signal(grid, 0.0, reference, r_taken)
+        act_taken.residuals.update(
+            form_residuals(grid, 0.0, reference, scales, spare))
+        return channel, reference, r_taken, act_taken, grid
 
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = _philox(seed, NOISE_STREAM) if with_noise else None
@@ -564,36 +561,31 @@ def run_sweep_ensemble(scene: Scene,
                 fixed if rcs_rng is None
                 else truth(scene.draw_amplitudes(rcs_rng)))
             for i, (table, base, scales, gain, members) in enumerate(plan):
-                # the group's signal grid, held as D = S - R once taken
+                # the group's signal grid, held as S - base * R
                 grid, clean = act_grid, act_taken
                 if table is not None:
                     grid = signal_buffer
                     np.multiply(_gather(table, indices, grid), channel,
                                 out=grid)
                     focus.range_doppler(grid, out=grid)
-                    clean = take_signal(grid, base, reference, r_taken,
-                                        scales, spare)
-                # its noise grid Z, with Re <S - R, Z> (0 where S is R) and
-                # Re <R, Z>; the last one in the unit noise, its gains
-                # gathered a row block at a time
+                    clean = take_signal(grid, base, reference, r_taken)
+                # its noise grid Z, its gains gathered a row block at a
+                # time, the last one in the unit noise, with
+                # Re <S - base * R, Z> (0 where that is 0) and Re <R, Z>
                 noise = unit_noise if i == last else spare
                 if gain is not None:
-                    if i == last:
-                        for block in _row_blocks(indices.shape, 24):
-                            np.multiply(noise[block],
-                                        np.take(gain, indices[block]),
-                                        out=noise[block])
-                    else:
-                        np.multiply(unit_noise,
-                                    _gather(gain, indices, noise), out=noise)
+                    for block in _row_blocks(indices.shape, 24):
+                        np.multiply(unit_noise[block],
+                                    np.take(gain, indices[block]),
+                                    out=noise[block])
                     focus.range_doppler(noise, out=noise)
                     z = take(noise)
                     sz = 0.0 if grid is None else _inner(grid, noise)
                     rz = _inner(reference, noise)
-                # the noise grid is spent: a grid held as D forms its
+                # the noise grid is spent: the signal grid forms its
                 # |S - k R|^2 there, or in a group without noise in the
                 # noise buffer
-                if base:
+                if table is not None:
                     clean.residuals.update(form_residuals(
                         grid, base, reference, scales, noise))
                 for sums, chi, sigma, e_chi, ks, noisy_point in members:
@@ -608,7 +600,8 @@ def run_sweep_ensemble(scene: Scene,
                     # noisy = chi S + sigma Z, and each residual
                     # chi S - c R + sigma Z, as sums of squares of formed
                     # grids plus the noise's cross terms, taken against
-                    # S - R and R: chi S - c R = chi (S - R) + (chi - c) R
+                    # G = S - base * R and R:
+                    # chi S - c R = chi G + (chi * base - c) R
                     chi_sq = chi * chi
                     total = chi_sq * clean.power
                     mse = chi_sq * clean.residuals[ks[0]]
@@ -618,11 +611,12 @@ def run_sweep_ensemble(scene: Scene,
                         noisy_rows = sigma * z.rows + clean_rows
                         noisy_col = sigma * z.col + clean_col
                         noise_power = sigma * sigma * z.power
-                        total += 2.0 * chi * sigma * (sz + rz) + noise_power
-                        mse += (2.0 * sigma * (chi * sz + (chi - 1.0) * rz)
-                                + noise_power)
-                        mse_calibrated += (
-                            2.0 * sigma * (chi * sz + (chi - e_chi) * rz)
+                        total += (2.0 * chi * sigma * (sz + base * rz)
+                                  + noise_power)
+                        mse += (2.0 * sigma * (
+                            chi * sz + (chi * base - 1.0) * rz) + noise_power)
+                        mse_calibrated += (2.0 * sigma * (
+                            chi * sz + (chi * base - e_chi) * rz)
                             + noise_power)
                     sums["noisy_peaks"][t] = noisy_rows[hw, m_q] / alpha_ref
                     sums["noisy_power_sum"] += ratio * total

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from scenes import critical_config, single_target_scene
 from ofdmsar import cli, echo, pipeline
 from ofdmsar import metrics as metrics_module
-from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, emit_pgm, main,
-                         parse_config, run_scenario)
+from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, _with_snrs, emit_pgm,
+                         main, parse_config, run_scenario)
 from ofdmsar.errors import ConfigurationError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
@@ -359,9 +359,14 @@ def test_parse_target_spelling():
 def test_parse_snr_list_and_dedup_warning():
     scenario = parse_config(config_text(snr_in_db=[0, 5, 10]))
     assert scenario.snr_db == (0.0, 5.0, 10.0)
-    with pytest.warns(UserWarning):
-        scenario = parse_config(config_text(snr_in_db=[5, 5, 10]))
+    # the warning names the first repeat's own path, the JSON entry's or
+    # the flag's
+    with pytest.warns(UserWarning, match=r"^\$\.snr_in_db\[2\]: duplicate"):
+        scenario = parse_config(config_text(snr_in_db=[5, 10, 5, 10]))
     assert scenario.snr_db == (5.0, 10.0)
+    with pytest.warns(UserWarning, match=r"^--snr-db: duplicate"):
+        scenario = _with_snrs(scenario, [10.0, 10.0], ["--snr-db"] * 2)
+    assert scenario.snr_db == (10.0,)
     with pytest.raises(ConfigError):
         parse_config(config_text(snr_in_db=[]))
     with pytest.raises(ConfigError):

@@ -851,9 +851,9 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
     # every gather, product, focus pass and reduction, equal the sweep's
     # bit for bit: a point's noisy grid chi S + sigma Z is never formed,
     # its sums being chi^2 |S|^2 and chi^2 |S - k R|^2 (k = c / chi, for
-    # c = 1 and c = E[chi]) plus the noise's cross terms Re <S - R, Z> and
-    # Re <R, Z>, where S is focused as S - base * R and each |S - k R|^2 is
-    # that of a formed grid.  The two MSEs and the total power also
+    # c = 1 and c = E[chi]) plus the noise's cross terms Re <G, Z> and
+    # Re <R, Z>, where S is focused and held as G = S - base * R and each
+    # |S - k R|^2 is that of a formed grid.  The two MSEs and the total power also
     # stay within 1e-13 of the |.|^2 sums over the focused images they
     # stand for, the range cuts within 1e-13 of those of whole mean |.|^2
     # images, and the azimuth cuts and the mainlobe equal theirs.  128x160
@@ -922,16 +922,17 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                 e_chi = result.stats.chi_mean
                 scales = (1.0 / reads.chi, e_chi / reads.chi)
                 if reads.signal is None:
-                    # F(channel * act) is R: D = S - R is 0
+                    # F(channel * act) is R: base 1, and G = S - R is 0
+                    base = 1.0
                     clean_rows, clean_col = reference_rows, reference_col
                     clean_image = reference_image
                     power = reference_power
                     residuals = [(1.0 - k) ** 2 * reference_power
                                  for k in scales]
-                    difference = None
+                    held = None
                 else:
-                    # S is taken as D = S - R where E[chi] > 1/2 (base 1),
-                    # else as S
+                    # S is held as G = S - R where E[chi] > 1/2 (base 1),
+                    # else as G = S (base 0)
                     base = float(chi_stats(qam, reads.signal).chi_mean > 0.5)
                     gain = filter_gains(qam.table, reads.signal)
                     chi_table = qam.table * gain
@@ -946,14 +947,12 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                         residual = scaled_reference + held
                         residuals.append(power_sum(residual))
                     if base:
-                        difference = held
                         clean_rows = reference_rows + held_rows
                         clean_col = reference_col + held_col
                         clean_image = reference_image + image(held)
                         power = (reference_power
                                  + 2.0 * inner(held, reference) + held_power)
                     else:
-                        difference = held - reference
                         clean_rows, clean_col = held_rows, held_col
                         clean_image = image(held)
                         power = held_power
@@ -977,18 +976,17 @@ def test_in_place_reductions_keep_the_out_of_place_bits(name, prefetched,
                     noisy_col = sigma * noise_col + clean_col
                     noisy_image = sigma * image(noise)
                     noisy_image += clean_image
-                    sz = 0.0 if difference is None else inner(difference,
-                                                              noise)
+                    sz = 0.0 if held is None else inner(held, noise)
                     rz = inner(reference, noise)
                     noise_power = sigma * sigma * power_sum(noise)
-                    total += (2.0 * reads.chi * sigma * (sz + rz)
+                    total += (2.0 * reads.chi * sigma * (sz + base * rz)
                               + noise_power)
                     mse += (2.0 * sigma * (reads.chi * sz
-                                           + (reads.chi - 1.0) * rz)
+                                           + (reads.chi * base - 1.0) * rz)
                             + noise_power)
                     mse_calibrated += (
                         2.0 * sigma * (reads.chi * sz
-                                       + (reads.chi - e_chi) * rz)
+                                       + (reads.chi * base - e_chi) * rz)
                         + noise_power)
                 assert (result.reference_peaks[t]
                         == reference_rows[hw, m_q] / result.alpha_ref)
@@ -1130,7 +1128,7 @@ def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
     # a pilot-only sweep like the CLI's NR one: QPSK under a comb,
     # phase_ramp RCMC and per_range_bin K_a, rf/mf/wf at 3 SNRs.  Its RCMC
     # multiplier H and its azimuth multiplier A are (N, M) grids; besides
-    # them it holds R and F(channel * act) as S - R, with the scratch grid
+    # them it holds R and F(channel * act), with a scratch grid of its own
     # while that is taken, after the channel, which no trial reads, is
     # dropped; each trial focuses its one noise grid in its unit noise.  It
     # forms no (N, M) weight grid for the range cut: 5.6 grids at the peak
@@ -1167,23 +1165,30 @@ def test_worker_draws_hold_no_more_than_the_second_pair():
 @pytest.mark.parametrize("kind", ["mf", "wf"])
 def test_single_point_sweep_reuses_its_draws_for_the_noise(kind,
                                                            monkeypatch):
-    # one QAM256 point at 5 dB on 256x256 cells, the benchmark's large
-    # ensemble in shape, drawn on the worker: its signal grid is held as
-    # D = S - R, so each trial focuses its noise grid in its own unit noise
-    # and forms |S - E[chi] R|^2 there once the noise's cross terms are
-    # taken, and the sweep allocates neither a noise grid nor a scratch
-    # grid.  Besides H, R, the channel and D it holds two draw pairs and
-    # row-block temporaries of at most an eighth of a grid: 6.5 grids
-    # (8.6 with a noise grid and a scratch grid of its own)
+    # one QAM256 point at 5 dB and at 0 dB on 256x256 cells, the
+    # benchmark's large ensemble in shape, drawn on the worker.  Its signal
+    # grid is held as S - R (mf, wf at 5 dB) or as S (wf at 0 dB, where
+    # E[chi] < 1/2) for the whole trial, so each trial focuses its noise
+    # grid in its own unit noise and forms its |S - k R|^2 there once the
+    # noise's cross terms are taken, and the sweep allocates neither a
+    # noise grid nor a scratch grid.  Besides H, R, the channel and the
+    # signal grid it holds two draw pairs and row-block temporaries of at
+    # most an eighth of a grid: 6.5 grids (8.6 with a noise grid and a
+    # scratch grid of its own, and 7.5 at 0 dB while a grid held as S
+    # formed its residuals in a scratch grid before its noise grid)
     monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", 0)
     cfg = critical_config(256, 256, k_ref=128)
     scene = single_target_scene(cfg, k_bin=128, m_bin=128)
-    snr = 10.0 ** 0.5
-    point = (cfg.with_noise(1.0 / snr, snr_in_linear=snr),
-             FilterSpec(kind, snr_in_linear=snr))
+    qam256 = make_qam("qam256")
     assert 256 * 256 * 16 >= 8 * _BLOCK_BYTES
-    peak = sweep_peak_grids(scene, [point], make_qam("qam256"), 4)
-    assert peak <= 7.1, peak
+    for snr_db in (5.0, 0.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        point = (cfg.with_noise(1.0 / snr, snr_in_linear=snr),
+                 FilterSpec(kind, snr_in_linear=snr))
+        held_as_s = chi_stats(qam256, point[1]).chi_mean < 0.5
+        assert held_as_s == (kind == "wf" and snr_db == 0.0)
+        peak = sweep_peak_grids(scene, [point], qam256, 4)
+        assert peak <= 7.1, (snr_db, peak)
 
 
 @pytest.mark.parametrize("masked", [False, True])
