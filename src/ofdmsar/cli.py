@@ -421,6 +421,18 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
                           f": the {run_radar.n_subcarriers}x{m} run grid "
                           f"undersamples the reference target's azimuth "
                           f"chirp (K_a grows with fc_hz and speed_mps^2)")
+    # the chirp's span in Doppler bins, K_a T^2 M^2: up to 1.18 bins the
+    # azimuth profile of a reference target between two bins can have no
+    # -3 dB crossing, and from 1.2 on it has one (5 to 64 symbols; on 4,
+    # one between 1.344 and 1.357 bins, half a bin off its bin, has none)
+    if beta * m < 1.2:
+        raise ConfigError("$.radar.aperture_time_s",
+                          f"K_a T^2 M^2 = {beta * m:.3g} is under 1.2: the "
+                          f"reference target's azimuth chirp spans too few "
+                          f"Doppler bins of the {run_radar.n_subcarriers}x"
+                          f"{m} run grid to measure a -3 dB width on (it "
+                          f"grows with aperture_time_s^2, fc_hz and "
+                          f"speed_mps^2)")
     k_q, m_q = target_bin(ref, run_radar)
     hw = MAINLOBE_HALFWIDTH_BINS
     if not (hw <= k_q < run_radar.n_subcarriers - hw

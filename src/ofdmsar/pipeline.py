@@ -99,10 +99,11 @@ then that of chi G, plus |chi base - c| |R| |Z| eps: with base 1 that
 of the residual itself plus |chi - c| |R| |Z| eps, where taking
 chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the residual, and
 with base 0, where chi S is not near c R, of the residual's own size.
-And what does not change between trials is reduced once per sweep,
-before the draws are allocated: R and, with a comb, F(channel * act) of
-a deterministic scene, with their sums of squares, cuts and residuals.
-So a trial takes, per per-trial signal grid, its cuts, |S|^2 and each
+And what does not change between trials is reduced once per sweep: R
+and, with a comb, F(channel * act) of a deterministic scene, with their
+sums of squares and cuts before the draws are allocated, and
+F(channel * act)'s residuals at the first trial, which keeps them.  So a
+trial takes, per per-trial signal grid, its cuts, |S|^2 and each
 |S - k R|^2; per noise grid its cuts, |Z|^2, Re <R, Z> and Re <G, Z>
 against the one signal grid its points read, 0 where G is 0 (S is R,
 without a comb).  A QPSK sweep without a comb, whose points all read one
@@ -120,20 +121,24 @@ time, in the order the points first read them, through two buffers
 allocated once per sweep.  It focuses the group's signal grid into the
 signal buffer, gathering its gains straight into it, and takes it; it
 focuses the group's noise grid into the noise buffer and takes it and
-its cross terms; it forms the signal grid's S - k R, k != base, in the
-spent noise grid, or in the noise buffer in a group without noise; and
-it combines the group's points.  Every noise grid is filled by one
-loop, its gains gathered a row block at a time and multiplied by the
-unit noise; the sweep's last noise grid, the last group's with one, is
-the trial's own unit noise, multiplied in place, which no group reads
-after it.  So the noise buffer is allocated only where the sweep has two
-noise grids, or a group without noise with a residual to form, and the
-signal buffer only where some signal grid is focused per trial.
-F(channel * act) is taken with R: it is R itself without a comb, and
-with one it is focused into a grid of its own and held as S next to R,
-after the channel is dropped where no per-trial signal grid reads it,
-with the noise buffer, or a grid of its own, for its S - k R.  So a
-trial of a deterministic scene allocates no complex grid; one with
+its cross terms; it gives the signal grid each |S - k R|^2, k != base,
+that it lacks, formed in the spent noise grid, or in the noise buffer in
+a group without noise; and it combines the group's points.  Every noise
+grid is filled by one loop, its gains gathered a row block at a time
+and multiplied by the unit noise; the sweep's last noise grid, the last
+group's with one, is the trial's own unit noise, multiplied in place,
+which no group reads after it.  So the noise buffer is allocated only
+where the sweep has two noise grids, or a group without noise with a
+grid to form residuals of, and the signal buffer only where some signal
+grid is focused per trial.  F(channel * act) is built with R and forms
+no residual there.  Without a comb it is R itself (base 1, G = 0), whose
+|S - k R|^2 are (1 - k)^2 |R|^2 and need no grid.  With one it is
+focused into a grid of its own and held as S next to R, after the
+channel is dropped where no per-trial signal grid reads it, and its
+group forms its residuals like any other, in the spent noise grid or the
+noise buffer: at the first trial of a deterministic scene, and at every
+trial with random targets.  So no trial allocates a grid for a residual.
+A trial of a deterministic scene allocates no complex grid; one with
 random targets builds its channel, R and, with a comb, F(channel * act).
 
 The trial is the one unit of drawing.  Each trial's indices and, in a
@@ -162,19 +167,21 @@ its per-trial arrays, and row-block temporaries of at most _BLOCK_BYTES
 (a quarter of that for the index draw, which the worker runs beside
 them).  None of it grows with the points.  The pilot-only NR sweep of
 1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
-5.6 grids under tracemalloc, while it takes F(channel * act) with a
-scratch grid of its own next to H, A and R, its channel dropped; its
-trials hold H, A, R, F(channel * act) and the unit noise, which holds its
-one noise grid.  At the 40 trials of scenarios/nr_pilot_only.json the
-worker draws, and the sweep peaks at 6.7 grids.  The data-aided NR
+5.6 grids under tracemalloc.  It drops its channel once F(channel * act)
+is built, and its trials hold H, A, R, F(channel * act) and the unit
+noise, which holds its one noise grid and then, at the first trial,
+F(channel * act)'s residuals.  At the 40 trials of
+scenarios/nr_pilot_only.json the worker draws, and the sweep peaks at
+6.7 grids.  The data-aided NR
 sweep, QAM16 rf/mf/wf at 11 SNRs on 1024 x 114 cells, 40 trials drawn by
 the worker, reads 25 canonical grids per trial and peaks at 8.95 grids.
 QAM16 rf/mf/wf on 128 x 128 cells, 64 trials drawn by the worker, peaks
 at 8.2 grids at two SNRs, with or without a random target, and at 2
 trials at 6.9 grids at one SNR and 7.3 at six.  One QAM256 mf or wf
 point on 256 x 512 cells, 50 trials drawn by the worker, holds H, R, the
-channel, its signal grid and two trials' draws, and forms its residuals
-in the unit noise: 6.4 grids, at any SNR.
+channel, its signal grid and two trials' draws, and forms wf's
+residuals in the unit noise (mf, whose E[chi] is 1, has none to form):
+6.4 grids, at any SNR.
 
 A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
 run_pilot_ensemble decimates the grid to the pilot period and masks it
@@ -382,23 +389,23 @@ def run_sweep_ensemble(scene: Scene,
         np.fft.ifft(image_rows, axis=-1, out=image_rows)
         return _Taken(image_rows, column(grid), _inner(grid, grid), {})
 
-    def form_residuals(grid, base, reference, scales, out):
-        """{k: |S - k R|^2} for each k != base in scales, from `grid`
-        holding S - base * R: the sum of squares of grid + (base - k) R,
-        formed in `out`, or in a grid of its own where `out` is None."""
-        residuals = {}
-        for k in set(scales) - {base}:
-            if out is None:
-                out = np.empty_like(grid)
-            np.multiply(base - k, reference, out=out)
-            out += grid
-            residuals[k] = _inner(out, out)
-        return residuals
+    def form_residuals(taken, grid, base, reference, scales, out):
+        """Adds to a signal grid S's _Taken each |S - k R|^2, k in scales,
+        that it lacks, from `grid` holding G = S - base * R: the sum of
+        squares of G + (base - k) R, formed in `out`, or, where S is R
+        itself (grid None, G = 0), (base - k)^2 |R|^2."""
+        for k in set(scales) - taken.residuals.keys():
+            if grid is None:
+                taken.residuals[k] = (base - k) ** 2 * taken.power
+            else:
+                np.multiply(base - k, reference, out=out)
+                out += grid
+                taken.residuals[k] = _inner(out, out)
 
     def take_signal(grid, base, reference, r_taken):
         """The _Taken of a signal grid S, given R and its _Taken, from `grid`
         holding S - base * R, with one residual, |S - base * R|^2, the
-        grid's own sum of squares; form_residuals forms the others.  With
+        grid's own sum of squares; form_residuals adds the others.  With
         base 1, S's rows and column are R's plus the grid's, and
         |S|^2 = |R|^2 + 2 Re <S - R, R> + |S - R|^2."""
         own = take(grid)
@@ -467,12 +474,14 @@ def run_sweep_ensemble(scene: Scene,
     # Two grids serve every group of a trial: the signal buffer takes its
     # signal grid, and the noise buffer its noise grid, but the last one,
     # which is focused in the trial's unit noise, read by no group after
-    # it.  A signal grid forms its S - k R, k != base, in its group's spent
+    # it.  A formed signal grid (each per-trial one, and F(channel * act)
+    # under a comb) forms its S - k R, k != base, in its group's spent
     # noise grid, or in the noise buffer in a group without noise
     last = with_noise[-1] if with_noise else None
     spare = (np.empty((n, m), dtype=complex)
              if len(with_noise) > 1 or any(
-                 table is not None and gain is None and set(scales) - {base}
+                 (table is not None or mask is not None) and gain is None
+                 and set(scales) - {base}
                  for table, base, scales, gain, _ in plan)
              else None)
     signal_buffer = (np.empty((n, m), dtype=complex) if per_trial_signal
@@ -482,26 +491,23 @@ def run_sweep_ensemble(scene: Scene,
         """(channel, R, R's _Taken, F(channel * act)'s _Taken, its grid),
         R = range_doppler(channel) being the range-Doppler form of the
         reference image F(channel), so image - reference =
-        ifft_M(A * (Y - R)); the channel is None where no per-trial signal
-        grid reads it, and is dropped before F(channel * act) is taken,
-        which forms its S - k R in the noise buffer, or a grid of its own."""
+        ifft_M(A * (Y - R)).  F(channel * act) is R itself without a comb
+        (its grid None, G = 0), and is focused into a grid of its own, held
+        as S, with one.  The channel is None where no per-trial signal
+        grid reads it, and is dropped before F(channel * act) is focused.
+        No residual is formed here: the trial forms them."""
         channel = build_channel_matrix(scene, cfg0, amplitudes)
         reference = focus.range_doppler(channel)
         r_taken = take(reference)
-        if None not in groups:
-            return channel, reference, r_taken, None, None
-        scales = groups[None][1]
-        grid = None if mask is None else np.multiply(channel, mask)
+        grid = (None if mask is None or None not in groups
+                else np.multiply(channel, mask))
         if not per_trial_signal:
             channel = None
         if grid is None:
-            return channel, reference, r_taken, r_taken._replace(residuals={
-                k: (1.0 - k) ** 2 * r_taken.power for k in scales}), None
+            return channel, reference, r_taken, r_taken, None
         focus.range_doppler(grid, out=grid)
-        act_taken = take_signal(grid, 0.0, reference, r_taken)
-        act_taken.residuals.update(
-            form_residuals(grid, 0.0, reference, scales, spare))
-        return channel, reference, r_taken, act_taken, grid
+        return (channel, reference, r_taken,
+                take_signal(grid, 0.0, reference, r_taken), grid)
 
     symbol_rng = _philox(seed, SYMBOL_STREAM)
     noise_rng = _philox(seed, NOISE_STREAM) if with_noise else None
@@ -582,12 +588,11 @@ def run_sweep_ensemble(scene: Scene,
                     z = take(noise)
                     sz = 0.0 if grid is None else _inner(grid, noise)
                     rz = _inner(reference, noise)
-                # the noise grid is spent: the signal grid forms its
-                # |S - k R|^2 there, or in a group without noise in the
-                # noise buffer
-                if table is not None:
-                    clean.residuals.update(form_residuals(
-                        grid, base, reference, scales, noise))
+                # the noise grid is spent: the signal grid forms the
+                # |S - k R|^2 it lacks there, or in a group without noise
+                # in the noise buffer (a fixed truth's F(channel * act) at
+                # trial 0 only, as it keeps them)
+                form_residuals(clean, grid, base, reference, scales, noise)
                 for sums, chi, sigma, e_chi, ks, noisy_point in members:
                     clean_rows, clean_col = chi * clean.rows, chi * clean.col
                     sums["noiseless_peaks"][t] = (clean_rows[hw, m_q]

@@ -263,12 +263,12 @@ def chi_stats(constellation: Constellation, filt: "FilterSpec") -> FilterStats:
     if filt.kind == "rf":
         return FilterStats(1.0, 0.0, float(np.mean(1.0 / x)))
     if filt.kind == "mf":
-        chi = x
-        gain_sq = x
-    else:  # wf, whose FilterSpec holds an SNR > 0
-        gamma = 1.0 / filt.snr_in_linear
-        chi = x / (x + gamma)
-        gain_sq = x / (x + gamma) ** 2
+        # E[chi] = E[|g|^2] = E|s|^2, 1 by the alphabet's construction: the
+        # float mean of |s|^2 is a round-off off it for QAM64 and QAM256
+        return FilterStats(1.0, float(np.mean((x - 1.0) ** 2)), 1.0)
+    gamma = 1.0 / filt.snr_in_linear  # wf, whose FilterSpec holds an SNR > 0
+    chi = x / (x + gamma)
+    gain_sq = x / (x + gamma) ** 2
     mean = float(np.mean(chi))
     var = float(np.mean((chi - mean) ** 2))
     return FilterStats(mean, var, float(np.mean(gain_sq)))

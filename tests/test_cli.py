@@ -373,14 +373,49 @@ def test_parse_snr_list_and_dedup_warning():
         parse_config(config_text(snr_in_db=True))
 
 
+def test_doppler_span_bound_admits_only_measurable_grids(tmp_path):
+    # K_a T^2 M^2, the reference target's azimuth chirp in Doppler bins:
+    # just above 1.2 every run grid of 4 to 8 symbols measures a -3 dB
+    # azimuth width, the target on a bin or half-way between two
+    config = tmp_path / "scenario.json"
+    for m in (4, 5, 6, 7, 8):
+        for bins in (m // 2, m // 2 + 0.5):
+            doc = mutated(("radar", "fc_hz"), 3.5e9 * 16 * 1.2 * (1 + 1e-9)
+                          / m ** 2)  # K_a T^2 = 1/16 at 3.5 GHz
+            doc["radar"]["aperture_time_s"] = m * T_SYM
+            doc["scene"]["targets"][0]["y"] = bins * SPEED * T_SYM
+            doc.update(snr_in_db=20.0, trials=2,
+                       outputs={"images": [], "grids": []})
+            config.write_text(json.dumps(doc))
+            assert main(["--config", str(config), "--out-dir",
+                         str(tmp_path / f"{m}-{bins}")]) == 0, (m, bins)
+            # just below it the grid is rejected before any draw
+            doc["radar"]["fc_hz"] *= (1 - 1e-8)
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(doc))
+            assert err.value.path == "$.radar.aperture_time_s"
+            assert " is under 1.2: " in str(err.value)
+    # 8 symbols with K_a T^2 = 0.01, the target half-way between two bins:
+    # its profile has no -3 dB crossing, which the ensemble found only
+    # after it ran
+    doc = mutated(("radar", "aperture_time_s"), 8 * T_SYM)
+    doc["radar"]["platform"]["speed_mps"] = 56.262977
+    doc["scene"]["targets"] = [{"x": X_TARGET, "y": 2.559965}]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == "$.radar.aperture_time_s"
+    assert "K_a T^2 M^2 = 0.64 is under 1.2" in str(err.value)
+
+
 def test_parse_pilot_srs_rules():
-    # a quarter of the speed keeps the 4 pilot symbols' azimuth chirp
-    # sampled
+    # half the speed keeps the 4 pilot symbols' azimuth chirp sampled, over
+    # 4 Doppler bins (a quarter of it spans 1, too few to measure a -3 dB
+    # width on)
     srs = SRS
     doc = copy.deepcopy(BASE)
     del doc["azimuth_downsample"]
-    doc["radar"]["platform"]["speed_mps"] = SPEED / 4
-    doc["scene"]["targets"][0]["y"] = 2 * SPEED * T_SYM
+    doc["radar"]["platform"]["speed_mps"] = SPEED / 2
+    doc["scene"]["targets"][0]["y"] = 4 * SPEED * T_SYM
     doc["mode"] = "pilot_only"
     doc["srs"] = srs
     scenario = parse_config(json.dumps(doc))
@@ -1032,13 +1067,13 @@ def test_non_finite_metric_fails_without_metrics_json(tmp_path, monkeypatch,
 
 def test_unmeasurable_point_names_itself_and_makes_no_out_dir(tmp_path,
                                                              capsys):
-    # 8 symbols with K_a T^2 = 0.01 and the target half-way between
-    # azimuth bins 3 and 4: the azimuth profile is too flat for a -3 dB
-    # crossing, which the report finds only after the ensemble ran
-    doc = copy.deepcopy(BASE)
-    doc["radar"]["aperture_time_s"] = 8 * T_SYM
-    doc["radar"]["platform"]["speed_mps"] = 56.262977
-    doc["scene"]["targets"] = [{"x": X_TARGET, "y": 2.559965}]
+    # 4 symbols with K_a T^2 = 0.42 and the target half-way between
+    # azimuth bins 1 and 2: the chirp spans 6.7 Doppler bins, but the
+    # azimuth profile is too flat for a -3 dB crossing, which the report
+    # finds only after the ensemble ran
+    doc = mutated(("radar", "fc_hz"), 3.5e9 * 16 * 0.42)
+    doc["radar"]["aperture_time_s"] = 4 * T_SYM
+    doc["scene"]["targets"][0]["y"] = 1.5 * SPEED * T_SYM
     doc.update(snr_in_db=20.0, filter={"kind": "mf"}, constellation="qpsk")
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc))

@@ -347,6 +347,17 @@ def test_per_trial_reductions_do_not_grow_with_the_points(monkeypatch):
     assert few == many == {"square": 1, "inner": 1}
 
 
+def test_qam256_matched_filter_is_its_own_calibration():
+    # mf's E[chi] is exactly 1, so its calibrated MSE is its MSE, bit for
+    # bit: both read its signal grid's own sum of squares
+    cfg = critical_config(32, 32).with_noise(0.5, snr_in_linear=2.0)
+    scene = single_target_scene(cfg, k_bin=16, m_bin=16)
+    result = run_point_ensemble(scene, cfg, make_qam("qam256"),
+                                FilterSpec("mf"), 3, seed=5)
+    assert result.stats.chi_mean == 1.0
+    assert result.mse_calibrated.tobytes() == result.mse.tobytes()
+
+
 def test_sweep_rejects_points_that_change_the_geometry():
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
@@ -1128,9 +1139,9 @@ def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
     # a pilot-only sweep like the CLI's NR one: QPSK under a comb,
     # phase_ramp RCMC and per_range_bin K_a, rf/mf/wf at 3 SNRs.  Its RCMC
     # multiplier H and its azimuth multiplier A are (N, M) grids; besides
-    # them it holds R and F(channel * act), with a scratch grid of its own
-    # while that is taken, after the channel, which no trial reads, is
-    # dropped; each trial focuses its one noise grid in its unit noise.  It
+    # them it holds R and F(channel * act), after the channel, which no
+    # trial reads, is dropped; each trial focuses its one noise grid in its
+    # unit noise, where trial 0 forms F(channel * act)'s residuals.  It
     # forms no (N, M) weight grid for the range cut: 5.6 grids at the peak
     # (6.6 while it held the channel and a noise grid of its own)
     cfg = critical_config(256, 128, k_ref=64)
@@ -1139,6 +1150,51 @@ def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
                             mask=comb_mask(cfg), rcmc_method="phase_ramp",
                             ka_mode="per_range_bin")
     assert peak <= 5.85, peak
+
+
+def test_comb_sweep_forms_its_residuals_in_its_spent_noise_grid(
+        monkeypatch):
+    # QPSK rf/mf/wf under a comb on 256x128 cells: every point reads
+    # F(channel * act), held as S, and the one mf noise grid, the trial's
+    # own unit noise.  F(channel * act) forms its |S - k R|^2 there once
+    # its noise grid is spent, so no trial allocates a grid, with or
+    # without the random target that rebuilds it every trial
+    cfg = critical_config(256, 128)
+    scene, deterministic = random_target_scene(cfg)
+    points, qpsk, mask = sweep_points(cfg), make_qam("qpsk"), comb_mask(cfg)
+    calls = []
+    real_empty_like = np.empty_like
+
+    def empty_like(*args, **kwargs):
+        calls.append(args)
+        return real_empty_like(*args, **kwargs)
+    monkeypatch.setattr(np, "empty_like", empty_like)
+    for target in (scene, deterministic):
+        for _ in range(2):
+            run_sweep_ensemble(target, points, qpsk, 4, seed=5, mask=mask)
+    monkeypatch.undo()
+    assert calls == []
+
+    # each trial of the deterministic twin makes one sum of squares, |Z|^2
+    # of its noise grid: R's, F(channel * act)'s and F(channel * act)'s
+    # residuals are taken once, at its first trial.  With the random target
+    # every trial takes them all again
+    squares = [0]
+    real_inner = pipeline._inner
+
+    def inner(a, b):
+        squares[0] += a is b
+        return real_inner(a, b)
+    monkeypatch.setattr(pipeline, "_inner", inner)
+
+    def count(target, trials):
+        squares[0] = 0
+        run_sweep_ensemble(target, points, qpsk, trials, seed=5, mask=mask)
+        return squares[0]
+    once = count(deterministic, 1)
+    assert once > 3 and count(scene, 1) == once
+    assert count(deterministic, 4) == once + 3
+    assert count(scene, 4) == 4 * once
 
 
 def test_worker_draws_hold_no_more_than_the_second_pair():

@@ -117,6 +117,17 @@ def test_chi_stats_matched_256():
     assert stats.gain_sq_mean == pytest.approx(1.0, abs=1e-12)
 
 
+def test_chi_stats_matched_mean_is_exactly_one():
+    # E[chi] = E[|g|^2] = E|s|^2 is 1 by construction; the float mean of
+    # |s|^2 reads a round-off off it for QAM64 and QAM256
+    for order in (4, 16, 64, 256):
+        con = make_qam(order)
+        stats = chi_stats(con, FilterSpec("mf"))
+        assert stats.chi_mean == stats.gain_sq_mean == 1.0
+        x = np.abs(con.points) ** 2
+        assert stats.chi_var == np.mean((x - 1.0) ** 2)
+
+
 def test_chi_stats_wiener_frozen_and_monte_carlo():
     con = make_qam("qam256")
     spec = FilterSpec("wf", snr_in_linear=10.0)

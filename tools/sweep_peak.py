@@ -6,16 +6,19 @@ runs the scenario's run_sweep_ensemble call, every (SNR, filter) point at
 the scenario's trials and seed, as the ofdmsar console script does before
 it writes artifacts, and prints its peak in (N, M) complex grids of the
 run grid.  The first run is untraced, so that imports and caches do not
-count.
+count.  The program is imported from the checkout's src, without an
+install or PYTHONPATH.
 """
 
 import sys
 import tracemalloc
 from pathlib import Path
 
-from ofdmsar.cli import _sweep_inputs, parse_config
-from ofdmsar.pipeline import run_sweep_ensemble
-from ofdmsar.waveform import make_qam
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ofdmsar.cli import _sweep_inputs, parse_config  # noqa: E402
+from ofdmsar.pipeline import run_sweep_ensemble  # noqa: E402
+from ofdmsar.waveform import make_qam  # noqa: E402
 
 
 def sweep_peak_grids(scene, points, constellation, trials, seed=5,
