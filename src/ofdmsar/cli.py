@@ -69,16 +69,6 @@ class ConfigError(ConfigurationError):
         self.path = path
 
 
-def _require_keys(obj: dict, path: str, required: tuple, optional: tuple):
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}", "unknown field")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-
-
 def _require_finite(value: float, path: str):
     """json.loads accepts NaN and Infinity; no scenario number may be either."""
     if not math.isfinite(value):
@@ -131,10 +121,17 @@ _TOP = {"radar": dict, "scene": dict, "snr_in_db": (float, list),
 
 
 def _fields(obj, path: str, kinds: dict, required: tuple = ()) -> dict:
-    """The values of a JSON object's keys, checked against its field table."""
+    """The values of a JSON object's keys, checked against its field table:
+    the first unknown key, then the first missing required one, is an
+    error at its path."""
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected object, got {_JSON_NAMES[type(obj)]}")
-    _require_keys(obj, path, required, tuple(kinds))
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{path}.{key}", "missing required field")
     return {key: _typed(obj, path, key, kind)
             for key, kind in kinds.items() if key in obj}
 
@@ -184,7 +181,11 @@ class OutputSelection:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    radar: RadarConfig            # the full (undecimated) signaling grid
+    """A checked scenario.  radar is its run grid, the one the ensembles
+    run on: every pilot symbol in pilot_only mode, else every
+    azimuth_downsample-th data symbol of the sent grid."""
+
+    radar: RadarConfig
     scene: Scene
     filters: tuple[str, ...]
     srs: Optional[SrsConfig]      # set in pilot_only mode only
@@ -194,25 +195,13 @@ class ScenarioConfig:
     constellation: str
     rcmc_method: str
     ka_mode: str
-    azimuth_downsample: int
     outputs: OutputSelection
-
-    @property
-    def mode(self) -> str:
-        return "data_aided" if self.srs is None else "pilot_only"
-
-    @property
-    def run_radar(self) -> RadarConfig:
-        """The grid the ensembles run on: every pilot symbol, or every
-        azimuth_downsample-th data symbol."""
-        step = self.srs.period_symbols if self.srs else self.azimuth_downsample
-        return self.radar.decimated(step)
 
     @property
     def azimuth_sampling(self) -> float:
         """beta = K_a T^2 M of the run grid at the reference target (the
         first deterministic one): 1 at critical azimuth sampling."""
-        cfg = self.run_radar
+        cfg = self.radar
         ref = self.scene.reference_target()
         k_a = cfg.azimuth_rate_at(ref.mean_range_m(cfg.platform))
         return k_a * cfg.total_symbol_s ** 2 * cfg.n_symbols
@@ -225,60 +214,68 @@ _SAFE_RANGE = (np.finfo(float).tiny * _HEADROOM,
                np.finfo(float).max / _HEADROOM)
 
 
-def _snr_point(snr_db: float, scenario: ScenarioConfig,
-               path: str) -> tuple[float, float]:
-    """(linear SNR, noise variance) of one sweep SNR of the scenario.
+def _sweep_points(scenario: ScenarioConfig,
+                  paths: Optional[list] = None) -> tuple[list, list]:
+    """The scenario's (snr_db, filter) labels and its run_sweep_ensemble
+    points, one (cfg, FilterSpec) per label, each SNR checked at its path
+    (paths[i] for snr_db[i], "$.snr_in_db" by default).
 
-    Both must be finite and > 0.  So must, for every selected filter, the
-    magnitudes predicted from the spectrum moments (chi_stats) for the
-    run grid of N*M cells: past them the images and metrics of the
-    ensemble underflow or overflow float64 (see _SAFE_RANGE)."""
-    _require_finite(snr_db, path)
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        snr = math.inf
+    An SNR's linear value and noise variance must be finite and > 0.  So
+    must, at each of its points, the magnitudes predicted from the
+    filter's spectrum moments (chi_stats) for the run grid of N*M cells:
+    past them the images and metrics of the ensemble underflow or
+    overflow float64 (see _SAFE_RANGE)."""
     constellation = make_qam(scenario.constellation)
-    noise_var = constellation.mean_power / snr if snr > 0 else math.inf
-    if not (0 < snr < math.inf and 0 < noise_var < math.inf):
-        raise ConfigError(path, f"{snr_db} dB gives linear snr {snr} and "
-                                f"noise variance {noise_var}; both must be "
-                                f"finite and > 0")
-    cfg = scenario.run_radar
-    cells = cfg.n_subcarriers * cfg.n_symbols
+    cells = scenario.radar.n_subcarriers * scenario.radar.n_symbols
     low, high = _SAFE_RANGE
-    for kind in scenario.filters:
-        with np.errstate(all="ignore"):
-            stats = chi_stats(constellation,
-                              FilterSpec(kind, snr_in_linear=snr))
-            signal = np.float64(stats.chi_mean) ** 2    # per cell
-            noise = noise_var * np.float64(stats.gain_sq_mean)
-            peak = cells * signal
-            energy = scenario.trials * cells * (peak + noise)
-            predicted = {"E[chi]": stats.chi_mean,
-                         "E[|g|^2]": stats.gain_sq_mean,
-                         "signal power per cell": signal,
-                         "noise power per cell": noise,
-                         "peak power": peak,
-                         "output snr": peak / noise,
-                         "noise-to-signal ratio": noise / signal,
-                         "ensemble energy": energy,
-                         "calibrated ensemble energy": energy / signal}
-        for name, value in predicted.items():
-            if not low < value < high:
-                raise ConfigError(
-                    path, f"{snr_db} dB puts the {kind} filter's {name} at "
-                          f"{value:.3g}, outside ({low:.3g}, {high:.3g})")
-    return snr, noise_var
+    labels, points = [], []
+    for snr_db, path in zip(scenario.snr_db,
+                            paths or ["$.snr_in_db"] * len(scenario.snr_db)):
+        _require_finite(snr_db, path)
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        noise_var = constellation.mean_power / snr if snr > 0 else math.inf
+        if not (0 < snr < math.inf and 0 < noise_var < math.inf):
+            raise ConfigError(path, f"{snr_db} dB gives linear snr {snr} and "
+                                    f"noise variance {noise_var}; both must "
+                                    f"be finite and > 0")
+        cfg = scenario.radar.with_noise(noise_var, snr_in_linear=snr)
+        for kind in scenario.filters:
+            spec = FilterSpec(kind, snr_in_linear=snr)
+            with np.errstate(all="ignore"):
+                stats = chi_stats(constellation, spec)
+                signal = np.float64(stats.chi_mean) ** 2    # per cell
+                noise = noise_var * np.float64(stats.gain_sq_mean)
+                peak = cells * signal
+                energy = scenario.trials * cells * (peak + noise)
+                predicted = {"E[chi]": stats.chi_mean,
+                             "E[|g|^2]": stats.gain_sq_mean,
+                             "signal power per cell": signal,
+                             "noise power per cell": noise,
+                             "peak power": peak,
+                             "output snr": peak / noise,
+                             "noise-to-signal ratio": noise / signal,
+                             "ensemble energy": energy,
+                             "calibrated ensemble energy": energy / signal}
+            for name, value in predicted.items():
+                if not low < value < high:
+                    raise ConfigError(
+                        path, f"{snr_db} dB puts the {kind} filter's {name} "
+                              f"at {value:.3g}, outside ({low:.3g}, "
+                              f"{high:.3g})")
+            labels.append((snr_db, kind))
+            points.append((cfg, spec))
+    return labels, points
 
 
 def _with_snrs(scenario: ScenarioConfig, snr_db: list,
                paths: list) -> ScenarioConfig:
-    """The scenario sweeping snr_db, each value checked (_snr_point) at its
-    path; repeated values are dropped with a warning at the first
-    repeat's path."""
-    for x, path in zip(snr_db, paths):
-        _snr_point(x, scenario, path)
+    """The scenario sweeping snr_db, each value's points checked
+    (_sweep_points) at its path; repeated values are dropped with a
+    warning at the first repeat's path."""
+    _sweep_points(replace(scenario, snr_db=tuple(snr_db)), paths)
     unique = tuple(dict.fromkeys(snr_db))
     if len(unique) != len(snr_db):
         first = next(i for i, x in enumerate(snr_db) if x in snr_db[:i])
@@ -340,12 +337,9 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}")
     top = _fields(root, "$", _TOP, ("radar", "scene", "snr_in_db"))
-    radar = _fields(top["radar"], "$.radar", _RADAR,
-                    ("fc_hz", "bandwidth_hz", "subcarrier_spacing_hz",
-                     "cp_duration_s", "aperture_time_s", "n_subcarriers",
-                     "platform"))
+    radar = _fields(top["radar"], "$.radar", _RADAR, tuple(_RADAR))
     platform = _fields(radar["platform"], "$.radar.platform", _PLATFORM,
-                       ("height_m", "speed_mps"))
+                       tuple(_PLATFORM))
     with _at("$.radar.platform"):
         radar["platform"] = PlatformGeometry(**platform)
     with _at("$.radar"):
@@ -377,24 +371,27 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     kind = _choice(_fields(top.get("filter", {"kind": "all"}), "$.filter",
                            _FILTER, ("kind",)),
                    "$.filter", "kind", _FILTER_CHOICES, None)
-    scenario = ScenarioConfig(
-        radar=radar, scene=scene, srs=srs, snr_db=(),
-        filters=_filters(kind),
-        trials=_at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials"),
-        seed=_at_least(0, top.get("seed", 0), "$.seed"),
-        constellation=_choice(top, "$", "constellation", _QAM_NAMES,
-                              "qpsk" if pilot else "qam256"),
-        rcmc_method=_choice(_fields(top.get("rcmc", {}), "$.rcmc", _RCMC),
-                            "$.rcmc", "method", RCMC_METHODS, "windowed_sinc"),
-        ka_mode=_choice(top, "$", "ka_mode", KA_MODES, "reference"),
-        azimuth_downsample=top.get("azimuth_downsample",
-                                   1 if pilot else DEFAULT_DATA_DOWNSAMPLE),
-        outputs=_parse_outputs(top.get("outputs", {}), "$.outputs"))
-
-    # the run grid, and the reference target the ensembles focus on
+    # the run grid is decimated last, so that the fields before it report
+    # their own errors first (ConfigErrors, which _at passes on)
     decimation = "$.srs" if pilot else "$.azimuth_downsample"
     with _at(decimation):
-        run_radar = scenario.run_radar
+        scenario = ScenarioConfig(
+            scene=scene, srs=srs, snr_db=(), filters=_filters(kind),
+            trials=_at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials"),
+            seed=_at_least(0, top.get("seed", 0), "$.seed"),
+            constellation=_choice(top, "$", "constellation", _QAM_NAMES,
+                                  "qpsk" if pilot else "qam256"),
+            rcmc_method=_choice(_fields(top.get("rcmc", {}), "$.rcmc", _RCMC),
+                                "$.rcmc", "method", RCMC_METHODS,
+                                "windowed_sinc"),
+            ka_mode=_choice(top, "$", "ka_mode", KA_MODES, "reference"),
+            outputs=_parse_outputs(top.get("outputs", {}), "$.outputs"),
+            radar=radar.decimated(srs.period_symbols if pilot else top.get(
+                "azimuth_downsample", DEFAULT_DATA_DOWNSAMPLE)))
+
+    # the sent and run grids, and the reference target the ensembles
+    # focus on
+    run_radar = scenario.radar
     for cfg, path in ((radar, "$.radar"), (run_radar, decimation)):
         shape = (cfg.n_subcarriers, cfg.n_symbols)
         if min(shape) < MIN_PROFILE_BINS:
@@ -539,30 +536,20 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
             return
 
 
-def _sweep_inputs(scenario: ScenarioConfig) -> tuple[list, list,
-                                                    Optional[np.ndarray]]:
-    """The scenario's (snr_db, filter) labels, its run_sweep_ensemble
-    points, one per label, and its pilot comb mask (None without one)."""
-    cfg_run = scenario.run_radar
-    mask = pilot_comb_mask(cfg_run, scenario.srs) if scenario.srs else None
-    labels = []
-    sweep = []
-    for snr_db in scenario.snr_db:
-        snr, noise_var = _snr_point(snr_db, scenario, "$.snr_in_db")
-        cfg = replace(cfg_run, snr_in_linear=snr, noise_var=noise_var)
-        for kind in scenario.filters:
-            labels.append((snr_db, kind))
-            sweep.append((cfg, FilterSpec(kind=kind, snr_in_linear=snr)))
-    return labels, sweep, mask
-
-
 def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     """Execute every (snr, filter) point and write all artifacts."""
     constellation = make_qam(scenario.constellation)
-    labels, sweep, mask = _sweep_inputs(scenario)
-    results = run_sweep_ensemble(
-        scenario.scene, sweep, constellation, scenario.trials, scenario.seed,
-        mask=mask, rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)
+    labels, sweep = _sweep_points(scenario)
+    mask = (pilot_comb_mask(scenario.radar, scenario.srs) if scenario.srs
+            else None)
+    try:
+        results = run_sweep_ensemble(
+            scenario.scene, sweep, constellation, scenario.trials,
+            scenario.seed, mask=mask, rcmc_method=scenario.rcmc_method,
+            ka_mode=scenario.ka_mode)
+    except MeasurementError as exc:  # raised before any draw
+        raise ConfigError("$.scene", f"the noiseless image cannot be "
+                                      f"measured: {exc}") from None
 
     points = []
     sweep_rows = []
@@ -640,7 +627,7 @@ def main(argv: Optional[list] = None) -> int:
         except MemoryError:
             what = "the scenario"
             if scenario is not None:
-                cfg = scenario.run_radar
+                cfg = scenario.radar
                 what = f"the {cfg.n_subcarriers}x{cfg.n_symbols} run grid"
             raise CapacityError(f"{what} does not fit in memory") from None
     except (OfdmSarError, OSError) as exc:

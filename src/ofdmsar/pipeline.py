@@ -333,7 +333,13 @@ def run_sweep_ensemble(scene: Scene,
 
     The point configs may differ only in noise_var and snr_in_linear; each
     result equals run_point_ensemble on its point alone, whichever thread
-    draws the trials."""
+    draws the trials.  For a scene without random targets, where some
+    point reads F(channel * act) (rf, or any filter of a constant-modulus
+    alphabet), that image is built before the draws, and it is the
+    noiseless image of each such point up to a constant factor: if
+    point_target_report could not measure its range or azimuth -3 dB
+    width, the sweep raises that MeasurementError there, before any draw
+    buffer exists."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     cfg0 = points[0][0] if points else None
@@ -517,6 +523,12 @@ def run_sweep_ensemble(scene: Scene,
                if any(t.amplitude_mode == "random" for t in scene.targets)
                else None)
     fixed = truth() if rcs_rng is None else None
+    if fixed is not None and None in groups:
+        # F(channel * act), whose multiples are the noiseless images of the
+        # points that read it: one the report cannot measure fails here
+        act_taken = fixed[3]
+        _mainlobe_widths(np.abs(act_taken.col), np.abs(act_taken.rows[hw]),
+                         (k_q, m_q))
     # Parseval's factor from range-Doppler sums of squares to the image's
     ratio = n / m
 
@@ -679,6 +691,20 @@ def run_pilot_ensemble(scene: Scene, cfg_full: RadarConfig, srs: SrsConfig,
                               trials, seed, mask=comb, rcmc_method=rcmc_method, ka_mode=ka_mode)
 
 
+def _mainlobe_widths(range_cut: np.ndarray, azimuth_cut: np.ndarray,
+                     peak_bin: tuple[int, int]) -> list[float]:
+    """The -3 dB widths, in bins, of a noiseless image's range and azimuth
+    magnitude cuts through peak_bin; a failure names its axis."""
+    widths = []
+    for axis, cut, peak in zip(("range", "azimuth"), (range_cut, azimuth_cut),
+                               peak_bin):
+        try:
+            widths.append(measure_mainlobe_width(cut, peak_bin=peak))
+        except MeasurementError as exc:
+            raise MeasurementError(f"{exc} on the {axis} axis") from None
+    return widths
+
+
 def point_target_report(result: EnsembleResult) -> MetricsReport:
     """Assemble the standard quality report from ensemble reductions.
 
@@ -694,7 +720,8 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
     reference the decomposition is exact up to the ensemble's noise at
     the peak, so the residual stays small wherever the target focuses.  A
     peak within MAINLOBE_HALFWIDTH_BINS of an image edge has no mainlobe
-    inside the image and is a MeasurementError.
+    inside the image and is a MeasurementError, and so is a noiseless cut
+    whose -3 dB width cannot be measured, which names its axis.
     """
     cfg = result.cfg
     rho_r, rho_a = theoretical_resolutions(cfg, result.r_bar_ref_m)
@@ -705,10 +732,9 @@ def point_target_report(result: EnsembleResult) -> MetricsReport:
         raise MeasurementError(
             f"mainlobe region around {result.peak_bin} with halfwidth {hw} "
             f"exceeds the {shape} image")
-    width_r = measure_mainlobe_width(np.sqrt(result.noiseless_range_power),
-                                     peak_bin=k_q)
-    width_a = measure_mainlobe_width(np.sqrt(result.noiseless_azimuth_power),
-                                     peak_bin=m_q)
+    width_r, width_a = _mainlobe_widths(
+        np.sqrt(result.noiseless_range_power),
+        np.sqrt(result.noiseless_azimuth_power), result.peak_bin)
     sigma_alpha = abs(result.alpha_ref) ** 2
     noise_var = cfg.noise_var
 

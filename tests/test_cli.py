@@ -124,18 +124,18 @@ def test_parse_defaults():
     doc["scene"]["targets"][0]["y"] = 3 * SPEED * T_SYM
     scenario = parse_config(json.dumps(doc))
     assert scenario.filters == ("rf", "mf", "wf")
-    assert scenario.mode == "data_aided"
+    assert scenario.srs is None  # data_aided
     assert scenario.trials == 64
     assert scenario.seed == 0
     assert scenario.constellation == "qam256"
     assert scenario.rcmc_method == "windowed_sinc"
     assert scenario.ka_mode == "reference"
-    assert scenario.azimuth_downsample == 10
+    assert scenario.radar.decimation == 10  # the run grid
     assert scenario.outputs.images == ("ac",)
     assert scenario.outputs.grids == ()
     assert scenario.outputs.db_floor == DEFAULT_DB_FLOOR
     assert scenario.snr_db == (5.0,)
-    assert scenario.radar.n_symbols == 64
+    assert scenario.radar.n_symbols == 6  # of 64 sent
     assert scenario.scene.q == 1
 
 
@@ -419,8 +419,10 @@ def test_parse_pilot_srs_rules():
     doc["mode"] = "pilot_only"
     doc["srs"] = srs
     scenario = parse_config(json.dumps(doc))
-    assert scenario.mode == "pilot_only"
+    assert scenario.srs == SrsConfig(**srs)  # pilot_only
     assert scenario.srs.period_symbols == 4
+    assert scenario.radar.decimation == 4  # the run grid keeps every pilot
+    assert scenario.radar.n_symbols == 4
     assert scenario.constellation == "qpsk"
     # srs is mandatory in pilot mode
     with pytest.raises(ConfigError) as err:
@@ -664,11 +666,9 @@ def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
     scenario = cli.ScenarioConfig(
         radar=cfg, scene=scene, filters=("wf",), srs=None, snr_db=(10.0,),
         trials=1, seed=5, constellation="qam16", rcmc_method="windowed_sinc",
-        ka_mode="per_range_bin", azimuth_downsample=1,
+        ka_mode="per_range_bin",
         outputs=cli.OutputSelection(images=stages, grids=stages))
-    snr, noise_var = cli._snr_point(10.0, scenario, "$.snr_in_db")
-    spec = FilterSpec("wf", snr_in_linear=snr)
-    cfg_n = cfg.with_noise(noise_var, snr_in_linear=snr)
+    (cfg_n, spec), = cli._sweep_points(scenario)[1]
     qam = make_qam("qam16")
     result = pipeline.run_point_ensemble(scene, cfg_n, qam, spec, trials=1,
                                          seed=5, ka_mode="per_range_bin")
@@ -1067,14 +1067,16 @@ def test_non_finite_metric_fails_without_metrics_json(tmp_path, monkeypatch,
 
 def test_unmeasurable_point_names_itself_and_makes_no_out_dir(tmp_path,
                                                              capsys):
-    # 4 symbols with K_a T^2 = 0.42 and the target half-way between
-    # azimuth bins 1 and 2: the chirp spans 6.7 Doppler bins, but the
-    # azimuth profile is too flat for a -3 dB crossing, which the report
-    # finds only after the ensemble ran
+    # 5 symbols with K_a T^2 = 0.42 and the target half-way between
+    # azimuth bins 3 and 4: the chirp spans 10.5 Doppler bins, but QAM256
+    # mf's azimuth profile, with its data pedestal, is too flat for a -3 dB
+    # crossing, which the report finds only after the ensemble ran (the
+    # scene's noiseless image F(channel), checked before the draws, has one)
     doc = mutated(("radar", "fc_hz"), 3.5e9 * 16 * 0.42)
-    doc["radar"]["aperture_time_s"] = 4 * T_SYM
-    doc["scene"]["targets"][0]["y"] = 1.5 * SPEED * T_SYM
-    doc.update(snr_in_db=20.0, filter={"kind": "mf"}, constellation="qpsk")
+    doc["radar"]["aperture_time_s"] = 5 * T_SYM
+    doc["scene"]["targets"][0]["y"] = 3.5 * SPEED * T_SYM
+    doc.update(snr_in_db=20.0, filter={"kind": "mf"}, constellation="qam256",
+               trials=2, seed=0)
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
@@ -1082,6 +1084,76 @@ def test_unmeasurable_point_names_itself_and_makes_no_out_dir(tmp_path,
     err = capsys.readouterr().err
     assert "error: sweep point (20.0 dB, mf): no -3 dB crossing" in err
     assert not out_dir.exists()
+
+
+# (M, azimuth bin, K_a T^2) of one grid from each family whose QPSK
+# noiseless image has no -3 dB azimuth crossing, though the parser's
+# chirp bounds admit it
+UNMEASURABLE_SCENES = ((4, 1.5, 0.42), (5, 3.5, 0.33), (6, 4.5, 0.04),
+                       (7, 4.5, 0.39))
+
+
+@pytest.mark.parametrize("m, azimuth_bin, ka_t2", UNMEASURABLE_SCENES)
+def test_unmeasurable_scene_is_rejected_before_any_draw(
+        tmp_path, monkeypatch, capsys, m, azimuth_bin, ka_t2):
+    # every QPSK point's noiseless image is a multiple of the scene's
+    # F(channel), built before the draws: where that has no -3 dB
+    # crossing the sweep stops before it draws a symbol, at $.scene and
+    # with the axis named, and makes no --out-dir
+    drawn = []
+    real = pipeline.gen_symbol_indices
+    monkeypatch.setattr(pipeline, "gen_symbol_indices",
+                        lambda *args, **kwargs: drawn.append(args)
+                        or real(*args, **kwargs))
+    doc = mutated(("radar", "fc_hz"), 3.5e9 * 16 * ka_t2)
+    doc["radar"]["aperture_time_s"] = m * T_SYM
+    doc["scene"]["targets"][0]["y"] = azimuth_bin * SPEED * T_SYM
+    doc.update(snr_in_db=[-10.0, 20.0], filter={"kind": "all"},
+               constellation="qpsk", trials=2, seed=0)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: $.scene: the noiseless image cannot be measured: "
+                   "no -3 dB crossing found (profile too flat) on the "
+                   "azimuth axis\n")
+    assert not out_dir.exists()
+    assert drawn == []
+
+
+@pytest.mark.parametrize("override", [[], ["--filter", "all"]])
+def test_the_checked_sweep_points_are_the_points_that_run(
+        tmp_path, monkeypatch, override):
+    # one builder makes the sweep's points and checks them: the FilterSpecs
+    # whose spectrum moments the float-range check reads, at parse time,
+    # after a --filter override and again in run_scenario, are the ones
+    # the sweep runs
+    checked, parsed, ran = [], [], []
+    real_stats, real_parse = cli.chi_stats, cli.parse_config
+    real_sweep = cli.run_sweep_ensemble
+    monkeypatch.setattr(cli, "chi_stats", lambda constellation, spec:
+                        checked.append(spec)
+                        or real_stats(constellation, spec))
+
+    def parse(*args, **kwargs):
+        scenario = real_parse(*args, **kwargs)
+        parsed.extend(checked)
+        checked.clear()
+        return scenario
+
+    def sweep(scene, points, *args, **kwargs):
+        ran.extend(spec for _, spec in points)
+        return real_sweep(scene, points, *args, **kwargs)
+    monkeypatch.setattr(cli, "parse_config", parse)
+    monkeypatch.setattr(cli, "run_sweep_ensemble", sweep)
+    config = tmp_path / "scenario.json"
+    config.write_text(config_text(snr_in_db=[0.0, 20.0], trials=1))
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "out")]
+                + override) == 0
+    assert len(ran) == (6 if override else 2)
+    assert parsed == [spec for spec in ran if spec.kind == "rf"]
+    assert checked == ran * (2 if override else 1)
 
 
 def test_main_rejects_target_beyond_cyclic_prefix(tmp_path, capsys):

@@ -12,7 +12,7 @@ from scenes import (amplitude_trials, critical_config, index_trials,
                     noise_trials, raw_indices, raw_unit_noise,
                     single_target_scene, symbol_trials, target_at_bins)
 from ofdmsar import pipeline
-from ofdmsar.cli import (OutputSelection, ScenarioConfig, _snr_point,
+from ofdmsar.cli import (OutputSelection, ScenarioConfig, _sweep_points,
                          run_scenario)
 from ofdmsar.echo import build_channel_matrix, grid_to_bytes
 from ofdmsar.errors import InvalidParameterError, MeasurementError
@@ -708,18 +708,18 @@ def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
         radar=cfg, scene=scene, filters=(kind,),
         srs=COMB if masked else None, snr_db=(5.0, 20.0), trials=3, seed=5,
         constellation="qam16", rcmc_method="windowed_sinc",
-        ka_mode="reference", azimuth_downsample=1,
+        ka_mode="reference",
         outputs=OutputSelection(images=(), grids=("tf",)))
     out = run_scenario(scenario, tmp_path)
 
-    snr, noise_var = _snr_point(5.0, scenario, "$.snr_in_db")
+    (cfg_5db, spec), *_ = _sweep_points(scenario)[1]
     symbols = symbol_trials(cfg, make_qam("qam16"), 5, 3,
                             comb_mask(cfg) if masked else None)[0]
     unit = noise_trials(cfg, 5, 3, unit=True)[0]
     amps = amplitude_trials(scene, 5, 3)[0]
     echo = (build_channel_matrix(scene, cfg, amps) * symbols
-            + np.sqrt(noise_var / 2.0) * unit)
-    tf = apply_tf_filter(echo, symbols, FilterSpec(kind, snr_in_linear=snr))
+            + np.sqrt(cfg_5db.noise_var / 2.0) * unit)
+    tf = apply_tf_filter(echo, symbols, spec)
     assert (out / "grid_tf.bin").read_bytes() == grid_to_bytes(tf, "tf")
 
 

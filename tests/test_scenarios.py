@@ -64,7 +64,7 @@ def test_nr_pair_puts_the_target_on_a_bin_of_both_grids():
             ("nr_pilot_only", (150, 84), (1024, 171), 0.67),
             ("nr_data_aided", (150, 56), (1024, 114), 1.00)):
         scenario = parse_config(json.dumps(docs[name]))
-        cfg = scenario.run_radar
+        cfg = scenario.radar
         target = scenario.scene.targets[0]
         position = (target.mean_range_m(cfg.platform) / cfg.range_pitch_m,
                     target.y_m / (cfg.platform.speed_mps * cfg.total_symbol_s))

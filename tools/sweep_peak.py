@@ -16,8 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ofdmsar.cli import _sweep_inputs, parse_config  # noqa: E402
-from ofdmsar.pipeline import run_sweep_ensemble  # noqa: E402
+from ofdmsar.cli import _sweep_points, parse_config  # noqa: E402
+from ofdmsar.pipeline import pilot_comb_mask, run_sweep_ensemble  # noqa: E402
 from ofdmsar.waveform import make_qam  # noqa: E402
 
 
@@ -40,8 +40,9 @@ def sweep_peak_grids(scene, points, constellation, trials, seed=5,
 def main(argv: list[str]) -> None:
     path = Path(argv[0])
     scenario = parse_config(path.read_text(), config_dir=path.parent)
-    _, points, mask = _sweep_inputs(scenario)
-    cfg = points[0][0]
+    _, points = _sweep_points(scenario)
+    cfg = scenario.radar
+    mask = pilot_comb_mask(cfg, scenario.srs) if scenario.srs else None
     peak = sweep_peak_grids(
         scenario.scene, points, make_qam(scenario.constellation),
         scenario.trials, scenario.seed, mask=mask,
