@@ -29,8 +29,7 @@ from .metrics import (MetricsReport, analytic_point_metrics, doppler_support,
                       snr_out, theoretical_resolutions)
 from .oracle import ls_reconstruct, rd_vs_ls_compare
 from .pipeline import (EnsembleResult, pilot_comb_mask, point_target_report,
-                       run_pilot_ensemble, run_point_ensemble,
-                       run_sweep_ensemble)
+                       run_point_ensemble, run_sweep_ensemble)
 from .pgm import parse_pgm, write_pgm
 
 __version__ = "0.1.0"
@@ -55,7 +54,7 @@ __all__ = [
     "snr_out", "theoretical_resolutions",
     "ls_reconstruct", "rd_vs_ls_compare",
     "EnsembleResult", "pilot_comb_mask", "point_target_report",
-    "run_pilot_ensemble", "run_point_ensemble", "run_sweep_ensemble",
+    "run_point_ensemble", "run_sweep_ensemble",
     "parse_pgm", "write_pgm",
     "__version__",
 ]

@@ -13,13 +13,16 @@ Running it produces, in the output directory:
   profile_azimuth.csv   peak azimuth cut of the same image
   nmse_sweep.csv        snr_db, filter, nmse, nmse_calibrated per point
 
-Stage images and grid dumps render the first sweep point's trial 0,
-drawn again on the scenario's seed.  It is built in one grid with the
-bits of the library's single-trial chain (gen_symbol_grid,
-synthesize_echo, apply_tf_filter), which equal the ensemble's trial 0,
-and the stages run in place in that grid; profiles and metrics come from
-the full ensembles.  So the images and the metrics describe the same
-realizations.  Outputs are a deterministic function of (config, seed).
+Profiles and metrics come from the sweep's ensembles, one
+run_sweep_ensemble call.  Stage images and grid dumps render the first
+sweep point's trial 0, drawn again on the scenario's seed by
+pipeline.filtered_trial_zero, which builds it in one grid with the bits
+of the library's single-trial chain (gen_symbol_grid, synthesize_echo,
+apply_tf_filter), equal to the ensemble's trial 0; the stages run in
+place in that grid.  So the images and the metrics describe the same
+realizations.  The CLI draws nothing and lays no pilot comb itself: both
+calls take the scenario's SrsConfig.  Outputs are a deterministic
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -36,23 +39,21 @@ from typing import Optional
 
 import numpy as np
 
-from .echo import (STAGE_CODES, build_channel_matrix, check_cp_margin,
-                   draw_noise, grid_to_bytes)
+from .echo import STAGE_CODES, check_cp_margin, grid_to_bytes
 from .errors import (CapacityError, ConfigurationError, MeasurementError,
                      OfdmSarError)
 from .geometry import PlatformGeometry
 from .pgm import write_pgm
 from .metrics import MIN_PROFILE_BINS, target_bin
 from .pipeline import (MAINLOBE_HALFWIDTH_BINS, MAX_DOPPLER_STEP,
-                       EnsembleResult, pilot_comb_mask, point_target_report,
-                       run_sweep_ensemble)
+                       EnsembleResult, filtered_trial_zero,
+                       point_target_report, run_sweep_ensemble)
 from .rd_imaging import (KA_MODES, RCMC_METHODS, azimuth_compress,
                          azimuth_fft, range_compress, rcmc)
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
-from .tf_filter import FILTER_KINDS, FilterSpec, filter_gains
-from .waveform import (RCS_STREAM, Constellation, RadarConfig, SrsConfig,
-                       chi_stats, gen_symbol_indices, make_qam, _gather,
-                       _philox, _QAM_NAMES)
+from .tf_filter import FILTER_KINDS, FilterSpec
+from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
+                       make_qam, _QAM_NAMES)
 
 DEFAULT_DB_FLOOR = -40.0
 DEFAULT_TRIALS = 64
@@ -371,13 +372,17 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     kind = _choice(_fields(top.get("filter", {"kind": "all"}), "$.filter",
                            _FILTER, ("kind",)),
                    "$.filter", "kind", _FILTER_CHOICES, None)
+    trials = _at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials")
+    if 16 * trials > np.iinfo(np.intp).max:  # a point's per-trial peaks
+        raise ConfigError("$.trials", f"{trials} trials of complex128 peaks "
+                          "exceed the largest array numpy can address")
     # the run grid is decimated last, so that the fields before it report
     # their own errors first (ConfigErrors, which _at passes on)
     decimation = "$.srs" if pilot else "$.azimuth_downsample"
     with _at(decimation):
         scenario = ScenarioConfig(
             scene=scene, srs=srs, snr_db=(), filters=_filters(kind),
-            trials=_at_least(1, top.get("trials", DEFAULT_TRIALS), "$.trials"),
+            trials=trials,
             seed=_at_least(0, top.get("seed", 0), "$.seed"),
             constellation=_choice(top, "$", "constellation", _QAM_NAMES,
                                   "qpsk" if pilot else "qam256"),
@@ -475,37 +480,12 @@ def _profile_csv(values: np.ndarray, positions: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
-def _filtered_trial_zero(scenario: ScenarioConfig, cfg: RadarConfig,
-                         spec: FilterSpec, constellation: Constellation,
-                         mask: Optional[np.ndarray]) -> np.ndarray:
-    """Trial 0 of the scenario's ensemble after the filter, bit for bit
-    apply_tf_filter(synthesize_echo(scene, cfg, symbols, seed), symbols,
-    spec) with symbols = gen_symbol_grid(cfg, constellation, seed, mask),
-    in the same operand order, but built in one grid: the channel is built
-    before any other grid exists, and one scratch grid then takes the
-    symbols, the scaled noise and the gains in turn.  The gains are
-    gathered from filter_gains over constellation.table, which equals
-    filter_gains on the symbol grid bit for bit."""
-    seed, n, m = scenario.seed, cfg.n_subcarriers, cfg.n_symbols
-    indices = gen_symbol_indices(cfg, constellation, seed, mask=mask)
-    amplitudes = scenario.scene.draw_amplitudes(_philox(seed, RCS_STREAM))
-    grid = build_channel_matrix(scenario.scene, cfg, amplitudes)
-    scratch = _gather(constellation.table, indices,
-                      np.empty((n, m), dtype=complex))
-    grid *= scratch  # channel * symbols
-    noise = draw_noise(cfg, seed, unit=True,
-                       out=scratch.view(float).reshape(n, m, 2))
-    grid += np.multiply(np.sqrt(cfg.noise_var / 2.0), noise, out=noise)
-    _gather(filter_gains(constellation.table, spec), indices, scratch)
-    return np.multiply(scratch, grid, out=grid)  # gains * echo
-
-
 def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
                             constellation: Constellation,
-                            mask: Optional[np.ndarray], out_dir: Path) -> None:
+                            out_dir: Path) -> None:
     """Stage images/grids of the result's trial 0, built again by
-    _filtered_trial_zero and taken through the staged functions in place
-    in its grid, the bits of rd_imaging.focus_stages.  Each stage's
+    pipeline.filtered_trial_zero and taken through the staged functions in
+    place in its grid, the bits of rd_imaging.focus_stages.  Each stage's
     artifacts are written as soon as it exists, before the next stage
     overwrites it; the chain stops at the last requested stage, and
     nothing is drawn when no stage is requested."""
@@ -514,8 +494,8 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
     if not wanted:
         return
     cfg, r_bar = result.cfg, result.r_bar_ref_m
-    grid = _filtered_trial_zero(scenario, cfg, result.filter_spec,
-                                constellation, mask)
+    grid = filtered_trial_zero(scenario.scene, cfg, constellation,
+                               result.filter_spec, scenario.seed, scenario.srs)
     steps = {"rc": lambda x: range_compress(x, cfg, out=x),
              "rd": lambda x: azimuth_fft(x, cfg, out=x),
              "rcmc": lambda x: rcmc(x, cfg, r_bar, scenario.rcmc_method,
@@ -540,12 +520,10 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
     """Execute every (snr, filter) point and write all artifacts."""
     constellation = make_qam(scenario.constellation)
     labels, sweep = _sweep_points(scenario)
-    mask = (pilot_comb_mask(scenario.radar, scenario.srs) if scenario.srs
-            else None)
     try:
         results = run_sweep_ensemble(
             scenario.scene, sweep, constellation, scenario.trials,
-            scenario.seed, mask=mask, rcmc_method=scenario.rcmc_method,
+            scenario.seed, srs=scenario.srs, rcmc_method=scenario.rcmc_method,
             ka_mode=scenario.ka_mode)
     except MeasurementError as exc:  # raised before any draw
         raise ConfigError("$.scene", f"the noiseless image cannot be "
@@ -589,8 +567,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir: Path) -> Path:
         np.arange(first_cfg.n_symbols) * v * first_cfg.total_symbol_s,
         "azimuth_m"))
 
-    _render_stage_artifacts(scenario, first_result, constellation, mask,
-                            out_dir)
+    _render_stage_artifacts(scenario, first_result, constellation, out_dir)
     return out_dir
 
 

@@ -1,9 +1,12 @@
 """Monte-Carlo ensemble runner: symbols -> echo -> filter -> focused image.
 
-run_sweep_ensemble draws every trial: its symbols, its noise and its
-random targets' amplitudes.  The only other draw is the CLI's stage path
-(cli._filtered_trial_zero), which draws trial 0 again from the same
-streams, with the same bits, to render its images.  Over independent
+This module is the one that draws and the one that lays a pilot comb on
+a grid.  run_sweep_ensemble draws every trial: its symbols, its noise and
+its random targets' amplitudes.  The only other draw is
+filtered_trial_zero, the CLI's stage path, which draws trial 0 again from
+the same streams, with the same bits, in one grid, to render its images.
+A pilot comb is passed as its SrsConfig, and both build its mask
+(pilot_comb_mask) on the grid they run.  Over independent
 trials of a scene with a deterministic reference target it returns, per
 (cfg, filter) point of an SNR/filter sweep, the reductions the quality
 metrics need: each trial's peaks and image MSE versus the reference
@@ -156,9 +159,10 @@ gain gathers and the channel build run a row block at a time, so none
 makes a temporary of a whole grid.
 
 Memory, in (N, M) complex grids: the operator's multipliers (H, and A
-where it has a row per range bin), R, the signal buffer and the noise
-buffer where the sweep has them, with a comb F(channel * act) where it
-does not change between trials, the channel where a per-trial signal
+where it has a row per range bin), with an srs its comb (a boolean grid,
+1/16 of a complex one), R, the signal buffer and the noise buffer where
+the sweep has them, with a comb F(channel * act) where it does not
+change between trials, the channel where a per-trial signal
 grid reads it, and one trial's draws (an index grid and, when noisy, a
 unit-noise grid, which holds the last noise grid), or two trials' when
 the worker draws, and with random targets the trial's channel, reference
@@ -167,25 +171,26 @@ its per-trial arrays, and row-block temporaries of at most _BLOCK_BYTES
 (a quarter of that for the index draw, which the worker runs beside
 them).  None of it grows with the points.  The pilot-only NR sweep of
 1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
-5.6 grids under tracemalloc.  It drops its channel once F(channel * act)
-is built, and its trials hold H, A, R, F(channel * act) and the unit
-noise, which holds its one noise grid and then, at the first trial,
-F(channel * act)'s residuals.  At the 40 trials of
-scenarios/nr_pilot_only.json the worker draws, and the sweep peaks at
-6.7 grids.  The data-aided NR
-sweep, QAM16 rf/mf/wf at 11 SNRs on 1024 x 114 cells, 40 trials drawn by
-the worker, reads 25 canonical grids per trial and peaks at 8.95 grids.
-QAM16 rf/mf/wf on 128 x 128 cells, 64 trials drawn by the worker, peaks
-at 8.2 grids at two SNRs, with or without a random target, and at 2
-trials at 6.9 grids at one SNR and 7.3 at six.  One QAM256 mf or wf
+5.66 grids under tracemalloc, its comb included.  It drops its channel
+once F(channel * act) is built, and its trials hold H, A, R,
+F(channel * act) and the unit noise, which holds its one noise grid and
+then, at the first trial, F(channel * act)'s residuals.  At the 40 trials
+of scenarios/nr_pilot_only.json the worker draws, and the sweep peaks at
+6.76 grids.  The data-aided NR sweep, QAM16 rf/mf/wf at 11 SNRs on
+1024 x 114 cells, 40 trials drawn by the worker, reads 25 canonical
+grids per trial and peaks at 8.95 grids.  QAM16 rf/mf/wf on 128 x 128
+cells, 64 trials drawn by the worker, peaks at 8.2 grids at two SNRs,
+with or without a random target, and at 2 trials at 6.9 grids at one SNR
+and 7.3 at six.  One QAM256 mf or wf
 point on 256 x 512 cells, 50 trials drawn by the worker, holds H, R, the
 channel, its signal grid and two trials' draws, and forms wf's
 residuals in the unit noise (mf, whose E[chi] is 1, has none to form):
 6.4 grids, at any SNR.
 
-A mask (the pilot comb) makes the mode "pilot_only", else "data_aided";
-run_pilot_ensemble decimates the grid to the pilot period and masks it
-to the comb, then runs the identical chain.
+An srs (the pilot comb) makes the mode "pilot_only", else "data_aided".
+The points' grid is then the pilot-rate one, the sent grid decimated to
+srs.period_symbols, and the sweep masks it to the comb, which it builds
+once, then runs the identical chain.
 """
 
 from __future__ import annotations
@@ -326,20 +331,22 @@ class _Taken(NamedTuple):
 def run_sweep_ensemble(scene: Scene,
                        points: Sequence[tuple[RadarConfig, FilterSpec]],
                        constellation: Constellation, trials: int, seed: int,
-                       mask: Optional[np.ndarray] = None,
+                       srs: Optional[SrsConfig] = None,
                        rcmc_method: str = "windowed_sinc",
                        ka_mode: str = "reference") -> list[EnsembleResult]:
     """One EnsembleResult per (cfg, filter_spec) point, in order.
 
     The point configs may differ only in noise_var and snr_in_linear; each
     result equals run_point_ensemble on its point alone, whichever thread
-    draws the trials.  For a scene without random targets, where some
-    point reads F(channel * act) (rf, or any filter of a constant-modulus
-    alphabet), that image is built before the draws, and it is the
-    noiseless image of each such point up to a constant factor: if
-    point_target_report could not measure its range or azimuth -3 dB
-    width, the sweep raises that MeasurementError there, before any draw
-    buffer exists."""
+    draws the trials.  With an srs the symbols lie on its pilot comb
+    (pilot_comb_mask on the points' grid, the pilot-rate one) and the mode
+    is "pilot_only", else every cell is active and it is "data_aided".
+    For a scene without random targets, where some point reads
+    F(channel * act) (rf, or any filter of a constant-modulus alphabet),
+    that image is built before the draws, and it is the noiseless image of
+    each such point up to a constant factor: if point_target_report could
+    not measure its range or azimuth -3 dB width, the sweep raises that
+    MeasurementError there, before any draw buffer exists."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     cfg0 = points[0][0] if points else None
@@ -350,6 +357,7 @@ def run_sweep_ensemble(scene: Scene,
         raise InvalidParameterError(
             "a sweep needs at least one point, and its point configs may "
             "differ only in noise_var and snr_in_linear")
+    mask = None if srs is None else pilot_comb_mask(cfg0, srs)
     check_cp_margin(scene, cfg0)
     n, m = cfg0.n_subcarriers, cfg0.n_symbols
     ref = scene.reference_target()
@@ -647,7 +655,7 @@ def run_sweep_ensemble(scene: Scene,
             # before the next trial's
             del channel, reference, act_taken, act_grid
 
-    mode = "data_aided" if mask is None else "pilot_only"
+    mode = "data_aided" if srs is None else "pilot_only"
     return [EnsembleResult(
                 cfg=cfg, filter_spec=spec, stats=stat, mode=mode,
                 trials=trials, r_bar_ref_m=r_bar_ref, peak_bin=(k_q, m_q),
@@ -660,13 +668,13 @@ def run_sweep_ensemble(scene: Scene,
 def run_point_ensemble(scene: Scene, cfg: RadarConfig,
                        constellation: Constellation, filter_spec: FilterSpec,
                        trials: int, seed: int,
-                       mask: Optional[np.ndarray] = None,
+                       srs: Optional[SrsConfig] = None,
                        rcmc_method: str = "windowed_sinc",
                        ka_mode: str = "reference") -> EnsembleResult:
     """Run `trials` independent symbol/noise draws through the full chain:
     the one-point case of run_sweep_ensemble."""
     return run_sweep_ensemble(scene, [(cfg, filter_spec)], constellation,
-                              trials, seed, mask, rcmc_method, ka_mode)[0]
+                              trials, seed, srs, rcmc_method, ka_mode)[0]
 
 
 def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
@@ -679,16 +687,33 @@ def pilot_comb_mask(cfg_decimated: RadarConfig, srs: SrsConfig) -> np.ndarray:
     return comb
 
 
-def run_pilot_ensemble(scene: Scene, cfg_full: RadarConfig, srs: SrsConfig,
-                       constellation: Constellation, filter_spec: FilterSpec,
-                       trials: int, seed: int,
-                       rcmc_method: str = "windowed_sinc",
-                       ka_mode: str = "reference") -> EnsembleResult:
-    """Pilot-only chain: decimated symbol grid restricted to the pilot comb."""
-    cfg_p = cfg_full.decimated(srs.period_symbols)
-    comb = pilot_comb_mask(cfg_p, srs)
-    return run_point_ensemble(scene, cfg_p, constellation, filter_spec,
-                              trials, seed, mask=comb, rcmc_method=rcmc_method, ka_mode=ka_mode)
+def filtered_trial_zero(scene: Scene, cfg: RadarConfig,
+                        constellation: Constellation, spec: FilterSpec,
+                        seed: int, srs: Optional[SrsConfig] = None
+                        ) -> np.ndarray:
+    """Trial 0 of run_sweep_ensemble's draws on the seed after the filter,
+    bit for bit apply_tf_filter(synthesize_echo(scene, cfg, symbols, seed),
+    symbols, spec) with symbols = gen_symbol_grid(cfg, constellation, seed,
+    mask), mask being srs's comb, in the same operand order, but built in
+    one grid: the channel is built before any other grid exists, and one
+    scratch grid then takes the symbols, the scaled noise and the gains in
+    turn.  The gains are gathered from filter_gains over
+    constellation.table, which equals filter_gains on the symbol grid bit
+    for bit."""
+    n, m = cfg.n_subcarriers, cfg.n_symbols
+    indices = gen_symbol_indices(
+        cfg, constellation, seed,
+        mask=None if srs is None else pilot_comb_mask(cfg, srs))
+    amplitudes = scene.draw_amplitudes(_philox(seed, RCS_STREAM))
+    grid = build_channel_matrix(scene, cfg, amplitudes)
+    scratch = _gather(constellation.table, indices,
+                      np.empty((n, m), dtype=complex))
+    grid *= scratch  # channel * symbols
+    noise = draw_noise(cfg, seed, unit=True,
+                       out=scratch.view(float).reshape(n, m, 2))
+    grid += np.multiply(np.sqrt(cfg.noise_var / 2.0), noise, out=noise)
+    _gather(filter_gains(constellation.table, spec), indices, scratch)
+    return np.multiply(scratch, grid, out=grid)  # gains * echo
 
 
 def _mainlobe_widths(range_cut: np.ndarray, azimuth_cut: np.ndarray,

@@ -33,7 +33,7 @@ from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      make_point_scene, make_qam, measure_mainlobe_width,
                      nr_config, pedestal_level, point_target_report,
                      range_compress, rcmc, rd_vs_ls_compare,
-                     run_pilot_ensemble, run_point_ensemble, spa_spectrum,
+                     run_point_ensemble, spa_spectrum,
                      synthesize_echo, theoretical_resolutions)
 from ofdmsar.cli import parse_config, run_scenario
 from ofdmsar.rd_imaging import _doppler_bins
@@ -222,8 +222,9 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
                   extent=(x - 100, x + 100, y - 100, y + 100))
     qpsk = make_qam(4)
 
-    res = run_pilot_ensemble(scene, cfg, srs20, qpsk, FilterSpec(kind="mf"),
-                             trials=1, seed=9)
+    res = run_point_ensemble(scene, cfg.decimated(srs20.period_symbols), qpsk,
+                             FilterSpec(kind="mf"), trials=1, seed=9,
+                             srs=srs20)
     assert res.peak_bin[0] == k_q
 
     # comb spacing 4 aliases range into N/4 = 64-bin replicas ~ 1250 m apart
@@ -258,8 +259,9 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
     # dense pilots (2-slot periodicity): no replica above -20 dB
     srs2 = SrsConfig(periodicity_slots=2, symbols_per_slot=14,
                      comb_spacing=4, n_resource_blocks=4, start_subcarrier=33)
-    res2 = run_pilot_ensemble(scene, cfg, srs2, qpsk, FilterSpec(kind="mf"),
-                              trials=1, seed=9)
+    res2 = run_point_ensemble(scene, cfg.decimated(srs2.period_symbols), qpsk,
+                              FilterSpec(kind="mf"), trials=1, seed=9,
+                              srs=srs2)
     assert res2.peak_bin[0] == k_q
     az2 = res2.noiseless_azimuth_power
     m_p2 = az2.size
@@ -272,8 +274,9 @@ def test_criterion_05_pilot_replicas_and_data_aided_gain():
     # data-aided vs 20-slot pilot-only NMSE at SNR_in = 5 dB
     snr = 10.0 ** 0.5
     cfg_n = cfg.with_noise(1.0 / snr, snr_in_linear=snr)
-    pilot = run_pilot_ensemble(scene, cfg_n, srs20, qpsk,
-                               FilterSpec(kind="mf"), trials=6, seed=5)
+    pilot = run_point_ensemble(scene, cfg_n.decimated(srs20.period_symbols),
+                               qpsk, FilterSpec(kind="mf"), trials=6, seed=5,
+                               srs=srs20)
     data = run_point_ensemble(scene, cfg_n.decimated(212), QAM256,
                               FilterSpec(kind="mf"), trials=6, seed=5)
     ratio = pilot.nmse / data.nmse

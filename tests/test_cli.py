@@ -576,7 +576,8 @@ def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
     # trials are drawn one at a time, on the main thread while a sweep's
     # draws fit the prefetch budget (18 bytes per cell of a noisy QAM256
     # trial: a uint16 index and the complex unit noise), else on a worker
-    # thread one trial ahead; both write the same bytes
+    # thread one trial ahead; both write the same bytes.  The stage path
+    # draws trial 0's noise once more, on the main thread
     stages = ["tf", "rc", "rd", "rcmc", "ac"]
     scenario = parse_config(config_text(
         snr_in_db=[0, 5], filter={"kind": "all"},
@@ -595,7 +596,8 @@ def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
         draws.clear()
         outs.append(run_scenario(scenario, tmp_path / f"main{main_thread}"))
-        assert draws == [(main_thread, (N, M, 2))] * scenario.trials
+        assert draws == ([(main_thread, (N, M, 2))] * scenario.trials
+                         + [(True, (N, M, 2))])
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -682,12 +684,12 @@ def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
             built.append(weakref.ref(grid))
             return grid
         return wrapper
-    for name in ("_filtered_trial_zero", "range_compress", "azimuth_fft",
+    for name in ("filtered_trial_zero", "range_compress", "azimuth_fft",
                  "rcmc", "azimuth_compress"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     tracemalloc.start()
     try:
-        cli._render_stage_artifacts(scenario, result, qam, None, tmp_path)
+        cli._render_stage_artifacts(scenario, result, qam, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -809,6 +811,23 @@ def test_main_overrides(tmp_path):
     rows = (out_dir / "nmse_sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 2  # header + one (10 dB, mf) point
     assert rows[1].startswith("10.0,mf,")
+
+
+def test_trials_past_what_numpy_can_address_fail_at_their_path(tmp_path,
+                                                               capsys):
+    # each point holds its trials' complex128 peaks in arrays of 16 bytes
+    # a trial: past the largest array numpy can address the count is a
+    # config error, not a traceback from the sweep's allocation
+    assert parse_config(config_text(trials=2 ** 58)).trials == 2 ** 58
+    config = tmp_path / "huge.json"
+    out_dir = tmp_path / "artifacts"
+    for trials in (2 ** 59, 10 ** 30):
+        config.write_text(config_text(trials=trials))
+        assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: $.trials: {trials} trials of complex128 "
+                       f"peaks exceed the largest array numpy can address\n")
+        assert not out_dir.exists()
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
@@ -1231,10 +1250,11 @@ def test_pilot_ensemble_checks_the_physical_cyclic_prefix():
     target = doc["scene"]["targets"][0]
     scene = Scene(targets=(PointTarget(x_m=target["x"], y_m=target["y"]),),
                   extent=(0.0, 1e4, 0.0, 1e4))
+    srs = SrsConfig(**doc["srs"])
     with pytest.raises(ConfigurationError, match="cyclic prefix"):
-        pipeline.run_pilot_ensemble(scene, cfg, SrsConfig(**doc["srs"]),
+        pipeline.run_point_ensemble(scene, cfg.decimated(srs.period_symbols),
                                     make_qam("qpsk"), FilterSpec("rf"),
-                                    trials=1, seed=0)
+                                    trials=1, seed=0, srs=srs)
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

@@ -15,7 +15,8 @@ from ofdmsar import pipeline
 from ofdmsar.cli import (OutputSelection, ScenarioConfig, _sweep_points,
                          run_scenario)
 from ofdmsar.echo import build_channel_matrix, grid_to_bytes
-from ofdmsar.errors import InvalidParameterError, MeasurementError
+from ofdmsar.errors import (ConfigurationError, InvalidParameterError,
+                            MeasurementError)
 from ofdmsar.pipeline import (pilot_comb_mask, point_target_report,
                               run_point_ensemble, run_sweep_ensemble)
 from ofdmsar.rd_imaging import FocusingOperator, focus_image
@@ -63,8 +64,9 @@ def random_target_scene(cfg):
             Scene(targets=(ref,), extent=extent))
 
 
-def comb_mask(cfg):
-    return pilot_comb_mask(cfg, COMB)
+def comb_mask(cfg, srs=COMB):
+    """srs's pilot comb on cfg's grid, None without an srs."""
+    return None if srs is None else pilot_comb_mask(cfg, srs)
 
 
 def power_cuts(noisy_power, clean_power, peak_bin):
@@ -103,15 +105,15 @@ def draw_cell_bytes(constellation, noisy):
 def test_sweep_equals_single_point_runs(masked):
     cfg = critical_config(16, 16, k_ref=8)
     scene = single_target_scene(cfg, k_bin=8, m_bin=8)
-    mask = comb_mask(cfg) if masked else None
+    srs = COMB if masked else None
     qpsk = make_qam("qpsk")
     points = sweep_points(cfg)
     swept = list(run_sweep_ensemble(scene, points, qpsk, trials=3, seed=5,
-                                    mask=mask))
+                                    srs=srs))
     assert len(swept) == len(points)
     for (cfg_n, spec), result in zip(points, swept):
         alone = run_point_ensemble(scene, cfg_n, qpsk, spec, trials=3,
-                                   seed=5, mask=mask)
+                                   seed=5, srs=srs)
         assert result.cfg == cfg_n and result.filter_spec == spec
         assert result.mode == ("pilot_only" if masked else "data_aided")
         assert result.peak_bin == alone.peak_bin
@@ -147,9 +149,8 @@ def test_sweep_focuses_each_distinct_response_once(name, masked, per_trial,
         points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
                    for kind in ("rf", "mf", "wf")]
     trials = 5
-    mask = comb_mask(cfg) if masked else None
     results = list(run_sweep_ensemble(scene, points, make_qam(name), trials,
-                                      seed=5, mask=mask))
+                                      seed=5, srs=COMB if masked else None))
     assert len(results) == len(points)
     assert len(calls) == per_trial * trials + 1 + masked
     assert set(calls) == {(16, 16)}
@@ -167,7 +168,7 @@ def chi_grid(symbols, spec, constellation):
     return symbols * filter_gains(symbols, spec)
 
 
-def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
+def recomputed(scene, cfg, spec, constellation, trials, seed, srs, result,
                rcmc_method="windowed_sinc", ka_mode="reference"):
     """Each trial's images focused on their own, as the filtered-echo
     model defines them, reduced like an EnsembleResult against the
@@ -175,7 +176,8 @@ def recomputed(scene, cfg, spec, constellation, trials, seed, mask, result,
     residual is summed as F(channel * (chi - c)) + noise, for c = 1 and
     c = E[chi], which does not cancel where the clean image is near the
     reference."""
-    symbols = symbol_trials(cfg, constellation, seed, trials, mask)
+    symbols = symbol_trials(cfg, constellation, seed, trials,
+                            comb_mask(cfg, srs))
     unit = noise_trials(cfg, seed, trials, unit=True)
     amps = amplitude_trials(scene, seed, trials)
     scale = np.sqrt(cfg.noise_var / 2.0)
@@ -231,13 +233,13 @@ def test_shared_focusing_moves_results_by_round_off_only(
     cfg = critical_config(*shape, k_ref=8)
     scene = (random_target_scene(cfg)[0] if random else
              single_target_scene(cfg, k_bin=8, m_bin=8))
-    mask = comb_mask(cfg) if masked else None
+    srs = COMB if masked else None
     qam = make_qam(name)
     points = sweep_points(cfg)
     swept = run_sweep_ensemble(scene, points, qam, trials=2, seed=5,
-                               mask=mask, **options)
+                               srs=srs, **options)
     for (cfg_n, spec), result in zip(points, swept):
-        expected = recomputed(scene, cfg_n, spec, qam, 2, 5, mask, result,
+        expected = recomputed(scene, cfg_n, spec, qam, 2, 5, srs, result,
                               **options)
         for array in ARRAYS:
             want = expected[array]
@@ -290,7 +292,7 @@ def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
     # every filter and the noiseless point; a sum that is 0 must be 0
     cfg = critical_config(64, 64, k_ref=32)
     scene = single_target_scene(cfg, k_bin=32, m_bin=32)
-    mask = comb_mask(cfg) if masked else None
+    srs = COMB if masked else None
     qam = make_qam(name)
     points = [(cfg, FilterSpec("mf"))]
     for snr_db in (30.0, 100.0, 200.0, 280.0):
@@ -299,9 +301,9 @@ def test_per_grid_reductions_stay_accurate_near_the_floor(name, masked):
         points += [(cfg_n, FilterSpec(kind, snr_in_linear=snr))
                    for kind in ("rf", "mf", "wf")]
     swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
-                               mask=mask, rcmc_method="phase_ramp")
+                               srs=srs, rcmc_method="phase_ramp")
     for (cfg_n, spec), result in zip(points, swept):
-        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, srs, result,
                               rcmc_method="phase_ramp")
         for array in ("mse", "mse_calibrated", "noisy_power_sum"):
             got, want = getattr(result, array), expected[array]
@@ -432,7 +434,7 @@ def test_report_rejects_an_output_snr_beyond_float_range():
 
 
 def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
-                                               points, mask=None):
+                                               points, srs=None):
     # each stream is drawn one trial per call, on the main thread or, past
     # the prefetch budget, on the worker, and the sequential Philox draws
     # equal the seed's stream drawn in one call for all the trials bit for
@@ -454,7 +456,8 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
                         recording("noise", pipeline.draw_noise))
     monkeypatch.setattr(Scene, "draw_amplitudes",
                         recording("amplitudes", Scene.draw_amplitudes))
-    batch = {"symbols": raw_indices(constellation, 5, (trials, 16, 16), mask),
+    batch = {"symbols": raw_indices(constellation, 5, (trials, 16, 16),
+                                    comb_mask(cfg, srs)),
              "noise": raw_unit_noise(5, (trials, 16, 16))}
     for scene in (single_target_scene(cfg, k_bin=8, m_bin=8),
                   random_target_scene(cfg)[0]):
@@ -472,7 +475,7 @@ def assert_sweep_does_not_depend_on_chunk_size(monkeypatch, constellation,
             for stream in drawn:
                 drawn[stream].clear()
             run_sweep_ensemble(scene, points, constellation, trials, seed=5,
-                               mask=mask)
+                               srs=srs)
             assert [len(drawn[s]) for s in drawn] == [
                 trials, trials if noisy else 0, trials if random else 0]
             assert np.array_equal(drawn["symbols"], batch["symbols"])
@@ -488,7 +491,7 @@ def test_sweep_does_not_depend_on_chunk_size(masked, monkeypatch):
     cfg = critical_config(16, 16, k_ref=8)
     assert_sweep_does_not_depend_on_chunk_size(
         monkeypatch, make_qam("qpsk"), sweep_points(cfg),
-        comb_mask(cfg) if masked else None)
+        COMB if masked else None)
 
 
 def test_qam16_sweep_does_not_depend_on_chunk_size(monkeypatch):
@@ -519,7 +522,7 @@ def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
     points = ([(cfg, FilterSpec(kind, snr_in_linear=10.0))
                for kind in ("rf", "mf", "wf")] if case == "noiseless"
               else sweep_points(cfg))
-    mask = comb_mask(cfg) if case == "comb" else None
+    srs = COMB if case == "comb" else None
     threads = []
     real = pipeline.gen_symbol_indices
 
@@ -532,7 +535,7 @@ def test_worker_draws_keep_the_main_thread_bits(case, monkeypatch):
         monkeypatch.setattr(pipeline, "_PREFETCH_BYTES", budget)
         threads.clear()
         runs.append(run_sweep_ensemble(scene, points, make_qam("qam16"), 7,
-                                       seed=5, mask=mask))
+                                       seed=5, srs=srs))
         assert threads == [main] * 7
     for ref, result in zip(*runs):
         assert result.peak_bin == ref.peak_bin
@@ -695,32 +698,57 @@ def test_off_bin_azimuth_target_nmse_measures_the_filter(k_bin, m_bin):
 @pytest.mark.parametrize("masked", [False, True])
 def test_cli_stage_grid_is_the_ensembles_trial_zero(masked, n, kind,
                                                     tmp_path):
-    # the CLI draws the first point's trial 0 again, in one grid with the
-    # operand order of the single-trial chain; its tf dump must be the
-    # ensemble's trial 0, rebuilt here by that chain from the first of the
-    # trials drawn one per call on each of the ensemble's streams, bit for
-    # bit.
+    # pipeline.filtered_trial_zero draws the first point's trial 0 again,
+    # in one grid with the operand order of the single-trial chain; it must
+    # be the ensemble's trial 0, rebuilt here by that chain from the first
+    # of the trials drawn one per call on each of the ensemble's streams,
+    # bit for bit, and the CLI's tf dump is its grid.
     # 128x128 grids pass numpy's 256 KiB temporary-elision threshold, past
     # which the operand order of the filter's product sets the bits
     cfg = critical_config(n, n)
     scene, _ = random_target_scene(cfg)
+    srs, qam = COMB if masked else None, make_qam("qam16")
     scenario = ScenarioConfig(
-        radar=cfg, scene=scene, filters=(kind,),
-        srs=COMB if masked else None, snr_db=(5.0, 20.0), trials=3, seed=5,
-        constellation="qam16", rcmc_method="windowed_sinc",
-        ka_mode="reference",
+        radar=cfg, scene=scene, filters=(kind,), srs=srs,
+        snr_db=(5.0, 20.0), trials=3, seed=5, constellation="qam16",
+        rcmc_method="windowed_sinc", ka_mode="reference",
         outputs=OutputSelection(images=(), grids=("tf",)))
-    out = run_scenario(scenario, tmp_path)
-
     (cfg_5db, spec), *_ = _sweep_points(scenario)[1]
-    symbols = symbol_trials(cfg, make_qam("qam16"), 5, 3,
-                            comb_mask(cfg) if masked else None)[0]
+    built = pipeline.filtered_trial_zero(scene, cfg_5db, qam, spec, 5, srs)
+
+    symbols = symbol_trials(cfg, qam, 5, 3, comb_mask(cfg, srs))[0]
     unit = noise_trials(cfg, 5, 3, unit=True)[0]
     amps = amplitude_trials(scene, 5, 3)[0]
     echo = (build_channel_matrix(scene, cfg, amps) * symbols
             + np.sqrt(cfg_5db.noise_var / 2.0) * unit)
     tf = apply_tf_filter(echo, symbols, spec)
-    assert (out / "grid_tf.bin").read_bytes() == grid_to_bytes(tf, "tf")
+    assert built.tobytes() == tf.tobytes()
+    out = run_scenario(scenario, tmp_path)
+    assert (out / "grid_tf.bin").read_bytes() == grid_to_bytes(built, "tf")
+
+
+@pytest.mark.parametrize("caller", ["sweep", "point", "trial zero"])
+def test_an_srs_that_does_not_fit_the_grid_fails_before_any_draw(
+        caller, monkeypatch):
+    # the comb is built from the srs on the points' grid, before anything
+    # is drawn: a pilot block of 12 subcarriers from subcarrier 8 does not
+    # fit in 16
+    cfg = critical_config(16, 16, k_ref=8)
+    scene = single_target_scene(cfg, k_bin=8, m_bin=8)
+    srs = replace(COMB, start_subcarrier=8)
+    qpsk, spec = make_qam("qpsk"), FilterSpec("mf")
+    draws = []
+    monkeypatch.setattr(pipeline, "gen_symbol_indices",
+                        lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ConfigurationError,
+                       match=r"pilot block \[8, 20\) does not fit in 16"):
+        if caller == "sweep":
+            run_sweep_ensemble(scene, sweep_points(cfg), qpsk, 2, 5, srs=srs)
+        elif caller == "point":
+            run_point_ensemble(scene, cfg, qpsk, spec, 2, 5, srs=srs)
+        else:
+            pipeline.filtered_trial_zero(scene, cfg, qpsk, spec, 5, srs)
+    assert draws == []
 
 
 def test_ensemble_memory_is_bounded_by_the_chunk_budget():
@@ -1142,12 +1170,13 @@ def test_per_range_bin_comb_sweep_holds_at_most_seven_grids():
     # them it holds R and F(channel * act), after the channel, which no
     # trial reads, is dropped; each trial focuses its one noise grid in its
     # unit noise, where trial 0 forms F(channel * act)'s residuals.  It
-    # forms no (N, M) weight grid for the range cut: 5.6 grids at the peak
-    # (6.6 while it held the channel and a noise grid of its own)
+    # forms no (N, M) weight grid for the range cut: 5.64 grids at the
+    # peak, the comb's boolean grid included (6.6 while it held the channel
+    # and a noise grid of its own)
     cfg = critical_config(256, 128, k_ref=64)
     scene = single_target_scene(cfg, k_bin=64, m_bin=64)
     peak = sweep_peak_grids(scene, sweep_points(cfg), make_qam("qpsk"), 2,
-                            mask=comb_mask(cfg), rcmc_method="phase_ramp",
+                            srs=COMB, rcmc_method="phase_ramp",
                             ka_mode="per_range_bin")
     assert peak <= 5.85, peak
 
@@ -1161,7 +1190,7 @@ def test_comb_sweep_forms_its_residuals_in_its_spent_noise_grid(
     # without the random target that rebuilds it every trial
     cfg = critical_config(256, 128)
     scene, deterministic = random_target_scene(cfg)
-    points, qpsk, mask = sweep_points(cfg), make_qam("qpsk"), comb_mask(cfg)
+    points, qpsk = sweep_points(cfg), make_qam("qpsk")
     calls = []
     real_empty_like = np.empty_like
 
@@ -1171,7 +1200,7 @@ def test_comb_sweep_forms_its_residuals_in_its_spent_noise_grid(
     monkeypatch.setattr(np, "empty_like", empty_like)
     for target in (scene, deterministic):
         for _ in range(2):
-            run_sweep_ensemble(target, points, qpsk, 4, seed=5, mask=mask)
+            run_sweep_ensemble(target, points, qpsk, 4, seed=5, srs=COMB)
     monkeypatch.undo()
     assert calls == []
 
@@ -1189,7 +1218,7 @@ def test_comb_sweep_forms_its_residuals_in_its_spent_noise_grid(
 
     def count(target, trials):
         squares[0] = 0
-        run_sweep_ensemble(target, points, qpsk, trials, seed=5, mask=mask)
+        run_sweep_ensemble(target, points, qpsk, trials, seed=5, srs=COMB)
         return squares[0]
     once = count(deterministic, 1)
     assert once > 3 and count(scene, 1) == once
@@ -1254,13 +1283,13 @@ def test_per_range_bin_range_cut_matches_the_image_column(masked):
     # of the column of the whole mean |.|^2 images, noisy and noiseless
     cfg = critical_config(64, 48, k_ref=32)
     scene = random_target_scene(cfg)[0]
-    mask = comb_mask(cfg) if masked else None
+    srs = COMB if masked else None
     qam = make_qam("qam16")
     points = sweep_points(cfg)
     swept = run_sweep_ensemble(scene, points, qam, trials=3, seed=5,
-                               mask=mask, ka_mode="per_range_bin")
+                               srs=srs, ka_mode="per_range_bin")
     for (cfg_n, spec), result in zip(points, swept):
-        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, mask, result,
+        expected = recomputed(scene, cfg_n, spec, qam, 3, 5, srs, result,
                               ka_mode="per_range_bin")
         for name in ("noisy_range_power", "noiseless_range_power"):
             want = expected[name]

@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ofdmsar.cli import _sweep_points, parse_config  # noqa: E402
-from ofdmsar.pipeline import pilot_comb_mask, run_sweep_ensemble  # noqa: E402
+from ofdmsar.pipeline import run_sweep_ensemble  # noqa: E402
 from ofdmsar.waveform import make_qam  # noqa: E402
 
 
@@ -42,10 +42,9 @@ def main(argv: list[str]) -> None:
     scenario = parse_config(path.read_text(), config_dir=path.parent)
     _, points = _sweep_points(scenario)
     cfg = scenario.radar
-    mask = pilot_comb_mask(cfg, scenario.srs) if scenario.srs else None
     peak = sweep_peak_grids(
         scenario.scene, points, make_qam(scenario.constellation),
-        scenario.trials, scenario.seed, mask=mask,
+        scenario.trials, scenario.seed, srs=scenario.srs,
         rcmc_method=scenario.rcmc_method, ka_mode=scenario.ka_mode)
     print(f"{peak:.2f} grids of {cfg.n_subcarriers}x{cfg.n_symbols} "
           f"{path}")
