@@ -21,8 +21,8 @@ from .echo import (build_channel_matrix, check_cp_margin, draw_noise,
 from .tf_filter import (FilterSpec, apply_tf_filter, channel_mse_analytic,
                         filter_gains)
 from .rd_imaging import (azimuth_compress, azimuth_fft, focus_image,
-                         focus_stages, range_compress, rcm_shift, rcmc,
-                         spa_spectrum)
+                         range_compress, rcm_shift, rcmc, spa_spectrum,
+                         stage_grids)
 from .metrics import (MetricsReport, analytic_point_metrics, doppler_support,
                       ideal_reference_image, identity_residual, islr,
                       measure_mainlobe_width, nmse, pedestal_level, pel,
@@ -46,8 +46,8 @@ __all__ = [
     "build_channel_matrix", "check_cp_margin", "draw_noise",
     "grid_from_bytes", "grid_to_bytes", "synthesize_echo",
     "FilterSpec", "apply_tf_filter", "channel_mse_analytic", "filter_gains",
-    "azimuth_compress", "azimuth_fft", "focus_image", "focus_stages",
-    "range_compress", "rcm_shift", "rcmc", "spa_spectrum",
+    "azimuth_compress", "azimuth_fft", "focus_image", "range_compress",
+    "rcm_shift", "rcmc", "spa_spectrum", "stage_grids",
     "MetricsReport", "analytic_point_metrics", "doppler_support",
     "ideal_reference_image", "identity_residual", "islr",
     "measure_mainlobe_width", "nmse", "pedestal_level", "pel",

@@ -18,11 +18,11 @@ run_sweep_ensemble call.  Stage images and grid dumps render the first
 sweep point's trial 0, drawn again on the scenario's seed by
 pipeline.filtered_trial_zero, which builds it in one grid with the bits
 of the library's single-trial chain (gen_symbol_grid, synthesize_echo,
-apply_tf_filter), equal to the ensemble's trial 0; the stages run in
-place in that grid.  So the images and the metrics describe the same
-realizations.  The CLI draws nothing and lays no pilot comb itself: both
-calls take the scenario's SrsConfig.  Outputs are a deterministic
-function of (config, seed).
+apply_tf_filter), equal to the ensemble's trial 0; rd_imaging.stage_grids
+runs the stages in place in that grid.  So the images and the metrics
+describe the same realizations.  The CLI draws nothing and lays no pilot
+comb itself: both calls take the scenario's SrsConfig.  Outputs are a
+deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from .metrics import MIN_PROFILE_BINS, target_bin
 from .pipeline import (MAINLOBE_HALFWIDTH_BINS, MAX_DOPPLER_STEP,
                        EnsembleResult, filtered_trial_zero,
                        point_target_report, run_sweep_ensemble)
-from .rd_imaging import (KA_MODES, RCMC_METHODS, azimuth_compress,
-                         azimuth_fft, range_compress, rcmc)
+from .rd_imaging import KA_MODES, RCMC_METHODS, stage_grids
 from .scene import PointTarget, Scene, load_scene_pgm, make_point_scene
 from .tf_filter import FILTER_KINDS, FilterSpec
 from .waveform import (Constellation, RadarConfig, SrsConfig, chi_stats,
@@ -324,9 +323,8 @@ def _parse_outputs(obj, path: str) -> OutputSelection:
             if name not in STAGE_CODES:
                 raise ConfigError(f"{path}.{key}[{i}]", f"expected one of "
                                   f"{tuple(STAGE_CODES)}, got {name!r}")
-    if values.get("db_floor", DEFAULT_DB_FLOOR) >= 0:
-        raise ConfigError(f"{path}.db_floor",
-                          f"must be < 0, got {values['db_floor']}")
+    _check_db_floor(values.get("db_floor", DEFAULT_DB_FLOOR),
+                    f"{path}.db_floor")
     return OutputSelection(**values)
 
 
@@ -446,13 +444,21 @@ def parse_config(text: str, config_dir: Optional[Path] = None) -> ScenarioConfig
     return scenario
 
 
+def _check_db_floor(db_floor: float, path: str):
+    """A dB floor must be < 0, and emit_pgm's 8-bit scale 255 * db_floor
+    finite."""
+    if db_floor >= 0:
+        raise ConfigError(path, f"must be < 0, got {db_floor}")
+    if not math.isfinite(255.0 * db_floor):
+        raise ConfigError(path, f"255 * {db_floor} overflows the 8-bit scale")
+
+
 def emit_pgm(image: np.ndarray, db_floor: float = DEFAULT_DB_FLOOR) -> bytes:
     """Render a complex or magnitude image as an 8-bit dB-scaled P5 PGM."""
     image = np.asarray(image)
     if image.size == 0:
         raise ConfigurationError("cannot render an empty image")
-    if db_floor >= 0:
-        raise ConfigurationError(f"db_floor must be < 0, got {db_floor}")
+    _check_db_floor(db_floor, "db_floor")
     level = np.abs(image)
     peak = level.max()
     if peak == 0:
@@ -484,27 +490,19 @@ def _render_stage_artifacts(scenario: ScenarioConfig, result: EnsembleResult,
                             constellation: Constellation,
                             out_dir: Path) -> None:
     """Stage images/grids of the result's trial 0, built again by
-    pipeline.filtered_trial_zero and taken through the staged functions in
-    place in its grid, the bits of rd_imaging.focus_stages.  Each stage's
-    artifacts are written as soon as it exists, before the next stage
-    overwrites it; the chain stops at the last requested stage, and
-    nothing is drawn when no stage is requested."""
+    pipeline.filtered_trial_zero and taken through rd_imaging.stage_grids
+    in place in its grid.  Each stage's artifacts are written as soon as
+    it exists, before the next stage overwrites it; the chain stops at the
+    last requested stage, and nothing is drawn when no stage is
+    requested."""
     outputs = scenario.outputs
     wanted = set(outputs.images) | set(outputs.grids)
     if not wanted:
         return
-    cfg, r_bar = result.cfg, result.r_bar_ref_m
-    grid = filtered_trial_zero(scenario.scene, cfg, constellation,
+    grid = filtered_trial_zero(scenario.scene, result.cfg, constellation,
                                result.filter_spec, scenario.seed, scenario.srs)
-    steps = {"rc": lambda x: range_compress(x, cfg, out=x),
-             "rd": lambda x: azimuth_fft(x, cfg, out=x),
-             "rcmc": lambda x: rcmc(x, cfg, r_bar, scenario.rcmc_method,
-                                    out=x),
-             "ac": lambda x: azimuth_compress(x, cfg, r_bar,
-                                              scenario.ka_mode, out=x)}
-    for stage in STAGE_CODES:
-        if stage in steps:
-            grid = steps[stage](grid)
+    for stage, grid in stage_grids(grid, result.cfg, result.r_bar_ref_m,
+                                   scenario.rcmc_method, scenario.ka_mode):
         if stage in outputs.images:
             (out_dir / f"image_{stage}.pgm").write_bytes(
                 emit_pgm(grid, outputs.db_floor))

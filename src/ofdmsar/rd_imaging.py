@@ -22,9 +22,9 @@ A is one row for reference K_a (then the chain is ifft2(fft(x) * H A))
 and one row per output range bin in per_range_bin mode.  Its
 range_doppler method stops before the outer multiply by A and IFFT,
 which scale sums of squares by the constant N / M.  focus_image
-returns the operator's result; focus_stages runs the staged functions,
-which build their multipliers with the same helpers, and returns every
-intermediate grid.
+returns the operator's result; stage_grids runs the staged functions,
+which build their multipliers with the same helpers, in place in one
+grid and yields each stage in turn.
 
 Conventions: Doppler bins use the signed/centered index p = bin - M//2
 (zero Doppler at bin M//2 of the stored array, the values of
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -363,13 +363,16 @@ def focus_image(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
     return focusing_operator(cfg, r_bar_ref_m, rcmc_method, ka_mode)(x)
 
 
-def focus_stages(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
-                 rcmc_method: str = "windowed_sinc",
-                 ka_mode: str = "reference") -> dict[str, np.ndarray]:
-    """Every grid of the chain, keyed tf, rc, rd, rcmc and ac, from the
-    staged functions; its ac equals focus_image's up to round-off."""
-    rc = range_compress(x, cfg)
-    rd = azimuth_fft(rc, cfg)
-    corrected = rcmc(rd, cfg, r_bar_ref_m, method=rcmc_method)
-    return {"tf": x, "rc": rc, "rd": rd, "rcmc": corrected,
-            "ac": azimuth_compress(corrected, cfg, r_bar_ref_m, ka_mode)}
+def stage_grids(x: np.ndarray, cfg: RadarConfig, r_bar_ref_m: float,
+                rcmc_method: str = "windowed_sinc",
+                ka_mode: str = "reference") -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ("tf", x), then ("rc" | "rd" | "rcmc" | "ac", x): each stage
+    is made in place in x, a complex128 grid, by its staged function once
+    the previous one is yielded.  So a consumer takes a .copy() of each
+    stage it keeps, and one that stops early runs no later stage.  The
+    last equals focus_image's up to round-off."""
+    yield "tf", x
+    yield "rc", range_compress(x, cfg, out=x)
+    yield "rd", azimuth_fft(x, cfg, out=x)
+    yield "rcmc", rcmc(x, cfg, r_bar_ref_m, rcmc_method, out=x)
+    yield "ac", azimuth_compress(x, cfg, r_bar_ref_m, ka_mode, out=x)

@@ -337,14 +337,15 @@ def gen_symbol_indices(cfg: RadarConfig, constellation: Constellation,
     if out is None:
         out = np.empty(shape, dtype=constellation.index_dtype)
     # one row block of int64 indices at a time, which draws the same bits
-    # as one call over the grid and holds no int64 grid.  The block is a
-    # quarter of _BLOCK_BYTES: on a sweep's draw worker it is held while
-    # the main thread holds its own row-block temporaries
+    # as one call over the grid and holds no int64 grid, nor a boolean
+    # one for the sentinel.  The block is a quarter of _BLOCK_BYTES: on a
+    # sweep's draw worker it is held while the main thread holds its own
+    # row-block temporaries
     for rows in _row_blocks(shape, 8, _BLOCK_BYTES // 4):
         block = out[rows]
         block[...] = rng.integers(0, constellation.order, size=block.shape)
-    if mask is not None:
-        np.copyto(out, constellation.order, where=~mask)
+        if mask is not None:
+            np.copyto(block, constellation.order, where=~mask[rows])
     return out
 
 

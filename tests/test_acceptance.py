@@ -28,12 +28,12 @@ from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      azimuth_compress, azimuth_fft, build_channel_matrix,
                      channel_mse_analytic, chi_stats, doppler_support,
                      envelope_to_phase_rate_ratio, filter_gains,
-                     focus_image, focus_stages, gen_symbol_grid,
+                     focus_image, gen_symbol_grid,
                      ls_reconstruct,
                      make_point_scene, make_qam, measure_mainlobe_width,
                      nr_config, pedestal_level, point_target_report,
                      range_compress, rcmc, rd_vs_ls_compare,
-                     run_point_ensemble, spa_spectrum,
+                     run_point_ensemble, spa_spectrum, stage_grids,
                      synthesize_echo, theoretical_resolutions)
 from ofdmsar.cli import parse_config, run_scenario
 from ofdmsar.rd_imaging import _doppler_bins
@@ -182,7 +182,8 @@ def test_criterion_04_range_width_and_doppler_bandwidth():
     target = PointTarget(x_m=300.0, y_m=100.0)
     scene = Scene(targets=(target,), extent=(200.0, 400.0, 0.0, 200.0))
     r_bar = target.mean_range_m(cfg.platform)
-    rd = focus_stages(build_channel_matrix(scene, cfg), cfg, r_bar)["rd"]
+    rd = {stage: grid.copy() for stage, grid in stage_grids(
+        build_channel_matrix(scene, cfg), cfg, r_bar)}["rd"]
     k_q = round(r_bar / cfg.range_pitch_m) % cfg.n_subcarriers
     support = doppler_support(np.abs(rd[k_q, :]) ** 2,
                               _doppler_bins(cfg) * cfg.doppler_pitch_hz)
@@ -451,7 +452,8 @@ def test_criterion_08_chain_invariants(tmp_path):
     assert drifts[1] < 0.6 * drifts[0]
 
     # RCMC straightens a ~2-bin migration ridge to < 0.5 bin
-    stages = focus_stages(build_channel_matrix(scene, cfg), cfg, r_bar)
+    stages = {stage: grid.copy() for stage, grid in stage_grids(
+        build_channel_matrix(scene, cfg), cfg, r_bar)}
     before = np.abs(_ridge_track(np.abs(stages["rd"]) ** 2) - 64.0)
     after = np.abs(_ridge_track(np.abs(stages["rcmc"]) ** 2) - 64.0)
     print(f"ACCEPTANCE 8: ridge deviation before {before.max():.3f} bins, "

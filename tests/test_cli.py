@@ -17,14 +17,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scenes import critical_config, single_target_scene
-from ofdmsar import cli, echo, pipeline
+from ofdmsar import cli, echo, pipeline, rd_imaging
 from ofdmsar import metrics as metrics_module
 from ofdmsar.cli import (ConfigError, DEFAULT_DB_FLOOR, _with_snrs, emit_pgm,
                          main, parse_config, run_scenario)
 from ofdmsar.errors import ConfigurationError
 from ofdmsar.geometry import PlatformGeometry
 from ofdmsar.pgm import parse_pgm, write_pgm
-from ofdmsar.rd_imaging import KA_MODES, RCMC_METHODS, focus_stages
+from ofdmsar.rd_imaging import KA_MODES, RCMC_METHODS, stage_grids
 from ofdmsar.scene import PointTarget, Scene
 from ofdmsar.tf_filter import FilterSpec, apply_tf_filter
 from ofdmsar.waveform import (RadarConfig, SrsConfig, SPEED_OF_LIGHT as c,
@@ -654,7 +654,7 @@ def test_stage_artifacts_do_not_depend_on_trial_count(tmp_path):
 
 
 def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
-    # every stage image and grid equals focus_stages' of the first point's
+    # every stage image and grid equals stage_grids' of the first point's
     # trial 0 byte for byte, while one stage grid is alive: trial 0 is
     # built in one grid and each stage runs in place in it once the
     # previous stage is written.  On 128x128 the whole stage path peaks
@@ -684,9 +684,11 @@ def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
             built.append(weakref.ref(grid))
             return grid
         return wrapper
-    for name in ("filtered_trial_zero", "range_compress", "azimuth_fft",
-                 "rcmc", "azimuth_compress"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    monkeypatch.setattr(cli, "filtered_trial_zero",
+                        recording(cli.filtered_trial_zero))
+    for name in ("range_compress", "azimuth_fft", "rcmc", "azimuth_compress"):
+        monkeypatch.setattr(rd_imaging, name,
+                            recording(getattr(rd_imaging, name)))
     tracemalloc.start()
     try:
         cli._render_stage_artifacts(scenario, result, qam, tmp_path)
@@ -700,8 +702,8 @@ def test_stage_artifacts_hold_at_most_two_stage_grids(tmp_path, monkeypatch):
     symbols = gen_symbol_grid(cfg_n, qam, 5)
     tf = apply_tf_filter(echo.synthesize_echo(scene, cfg_n, symbols, 5),
                          symbols, spec)
-    grids = focus_stages(tf, cfg_n, result.r_bar_ref_m, "windowed_sinc",
-                         "per_range_bin")
+    grids = {stage: grid.copy() for stage, grid in stage_grids(
+        tf, cfg_n, result.r_bar_ref_m, "windowed_sinc", "per_range_bin")}
     for stage in stages:
         assert (tmp_path / f"image_{stage}.pgm").read_bytes() == emit_pgm(
             grids[stage], DEFAULT_DB_FLOOR), stage
@@ -828,6 +830,30 @@ def test_trials_past_what_numpy_can_address_fail_at_their_path(tmp_path,
         assert err == (f"error: $.trials: {trials} trials of complex128 "
                        f"peaks exceed the largest array numpy can address\n")
         assert not out_dir.exists()
+
+
+def test_db_floor_past_the_8_bit_scale_fails_at_its_path(tmp_path, capsys):
+    # emit_pgm scales each level by 255 and divides by -db_floor: a floor
+    # whose 255 * db_floor overflows float64 is a config error, not an
+    # overflow warning on stderr and an exit 0
+    config = tmp_path / "scenario.json"
+    out_dir = tmp_path / "artifacts"
+    config.write_text(config_text(outputs={"db_floor": -1e306}))
+    assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("error: $.outputs.db_floor: 255 * "
+                                       "-1e+306 overflows the 8-bit scale\n")
+    assert not out_dir.exists()
+    with pytest.raises(ConfigurationError, match="db_floor"):
+        emit_pgm(np.array([[1.0, 0.5]]), -1e306)
+    # a floor just inside the scale still renders, with no warning
+    config.write_text(config_text(outputs={"db_floor": -7e305,
+                                           "images": ["tf", "ac"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(config), "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    for stage in ("tf", "ac"):
+        assert parse_pgm((out_dir / f"image_{stage}.pgm").read_bytes()).size
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from scenes import critical_config, single_target_scene
 from ofdmsar import rd_imaging
-from ofdmsar.echo import build_channel_matrix
+from ofdmsar.echo import STAGE_CODES, build_channel_matrix
 from ofdmsar.errors import InvalidParameterError
 from ofdmsar.metrics import ideal_reference_image
 from ofdmsar.pipeline import run_point_ensemble
 from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 _shift_transfer, azimuth_compress,
-                                azimuth_fft, focus_image, focus_stages,
-                                focusing_operator, range_compress, rcm_shift,
-                                rcmc, spa_spectrum)
+                                azimuth_fft, focus_image, focusing_operator,
+                                range_compress, rcm_shift, rcmc, spa_spectrum,
+                                stage_grids)
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import make_qam
 
@@ -42,7 +42,7 @@ def test_stage_functions_check_shape():
                       lambda x: rcmc(x, cfg, 100.0),
                       lambda x: azimuth_compress(x, cfg, 100.0),
                       lambda x: focus_image(x, cfg, 100.0),
-                      lambda x: focus_stages(x, cfg, 100.0)):
+                      lambda x: list(stage_grids(x, cfg, 100.0))):
             with pytest.raises(InvalidParameterError, match="grid shape"):
                 stage(bad)
     rc = range_compress(unit_tf_grid(cfg), cfg)
@@ -244,23 +244,43 @@ def test_on_bin_point_target_focuses_to_the_analytic_kernel(method):
     assert error < 1e-4, error
 
 
-def test_focus_stages_collects_every_stage():
+def test_stage_grids_runs_every_stage_in_place():
     cfg = critical_config(16, 16)
     scene = single_target_scene(cfg)
     h = build_channel_matrix(scene, cfg)
     r_bar = scene.targets[0].mean_range_m(cfg.platform)
-    stages = focus_stages(h, cfg, r_bar)
-    assert sorted(stages) == ["ac", "rc", "rcmc", "rd", "tf"]
-    assert stages["tf"] is h
-    # each stage is its staged function applied to the one before
-    assert np.array_equal(stages["rc"], range_compress(h, cfg))
-    assert np.array_equal(stages["rd"], azimuth_fft(stages["rc"], cfg))
-    assert np.array_equal(stages["rcmc"], rcmc(stages["rd"], cfg, r_bar))
-    assert np.array_equal(stages["ac"],
-                          azimuth_compress(stages["rcmc"], cfg, r_bar))
-    assert rel_err(stages["ac"], focus_image(h, cfg, r_bar)) <= 1e-12
+    staged = {"rc": lambda g: range_compress(g, cfg),
+              "rd": lambda g: azimuth_fft(g, cfg),
+              "rcmc": lambda g: rcmc(g, cfg, r_bar),
+              "ac": lambda g: azimuth_compress(g, cfg, r_bar)}
+    x = h.copy()
+    codes, previous = [], None
+    for stage, grid in stage_grids(x, cfg, r_bar):
+        codes.append(stage)
+        assert grid is x
+        # each stage is its staged function, out of place, applied to a
+        # copy of the one before
+        expected = h if previous is None else staged[stage](previous)
+        assert np.array_equal(grid, expected), stage
+        previous = grid.copy()
+    assert codes == list(STAGE_CODES)
+    assert rel_err(x, focus_image(h, cfg, r_bar)) <= 1e-12
     with pytest.raises(InvalidParameterError):
         focus_image(h, cfg, None)  # no reference range
+
+
+def test_stage_grids_runs_no_stage_past_its_consumer(monkeypatch):
+    cfg = critical_config(8, 8)
+    called = []
+    for name in ("azimuth_fft", "rcmc", "azimuth_compress"):
+        monkeypatch.setattr(rd_imaging, name, lambda *args, name=name,
+                            **kwargs: called.append(name))
+    stages = stage_grids(unit_tf_grid(cfg), cfg, 100.0)
+    for stage, _ in stages:
+        if stage == "rc":
+            break
+    stages.close()
+    assert stage == "rc" and called == []
 
 
 def test_azimuth_compress_needs_reference():
@@ -290,7 +310,8 @@ def test_per_range_bin_compression_matches_reference_at_ref_bin():
 # Folded focusing operator ----------------------------------------------------
 
 def staged_chain(grid, cfg, r_bar, method, ka_mode):
-    return focus_stages(grid, cfg, r_bar, method, ka_mode)["ac"]
+    return {stage: focused.copy() for stage, focused in stage_grids(
+        grid.copy(), cfg, r_bar, method, ka_mode)}["ac"]
 
 
 def rel_err(a, b):
