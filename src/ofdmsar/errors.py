@@ -40,9 +40,5 @@ class MeasurementError(OfdmSarError, RuntimeError):
     """A profile measurement could not be completed (no peak, no crossing)."""
 
 
-class SingularSystemError(OfdmSarError, RuntimeError):
-    """A linear system is singular or numerically rank deficient."""
-
-
 class CapacityError(OfdmSarError, ValueError):
     """A problem size exceeds the implemented capacity limits."""

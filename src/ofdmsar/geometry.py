@@ -54,28 +54,3 @@ def range_deviation(x_m: float, y_m: float, m, cfg: "RadarConfig"):
     r_bar = mean_range(x_m, cfg.platform)
     offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
     return r_bar, offset * offset / (2.0 * r_bar)
-
-
-def slant_range(x_m, y_m, m, cfg: "RadarConfig"):
-    """Exact slant range from the platform at symbol index m to ground point
-    (x, y), sqrt(Rbar^2 + (v m T_sym - y)^2) in meters, scalar or array
-    matching m: the reference for range_deviation's first-order form."""
-    r_bar = mean_range(x_m, cfg.platform)
-    offset = cfg.platform.speed_mps * np.asarray(m, dtype=float) * cfg.total_symbol_s - y_m
-    return np.sqrt(r_bar * r_bar + offset * offset)
-
-
-def envelope_to_phase_rate_ratio(cfg: "RadarConfig", x_m: float, y_m: float) -> float:
-    """How much slower the azimuth envelope varies than the azimuth phase.
-
-    The range-compressed envelope of a scatterer drifts by one resolution
-    cell over many symbols while its phase turns over few; their rate ratio
-    is 2 pi M v T_sym (sqrt(2 rho_r R) + y) / (lambda R).  Values well above
-    unity justify treating the envelope as locally constant in the
-    stationary-phase evaluation of the azimuth spectrum.
-    """
-    r_bar = mean_range(x_m, cfg.platform)
-    rho_r = cfg.range_pitch_m
-    num = 2 * math.pi * cfg.n_symbols * cfg.platform.speed_mps * cfg.total_symbol_s
-    num *= math.sqrt(2 * rho_r * r_bar) + y_m
-    return num / (cfg.wavelength_m * r_bar)

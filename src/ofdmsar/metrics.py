@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .errors import InvalidParameterError, MeasurementError
 from .scene import PointTarget, Scene
 from .waveform import FilterStats, RadarConfig
 
-# Two-sided -3 dB width of sinc(x), in units of its first-null spacing
-# (|sinc(w/2)| = 1/sqrt(2) at w = 0.885893).
-SINC_3DB_WIDTH_BINS = 0.8858929413789287
 # Shortest profile whose -3 dB width measure_mainlobe_width measures.
 MIN_PROFILE_BINS = 4
 
@@ -297,37 +294,3 @@ def pedestal_level(stats: FilterStats, sigma_alpha_total: float,
                    noise_var: float) -> float:
     """Expected image power per bin away from all targets."""
     return sigma_alpha_total * stats.chi_var + noise_var * stats.gain_sq_mean
-
-
-# Spectral support ---------------------------------------------------------
-
-class SupportMeasure(NamedTuple):
-    width_hz: float
-    two_sided_hz: float
-    lo_hz: float
-    hi_hz: float
-
-
-def doppler_support(power_row: np.ndarray, freqs_hz: np.ndarray,
-                    threshold_ratio: float = 0.25) -> SupportMeasure:
-    """Occupied Doppler extent of a power profile.
-
-    Occupied bins have power >= threshold_ratio * max.  width_hz is the
-    contiguous extent (hi - lo plus one bin); two_sided_hz is twice the
-    largest occupied |frequency| (the symmetric band +/- max|f| needed to
-    cover the signal).
-    """
-    power_row = np.asarray(power_row, dtype=float)
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    if power_row.shape != freqs_hz.shape:
-        raise InvalidParameterError("power and frequency axes differ in shape")
-    peak = power_row.max()
-    if peak <= 0:
-        raise MeasurementError("power profile is empty")
-    occupied = np.nonzero(power_row >= threshold_ratio * peak)[0]
-    lo, hi = freqs_hz[occupied[0]], freqs_hz[occupied[-1]]
-    pitch = abs(freqs_hz[1] - freqs_hz[0]) if freqs_hz.size > 1 else 0.0
-    width = hi - lo + pitch
-    return SupportMeasure(width_hz=float(width),
-                          two_sided_hz=float(2.0 * max(abs(lo), abs(hi))),
-                          lo_hz=float(lo), hi_hz=float(hi))

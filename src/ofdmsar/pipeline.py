@@ -169,23 +169,17 @@ the worker draws, and with random targets the trial's channel, reference
 and, with a comb, F(channel * act); besides them O(N + M) per point and
 its per-trial arrays, and row-block temporaries of at most _BLOCK_BYTES
 (a quarter of that for the index draw, which the worker runs beside
-them).  None of it grows with the points.  The pilot-only NR sweep of
-1024 x 171 cells (QPSK, phase_ramp, per_range_bin) at 2 trials peaks at
-5.66 grids under tracemalloc, its comb included.  It drops its channel
-once F(channel * act) is built, and its trials hold H, A, R,
+them).  None of it grows with the points.  The pilot-only NR sweep
+(QPSK, phase_ramp, per_range_bin) drops its channel once
+F(channel * act) is built, and its trials hold H, A, R,
 F(channel * act) and the unit noise, which holds its one noise grid and
-then, at the first trial, F(channel * act)'s residuals.  At the 40 trials
-of scenarios/nr_pilot_only.json the worker draws, and the sweep peaks at
-6.76 grids.  The data-aided NR sweep, QAM16 rf/mf/wf at 11 SNRs on
-1024 x 114 cells, 40 trials drawn by the worker, reads 25 canonical
-grids per trial and peaks at 8.95 grids.  QAM16 rf/mf/wf on 128 x 128
-cells, 64 trials drawn by the worker, peaks at 8.2 grids at two SNRs,
-with or without a random target, and at 2 trials at 6.9 grids at one SNR
-and 7.3 at six.  One QAM256 mf or wf
-point on 256 x 512 cells, 50 trials drawn by the worker, holds H, R, the
-channel, its signal grid and two trials' draws, and forms wf's
-residuals in the unit noise (mf, whose E[chi] is 1, has none to form):
-6.4 grids, at any SNR.
+then, at the first trial, F(channel * act)'s residuals.  The data-aided
+NR sweep, QAM16 rf/mf/wf at 11 SNRs, reads 25 canonical grids per
+trial.  One QAM256 mf or wf point, its trials drawn by the worker,
+holds H, R, the channel, its signal grid and two trials' draws, and
+forms wf's residuals in the unit noise (mf, whose E[chi] is 1, has none
+to form).  python tools/sweep_peak.py SCENARIO prints a sweep's
+tracemalloc peak in grids; the README quotes it for the NR scenarios.
 
 An srs (the pilot comb) makes the mode "pilot_only", else "data_aided".
 The points' grid is then the pilot-rate one, the sent grid decimated to

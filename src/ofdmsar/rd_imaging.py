@@ -30,15 +30,13 @@ Conventions: Doppler bins use the signed/centered index p = bin - M//2
 (zero Doppler at bin M//2 of the stored array, the values of
 _doppler_bins(cfg), in steps of cfg.doppler_pitch_hz); range bin k has
 pitch c/(2 N df); azimuth output bin m is the symbol index of closest
-approach.  The stationary-phase analysis helper spa_spectrum mirrors what
-the chain does implicitly.
+approach.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -91,71 +89,6 @@ def azimuth_fft(x: np.ndarray, cfg: RadarConfig,
     grid = np.fft.fft(x, axis=1, out=out)
     grid /= np.sqrt(cfg.n_symbols)
     return _roll_symbols(grid, cfg.n_symbols // 2)  # fftshift
-
-
-class SpaResult(NamedTuple):
-    value: complex
-    m_tilde: float
-    in_support: bool
-
-
-def spa_spectrum(envelope: np.ndarray, a: float, b: float, m_count: int,
-                 p) -> SpaResult:
-    """Stationary-phase approximation of the length-M DFT of a chirp.
-
-    The signal is u_m = w_m exp(j (a m^2 + b m)) for m = 0..M-1 with
-    envelope w given per sample.  The DFT sum at signed bin p has total
-    phase a m^2 + (b - 2 pi p / M) m, stationary at
-    m_tilde = (2 pi p / M - b) / (2 a); the approximation is
-
-        U_p ~= w(m_tilde) e^{j Phi(m_tilde)} sqrt(2 pi/|2a|) e^{j sgn(a) pi/4}.
-
-    Out-of-support stationary points return value 0 with in_support False.
-    """
-    envelope = np.asarray(envelope, dtype=float)
-    if envelope.ndim != 1 or envelope.size != m_count:
-        raise InvalidParameterError(
-            f"envelope must be a length-{m_count} vector, got shape {envelope.shape}")
-    if a == 0:
-        raise InvalidParameterError(
-            "degenerate phase: quadratic coefficient a must be nonzero")
-    _warn_if_fast_envelope(envelope, a)
-    p = float(p)
-    m_tilde = (2.0 * np.pi * p / m_count - b) / (2.0 * a)
-    in_support = 0.0 <= m_tilde < m_count
-    if not in_support:
-        return SpaResult(0.0 + 0.0j, m_tilde, False)
-    w = float(np.interp(m_tilde, np.arange(m_count), envelope))
-    total_phase = (a * m_tilde ** 2 + b * m_tilde
-                   - 2.0 * np.pi * p * m_tilde / m_count)
-    value = (w * np.exp(1j * total_phase)
-             * np.sqrt(2.0 * np.pi / abs(2.0 * a))
-             * np.exp(1j * np.sign(a) * np.pi / 4.0))
-    return SpaResult(complex(value), m_tilde, True)
-
-
-def _warn_if_fast_envelope(envelope: np.ndarray, a: float):
-    """Warn when the envelope varies comparably fast to the chirp phase.
-
-    The interior envelope variation per sample is compared against the
-    phase-rate scale |2a| * M/4 (typical |Phi'| deviation from the
-    stationary point); boundary jumps of a finite window are ignored.
-    """
-    if envelope.size < 4:
-        return
-    interior = np.abs(np.diff(envelope[1:-1]))
-    peak = np.max(np.abs(envelope))
-    if peak == 0:
-        return
-    env_rate = float(interior.max()) / peak
-    if env_rate == 0.0:
-        return
-    phase_rate = abs(2.0 * a) * envelope.size / 4.0
-    ratio = phase_rate / env_rate
-    if ratio <= 10.0:
-        warnings.warn(
-            f"envelope varies too fast for the stationary-phase approximation "
-            f"(rate ratio {ratio:.2f} <= 10)", RuntimeWarning, stacklevel=3)
 
 
 def rcm_shift(p, cfg: RadarConfig, r_bar_ref_m: float):

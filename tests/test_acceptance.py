@@ -21,25 +21,24 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (SINC_3DB_WIDTH_BINS, doppler_support,
+                     envelope_to_phase_rate_ratio, ls_reconstruct,
+                     rd_vs_ls_compare, spa_spectrum)
 from scenes import (critical_config, noise_trials, single_target_scene,
                     symbol_trials, target_at_bins)
 from ofdmsar import (FilterSpec, PlatformGeometry, PointTarget, RadarConfig,
                      Scene, SrsConfig, analytic_point_metrics,
                      azimuth_compress, azimuth_fft, build_channel_matrix,
-                     channel_mse_analytic, chi_stats, doppler_support,
-                     envelope_to_phase_rate_ratio, filter_gains,
-                     focus_image, gen_symbol_grid,
-                     ls_reconstruct,
-                     make_point_scene, make_qam, measure_mainlobe_width,
-                     nr_config, pedestal_level, point_target_report,
-                     range_compress, rcmc, rd_vs_ls_compare,
-                     run_point_ensemble, spa_spectrum, stage_grids,
-                     synthesize_echo, theoretical_resolutions)
+                     channel_mse_analytic, chi_stats, filter_gains,
+                     focus_image, gen_symbol_grid, make_point_scene,
+                     make_qam, measure_mainlobe_width, nr_config,
+                     pedestal_level, point_target_report, range_compress,
+                     rcmc, run_point_ensemble, stage_grids, synthesize_echo,
+                     theoretical_resolutions)
 from ofdmsar.cli import parse_config, run_scenario
 from ofdmsar.rd_imaging import _doppler_bins
 from ofdmsar.waveform import SPEED_OF_LIGHT as c
 
-SINC_3DB = 0.8858929  # -3 dB width of sinc^2, in units of the null spacing
 
 QAM256 = make_qam(256)
 
@@ -165,9 +164,9 @@ def _centered_profiles():
     k_pk, m_pk = np.unravel_index(np.argmax(image), image.shape)
     rho_r, rho_a = theoretical_resolutions(cfg, r_bar)
     meas_r = (measure_mainlobe_width(image[:, m_pk], peak_bin=k_pk)
-              * cfg.range_pitch_m / SINC_3DB)
+              * cfg.range_pitch_m / SINC_3DB_WIDTH_BINS)
     meas_a = (measure_mainlobe_width(image[k_pk, :], peak_bin=m_pk)
-              * cfg.azimuth_pitch_m / SINC_3DB)
+              * cfg.azimuth_pitch_m / SINC_3DB_WIDTH_BINS)
     return meas_r / rho_r, meas_a / rho_a
 
 

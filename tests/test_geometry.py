@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import envelope_to_phase_rate_ratio, slant_range
 from ofdmsar.errors import GeometryError, InvalidParameterError
-from ofdmsar.geometry import (PlatformGeometry, envelope_to_phase_rate_ratio,
-                              mean_range, range_deviation, slant_range)
+from ofdmsar.geometry import PlatformGeometry, mean_range, range_deviation
 from ofdmsar.waveform import nr_config
 
 NR_PLATFORM = PlatformGeometry(height_m=1000.0, speed_mps=50.0)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import SINC_3DB_WIDTH_BINS, doppler_support
 from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar.errors import InvalidParameterError, MeasurementError
-from ofdmsar.metrics import (SINC_3DB_WIDTH_BINS, MetricsReport,
-                             analytic_point_metrics, doppler_support,
+from ofdmsar.metrics import (MetricsReport, analytic_point_metrics,
                              ideal_reference_image, identity_residual, islr,
-                             measure_mainlobe_width, nmse,
-                             pedestal_level, pel, snr_out, target_bin,
+                             measure_mainlobe_width, nmse, pedestal_level,
+                             pel, snr_out, target_bin,
                              theoretical_resolutions)
 from ofdmsar.rd_imaging import range_compress
 from ofdmsar.scene import Scene

@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import SingularSystemError, ls_reconstruct, rd_vs_ls_compare
 from scenes import critical_config, single_target_scene, target_at_bins
 from ofdmsar.echo import build_channel_matrix, synthesize_echo
-from ofdmsar.errors import (CapacityError, InvalidParameterError,
-                            SingularSystemError)
-from ofdmsar.oracle import ls_reconstruct, rd_vs_ls_compare
+from ofdmsar.errors import CapacityError, InvalidParameterError
 from ofdmsar.scene import PointTarget, make_point_scene
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import gen_symbol_grid, make_qam

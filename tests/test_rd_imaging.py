@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import spa_spectrum
 from scenes import critical_config, single_target_scene
 from ofdmsar import rd_imaging
 from ofdmsar.echo import STAGE_CODES, build_channel_matrix
@@ -14,8 +15,7 @@ from ofdmsar.pipeline import run_point_ensemble
 from ofdmsar.rd_imaging import (KA_MODES, RCMC_METHODS, _doppler_bins,
                                 _shift_transfer, azimuth_compress,
                                 azimuth_fft, focus_image, focusing_operator,
-                                range_compress, rcm_shift, rcmc, spa_spectrum,
-                                stage_grids)
+                                range_compress, rcm_shift, rcmc, stage_grids)
 from ofdmsar.tf_filter import FilterSpec
 from ofdmsar.waveform import make_qam
 
