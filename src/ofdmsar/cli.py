@@ -15,14 +15,11 @@ Running it produces, in the output directory:
 
 Profiles and metrics come from the sweep's ensembles, one
 run_sweep_ensemble call.  Stage images and grid dumps render the first
-sweep point's trial 0, drawn again on the scenario's seed by
-pipeline.filtered_trial_zero, which builds it in one grid with the bits
-of the library's single-trial chain (gen_symbol_grid, synthesize_echo,
-apply_tf_filter), equal to the ensemble's trial 0; rd_imaging.stage_grids
-runs the stages in place in that grid.  So the images and the metrics
-describe the same realizations.  The CLI draws nothing and lays no pilot
-comb itself: both calls take the scenario's SrsConfig.  Outputs are a
-deterministic function of (config, seed).
+sweep point's trial 0, from pipeline.filtered_trial_zero (its docstring
+states how it equals the ensemble's trial 0), as rd_imaging.stage_grids
+runs the stages in place in that grid.  The CLI draws nothing and lays no
+pilot comb itself: both calls take the scenario's SrsConfig.  Outputs are
+a deterministic function of (config, seed).
 """
 
 from __future__ import annotations

@@ -139,8 +139,6 @@ def _dft_upsample(profile: np.ndarray, factor: int) -> np.ndarray:
         # split the Nyquist coefficient symmetrically
         padded[half] = 0.5 * spec[half]
         padded[-half] = 0.5 * spec[half]
-        padded[-(n - half)] = 0.0
-        padded[n * factor - half] = 0.5 * spec[half]
     return np.fft.ifft(padded) * factor
 
 

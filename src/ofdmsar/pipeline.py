@@ -1,190 +1,78 @@
 """Monte-Carlo ensemble runner: symbols -> echo -> filter -> focused image.
 
-This module is the one that draws and the one that lays a pilot comb on
-a grid.  run_sweep_ensemble draws every trial: its symbols, its noise and
-its random targets' amplitudes.  The only other draw is
-filtered_trial_zero, the CLI's stage path, which draws trial 0 again from
-the same streams, with the same bits, in one grid, to render its images.
-A pilot comb is passed as its SrsConfig, and both build its mask
-(pilot_comb_mask) on the grid they run.  Over independent
-trials of a scene with a deterministic reference target it returns, per
-(cfg, filter) point of an SNR/filter sweep, the reductions the quality
-metrics need: each trial's peaks and image MSE versus the reference
-image, and the ensemble-mean power that the report reads (the noisy
-image's total and its mainlobe around the peak, and the column and row
-through the peak of the noisy and the noiseless image).  The points
-share one set of draws (common random numbers) and one focusing operator
-F (rd_imaging.focusing_operator).  The reference image is F(channel), the
-run grid's own image of the scene with chi = 1 on every cell: no pilot
-comb, no filter and no noise, so how a target focuses, on a bin or
-between bins, is the focusing operator's alone and the same in the image
-and its reference.  The channel and the reference are built once per
-sweep, or per trial from its amplitudes when the scene has random
-targets.  run_point_ensemble is the one-point sweep.
+The one module that draws and lays a pilot comb on a grid.
+run_sweep_ensemble draws every trial of an (SNR, filter) sweep, and
+run_point_ensemble is its one-point case; the only other draw is
+filtered_trial_zero, the CLI's stage path, whose docstring states its bit
+contract with the sweep's trial 0.  The sweep's contract:
 
-A trial draws its symbols as alphabet indices (waveform.gen_symbol_indices,
-one or two bytes per cell, the sentinel index `order` on inactive cells)
-and, in a noisy sweep, its unit noise.  Every gain kind is a function of
-the symbol alone, so each gain spec has two tables over
-constellation.table, its gain g and chi = s * g, both 0 at the sentinel,
-built once per sweep with tf_filter.filter_gains; a trial gathers them at
-its indices and never forms a complex symbol grid.
+Returns and reference.  Per (cfg, filter) point, in order, an
+EnsembleResult of the reductions its report reads, not images.  The
+reference image is F(channel), F being the sweep's one focusing operator
+(rd_imaging.focusing_operator) and the channel the run grid's: chi = 1 on
+every cell, no comb, no filter and no noise.  So how a target focuses, on
+a bin or between bins, is F's alone and the same in image and reference.
 
-The focusing operator F is linear, so each point's images are real
-multiples of a few canonical focused grids.  Its noisy image is
-clean + sigma * c * F(z * g_ref), with sigma = sqrt(noise_var / 2) and z
-the unit noise.  With a constant-modulus alphabet (every |s|^2 = rho, as
-QPSK) every gain is a real multiple of conj(s), so g_ref = conj(s) and c
-is 1/rho for rf, 1 for mf and 1/(rho + 1/SNR) for wf; otherwise g_ref is
-the point's own gain grid and c = 1, so all rf points share one noise
-grid, all mf points another, and each wf SNR has its own.  When
-chi is the same on every alphabet point (rf always; every filter of a
-constant-modulus alphabet) the noiseless image is chi * F(channel * act),
-act being the active cells; otherwise it is F(chi * channel), shared by
-points with equal gains (mf across SNRs).  Each distinct canonical grid
-is focused once per trial, or once per sweep when it does not change
-between trials (F(channel * act) of a deterministic scene), and every
-point that uses it reads it.  Without a comb F(channel * act) is the
-reference F(channel) itself, and the reference is focused once per
-sweep, or once per trial with random targets.  So a constant-modulus
-sweep without a comb focuses one grid per trial plus the reference
-instead of two per point and trial; QAM16 rf/mf/wf at two SNRs focuses 7
-per trial plus the reference instead of 12.  The choice follows from the
-alphabet, the filter specs and the comb alone, so a point run alone
-reads the same grids by the same formula and its bits do not depend on
-the rest of the sweep.
+Determinism.  One Philox generator per stream (symbols, noise, target
+amplitudes) draws the trials in trial order, and every point reads the
+same draws (common random numbers).  So no result depends on the thread
+that draws or on the sweep's other points: each equals run_point_ensemble
+on its point alone.
 
-The canonical grids stay in the range-Doppler domain, and every
-reduction is taken there.  F(x) = ifft_M(A * Y) with Y the operator's
-range_doppler(x) and A its azimuth multiplier, a phase with |A|^2 = N on
-every entry.  By Parseval, sum |ifft_M(v)|^2 = sum |v|^2 / M along each
-row, so sum |F(x)|^2 = (N / M) sum |Y|^2 and Re <F(x), F(y)> =
-(N / M) Re <Y_x, Y_y>: the total power and both MSEs are N / M times sums
-over range-Doppler grids, the reference entering as its range-Doppler
-form R = range_doppler(channel).  The peaks, the azimuth cuts and the
-mainlobe read the image rows k_q - 1 .. k_q + 1, three M-point IFFTs of
-A * Y, and the range cut reads column m_q, sum_p Y * A e^{2 pi i p m_q / M}
-/ M, with A and the phase row as two factors of the sum where A has a row
-per range bin.  So no trial multiplies a whole grid by A or runs its
-azimuth IFFT.
+Linearity.  F is linear, so each point's images are real multiples of a
+few canonical focused grids: its noiseless image is chi * F(channel * act),
+act being the active cells, where chi is the same on every alphabet point
+(rf always), else F(chi * channel); its noise image is
+sqrt(noise_var / 2) * c * F(z * g) for unit noise z and gains g.  With a
+constant-modulus alphabet every gain is a real multiple of conj(s), so
+every point reads F(channel * act) and one noise grid; otherwise points of
+equal gains share theirs.  The alphabet, the filter specs and the comb
+alone choose the grids (_focus_reads), so a point run alone reads the same
+grids by the same formula.  Each distinct grid is focused once per trial,
+or once per sweep when no trial changes it.
 
-Each trial reduces every distinct canonical grid once, and each point
-combines those reductions with scalars alone, so a point costs O(N + M)
-per trial whatever the grid.  A point's noisy grid is chi S + sigma Z, S
-and Z its signal and noise grids, and is never formed:
+Why the range-Doppler reductions are exact.  A canonical grid stays in
+the range-Doppler domain: F(x) = ifft_M(A * Y), Y = range_doppler(x),
+with the azimuth multiplier A a phase, |A|^2 = N on every entry.  By
+Parseval each row has sum |ifft_M(v)|^2 = sum |v|^2 / M, so
+sum |F(x)|^2 = (N / M) sum |Y|^2 and Re <F(x), F(y)> = (N / M)
+Re <Y_x, Y_y>: the total power and both MSEs are N / M times sums over
+range-Doppler grids, the reference entering as R = range_doppler(channel).
+The peaks, the mainlobe and the azimuth cuts read image rows, each an
+M-point IFFT of A * Y, and the range cut reads column m_q as one weighted
+sum over p of Y * A * e^{2 pi i p m_q / M} / M.  So no trial forms an
+image, and a point combines its grids' sums with scalars, O(N + M) per
+trial.
 
-  total          = chi^2 |S|^2 + 2 chi sigma Re <S, Z> + sigma^2 |Z|^2
-  mse            = |chi S - R|^2 + 2 sigma Re <chi S - R, Z> + sigma^2 |Z|^2
-  mse_calibrated = the same with E[chi] R for R, over E[chi]^2
+Numerics.  Each residual |chi S - c R|^2 (c = 1 for mse, E[chi] for
+mse_calibrated) is a sum of squares of a formed grid, never expanded into
+|S|^2 - 2 Re <S, R> + |R|^2, which cancels and goes negative.  A signal
+grid S is held as G = S - base * R, base 1 where S is nearer R than 0 (in
+mean square, E[chi] > 1/2 without a comb; never with one, where S - R
+holds the inactive cells' channel), so no grid is the difference of two
+focused grids that nearly cancel.  Only the independent noise Z is split
+out, its cross terms taken against G and R:
+Re <chi S - c R, Z> = chi Re <G, Z> + (chi base - c) Re <R, Z>.  The sums
+run over float64 views without BLAS, whose threads would compete with the
+draw worker for the cores.
 
-The peaks and cuts combine the grids' rows and columns in the operand
-order of the image-domain chain, as before.  The numerics follow four
-rules.  A residual between correlated grids, |chi S - c R|^2 for c = 1
-and c = E[chi], is always a sum of squares of a formed grid,
-chi^2 |S - (c / chi) R|^2, never expanded into |S|^2 - 2 Re <S, R> +
-|R|^2, which cancels to round-off and goes negative.  No grid is formed
-as the difference of two focused grids that nearly cancel, whose
-round-off would be that of the larger: each signal grid S is focused and
-held as G = S - base * R, one form for its whole trial, as D = S - R
-itself from (chi - 1) * channel (base 1) where S is nearer R than 0, and
-as S (base 0) where it is not.  In mean square over the cells that is
-E[chi] > 1/2 without a comb, and never with one, where S - R holds the
-channel of the inactive cells, most of R's energy.  So the residual of
-wf at a high SNR, where chi tends to 1, keeps its own round-off, not
-that of |S|, and S at a very low SNR, where chi tends to 0, keeps its
-own, not that of |R|.  A base-1 grid's rows and column are R's plus
-D's, and |S|^2 = |R|^2 + 2 Re <D, R> + |D|^2, which does not cancel
-there, S being nearer R than 0.  Only the independent noise is split
-out, and its cross terms are taken against G and R:
-Re <chi S - c R, Z> = chi Re <G, Z> + (chi base - c) Re <R, Z> and
-Re <S, Z> = Re <G, Z> + base Re <R, Z>.  A cross term's round-off is
-then that of chi G, plus |chi base - c| |R| |Z| eps: with base 1 that
-of the residual itself plus |chi - c| |R| |Z| eps, where taking
-chi <S, Z> - c <R, Z> would keep eps |R| |Z| whatever the residual, and
-with base 0, where chi S is not near c R, of the residual's own size.
-And what does not change between trials is reduced once per sweep: R
-and, with a comb, F(channel * act) of a deterministic scene, with their
-sums of squares and cuts before the draws are allocated, and
-F(channel * act)'s residuals at the first trial, which keeps them.  So a
-trial takes, per per-trial signal grid, its cuts, |S|^2 and each
-|S - k R|^2; per noise grid its cuts, |Z|^2, Re <R, Z> and Re <G, Z>
-against the one signal grid its points read, 0 where G is 0 (S is R,
-without a comb).  A QPSK sweep without a comb, whose points all read one
-noise grid and R, makes one sum of squares and one inner product per
-trial at any number of points.  Every sum is over the grids' float64
-views, computed without BLAS: its threads would compete with the draw
-worker for the cores.
+Memory.  A sweep holds the operator's multipliers, R, at most one signal
+and one noise buffer, the grids no trial changes, and one trial's draws,
+or two while a worker draws; with random targets, also the trial's
+channel and reference.  Beyond them it holds O(N + M) per point and
+row-block temporaries, so none of it grows with the points, and a trial
+of a deterministic scene allocates no (N, M) grid.
+python tools/sweep_peak.py SCENARIO measures a sweep's peak in grids.
 
-Every noise grid is read with one signal grid: rf's with
-F(channel * act), mf's with mf's, each wf SNR's with its own, and every
-point of a constant-modulus sweep reads F(channel * act) and the one mf
-noise grid.  So the points fall into groups, one per signal grid, each
-reading at most one noise grid, and a trial runs them one group at a
-time, in the order the points first read them, through two buffers
-allocated once per sweep.  It focuses the group's signal grid into the
-signal buffer, gathering its gains straight into it, and takes it; it
-focuses the group's noise grid into the noise buffer and takes it and
-its cross terms; it gives the signal grid each |S - k R|^2, k != base,
-that it lacks, formed in the spent noise grid, or in the noise buffer in
-a group without noise; and it combines the group's points.  Every noise
-grid is filled by one loop, its gains gathered a row block at a time
-and multiplied by the unit noise; the sweep's last noise grid, the last
-group's with one, is the trial's own unit noise, multiplied in place,
-which no group reads after it.  So the noise buffer is allocated only
-where the sweep has two noise grids, or a group without noise with a
-grid to form residuals of, and the signal buffer only where some signal
-grid is focused per trial.  F(channel * act) is built with R and forms
-no residual there.  Without a comb it is R itself (base 1, G = 0), whose
-|S - k R|^2 are (1 - k)^2 |R|^2 and need no grid.  With one it is
-focused into a grid of its own and held as S next to R, after the
-channel is dropped where no per-trial signal grid reads it, and its
-group forms its residuals like any other, in the spent noise grid or the
-noise buffer: at the first trial of a deterministic scene, and at every
-trial with random targets.  So no trial allocates a grid for a residual.
-A trial of a deterministic scene allocates no complex grid; one with
-random targets builds its channel, R and, with a comb, F(channel * act).
+Draw schedule.  A sweep of several trials whose draws exceed
+_PREFETCH_BYTES draws trial t + 1 on a worker thread while trial t is
+focused; any other sweep draws on the calling thread and starts no
+thread.
 
-The trial is the one unit of drawing.  Each trial's indices and, in a
-noisy sweep, its unit noise are drawn into a pair of buffers allocated
-once, an index grid and a unit-noise grid, and its random targets'
-amplitudes are drawn, with its channel and reference, just before it is
-focused.  A sweep of several trials whose draws exceed _PREFETCH_BYTES,
-at the index's itemsize plus 16 bytes of unit noise per cell in a noisy
-sweep, draws trial t + 1 on a worker thread while trial t is focused,
-into the other of two pairs; the main thread draws only the target
-amplitudes, builds the channels, focuses and reduces.  One Philox
-generator per stream (symbols, noise, target amplitudes) lives across the
-trials, so no result depends on which thread draws.  The index draws, the
-gain gathers and the channel build run a row block at a time, so none
-makes a temporary of a whole grid.
-
-Memory, in (N, M) complex grids: the operator's multipliers (H, and A
-where it has a row per range bin), with an srs its comb (a boolean grid,
-1/16 of a complex one), R, the signal buffer and the noise buffer where
-the sweep has them, with a comb F(channel * act) where it does not
-change between trials, the channel where a per-trial signal
-grid reads it, and one trial's draws (an index grid and, when noisy, a
-unit-noise grid, which holds the last noise grid), or two trials' when
-the worker draws, and with random targets the trial's channel, reference
-and, with a comb, F(channel * act); besides them O(N + M) per point and
-its per-trial arrays, and row-block temporaries of at most _BLOCK_BYTES
-(a quarter of that for the index draw, which the worker runs beside
-them).  None of it grows with the points.  The pilot-only NR sweep
-(QPSK, phase_ramp, per_range_bin) drops its channel once
-F(channel * act) is built, and its trials hold H, A, R,
-F(channel * act) and the unit noise, which holds its one noise grid and
-then, at the first trial, F(channel * act)'s residuals.  The data-aided
-NR sweep, QAM16 rf/mf/wf at 11 SNRs, reads 25 canonical grids per
-trial.  One QAM256 mf or wf point, its trials drawn by the worker,
-holds H, R, the channel, its signal grid and two trials' draws, and
-forms wf's residuals in the unit noise (mf, whose E[chi] is 1, has none
-to form).  python tools/sweep_peak.py SCENARIO prints a sweep's
-tracemalloc peak in grids; the README quotes it for the NR scenarios.
-
-An srs (the pilot comb) makes the mode "pilot_only", else "data_aided".
-The points' grid is then the pilot-rate one, the sent grid decimated to
-srs.period_symbols, and the sweep masks it to the comb, which it builds
-once, then runs the identical chain.
+Comb and mode.  An srs (the pilot comb) makes the mode "pilot_only", else
+"data_aided".  The points' grid is then the pilot-rate one, the sent grid
+decimated to srs.period_symbols, and the sweep lays the comb on it once
+(pilot_comb_mask) and runs the identical chain.
 """
 
 from __future__ import annotations
@@ -369,13 +257,10 @@ def run_sweep_ensemble(scene: Scene,
         * np.exp(-4j * np.pi * r_bar_ref / cfg0.wavelength_m))
     k_q, m_q = target_bin(ref, cfg0)
 
-    # the image's rows k_q - hw .. k_q + hw and its column m_q, read from
-    # the range-Doppler form Y of image = ifft_M(A * Y): the rows are
-    # M-point IFFTs of A * Y there, and the column is sum_p Y * A * e with
-    # e = e^{2 pi i p m_q / M} / M.  With one row of A (reference K_a) the
-    # column weighs Y by the one row A * e; with one row per range bin it
-    # takes A and e as two factors of the sum, so that no (N, M) weight
-    # grid is formed
+    # the column m_q is sum_p Y * A * e with e = e^{2 pi i p m_q / M} / M.
+    # With one row of A (reference K_a) it weighs Y by the one row A * e;
+    # with one row per range bin it takes A and e as two factors of the
+    # sum, so that no (N, M) weight grid is formed
     hw = MAINLOBE_HALFWIDTH_BINS
     azimuth = focus.azimuth_multiplier
     rows = np.arange(k_q - hw, k_q + hw + 1) % n
@@ -455,18 +340,10 @@ def run_sweep_ensemble(scene: Scene,
         tasks.append((sums, r.chi, np.sqrt(cfg.noise_var / 2.0) * r.scale,
                       e_chi, ks, cfg.noise_var > 0))
         group[2].append(tasks[-1])
-    # Every signal grid S is focused as G = S - base * R, and its trial
-    # reads it in that one form: as S - R (base 1) where S is nearer R than
-    # 0, and as S itself (base 0) where it is not, so that G is not the
-    # difference of two grids that nearly cancel.  In mean square over
-    # the cells, S is nearer R exactly where E[chi] > 1/2 with no comb;
-    # with one, S - R holds the channel of the inactive cells, most of R's
-    # energy.  F(channel * act), rf's signal grid, is taken with R: it is R
-    # itself without a comb (base 1, G = 0, no grid), and is focused into a
-    # grid of its own with one.  Per group: (its signal grid's table over
-    # constellation.table, chi - base with chi = s * g, 0 at the sentinel,
-    # or None for F(channel * act); base; its scales; its noise grid's gain
-    # table, or None; its points)
+    # Per group: (its signal grid's table over constellation.table,
+    # chi - base with chi = s * g, 0 at the sentinel, or None for
+    # F(channel * act), which truth() builds; base; its scales; its noise
+    # grid's gain table, or None; its points)
     plan = []
     for signal, (noise, scales, members) in groups.items():
         table = None
@@ -535,17 +412,14 @@ def run_sweep_ensemble(scene: Scene,
     ratio = n / m
 
     # Bytes per cell of one trial's draws: its symbol index and, in a noisy
-    # sweep, its unit noise.  Each trial is drawn into a pair of buffers, an
-    # index grid and a unit-noise grid.  A sweep whose draws fit the budget,
-    # or of one trial, draws each trial on this thread into one pair.  A
-    # larger sweep draws trial t + 1 on a worker thread while trial t is
-    # focused, into the other of two pairs.  The buffers are allocated here:
-    # a draw allocates only a row block of int64 indices at a time, so none
-    # lands in the worker's own malloc arena.  The symbol and noise streams
-    # keep their draw order, on one thread.  Leaving the with statement,
-    # however the sweep ends, joins the worker.  A sweep drawn on this
-    # thread starts no thread and does not import concurrent.futures, whose
-    # import of logging adds ~13 ms to a fresh process.
+    # sweep, its unit noise, drawn into a pair of buffers, an index grid and
+    # a unit-noise grid, or into two pairs where a worker draws.  The
+    # buffers are allocated here: a draw allocates only a row block of int64
+    # indices at a time, so none lands in the worker's own malloc arena.
+    # The symbol and noise streams keep their draw order, on one thread.
+    # Leaving the with statement, however the sweep ends, joins the worker.
+    # A sweep drawn on this thread does not import concurrent.futures, which
+    # imports logging, to keep a fresh process's start short.
     cell = constellation.index_dtype.itemsize + 16 * (noise_rng is not None)
     prefetch = 1 < trials and trials * cell * n * m > _PREFETCH_BYTES
     index_bufs = np.empty((1 + prefetch, n, m),
@@ -617,10 +491,7 @@ def run_sweep_ensemble(scene: Scene,
                     sums["noiseless_azimuth_power"] += (
                         np.abs(clean_rows[hw]) ** 2)
                     # noisy = chi S + sigma Z, and each residual
-                    # chi S - c R + sigma Z, as sums of squares of formed
-                    # grids plus the noise's cross terms, taken against
-                    # G = S - base * R and R:
-                    # chi S - c R = chi G + (chi * base - c) R
+                    # chi S - c R + sigma Z, by the module's numerics
                     chi_sq = chi * chi
                     total = chi_sq * clean.power
                     mse = chi_sq * clean.residuals[ks[0]]
